@@ -1,45 +1,75 @@
-//! Process-wide allocation accounting for the E18 memory-discipline
-//! experiment and the zero-allocation integration tests.
+//! Allocation accounting for the E18 memory-discipline experiment, the
+//! E21 zero-allocation gate and the zero-allocation integration tests.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
-//! allocation (and requested byte) with relaxed atomics. It is installed
-//! as the `#[global_allocator]` **only** in the targets that measure
-//! allocation behaviour — the `exp18_alloc_audit` binary and the
-//! `alloc_discipline` integration test — so ordinary builds and every
-//! other experiment run on the plain system allocator.
+//! allocation (and requested byte) twice: into process-wide relaxed
+//! atomics and into a const-initialised thread-local cell. It is
+//! installed as the `#[global_allocator]` **only** in the targets that
+//! measure allocation behaviour — the `enw` binary and the
+//! `alloc_discipline` integration test.
 //!
-//! The counters are monotone totals since process start; callers diff
-//! [`snapshot`]s around the region of interest. [`counters`] has the
-//! exact shape `enw_trace::install_alloc_source` expects, which is how
-//! `ENW_TRACE=summary` output gains its allocator line in E18.
+//! Which reader to use:
+//!
+//! - [`thread_snapshot`] — the calling thread's totals. A window on one
+//!   thread is exact whatever other threads do (the libtest harness
+//!   allocates concurrently), so the `alloc_discipline` tests and E18's
+//!   single-threaded windows assert `== 0` / `large == small` on it.
+//! - [`snapshot`] / [`counters`] — the whole process. E21's pooled
+//!   training-step gate and the `enw_trace` alloc source read these,
+//!   because they must see what pool workers allocate. [`counters`] has
+//!   the exact shape `enw_trace::install_alloc_source` expects, which is
+//!   how `ENW_TRACE=summary` output gains its allocator line in E18.
+//!
+//! All counters are monotone totals; callers diff snapshots around the
+//! region of interest.
 
+use enw_core::numerics::rng::Rng64;
+use enw_core::serve::backend::{Backend, ServiceModel};
+use enw_core::serve::policy::{BatchPolicy, StationSpec};
+use enw_core::serve::request::{Output, Payload, Request};
+use enw_core::serve::scheduler::Server;
+use enw_core::serve::ServeError;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialised and drop-free, so touching it from inside the
+    // allocator neither allocates nor registers a destructor.
+    static THREAD: Cell<Snapshot> = const { Cell::new(Snapshot { allocs: 0, bytes: 0 }) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = THREAD.try_with(|c| {
+        let s = c.get();
+        c.set(Snapshot { allocs: s.allocs + 1, bytes: s.bytes + bytes as u64 });
+    });
+}
 
 /// A `#[global_allocator]` shim over [`System`] that counts allocations.
 pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow on the hot path costs what a fresh allocation costs, so
         // it counts as one.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -48,7 +78,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Counter values at one instant (monotone since process start).
+/// Counter values at one instant (monotone totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Heap allocations (including zeroed allocations and reallocations).
@@ -67,14 +97,73 @@ impl Snapshot {
     }
 }
 
-/// Current counter values. Both stay zero unless [`CountingAlloc`] is
-/// installed as the global allocator.
+/// Process-wide counter values since process start. Both stay zero
+/// unless [`CountingAlloc`] is installed as the global allocator.
 pub fn snapshot() -> Snapshot {
-    Snapshot { allocs: ALLOCS.load(Ordering::Relaxed), bytes: BYTES.load(Ordering::Relaxed) }
+    let (allocs, bytes) = counters();
+    Snapshot { allocs, bytes }
 }
 
-/// Raw `(allocs, bytes)` totals — the signature
+/// The calling thread's counter values since the thread started.
+pub fn thread_snapshot() -> Snapshot {
+    THREAD.get()
+}
+
+/// Raw process-wide `(allocs, bytes)` totals — the signature
 /// `enw_trace::install_alloc_source` takes.
 pub fn counters() -> (u64, u64) {
     (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
+}
+
+/// Constant-output backend: isolates the scheduler event loop (queue,
+/// batch close, pending hand-off) from backend output allocation —
+/// labels are plain enum payloads.
+pub struct ConstLabel;
+
+impl Backend for ConstLabel {
+    fn name(&self) -> &str {
+        "const_label"
+    }
+    fn service_ns(&self, batch: usize) -> u64 {
+        ServiceModel { setup_ns: 200, per_item_ns: 50 }.ns(batch)
+    }
+    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
+        let mut out = Vec::new();
+        self.serve_into(batch, &mut out);
+        out
+    }
+    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+        out.clear();
+        out.extend(batch.iter().map(|_| Output::Label(Some(1))));
+    }
+    fn make_payload(&self, _rng: &mut Rng64) -> Payload {
+        Payload::Features(Vec::new())
+    }
+}
+
+/// Allocations the calling thread makes during one owned-trace run of
+/// `n` requests through a single [`ConstLabel`] station (the trace is
+/// built before the window opens).
+///
+/// # Errors
+///
+/// Forwards the server's own validation errors; the fixed station and
+/// trace built here are valid.
+pub fn serve_run_allocs(n: usize) -> Result<u64, ServeError> {
+    let reqs: Vec<Request> = (0..n)
+        .map(|k| Request {
+            id: k as u64,
+            station: 0,
+            payload: Payload::Features(Vec::new()),
+            arrival_ns: 1_000 * k as u64,
+            deadline_ns: u64::MAX,
+        })
+        .collect();
+    let spec = StationSpec::simple(Box::new(ConstLabel), BatchPolicy::new(8, 500, 64));
+    let server = Server::try_new(vec![spec])?;
+    let s0 = thread_snapshot();
+    let report = server.try_run_owned(reqs)?;
+    let allocs = thread_snapshot().since(s0).allocs;
+    assert_eq!(report.responses.len(), n, "every request must resolve");
+    Ok(allocs)
 }

@@ -7,7 +7,7 @@
 //! and that the stochastic pulse update realizes the intended rank-1
 //! gradient step in expectation.
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
 use enw_core::nn::backend::LinearBackend;
@@ -15,8 +15,7 @@ use enw_core::numerics::matrix::Matrix;
 use enw_core::numerics::rng::Rng64;
 use enw_core::report::Table;
 
-fn main() {
-    banner("E1");
+pub fn run(run: &mut Run) {
     let mut rng = Rng64::new(42);
     let mut table = Table::new(&[
         "array (out x in)",
@@ -77,7 +76,7 @@ fn main() {
             format!("{rel_err:.3}"),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
 
     // Ablation: pulse-train length vs update fidelity. Longer trains
     // average out coincidence noise at linear cost in update latency.
@@ -117,7 +116,7 @@ fn main() {
         ]);
     }
     println!("-- ablation: pulse-train length BL vs update fidelity --");
-    emit(&ab);
+    run.emit(&ab);
     println!("Reading: fwd/bwd/upd crossbar-op counts stay at 1 per cycle at every size (O(1));");
     println!("pulses per device per update stay O(BL), independent of array dimensions; longer");
     println!("pulse trains trade update latency for lower stochastic-update error.");

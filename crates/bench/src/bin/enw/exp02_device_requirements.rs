@@ -13,7 +13,7 @@
 //! The table shows accuracy holding near the FP32 baseline while specs are
 //! met and collapsing beyond them.
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::crossbar::device::{DeviceSpec, PulsedDevice};
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tile::TileConfig;
@@ -60,8 +60,7 @@ fn asymmetric(states: u32, asymmetry: f32) -> DeviceSpec {
     })
 }
 
-fn main() {
-    banner("E2");
+pub fn run(run: &mut Run) {
     let split = task(7);
     let mut rng = Rng64::new(1);
     let mut fp = Mlp::digital(&DIMS, Activation::Tanh, &mut rng);
@@ -79,7 +78,7 @@ fn main() {
         ]);
     }
     println!("-- granularity sweep (ideal symmetric devices) --");
-    emit(&g);
+    run.emit(&g);
 
     let mut a = Table::new(&["up/down asymmetry", "test accuracy", "vs FP32"]);
     for &asym in &[0.0f32, 0.02, 0.05, 0.1, 0.2, 0.4] {
@@ -91,7 +90,7 @@ fn main() {
         ]);
     }
     println!("-- asymmetry sweep (1000 states, soft bounds, plain SGD) --");
-    emit(&a);
+    run.emit(&a);
 
     let mut n = Table::new(&["write noise (c2c)", "d2d spread", "test accuracy", "vs FP32"]);
     for &(c2c, d2d) in &[(0.0f32, 0.0f32), (0.3, 0.1), (0.6, 0.3), (1.5, 0.5)] {
@@ -104,7 +103,7 @@ fn main() {
         ]);
     }
     println!("-- stochasticity sweep (1000 states, symmetric) --");
-    emit(&n);
+    run.emit(&n);
 
     println!("Reading: ~1000 states (0.1% granularity) and few-% asymmetry keep analog SGD near");
     println!("the FP32 baseline; coarse, strongly asymmetric or very noisy devices collapse it —");

@@ -7,15 +7,14 @@
 //! up/down asymmetry and the cycle-to-cycle stochasticity the paper
 //! discusses.
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::crossbar::device::PulseDir;
 use enw_core::crossbar::devices;
 use enw_core::numerics::rng::Rng64;
 use enw_core::numerics::stats::OnlineStats;
 use enw_core::report::Table;
 
-fn main() {
-    banner("E3");
+pub fn run(run: &mut Run) {
     let mut rng = Rng64::new(3);
     let dev = devices::rram().materialize(&mut rng);
     println!(
@@ -47,7 +46,7 @@ fn main() {
             }
         }
     }
-    emit(&table);
+    run.emit(&table);
 
     let peaks: OnlineStats = cycle_peaks.iter().map(|&p| p as f64).collect();
     println!(

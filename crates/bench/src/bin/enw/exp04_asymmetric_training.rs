@@ -12,7 +12,7 @@
 //!    reference — the paper's "indistinguishable from ... perfectly
 //!    symmetric, ideal devices" claim).
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tiki_taka::TikiTakaConfig;
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
@@ -64,8 +64,7 @@ fn zero_shifted_mlp(rng: &mut Rng64) -> Mlp<AnalogTile> {
     Mlp::from_layers(layers)
 }
 
-fn main() {
-    banner("E4");
+pub fn run(run: &mut Run) {
     let split = task();
     let mut table = Table::new(&["configuration", "devices", "test accuracy"]);
 
@@ -106,7 +105,7 @@ fn main() {
         percent(acc_tt),
     ]);
 
-    emit(&table);
+    run.emit(&table);
     println!(
         "gap to ideal: plain {:+.1} pts, zero-shift {:+.1} pts, Tiki-Taka {:+.1} pts",
         100.0 * (acc_plain - acc_ideal),

@@ -2,13 +2,12 @@
 //! unidirectional updates, periodic reset, and resistance drift with and
 //! without the projection liner (paper Sec. II-B1, refs. \[18\]\[26\]\[27\]).
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::crossbar::devices::pcm::{PcmConfig, PcmPair};
 use enw_core::numerics::rng::Rng64;
 use enw_core::report::{percent, Table};
 
-fn main() {
-    banner("E5");
+pub fn run(run: &mut Run) {
     let mut rng = Rng64::new(5);
 
     // Part 1: track a slowly varying signed target with SET-only pulses.
@@ -40,7 +39,7 @@ fn main() {
         }
     }
     println!("-- signed-weight tracking with unidirectional devices --");
-    emit(&table);
+    run.emit(&table);
     println!("worst tracking error over 400 signed updates: {worst:.3} (weight range ±1)\n");
 
     // Part 2: drift with and without the projection liner.
@@ -60,7 +59,7 @@ fn main() {
         ]);
     }
     println!("-- resistance drift: metallic projection liner vs bare cell --");
-    emit(&drift);
+    run.emit(&drift);
     println!("Reading: the pair tracks signed weights despite SET-only switching (periodic reset");
     println!("preserving the difference), and the projection liner suppresses the conductance");
     println!("drift by about an order of magnitude in exponent, as in refs. [26][27].");

@@ -2,7 +2,7 @@
 //! "23.7×–45.7× speedup and 75.1×–267.1× reduction in energy over a
 //! state-of-the-art GPU").
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::numerics::rng::Rng64;
 use enw_core::numerics::stats::geometric_mean;
 use enw_core::report::{energy, latency, ratio, Table};
@@ -10,8 +10,7 @@ use enw_core::xmann::arch::XmannConfig;
 use enw_core::xmann::cost::{GpuCostParams, XmannCostParams};
 use enw_core::xmann::workloads::{run_benchmark, run_suite, MannBenchmark};
 
-fn main() {
-    banner("E6");
+pub fn run(run: &mut Run) {
     let mut rng = Rng64::new(6);
     let results = run_suite(&mut rng);
 
@@ -41,7 +40,7 @@ fn main() {
             ratio(r.energy_reduction()),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
     println!(
         "speedup range {:.1}x - {:.1}x (geomean {:.1}x); paper reports 23.7x - 45.7x",
         speedups.iter().cloned().fold(f64::INFINITY, f64::min),
@@ -74,7 +73,7 @@ fn main() {
         ]);
     }
     println!("-- ablation: TCPT tile geometry (65536 x 64 memory) --");
-    emit(&ab);
+    run.emit(&ab);
     println!("Reading: who wins (X-MANN, on every benchmark) and the trend (the advantage grows");
     println!("with memory capacity until the fixed tile budget forces serial passes) match the");
     println!("paper; absolute ratios depend on the substituted cost constants (DESIGN.md).");

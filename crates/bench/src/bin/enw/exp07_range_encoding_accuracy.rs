@@ -8,7 +8,7 @@
 //! plain fixed-point searches, and the BRGC cube-growth (L∞) search with
 //! L2 tie-break, swept over precision.
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::mann::embedding::{EmbeddingConfig, EmbeddingNet};
 use enw_core::mann::fewshot::{evaluate, SearchMethod};
 use enw_core::mann::memory::Similarity;
@@ -19,8 +19,7 @@ use enw_core::report::{percent, Table};
 const EPISODES: usize = 60;
 const HOLDOUT_FROM: usize = 30;
 
-fn main() {
-    banner("E7");
+pub fn run(run: &mut Run) {
     let mut rng = Rng64::new(77);
     // Harder-than-default intra-class jitter so the precision/encoding
     // trade-offs are visible (the default domain saturates every method).
@@ -68,7 +67,7 @@ fn main() {
             format!("{:.1}", out.searches_per_query),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
     println!(
         "paper reference: 96.00% (combined Linf+L2, 4-bit) vs 99.06% (FP32 cosine) on Omniglot"
     );

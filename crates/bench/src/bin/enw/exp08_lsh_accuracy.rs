@@ -5,7 +5,7 @@
 //! hyper-parameter and is tuned until further increase does not further
 //! improve accuracy".
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::mann::embedding::{EmbeddingConfig, EmbeddingNet};
 use enw_core::mann::fewshot::{evaluate, SearchMethod};
 use enw_core::mann::memory::Similarity;
@@ -17,8 +17,7 @@ const EPISODES: usize = 50;
 const HOLDOUT_FROM: usize = 30;
 const PLANES: usize = 256;
 
-fn main() {
-    banner("E8");
+pub fn run(run: &mut Run) {
     let mut rng = Rng64::new(88);
     // Harder-than-default intra-class jitter so the precision/encoding
     // trade-offs are visible (the default domain saturates every method).
@@ -49,7 +48,7 @@ fn main() {
         sweep.row_owned(vec![format!("{planes}"), percent(out.accuracy)]);
     }
     println!("-- LSH plane-count sweep (5-way 1-shot) --");
-    emit(&sweep);
+    run.emit(&sweep);
 
     // The Fig. 5 inset grid: cosine vs LSH across task difficulty.
     let mut grid = Table::new(&["task", "cosine (FP32 GPU)", "LSH + Hamming (TCAM)", "gap"]);
@@ -81,7 +80,7 @@ fn main() {
         ]);
     }
     println!("-- cosine vs LSH across N-way K-shot settings (Fig. 5 inset) --");
-    emit(&grid);
+    run.emit(&grid);
     println!("Reading: LSH accuracy saturates with plane count and approaches (sometimes");
     println!("matches) the cosine baseline; harder tasks (more ways, fewer shots) show the");
     println!("larger gaps — the paper's iso-accuracy caveat.");

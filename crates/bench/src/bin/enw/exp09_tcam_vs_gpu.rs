@@ -2,7 +2,7 @@
 //! Sec. IV-B2: "24X and 2,582X reductions in energy and latency,
 //! respectively, for memory search operation").
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::cam::array::TcamConfig;
 use enw_core::cam::baseline::compare_search;
 use enw_core::cam::cells;
@@ -10,8 +10,7 @@ use enw_core::numerics::rng::Rng64;
 use enw_core::report::{energy, latency, ratio, Table};
 use enw_core::xmann::cost::GpuCostParams;
 
-fn main() {
-    banner("E9");
+pub fn run(run: &mut Run) {
     let mut rng = Rng64::new(9);
     let gpu = GpuCostParams::default();
 
@@ -38,8 +37,17 @@ fn main() {
             latency(cmp.tcam.latency_ns),
             ratio(cmp.latency_reduction()),
         ]);
+        if entries == 512 {
+            // Paper-fidelity pins (Sec. IV-B2: 24x energy, 2582x latency).
+            for (name, v, lo, hi) in [
+                ("energy_reduction_512", cmp.energy_reduction(), 20.0, 30.0),
+                ("latency_reduction_512", cmp.latency_reduction(), 2000.0, 3000.0),
+            ] {
+                run.gate(name, (lo..=hi).contains(&v), format!("{v:.1}x; band {lo}-{hi}x"));
+            }
+        }
     }
-    emit(&table);
+    run.emit(&table);
 
     // Match-line segmentation ablation at the paper's configuration.
     let mut seg = Table::new(&["ML segments", "TCAM energy", "TCAM latency"]);
@@ -53,7 +61,7 @@ fn main() {
         ]);
     }
     println!("-- ablation: match-line segmentation (selective precharge) --");
-    emit(&seg);
+    run.emit(&seg);
     println!("paper reference (512 entries): 24x energy, 2582x latency reduction");
     println!("Reading: a single parallel search replaces a full DRAM stream + two GPU kernels;");
     println!("the latency gap is dominated by kernel-launch overheads the TCAM simply never pays,");

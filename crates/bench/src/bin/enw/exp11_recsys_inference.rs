@@ -2,7 +2,7 @@
 //! (paper Fig. 6, Sec. V-A): dense stack + embedding pooling + feature
 //! interaction + predictor stack, on representative configurations.
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::numerics::rng::Rng64;
 use enw_core::numerics::stats::OnlineStats;
 use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
@@ -30,8 +30,7 @@ fn configs() -> Vec<(&'static str, RecModelConfig)> {
     ]
 }
 
-fn main() {
-    banner("E11");
+pub fn run(run: &mut Run) {
     let mut table = Table::new(&[
         "model",
         "tables",
@@ -60,7 +59,7 @@ fn main() {
             format!("[{:.3}, {:.3}]", stats.min(), stats.max()),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
     println!("Reading: the same model skeleton spans MLP-dominated and embedding-dominated");
     println!("configurations; outputs are valid click-through probabilities that vary with the");
     println!("sparse inputs, and table storage dwarfs the MLP parameters — Fig. 6 realized.");

@@ -3,15 +3,14 @@
 //! below MLP operations in arithmetic intensity, flipping configurations
 //! between compute- and memory-bound.
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::recsys::characterize::{profile_batched, Bound, RooflineMachine};
 use enw_core::recsys::model::RecModelConfig;
 use enw_core::report::Table;
 
 const BATCH: u64 = 128;
 
-fn main() {
-    banner("E12");
+pub fn run(run: &mut Run) {
     let machine = RooflineMachine::server_cpu();
     println!(
         "machine: {:.1} TFLOP/s peak, {:.0} GB/s bandwidth, balance point {:.1} FLOP/byte; batch {BATCH}\n",
@@ -55,7 +54,7 @@ fn main() {
             ]);
         }
         println!("-- {name} --");
-        emit(&table);
+        run.emit(&table);
         let intensity_gap =
             p.bottom_mlp.intensity() / p.embeddings.intensity().max(f64::MIN_POSITIVE);
         println!("MLP-vs-embedding intensity gap: {intensity_gap:.0}x\n");

@@ -2,7 +2,7 @@
 //! ref. \[65\]: "compress embedding tables by up to 16×"), with the quality
 //! cost measured end-to-end as CTR drift through the same MLP stacks.
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::numerics::rng::Rng64;
 use enw_core::numerics::stats::OnlineStats;
 use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
@@ -10,8 +10,7 @@ use enw_core::recsys::quantize::QuantizedTable;
 use enw_core::recsys::trace::TraceGenerator;
 use enw_core::report::Table;
 
-fn main() {
-    banner("E13");
+pub fn run(run: &mut Run) {
     let cfg = RecModelConfig {
         dense_features: 32,
         bottom_mlp: vec![64, 32],
@@ -74,7 +73,7 @@ fn main() {
             format!("{:.4}", drift.max()),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
     println!("Reading: int8 is essentially free; int4 costs little; int2 approaches the paper's");
     println!("16x compression with visible but bounded CTR drift. Even compressed, the tables");
     println!("remain far beyond on-chip storage — the paper's capacity point stands.");

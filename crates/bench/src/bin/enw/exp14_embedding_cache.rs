@@ -2,7 +2,7 @@
 //! Zipf-skewed lookups let a small cache capture most traffic, motivating
 //! caching/prefetching/near-memory co-design for the memory-bound regime.
 
-use enw_bench::{banner, emit};
+use crate::run::Run;
 use enw_core::numerics::rng::{Rng64, ZipfSampler};
 use enw_core::recsys::cache::{EmbeddingCache, MemoryEnergy};
 use enw_core::report::{percent, Table};
@@ -10,8 +10,7 @@ use enw_core::report::{percent, Table};
 const CATALOGUE: usize = 1_000_000;
 const LOOKUPS: usize = 200_000;
 
-fn main() {
-    banner("E14");
+pub fn run(run: &mut Run) {
     let energy = MemoryEnergy::default();
     println!(
         "catalogue {CATALOGUE} rows, {LOOKUPS} lookups; DRAM {} pJ/B vs cache {} pJ/B\n",
@@ -50,7 +49,7 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    run.emit(&table);
     println!("Reading: at production-like skew (alpha near 1) a cache holding ~1% of the");
     println!("catalogue serves roughly half the lookups; the remaining tail still forces DRAM,");
     println!("which is why the paper pairs caching with near-memory processing rather than");

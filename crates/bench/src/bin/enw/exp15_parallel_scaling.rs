@@ -9,14 +9,19 @@
 //! per-round ratios. Pairing cancels the slow frequency/load drift of
 //! shared hosts that best-of-N timing is blind to.
 //!
-//! Pass `--smoke` for CI-sized inputs plus a hard gate: the run exits
-//! nonzero if any kernel's 2-thread speedup falls below 1.0x (i.e. the
-//! optimized kernels must never lose to the naive baselines).
+//! Pass `--smoke` for CI-sized inputs. Gates: every lane stays
+//! bit-identical at every thread count (unconditional), and in smoke
+//! mode no optimized kernel loses to its naive baseline at 2 threads,
+//! nor does the 8-thread matmul plateau below 0.9x of the 4-thread one.
+//! Timing gates are enforced only for thread counts the host really has
+//! (`available_parallelism`; the rest print as SKIP) and fail only when
+//! every paired round loses — one slow round on a shared host is noise.
 //!
 //! Emits `BENCH_parallel_kernels.json` in the working directory so CI can
 //! track kernel throughput over time.
 
-use enw_bench::{banner, emit};
+use crate::json::{num, Json};
+use crate::run::Run;
 use enw_core::cam::array::NearestHit;
 use enw_core::cam::array::TcamConfig;
 use enw_core::cam::bank::TcamBank;
@@ -146,18 +151,26 @@ fn tcam_naive(words: &[Vec<bool>], query: &[bool]) -> Option<NearestHit> {
     best
 }
 
-struct Run {
+struct Timing {
     threads: usize,
     seconds: f64,
     speedup: f64,
     peak_speedup: f64,
+    /// Per-round baseline/optimized ratios, in round order.
+    ratios: Vec<f64>,
     bit_identical: bool,
 }
 
 struct KernelResult {
     name: &'static str,
     baseline_seconds: f64,
-    runs: Vec<Run>,
+    runs: Vec<Timing>,
+}
+
+impl KernelResult {
+    fn at(&self, threads: usize) -> &Timing {
+        self.runs.iter().find(|r| r.threads == threads).expect("every THREADS count is timed")
+    }
 }
 
 /// Runs `rounds` paired rounds of (baseline, then one optimized variant
@@ -197,11 +210,12 @@ fn bench_paired<R: PartialEq>(
     let runs = THREADS
         .iter()
         .enumerate()
-        .map(|(ti, &threads)| Run {
+        .map(|(ti, &threads)| Timing {
             threads,
             seconds: median(&mut opt_times[ti]),
-            speedup: median(&mut ratios[ti]),
-            peak_speedup: *ratios[ti].last().expect("sorted by median()"),
+            speedup: median(&mut ratios[ti].clone()),
+            peak_speedup: ratios[ti].iter().copied().fold(f64::MIN, f64::max),
+            ratios: std::mem::take(&mut ratios[ti]),
             bit_identical: bit_identical[ti],
         })
         .collect();
@@ -324,40 +338,37 @@ fn bench_gather(s: &Sizes) -> KernelResult {
         eq,
     )
 }
-
-/// Std-only JSON rendering of the report (no serde in the workspace).
-fn to_json(kernels: &[KernelResult], smoke: bool) -> String {
-    let mut s = format!(
-        "{{\n  \"bench\": \"parallel_kernels\",\n  \"smoke\": {smoke},\n  \"kernels\": [\n"
-    );
-    for (i, k) in kernels.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"baseline_seconds\": {:.6},\n      \"runs\": [\n",
-            k.name, k.baseline_seconds
-        ));
-        for (j, r) in k.runs.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"threads\": {}, \"seconds\": {:.6}, \"speedup\": {:.3}, \"peak_speedup\": {:.3}, \"bit_identical\": {}}}{}\n",
-                r.threads,
-                r.seconds,
-                r.speedup,
-                r.peak_speedup,
-                r.bit_identical,
-                if j + 1 < k.runs.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!("      ]\n    }}{}\n", if i + 1 < kernels.len() { "," } else { "" }));
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn to_json(kernels: &[KernelResult], smoke: bool, cores: usize) -> Json {
+    let timing = |r: &Timing| {
+        Json::Obj(vec![
+            ("threads", num(r.threads)),
+            ("seconds", num(format_args!("{:.6}", r.seconds))),
+            ("speedup", num(format_args!("{:.3}", r.speedup))),
+            ("peak_speedup", num(format_args!("{:.3}", r.peak_speedup))),
+            ("bit_identical", r.bit_identical.into()),
+        ])
+    };
+    let kernel = |k: &KernelResult| {
+        Json::Obj(vec![
+            ("name", k.name.into()),
+            ("baseline_seconds", num(format_args!("{:.6}", k.baseline_seconds))),
+            ("runs", Json::arr(k.runs.iter().map(timing))),
+        ])
+    };
+    Json::Obj(vec![
+        ("bench", "parallel_kernels".into()),
+        ("smoke", smoke.into()),
+        ("available_parallelism", num(cores)),
+        ("kernels", Json::arr(kernels.iter().map(kernel))),
+    ])
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(run: &mut Run) {
+    let smoke = run.smoke;
     let s = if smoke { &SMOKE } else { &FULL };
-    banner("E15");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "host threads: {} (ENW_THREADS overrides); speedups are medians of {} paired rounds{}\n",
+        "host threads: {} (ENW_THREADS overrides), {cores} available; speedups are medians of {} paired rounds{}\n",
         parallel::max_threads(),
         s.rounds,
         if smoke { " [smoke]" } else { "" }
@@ -388,46 +399,60 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    run.emit(&table);
 
-    let json = to_json(&kernels, smoke);
-    let path = "BENCH_parallel_kernels.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    run.json("BENCH_parallel_kernels.json", &to_json(&kernels, smoke, cores));
 
-    let mut gate_ok = true;
+    // A timing gate is judged only on `threads` real cores, and fails
+    // only when every paired round loses: one slow round is host noise.
+    let timing_gate =
+        |run: &mut Run, name: &str, threads: usize, a_round_wins: bool, what: String| {
+            let verdict = if threads > cores {
+                format!("SKIP ({threads} threads on {cores} cores is oversubscription)")
+            } else if a_round_wins {
+                "PASS".to_string()
+            } else {
+                "FAIL (every paired round lost)".to_string()
+            };
+            println!("{what} -> {verdict}");
+            if smoke {
+                run.gate(name, threads > cores || a_round_wins, format!("{what} -> {verdict}"));
+            }
+        };
     for k in &kernels {
-        let at2 = k.runs.iter().find(|r| r.threads == 2).expect("2-thread run");
+        let at2 = k.at(2);
         let identical = k.runs.iter().all(|r| r.bit_identical);
-        gate_ok &= at2.speedup >= 1.0 && identical;
-        println!(
-            "{}: {:.2}x median ({:.2}x peak) at 2 threads vs naive serial, bit-identical {} -> {}",
-            k.name,
-            at2.speedup,
-            at2.peak_speedup,
+        run.gate(
+            &format!("{}_bit_identical", k.name),
             identical,
-            if at2.speedup >= 1.0 && identical { "PASS" } else { "FAIL" }
+            "same bits as the naive baseline at 1/2/4/8 threads",
+        );
+        timing_gate(
+            run,
+            &format!("{}_2_threads_vs_naive", k.name),
+            2,
+            at2.peak_speedup >= 1.0,
+            format!(
+                "{}: {:.2}x median ({:.2}x peak) at 2 threads vs naive serial, bit-identical {identical}",
+                k.name, at2.speedup, at2.peak_speedup
+            ),
         );
     }
     // Plateau guard: per-worker B-panel packing must keep the matmul
     // scaling past 4 workers — an 8-thread run that falls more than 10%
     // below the 4-thread one means shared-panel contention is back.
-    {
-        let matmul = kernels.first().expect("matmul is the first kernel");
-        let at4 = matmul.runs.iter().find(|r| r.threads == 4).expect("4-thread run");
-        let at8 = matmul.runs.iter().find(|r| r.threads == 8).expect("8-thread run");
-        let holds = at8.speedup >= 0.9 * at4.speedup;
-        gate_ok &= holds;
-        println!(
-            "{}: {:.2}x at 8 threads vs {:.2}x at 4 (floor 0.9x) -> {}",
-            matmul.name,
-            at8.speedup,
-            at4.speedup,
-            if holds { "PASS" } else { "FAIL (8-thread plateau)" }
-        );
-    }
+    let matmul = kernels.first().expect("matmul is the first kernel");
+    let (at4, at8) = (matmul.at(4), matmul.at(8));
+    timing_gate(
+        run,
+        "matmul_8_thread_plateau",
+        8,
+        at8.ratios.iter().zip(&at4.ratios).any(|(r8, r4)| *r8 >= 0.9 * r4),
+        format!(
+            "{}: {:.2}x at 8 threads vs {:.2}x at 4 (floor 0.9x)",
+            matmul.name, at8.speedup, at4.speedup
+        ),
+    );
     println!();
     println!("Reading: the register-tiled matmul, streaming crossbar read, limb-packed TCAM");
     println!("scan and unrolled+prefetching gather supply the single-core win, and the");
@@ -435,9 +460,4 @@ fn main() {
     println!("exposes one core, so thread counts mostly coincide). Chunk boundaries are fixed");
     println!("and accumulators keep ascending-index order, so outputs are bit-identical at");
     println!("any thread count and parallel runs need no tolerances.");
-    if smoke && !gate_ok {
-        println!();
-        println!("SCALING GATE FAILED: a kernel lost to its naive baseline at 2 threads.");
-        std::process::exit(1);
-    }
 }

@@ -13,10 +13,11 @@
 //! tail latencies and shed rates over time. Pass `--smoke` for a short
 //! trace (CI-sized); full runs use a 10x longer horizon.
 
-use enw_bench::{banner, emit};
+use crate::json::{num, Json};
+use crate::run::Run;
 use enw_core::report::Table;
 use enw_core::serve::presets::{saturation_qps, traffic_classes, try_fleet};
-use enw_core::serve::{generate_trace, LoadSpec, RunReport};
+use enw_core::serve::{generate_trace, LoadSpec, RunReport, StationMetrics};
 use std::time::Instant;
 
 const SEED: u64 = 16;
@@ -47,49 +48,47 @@ fn run_level(frac: f64, horizon_ns: u64) -> LevelResult {
     let report = server.try_run(&trace).expect("generated trace is valid");
     LevelResult { qps_frac: frac, qps, arrivals, sim_seconds: t.elapsed().as_secs_f64(), report }
 }
-
-/// Std-only JSON rendering of the sweep (no serde in the workspace).
-fn to_json(levels: &[LevelResult], deterministic: bool) -> String {
-    let mut s = format!(
-        "{{\n  \"bench\": \"serving_slo\",\n  \"seed\": {SEED},\n  \"deterministic_rerun\": {deterministic},\n  \"levels\": [\n"
-    );
-    for (i, l) in levels.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\n      \"qps_frac\": {:.2},\n      \"qps\": {:.1},\n      \"arrivals\": {},\n      \"sim_seconds\": {:.4},\n      \"stations\": [\n",
-            l.qps_frac, l.qps, l.arrivals, l.sim_seconds
-        ));
-        for (j, m) in l.report.stations.iter().enumerate() {
-            let p = m.summary();
-            s.push_str(&format!(
-                "        {{\"name\": \"{}\", \"arrived\": {}, \"completed\": {}, \"deadline_misses\": {}, \"shed\": {}, \"rejected\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"shed_rate\": {:.6}, \"reject_rate\": {:.6}, \"miss_rate\": {:.6}, \"goodput_qps\": {:.1}, \"fallback_switches\": {}, \"recoveries\": {}, \"degraded_batches\": {}}}{}\n",
-                m.name,
-                m.arrived,
-                m.completed,
-                m.deadline_misses,
-                m.shed,
-                m.rejected,
-                p.p50_ns,
-                p.p95_ns,
-                p.p99_ns,
-                m.shed_rate(),
-                m.reject_rate(),
-                m.miss_rate(),
-                m.goodput_qps(l.report.duration_ns),
-                m.fallback_switches,
-                m.recoveries,
-                m.degraded_batches,
-                if j + 1 < l.report.stations.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!("      ]\n    }}{}\n", if i + 1 < levels.len() { "," } else { "" }));
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn to_json(levels: &[LevelResult], deterministic: bool) -> Json {
+    let station = |l: &LevelResult, m: &StationMetrics| {
+        let p = m.summary();
+        Json::Obj(vec![
+            ("name", m.name.as_str().into()),
+            ("arrived", num(m.arrived)),
+            ("completed", num(m.completed)),
+            ("deadline_misses", num(m.deadline_misses)),
+            ("shed", num(m.shed)),
+            ("rejected", num(m.rejected)),
+            ("p50_ns", num(p.p50_ns)),
+            ("p95_ns", num(p.p95_ns)),
+            ("p99_ns", num(p.p99_ns)),
+            ("shed_rate", num(format_args!("{:.6}", m.shed_rate()))),
+            ("reject_rate", num(format_args!("{:.6}", m.reject_rate()))),
+            ("miss_rate", num(format_args!("{:.6}", m.miss_rate()))),
+            ("goodput_qps", num(format_args!("{:.1}", m.goodput_qps(l.report.duration_ns)))),
+            ("fallback_switches", num(m.fallback_switches)),
+            ("recoveries", num(m.recoveries)),
+            ("degraded_batches", num(m.degraded_batches)),
+        ])
+    };
+    let level = |l: &LevelResult| {
+        Json::Obj(vec![
+            ("qps_frac", num(format_args!("{:.2}", l.qps_frac))),
+            ("qps", num(format_args!("{:.1}", l.qps))),
+            ("arrivals", num(l.arrivals)),
+            ("sim_seconds", num(format_args!("{:.4}", l.sim_seconds))),
+            ("stations", Json::arr(l.report.stations.iter().map(|m| station(l, m)))),
+        ])
+    };
+    Json::Obj(vec![
+        ("bench", "serving_slo".into()),
+        ("seed", num(SEED)),
+        ("deterministic_rerun", deterministic.into()),
+        ("levels", Json::arr(levels.iter().map(level))),
+    ])
 }
 
-fn main() {
-    banner("E16");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(run: &mut Run) {
+    let smoke = run.smoke;
     let horizon_ns = if smoke { SMOKE_HORIZON_NS } else { FULL_HORIZON_NS };
     println!(
         "mode: {} ({} ms virtual horizon per level); levels are fractions of the fleet's saturation QPS\n",
@@ -104,7 +103,7 @@ fn main() {
         let b = run_level(LEVELS[0], SMOKE_HORIZON_NS).report.render();
         a == b
     };
-    assert!(deterministic, "rerun of the same seed/spec diverged");
+    run.gate("deterministic_rerun", deterministic, "same (seed, spec) renders the same bytes");
 
     let levels: Vec<LevelResult> = LEVELS.iter().map(|&f| run_level(f, horizon_ns)).collect();
 
@@ -129,14 +128,9 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    run.emit(&table);
 
-    let json = to_json(&levels, deterministic);
-    let path = "BENCH_serving.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    run.json("BENCH_serving.json", &to_json(&levels, deterministic));
 
     let under = levels.first().expect("levels is non-empty");
     let over = levels.last().expect("levels is non-empty");

@@ -13,7 +13,8 @@
 //! Emits `BENCH_stage_breakdown.json` (chrome-trace-style summary per
 //! lane) in the working directory. Pass `--smoke` for CI-sized inputs.
 
-use enw_bench::{banner, emit};
+use crate::json::{num, Json};
+use crate::run::Run;
 use enw_core::crossbar::devices;
 use enw_core::crossbar::pipeline::{AnalogPipeline, PipelineConfig};
 use enw_core::crossbar::tiki_taka::TikiTakaConfig;
@@ -168,40 +169,36 @@ struct Lane {
     name: &'static str,
     report: TraceReport,
 }
-
-/// Std-only JSON rendering (no serde in the workspace): one object per
-/// lane with per-stage counts, work units, and work shares.
-fn to_json(lanes: &[Lane], smoke: bool, deterministic: bool) -> String {
-    let mut s = format!(
-        "{{\n  \"bench\": \"stage_breakdown\",\n  \"seed\": {SEED},\n  \"mode\": \"{}\",\n  \"deterministic_rerun\": {deterministic},\n  \"lanes\": [\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    for (i, l) in lanes.iter().enumerate() {
+/// One object per lane with per-stage counts, work units, and work
+/// shares.
+fn to_json(lanes: &[Lane], smoke: bool, deterministic: bool) -> Json {
+    let lane = |l: &Lane| {
         let total = l.report.total_work().max(1);
-        s.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"total_work\": {},\n      \"stages\": [\n",
-            l.name,
-            l.report.total_work()
-        ));
-        for (j, sp) in l.report.spans.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"name\": \"{}\", \"count\": {}, \"work\": {}, \"work_share\": {:.6}}}{}\n",
-                sp.name,
-                sp.count,
-                sp.work,
-                sp.work as f64 / total as f64,
-                if j + 1 < l.report.spans.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!("      ]\n    }}{}\n", if i + 1 < lanes.len() { "," } else { "" }));
-    }
-    s.push_str("  ]\n}\n");
-    s
+        let stages = l.report.spans.iter().map(|sp| {
+            Json::Obj(vec![
+                ("name", sp.name.into()),
+                ("count", num(sp.count)),
+                ("work", num(sp.work)),
+                ("work_share", num(format_args!("{:.6}", sp.work as f64 / total as f64))),
+            ])
+        });
+        Json::Obj(vec![
+            ("name", l.name.into()),
+            ("total_work", num(l.report.total_work())),
+            ("stages", Json::arr(stages)),
+        ])
+    };
+    Json::Obj(vec![
+        ("bench", "stage_breakdown".into()),
+        ("seed", num(SEED)),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("deterministic_rerun", deterministic.into()),
+        ("lanes", Json::arr(lanes.iter().map(lane))),
+    ])
 }
 
-fn main() {
-    banner("E17");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(run: &mut Run) {
+    let smoke = run.smoke;
     println!(
         "mode: {}; work units are deterministic element/pulse counts, so every share below",
         if smoke { "smoke" } else { "full" }
@@ -220,14 +217,22 @@ fn main() {
     // times or the attribution is not trustworthy.
     let mut deterministic = true;
     let mut lanes = Vec::new();
-    for (name, run) in runs {
-        let first = record_lane(run, smoke);
-        let second = record_lane(run, smoke);
-        assert!(!first.spans.is_empty(), "lane {name} recorded no spans");
+    for (name, lane) in runs {
+        let first = record_lane(lane, smoke);
+        let second = record_lane(lane, smoke);
+        run.gate(
+            &format!("{name}_recorded_spans"),
+            !first.spans.is_empty(),
+            format!("{} spans", first.spans.len()),
+        );
         deterministic &= first == second;
         lanes.push(Lane { name, report: first });
     }
-    assert!(deterministic, "rerun of a lane produced a different trace report");
+    run.gate(
+        "deterministic_rerun",
+        deterministic,
+        "each lane's rerun drains an identical trace report",
+    );
 
     let mut table = Table::new(&["lane", "stage", "count", "work units", "work %"]);
     for l in &lanes {
@@ -242,14 +247,9 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    run.emit(&table);
 
-    let json = to_json(&lanes, smoke, deterministic);
-    let path = "BENCH_stage_breakdown.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    run.json("BENCH_stage_breakdown.json", &to_json(&lanes, smoke, deterministic));
 
     println!();
     println!("Reading: training work concentrates in the crossbar MVM/update pair with a");

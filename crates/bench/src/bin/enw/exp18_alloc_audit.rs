@@ -3,7 +3,7 @@
 //!
 //! The memory-bound workloads (recsys Sec. V, X-MANN Sec. III) spend
 //! their budget on bytes moved, so per-inference `Vec` churn is pure
-//! overhead. This binary installs a counting `#[global_allocator]` and
+//! overhead. Under `enw`'s counting `#[global_allocator]` this
 //! measures, for each of the four workload lanes, heap allocations and
 //! bytes per inference through the allocating convenience APIs (before)
 //! versus the scratch-pooled `_into` APIs (after), once warm. It also
@@ -14,8 +14,9 @@
 //! Emits `BENCH_alloc.json` in the working directory. Pass `--smoke` for
 //! CI-sized iteration counts.
 
-use enw_bench::alloc_audit::{self, CountingAlloc};
-use enw_bench::{banner, emit};
+use crate::json::{num, Json};
+use crate::run::Run;
+use enw_bench::alloc_audit::{self, serve_run_allocs};
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
@@ -25,18 +26,11 @@ use enw_core::parallel::scratch;
 use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
 use enw_core::recsys::trace::TraceGenerator;
 use enw_core::report::Table;
-use enw_core::serve::backend::{Backend, ServiceModel};
-use enw_core::serve::policy::{BatchPolicy, StationSpec};
-use enw_core::serve::request::{Output, Payload, Request};
-use enw_core::serve::scheduler::Server;
 use enw_core::trace::{self, TraceMode};
 use enw_core::xmann::arch::{Xmann, XmannConfig};
 use enw_core::xmann::cost::XmannCostParams;
 use std::hint::black_box;
 use std::time::Instant;
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 18;
 const WARMUP: usize = 32;
@@ -48,13 +42,13 @@ fn measure(iters: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
     for _ in 0..WARMUP {
         f();
     }
-    let s0 = alloc_audit::snapshot();
+    let s0 = alloc_audit::thread_snapshot();
     let t0 = Instant::now();
     for _ in 0..iters {
         f();
     }
     let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-    let d = alloc_audit::snapshot().since(s0);
+    let d = alloc_audit::thread_snapshot().since(s0);
     (d.allocs as f64 / iters as f64, d.bytes as f64 / iters as f64, ns)
 }
 
@@ -187,53 +181,6 @@ fn lane_recsys(iters: usize) -> Lane {
     Lane { name: "recsys", before, after }
 }
 
-/// Minimal constant-output lane, so the serve measurement isolates the
-/// scheduler event loop (queue, batch close, pending hand-off) from
-/// backend output allocation.
-struct ConstLabel;
-
-impl Backend for ConstLabel {
-    fn name(&self) -> &str {
-        "const_label"
-    }
-    fn service_ns(&self, batch: usize) -> u64 {
-        ServiceModel { setup_ns: 200, per_item_ns: 50 }.ns(batch)
-    }
-    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.serve_into(batch, &mut out);
-        out
-    }
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
-        out.clear();
-        out.extend(batch.iter().map(|_| Output::Label(Some(1))));
-    }
-    fn make_payload(&self, _rng: &mut Rng64) -> Payload {
-        Payload::Features(Vec::new())
-    }
-}
-
-/// Total allocations of one owned-trace run with `n` requests (the trace
-/// is built before the measurement starts).
-fn serve_run_allocs(n: usize) -> u64 {
-    let trace_reqs: Vec<Request> = (0..n)
-        .map(|k| Request {
-            id: k as u64,
-            station: 0,
-            payload: Payload::Features(Vec::new()),
-            arrival_ns: 1_000 * k as u64,
-            deadline_ns: u64::MAX,
-        })
-        .collect();
-    let spec = StationSpec::simple(Box::new(ConstLabel), BatchPolicy::new(8, 500, 64));
-    let server = Server::try_new(vec![spec]).expect("one valid station");
-    let s0 = alloc_audit::snapshot();
-    let report = server.try_run_owned(trace_reqs).expect("generated trace is valid");
-    let d = alloc_audit::snapshot().since(s0);
-    assert_eq!(report.responses.len(), n, "every request must resolve");
-    d.allocs
-}
-
 struct ServeCheck {
     small_n: usize,
     large_n: usize,
@@ -248,62 +195,61 @@ impl ServeCheck {
     }
 
     fn zero_alloc(&self) -> bool {
-        // Fewer than one allocation per hundred extra requests counts as
-        // an allocation-free steady state (setup noise aside).
-        self.marginal_per_request() < 0.01
+        // The window is this thread's own, so the count is exact: 8x the
+        // requests must cost not one allocation more.
+        self.large_allocs == self.small_allocs
     }
 }
 
 fn check_serve(smoke: bool) -> ServeCheck {
     let (small_n, large_n) = if smoke { (256, 2048) } else { (512, 4096) };
     // Warm-up run: faults in code paths and any lazily initialized state.
-    let _ = serve_run_allocs(small_n);
-    let small_allocs = serve_run_allocs(small_n);
-    let large_allocs = serve_run_allocs(large_n);
+    let allocs = |n| serve_run_allocs(n).expect("fixed station and trace are valid");
+    let _ = allocs(small_n);
+    let (small_allocs, large_allocs) = (allocs(small_n), allocs(large_n));
     ServeCheck { small_n, large_n, small_allocs, large_allocs }
 }
-
-/// Std-only JSON rendering (no serde in the workspace).
-fn to_json(lanes: &[Lane], serve: &ServeCheck, smoke: bool) -> String {
-    let mut s = format!(
-        "{{\n  \"bench\": \"alloc_audit\",\n  \"seed\": {SEED},\n  \"mode\": \"{}\",\n  \"lanes\": [\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    for (i, l) in lanes.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"allocs_per_inference_before\": {:.3}, \"allocs_per_inference_after\": {:.3}, \"bytes_per_inference_before\": {:.1}, \"bytes_per_inference_after\": {:.1}, \"alloc_reduction_pct\": {:.1}, \"ns_per_inference_before\": {:.0}, \"ns_per_inference_after\": {:.0}, \"meets_90pct_target\": {}}}{}\n",
-            l.name,
-            l.before.0,
-            l.after.0,
-            l.before.1,
-            l.after.1,
-            l.reduction_pct(),
-            l.before.2,
-            l.after.2,
-            l.meets_target(),
-            if i + 1 < lanes.len() { "," } else { "" }
-        ));
-    }
+fn to_json(lanes: &[Lane], serve: &ServeCheck, smoke: bool) -> Json {
+    let lane = |l: &Lane| {
+        Json::Obj(vec![
+            ("name", l.name.into()),
+            ("allocs_per_inference_before", num(format_args!("{:.3}", l.before.0))),
+            ("allocs_per_inference_after", num(format_args!("{:.3}", l.after.0))),
+            ("bytes_per_inference_before", num(format_args!("{:.1}", l.before.1))),
+            ("bytes_per_inference_after", num(format_args!("{:.1}", l.after.1))),
+            ("alloc_reduction_pct", num(format_args!("{:.1}", l.reduction_pct()))),
+            ("ns_per_inference_before", num(format_args!("{:.0}", l.before.2))),
+            ("ns_per_inference_after", num(format_args!("{:.0}", l.after.2))),
+            ("meets_90pct_target", l.meets_target().into()),
+        ])
+    };
+    let marginal = serve.marginal_per_request();
+    let serve = Json::Obj(vec![
+        ("requests_small", num(serve.small_n)),
+        ("requests_large", num(serve.large_n)),
+        ("allocs_small", num(serve.small_allocs)),
+        ("allocs_large", num(serve.large_allocs)),
+        ("allocs_marginal_per_request", num(format_args!("{marginal:.4}"))),
+        ("zero_alloc_steady_state", serve.zero_alloc().into()),
+    ]);
     let stats = scratch::thread_stats();
-    s.push_str(&format!(
-        "  ],\n  \"serve\": {{\"requests_small\": {}, \"requests_large\": {}, \"allocs_small\": {}, \"allocs_large\": {}, \"allocs_marginal_per_request\": {:.4}, \"zero_alloc_steady_state\": {}}},\n",
-        serve.small_n,
-        serve.large_n,
-        serve.small_allocs,
-        serve.large_allocs,
-        serve.marginal_per_request(),
-        serve.zero_alloc()
-    ));
-    s.push_str(&format!(
-        "  \"scratch\": {{\"checkouts\": {}, \"pool_hits\": {}, \"fresh_allocs\": {}}}\n}}\n",
-        stats.checkouts, stats.pool_hits, stats.fresh_allocs
-    ));
-    s
+    let scratch = Json::Obj(vec![
+        ("checkouts", num(stats.checkouts)),
+        ("pool_hits", num(stats.pool_hits)),
+        ("fresh_allocs", num(stats.fresh_allocs)),
+    ]);
+    Json::Obj(vec![
+        ("bench", "alloc_audit".into()),
+        ("seed", num(SEED)),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("lanes", Json::arr(lanes.iter().map(lane))),
+        ("serve", serve),
+        ("scratch", scratch),
+    ])
 }
 
-fn main() {
-    banner("E18");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(run: &mut Run) {
+    let smoke = run.smoke;
     let iters = if smoke { 64 } else { 512 };
     // Feed the counting allocator into the trace layer so
     // ENW_TRACE=summary output carries the allocator line.
@@ -342,7 +288,7 @@ fn main() {
             format!("{:.0}", l.after.2),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
 
     for l in &lanes {
         println!(
@@ -351,7 +297,20 @@ fn main() {
             l.reduction_pct(),
             if l.meets_target() { "PASS (>=90%)" } else { "BELOW TARGET" }
         );
+        run.gate(
+            &format!("{}_alloc_reduction", l.name),
+            l.meets_target(),
+            format!("{:.1}% fewer allocations per inference, target >= 90%", l.reduction_pct()),
+        );
     }
+    run.gate(
+        "serve_zero_alloc_steady_state",
+        serve.zero_alloc(),
+        format!(
+            "{} -> {} requests cost {} -> {} allocations",
+            serve.small_n, serve.large_n, serve.small_allocs, serve.large_allocs
+        ),
+    );
     println!(
         "serve: {} -> {} requests cost {} -> {} allocations ({:.4}/extra request) -> {}",
         serve.small_n,
@@ -367,12 +326,7 @@ fn main() {
         stats.checkouts, stats.pool_hits, stats.fresh_allocs
     );
 
-    let json = to_json(&lanes, &serve, smoke);
-    let path = "BENCH_alloc.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    run.json("BENCH_alloc.json", &to_json(&lanes, &serve, smoke));
 
     // Demonstrate the trace integration: a short burst under summary mode
     // renders the span table with the allocator totals appended.

@@ -15,10 +15,12 @@
 //! tails and goodput-per-node over time. Pass `--smoke` for a short
 //! horizon (CI-sized); full runs use a 4x longer one.
 
-use enw_bench::{banner, emit};
+use crate::json::{num, Json};
+use crate::run::Run;
 use enw_core::fleet::presets::{fleet_spec, scales, trace, FleetScale, Scenario};
-use enw_core::fleet::sim::{try_run, FleetReport};
+use enw_core::fleet::sim::{try_run, FleetReport, LaneReport};
 use enw_core::report::Table;
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 const SEED: u64 = 19;
@@ -42,65 +44,63 @@ fn run_cell(scenario: Scenario, scale: FleetScale, horizon_ns: u64) -> Cell {
     Cell { scenario, scale, arrivals, sim_seconds: wall.elapsed().as_secs_f64(), report }
 }
 
-/// Std-only JSON rendering of the sweep (no serde in the workspace).
-fn to_json(cells: &[Cell], deterministic: bool) -> String {
-    let mut s = format!(
-        "{{\n  \"bench\": \"fleet_sweep\",\n  \"seed\": {SEED},\n  \"deterministic_rerun\": {deterministic},\n  \"cells\": [\n"
-    );
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"nodes\": {},\n      \"shards\": {},\n      \"arrivals\": {},\n      \"sim_seconds\": {:.4},\n      \"lanes\": [\n",
-            c.scenario.name(),
-            c.scale.nodes,
-            c.scale.shards,
-            c.arrivals,
-            c.sim_seconds
-        ));
-        for (j, l) in c.report.lanes.iter().enumerate() {
-            let p = l.metrics.summary();
-            s.push_str(&format!(
-                "        {{\"name\": \"{}\", \"arrived\": {}, \"completed\": {}, \"deadline_misses\": {}, \"shed\": {}, \"rejected\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"goodput_per_node_qps\": {:.1}, \"node_seconds\": {:.6}, \"replicas_peak\": {}, \"replicas_final\": {}, \"scale_ups\": {}, \"scale_downs\": {}, \"keys_moved\": {}, \"moved_bytes\": {}}}{}\n",
-                l.name,
-                l.metrics.arrived,
-                l.metrics.completed,
-                l.metrics.deadline_misses,
-                l.metrics.shed,
-                l.metrics.rejected,
-                p.p50_ns,
-                p.p95_ns,
-                p.p99_ns,
-                l.goodput_per_node_qps(),
-                l.node_seconds,
-                l.replicas_peak,
-                l.replicas_final,
-                l.scale_ups,
-                l.scale_downs,
-                l.keys_moved,
-                l.moved_bytes,
-                if j + 1 < c.report.lanes.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      ]");
+fn to_json(cells: &[Cell], deterministic: bool) -> Json {
+    let lane = |l: &LaneReport| {
+        let p = l.metrics.summary();
+        Json::Obj(vec![
+            ("name", l.name.as_str().into()),
+            ("arrived", num(l.metrics.arrived)),
+            ("completed", num(l.metrics.completed)),
+            ("deadline_misses", num(l.metrics.deadline_misses)),
+            ("shed", num(l.metrics.shed)),
+            ("rejected", num(l.metrics.rejected)),
+            ("p50_ns", num(p.p50_ns)),
+            ("p95_ns", num(p.p95_ns)),
+            ("p99_ns", num(p.p99_ns)),
+            ("goodput_per_node_qps", num(format_args!("{:.1}", l.goodput_per_node_qps()))),
+            ("node_seconds", num(format_args!("{:.6}", l.node_seconds))),
+            ("replicas_peak", num(l.replicas_peak)),
+            ("replicas_final", num(l.replicas_final)),
+            ("scale_ups", num(l.scale_ups)),
+            ("scale_downs", num(l.scale_downs)),
+            ("keys_moved", num(l.keys_moved)),
+            ("moved_bytes", num(l.moved_bytes)),
+        ])
+    };
+    let cell = |c: &Cell| {
+        let mut fields = vec![
+            ("scenario", c.scenario.name().into()),
+            ("nodes", num(c.scale.nodes)),
+            ("shards", num(c.scale.shards)),
+            ("arrivals", num(c.arrivals)),
+            ("sim_seconds", num(format_args!("{:.4}", c.sim_seconds))),
+            ("lanes", Json::arr(c.report.lanes.iter().map(lane))),
+        ];
         if let Some(sh) = &c.report.shard {
-            s.push_str(&format!(
-                ",\n      \"shard\": {{\"slots\": {}, \"hot\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"replicated_bytes\": {}, \"table_bytes\": {}}}",
-                sh.shards,
-                sh.hot_shards,
-                sh.cache_hits,
-                sh.cache_misses,
-                sh.replicated_bytes,
-                sh.table_bytes,
+            fields.push((
+                "shard",
+                Json::Obj(vec![
+                    ("slots", num(sh.shards)),
+                    ("hot", num(sh.hot_shards)),
+                    ("cache_hits", num(sh.cache_hits)),
+                    ("cache_misses", num(sh.cache_misses)),
+                    ("replicated_bytes", num(sh.replicated_bytes)),
+                    ("table_bytes", num(sh.table_bytes)),
+                ]),
             ));
         }
-        s.push_str(&format!("\n    }}{}\n", if i + 1 < cells.len() { "," } else { "" }));
-    }
-    s.push_str("  ]\n}\n");
-    s
+        Json::Obj(fields)
+    };
+    Json::Obj(vec![
+        ("bench", "fleet_sweep".into()),
+        ("seed", num(SEED)),
+        ("deterministic_rerun", deterministic.into()),
+        ("cells", Json::arr(cells.iter().map(cell))),
+    ])
 }
 
-fn main() {
-    banner("E19");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(run: &mut Run) {
+    let smoke = run.smoke;
     let horizon_ns = if smoke { SMOKE_HORIZON_NS } else { FULL_HORIZON_NS };
     println!(
         "mode: {} ({} ms virtual horizon per cell); offered load scales with fleet size,\nso cells compare shape and placement effects at equal nominal utilization\n",
@@ -116,7 +116,7 @@ fn main() {
         let b = run_cell(probe.0, probe.1, SMOKE_HORIZON_NS).report.render();
         a == b
     };
-    assert!(deterministic, "rerun of the same spec/trace diverged");
+    run.gate("deterministic_rerun", deterministic, "same (spec, trace) renders the same bytes");
 
     let mut cells = Vec::new();
     for scale in scales() {
@@ -124,6 +124,18 @@ fn main() {
             cells.push(run_cell(scenario, scale, horizon_ns));
         }
     }
+    let scenarios: BTreeSet<&str> = cells.iter().map(|c| c.scenario.name()).collect();
+    let nodes: BTreeSet<usize> = cells.iter().map(|c| c.scale.nodes).collect();
+    run.gate(
+        "nine_cells_three_scenarios_by_2_4_8_nodes",
+        cells.len() == 9 && scenarios.len() == 3 && nodes.iter().eq(&[2, 4, 8]),
+        format!("{} cells: {scenarios:?} x nodes {nodes:?}", cells.len()),
+    );
+    run.gate(
+        "every_cell_has_two_lanes_and_a_shard_store",
+        cells.iter().all(|c| c.report.lanes.len() == 2 && c.report.shard.is_some()),
+        "the MLP lane and the sharded recsys lane report in every cell",
+    );
 
     let mut table = Table::new(&[
         "scenario",
@@ -162,14 +174,9 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    run.emit(&table);
 
-    let json = to_json(&cells, deterministic);
-    let path = "BENCH_fleet.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    run.json("BENCH_fleet.json", &to_json(&cells, deterministic));
 
     let flash: Vec<&Cell> = cells.iter().filter(|c| c.scenario == Scenario::FlashHotSet).collect();
     let small = flash.first().expect("sweep covers every scenario");

@@ -17,7 +17,8 @@
 //! fronts over time. Pass `--smoke` for the CI-sized search; full runs
 //! use more restarts and deeper climbs.
 
-use enw_bench::{banner, emit};
+use crate::json::{num, Json};
+use crate::run::Run;
 use enw_core::report::Table;
 use enw_core::tunable::Point;
 use enw_dse::{explore, SearchConfig, SearchResult};
@@ -47,67 +48,54 @@ fn run_lane(lane: Lane, cfg: &SearchConfig) -> LaneRun {
     LaneRun { lane, result, default_point, default_objs, default_dominated }
 }
 
-fn objectives_json(o: &Objectives) -> String {
-    format!(
-        "\"latency_ns\": {:.6e}, \"energy_pj\": {:.6e}, \"quality_per_area\": {:.6e}",
-        o.latency_ns, o.energy_pj, o.quality_per_area
-    )
+/// `{"key": …, latency, energy, quality-per-area, <extra>}`.
+fn candidate_json(key: String, o: &Objectives, extra: (&'static str, Json)) -> Json {
+    Json::Obj(vec![
+        ("key", key.as_str().into()),
+        ("latency_ns", num(format_args!("{:.6e}", o.latency_ns))),
+        ("energy_pj", num(format_args!("{:.6e}", o.energy_pj))),
+        ("quality_per_area", num(format_args!("{:.6e}", o.quality_per_area))),
+        extra,
+    ])
 }
 
-/// Std-only JSON rendering of the per-lane searches (no serde in the
-/// workspace). Excludes wall-clock timings so the rendered bytes are a
-/// pure function of the virtual-time search.
-fn lanes_json(runs: &[LaneRun]) -> String {
-    let mut s = String::from("  \"lanes\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\n      \"lane\": \"{}\",\n      \"evaluated\": {},\n      \"feasible\": {},\n      \"clock_ns\": {},\n      \"default\": {{\"key\": \"{}\", {}, \"dominated_by_front\": {}}},\n      \"front\": [\n",
-            r.lane.name(),
-            r.result.evaluated,
-            r.result.feasible,
-            r.result.clock_ns,
-            r.default_point.key(),
-            objectives_json(&r.default_objs),
-            r.default_dominated
-        ));
-        for (j, c) in r.result.front.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"key\": \"{}\", {}, \"stamp_ns\": {}}}{}\n",
-                c.point.key(),
-                objectives_json(&c.objectives),
-                c.stamp_ns,
-                if j + 1 < r.result.front.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!("      ]\n    }}{}\n", if i + 1 < runs.len() { "," } else { "" }));
-    }
-    s.push_str("  ]");
-    s
+/// The per-lane searches. Excludes wall-clock timings so the rendered
+/// bytes are a pure function of the virtual-time search.
+fn lanes_json(runs: &[LaneRun]) -> Json {
+    Json::arr(runs.iter().map(|r| {
+        let dominated = ("dominated_by_front", r.default_dominated.into());
+        let front =
+            r.result.front.iter().map(|c| {
+                candidate_json(c.point.key(), &c.objectives, ("stamp_ns", num(c.stamp_ns)))
+            });
+        Json::Obj(vec![
+            ("lane", r.lane.name().into()),
+            ("evaluated", num(r.result.evaluated)),
+            ("feasible", num(r.result.feasible)),
+            ("clock_ns", num(r.result.clock_ns)),
+            ("default", candidate_json(r.default_point.key(), &r.default_objs, dominated)),
+            ("front", Json::arr(front)),
+        ])
+    }))
 }
 
-fn picks_json(picks: &[Pick], budget_pj: f64) -> String {
-    let mut s =
-        format!("  \"picks\": {{\n    \"budget_pj\": {budget_pj:.6e},\n    \"selected\": [\n");
-    for (i, p) in picks.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"lane\": \"{}\", \"key\": \"{}\", {}}}{}\n",
-            p.lane.name(),
-            p.candidate.point.key(),
-            objectives_json(&p.candidate.objectives),
-            if i + 1 < picks.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("    ]\n  }");
-    s
+fn picks_json(picks: &[Pick], budget_pj: f64) -> Json {
+    let selected = picks.iter().map(|p| {
+        let lane = ("lane", p.lane.name().into());
+        candidate_json(p.candidate.point.key(), &p.candidate.objectives, lane)
+    });
+    Json::Obj(vec![
+        ("budget_pj", num(format_args!("{budget_pj:.6e}"))),
+        ("selected", Json::arr(selected)),
+    ])
 }
 
 fn sweep(cfg: &SearchConfig) -> Vec<LaneRun> {
     Lane::all().iter().map(|&lane| run_lane(lane, cfg)).collect()
 }
 
-fn main() {
-    banner("E20");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(run: &mut Run) {
+    let smoke = run.smoke;
     let cfg = if smoke { SearchConfig::smoke() } else { SearchConfig::default() };
     println!(
         "mode: {} (grid {} levels/axis, {} restarts x {} hill steps, seed {})\n",
@@ -122,20 +110,24 @@ fn main() {
 
     // Determinism spot-check: the whole sweep rerun must render the same
     // bytes, whatever ENW_THREADS is set to.
-    let deterministic = lanes_json(&runs) == lanes_json(&sweep(&cfg));
-    assert!(deterministic, "rerun of the same search diverged");
+    let deterministic = lanes_json(&runs).render() == lanes_json(&sweep(&cfg)).render();
+    run.gate("deterministic_rerun", deterministic, "the whole sweep rerun renders the same bytes");
 
+    run.gate("five_lanes", runs.len() == 5, format!("{} lanes searched", runs.len()));
     for r in &runs {
-        assert!(
-            r.result.front.len() >= 3,
-            "{} front collapsed to {} members",
-            r.lane.name(),
-            r.result.front.len()
+        let front = &r.result.front;
+        let dominated =
+            front.iter().find(|b| front.iter().any(|a| a.objectives.dominates(&b.objectives)));
+        run.gate(
+            &format!("{}_front_is_pareto_with_3_members", r.lane.name()),
+            front.len() >= 3 && dominated.is_none(),
+            format!("{} members; dominated: {:?}", front.len(), dominated.map(|c| c.point.key())),
         );
     }
-    assert!(
+    run.gate(
+        "some_default_dominated",
         runs.iter().any(|r| r.default_dominated),
-        "no lane's search dominated its hand-picked default"
+        "a search front strictly dominates at least one hand-picked default",
     );
 
     // Deployment selection: budget = 2x the cheapest feasible selection,
@@ -148,6 +140,11 @@ fn main() {
         .sum();
     let budget_pj = BUDGET_SLACK * floor_pj;
     let picks = pick_configs(&fronts, budget_pj).expect("2x-floor budget is feasible");
+    run.gate(
+        "one_pick_per_lane",
+        picks.len() == runs.len(),
+        format!("{} picks for {} lanes", picks.len(), runs.len()),
+    );
 
     let mut table = Table::new(&[
         "lane",
@@ -176,7 +173,7 @@ fn main() {
             format!("{:.3}", r.result.clock_ns as f64 / 1.0e6),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
 
     println!("budget {budget_pj:.1} pJ (2x floor {floor_pj:.1} pJ) selects:");
     for p in &picks {
@@ -190,19 +187,15 @@ fn main() {
     }
     println!();
 
-    let json = format!(
-        "{{\n  \"bench\": \"dse\",\n  \"seed\": {},\n  \"mode\": \"{}\",\n  \"deterministic_rerun\": {},\n{},\n{}\n}}\n",
-        cfg.seed,
-        if smoke { "smoke" } else { "full" },
-        deterministic,
-        lanes_json(&runs),
-        picks_json(&picks, budget_pj)
-    );
-    let path = "BENCH_dse.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    let doc = Json::Obj(vec![
+        ("bench", "dse".into()),
+        ("seed", num(cfg.seed)),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("deterministic_rerun", deterministic.into()),
+        ("lanes", lanes_json(&runs)),
+        ("picks", picks_json(&picks, budget_pj)),
+    ]);
+    run.json("BENCH_dse.json", &doc);
 
     let xmann = runs.iter().find(|r| r.lane == Lane::Xmann).expect("sweep covers every lane");
     println!();

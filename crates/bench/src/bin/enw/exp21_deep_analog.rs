@@ -8,10 +8,11 @@
 //! partial-sum reduction — trained sample-by-sample with double-buffered
 //! input staging and a virtual clock modeling prefetch/update overlap.
 //!
-//! Four contracts are gated (the process exits non-zero if any fails):
+//! Four contracts are gated (`enw` exits non-zero if any fails):
 //!
-//! 1. **Zero-alloc steady state** — a counting `#[global_allocator]`
-//!    shows warm training steps perform no heap allocation.
+//! 1. **Zero-alloc steady state** — `enw`'s counting
+//!    `#[global_allocator]` shows warm training steps perform no heap
+//!    allocation, on this thread or any pool worker.
 //! 2. **Rerun determinism** — two identically seeded runs produce
 //!    byte-identical checkpoints.
 //! 3. **Thread invariance** — ENW_THREADS=1/2/8 produce byte-identical
@@ -25,8 +26,9 @@
 //! throughput into `BENCH_analog_training.json`. Pass `--smoke` for
 //! CI-sized iteration counts.
 
-use enw_bench::alloc_audit::{self, CountingAlloc};
-use enw_bench::{banner, emit};
+use crate::json::{num, Json};
+use crate::run::Run;
+use enw_bench::alloc_audit;
 use enw_core::crossbar::device::DeviceSpec;
 use enw_core::crossbar::devices;
 use enw_core::crossbar::pipeline::{AnalogPipeline, PipelineConfig};
@@ -37,9 +39,6 @@ use enw_core::nn::data::{Dataset, Split};
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel::with_threads;
 use enw_core::report::Table;
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 21;
 const WARMUP_STEPS: usize = 8;
@@ -310,55 +309,54 @@ fn sweep_point(
         pulses: pulses / sizes.sweep_seeds,
     }
 }
-
-/// Std-only JSON rendering (no serde in the workspace).
-fn to_json(gates: &Gates, deep: &DeepRun, sweep: &[SweepPoint], smoke: bool) -> String {
-    let mut s = format!(
-        "{{\n  \"bench\": \"deep_analog\",\n  \"seed\": {SEED},\n  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    s.push_str(&format!(
-        "  \"determinism\": {{\"rerun_identical\": {}, \"thread_invariant\": {}, \"resume_identical\": {}}},\n",
-        gates.rerun_identical, gates.thread_invariant, gates.resume_identical
-    ));
-    s.push_str(&format!(
-        "  \"zero_alloc\": {{\"warmup_steps\": {WARMUP_STEPS}, \"allocs_per_step\": {:.4}, \"bytes_per_step\": {:.1}, \"zero_alloc_steady_state\": {}}},\n",
-        gates.allocs_per_step, gates.bytes_per_step, gates.zero_alloc
-    ));
-    s.push_str(&format!(
-        "  \"deep\": {{\"layers\": {}, \"tiles\": {}, \"steps\": {}, \"loss_first\": {:.4}, \"loss_last\": {:.4}, \"accuracy\": {:.4}, \"throughput_samples_per_s\": {:.1}, \"virtual_ms\": {:.3}, \"pulses\": {}}},\n",
-        deep.layers,
-        deep.tiles,
-        deep.steps,
-        deep.loss_first,
-        deep.loss_last,
-        deep.accuracy,
-        deep.throughput,
-        deep.clock_ms,
-        deep.pulses
-    ));
-    s.push_str("  \"surface\": [\n");
-    for (i, p) in sweep.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"device\": \"{}\", \"layers\": {}, \"tile_rows\": {}, \"tile_cols\": {}, \"tiles\": {}, \"accuracy\": {:.4}, \"throughput_samples_per_s\": {:.1}, \"pulses\": {}}}{}\n",
-            p.device,
-            p.depth,
-            p.tile_rows,
-            p.tile_cols,
-            p.tiles,
-            p.accuracy,
-            p.throughput,
-            p.pulses,
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn to_json(gates: &Gates, deep: &DeepRun, sweep: &[SweepPoint], smoke: bool) -> Json {
+    let determinism = Json::Obj(vec![
+        ("rerun_identical", gates.rerun_identical.into()),
+        ("thread_invariant", gates.thread_invariant.into()),
+        ("resume_identical", gates.resume_identical.into()),
+    ]);
+    let zero_alloc = Json::Obj(vec![
+        ("warmup_steps", num(WARMUP_STEPS)),
+        ("allocs_per_step", num(format_args!("{:.4}", gates.allocs_per_step))),
+        ("bytes_per_step", num(format_args!("{:.1}", gates.bytes_per_step))),
+        ("zero_alloc_steady_state", gates.zero_alloc.into()),
+    ]);
+    let deep = Json::Obj(vec![
+        ("layers", num(deep.layers)),
+        ("tiles", num(deep.tiles)),
+        ("steps", num(deep.steps)),
+        ("loss_first", num(format_args!("{:.4}", deep.loss_first))),
+        ("loss_last", num(format_args!("{:.4}", deep.loss_last))),
+        ("accuracy", num(format_args!("{:.4}", deep.accuracy))),
+        ("throughput_samples_per_s", num(format_args!("{:.1}", deep.throughput))),
+        ("virtual_ms", num(format_args!("{:.3}", deep.clock_ms))),
+        ("pulses", num(deep.pulses)),
+    ]);
+    let point = |p: &SweepPoint| {
+        Json::Obj(vec![
+            ("device", p.device.into()),
+            ("layers", num(p.depth)),
+            ("tile_rows", num(p.tile_rows)),
+            ("tile_cols", num(p.tile_cols)),
+            ("tiles", num(p.tiles)),
+            ("accuracy", num(format_args!("{:.4}", p.accuracy))),
+            ("throughput_samples_per_s", num(format_args!("{:.1}", p.throughput))),
+            ("pulses", num(p.pulses)),
+        ])
+    };
+    Json::Obj(vec![
+        ("bench", "deep_analog".into()),
+        ("seed", num(SEED)),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("determinism", determinism),
+        ("zero_alloc", zero_alloc),
+        ("deep", deep),
+        ("surface", Json::arr(sweep.iter().map(point))),
+    ])
 }
 
-fn main() {
-    banner("E21");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(run: &mut Run) {
+    let smoke = run.smoke;
     let sizes = if smoke { &SMOKE } else { &FULL };
     println!("mode: {}", if smoke { "smoke" } else { "full" });
     println!();
@@ -421,14 +419,9 @@ fn main() {
             p.pulses.to_string(),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
 
-    let json = to_json(&gates, &deep, &sweep, smoke);
-    let path = "BENCH_analog_training.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    run.json("BENCH_analog_training.json", &to_json(&gates, &deep, &sweep, smoke));
 
     println!();
     println!("Reading: sharding every layer across tile grids leaves training a deterministic");
@@ -442,14 +435,14 @@ fn main() {
     println!("and Tiki-Taka (E4) exist to fix. Fine tiling costs throughput (more partial-sum");
     println!("reads per cycle) but not correctness: the reduction stays bit-deterministic.");
 
-    let ok = gates.rerun_identical
-        && gates.thread_invariant
-        && gates.resume_identical
-        && gates.zero_alloc
-        && deep.layers >= 6;
-    if !ok {
-        println!();
-        println!("E21 GATE FAILED");
-        std::process::exit(1);
+    for (name, ok, detail) in [
+        ("rerun_identical", gates.rerun_identical, "two seeded runs checkpoint to the same bytes"),
+        ("thread_invariant", gates.thread_invariant, "same checkpoint at ENW_THREADS=1/2/8"),
+        ("resume_identical", gates.resume_identical, "resume == uninterrupted run, byte for byte"),
+        ("zero_alloc_steady_state", gates.zero_alloc, "no allocation anywhere over warm steps"),
+        ("deep_stack_has_6_layers", deep.layers >= 6, "trainable layers in the deep run"),
+        ("surface_has_8_points", sweep.len() >= 8, "device x tiling x depth sweep points"),
+    ] {
+        run.gate(name, ok, detail);
     }
 }

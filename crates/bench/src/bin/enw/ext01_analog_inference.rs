@@ -8,7 +8,7 @@
 //! direct consequence of its Sec. II discussion; recorded in
 //! EXPERIMENTS.md under "extensions".
 
-use enw_bench::emit;
+use crate::run::Run;
 use enw_core::crossbar::devices::pcm::PcmConfig;
 use enw_core::crossbar::inference::PcmLayer;
 use enw_core::nn::activation::Activation;
@@ -55,7 +55,7 @@ impl DeployedNet {
     }
 }
 
-fn main() {
+pub fn run(run: &mut Run) {
     println!("== EXT-1 [extension of Sec. II-B1: PCM inference deployment] ==");
     println!("claim: drift degrades deployed accuracy; liner and compensation recover it\n");
     let mut rng = Rng64::new(51);
@@ -104,7 +104,7 @@ fn main() {
             percent(a8c),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
     println!("Reading: per-device drift dispersion walks the deployed network away from its");
     println!("programmed operating point; the projection liner (nu ~10x lower) holds accuracy");
     println!("flat across the whole deployment window, while the scalar correction of ref. [28]");

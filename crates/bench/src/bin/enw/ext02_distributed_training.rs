@@ -8,7 +8,7 @@
 //! breakdown, the bottleneck resource, and whether a production-scale
 //! refresh fits an hourly retraining window.
 
-use enw_bench::emit;
+use crate::run::Run;
 use enw_core::recsys::model::RecModelConfig;
 use enw_core::recsys::training::{retraining_time, step_breakdown, Cluster};
 use enw_core::report::Table;
@@ -17,7 +17,7 @@ const BATCH: u64 = 8192;
 /// Samples per refresh: a production-like stream slice.
 const SAMPLES_PER_REFRESH: u64 = 2_000_000_000;
 
-fn main() {
+pub fn run(run: &mut Run) {
     println!("== EXT-2 [extension of Sec. V-B: distributed training balance] ==");
     println!("claim: training flips between compute-, memory- and network-bound; refresh");
     println!("windows constrain cluster sizing\n");
@@ -56,7 +56,7 @@ fn main() {
             }
         }
         println!("-- {name} (global batch {BATCH}) --");
-        emit(&table);
+        run.emit(&table);
     }
     println!("Reading: the embedding-heavy model is memory/network-bound and needs either more");
     println!("workers or faster fabric to fit hourly refreshes; the MLP-heavy model scales with");

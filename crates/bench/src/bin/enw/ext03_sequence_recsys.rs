@@ -8,7 +8,7 @@
 //! interaction history grows. Part 2 maps the throughput/latency frontier
 //! of the paper's two model regimes under SLAs.
 
-use enw_bench::emit;
+use crate::run::Run;
 use enw_core::numerics::rng::Rng64;
 use enw_core::recsys::characterize::RooflineMachine;
 use enw_core::recsys::model::RecModelConfig;
@@ -16,7 +16,7 @@ use enw_core::recsys::sequence::{InterestModel, InterestModelConfig};
 use enw_core::recsys::serving;
 use enw_core::report::Table;
 
-fn main() {
+pub fn run(run: &mut Run) {
     println!("== EXT-3 [extension of Sec. V-B: attention models + SLA serving] ==");
     println!("claim: sequence attention adds per-candidate cost linear in history; SLAs cap");
     println!("the batching that memory-bound models barely benefit from anyway\n");
@@ -45,7 +45,7 @@ fn main() {
         ]);
     }
     println!("-- attention cost vs interaction-history length --");
-    emit(&prof);
+    run.emit(&prof);
 
     // Part 2: SLA-bounded serving.
     let machine = RooflineMachine::server_cpu();
@@ -89,7 +89,7 @@ fn main() {
         }
     }
     println!("-- SLA-bounded serving frontier --");
-    emit(&sla_table);
+    run.emit(&sla_table);
     println!("Reading: attention cost scales linearly with history (another memory-dominated");
     println!("operator once histories get long), and batching under an SLA buys the MLP-heavy");
     println!("model an order of magnitude more throughput than the embedding-heavy one —");

@@ -7,7 +7,7 @@
 //! Sweeps precision for naive post-training quantization vs
 //! quantization-aware fine-tuning (straight-through estimator).
 
-use enw_bench::emit;
+use crate::run::Run;
 use enw_core::nn::activation::Activation;
 use enw_core::nn::data::SyntheticImages;
 use enw_core::nn::mlp::{Mlp, SgdConfig};
@@ -15,7 +15,7 @@ use enw_core::nn::quantized::{quantization_aware_finetune, InferenceQuant, Quant
 use enw_core::numerics::rng::Rng64;
 use enw_core::report::{percent, Table};
 
-fn main() {
+pub fn run(run: &mut Run) {
     println!("== EXT-4 [extension of Sec. II: reduced-precision inference] ==");
     println!("claim: statistical scaling + calibrated clipping keep int8/int4 near FP32;");
     println!("2-bit needs quantization-aware training (ref. [13])\n");
@@ -55,7 +55,7 @@ fn main() {
             format!("{:+.1} pts", 100.0 * (qat - fp)),
         ]);
     }
-    emit(&table);
+    run.emit(&table);
     println!("Reading: int8 is free and int4 nearly so with pure post-training calibration;");
     println!("at 2 bits the straight-through fine-tune recovers most of the collapse — the");
     println!("'proper algorithmic advances' Sec. II says reduced precision depends on.");

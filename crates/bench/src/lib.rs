@@ -1,13 +1,12 @@
-//! Shared helpers for the experiment binaries (`src/bin/expXX_*`), the
+//! Shared helpers for the `enw` experiment runner (`src/bin/enw/`), the
 //! Criterion benches and the workspace-level integration tests.
 //!
-//! Each binary regenerates one table or figure of the paper; run them all
-//! with:
+//! Each module under `src/bin/enw/` regenerates one table or figure of
+//! the paper:
 //!
 //! ```text
-//! for exp in $(cargo run -q --bin list_experiments); do
-//!     cargo run --release --bin $exp
-//! done
+//! cargo run --release --bin enw -- list
+//! cargo run --release --bin enw -- run E9 E10
 //! ```
 
 pub mod alloc_audit;

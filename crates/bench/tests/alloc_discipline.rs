@@ -4,88 +4,29 @@
 //! regression that re-introduces per-request heap traffic fails CI, not
 //! just the benchmark narrative.
 //!
-//! The counters are process-global, so every test serializes on one lock
-//! and asserts *marginal* allocation rates with a small tolerance for
-//! harness bookkeeping on other threads.
+//! Every window reads the calling thread's counters
+//! ([`alloc_audit::thread_snapshot`]), so what the libtest harness
+//! allocates on other threads cannot leak in, the assertions are exact,
+//! and the tests need no lock between them.
 
-use enw_bench::alloc_audit::{self, CountingAlloc};
+use enw_bench::alloc_audit::{self, serve_run_allocs, CountingAlloc};
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel::scratch;
-use enw_core::serve::backend::{Backend, ServiceModel};
-use enw_core::serve::policy::{BatchPolicy, StationSpec};
-use enw_core::serve::request::{Output, Payload, Request};
-use enw_core::serve::scheduler::Server;
-use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Constant-output backend: isolates the scheduler event loop from
-/// backend output allocation (labels are plain enum payloads).
-struct ConstLabel;
-
-impl Backend for ConstLabel {
-    fn name(&self) -> &str {
-        "const_label"
-    }
-    fn service_ns(&self, batch: usize) -> u64 {
-        ServiceModel { setup_ns: 200, per_item_ns: 50 }.ns(batch)
-    }
-    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.serve_into(batch, &mut out);
-        out
-    }
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
-        out.clear();
-        out.extend(batch.iter().map(|_| Output::Label(Some(1))));
-    }
-    fn make_payload(&self, _rng: &mut Rng64) -> Payload {
-        Payload::Features(Vec::new())
-    }
-}
-
-fn serve_run_allocs(n: usize) -> u64 {
-    let reqs: Vec<Request> = (0..n)
-        .map(|k| Request {
-            id: k as u64,
-            station: 0,
-            payload: Payload::Features(Vec::new()),
-            arrival_ns: 1_000 * k as u64,
-            deadline_ns: u64::MAX,
-        })
-        .collect();
-    let server = Server::try_new(vec![StationSpec::simple(
-        Box::new(ConstLabel),
-        BatchPolicy::new(8, 500, 64),
-    )])
-    .expect("one valid station");
-    let s0 = alloc_audit::snapshot();
-    let report = server.try_run_owned(reqs).expect("trace is valid");
-    let allocs = alloc_audit::snapshot().since(s0).allocs;
-    assert_eq!(report.responses.len(), n);
-    allocs
-}
-
 #[test]
 fn serve_loop_allocates_nothing_per_request_after_warm_up() {
-    let _guard = LOCK.lock().expect("alloc test lock");
-    let _ = serve_run_allocs(128); // warm-up: lazy statics, code paths
-    let small = serve_run_allocs(256);
-    let large = serve_run_allocs(2048);
-    let marginal = large.saturating_sub(small) as f64 / (2048 - 256) as f64;
-    assert!(
-        marginal < 0.01,
-        "serve loop leaked {marginal:.4} allocations per extra request ({small} -> {large})"
-    );
+    let run = |n| serve_run_allocs(n).expect("fixed station and trace are valid");
+    let _ = run(128); // warm-up: lazy statics, code paths
+    let (small, large) = (run(256), run(2048));
+    assert_eq!(large, small, "8x the requests must cost no extra allocation");
 }
 
 #[test]
 fn mann_into_kernels_run_allocation_free_once_pools_are_warm() {
-    let _guard = LOCK.lock().expect("alloc test lock");
     let mut rng = Rng64::new(18);
     let mem = DifferentiableMemory::random(128, 32, &mut rng);
     let q: Vec<f32> = (0..32).map(|_| rng.uniform_f32() - 0.5).collect();
@@ -96,34 +37,27 @@ fn mann_into_kernels_run_allocation_free_once_pools_are_warm() {
         mem.soft_read_into(&w, &mut r);
     }
     let iters = 256;
-    let s0 = alloc_audit::snapshot();
+    let s0 = alloc_audit::thread_snapshot();
     for _ in 0..iters {
         mem.content_address_into(&q, Similarity::Cosine, 2.0, &mut w);
         mem.soft_read_into(&w, &mut r);
     }
-    let allocs = alloc_audit::snapshot().since(s0).allocs;
-    assert!(
-        (allocs as f64) < 0.01 * iters as f64,
-        "warm _into kernels made {allocs} allocations over {iters} iterations"
-    );
+    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+    assert_eq!(allocs, 0, "warm _into kernels allocated over {iters} iterations");
     assert!(r.iter().all(|x| x.is_finite()));
 }
 
 #[test]
 fn scratch_checkout_reuses_buffers_instead_of_allocating() {
-    let _guard = LOCK.lock().expect("alloc test lock");
     {
         let _warm = scratch::take_f32(1000); // provisions the size class
     }
     let iters = 256;
-    let s0 = alloc_audit::snapshot();
+    let s0 = alloc_audit::thread_snapshot();
     for _ in 0..iters {
         let buf = scratch::take_f32(1000);
         assert_eq!(buf.len(), 1000);
     }
-    let allocs = alloc_audit::snapshot().since(s0).allocs;
-    assert!(
-        (allocs as f64) < 0.01 * iters as f64,
-        "warm scratch checkouts made {allocs} allocations over {iters} iterations"
-    );
+    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+    assert_eq!(allocs, 0, "warm scratch checkouts allocated over {iters} iterations");
 }

@@ -1,5 +1,5 @@
 //! The experiment registry: every quantitative claim, table and figure of
-//! the paper, mapped to the binary that regenerates it.
+//! the paper, mapped to the `enw` module that regenerates it.
 //!
 //! DESIGN.md holds the full per-experiment rationale; this module is the
 //! machine-readable index (used by `enw-bench` to enumerate and by tests
@@ -16,7 +16,8 @@ pub struct Experiment {
     pub paper_anchor: &'static str,
     /// What is being reproduced.
     pub claim: &'static str,
-    /// The `enw-bench` binary that regenerates it.
+    /// The module under `enw-bench`'s `src/bin/enw/` that regenerates it
+    /// (`enw run <id>`).
     pub binary: &'static str,
 }
 
@@ -214,12 +215,12 @@ mod tests {
 
     #[test]
     fn every_binary_exists_in_enw_bench() {
-        // The registry is only useful if each entry's binary actually
-        // builds; catch dangling names at the source tree level.
-        let bench_bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/src/bin");
+        // The registry is only useful if each entry's module actually
+        // exists; catch dangling names at the source tree level.
+        let bench_bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/src/bin/enw");
         for e in registry() {
             let src = bench_bins.join(format!("{}.rs", e.binary));
-            assert!(src.is_file(), "{}: missing bench binary source {}", e.id, src.display());
+            assert!(src.is_file(), "{}: missing enw module source {}", e.id, src.display());
         }
     }
 }

@@ -81,7 +81,7 @@ fn machine_parallelism() -> usize {
 ///
 /// Nested calls stack; the previous override is restored on exit (also
 /// on panic, since the guard restores on drop). This is how the
-/// equivalence tests and `exp15_parallel_scaling` sweep thread counts.
+/// equivalence tests and E15 (`enw run E15`) sweep thread counts.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {

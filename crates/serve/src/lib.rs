@@ -30,7 +30,7 @@
 //! generator — so one `(seed, spec)` pair names exactly one response
 //! stream, byte-identical across runs, hosts, and `ENW_THREADS`
 //! settings, including every p50/p95/p99 and shed-rate figure.
-//! `exp16_serving_slo` in `enw-bench` sweeps QPS levels through this
+//! `enw run E16` in `enw-bench` sweeps QPS levels through this
 //! runtime and emits `BENCH_serving.json`.
 
 pub mod backend;

@@ -1,4 +1,4 @@
-//! The canonical four-lane "paper fleet" used by `exp16_serving_slo`
+//! The canonical four-lane "paper fleet" used by E16 (`enw run E16`)
 //! and the end-to-end determinism tests.
 //!
 //! Station order is fixed and part of the reproducibility contract:

@@ -94,6 +94,6 @@ fn main() {
             machine.balance()
         );
     }
-    println!("\nNext: `cargo run --release --bin list_experiments -- -v` lists every");
+    println!("\nNext: `cargo run --release --bin enw -- list` lists every");
     println!("paper table/figure reproduction; see EXPERIMENTS.md for recorded results.");
 }

@@ -4,8 +4,9 @@
 #
 #   scripts/verify.sh          build + tests + clippy (tier-1)
 #   scripts/verify.sh --full   additionally runs the property-test suites
-#                              (--features proptest) and compiles the
+#                              (--features proptest), compiles the
 #                              criterion benches (--features criterion-benches)
+#                              and loops tier-1 20x to catch flakes
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,92 +22,22 @@ echo "== enw-analyze (lints + baseline diff + waiver audit) =="
 # after review), and on stale lint.toml waivers.
 cargo run --release -q -p enw-analyze -- --baseline analyze-baseline.json --audit-waivers
 
-echo "== exp16_serving_slo --smoke (serving runtime end to end) =="
-cargo run --release -q -p enw-bench --bin exp16_serving_slo -- --smoke
-test -s BENCH_serving.json || { echo "exp16 did not emit BENCH_serving.json"; exit 1; }
-
-echo "== exp17_stage_breakdown --smoke (trace attribution across all lanes) =="
-cargo run --release -q -p enw-bench --bin exp17_stage_breakdown -- --smoke
-test -s BENCH_stage_breakdown.json || { echo "exp17 did not emit BENCH_stage_breakdown.json"; exit 1; }
-python3 -c "import json; r = json.load(open('BENCH_stage_breakdown.json')); assert r['deterministic_rerun'] and len(r['lanes']) == 4, r" \
-    || { echo "BENCH_stage_breakdown.json failed to parse or is incomplete"; exit 1; }
-
-echo "== exp18_alloc_audit --smoke (zero-allocation hot paths) =="
-cargo run --release -q -p enw-bench --bin exp18_alloc_audit -- --smoke
-test -s BENCH_alloc.json || { echo "exp18 did not emit BENCH_alloc.json"; exit 1; }
-python3 -c "
-import json
-r = json.load(open('BENCH_alloc.json'))
-assert len(r['lanes']) == 4, r
-assert all(l['meets_90pct_target'] for l in r['lanes']), r
-assert r['serve']['zero_alloc_steady_state'], r
-" || { echo "BENCH_alloc.json failed to parse or misses the alloc-reduction targets"; exit 1; }
-
-echo "== exp19_fleet_sweep --smoke (sharded multi-node serving) =="
-cargo run --release -q -p enw-bench --bin exp19_fleet_sweep -- --smoke
-test -s BENCH_fleet.json || { echo "exp19 did not emit BENCH_fleet.json"; exit 1; }
-python3 -c "
-import json
-r = json.load(open('BENCH_fleet.json'))
-assert r['deterministic_rerun'], r
-assert len(r['cells']) == 9, r
-assert {c['scenario'] for c in r['cells']} == {'diurnal_zipf', 'bursty_uniform', 'flash_hot_set'}, r
-assert {c['nodes'] for c in r['cells']} == {2, 4, 8}, r
-assert all(len(c['lanes']) == 2 and 'shard' in c for c in r['cells']), r
-" || { echo "BENCH_fleet.json failed to parse or misses sweep cells"; exit 1; }
-
-echo "== exp20_dse --smoke (co-design search over every lane) =="
-cargo run --release -q -p enw-bench --bin exp20_dse -- --smoke
-test -s BENCH_dse.json || { echo "exp20 did not emit BENCH_dse.json"; exit 1; }
-python3 -c "
-import json
-r = json.load(open('BENCH_dse.json'))
-assert r['deterministic_rerun'], r
-lanes = r['lanes']
-assert {l['lane'] for l in lanes} == {'crossbar', 'xmann', 'cam', 'recsys', 'serve'}, r
-def dominates(a, b):
-    no_worse = (a['latency_ns'] <= b['latency_ns'] and a['energy_pj'] <= b['energy_pj']
-                and a['quality_per_area'] >= b['quality_per_area'])
-    better = (a['latency_ns'] < b['latency_ns'] or a['energy_pj'] < b['energy_pj']
-              or a['quality_per_area'] > b['quality_per_area'])
-    return no_worse and better
-for l in lanes:
-    front = l['front']
-    assert len(front) >= 3, (l['lane'], len(front))
-    for a in front:
-        for b in front:
-            assert a is b or not dominates(a, b), (l['lane'], a['key'], b['key'])
-assert any(l['default']['dominated_by_front'] for l in lanes), 'no lane beats its default'
-assert len(r['picks']['selected']) == len(lanes), r
-" || { echo "BENCH_dse.json failed to parse or front is not a valid Pareto set"; exit 1; }
-
-echo "== exp15_parallel_scaling --smoke (thread-scaling gate) =="
-# Exits nonzero if any kernel's 2-thread speedup drops below 1.0x, the
-# matmul 8-thread speedup falls below 0.9x of its 4-thread one (panel
-# contention plateau), or any lane loses bit-identity across thread counts.
-cargo run --release -q -p enw-bench --bin exp15_parallel_scaling -- --smoke
-test -s BENCH_parallel_kernels.json || { echo "exp15 did not emit BENCH_parallel_kernels.json"; exit 1; }
-
-echo "== exp21_deep_analog --smoke (streaming tiled analog training) =="
-# Exits nonzero if any determinism/zero-alloc gate fails or the deep
-# stack falls under 6 trainable layers.
-cargo run --release -q -p enw-bench --bin exp21_deep_analog -- --smoke
-test -s BENCH_analog_training.json || { echo "exp21 did not emit BENCH_analog_training.json"; exit 1; }
-python3 -c "
-import json
-r = json.load(open('BENCH_analog_training.json'))
-d = r['determinism']
-assert d['rerun_identical'] and d['thread_invariant'] and d['resume_identical'], r
-assert r['zero_alloc']['zero_alloc_steady_state'], r
-assert r['deep']['layers'] >= 6, r
-assert len(r['surface']) >= 8, r
-" || { echo "BENCH_analog_training.json failed to parse or misses the training gates"; exit 1; }
+echo "== enw gate (paper pins + every smoke experiment; each gate asserted in Rust) =="
+# Runs E9, E10 and E15..E21 in smoke mode, writes the BENCH_*.json
+# artifacts, and exits 1 naming every failed gate.
+cargo run --release -q -p enw-bench --bin enw -- gate
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "== cargo test -q --features proptest (property suites) =="
     cargo test -q --features proptest
     echo "== cargo check --benches --features criterion-benches =="
     cargo check -p enw-bench --benches --features criterion-benches
+    echo "== cargo test -q x20 (tier-1 must be green on every run) =="
+    for i in $(seq 1 20); do
+        cargo test -q >target/tier1-loop.log 2>&1 \
+            || { tail -n 40 target/tier1-loop.log; echo "tier-1 failed on run $i of 20"; exit 1; }
+    done
+    echo "tier-1: 20 of 20 green"
 fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
