@@ -3,7 +3,7 @@
 //! | id       | severity | what it enforces |
 //! |----------|----------|------------------|
 //! | ENW-A001 | deny     | internal dependency edges must follow the declared layering |
-//! | ENW-A003 | deny     | `proptest`/`criterion` in `[dependencies]` must be `optional` (feature-gated vendored shims) |
+//! | ENW-A003 | deny     | `proptest` in `[dependencies]` must be `optional` (feature-gated vendored shim) |
 //!
 //! The layering table below is the single source of truth for who may
 //! depend on whom. A crate that is not listed is itself a deny finding:
@@ -51,7 +51,7 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
 
 /// Vendored shims that must stay behind an explicit feature when they are
 /// a build (not dev) dependency.
-const GATED_SHIMS: &[&str] = &["proptest", "criterion"];
+const GATED_SHIMS: &[&str] = &["proptest"];
 
 /// Lints one crate manifest. `crate_dir` is the directory name under
 /// `crates/`, `rel_path` the manifest path used in findings.

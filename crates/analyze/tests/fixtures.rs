@@ -362,10 +362,10 @@ fn a001_unknown_crate_must_declare_layering() {
 
 #[test]
 fn a003_unguarded_shim_dependency() {
-    let bad = "[dependencies]\ncriterion = { workspace = true }\n";
+    let bad = "[dependencies]\nproptest = { workspace = true }\n";
     let got = check_manifest("bench", "crates/bench/Cargo.toml", bad);
     assert_eq!(got.first().map(|f| (f.rule, f.line)), Some(("ENW-A003", 2)));
-    let good = "[dependencies]\ncriterion = { workspace = true, optional = true }\n\n[dev-dependencies]\nproptest.workspace = true\n";
+    let good = "[dependencies]\nproptest = { workspace = true, optional = true }\n\n[dev-dependencies]\nproptest.workspace = true\n";
     assert!(check_manifest("bench", "crates/bench/Cargo.toml", good).is_empty());
 }
 

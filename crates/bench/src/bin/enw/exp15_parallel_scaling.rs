@@ -230,7 +230,7 @@ fn bench_matmul(s: &Sizes) -> KernelResult {
         if s.matmul_n == 1024 { "matmul_1024x1024" } else { "matmul" },
         s.rounds,
         || matmul_naive(&a, &b),
-        |_| a.par_matmul(&b),
+        |_| a.matmul(&b),
         |x, y| x.as_slice().iter().zip(y.as_slice()).all(|(u, v)| u.to_bits() == v.to_bits()),
     )
 }
@@ -255,7 +255,7 @@ fn bench_xbar_mvm(s: &Sizes) -> KernelResult {
         "crossbar_mvm",
         s.rounds,
         || xs.iter().map(|x| xbar_mvm_naive(&weights, x)).collect::<Vec<_>>(),
-        |_| xs.iter().map(|x| array.par_matvec(x, 0.0)).collect::<Vec<_>>(),
+        |_| xs.iter().map(|x| array.matvec(x, 0.0)).collect::<Vec<_>>(),
         eq,
     )
 }
@@ -456,8 +456,8 @@ pub fn run(run: &mut Run) {
     println!();
     println!("Reading: the register-tiled matmul, streaming crossbar read, limb-packed TCAM");
     println!("scan and unrolled+prefetching gather supply the single-core win, and the");
-    println!("persistent-pool fan-out multiplies it on multi-core hosts (this reference host");
-    println!("exposes one core, so thread counts mostly coincide). Chunk boundaries are fixed");
-    println!("and accumulators keep ascending-index order, so outputs are bit-identical at");
-    println!("any thread count and parallel runs need no tolerances.");
+    println!("persistent-pool fan-out multiplies it on multi-core hosts (this host exposes");
+    println!("{cores} core(s); thread counts past that are oversubscription, not scaling). Chunk");
+    println!("boundaries are fixed and accumulators keep ascending-index order, so outputs are");
+    println!("bit-identical at any thread count and parallel runs need no tolerances.");
 }

@@ -1,5 +1,5 @@
-//! Shared helpers for the `enw` experiment runner (`src/bin/enw/`), the
-//! Criterion benches and the workspace-level integration tests.
+//! Shared helpers for the `enw` experiment runner (`src/bin/enw/`) and
+//! the workspace-level integration tests.
 //!
 //! Each module under `src/bin/enw/` regenerates one table or figure of
 //! the paper:

@@ -10,9 +10,12 @@
 //! and the tests need no lock between them.
 
 use enw_bench::alloc_audit::{self, serve_run_allocs, CountingAlloc};
+use enw_core::crossbar::devices;
+use enw_core::crossbar::tile::{AnalogTile, TileConfig};
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
+use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::rng::Rng64;
-use enw_core::parallel::scratch;
+use enw_core::parallel::{self, scratch};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -60,4 +63,30 @@ fn scratch_checkout_reuses_buffers_instead_of_allocating() {
     }
     let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
     assert_eq!(allocs, 0, "warm scratch checkouts allocated over {iters} iterations");
+}
+
+#[test]
+fn analog_tile_reads_allocate_nothing_at_two_threads() {
+    // 256 x 256 clears the `plan_chunks` gate in both directions, so at
+    // two threads every read is a real pool dispatch.
+    let mut rng = Rng64::new(14);
+    let mut tile = AnalogTile::new(256, 256, &devices::ideal(1000), TileConfig::ideal(), &mut rng);
+    let x: Vec<f32> = (0..256).map(|_| rng.uniform_f32() - 0.5).collect();
+    let (mut y, mut dx) = (vec![0.0f32; 256], vec![0.0f32; 256]);
+    parallel::with_threads(2, || {
+        let mut reads = |tile: &mut AnalogTile| {
+            tile.forward_into(&x, &mut y);
+            tile.backward_into(&x, &mut dx);
+        };
+        for _ in 0..8 {
+            reads(&mut tile);
+        }
+        let iters = 100;
+        let s0 = alloc_audit::thread_snapshot();
+        for _ in 0..iters {
+            reads(&mut tile);
+        }
+        let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+        assert_eq!(allocs, 0, "warm tile reads allocated over {iters} forward+backward pairs");
+    });
 }

@@ -11,11 +11,13 @@ use crate::device::{DeviceSpec, PulseDir, PulsedDevice};
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
 
-// The parallel read kernels are gated and chunked by
-// `enw_parallel::plan_chunks` from the per-line crosspoint count;
-// boundaries depend only on the array shape, so results are
-// bit-identical at any `ENW_THREADS` (each output line is one
-// independent reduction).
+// Each read has one entry point and one body. `matvec_into` and
+// `matvec_t_into` ask `enw_parallel::plan_chunks` themselves (per-line
+// crosspoint count as the work estimate) and run the body — a private
+// row- or column-window helper — either once over the whole output or
+// over fixed windows on the worker pool. Boundaries depend only on the
+// array shape and each output line is one independent reduction, so
+// results are bit-identical at any `ENW_THREADS`.
 
 /// How a defective device fails (paper Sec. II-B2: imperfect yield).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,7 +132,10 @@ impl AnalogArray {
     }
 
     /// [`matvec`](AnalogArray::matvec) into a caller-owned output buffer
-    /// (`y` is fully overwritten).
+    /// (`y` is fully overwritten). Large arrays split their rows at
+    /// work-estimate-sized chunk boundaries across the `enw_parallel`
+    /// pool; each output current is the same ascending-column sum either
+    /// way, so results are bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -139,7 +144,19 @@ impl AnalogArray {
     pub fn matvec_into(&self, x: &[f32], ir_drop: f32, y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
-        for (r, out) in y.iter_mut().enumerate() {
+        match enw_parallel::plan_chunks(self.rows, self.cols) {
+            None => self.read_rows(x, ir_drop, 0, y),
+            Some(chunk) => enw_parallel::run_chunks_mut(y, chunk, |r0, window| {
+                self.read_rows(x, ir_drop, r0, window)
+            }),
+        }
+    }
+
+    /// The forward-read body: output currents for rows
+    /// `r0..r0 + window.len()`, each an ascending-column sum.
+    // enw:hot
+    fn read_rows(&self, x: &[f32], ir_drop: f32, r0: usize, window: &mut [f32]) {
+        for (out, r) in window.iter_mut().zip(r0..) {
             let row = &self.weights[r * self.cols..(r + 1) * self.cols];
             let mut acc = 0.0f32;
             if ir_drop == 0.0 {
@@ -169,7 +186,10 @@ impl AnalogArray {
     }
 
     /// [`matvec_t`](AnalogArray::matvec_t) into a caller-owned output
-    /// buffer (`y` is fully overwritten).
+    /// buffer (`y` is fully overwritten). Large arrays split their output
+    /// *columns* at work-estimate-sized chunk boundaries; every window
+    /// walks the rows in ascending order with the same zero-`d` skip, so
+    /// results are bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -178,124 +198,38 @@ impl AnalogArray {
     pub fn matvec_t_into(&self, d: &[f32], ir_drop: f32, y: &mut [f32]) {
         assert_eq!(d.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output dimension mismatch");
-        y.fill(0.0);
+        match enw_parallel::plan_chunks(self.cols, self.rows) {
+            None => self.read_cols(d, ir_drop, 0, y),
+            Some(chunk) => enw_parallel::run_chunks_mut(y, chunk, |c0, window| {
+                self.read_cols(d, ir_drop, c0, window)
+            }),
+        }
+    }
+
+    /// The transposed-read body: output currents for columns
+    /// `c0..c0 + window.len()`, accumulated over ascending rows; rows
+    /// driven with exactly zero are skipped.
+    // enw:hot
+    fn read_cols(&self, d: &[f32], ir_drop: f32, c0: usize, window: &mut [f32]) {
+        let cols = self.cols;
+        window.fill(0.0);
         for (r, di) in d.iter().enumerate() {
             if *di == 0.0 {
                 continue;
             }
-            let row = &self.weights[r * self.cols..(r + 1) * self.cols];
+            let row = &self.weights[r * cols + c0..r * cols + c0 + window.len()];
             if ir_drop == 0.0 {
-                for (out, w) in y.iter_mut().zip(row) {
+                for (out, w) in window.iter_mut().zip(row) {
                     *out += w * di;
                 }
             } else {
                 let rfrac = r as f32 / self.rows as f32;
-                for (c, (out, w)) in y.iter_mut().zip(row).enumerate() {
-                    let atten = 1.0 - ir_drop * 0.5 * (rfrac + c as f32 / self.cols as f32);
+                for (c, (out, w)) in window.iter_mut().zip(row).enumerate() {
+                    let atten = 1.0 - ir_drop * 0.5 * (rfrac + (c0 + c) as f32 / cols as f32);
                     *out += w * di * atten;
                 }
             }
         }
-    }
-
-    /// Parallel [`matvec`](AnalogArray::matvec): rows are split at
-    /// work-estimate-sized chunk boundaries across the `enw_parallel`
-    /// pool; each output current is the same ascending-column sum (with
-    /// the same per-crosspoint IR-drop attenuation) as the serial read,
-    /// so results are bit-identical at any thread count. Falls back to
-    /// the serial loop for small arrays or a single worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn par_matvec(&self, x: &[f32], ir_drop: f32) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.rows];
-        self.par_matvec_into(x, ir_drop, &mut y);
-        y
-    }
-
-    /// [`par_matvec`](AnalogArray::par_matvec) into a caller-owned
-    /// output buffer (`y` is fully overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols` or `y.len() != rows`.
-    // enw:hot
-    pub fn par_matvec_into(&self, x: &[f32], ir_drop: f32, y: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
-        let Some(chunk) = enw_parallel::plan_chunks(self.rows, self.cols) else {
-            return self.matvec_into(x, ir_drop, y);
-        };
-        enw_parallel::for_each_chunk_mut(y, chunk, |start, window| {
-            for (out, r) in window.iter_mut().zip(start..) {
-                let row = &self.weights[r * self.cols..(r + 1) * self.cols];
-                let mut acc = 0.0f32;
-                if ir_drop == 0.0 {
-                    for (w, xi) in row.iter().zip(x) {
-                        acc += w * xi;
-                    }
-                } else {
-                    let rfrac = r as f32 / self.rows as f32;
-                    for (c, (w, xi)) in row.iter().zip(x).enumerate() {
-                        let atten = 1.0 - ir_drop * 0.5 * (rfrac + c as f32 / self.cols as f32);
-                        acc += w * xi * atten;
-                    }
-                }
-                *out = acc;
-            }
-        });
-    }
-
-    /// Parallel [`matvec_t`](AnalogArray::matvec_t): output columns are
-    /// split at work-estimate-sized chunk boundaries; every worker walks
-    /// the rows in ascending order with the same zero-`d` skip and
-    /// IR-drop model, so results are bit-identical to the serial read at
-    /// any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d.len() != rows`.
-    pub fn par_matvec_t(&self, d: &[f32], ir_drop: f32) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.cols];
-        self.par_matvec_t_into(d, ir_drop, &mut y);
-        y
-    }
-
-    /// [`par_matvec_t`](AnalogArray::par_matvec_t) into a caller-owned
-    /// output buffer (`y` is fully overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d.len() != rows` or `y.len() != cols`.
-    // enw:hot
-    pub fn par_matvec_t_into(&self, d: &[f32], ir_drop: f32, y: &mut [f32]) {
-        assert_eq!(d.len(), self.rows, "matvec_t dimension mismatch");
-        assert_eq!(y.len(), self.cols, "matvec_t output dimension mismatch");
-        let Some(chunk) = enw_parallel::plan_chunks(self.cols, self.rows) else {
-            return self.matvec_t_into(d, ir_drop, y);
-        };
-        let cols = self.cols;
-        y.fill(0.0);
-        enw_parallel::for_each_chunk_mut(y, chunk, |c0, window| {
-            for (r, di) in d.iter().enumerate() {
-                if *di == 0.0 {
-                    continue;
-                }
-                let row = &self.weights[r * cols + c0..r * cols + c0 + window.len()];
-                if ir_drop == 0.0 {
-                    for (out, w) in window.iter_mut().zip(row) {
-                        *out += w * di;
-                    }
-                } else {
-                    let rfrac = r as f32 / self.rows as f32;
-                    for (c, (out, w)) in window.iter_mut().zip(row).enumerate() {
-                        let atten = 1.0 - ir_drop * 0.5 * (rfrac + (c0 + c) as f32 / cols as f32);
-                        *out += w * di * atten;
-                    }
-                }
-            }
-        });
     }
 
     /// Applies one programming pulse to device `(r, c)`.
@@ -599,26 +533,44 @@ mod tests {
 
     #[test]
     fn par_reads_bitwise_match_serial_reads() {
+        // 300 x 260 clears the `plan_chunks` gate in both directions, so
+        // 3 and 8 threads really split rows (forward) and columns
+        // (transposed).
+        let (rows, cols) = (300, 260);
         let mut rng = Rng64::new(11);
-        let mut a = AnalogArray::new(150, 130, &devices::ideal(1000), &mut rng);
-        let target = Matrix::random_uniform(150, 130, -0.9, 0.9, &mut rng);
-        for r in 0..150 {
-            for c in 0..130 {
+        let mut a = AnalogArray::new(rows, cols, &devices::ideal(1000), &mut rng);
+        let target = Matrix::random_uniform(rows, cols, -0.9, 0.9, &mut rng);
+        for r in 0..rows {
+            for c in 0..cols {
                 a.set_weight(r, c, target.at(r, c));
             }
         }
-        let x: Vec<f32> = (0..130).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let mut d: Vec<f32> = (0..150).map(|_| rng.range(-1.0, 1.0) as f32).collect();
+        let x: Vec<f32> = (0..cols).map(|_| rng.range(-1.0, 1.0) as f32).collect();
+        let mut d: Vec<f32> = (0..rows).map(|_| rng.range(-1.0, 1.0) as f32).collect();
         d[3] = 0.0; // exercise the zero-skip path
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for ir in [0.0f32, 0.15] {
-            let y = a.matvec(&x, ir);
-            let yt = a.matvec_t(&d, ir);
+            // The oracle: one naive fold per output line, no windows
+            // (at `ir == 0` the attenuation is exactly 1.0, a bitwise
+            // no-op factor).
+            let atten = |r: usize, c: usize| {
+                1.0 - ir * 0.5 * (r as f32 / rows as f32 + c as f32 / cols as f32)
+            };
+            let y: Vec<f32> = (0..rows)
+                .map(|r| (0..cols).fold(0.0, |acc, c| acc + a.weight(r, c) * x[c] * atten(r, c)))
+                .collect();
+            let yt: Vec<f32> = (0..cols)
+                .map(|c| {
+                    (0..rows)
+                        .filter(|&r| d[r] != 0.0)
+                        .fold(0.0, |acc, r| acc + a.weight(r, c) * d[r] * atten(r, c))
+                })
+                .collect();
             for threads in [1usize, 3, 8] {
-                let (py, pyt) = enw_parallel::with_threads(threads, || {
-                    (a.par_matvec(&x, ir), a.par_matvec_t(&d, ir))
-                });
-                assert!(y.iter().zip(&py).all(|(s, p)| s.to_bits() == p.to_bits()));
-                assert!(yt.iter().zip(&pyt).all(|(s, p)| s.to_bits() == p.to_bits()));
+                let (py, pyt) =
+                    enw_parallel::with_threads(threads, || (a.matvec(&x, ir), a.matvec_t(&d, ir)));
+                assert_eq!(bits(&py), bits(&y), "forward, ir {ir}, {threads} threads");
+                assert_eq!(bits(&pyt), bits(&yt), "transposed, ir {ir}, {threads} threads");
             }
         }
     }

@@ -463,9 +463,8 @@ impl AnalogTile {
     pub fn forward_biased_into(&mut self, x: &[f32], bias_drive: f32, out: &mut [f32]) {
         let mut xa = self.augmented_scratch(x, bias_drive);
         self.cfg.noise.apply_input(&mut xa);
-        // Bit-identical to the serial read; parallel only above the
-        // array-size threshold (see AnalogArray::par_matvec_into).
-        self.array.par_matvec_into(&xa, self.cfg.noise.ir_drop, out);
+        // The array read plans its own fan-out from the array shape.
+        self.array.matvec_into(&xa, self.cfg.noise.ir_drop, out);
         self.sub_reference_matvec(&xa, out);
         self.cfg.noise.apply_output(out, &mut self.rng);
         self.stats.forward_ops += 1;
@@ -512,7 +511,7 @@ impl LinearBackend for AnalogTile {
         // bias column included — before truncation, so the RNG stream
         // (and therefore every later draw) matches the allocating path.
         let mut y = enw_parallel::scratch::take_f32(self.array.cols());
-        self.array.par_matvec_t_into(delta, self.cfg.noise.ir_drop, &mut y);
+        self.array.matvec_t_into(delta, self.cfg.noise.ir_drop, &mut y);
         self.sub_reference_matvec_t(delta, &mut y);
         self.cfg.noise.apply_output(&mut y, &mut self.rng);
         out.copy_from_slice(&y[..self.in_dim]);

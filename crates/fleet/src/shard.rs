@@ -19,7 +19,7 @@
 
 use crate::ring::{key_point, HashRing};
 use enw_numerics::rng::Rng64;
-use enw_parallel::{for_each_chunk_mut, scratch};
+use enw_parallel::{run_chunks_mut, scratch};
 use enw_recsys::cache::{CacheStats, EmbeddingCache};
 use enw_recsys::EmbeddingTable;
 
@@ -260,7 +260,7 @@ impl ShardedStore {
 
         let stripe = spec.tables * spec.dim;
         let mut pooled = scratch::take_f32(users.len() * stripe);
-        for_each_chunk_mut(pooled.as_mut_slice(), stripe, |start, window| {
+        run_chunks_mut(pooled.as_mut_slice(), stripe, |start, window| {
             self.pool_user_into(users[start / stripe], window);
         });
         for &v in pooled.as_slice() {

@@ -121,79 +121,41 @@ fn assert_bits_eq(a: &[f32], b: &[f32]) {
     }
 }
 
-// Thread-count invariance of the parallel kernels: chunk boundaries and
-// per-element accumulation order derive only from the problem shape, so
-// ENW_THREADS=1/2/8 must produce bit-identical outputs. Shapes are
-// random (including dims of 1 and non-multiples of the register tile);
-// the *_parallel_path variants force shapes past the `plan_chunks` gate
-// so the pool fan-out itself is always exercised.
+// Thread-count invariance of `matmul`, the one kernel that plans its own
+// fan-out: chunk boundaries and per-element accumulation order derive
+// only from the problem shape, so ENW_THREADS=1/2/8 must produce
+// bit-identical outputs. Shapes are random (including dims of 1 and
+// non-multiples of the register tile); the *_parallel_path variant
+// forces shapes past both the blocked-kernel threshold and the
+// `plan_chunks` gate so the pool fan-out itself is always exercised.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
     #[test]
-    fn par_matmul_bit_identical_at_any_thread_count(
+    fn matmul_bit_identical_at_any_thread_count(
         m in 1usize..96, k in 1usize..96, n in 1usize..96, seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
-        let serial = enw_parallel::with_threads(1, || a.par_matmul(&b));
+        let serial = enw_parallel::with_threads(1, || a.matmul(&b));
         for t in [2usize, 8] {
-            let par = enw_parallel::with_threads(t, || a.par_matmul(&b));
+            let par = enw_parallel::with_threads(t, || a.matmul(&b));
             assert_bits_eq(serial.as_slice(), par.as_slice());
         }
     }
 
     #[test]
-    fn par_matmul_parallel_path_bit_identical(
-        m in 64usize..128, k in 33usize..64, n in 33usize..64, seed in any::<u64>()) {
-        // m*k*n >= 64*33*33 > 2x TARGET_CHUNK_WORK: always fans out.
+    fn matmul_parallel_path_bit_identical(
+        m in 128usize..192, k in 33usize..64, n in 33usize..64, seed in any::<u64>()) {
+        // m*k*n >= 128*33*33 > 2^17 (blocked) > 2x TARGET_CHUNK_WORK:
+        // always fans out.
         let mut rng = Rng64::new(seed);
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
-        let serial = enw_parallel::with_threads(1, || a.par_matmul(&b));
+        let serial = enw_parallel::with_threads(1, || a.matmul(&b));
         for t in [2usize, 8] {
-            let par = enw_parallel::with_threads(t, || a.par_matmul(&b));
+            let par = enw_parallel::with_threads(t, || a.matmul(&b));
             assert_bits_eq(serial.as_slice(), par.as_slice());
-        }
-    }
-
-    #[test]
-    fn par_matvec_bit_identical_at_any_thread_count(
-        rows in 1usize..500, cols in 1usize..260, seed in any::<u64>()) {
-        let mut rng = Rng64::new(seed);
-        let m = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
-        let x: Vec<f32> = (0..cols).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let serial = enw_parallel::with_threads(1, || m.par_matvec(&x));
-        for t in [2usize, 8] {
-            let par = enw_parallel::with_threads(t, || m.par_matvec(&x));
-            assert_bits_eq(&serial, &par);
-        }
-    }
-
-    #[test]
-    fn par_matvec_parallel_path_bit_identical(
-        rows in 300usize..500, cols in 250usize..300, seed in any::<u64>()) {
-        // rows*cols >= 300*250 > 2x TARGET_CHUNK_WORK: always fans out.
-        let mut rng = Rng64::new(seed);
-        let m = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
-        let x: Vec<f32> = (0..cols).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let serial = enw_parallel::with_threads(1, || m.par_matvec(&x));
-        for t in [2usize, 8] {
-            let par = enw_parallel::with_threads(t, || m.par_matvec(&x));
-            assert_bits_eq(&serial, &par);
-        }
-    }
-
-    #[test]
-    fn par_matvec_t_bit_identical_at_any_thread_count(
-        rows in 1usize..260, cols in 1usize..500, seed in any::<u64>()) {
-        let mut rng = Rng64::new(seed);
-        let m = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
-        let d: Vec<f32> = (0..rows).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let serial = enw_parallel::with_threads(1, || m.par_matvec_t(&d));
-        for t in [2usize, 8] {
-            let par = enw_parallel::with_threads(t, || m.par_matvec_t(&d));
-            assert_bits_eq(&serial, &par);
         }
     }
 }

@@ -144,6 +144,42 @@ fn job_slots(nchunks: usize) -> usize {
     max_threads().min(nchunks).max(1)
 }
 
+/// Number of fixed-boundary chunks `0..n` splits into (`chunk` clamped
+/// to at least 1).
+fn chunk_count(n: usize, chunk: usize) -> usize {
+    n.div_ceil(chunk.max(1))
+}
+
+/// The one fan-out every public runner is a shell over: splits `0..n`
+/// at fixed `chunk` boundaries and runs `body(c, range)` exactly once
+/// per chunk `c`. With a single participant (one thread, one chunk, or
+/// a call from inside a pool worker) the chunks run inline in ascending
+/// order; otherwise chunk `c` is dealt to slot `c % slots` — a static
+/// deal, no stealing — over the persistent pool, which blocks until
+/// every slot is done. Allocation-free either way.
+fn deal_chunks<F>(n: usize, chunk: usize, body: F)
+where
+    F: Fn(usize, Range<usize>) + Sync,
+{
+    let chunk = chunk.max(1);
+    let nchunks = chunk_count(n, chunk);
+    let range = |c: usize| c * chunk..((c + 1) * chunk).min(n);
+    let slots = job_slots(nchunks);
+    if slots <= 1 {
+        for c in 0..nchunks {
+            body(c, range(c));
+        }
+        return;
+    }
+    pool::run_job(slots, &|slot| {
+        let mut c = slot;
+        while c < nchunks {
+            body(c, range(c));
+            c += slots;
+        }
+    });
+}
+
 /// Applies `f` to each fixed-boundary chunk of `0..n`, in parallel on
 /// the persistent pool, and returns the per-chunk results **in chunk
 /// order**.
@@ -156,26 +192,11 @@ where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
-    let chunk = chunk.max(1);
-    let nchunks = n.div_ceil(chunk);
-    let range = move |c: usize| c * chunk..((c + 1) * chunk).min(n);
-    let slots = job_slots(nchunks);
-    if slots <= 1 {
-        return (0..nchunks).map(|c| f(range(c))).collect();
-    }
-    let mut results: Vec<Option<R>> = (0..nchunks).map(|_| None).collect();
+    let mut results: Vec<Option<R>> = (0..chunk_count(n, chunk)).map(|_| None).collect();
     let out = SlotWriter(results.as_mut_ptr());
-    let f = &f;
-    pool::run_job(slots, &move |slot| {
-        let mut c = slot;
-        while c < nchunks {
-            let r = f(range(c));
-            // SAFETY: chunk c belongs to this slot alone (c % slots ==
-            // slot), and `results` outlives the job.
-            unsafe { out.write(c, r) };
-            c += slots;
-        }
-    });
+    // SAFETY: the dealer hands each chunk index in `0..results.len()` to
+    // exactly one participant, and `results` outlives the job.
+    deal_chunks(n, chunk, |c, range| unsafe { out.write(c, f(range)) });
     results.into_iter().map(|r| r.expect("chunk not computed")).collect()
 }
 
@@ -188,104 +209,28 @@ where
     R: Send,
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
-    let chunk = chunk.max(1);
-    let len = data.len();
-    let nchunks = len.div_ceil(chunk);
-    let slots = job_slots(nchunks);
-    if slots <= 1 {
-        return data
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, window)| f(c * chunk, window))
-            .collect();
-    }
-    let mut results: Vec<Option<R>> = (0..nchunks).map(|_| None).collect();
-    let out = SlotWriter(results.as_mut_ptr());
     let base = DataPtr(data.as_mut_ptr());
-    let f = &f;
-    pool::run_job(slots, &move |slot| {
-        let mut c = slot;
-        while c < nchunks {
-            let start = c * chunk;
-            let end = ((c + 1) * chunk).min(len);
-            // SAFETY: fixed chunk boundaries make the windows disjoint,
-            // each chunk index belongs to exactly one slot, and `data`
-            // outlives the job.
-            let window = unsafe { base.window(start, end - start) };
-            let r = f(start, window);
-            // SAFETY: as in `map_chunks`.
-            unsafe { out.write(c, r) };
-            c += slots;
-        }
-    });
-    results.into_iter().map(|r| r.expect("chunk not computed")).collect()
+    // SAFETY: fixed chunk boundaries make the windows disjoint and in
+    // bounds, each chunk runs exactly once, and `data` outlives the job.
+    map_chunks(data.len(), chunk, |r| f(r.start, unsafe { base.window(r.start, r.len()) }))
 }
 
-/// Like [`map_chunks`] for side-effect-only chunk bodies: no per-chunk
-/// result vector is built, so a parallel section costs **zero heap
-/// allocations** in steady state (the pool's mailboxes and latch are
-/// retained/stack-allocated). This is the fan-out primitive for
-/// zero-alloc training loops; reductions go through caller-owned
-/// buffers indexed by chunk, or an integer atomic when the combine is
-/// commutative in exact arithmetic (pulse counts, byte totals).
-pub fn run_chunks<F>(n: usize, chunk: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let chunk = chunk.max(1);
-    let nchunks = n.div_ceil(chunk);
-    let range = move |c: usize| c * chunk..((c + 1) * chunk).min(n);
-    let slots = job_slots(nchunks);
-    if slots <= 1 {
-        for c in 0..nchunks {
-            f(range(c));
-        }
-        return;
-    }
-    let f = &f;
-    pool::run_job(slots, &move |slot| {
-        let mut c = slot;
-        while c < nchunks {
-            f(range(c));
-            c += slots;
-        }
-    });
-}
-
-/// Like [`for_each_chunk_mut`] for side-effect-only chunk bodies: hands
-/// each participant a disjoint `&mut` window of `data` without building
-/// a per-chunk result vector, so the section is allocation-free in
-/// steady state (see [`run_chunks`]).
+/// Like [`for_each_chunk_mut`] for side-effect-only chunk bodies: no
+/// per-chunk result vector is built, so a parallel section costs **zero
+/// heap allocations** in steady state (the pool's mailboxes and latch
+/// are retained/stack-allocated). This is the fan-out primitive for
+/// zero-alloc kernels and training loops; reductions go through
+/// caller-owned buffers indexed by chunk, or an integer atomic when the
+/// combine is commutative in exact arithmetic (pulse counts, byte
+/// totals).
 pub fn run_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let chunk = chunk.max(1);
-    let len = data.len();
-    let nchunks = len.div_ceil(chunk);
-    let slots = job_slots(nchunks);
-    if slots <= 1 {
-        for (c, window) in data.chunks_mut(chunk).enumerate() {
-            f(c * chunk, window);
-        }
-        return;
-    }
     let base = DataPtr(data.as_mut_ptr());
-    let f = &f;
-    pool::run_job(slots, &move |slot| {
-        let mut c = slot;
-        while c < nchunks {
-            let start = c * chunk;
-            let end = ((c + 1) * chunk).min(len);
-            // SAFETY: fixed chunk boundaries make the windows disjoint,
-            // each chunk index belongs to exactly one slot, and `data`
-            // outlives the job.
-            let window = unsafe { base.window(start, end - start) };
-            f(start, window);
-            c += slots;
-        }
-    });
+    // SAFETY: as in `for_each_chunk_mut`.
+    deal_chunks(data.len(), chunk, |_, r| f(r.start, unsafe { base.window(r.start, r.len()) }));
 }
 
 /// Abstract per-chunk work (≈ scalar operations) that [`plan_chunks`]
@@ -398,26 +343,6 @@ mod tests {
             assert_eq!(starts, vec![0, 7, 14, 21, 28]);
             for (i, &v) in data.iter().enumerate() {
                 assert_eq!(v, i as u32, "element {i} touched wrong number of times");
-            }
-        }
-    }
-
-    #[test]
-    fn run_chunks_covers_every_index_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let hits: Vec<AtomicU32> = (0..29).map(|_| AtomicU32::new(0)).collect();
-        for t in [1, 3, 8] {
-            hits.iter().for_each(|h| h.store(0, Ordering::SeqCst));
-            let hits_ref = &hits;
-            with_threads(t, || {
-                run_chunks(29, 6, |r| {
-                    for i in r {
-                        hits_ref[i].fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::SeqCst), 1, "index {i} at {t} threads");
             }
         }
     }

@@ -547,14 +547,10 @@ impl RecModel {
         bottom.predict_into(dense, &mut dense_latent);
         let mut pooled = enw_parallel::scratch::take_f32(tables.len() * dim);
         if parallel_pool {
-            enw_parallel::for_each_chunk_mut(
-                &mut pooled,
-                PAR_TABLE_CHUNK * dim,
-                |start, window| {
-                    let t = start / dim;
-                    tables[t].gather_pool_into(&sparse[t], window);
-                },
-            );
+            enw_parallel::run_chunks_mut(&mut pooled, PAR_TABLE_CHUNK * dim, |start, window| {
+                let t = start / dim;
+                tables[t].gather_pool_into(&sparse[t], window);
+            });
         } else {
             for ((table, idx), window) in tables.iter().zip(sparse).zip(pooled.chunks_mut(dim)) {
                 table.gather_pool_into(idx, window);
@@ -651,7 +647,7 @@ impl RecModel {
         let tables = &self.tables;
         let bottom = &self.bottom;
         let top = &self.top;
-        enw_parallel::for_each_chunk_mut(out, PAR_BATCH_CHUNK, |start, window| {
+        enw_parallel::run_chunks_mut(out, PAR_BATCH_CHUNK, |start, window| {
             let mut bottom = bottom.clone();
             let mut top = top.clone();
             for (k, slot) in window.iter_mut().enumerate() {

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Offline verification gate for the workspace. No network access needed:
-# proptest/criterion resolve to the vendored shims in vendor/.
+# proptest resolves to the vendored shim in vendor/.
 #
 #   scripts/verify.sh          build + tests + clippy (tier-1)
 #   scripts/verify.sh --full   additionally runs the property-test suites
-#                              (--features proptest), compiles the
-#                              criterion benches (--features criterion-benches)
-#                              and loops tier-1 20x to catch flakes
+#                              (--features proptest) and loops tier-1
+#                              20x to catch flakes
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,8 +29,6 @@ cargo run --release -q -p enw-bench --bin enw -- gate
 if [[ "${1:-}" == "--full" ]]; then
     echo "== cargo test -q --features proptest (property suites) =="
     cargo test -q --features proptest
-    echo "== cargo check --benches --features criterion-benches =="
-    cargo check -p enw-bench --benches --features criterion-benches
     echo "== cargo test -q x20 (tier-1 must be green on every run) =="
     for i in $(seq 1 20); do
         cargo test -q >target/tier1-loop.log 2>&1 \
@@ -42,5 +39,8 @@ fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== tracked: workspace Rust lines (ROADMAP aim 2; no gate) =="
+git ls-files '*.rs' | xargs wc -l | tail -1
 
 echo "verify: OK"

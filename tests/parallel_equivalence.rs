@@ -1,6 +1,6 @@
 //! Serial-vs-parallel bit-exactness across crate boundaries: every
-//! parallel entry point must return outputs bitwise identical to its
-//! serial counterpart at any worker count (the determinism contract of
+//! kernel that fans out must return outputs bitwise identical to its
+//! one-thread run at any worker count (the determinism contract of
 //! `enw_core::parallel` — fixed chunk boundaries, ascending-index
 //! accumulation inside every chunk).
 //!
@@ -10,6 +10,9 @@
 use enw_core::cam::array::TcamConfig;
 use enw_core::cam::bank::TcamBank;
 use enw_core::cam::cells;
+use enw_core::crossbar::devices;
+use enw_core::crossbar::tile::{AnalogTile, TileConfig};
+use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::matrix::Matrix;
 use enw_core::numerics::rng::Rng64;
@@ -26,15 +29,27 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 #[test]
 fn par_matvec_matches_serial_bitwise() {
+    // The crossbar is where a parallel matvec lives. A 300 x 259 tile
+    // (300 x 260 array with the bias column) clears the `plan_chunks`
+    // gate in both read directions, so multi-worker runs really split
+    // rows (forward) and columns (backward), each with an uneven tail,
+    // under the full noisy periphery.
     let mut rng = Rng64::new(100);
-    // 200 rows exceeds the row-chunk size, so multi-worker runs really
-    // split the matrix; 90 columns leaves an uneven tail.
-    let m = Matrix::random_uniform(200, 90, -1.0, 1.0, &mut rng);
-    let x: Vec<f32> = (0..90).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-    let serial = m.matvec(&x);
+    let tile = AnalogTile::new(300, 259, &devices::ideal(1000), TileConfig::default(), &mut rng);
+    let x: Vec<f32> = (0..259).map(|_| rng.range(-1.0, 1.0) as f32).collect();
+    let d: Vec<f32> = (0..300).map(|_| rng.range(-1.0, 1.0) as f32).collect();
+    let reads = || {
+        let mut tile = tile.clone(); // same periphery RNG state every run
+        let (mut y, mut dx) = (vec![0.0f32; 300], vec![0.0f32; 259]);
+        tile.forward_into(&x, &mut y);
+        tile.backward_into(&d, &mut dx);
+        (y, dx)
+    };
+    let serial = parallel::with_threads(1, reads);
     for threads in THREAD_COUNTS {
-        let par = parallel::with_threads(threads, || m.par_matvec(&x));
-        assert_eq!(bits(&serial), bits(&par), "threads = {threads}");
+        let par = parallel::with_threads(threads, reads);
+        assert_eq!(bits(&serial.0), bits(&par.0), "forward, threads = {threads}");
+        assert_eq!(bits(&serial.1), bits(&par.1), "backward, threads = {threads}");
     }
 }
 
@@ -43,9 +58,9 @@ fn par_matmul_matches_serial_bitwise() {
     let mut rng = Rng64::new(101);
     let a = Matrix::random_uniform(150, 130, -1.0, 1.0, &mut rng);
     let b = Matrix::random_uniform(130, 110, -1.0, 1.0, &mut rng);
-    let serial = a.matmul(&b);
+    let serial = parallel::with_threads(1, || a.matmul(&b));
     for threads in THREAD_COUNTS {
-        let par = parallel::with_threads(threads, || a.par_matmul(&b));
+        let par = parallel::with_threads(threads, || a.matmul(&b));
         assert_eq!(bits(serial.as_slice()), bits(par.as_slice()), "threads = {threads}");
     }
 }
@@ -110,8 +125,8 @@ fn enw_threads_env_var_forces_serial_execution() {
     let mut rng = Rng64::new(104);
     let a = Matrix::random_uniform(140, 120, -1.0, 1.0, &mut rng);
     let b = Matrix::random_uniform(120, 100, -1.0, 1.0, &mut rng);
-    let pinned = a.par_matmul(&b); // serial under ENW_THREADS=1
-    let scoped = parallel::with_threads(4, || a.par_matmul(&b));
+    let pinned = a.matmul(&b); // serial under ENW_THREADS=1
+    let scoped = parallel::with_threads(4, || a.matmul(&b));
     assert_eq!(bits(pinned.as_slice()), bits(scoped.as_slice()));
     assert_eq!(parallel::max_threads(), 1, "with_threads must restore the env-pinned count");
     std::env::remove_var("ENW_THREADS");
