@@ -16,6 +16,8 @@ use enw_core::mann::memory::{DifferentiableMemory, Similarity};
 use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel::{self, scratch};
+use enw_core::xmann::arch::{Xmann, XmannConfig};
+use enw_core::xmann::cost::XmannCostParams;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -48,6 +50,33 @@ fn mann_into_kernels_run_allocation_free_once_pools_are_warm() {
     let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
     assert_eq!(allocs, 0, "warm _into kernels allocated over {iters} iterations");
     assert!(r.iter().all(|x| x.is_finite()));
+}
+
+#[test]
+fn xmann_into_kernels_run_allocation_free_once_pools_are_warm() {
+    let (slots, dim) = (128, 32);
+    let mut rng = Rng64::new(19);
+    let mut xm = Xmann::new(slots, dim, XmannConfig::default(), XmannCostParams::default());
+    let rows: Vec<Vec<f32>> =
+        (0..slots).map(|_| (0..dim).map(|_| rng.uniform_f32() - 0.5).collect()).collect();
+    xm.load_memory(&rows);
+    let q: Vec<f32> = (0..dim).map(|_| rng.uniform_f32() - 0.5).collect();
+    let (mut sim, mut w, mut r) = (vec![0.0f32; slots], vec![0.0f32; slots], vec![0.0f32; dim]);
+    let mut trio = |xm: &mut Xmann| {
+        xm.similarity_into(&q, &mut sim);
+        xm.content_address_into(&q, 2.0, &mut w);
+        xm.soft_read_into(&w, &mut r);
+    };
+    for _ in 0..8 {
+        trio(&mut xm);
+    }
+    let iters = 256;
+    let s0 = alloc_audit::thread_snapshot();
+    for _ in 0..iters {
+        trio(&mut xm);
+    }
+    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+    assert_eq!(allocs, 0, "warm X-MANN _into kernels allocated over {iters} iterations");
 }
 
 #[test]

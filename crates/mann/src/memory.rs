@@ -137,8 +137,20 @@ impl DifferentiableMemory {
             4 * (slots * dim + dim),
             4 * slots,
         );
-        for (s, o) in out.iter_mut().enumerate() {
-            *o = sim.score(query, self.data.row(s));
+        // One rows-abreast pass per call (`enw_numerics`' scan driver);
+        // each arm finishes a row's sums exactly as `Similarity::score`,
+        // the one-row oracle, does.
+        match sim {
+            Similarity::Cosine => {
+                let nq = vector::norm_l2(query);
+                self.data.scan_dot_sq_norm(query, out, |dot, sq| {
+                    vector::cosine_from_parts(dot, nq, sq.sqrt())
+                });
+            }
+            Similarity::Dot => self.data.scan_dot(query, out),
+            Similarity::NegL1 => self.data.scan_dist_l1(query, out, |d| -d),
+            Similarity::NegL2 => self.data.scan_dist_sq_l2(query, out, |sq| -sq.sqrt()),
+            Similarity::NegLinf => self.data.scan_dist_linf(query, out, |d| -d),
         }
     }
 

@@ -14,6 +14,10 @@
 //! * [`matrix`] — row-major [`matrix::Matrix`] with the handful of
 //!   dense kernels neural workloads need (matmul, matvec, transposed matvec,
 //!   rank-1 update).
+//! * [`scan`] — one reduction per matrix row, several rows abreast: the
+//!   driver under `matvec` and the all-rows similarity/distance scans of
+//!   the MANN memories, and the rule that keeps them bit-identical to
+//!   the one-row loops.
 //! * [`vector`] — slice-level vector math: dot products, norms, softmax,
 //!   cosine similarity, distance metrics.
 //! * [`quant`] — symmetric fixed-point quantization with optional stochastic
@@ -40,6 +44,7 @@ pub mod bits;
 pub mod matrix;
 pub mod quant;
 pub mod rng;
+pub mod scan;
 pub mod stats;
 pub mod vector;
 

@@ -16,9 +16,11 @@
 //! [zero-coefficient skip](#zero-skip-fast-path) rule, and chunk
 //! boundaries depend only on the shape, so the result is **bitwise
 //! identical** whichever branch runs and at any thread count. The
-//! matrix–vector kernels are single serial loops (`ROADMAP.md` item 3b
-//! records why `matvec_t` needs a column-window floor before it can fan
-//! out).
+//! matrix–vector kernels stay on the calling thread: `matvec` and the
+//! `scan_*` memory scans run rows abreast on the driver in `scan.rs`
+//! (chain order untouched, so again bitwise equal to the one-row loop),
+//! and one thread already streams at the host's memory bandwidth
+//! (`ROADMAP.md` item 3b has the measurements).
 //!
 //! # Zero-skip fast path
 //!
@@ -33,6 +35,7 @@
 //! `matmul` paths bit-identical on inputs containing zeros.
 
 use crate::rng::Rng64;
+use crate::scan::scan_rows;
 use std::ops::Range;
 
 /// The shared zero-coefficient skip rule (see the module docs): a term
@@ -71,11 +74,6 @@ const MATMUL_NC: usize = 512;
 /// fma without a gather.
 const MATMUL_MR: usize = 4;
 const MATMUL_NR: usize = 16;
-
-/// `matvec` interleave depth: this many rows' dot products advance
-/// together so their (sequential, order-preserving) accumulator chains
-/// overlap in the FMA pipeline and each `x` load is reused across rows.
-const MATVEC_MR: usize = 4;
 
 /// Cap on parallel `matmul` row chunks. Every chunk streams the whole
 /// `B` panel set once, so chunk count is a direct multiplier on `B`
@@ -256,12 +254,10 @@ impl Matrix {
     /// (`y` is fully overwritten). This is the allocation-free form hot
     /// loops use with `enw_parallel::scratch` workspaces.
     ///
-    /// Rows advance [`MATVEC_MR`] at a time: each row's accumulator is
-    /// still a single sequential ascending-`k` chain (bit-identical to
-    /// the one-row loop), but the chains are independent, so they
-    /// overlap in the FMA pipeline instead of serializing on one
-    /// accumulator's latency, and every `x[i]` load feeds `MATVEC_MR`
-    /// rows.
+    /// Runs on the rows-abreast scan driver (`scan.rs`, which documents
+    /// the rule) as its plain dot fold: each `y[r]` is the single
+    /// ascending-`k` chain `0.0 + w[r][0]·x[0] + w[r][1]·x[1] + …`, and
+    /// several rows' chains advance together.
     ///
     /// # Panics
     ///
@@ -271,42 +267,13 @@ impl Matrix {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
         self.record_matvec_traffic();
-        let k = self.cols;
-        let mut r = 0;
-        while r + MATVEC_MR <= y.len() {
-            let base = r * k;
-            let r0 = &self.data[base..base + k];
-            let r1 = &self.data[base + k..base + 2 * k];
-            let r2 = &self.data[base + 2 * k..base + 3 * k];
-            let r3 = &self.data[base + 3 * k..base + 4 * k];
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (i, xi) in x.iter().enumerate() {
-                a0 += r0[i] * xi;
-                a1 += r1[i] * xi;
-                a2 += r2[i] * xi;
-                a3 += r3[i] * xi;
-            }
-            y[r] = a0;
-            y[r + 1] = a1;
-            y[r + 2] = a2;
-            y[r + 3] = a3;
-            r += MATVEC_MR;
-        }
-        for out in y[r..].iter_mut() {
-            let row = &self.data[r * k..(r + 1) * k];
-            let mut acc = 0.0f32;
-            for (w, xi) in row.iter().zip(x) {
-                acc += w * xi;
-            }
-            *out = acc;
-            r += 1;
-        }
+        scan_rows(&self.data, x, y, 0.0f32, |a, xi, w| a + w * xi, |a| a);
     }
 
     /// Records the shape-derived span for one matvec call: 2 flops per
     /// crosspoint, operand reads (weights + input vector), output
     /// writes. Deterministic — pure function of the shape.
-    fn record_matvec_traffic(&self) {
+    pub(crate) fn record_matvec_traffic(&self) {
         let f = std::mem::size_of::<f32>() as u64;
         let (rows, cols) = (self.rows as u64, self.cols as u64);
         enw_trace::record_span_io(

@@ -90,12 +90,18 @@ pub fn dist_linf(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Panics if lengths differ.
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm_l2(a);
-    let nb = norm_l2(b);
-    if na < 1e-12 || nb < 1e-12 {
+    cosine_from_parts(dot(a, b), norm_l2(a), norm_l2(b))
+}
+
+/// [`cosine_similarity`] from its three reductions — `dot(a, b)` and the
+/// two L2 norms — for scans that compute them per row in one pass and
+/// hoist the query's norm.
+#[inline]
+pub fn cosine_from_parts(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
+    if norm_a < 1e-12 || norm_b < 1e-12 {
         return 0.0;
     }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    (dot / (norm_a * norm_b)).clamp(-1.0, 1.0)
 }
 
 /// Numerically stable softmax; optionally sharpened by inverse temperature

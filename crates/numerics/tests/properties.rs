@@ -159,3 +159,66 @@ proptest! {
         }
     }
 }
+
+/// A `[-1, 1)` draw three times in four, else raw bits — which reach
+/// both zeros, subnormals, infinities and NaN.
+fn awkward_f32(rng: &mut Rng64) -> f32 {
+    if rng.below(4) == 0 {
+        f32::from_bits(rng.next_u64() as u32)
+    } else {
+        rng.range(-1.0, 1.0) as f32
+    }
+}
+
+// The rows-abreast scans against the one-row `vector` functions they
+// stand in for: equal to the bit (NaN equal to NaN) whatever the row
+// count leaves over from the interleave and whatever the contents.
+proptest! {
+    #[test]
+    fn row_scans_match_one_row_functions_bitwise(
+        rows in 1usize..14, cols in 1usize..80, seed in any::<u64>()) {
+        let mut rng = Rng64::new(seed);
+        let data: Vec<f32> = (0..rows * cols).map(|_| awkward_f32(&mut rng)).collect();
+        let m = Matrix::from_vec(rows, cols, data);
+        let x: Vec<f32> = (0..cols).map(|_| awkward_f32(&mut rng)).collect();
+        let scan = |run: &dyn Fn(&mut [f32])| {
+            let mut out = vec![0.0f32; rows];
+            run(&mut out);
+            out
+        };
+        let one_row = |f: &dyn Fn(&[f32]) -> f32| (0..rows).map(|r| f(m.row(r))).collect::<Vec<_>>();
+        let same = |got: Vec<f32>, want: Vec<f32>, what: &str| {
+            for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{what}, row {r} of {rows} x {cols}: {g:?} vs {w:?}"
+                );
+            }
+        };
+        // `matvec`'s dot starts from +0.0, `vector::dot`'s from -0.0.
+        let matvec_row = |w: &[f32]| w.iter().zip(&x).fold(0.0f32, |a, (w, xi)| a + w * xi);
+        same(scan(&|o| m.matvec_into(&x, o)), one_row(&matvec_row), "matvec");
+        same(
+            scan(&|o| m.scan_matvec_l1(&x, o, |d, n| d / (n + 1e-6))),
+            one_row(&|w| matvec_row(w) / (vector::norm_l1(w) + 1e-6)),
+            "matvec + l1",
+        );
+        same(
+            scan(&|o| m.scan_dot_sq_norm(&x, o, |d, sq| d / (sq.sqrt() + 1.0))),
+            one_row(&|w| vector::dot(&x, w) / (vector::norm_l2(w) + 1.0)),
+            "dot + sq norm",
+        );
+        same(scan(&|o| m.scan_dot(&x, o)), one_row(&|w| vector::dot(&x, w)), "dot");
+        same(scan(&|o| m.scan_dist_l1(&x, o, |d| d)), one_row(&|w| vector::dist_l1(&x, w)), "l1");
+        same(
+            scan(&|o| m.scan_dist_sq_l2(&x, o, f32::sqrt)),
+            one_row(&|w| vector::dist_l2(&x, w)),
+            "l2",
+        );
+        same(
+            scan(&|o| m.scan_dist_linf(&x, o, |d| d)),
+            one_row(&|w| vector::dist_linf(&x, w)),
+            "linf",
+        );
+    }
+}

@@ -143,10 +143,16 @@ impl Xmann {
     ///
     /// # Panics
     ///
-    /// Panics if any geometry parameter is zero.
+    /// Panics if any geometry parameter is zero or a subarray holds more
+    /// tiles than the chip — what [`XmannConfigBuilder::build`] rejects,
+    /// for configs written as struct literals.
     pub fn new(slots: usize, dim: usize, cfg: XmannConfig, params: XmannCostParams) -> Self {
         assert!(
-            cfg.tile_rows > 0 && cfg.tile_cols > 0 && cfg.tiles_per_subarray > 0,
+            cfg.tile_rows > 0
+                && cfg.tile_cols > 0
+                && cfg.tiles_per_subarray > 0
+                && cfg.total_tiles > 0
+                && cfg.tiles_per_subarray <= cfg.total_tiles,
             "degenerate tile geometry"
         );
         Xmann { memory: DifferentiableMemory::new(slots, dim), cfg, params, total: Cost::zero() }
@@ -279,8 +285,8 @@ impl Xmann {
 
     /// [`similarity`](Xmann::similarity) into a caller-owned buffer of
     /// `slots` scores (`out` is fully overwritten); returns the charged
-    /// cost. The dot-product intermediate lives in thread-local scratch,
-    /// so a warm call performs no heap allocation.
+    /// cost. Dot product and norm come out of one pass over the memory,
+    /// so the call needs no intermediate buffer and never allocates.
     ///
     /// # Panics
     ///
@@ -289,15 +295,11 @@ impl Xmann {
     pub fn similarity_into(&mut self, query: &[f32], out: &mut [f32]) -> Cost {
         assert_eq!(query.len(), self.memory.dim(), "query width mismatch");
         assert_eq!(out.len(), self.memory.slots(), "similarity output length mismatch");
-        let mut dots = enw_parallel::scratch::take_f32(self.memory.slots());
-        self.memory.matrix().matvec_into(query, &mut dots);
-        // Second crossbar op: an all-ones column vector read against the
-        // magnitude array yields every row's L1 norm in parallel; the SFU
-        // divide consumes each norm as it is produced.
-        for (s, (o, &d)) in out.iter_mut().zip(dots.iter()).enumerate() {
-            let n: f32 = self.memory.slot(s).iter().map(|v| v.abs()).sum();
-            *o = d / (n + 1e-6);
-        }
+        // The hardware runs two crossbar ops — the query against the
+        // array, then an all-ones vector against the magnitude array for
+        // every row's L1 norm — and the SFU divides as norms arrive. The
+        // host computes both reductions while a row is in registers.
+        self.memory.matrix().scan_matvec_l1(query, out, |dot, l1| dot / (l1 + 1e-6));
         // Cost: two crossbar phases (dot + norm), inputs = dim per column
         // tile, outputs = rows per tile; SFU does one divide per slot.
         let phase = self.crossbar_phase(self.cfg.tile_cols, self.cfg.tile_rows);
@@ -306,8 +308,9 @@ impl Xmann {
         let cost = phase.repeat(2) + reduce + sfu;
         self.total += cost;
         let (slots, dim) = (self.memory.slots() as u64, self.memory.dim() as u64);
-        // Two passes over the memory (dot + norm), one query vector in,
-        // one score per slot out.
+        // Booked as the datapath's two array reads (dot + norm), one
+        // query vector in, one score per slot out — the simulated op's
+        // traffic, which the host's single fused pass does not change.
         enw_trace::record_span_io(
             "xmann/similarity",
             2 * slots * dim,
@@ -498,6 +501,21 @@ mod tests {
         let es = small.similarity(&[0.1; 32]).cost.energy_pj;
         let el = large.similarity(&[0.1; 32]).cost.energy_pj;
         assert!(el > es * 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "degenerate tile geometry")]
+    fn zero_total_tiles_is_rejected_at_construction() {
+        // Unchecked, this divides by zero in `passes()` on first use.
+        let cfg = XmannConfig { total_tiles: 0, ..XmannConfig::default() };
+        Xmann::new(64, 32, cfg, XmannCostParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "degenerate tile geometry")]
+    fn subarray_larger_than_chip_is_rejected_at_construction() {
+        let cfg = XmannConfig { tiles_per_subarray: 8, total_tiles: 4, ..XmannConfig::default() };
+        Xmann::new(64, 32, cfg, XmannCostParams::default());
     }
 
     #[test]

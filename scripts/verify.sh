@@ -4,8 +4,9 @@
 #
 #   scripts/verify.sh          build + tests + clippy (tier-1)
 #   scripts/verify.sh --full   additionally runs the property-test suites
-#                              (--features proptest) and loops tier-1
-#                              20x to catch flakes
+#                              (--features proptest), loops tier-1
+#                              20x to catch flakes and checks every
+#                              enw_perf workload against its digest pin
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,6 +36,17 @@ if [[ "${1:-}" == "--full" ]]; then
             || { tail -n 40 target/tier1-loop.log; echo "tier-1 failed on run $i of 20"; exit 1; }
     done
     echo "tier-1: 20 of 20 green"
+    echo "== enw_perf: every workload reproduces its pinned digest (3 s each, untraced) =="
+    # The check a simulator-speed change must pass: a run off its pin in
+    # crates/bench/src/bin/enw_perf/digests.txt fails every op. Timings
+    # are not judged here; artifacts go to target/enw_perf/.
+    for w in $(cargo run --release -q -p enw-bench --bin enw_perf -- list); do
+        line=$(cargo run --release -q -p enw-bench --bin enw_perf -- \
+            --workload "$w" --seconds 3 --trace 0 | tail -n 1)
+        [[ $line == '{"correct":true,'*'"failed":0,'* ]] \
+            || { echo "enw_perf $w: $line"; exit 1; }
+        echo "enw_perf $w: digest ok"
+    done
 fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="

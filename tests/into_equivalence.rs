@@ -8,6 +8,11 @@
 //! suite checks the composed paths the experiment binaries and the
 //! serving runtime exercise, at the thread counts named by the
 //! memory-discipline acceptance criteria (1, 2, 8).
+//!
+//! The two memory scans are also held to an independent definition —
+//! `Similarity::score` row by row, and the two-pass X-MANN similarity
+//! written out below — because wrapper-vs-`_into` only compares the
+//! rows-abreast kernel with itself.
 
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
@@ -145,5 +150,127 @@ fn recsys_predict_batch_into_matches_wrapper_across_threads() {
             out
         });
         assert_eq!(bits(&reference), bits(&out), "threads = {threads}");
+    }
+}
+
+/// Values that expose a scan which reorders a row's terms, starts its
+/// accumulator somewhere else, or drops a term: signed zeros,
+/// subnormals, the finite extremes, infinities and NaN.
+const AWKWARD: [f32; 12] = [
+    0.0,
+    -0.0,
+    1.0e-40,
+    -3.0e-45,
+    f32::MIN_POSITIVE,
+    f32::MAX,
+    f32::MIN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    1.0,
+    -1.0,
+];
+
+/// A `[-0.5, 0.5)` draw, or with probability `awkward_in_8 / 8` one of
+/// [`AWKWARD`].
+fn draw(rng: &mut Rng64, awkward_in_8: usize) -> f32 {
+    if rng.below(8) < awkward_in_8 {
+        AWKWARD[rng.below(AWKWARD.len())]
+    } else {
+        rng.uniform_f32() - 0.5
+    }
+}
+
+/// Memory contents for the scan oracles: the first rows (as many as fit)
+/// are all `-0.0`, all `+0.0`, all-finite and a copy of `like`; the rest
+/// mix finite draws with one awkward value in eight.
+fn awkward_rows(slots: usize, dim: usize, like: &[f32], rng: &mut Rng64) -> Vec<Vec<f32>> {
+    let mut rows: Vec<Vec<f32>> =
+        (0..slots).map(|_| (0..dim).map(|_| draw(rng, 1)).collect()).collect();
+    let fixed =
+        [vec![-0.0; dim], vec![0.0; dim], (0..dim).map(|_| draw(rng, 0)).collect(), like.to_vec()];
+    for (row, f) in rows.iter_mut().zip(fixed) {
+        *row = f;
+    }
+    rows
+}
+
+/// All-positive (so an all-`-0.0` row gives all-`-0.0` products), finite
+/// with signed zeros, and one awkward value in four.
+fn awkward_queries(dim: usize, rng: &mut Rng64) -> [Vec<f32>; 3] {
+    let positive = (0..dim).map(|_| rng.uniform_f32() + 0.25).collect();
+    let zeros = (0..dim).map(|i| [0.0, -0.0, draw(rng, 0)][i % 3]).collect();
+    let awkward = (0..dim).map(|_| draw(rng, 2)).collect();
+    [positive, zeros, awkward]
+}
+
+/// Equal to the bit; any NaN equals any NaN.
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (s, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}, slot {s}: scan {g:?} ({:#010x}) vs oracle {w:?} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+/// `(slots, dim)`: every remainder of the four-row interleave, then a
+/// long memory, each at widths below, at and off the X-MANN tile's.
+fn scan_shapes() -> impl Iterator<Item = (usize, usize)> {
+    [1, 2, 3, 4, 5, 6, 7, 8, 9, 4097].into_iter().flat_map(|s| [1, 3, 64, 70].map(|d| (s, d)))
+}
+
+#[test]
+fn mann_similarity_scans_match_one_row_scores_bitwise() {
+    let sims = [
+        Similarity::Cosine,
+        Similarity::Dot,
+        Similarity::NegL1,
+        Similarity::NegL2,
+        Similarity::NegLinf,
+    ];
+    let mut rng = Rng64::new(15);
+    for (slots, dim) in scan_shapes() {
+        let queries = awkward_queries(dim, &mut rng);
+        let mut mem = DifferentiableMemory::new(slots, dim);
+        for (s, row) in awkward_rows(slots, dim, &queries[1], &mut rng).iter().enumerate() {
+            mem.write_slot(s, row);
+        }
+        let mut got = vec![0.0f32; slots];
+        for (q, sim) in queries.iter().flat_map(|q| sims.map(|sim| (q, sim))) {
+            mem.similarities_into(q, sim, &mut got);
+            let want: Vec<f32> = (0..slots).map(|s| sim.score(q, mem.slot(s))).collect();
+            assert_same_bits(&got, &want, &format!("{sim:?}, {slots} x {dim}"));
+        }
+    }
+}
+
+#[test]
+fn xmann_similarity_matches_the_two_pass_definition_bitwise() {
+    // What `similarity_into` computed before dot and norm shared a pass:
+    // a matvec accumulated from +0.0, then each row's L1 norm.
+    let two_pass = |q: &[f32], row: &[f32]| {
+        let mut dot = 0.0f32;
+        for (w, x) in row.iter().zip(q) {
+            dot += w * x;
+        }
+        let norm: f32 = row.iter().map(|v| v.abs()).sum();
+        dot / (norm + 1e-6)
+    };
+    let mut rng = Rng64::new(16);
+    for (slots, dim) in scan_shapes() {
+        let queries = awkward_queries(dim, &mut rng);
+        let rows = awkward_rows(slots, dim, &queries[1], &mut rng);
+        let mut xm = Xmann::new(slots, dim, XmannConfig::default(), XmannCostParams::default());
+        xm.load_memory(&rows);
+        let mut got = vec![0.0f32; slots];
+        for q in &queries {
+            xm.similarity_into(q, &mut got);
+            let want: Vec<f32> = rows.iter().map(|row| two_pass(q, row)).collect();
+            assert_same_bits(&got, &want, &format!("{slots} x {dim}"));
+        }
     }
 }
