@@ -25,7 +25,9 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("crossbar", &["numerics", "nn", "parallel", "trace"]),
     ("mann", &["numerics", "nn", "parallel", "trace"]),
     ("xmann", &["numerics", "mann", "parallel", "trace"]),
-    ("cam", &["numerics", "mann", "xmann", "parallel", "trace"]),
+    // No "parallel": a whole-bank search costs less than one pool
+    // dispatch, so `cam` sweeps its arrays on the calling thread.
+    ("cam", &["numerics", "mann", "xmann", "trace"]),
     ("recsys", &["numerics", "nn", "parallel", "trace"]),
     ("serve", &["numerics", "nn", "crossbar", "mann", "cam", "recsys", "parallel", "trace"]),
     // The cluster layer sits on top of the single-node serving runtime:

@@ -239,6 +239,18 @@ fn fleet_layering_allows_serving_stack_but_not_core() {
 }
 
 #[test]
+fn cam_layering_allows_its_substrates_but_not_the_parallel_runtime() {
+    let good = "[dependencies]\nenw-numerics.workspace = true\nenw-mann.workspace = true\nenw-xmann.workspace = true\nenw-trace.workspace = true\n";
+    assert!(check_manifest("cam", "crates/cam/Cargo.toml", good).is_empty());
+    // The bank sweeps its arrays in line; a fan-out cannot come back
+    // without this row changing first.
+    let bad = "[dependencies]\nenw-numerics.workspace = true\nenw-parallel.workspace = true\n";
+    let got = check_manifest("cam", "crates/cam/Cargo.toml", bad);
+    let lines: Vec<_> = got.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(lines, vec![("ENW-A001", 3)]);
+}
+
+#[test]
 fn trace_is_a_kernel_crate_for_determinism_rules() {
     // TraceReport bytes are part of the reproducible output, so the trace
     // crate gets the full determinism treatment: no hash iteration order

@@ -27,7 +27,7 @@ pub fn run(run: &mut Run) {
         let mut cam = TcamArray::new(64, tech, TcamConfig::default());
         for _ in 0..512 {
             let w: BitVec = (0..64).map(|_| rng.bernoulli(0.5)).collect();
-            cam.write(w);
+            cam.write(&w);
         }
         let q: BitVec = (0..64).map(|_| rng.bernoulli(0.5)).collect();
         let (_, cost) = cam.search_nearest(&q);

@@ -1,8 +1,9 @@
-//! E15 — simulation-throughput methodology: every parallel lane
+//! E15 — simulation-throughput methodology: every optimized lane
 //! (register-tiled matmul, crossbar MVM, TCAM nearest search, embedding
 //! gather) is timed against its naive serial baseline across 1/2/4/8
 //! threads, and every run must stay bit-identical to the baseline (the
-//! determinism contract of `enw_core::parallel`).
+//! determinism contract of `enw_core::parallel`). The TCAM lane runs on
+//! the calling thread, so its rows read the same at every thread count.
 //!
 //! Timing protocol: each round times the naive baseline and the optimized
 //! kernel back to back, and the reported speedup is the median of the
@@ -454,10 +455,13 @@ pub fn run(run: &mut Run) {
         ),
     );
     println!();
-    println!("Reading: the register-tiled matmul, streaming crossbar read, limb-packed TCAM");
-    println!("scan and unrolled+prefetching gather supply the single-core win, and the");
-    println!("persistent-pool fan-out multiplies it on multi-core hosts (this host exposes");
-    println!("{cores} core(s); thread counts past that are oversubscription, not scaling). Chunk");
-    println!("boundaries are fixed and accumulators keep ascending-index order, so outputs are");
-    println!("bit-identical at any thread count and parallel runs need no tolerances.");
+    println!("Reading: the register-tiled matmul, streaming crossbar read, popcount TCAM scan");
+    println!("and unrolled+prefetching gather supply the single-core win, and the persistent-");
+    println!("pool fan-out multiplies it for matmul, crossbar read and gather on multi-core");
+    println!("hosts (this host exposes {cores} core(s); thread counts past that are");
+    println!("oversubscription, not scaling). The TCAM bank sweeps its arrays on the calling");
+    println!("thread at every count (a whole-bank search costs less than one pool dispatch),");
+    println!("so its rows differ by host noise only. Chunk boundaries are fixed and");
+    println!("accumulators keep ascending-index order, so outputs are bit-identical at any");
+    println!("thread count and parallel runs need no tolerances.");
 }

@@ -10,10 +10,16 @@
 //! and the tests need no lock between them.
 
 use enw_bench::alloc_audit::{self, serve_run_allocs, CountingAlloc};
+use enw_core::cam::array::TcamConfig;
+use enw_core::cam::bank::TcamBank;
+use enw_core::cam::cells;
+use enw_core::cam::lsh_memory::TcamKeyValueMemory;
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
+use enw_core::mann::encoding::TernaryWord;
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
 use enw_core::nn::backend::LinearBackend;
+use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel::{self, scratch};
 use enw_core::xmann::arch::{Xmann, XmannConfig};
@@ -118,4 +124,53 @@ fn analog_tile_reads_allocate_nothing_at_two_threads() {
         let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
         assert_eq!(allocs, 0, "warm tile reads allocated over {iters} forward+backward pairs");
     });
+}
+
+#[test]
+fn tcam_search_and_kv_update_allocate_nothing_once_warm() {
+    let mut rng = Rng64::new(16);
+    let word = |rng: &mut Rng64| (0..256).map(|_| rng.bernoulli(0.5)).collect::<BitVec>();
+    // 64 arrays of 32 words: the bank shape of `tcam_fewshot`, scaled down.
+    let mut bank = TcamBank::new(256, 32, cells::fefet_2t(), TcamConfig::default());
+    for _ in 0..64 * 32 {
+        bank.write(word(&mut rng));
+    }
+    assert_eq!(bank.array_count(), 64);
+    let query = word(&mut rng);
+    // Every bit cared for, so a random pattern matches no stored word.
+    let pattern = TernaryWord::new(word(&mut rng), BitVec::from_bools(&[true; 256]));
+    for threads in [1, 2] {
+        parallel::with_threads(threads, || {
+            let s0 = alloc_audit::thread_snapshot();
+            for _ in 0..16 {
+                assert!(bank.search_nearest(&query).0.is_some());
+                assert!(bank.search_ternary(&pattern).0.is_empty());
+            }
+            let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+            assert_eq!(allocs, 0, "bank searches allocated at {threads} thread(s)");
+        });
+    }
+
+    let capacity = 64;
+    let mut kv = TcamKeyValueMemory::new(
+        capacity,
+        16,
+        256,
+        cells::fefet_2t(),
+        TcamConfig::default(),
+        &mut Rng64::new(17),
+    );
+    let keys: Vec<Vec<f32>> =
+        (0..4 * capacity).map(|_| (0..16).map(|_| rng.normal() as f32).collect()).collect();
+    // Distinct labels: every update past the first `capacity` evicts.
+    for (label, key) in keys.iter().enumerate().take(2 * capacity) {
+        kv.update(key, label);
+    }
+    assert_eq!(kv.len(), capacity);
+    let s0 = alloc_audit::thread_snapshot();
+    for (label, key) in keys.iter().enumerate().skip(2 * capacity) {
+        kv.update(key, label);
+    }
+    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+    assert_eq!(allocs, 0, "key-value updates allocated at capacity");
 }

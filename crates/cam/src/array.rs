@@ -12,7 +12,7 @@
 
 use crate::cells::CellTech;
 use enw_mann::encoding::TernaryWord;
-use enw_numerics::bits::{hamming_limbs, BitVec};
+use enw_numerics::bits::{nearest_hamming, BitVec};
 use enw_xmann::cost::Cost;
 
 /// Geometry and segmentation of a TCAM array.
@@ -79,7 +79,7 @@ impl TcamConfigBuilder {
 /// use enw_numerics::bits::BitVec;
 ///
 /// let mut cam = TcamArray::new(64, cells::cmos_16t(), TcamConfig::default());
-/// cam.write(BitVec::from_bools(&vec![true; 64]));
+/// cam.write(&BitVec::from_bools(&vec![true; 64]));
 /// let (hit, _cost) = cam.search_nearest(&BitVec::from_bools(&vec![true; 64]));
 /// assert_eq!(hit.expect("non-empty").distance, 0);
 /// ```
@@ -176,7 +176,7 @@ impl TcamArray {
     /// # Panics
     ///
     /// Panics if the word width mismatches.
-    pub fn write(&mut self, word: BitVec) -> (usize, Cost) {
+    pub fn write(&mut self, word: &BitVec) -> (usize, Cost) {
         assert_eq!(word.len(), self.width, "word width mismatch");
         self.limbs.extend_from_slice(word.limbs());
         self.len += 1;
@@ -191,7 +191,7 @@ impl TcamArray {
     /// # Panics
     ///
     /// Panics if the index is out of range or the width mismatches.
-    pub fn rewrite(&mut self, index: usize, word: BitVec) -> Cost {
+    pub fn rewrite(&mut self, index: usize, word: &BitVec) -> Cost {
         assert!(index < self.len, "index out of range");
         assert_eq!(word.len(), self.width, "word width mismatch");
         let lpw = self.limbs_per_word;
@@ -218,8 +218,8 @@ impl TcamArray {
 
     /// Books one search against the array's cumulative cost and returns
     /// that search's cost. Split out from the search entry points so
-    /// `TcamBank` can run the pure match computation on worker threads
-    /// and do the accounting serially afterwards.
+    /// `TcamBank` can pair it with the `peek_*` match computations while
+    /// it sweeps its arrays.
     pub(crate) fn record_search(&mut self) -> Cost {
         let cost = self.search_cost();
         self.total += cost;
@@ -281,18 +281,8 @@ impl TcamArray {
     // enw:hot
     pub fn peek_nearest(&self, query: &BitVec) -> Option<NearestHit> {
         assert_eq!(query.len(), self.width, "query width mismatch");
-        let q = query.limbs();
-        let mut best: Option<NearestHit> = None;
-        // Ascending scan with strict `<` keeps the lowest index on ties —
-        // the priority-encoder rule the old `min_by_key((dist, index))`
-        // expressed.
-        for (i, w) in self.limbs.chunks_exact(self.limbs_per_word).enumerate() {
-            let distance = hamming_limbs(q, w) as usize;
-            if best.is_none_or(|b| distance < b.distance) {
-                best = Some(NearestHit { index: i, distance });
-            }
-        }
-        best
+        nearest_hamming(&self.limbs, self.limbs_per_word, query.limbs())
+            .map(|(index, distance)| NearestHit { index, distance: distance as usize })
     }
 
     /// Nearest-match search by match-line discharge-rate sensing: returns
@@ -322,9 +312,9 @@ mod tests {
     #[test]
     fn nearest_finds_minimum_hamming() {
         let mut cam = TcamArray::new(4, cells::cmos_16t(), TcamConfig::default());
-        cam.write(bv(&[1, 1, 1, 1]));
-        cam.write(bv(&[0, 0, 0, 0]));
-        cam.write(bv(&[1, 1, 0, 0]));
+        cam.write(&bv(&[1, 1, 1, 1]));
+        cam.write(&bv(&[0, 0, 0, 0]));
+        cam.write(&bv(&[1, 1, 0, 0]));
         let (hit, _) = cam.search_nearest(&bv(&[1, 0, 0, 0]));
         let hit = hit.expect("non-empty");
         assert_eq!(hit.index, 1);
@@ -343,9 +333,9 @@ mod tests {
         let mut cam = TcamArray::new(8, cells::cmos_16t(), TcamConfig::default());
         // Store BRGC-encoded levels 3, 5, 12 (4 bits, 2 dims of 1 value? —
         // use 2-dim levels of 4 bits for an 8-bit word).
-        cam.write(encode_levels(&[3, 5], 4));
-        cam.write(encode_levels(&[4, 5], 4));
-        cam.write(encode_levels(&[12, 1], 4));
+        cam.write(&encode_levels(&[3, 5], 4));
+        cam.write(&encode_levels(&[4, 5], 4));
+        cam.write(&encode_levels(&[12, 1], 4));
         let pattern = cube_pattern(&[3, 5], 1, 4);
         let (hits, _) = cam.search_ternary(&pattern);
         assert!(hits.contains(&0));
@@ -358,10 +348,10 @@ mod tests {
         let mut small = TcamArray::new(64, cells::cmos_16t(), TcamConfig::default());
         let mut large = TcamArray::new(64, cells::cmos_16t(), TcamConfig::default());
         for _ in 0..10 {
-            small.write(BitVec::zeros(64));
+            small.write(&BitVec::zeros(64));
         }
         for _ in 0..100 {
-            large.write(BitVec::zeros(64));
+            large.write(&BitVec::zeros(64));
         }
         let q = BitVec::zeros(64);
         let (_, cs) = small.search_nearest(&q);
@@ -376,8 +366,8 @@ mod tests {
         let mut cmos = TcamArray::new(64, cells::cmos_16t(), TcamConfig::default());
         let mut fefet = TcamArray::new(64, cells::fefet_2t(), TcamConfig::default());
         for _ in 0..32 {
-            cmos.write(BitVec::zeros(64));
-            fefet.write(BitVec::zeros(64));
+            cmos.write(&BitVec::zeros(64));
+            fefet.write(&BitVec::zeros(64));
         }
         let q = BitVec::zeros(64);
         let (_, cc) = cmos.search_nearest(&q);
@@ -391,8 +381,8 @@ mod tests {
         let mut mono = TcamArray::new(64, cells::cmos_16t(), TcamConfig { segments: 1 });
         let mut seg = TcamArray::new(64, cells::cmos_16t(), TcamConfig { segments: 4 });
         for _ in 0..32 {
-            mono.write(BitVec::zeros(64));
-            seg.write(BitVec::zeros(64));
+            mono.write(&BitVec::zeros(64));
+            seg.write(&BitVec::zeros(64));
         }
         let q = BitVec::zeros(64);
         let (_, cm) = mono.search_nearest(&q);
@@ -404,8 +394,8 @@ mod tests {
     #[test]
     fn rewrite_replaces_word() {
         let mut cam = TcamArray::new(4, cells::cmos_16t(), TcamConfig::default());
-        let (i, _) = cam.write(bv(&[1, 1, 1, 1]));
-        cam.rewrite(i, bv(&[0, 0, 0, 0]));
+        let (i, _) = cam.write(&bv(&[1, 1, 1, 1]));
+        cam.rewrite(i, &bv(&[0, 0, 0, 0]));
         let (hit, _) = cam.search_nearest(&bv(&[0, 0, 0, 0]));
         assert_eq!(hit.expect("non-empty").distance, 0);
     }
@@ -415,10 +405,10 @@ mod tests {
         let mut tech = cells::fefet_2t();
         tech.endurance = Some(3);
         let mut cam = TcamArray::new(4, tech, TcamConfig::default());
-        let (i, _) = cam.write(bv(&[1, 0, 1, 0]));
+        let (i, _) = cam.write(&bv(&[1, 0, 1, 0]));
         assert!(!cam.endurance_exceeded());
         for _ in 0..5 {
-            cam.rewrite(i, bv(&[0, 1, 0, 1]));
+            cam.rewrite(i, &bv(&[0, 1, 0, 1]));
         }
         assert!(cam.endurance_exceeded());
     }
@@ -426,7 +416,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn wrong_width_write_panics() {
-        TcamArray::new(8, cells::cmos_16t(), TcamConfig::default()).write(BitVec::zeros(4));
+        TcamArray::new(8, cells::cmos_16t(), TcamConfig::default()).write(&BitVec::zeros(4));
     }
 
     #[test]

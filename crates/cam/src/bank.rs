@@ -9,20 +9,14 @@ use enw_mann::encoding::TernaryWord;
 use enw_numerics::bits::BitVec;
 use enw_xmann::cost::Cost;
 
-/// Arrays handled per parallel chunk during a bank search. One array per
-/// chunk maximizes balance; the per-chunk overhead is tiny relative to a
-/// whole-array Hamming scan.
-const PAR_ARRAY_CHUNK: usize = 1;
-
-/// Work units charged per stored bit when gating a bank search through
-/// `enw_parallel::plan_chunks` (XOR + popcount both touch every bit).
-const SEARCH_WORK_PER_BIT: usize = 2;
-
 /// A bank of equally sized TCAM arrays behaving as one large memory.
 ///
 /// Searches broadcast to every array concurrently (latency = one array
 /// search + one combine stage; energy = sum over arrays), and writes fill
-/// arrays in order.
+/// arrays in order. That concurrency is the modelled hardware's and lives
+/// in the booked [`Cost`]; the host sweeps the arrays one after another
+/// on the calling thread, since a whole-bank scan costs less than waking
+/// a worker for it.
 ///
 /// # Example
 ///
@@ -104,19 +98,9 @@ impl TcamBank {
             self.arrays.push(TcamArray::new(self.width(), tech, self.cfg));
         }
         let bank_idx = self.arrays.len() - 1;
-        let (local, cost) = self.arrays[bank_idx].write(word);
+        let (local, cost) = self.arrays[bank_idx].write(&word);
         self.total += cost;
         (bank_idx * self.rows_per_array + local, cost)
-    }
-
-    /// True when this search is large enough to fan out to worker
-    /// threads (simulation-host parallelism; the modeled hardware always
-    /// searches arrays concurrently). Gated through the shared
-    /// `plan_chunks` work model with the average per-array bit count as
-    /// the per-item work; chunking stays at [`PAR_ARRAY_CHUNK`] arrays.
-    fn parallel_search(&self) -> bool {
-        let per_array = SEARCH_WORK_PER_BIT * self.len() * self.width() / self.arrays.len().max(1);
-        enw_parallel::plan_chunks(self.arrays.len(), per_array).is_some()
     }
 
     /// Books the deterministic host-side traffic of one whole-bank
@@ -132,44 +116,24 @@ impl TcamBank {
         );
     }
 
-    /// Per-array pure nearest hits, in array order. The match computation
-    /// runs on worker threads for large banks; results come back in chunk
-    /// order, so the merge below is identical to the serial sweep.
-    fn nearest_per_array(&self, query: &BitVec) -> Vec<Option<NearestHit>> {
-        if self.parallel_search() {
-            enw_parallel::map_chunks(self.arrays.len(), PAR_ARRAY_CHUNK, |r| {
-                r.map(|b| self.arrays[b].peek_nearest(query)).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            self.arrays.iter().map(|a| a.peek_nearest(query)).collect()
-        }
-    }
-
     /// Nearest-Hamming search across every array in parallel; ties break
     /// toward the lowest global index (the global priority encoder).
     pub fn search_nearest(&mut self, query: &BitVec) -> (Option<NearestHit>, Cost) {
         self.record_search_traffic("cam/search_nearest", 1);
-        let hits = self.nearest_per_array(query);
         let mut best: Option<NearestHit> = None;
         let mut energy = 0.0;
         let mut latency: f64 = 0.0;
-        for (b, (arr, hit)) in self.arrays.iter_mut().zip(hits).enumerate() {
+        for (b, arr) in self.arrays.iter_mut().enumerate() {
+            let hit = arr.peek_nearest(query);
             let cost = arr.record_search();
             energy += cost.energy_pj;
             latency = latency.max(cost.latency_ns); // concurrent arrays
             if let Some(h) = hit {
-                let global =
-                    NearestHit { index: b * self.rows_per_array + h.index, distance: h.distance };
-                best = match best {
-                    None => Some(global),
-                    Some(cur) if (global.distance, global.index) < (cur.distance, cur.index) => {
-                        Some(global)
-                    }
-                    Some(cur) => Some(cur),
-                };
+                // Arrays are swept in ascending global index, so a strict
+                // `<` keeps the lowest index among equal distances.
+                if best.is_none_or(|cur| h.distance < cur.distance) {
+                    best = Some(NearestHit { index: b * self.rows_per_array + h.index, ..h });
+                }
             }
         }
         let cost = Cost::new(energy, latency + self.combine_stage_ns);
@@ -181,24 +145,16 @@ impl TcamBank {
     pub fn search_ternary(&mut self, pattern: &TernaryWord) -> (Vec<usize>, Cost) {
         // A ternary pattern ships two words (bits + care mask).
         self.record_search_traffic("cam/search_ternary", 2);
-        let per_array: Vec<Vec<usize>> = if self.parallel_search() {
-            enw_parallel::map_chunks(self.arrays.len(), PAR_ARRAY_CHUNK, |r| {
-                r.map(|b| self.arrays[b].peek_ternary(pattern)).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            self.arrays.iter().map(|a| a.peek_ternary(pattern)).collect()
-        };
         let mut hits = Vec::new();
+        let mut local = Vec::new();
         let mut energy = 0.0;
         let mut latency: f64 = 0.0;
-        for (b, (arr, local)) in self.arrays.iter_mut().zip(per_array).enumerate() {
+        for (b, arr) in self.arrays.iter_mut().enumerate() {
+            arr.peek_ternary_into(pattern, &mut local);
             let cost = arr.record_search();
             energy += cost.energy_pj;
             latency = latency.max(cost.latency_ns);
-            hits.extend(local.into_iter().map(|i| b * self.rows_per_array + i));
+            hits.extend(local.iter().map(|i| b * self.rows_per_array + i));
         }
         let cost = Cost::new(energy, latency + self.combine_stage_ns);
         self.total += cost;
@@ -250,8 +206,8 @@ mod tests {
         let mut flat = TcamArray::new(48, cells::cmos_16t(), TcamConfig::default());
         for _ in 0..30 {
             let w = word(48, &mut rng);
-            bank.write(w.clone());
-            flat.write(w);
+            flat.write(&w);
+            bank.write(w);
         }
         for _ in 0..10 {
             let q = word(48, &mut rng);
@@ -280,39 +236,6 @@ mod tests {
         let (_, cl) = large.search_nearest(&q);
         assert_eq!(cs.latency_ns, cl.latency_ns);
         assert!(cl.energy_pj > 10.0 * cs.energy_pj);
-    }
-
-    #[test]
-    fn parallel_bank_search_matches_serial_exactly() {
-        // 600 words x 64 bits x 2 work units comfortably clears the
-        // `plan_chunks` gate, so the multi-threaded runs exercise the
-        // map_chunks path; results and booked costs must not depend on
-        // the thread count.
-        let mut rng = Rng64::new(5);
-        let mut bank = TcamBank::new(64, 32, cells::cmos_16t(), TcamConfig::default());
-        for _ in 0..600 {
-            bank.write(word(64, &mut rng));
-        }
-        let queries: Vec<BitVec> = (0..6).map(|_| word(64, &mut rng)).collect();
-        let pattern = {
-            use enw_mann::encoding::cube_pattern;
-            cube_pattern(&[7, 3, 11, 1, 9, 6, 2, 14, 0, 5, 8, 13, 4, 10, 15, 12], 2, 4)
-        };
-        let mut outcomes = Vec::new();
-        for threads in [1usize, 3, 8] {
-            let mut b = bank.clone();
-            let result = enw_parallel::with_threads(threads, || {
-                let nearest: Vec<_> = queries.iter().map(|q| b.search_nearest(q)).collect();
-                let ternary = b.search_ternary(&pattern);
-                (nearest, ternary, b.total_cost())
-            });
-            outcomes.push(result);
-        }
-        for other in &outcomes[1..] {
-            assert_eq!(outcomes[0].0, other.0, "nearest hits/costs differ across thread counts");
-            assert_eq!(outcomes[0].1, other.1, "ternary hits/cost differ across thread counts");
-            assert_eq!(outcomes[0].2, other.2, "total cost differs across thread counts");
-        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub fn compare_search(
     let mut cam = TcamArray::new(bits, tech, cfg);
     for _ in 0..entries {
         let word: BitVec = (0..bits).map(|_| rng.bernoulli(0.5)).collect();
-        cam.write(word);
+        cam.write(&word);
     }
     let query: BitVec = (0..bits).map(|_| rng.bernoulli(0.5)).collect();
     let (_, tcam_cost) = cam.search_nearest(&query);

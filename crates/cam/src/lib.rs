@@ -30,8 +30,8 @@
 //! use enw_numerics::bits::BitVec;
 //!
 //! let mut cam = TcamArray::new(32, cells::fefet_2t(), TcamConfig::default());
-//! cam.write(BitVec::from_bools(&[true; 32]));
-//! cam.write(BitVec::from_bools(&[false; 32]));
+//! cam.write(&BitVec::from_bools(&[true; 32]));
+//! cam.write(&BitVec::from_bools(&[false; 32]));
 //! let (hit, cost) = cam.search_nearest(&BitVec::from_bools(&[true; 32]));
 //! assert_eq!(hit.expect("non-empty").index, 0);
 //! assert!(cost.latency_ns < 5.0); // one parallel search

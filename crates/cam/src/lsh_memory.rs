@@ -10,6 +10,7 @@
 use crate::array::{NearestHit, TcamArray, TcamConfig};
 use crate::cells::CellTech;
 use enw_mann::lsh::RandomHyperplaneLsh;
+use enw_numerics::bits::BitVec;
 use enw_numerics::rng::Rng64;
 use enw_xmann::cost::Cost;
 
@@ -44,6 +45,8 @@ pub struct TcamRetrieval {
 pub struct TcamKeyValueMemory {
     lsh: RandomHyperplaneLsh,
     cam: TcamArray,
+    /// Signature of the key in hand, reused across `retrieve`/`update`.
+    sig: BitVec,
     values: Vec<usize>,
     ages: Vec<u64>,
     capacity: usize,
@@ -69,6 +72,7 @@ impl TcamKeyValueMemory {
         TcamKeyValueMemory {
             lsh: RandomHyperplaneLsh::new(planes, dim, rng),
             cam: TcamArray::new(planes, tech, cfg),
+            sig: BitVec::zeros(planes),
             values: Vec::new(),
             ages: Vec::new(),
             capacity,
@@ -93,8 +97,8 @@ impl TcamKeyValueMemory {
 
     /// Retrieves the nearest stored key (one parallel TCAM search).
     pub fn retrieve(&mut self, query: &[f32]) -> (Option<TcamRetrieval>, Cost) {
-        let sig = self.lsh.encode(query);
-        let (hit, cost) = self.cam.search_nearest(&sig);
+        self.lsh.encode_into(query, &mut self.sig);
+        let (hit, cost) = self.cam.search_nearest(&self.sig);
         let r = hit.map(|NearestHit { index, distance }| TcamRetrieval {
             value: self.values[index],
             distance,
@@ -111,24 +115,24 @@ impl TcamKeyValueMemory {
     /// Returns the written slot and the hardware cost.
     pub fn update(&mut self, query: &[f32], value: usize) -> (usize, Cost) {
         self.clock += 1;
-        let sig = self.lsh.encode(query);
+        self.lsh.encode_into(query, &mut self.sig);
         let mut cost = Cost::zero();
         let retrieved = if self.values.is_empty() {
             None
         } else {
-            let (hit, c) = self.cam.search_nearest(&sig);
+            let (hit, c) = self.cam.search_nearest(&self.sig);
             cost += c;
             hit
         };
         if let Some(hit) = retrieved {
             if self.values[hit.index] == value {
-                cost += self.cam.rewrite(hit.index, sig);
+                cost += self.cam.rewrite(hit.index, &self.sig);
                 self.ages[hit.index] = self.clock;
                 return (hit.index, cost);
             }
         }
         if self.values.len() < self.capacity {
-            let (slot, c) = self.cam.write(sig);
+            let (slot, c) = self.cam.write(&self.sig);
             cost += c;
             self.values.push(value);
             self.ages.push(self.clock);
@@ -137,7 +141,7 @@ impl TcamKeyValueMemory {
             // `unwrap_or(0)`: at capacity the range is non-empty, and slot 0
             // is a correct (if arbitrary) victim in the impossible branch.
             let oldest = (0..self.values.len()).min_by_key(|&s| self.ages[s]).unwrap_or(0);
-            cost += self.cam.rewrite(oldest, sig);
+            cost += self.cam.rewrite(oldest, &self.sig);
             self.values[oldest] = value;
             self.ages[oldest] = self.clock;
             (oldest, cost)

@@ -222,7 +222,7 @@ fn eval_cam(point: &Point) -> Option<Objectives> {
     let mut cam = TcamArray::new(CAM_WIDTH, cells::cmos_16t(), cfg);
     for wi in 0..CAM_WORDS {
         let bools: Vec<bool> = (0..CAM_WIDTH).map(|b| (wi * 31 + b * 7) % 3 == 0).collect();
-        cam.write(BitVec::from_bools(&bools));
+        cam.write(&BitVec::from_bools(&bools));
     }
     let query: Vec<bool> = (0..CAM_WIDTH).map(|b| b % 2 == 0).collect();
     let (_, cost) = cam.search_nearest(&BitVec::from_bools(&query));

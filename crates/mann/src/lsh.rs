@@ -56,8 +56,25 @@ impl RandomHyperplaneLsh {
     ///
     /// Panics if the input width mismatches.
     pub fn encode(&self, x: &[f32]) -> BitVec {
-        let projections = self.planes.matvec(x);
-        projections.iter().map(|&p| p >= 0.0).collect()
+        let mut sig = BitVec::zeros(self.planes());
+        self.encode_into(x, &mut sig);
+        sig
+    }
+
+    /// [`encode`](RandomHyperplaneLsh::encode) into a caller-owned
+    /// signature (every bit of `sig` is overwritten): the projections live
+    /// in a scratch checkout, so a reused `sig` makes hashing
+    /// allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input width or `sig.len() != planes()` mismatches.
+    // enw:hot
+    pub fn encode_into(&self, x: &[f32], sig: &mut BitVec) {
+        assert_eq!(sig.len(), self.planes(), "signature width mismatch");
+        let mut projections = enw_parallel::scratch::take_f32(self.planes());
+        self.planes.matvec_into(x, &mut projections);
+        sig.assign(projections.iter().map(|&p| p >= 0.0));
     }
 
     /// Theoretical per-bit collision probability for two vectors at angle
@@ -78,6 +95,21 @@ mod tests {
         let lsh = RandomHyperplaneLsh::new(32, 8, &mut rng);
         let v = [0.3f32, -0.2, 0.5, 0.0, 1.0, -1.0, 0.25, 0.75];
         assert_eq!(lsh.encode(&v).hamming(&lsh.encode(&v)), 0);
+    }
+
+    #[test]
+    fn encode_into_overwrites_a_reused_signature_with_the_projection_signs() {
+        let mut rng = Rng64::new(6);
+        // 130 planes: two full limbs and a partial one.
+        let lsh = RandomHyperplaneLsh::new(130, 5, &mut rng);
+        let mut sig = BitVec::from_bools(&[true; 130]);
+        for _ in 0..4 {
+            let x: Vec<f32> = (0..5).map(|_| rng.normal() as f32).collect();
+            lsh.encode_into(&x, &mut sig);
+            let signs: Vec<bool> = lsh.planes.matvec(&x).iter().map(|&p| p >= 0.0).collect();
+            assert_eq!(sig, BitVec::from_bools(&signs));
+            assert_eq!(sig, lsh.encode(&x));
+        }
     }
 
     #[test]

@@ -31,11 +31,7 @@ impl BitVec {
     /// Creates a bit vector from a slice of booleans.
     pub fn from_bools(bits: &[bool]) -> Self {
         let mut v = BitVec::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                v.set(i, true);
-            }
-        }
+        v.assign(bits.iter().copied());
         v
     }
 
@@ -74,6 +70,29 @@ impl BitVec {
         } else {
             self.limbs[i / 64] &= !mask;
         }
+    }
+
+    /// Overwrites every bit from `bits`, packing one limb at a time: no
+    /// allocation and no per-bit bounds check, so a buffer can be refilled
+    /// in a hot loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` does not yield exactly `len()` values.
+    pub fn assign(&mut self, bits: impl IntoIterator<Item = bool>) {
+        let mut bits = bits.into_iter();
+        let mut taken = 0;
+        for limb in &mut self.limbs {
+            let mut packed = 0u64;
+            let mut shift = 0;
+            for b in bits.by_ref().take((self.len - taken).min(64)) {
+                packed |= u64::from(b) << shift;
+                shift += 1;
+            }
+            *limb = packed;
+            taken += shift;
+        }
+        assert!(taken == self.len && bits.next().is_none(), "assign needs exactly len() bits");
     }
 
     /// Number of set bits.
@@ -134,6 +153,103 @@ pub fn hamming_limbs(a: &[u64], b: &[u64]) -> u32 {
         d += (la ^ lb).count_ones();
     }
     d
+}
+
+/// The word of a flat limb store nearest to `query` in Hamming distance,
+/// as `(word index, distance)`: one ascending scan with a strict `<`, so
+/// ties keep the lowest index (the priority-encoder rule of a CAM), and
+/// `None` on an empty store. `words` holds `limbs_per_word` limbs per
+/// stored word, back to back.
+///
+/// The scan has one source body and two codegens. The release build
+/// targets baseline x86-64, where `count_ones` is a dozen-op bit trick;
+/// where the CPU reports `popcnt` the same body runs compiled with the
+/// instruction. The choice is made once per scan, not per word, so the
+/// popcounts still inline into the loop. Popcount is exact integer
+/// arithmetic: the two codegens cannot differ in any bit.
+///
+/// # Panics
+///
+/// Panics if `limbs_per_word` is zero, `query` is not `limbs_per_word`
+/// long, or `words` is not a whole number of words.
+// enw:hot
+pub fn nearest_hamming(
+    words: &[u64],
+    limbs_per_word: usize,
+    query: &[u64],
+) -> Option<(usize, u32)> {
+    assert!(limbs_per_word > 0, "zero-width words");
+    assert_eq!(query.len(), limbs_per_word, "hamming length mismatch");
+    assert_eq!(words.len() % limbs_per_word, 0, "limb store is not a whole number of words");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(hit) = nearest_hamming_popcnt(words, limbs_per_word, query) {
+        return hit;
+    }
+    nearest_hamming_body(words, limbs_per_word, query)
+}
+
+/// [`nearest_hamming`] compiled with the `popcnt` instruction; the outer
+/// `None` means this CPU does not have it.
+#[cfg(target_arch = "x86_64")]
+fn nearest_hamming_popcnt(
+    words: &[u64],
+    limbs_per_word: usize,
+    query: &[u64],
+) -> Option<Option<(usize, u32)>> {
+    #[target_feature(enable = "popcnt")]
+    fn scan(words: &[u64], limbs_per_word: usize, query: &[u64]) -> Option<(usize, u32)> {
+        nearest_hamming_body(words, limbs_per_word, query)
+    }
+    if !std::arch::is_x86_feature_detected!("popcnt") {
+        return None;
+    }
+    // SAFETY: `scan` needs nothing of its caller but a CPU with `popcnt`,
+    // which the line above has just established; its body is safe code.
+    Some(unsafe { scan(words, limbs_per_word, query) })
+}
+
+/// The one source body of [`nearest_hamming`], inlined into each codegen
+/// (called directly it is the portable one, as the build's target
+/// compiles it).
+/// The signature widths in use (64/128/256/512 bits) get a body whose
+/// limb count is a compile-time constant; every other width runs
+/// [`hamming_limbs`] per word.
+#[inline(always)]
+fn nearest_hamming_body(
+    words: &[u64],
+    limbs_per_word: usize,
+    query: &[u64],
+) -> Option<(usize, u32)> {
+    match limbs_per_word {
+        1 => nearest_fixed::<1>(words, query),
+        2 => nearest_fixed::<2>(words, query),
+        4 => nearest_fixed::<4>(words, query),
+        8 => nearest_fixed::<8>(words, query),
+        _ => lowest_minimum(words.chunks_exact(limbs_per_word).map(|w| hamming_limbs(w, query))),
+    }
+}
+
+#[inline(always)]
+fn nearest_fixed<const N: usize>(words: &[u64], query: &[u64]) -> Option<(usize, u32)> {
+    // `query` is exactly `N` limbs: `nearest_hamming` checked it against
+    // the `limbs_per_word` this arm was chosen by.
+    let q: &[u64; N] = query.first_chunk()?;
+    let (words, _) = words.as_chunks::<N>();
+    lowest_minimum(
+        words.iter().map(|w| w.iter().zip(q).map(|(a, b)| (a ^ b).count_ones()).sum::<u32>()),
+    )
+}
+
+/// Position and value of the smallest distance, the first of equals.
+#[inline(always)]
+fn lowest_minimum(mut distances: impl Iterator<Item = u32>) -> Option<(usize, u32)> {
+    let mut best = (0usize, distances.next()?);
+    for (i, d) in distances.enumerate() {
+        if d < best.1 {
+            best = (i + 1, d);
+        }
+    }
+    Some(best)
 }
 
 impl FromIterator<bool> for BitVec {
@@ -236,6 +352,82 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.count_ones(), 0);
         assert!(v.limbs().is_empty());
+    }
+
+    #[test]
+    fn assign_matches_per_bit_set_and_clears_the_old_contents() {
+        for len in [0usize, 1, 63, 64, 65, 130, 256] {
+            let bits: Vec<bool> = (0..len).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+            let mut by_set = BitVec::zeros(len);
+            for (i, &b) in bits.iter().enumerate() {
+                by_set.set(i, b);
+            }
+            let mut assigned = BitVec::zeros(len);
+            assigned.assign(std::iter::repeat_n(true, len)); // stale contents to overwrite
+            assigned.assign(bits.iter().copied());
+            assert_eq!(assigned, by_set, "len {len}");
+            assert_eq!(BitVec::from_bools(&bits), by_set, "len {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly len() bits")]
+    fn assign_rejects_too_few_bits() {
+        BitVec::zeros(70).assign(std::iter::repeat_n(true, 69));
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly len() bits")]
+    fn assign_rejects_too_many_bits() {
+        BitVec::zeros(70).assign(std::iter::repeat_n(true, 71));
+    }
+
+    /// Per-bit reference scan: lowest index among the nearest words.
+    fn naive_nearest(words: &[u64], limbs_per_word: usize, query: &[u64]) -> Option<(usize, u32)> {
+        let bit = |limbs: &[u64], i: usize| (limbs[i / 64] >> (i % 64)) & 1;
+        words
+            .chunks_exact(limbs_per_word)
+            .map(|w| {
+                (0..64 * limbs_per_word).filter(|&i| bit(w, i) != bit(query, i)).count() as u32
+            })
+            .enumerate()
+            .min_by_key(|&(i, d)| (d, i))
+    }
+
+    #[test]
+    fn nearest_hamming_codegens_agree_with_each_other_and_a_per_bit_scan() {
+        let mut rng = crate::rng::Rng64::new(16);
+        // Every fixed-width arm (1, 2, 4, 8 limbs) and the generic one.
+        for limbs_per_word in [1usize, 2, 3, 4, 5, 8, 9] {
+            for len in [0usize, 1, 2, 7, 64, 257] {
+                let mut words: Vec<u64> =
+                    (0..len * limbs_per_word).map(|_| rng.next_u64()).collect();
+                let query: Vec<u64> = (0..limbs_per_word).map(|_| rng.next_u64()).collect();
+                if len > 2 {
+                    // The nearest word twice, neither copy first: the
+                    // lower index must win the tie.
+                    let near: Vec<u64> = query.iter().map(|l| l ^ 0b101).collect();
+                    for at in [len / 2, len - 1] {
+                        words[at * limbs_per_word..][..limbs_per_word].copy_from_slice(&near);
+                    }
+                }
+                let expected = naive_nearest(&words, limbs_per_word, &query);
+                assert_eq!(expected.is_none(), len == 0);
+                let portable = nearest_hamming_body(&words, limbs_per_word, &query);
+                assert_eq!(portable, expected, "{limbs_per_word} limbs x {len} words");
+                #[cfg(target_arch = "x86_64")]
+                if let Some(hit) = nearest_hamming_popcnt(&words, limbs_per_word, &query) {
+                    assert_eq!(hit, expected, "popcnt, {limbs_per_word} limbs x {len} words");
+                }
+                assert_eq!(nearest_hamming(&words, limbs_per_word, &query), expected);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of words")]
+    fn nearest_hamming_rejects_a_ragged_store() {
+        nearest_hamming(&[0; 7], 2, &[0; 2]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ proptest! {
             .map(|_| (0..width).map(|_| rng.bernoulli(0.5)).collect::<BitVec>())
             .collect();
         for w in &words {
-            cam.write(w.clone());
+            cam.write(w);
         }
         let q: BitVec = (0..width).map(|_| rng.bernoulli(0.5)).collect();
         let (hit, _) = cam.search_nearest(&q);

@@ -138,7 +138,7 @@ fn tcam_search_agrees_with_brute_force() {
     let words: Vec<BitVec> =
         (0..200).map(|_| (0..width).map(|_| rng.bernoulli(0.5)).collect::<BitVec>()).collect();
     for w in &words {
-        cam.write(w.clone());
+        cam.write(w);
     }
     for _ in 0..20 {
         let q: BitVec = (0..width).map(|_| rng.bernoulli(0.5)).collect();
@@ -322,7 +322,7 @@ fn lsh_tcam_agrees_with_cosine_on_separated_clusters() {
     for c in 0..8usize {
         let mut key = vec![0.1f32; 8];
         key[c] = 1.0;
-        cam.write(lsh.encode(&key));
+        cam.write(&lsh.encode(&key));
         keys.push(key);
     }
     for c in 0..8usize {

@@ -12,6 +12,7 @@ use enw_core::cam::bank::TcamBank;
 use enw_core::cam::cells;
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
+use enw_core::mann::encoding::TernaryWord;
 use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::matrix::Matrix;
@@ -68,8 +69,9 @@ fn par_matmul_matches_serial_bitwise() {
 #[test]
 fn parallel_tcam_bank_search_matches_serial_bitwise() {
     let mut rng = Rng64::new(102);
-    // 40 arrays x 24 words x 64 bits clears the bank's parallel-dispatch
-    // threshold, so multi-worker runs take the fan-out path.
+    // The bank sweeps its 41 arrays on the calling thread whatever the
+    // pool size; this pins that hits and booked costs stay independent of
+    // the thread count should a fan-out ever come back.
     let mut bank = TcamBank::new(64, 24, cells::fefet_2t(), TcamConfig::default());
     for _ in 0..960 {
         let w: BitVec = (0..64).map(|_| rng.bernoulli(0.5)).collect();
@@ -77,16 +79,22 @@ fn parallel_tcam_bank_search_matches_serial_bitwise() {
     }
     let queries: Vec<BitVec> =
         (0..8).map(|_| (0..64).map(|_| rng.bernoulli(0.5)).collect()).collect();
-    let reference: Vec<_> = {
+    // A stored word with a quarter of its bits wildcarded: the ternary
+    // search has at least that word to return.
+    let care: BitVec = (0..64).map(|_| rng.below(4) != 0).collect();
+    let pattern = TernaryWord::new(queries[0].clone(), care);
+    bank.write(queries[0].clone());
+    let run = |threads: usize| {
         let mut b = bank.clone();
-        parallel::with_threads(1, || queries.iter().map(|q| b.search_nearest(q)).collect())
+        parallel::with_threads(threads, || {
+            let nearest: Vec<_> = queries.iter().map(|q| b.search_nearest(q)).collect();
+            (nearest, b.search_ternary(&pattern), b.total_cost())
+        })
     };
+    let reference = run(1);
+    assert!(!reference.1 .0.is_empty());
     for threads in THREAD_COUNTS {
-        let mut b = bank.clone();
-        let got: Vec<_> = parallel::with_threads(threads, || {
-            queries.iter().map(|q| b.search_nearest(q)).collect()
-        });
-        assert_eq!(reference, got, "threads = {threads}");
+        assert_eq!(reference, run(threads), "threads = {threads}");
     }
 }
 
