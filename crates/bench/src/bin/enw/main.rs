@@ -68,9 +68,9 @@ experiments! {
     "EXT-4" => ext04_reduced_precision,
 }
 
-/// What `enw gate` runs, in smoke mode: the two sub-second paper pins,
-/// then every experiment with a CI-sized form.
-const GATE_SET: [&str; 9] = ["E9", "E10", "E16", "E17", "E18", "E19", "E20", "E15", "E21"];
+/// What `enw gate` runs, in smoke mode: the three sub-second paper
+/// pins, then every experiment with a CI-sized form.
+const GATE_SET: [&str; 10] = ["E9", "E10", "E14", "E16", "E17", "E18", "E19", "E20", "E15", "E21"];
 
 const USAGE: &str = "usage: enw list | enw run <ID>... [--smoke] | enw gate";
 
@@ -142,8 +142,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_pins_hold_for_e9_and_e10() {
-        for id in ["E9", "E10"] {
+    fn paper_pins_hold_for_e9_e10_and_e14() {
+        for id in ["E9", "E10", "E14"] {
             let run = run_one(id, false).expect("registered");
             assert!(run.gates.len() >= 2, "{id} lost its paper bands");
             for g in run.gates {

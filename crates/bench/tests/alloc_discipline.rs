@@ -16,6 +16,7 @@ use enw_core::cam::cells;
 use enw_core::cam::lsh_memory::TcamKeyValueMemory;
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
+use enw_core::fleet::{ShardScheme, ShardSpec, ShardedStore};
 use enw_core::mann::encoding::TernaryWord;
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
 use enw_core::nn::backend::LinearBackend;
@@ -173,4 +174,38 @@ fn tcam_search_and_kv_update_allocate_nothing_once_warm() {
     }
     let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
     assert_eq!(allocs, 0, "key-value updates allocated at capacity");
+}
+
+#[test]
+fn sharded_store_pool_batch_allocates_nothing_once_warm() {
+    // 256 rows per shard behind 32-row caches: once warm, every miss
+    // evicts, so the LRU's reuse-in-place path is inside the window.
+    let spec = ShardSpec {
+        tables: 2,
+        rows_per_table: 1024,
+        dim: 16,
+        lookups_per_table: 8,
+        shards: 4,
+        replication: 2,
+        scheme: ShardScheme::Range,
+        hot_fraction: 0.25,
+        cache_rows: 32,
+    };
+    let mut store = ShardedStore::new(spec, 18);
+    store.rebalance(&[0, 1, 2, 3, 4, 5, 6, 7]);
+    let mut rng = Rng64::new(18);
+    let users: Vec<u64> = (0..4096).map(|_| rng.below(100_000) as u64).collect();
+    let (warm, measured) = users.split_at(users.len() - 256);
+    for batch in warm.chunks(16) {
+        store.pool_batch(batch);
+    }
+    for (threads, half) in [1, 2].into_iter().zip(measured.chunks(128)) {
+        parallel::with_threads(threads, || {
+            let s0 = alloc_audit::thread_snapshot();
+            let misses: u64 = half.chunks(16).map(|batch| store.pool_batch(batch).misses).sum();
+            let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+            assert!(misses > 0, "the window must exercise eviction");
+            assert_eq!(allocs, 0, "warm pooled reads allocated at {threads} thread(s)");
+        });
+    }
 }

@@ -29,9 +29,10 @@
 //!
 //! Event order at any instant is fixed — completions, then control,
 //! then arrivals, then batch starts — which is what makes the reports
-//! reproducible. The only parallel section is the numeric gather inside
-//! [`ShardedStore::pool_batch`](shard::ShardedStore::pool_batch), which
-//! uses fixed chunk boundaries so thread count cannot change results.
+//! reproducible. Nothing in the crate fans out: a routed batch is a
+//! handful of queries, so even the numeric gather inside
+//! [`ShardedStore::pool_batch`](shard::ShardedStore::pool_batch) runs
+//! in line, and thread count cannot reach the results.
 
 pub mod autoscale;
 pub mod error;

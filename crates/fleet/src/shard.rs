@@ -5,11 +5,13 @@
 //! Each table is cut into `shards` pieces — contiguous row ranges
 //! ([`ShardScheme::Range`]) or hashed rows ([`ShardScheme::Hash`]) — and
 //! every shard is assigned owners on a consistent-hash ring over the
-//! lane's current replicas. A routed lookup fans its indices out by
+//! lane's current replicas. A routed lookup groups its indices by
 //! shard, gathers each shard's rows (range shards through the borrowed
 //! `recsys::TableView` window, hash shards through the parent table) and
-//! merges the pooled partials *in shard order*, so the result is a pure
-//! function of `(user, store)` at any thread count.
+//! merges the pooled partials *in shard order*. A batch is a handful of
+//! users, so the whole read is one thread's straight-line work and the
+//! result is a pure function of `(user, store)` — no worker pool is
+//! involved.
 //!
 //! Placement is temperature-driven, E14 style: each shard fronts its own
 //! LRU [`EmbeddingCache`] and an epoch access counter; at rebalance the
@@ -19,7 +21,7 @@
 
 use crate::ring::{key_point, HashRing};
 use enw_numerics::rng::Rng64;
-use enw_parallel::{run_chunks_mut, scratch};
+use enw_parallel::scratch;
 use enw_recsys::cache::{CacheStats, EmbeddingCache};
 use enw_recsys::EmbeddingTable;
 
@@ -212,14 +214,15 @@ impl ShardedStore {
         (h % self.spec.rows_per_table as u64) as usize
     }
 
-    /// Serial accounting + parallel gather for one routed batch.
+    /// Accounting, then the numeric gather, for one routed batch — both
+    /// in line on the calling thread.
     ///
     /// Cache accesses, shard temperatures and owner-touch counts are
-    /// walked serially in `(query, table, lookup)` order (LRU state is
-    /// order-sensitive); the numeric pool then fans out per query on the
-    /// worker pool. Chunk boundaries are per query and each query's
-    /// merge is internally ordered, so the checksum is bit-identical at
-    /// any `ENW_THREADS`.
+    /// walked in `(query, table, lookup)` order (LRU state is
+    /// order-sensitive); each query is then pooled in turn into its own
+    /// stripe. A batch is at most a lane's `max_batch` queries of a few
+    /// microseconds each, less than waking a worker costs, so nothing
+    /// here fans out.
     ///
     /// # Panics
     ///
@@ -231,6 +234,9 @@ impl ShardedStore {
         let mut cost = BatchCost::default();
         let mut touched = scratch::take_usize(spec.total_shards());
         for &user in users {
+            // Reads pin one replica per (user, shard): spread by user
+            // hash, stable across identical membership.
+            let pick = key_point(user);
             let mut ntouched = 0usize;
             for t in 0..spec.tables {
                 for k in 0..spec.lookups_per_table {
@@ -245,9 +251,7 @@ impl ShardedStore {
                     }
                     let owners = &self.owners[slot];
                     assert!(!owners.is_empty(), "store serves before its first rebalance");
-                    // Reads pin one replica per (user, shard): spread by
-                    // user hash, stable across identical membership.
-                    let owner = owners[(key_point(user) % owners.len() as u64) as usize];
+                    let owner = owners[(pick % owners.len() as u64) as usize];
                     let touched = touched.as_mut_slice();
                     if !touched[..ntouched].contains(&(owner as usize)) {
                         touched[ntouched] = owner as usize;
@@ -260,9 +264,9 @@ impl ShardedStore {
 
         let stripe = spec.tables * spec.dim;
         let mut pooled = scratch::take_f32(users.len() * stripe);
-        run_chunks_mut(pooled.as_mut_slice(), stripe, |start, window| {
-            self.pool_user_into(users[start / stripe], window);
-        });
+        for (&user, window) in users.iter().zip(pooled.chunks_mut(stripe)) {
+            self.pool_user_into(user, window);
+        }
         for &v in pooled.as_slice() {
             cost.checksum = cost.checksum.rotate_left(1) ^ u64::from(v.to_bits());
         }
@@ -278,9 +282,10 @@ impl ShardedStore {
     }
 
     /// Pools all of `user`'s lookups into `out` (one `dim` stripe per
-    /// table, fully overwritten): indices are partitioned by shard, each
-    /// shard's rows are gathered through its storage unit, and partials
-    /// merge in ascending shard order.
+    /// table, fully overwritten): each lookup's row and shard are
+    /// computed once, the lookups are grouped by shard, each shard's
+    /// rows are gathered through its storage unit, and partials merge in
+    /// ascending shard order.
     ///
     /// # Panics
     ///
@@ -289,43 +294,40 @@ impl ShardedStore {
     pub fn pool_user_into(&self, user: u64, out: &mut [f32]) {
         let spec = &self.spec;
         assert_eq!(out.len(), spec.tables * spec.dim, "pooled stripe width mismatch");
-        let mut idx = scratch::take_usize(spec.lookups_per_table);
-        let mut sub = scratch::take_usize(spec.lookups_per_table);
+        let lookups = spec.lookups_per_table;
+        let mut rows = scratch::take_usize(lookups);
+        let mut keys = scratch::take_usize(lookups);
         let mut partial = scratch::take_f32(spec.dim);
+        let (rows, keys, partial) =
+            (rows.as_mut_slice(), keys.as_mut_slice(), partial.as_mut_slice());
         for (t, stripe) in out.chunks_mut(spec.dim).enumerate() {
-            let idx = idx.as_mut_slice();
-            for (k, slot) in idx.iter_mut().enumerate() {
-                *slot = self.index_for(user, t, k);
+            // Sorting `shard * lookups + k` groups the lookups by shard,
+            // shards ascending and each shard's lookups in `k` order.
+            for (k, (row, key)) in rows.iter_mut().zip(keys.iter_mut()).enumerate() {
+                *row = self.index_for(user, t, k);
+                *key = shard_of_row(spec, *row) * lookups + k;
             }
+            keys.sort_unstable();
             stripe.fill(0.0);
-            for s in 0..spec.shards {
-                let sub = sub.as_mut_slice();
-                let mut cnt = 0usize;
-                for &row in idx.iter() {
-                    if shard_of_row(spec, row) == s {
-                        // Range shards address their window locally —
-                        // the unit an owner node actually holds.
-                        sub[cnt] = match spec.scheme {
-                            ShardScheme::Range => row - range_start(spec, s),
-                            ShardScheme::Hash => row,
-                        };
-                        cnt += 1;
-                    }
-                }
-                if cnt == 0 {
-                    continue;
-                }
-                let partial = partial.as_mut_slice();
+            for group in keys.chunk_by_mut(|a, b| a / lookups == b / lookups) {
+                let Some(&first) = group.first() else { continue };
+                let s = first / lookups;
                 match spec.scheme {
                     ShardScheme::Range => {
+                        // Range shards address their window locally —
+                        // the unit an owner node actually holds.
                         let start = range_start(spec, s);
                         let len = range_start(spec, s + 1) - start;
-                        self.tables[t]
-                            .range_view(start, len)
-                            .gather_pool_into(&sub[..cnt], partial);
+                        for key in group.iter_mut() {
+                            *key = rows[*key % lookups] - start;
+                        }
+                        self.tables[t].range_view(start, len).gather_pool_into(group, partial);
                     }
                     ShardScheme::Hash => {
-                        self.tables[t].gather_pool_into(&sub[..cnt], partial);
+                        for key in group.iter_mut() {
+                            *key = rows[*key % lookups];
+                        }
+                        self.tables[t].gather_pool_into(group, partial);
                     }
                 }
                 for (o, p) in stripe.iter_mut().zip(partial.iter()) {
@@ -468,6 +470,46 @@ mod tests {
         assert_eq!(ca, cb, "same store + batch must name the same cost");
         assert!(ca.owner_touches >= users.len() as u64, "every query touches >= 1 owner");
         assert_eq!(ca.hits + ca.misses, (users.len() * 2 * 6) as u64);
+    }
+
+    #[test]
+    fn pool_batch_cost_is_pinned() {
+        // Recorded at the commit before the gather moved in line and the
+        // cache became a slab: same hit/miss sequence, same owner picks
+        // and — through the checksum — every f32 addition in the same
+        // order, exactly, not to a tolerance.
+        let cost = |owner_touches, hits, misses, checksum| BatchCost {
+            owner_touches,
+            hits,
+            misses,
+            checksum,
+        };
+        let pins = [
+            (
+                ShardScheme::Range,
+                [
+                    cost(48, 106, 86, 0xb57c_4323_b52b_855a),
+                    cost(48, 171, 21, 0x22a4_5f5a_24d8_6d1d),
+                    cost(48, 188, 4, 0xe938_8384_f2de_294b),
+                ],
+            ),
+            (
+                ShardScheme::Hash,
+                [
+                    cost(47, 106, 86, 0xae3c_ac24_027e_0be7),
+                    cost(47, 171, 21, 0x5c56_6c49_5ebe_d373),
+                    cost(48, 186, 6, 0x16fe_de0e_d47c_9c08),
+                ],
+            ),
+        ];
+        for (scheme, expected) in pins {
+            let mut store = ShardedStore::new(spec(scheme), 9);
+            store.rebalance(&[0, 1, 2, 3]);
+            for (b, want) in (0u64..).zip(expected) {
+                let users: Vec<u64> = (0..16).map(|i| (b * 11 + i * i) % 23).collect();
+                assert_eq!(store.pool_batch(&users), want, "{scheme:?} batch {b}");
+            }
+        }
     }
 
     #[test]

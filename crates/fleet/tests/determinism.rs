@@ -1,7 +1,9 @@
 //! End-to-end determinism of the fleet simulator (E19's acceptance
 //! criterion): the same `(spec, trace)` must produce byte-identical
 //! reports at `ENW_THREADS` 1, 2 and 8, and across plain reruns — with
-//! the real E19 presets, sharded store and autoscaler included.
+//! the real E19 presets, sharded store and autoscaler included. The
+//! fleet itself never dispatches to the worker pool, so the thread
+//! sweep pins exactly that: nothing it calls depends on the pool.
 
 use enw_fleet::presets::{fleet_spec, scales, trace, Scenario};
 use enw_fleet::sim::try_run;

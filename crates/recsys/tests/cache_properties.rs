@@ -1,0 +1,42 @@
+//! Property-based tests for the embedding cache (paper Sec. V-B): the
+//! slab-and-index LRU must answer every access exactly as the textbook
+//! model does.
+//!
+//! Compiled only with `--features proptest` so the default tier-1 run
+//! stays lean; enable it in CI sweeps via `scripts/verify.sh --full`.
+#![cfg(feature = "proptest")]
+
+use enw_recsys::cache::EmbeddingCache;
+use proptest::prelude::*;
+
+/// LRU as a most-recent-first list: a hit moves the key to the front, a
+/// miss inserts it there and drops whatever falls off the end.
+fn model_access(recent: &mut Vec<(usize, usize)>, capacity: usize, key: (usize, usize)) -> bool {
+    let found = recent.iter().position(|&k| k == key);
+    if let Some(at) = found {
+        recent.remove(at);
+    }
+    recent.insert(0, key);
+    recent.truncate(capacity);
+    found.is_some()
+}
+
+proptest! {
+    /// Same hit/miss vector as the list model, and every access counted
+    /// exactly once. 96 keys over 3 tables against capacities up to 64,
+    /// so sequences both fit and overflow the cache.
+    #[test]
+    fn answers_match_a_most_recent_first_list(capacity in 1usize..65,
+                                              keys in prop::collection::vec(0usize..96, 0..600)) {
+        let mut cache = EmbeddingCache::new(capacity);
+        let mut recent = Vec::new();
+        for (step, &k) in keys.iter().enumerate() {
+            let (table, row) = (k % 3, k / 3);
+            prop_assert_eq!(cache.access(table, row),
+                            model_access(&mut recent, capacity, (table, row)),
+                            "step {} of {:?} at capacity {}", step, keys, capacity);
+        }
+        let stats = cache.stats();
+        prop_assert_eq!(stats.hits + stats.misses, keys.len() as u64);
+    }
+}

@@ -23,7 +23,7 @@ echo "== enw-analyze (lints + baseline diff + waiver audit) =="
 cargo run --release -q -p enw-analyze -- --baseline analyze-baseline.json --audit-waivers
 
 echo "== enw gate (paper pins + every smoke experiment; each gate asserted in Rust) =="
-# Runs E9, E10 and E15..E21 in smoke mode, writes the BENCH_*.json
+# Runs E9, E10, E14 and E15..E21 in smoke mode, writes the BENCH_*.json
 # artifacts, and exits 1 naming every failed gate.
 cargo run --release -q -p enw-bench --bin enw -- gate
 
