@@ -128,6 +128,42 @@ fn analog_tile_reads_allocate_nothing_at_two_threads() {
 }
 
 #[test]
+fn analog_tile_cycles_allocate_nothing_and_reads_touch_no_pool() {
+    // The tile shape `analog_train` runs: one row chunk, far below the
+    // `plan_chunks` gate. The line buffer is the tile's own, so only
+    // the update's staging comes from a pool — one check-out per cycle.
+    // (Uncalibrated: a zero-shifted tile's transposed reference read
+    // keeps a check-out of its own.)
+    let mut rng = Rng64::new(15);
+    let mut tile = AnalogTile::new(8, 10, &devices::ecram(), TileConfig::default(), &mut rng);
+    let x: Vec<f32> = (0..10).map(|_| rng.uniform_f32() - 0.5).collect();
+    let d: Vec<f32> = (0..8).map(|_| rng.uniform_f32() - 0.5).collect();
+    let (mut y, mut dx) = (vec![0.0f32; 8], vec![0.0f32; 10]);
+    let mut cycle = |tile: &mut AnalogTile| {
+        tile.forward_into(&x, &mut y);
+        tile.backward_into(&d, &mut dx);
+        tile.update(&d, &x, 0.01);
+    };
+    for threads in [1, 2] {
+        parallel::with_threads(threads, || {
+            for _ in 0..8 {
+                cycle(&mut tile);
+            }
+            let cycles = 200;
+            let (s0, c0) = (alloc_audit::thread_snapshot(), scratch::thread_stats().checkouts);
+            for _ in 0..cycles {
+                cycle(&mut tile);
+            }
+            let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+            let checkouts = scratch::thread_stats().checkouts - c0;
+            assert_eq!(allocs, 0, "warm tile cycles allocated at {threads} thread(s)");
+            assert_eq!(checkouts, cycles, "check-outs over {cycles} cycles at {threads} thread(s)");
+        });
+    }
+    assert!(tile.stats().pulses > 0, "the updates must fire");
+}
+
+#[test]
 fn tcam_search_and_kv_update_allocate_nothing_once_warm() {
     let mut rng = Rng64::new(16);
     let word = |rng: &mut Rng64| (0..256).map(|_| rng.bernoulli(0.5)).collect::<BitVec>();

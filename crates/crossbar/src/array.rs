@@ -253,7 +253,7 @@ impl AnalogArray {
     /// mutable access to that row's weights — rows are disjoint, so any
     /// schedule of rows across workers produces the same final state as
     /// the serial loop, provided `f` itself is deterministic per row
-    /// (e.g. drives its randomness from a per-row forked RNG, as
+    /// (e.g. drives its randomness from a per-row seeded stream, as
     /// `AnalogTile::update_stochastic` does).
     pub fn par_pulse_by_row<F>(&mut self, row_chunk: usize, f: F) -> u64
     where
@@ -408,15 +408,6 @@ pub struct RowPulser<'a> {
 }
 
 impl RowPulser<'_> {
-    /// The row's current weight at column `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of bounds.
-    pub fn weight(&self, c: usize) -> f32 {
-        self.weights[c]
-    }
-
     /// Applies one programming pulse to the device at column `c`.
     ///
     /// # Panics

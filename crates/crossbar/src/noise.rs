@@ -8,6 +8,30 @@
 
 use enw_numerics::rng::Rng64;
 
+/// `f32::round` (nearest integer, ties away from zero) for the
+/// converter codes, which are never negative. On the baseline x86-64
+/// target `f32::round` is a `roundf` libm call per element; this stays
+/// in line. Below 2²³, `(x + 2²³) − 2²³` is the nearest integer with
+/// ties to *even*, so a tie that went down is stepped back up — the
+/// fix-up is not optional: a DAC input of exactly 0.0 is code 63.5 at
+/// 7 bits, so every zero pixel and every ReLU-dead activation sits on
+/// a tie. From 2²³ up every `f32` is an integer already, and NaN fails
+/// the `<` and is returned as it came.
+#[inline]
+fn round_half_away(x: f32) -> f32 {
+    const TWO_POW_23: f32 = 8_388_608.0;
+    if x < TWO_POW_23 {
+        let m = (x + TWO_POW_23) - TWO_POW_23;
+        if x - m == 0.5 {
+            m + 1.0
+        } else {
+            m
+        }
+    } else {
+        x
+    }
+}
+
 /// Peripheral noise/quantization configuration of an analog tile.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalogNoise {
@@ -57,7 +81,7 @@ impl AnalogNoise {
             for v in x.iter_mut() {
                 let clipped = v.clamp(-1.0, 1.0);
                 // Map [-1,1] onto `levels` uniform codes and back.
-                let code = ((clipped + 1.0) / 2.0 * levels as f32).round();
+                let code = round_half_away((clipped + 1.0) / 2.0 * levels as f32);
                 *v = code / levels as f32 * 2.0 - 1.0;
             }
         } else {
@@ -80,7 +104,7 @@ impl AnalogNoise {
             if let Some(bits) = self.adc_bits {
                 let levels = (1u32 << bits) - 1;
                 let b = self.output_bound;
-                let code = ((*v + b) / (2.0 * b) * levels as f32).round();
+                let code = round_half_away((*v + b) / (2.0 * b) * levels as f32);
                 *v = code / levels as f32 * 2.0 * b - b;
             }
         }
@@ -150,6 +174,82 @@ mod tests {
         n.apply_output(&mut y, &mut rng);
         let spread = y.iter().fold((f32::MAX, f32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
         assert!(spread.1 - spread.0 > 0.1);
+    }
+
+    /// Bit-for-bit agreement with libm's round on one value.
+    fn assert_rounds_like_libm(x: f32) {
+        assert_eq!(round_half_away(x).to_bits(), x.round().to_bits(), "x = {x:e}");
+    }
+
+    #[test]
+    fn round_half_away_is_f32_round() {
+        // Every tie in a 12-bit converter's code range and its
+        // neighbours one ulp either side.
+        for k in 0..4096 {
+            let tie = k as f32 + 0.5;
+            for x in [tie, f32::from_bits(tie.to_bits() - 1), f32::from_bits(tie.to_bits() + 1)] {
+                assert_rounds_like_libm(x);
+            }
+        }
+        // The largest value below 0.5, the last tie below 2²³, where the
+        // spacing reaches 1 and then 2, and the values `<` sends through.
+        let edges = [0.0, 0.499_999_97, 8_388_607.5, 8_388_608.0, 8_388_609.0, 16_777_218.0];
+        for x in edges.into_iter().chain([f32::MAX, f32::INFINITY, f32::NAN]) {
+            assert_rounds_like_libm(x);
+        }
+    }
+
+    #[cfg(feature = "proptest")]
+    proptest::proptest! {
+        #[test]
+        fn round_half_away_is_f32_round_on_any_non_negative_pattern(bits in 0u32..0x8000_0000) {
+            assert_rounds_like_libm(f32::from_bits(bits));
+        }
+    }
+
+    #[test]
+    fn dac_and_adc_match_the_libm_round_definition() {
+        // The converter expressions as they were written over
+        // `f32::round`. A DAC input of exactly 0.0 is code
+        // `levels / 2`, a tie at every resolution: a half-even round
+        // fails here.
+        let dac = |v: f32, levels: f32| {
+            let code = ((v.clamp(-1.0, 1.0) + 1.0) / 2.0 * levels).round();
+            code / levels * 2.0 - 1.0
+        };
+        let adc = |v: f32, b: f32, levels: f32| {
+            let code = ((v.clamp(-b, b) + b) / (2.0 * b) * levels).round();
+            code / levels * 2.0 * b - b
+        };
+        let sweep: Vec<f32> =
+            (-1500..=1500).map(|i| i as f32 * 1e-3).chain([0.0, -0.0, 1.0, -1.0]).collect();
+        let mut rng = Rng64::new(3);
+        for bits in 1..=12 {
+            let levels = ((1u32 << bits) - 1) as f32;
+            let n = AnalogNoise { dac_bits: Some(bits), ..AnalogNoise::ideal() };
+            let mut x = sweep.clone();
+            n.apply_input(&mut x);
+            for (got, &v) in x.iter().zip(&sweep) {
+                assert_eq!(got.to_bits(), dac(v, levels).to_bits(), "dac {bits} bits, input {v}");
+            }
+            for bound in [1.0f32, 12.0] {
+                let n = AnalogNoise {
+                    adc_bits: Some(bits),
+                    output_bound: bound,
+                    ..AnalogNoise::ideal()
+                };
+                let mut y: Vec<f32> = sweep.iter().map(|v| v * bound).collect();
+                n.apply_output(&mut y, &mut rng);
+                for (got, &v) in y.iter().zip(&sweep) {
+                    let want = adc(v * bound, bound, levels);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "adc {bits} bits ±{bound}, input {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

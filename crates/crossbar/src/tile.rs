@@ -12,6 +12,29 @@
 //!   every coincidence steps the device at that crosspoint once. The
 //!   expected step equals the SGD rank-1 update while touching each device
 //!   `O(BL)` times independent of array size.
+//!
+//! # The update's draw contract
+//!
+//! Every pinned digest is a function of *which* generator outputs the
+//! stochastic update consumes and in what order, so that schedule is
+//! fixed here and nothing else about the update is:
+//!
+//! 1. A line's pulse probability is `p = min(amp · |drive|, 1)` in `f32`
+//!    (`amp = √(lr / (BL · dw_avg))`); a line with `p > 0` is *active*.
+//! 2. For each step `s` of the `BL`, the tile RNG yields one output per
+//!    active row in ascending row order, then one per active column in
+//!    ascending column order. Output `x` fires the line iff
+//!    `uniform() < p`, that is iff `x >> 11 < ⌈p · 2⁵³⌉`.
+//! 3. After the last step the tile RNG yields one output per row —
+//!    *every* row, active or not — which is that row's stream seed:
+//!    the row's stream is `Rng64::new(seed)`, as `Rng64::fork` builds it.
+//! 4. Row `r` consumes its stream over its coincidences in ascending
+//!    (step, column) order: one drop-connect draw (when `drop_connect >
+//!    0`) before each pulse, then whatever the device's pulse draws.
+//!
+//! Rows share no stream, so the pulse phase may run rows in any order on
+//! any number of threads; a row that never fired consumes nothing, so
+//! its stream is never expanded from the seed.
 
 use crate::array::AnalogArray;
 use crate::device::{DeviceSpec, PulseDir};
@@ -167,12 +190,46 @@ pub struct AnalogTile {
     dw_avg: f32,
     rng: Rng64,
     stats: TileStats,
-    /// Per-row RNG streams for the parallel stochastic update, refilled
-    /// from the tile RNG on every update. Kept as a field so the
-    /// steady-state training loop reuses its capacity instead of
-    /// allocating per call; the contents are transient (fully rewritten
-    /// before use) and excluded from checkpoints.
-    row_rngs: Vec<Rng64>,
+    /// The column-side line buffer, `in_dim + 1` long: the
+    /// bias-augmented drive `[x; bias_drive]` of a forward read or an
+    /// update, or the column currents of a transposed read — a cycle
+    /// needs one of them at a time. Owned so a read touches no
+    /// thread-local pool; transient (fully overwritten before use) and
+    /// excluded from checkpoints.
+    line: Vec<f32>,
+}
+
+/// The integer form of a Bernoulli(`p`) draw for `p` in `(0, 1]`:
+/// `uniform()` is `k · 2⁻⁵³` for the integer `k = next_u64() >> 11` and
+/// `p · 2⁵³` is computed without rounding, so `uniform() < p` exactly
+/// when `k < ⌈p · 2⁵³⌉`.
+#[inline]
+fn pulse_threshold(p: f32) -> u64 {
+    (p as f64 * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Lists the active lines of `drive` — pulse probability
+/// `p = min(amp · |drive|, 1) > 0` — in ascending order as
+/// `[index, threshold]` pairs at the front of `lines`, and returns them.
+fn list_active<'a>(amp: f32, drive: &[f32], lines: &'a mut [[u64; 2]]) -> &'a [[u64; 2]] {
+    let mut n = 0;
+    for (i, v) in drive.iter().enumerate() {
+        let p = (amp * v.abs()).min(1.0);
+        if p > 0.0 {
+            lines[n] = [i as u64, pulse_threshold(p)];
+            n += 1;
+        }
+    }
+    &lines[..n]
+}
+
+/// The indices of the set bits of a limb bitset, ascending.
+fn ones(limbs: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    limbs.iter().enumerate().flat_map(|(l, &limb)| {
+        let rest = |m: u64| (m != 0).then_some(m);
+        std::iter::successors(rest(limb), move |&m| rest(m & (m - 1)))
+            .map(move |m| l * 64 + m.trailing_zeros() as usize)
+    })
 }
 
 impl AnalogTile {
@@ -194,15 +251,14 @@ impl AnalogTile {
             dw_avg,
             rng: rng.fork(),
             stats: TileStats::default(),
-            row_rngs: Vec::new(),
+            line: vec![0.0; in_dim + 1],
         }
     }
 
     /// Snapshot of the tile RNG for checkpointing. Together with the
     /// array's [`weights_raw`](AnalogArray::weights_raw) and
     /// [`pulse_count`](AnalogArray::pulse_count) this captures every
-    /// bit of mutable tile state (the per-row update streams are
-    /// transient — rewritten from this RNG before each use).
+    /// bit of mutable tile state.
     pub fn rng_state(&self) -> RngState {
         self.rng.state()
     }
@@ -314,97 +370,77 @@ impl AnalogTile {
         }
     }
 
-    /// Checks out a scratch buffer holding the bias-augmented input
-    /// `[x; bias_drive]`, hoisting the old per-call `Vec` off the hot
-    /// path. Monolithic use drives the bias line at 1.0; sub-tiles of a
+    /// Takes the line buffer, loaded with the bias-augmented input
+    /// `[x; bias_drive]`; the caller puts it back into `self.line`.
+    /// Monolithic use drives the bias line at 1.0; sub-tiles of a
     /// [`TiledAnalogLayer`](crate::tiled::TiledAnalogLayer) that do not
     /// own the logical bias drive it at 0.0, which silences their bias
     /// column in every cycle (zero forward contribution, zero pulse
     /// probability, no RNG draws).
-    fn augmented_scratch(&self, x: &[f32], bias_drive: f32) -> enw_parallel::scratch::ScratchF32 {
+    fn take_augmented(&mut self, x: &[f32], bias_drive: f32) -> Vec<f32> {
         assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
-        let mut xa = enw_parallel::scratch::take_f32(self.in_dim + 1);
+        let mut xa = std::mem::take(&mut self.line);
         xa[..self.in_dim].copy_from_slice(x);
         xa[self.in_dim] = bias_drive;
         xa
     }
 
-    /// Sets a bit in a `u64`-limb scratch bitset.
-    #[inline]
-    fn set_bit(bits: &mut [u64], idx: usize) {
-        bits[idx / 64] |= 1 << (idx % 64);
-    }
-
-    /// Reads a bit from a `u64`-limb scratch bitset.
-    #[inline]
-    fn get_bit(bits: &[u64], idx: usize) -> bool {
-        bits[idx / 64] & (1 << (idx % 64)) != 0
-    }
-
+    /// The stochastic pulse update, under the draw contract in the
+    /// [module docs](self): same generator outputs in the same order as
+    /// ever, and as little work around them as the contract allows.
     fn update_stochastic(&mut self, delta: &[f32], xa: &[f32], lr: f32, bl: u32) {
         // Choose pulse probabilities so the expected coincidence count
-        // yields the SGD step: E[Δw_ij] = −lr·d_i·x_j. All staging
-        // buffers come from the scratch pools (and the per-row RNG
-        // vector reuses its retained capacity), so a steady-state
-        // training step performs no heap allocation here.
+        // yields the SGD step: E[Δw_ij] = −lr·d_i·x_j.
         let amp = (lr / (bl as f32 * self.dw_avg)).sqrt();
-        let rows = delta.len();
-        let cols = xa.len();
-        let mut p_row = enw_parallel::scratch::take_f32(rows);
-        for (p, d) in p_row.iter_mut().zip(delta) {
-            *p = (amp * d.abs()).min(1.0);
-        }
-        let mut p_col = enw_parallel::scratch::take_f32(cols);
-        for (p, x) in p_col.iter_mut().zip(xa) {
-            *p = (amp * x.abs()).min(1.0);
-        }
-        // Phase 1 (serial): draw the row/column pulse trains for every
-        // bit-line step with the tile RNG, exactly as the hardware fires
-        // them — rows then columns per step. Row firings land in a limb
-        // bitset; column firings are index lists flattened into one
-        // scratch buffer (`col_fired[s*cols..]`, `col_count[s]` live).
-        let bl = bl as usize;
-        let mut row_fired = enw_parallel::scratch::take_bits((bl * rows).div_ceil(64));
-        let mut col_fired = enw_parallel::scratch::take_usize(bl * cols);
-        let mut col_count = enw_parallel::scratch::take_usize(bl);
-        for s in 0..bl {
-            for (i, &p) in p_row.iter().enumerate() {
-                if p > 0.0 && self.rng.bernoulli(p as f64) {
-                    Self::set_bit(&mut row_fired, s * rows + i);
-                }
+        let (rows, cols, bl) = (delta.len(), xa.len(), bl as usize);
+        // All staging is one zero-filled check-out, so a steady-state
+        // training step allocates nothing here and every mask starts
+        // clear: per row a step mask (bit `s` set: the row fired on
+        // step `s`), per step a column bitset, per row a stream seed,
+        // and the active lines as dense `[index, threshold]` pairs.
+        let (mlimbs, climbs) = (bl.div_ceil(64), cols.div_ceil(64));
+        let mut staging = enw_parallel::scratch::take_bits(
+            rows * mlimbs + bl * climbs + rows + 2 * (rows + cols),
+        );
+        let (row_steps, rest) = staging.split_at_mut(rows * mlimbs);
+        let (step_cols, rest) = rest.split_at_mut(bl * climbs);
+        let (seeds, rest) = rest.split_at_mut(rows);
+        let (row_lines, col_lines) = rest.split_at_mut(2 * rows);
+        let active_rows = list_active(amp, delta, row_lines.as_chunks_mut().0);
+        let active_cols = list_active(amp, xa, col_lines.as_chunks_mut().0);
+        // Phase 1 (serial): the tile RNG fires the pulse trains step by
+        // step, rows then columns, exactly as the hardware does. A hit is
+        // OR-ed into its mask as a bit, with no branch on the draw.
+        for (s, fired_cols) in step_cols.chunks_exact_mut(climbs).enumerate() {
+            let (limb, bit) = (s / 64, s % 64);
+            for &[i, thr] in active_rows {
+                let hit = u64::from((self.rng.next_u64() >> 11) < thr);
+                row_steps[i as usize * mlimbs + limb] |= hit << bit;
             }
-            let step_cols = &mut col_fired[s * cols..(s + 1) * cols];
-            let mut fired = 0;
-            for (j, &p) in p_col.iter().enumerate() {
-                if p > 0.0 && self.rng.bernoulli(p as f64) {
-                    step_cols[fired] = j;
-                    fired += 1;
-                }
+            for &[j, thr] in active_cols {
+                let hit = u64::from((self.rng.next_u64() >> 11) < thr);
+                fired_cols[j as usize / 64] |= hit << (j % 64);
             }
-            col_count[s] = fired;
         }
-        // Phase 2 (parallel over rows): every coincidence on row i only
-        // touches devices in row i, so rows are independent given their
-        // own RNG stream. Forking one stream per row from the tile RNG
+        for seed in seeds.iter_mut() {
+            *seed = self.rng.next_u64();
+        }
+        // Phase 2 (parallel over rows): every coincidence on row `r`
+        // only touches devices in row `r`, so rows are independent given
+        // their own RNG stream. One seed per row drawn from the tile RNG
         // (serially, in row order) makes the result identical for any
         // worker count — and identical to running the loop serially.
-        self.row_rngs.clear();
-        for _ in 0..rows {
-            let fork = self.rng.fork();
-            self.row_rngs.push(fork);
-        }
-        let row_rngs = &self.row_rngs;
-        let (row_fired, col_fired, col_count) = (&*row_fired, &*col_fired, &*col_count);
         let drop_connect = self.cfg.drop_connect;
         let pulses = self.array.par_pulse_by_row(PAR_UPDATE_ROW_CHUNK, |r, pulser| {
-            let mut rng = row_rngs[r].clone();
+            let steps = &row_steps[r * mlimbs..(r + 1) * mlimbs];
+            if steps.iter().all(|&m| m == 0) {
+                return 0;
+            }
+            let mut rng = Rng64::new(seeds[r]);
             let di = delta[r];
             let mut fired = 0u64;
-            for s in 0..bl {
-                if !Self::get_bit(row_fired, s * rows + r) {
-                    continue;
-                }
-                for &j in &col_fired[s * cols..s * cols + col_count[s]] {
+            for s in ones(steps) {
+                for j in ones(&step_cols[s * climbs..(s + 1) * climbs]) {
                     if drop_connect > 0.0 && rng.bernoulli(drop_connect as f64) {
                         continue;
                     }
@@ -461,11 +497,12 @@ impl AnalogTile {
     /// (and RNG) path as the monolithic forward.
     // enw:hot
     pub fn forward_biased_into(&mut self, x: &[f32], bias_drive: f32, out: &mut [f32]) {
-        let mut xa = self.augmented_scratch(x, bias_drive);
+        let mut xa = self.take_augmented(x, bias_drive);
         self.cfg.noise.apply_input(&mut xa);
         // The array read plans its own fan-out from the array shape.
         self.array.matvec_into(&xa, self.cfg.noise.ir_drop, out);
         self.sub_reference_matvec(&xa, out);
+        self.line = xa;
         self.cfg.noise.apply_output(out, &mut self.rng);
         self.stats.forward_ops += 1;
         let (rows, cols) = (self.array.rows() as u64, self.array.cols() as u64);
@@ -478,12 +515,13 @@ impl AnalogTile {
     /// fires no pulses and consumes no RNG draws.
     pub fn update_biased(&mut self, delta: &[f32], x: &[f32], bias_drive: f32, lr: f32) {
         assert_eq!(delta.len(), self.array.rows(), "gradient dimension mismatch");
-        let xa = self.augmented_scratch(x, bias_drive);
+        let xa = self.take_augmented(x, bias_drive);
         let pulses_before = self.stats.pulses;
         match self.cfg.update {
             UpdateScheme::StochasticPulse { bl } => self.update_stochastic(delta, &xa, lr, bl),
             UpdateScheme::MeanField => self.update_mean_field(delta, &xa, lr),
         }
+        self.line = xa;
         self.stats.update_ops += 1;
         enw_trace::record_span("crossbar/update", self.stats.pulses - pulses_before);
     }
@@ -510,11 +548,12 @@ impl LinearBackend for AnalogTile {
         // The periphery applies output noise to the full column read —
         // bias column included — before truncation, so the RNG stream
         // (and therefore every later draw) matches the allocating path.
-        let mut y = enw_parallel::scratch::take_f32(self.array.cols());
+        let mut y = std::mem::take(&mut self.line);
         self.array.matvec_t_into(delta, self.cfg.noise.ir_drop, &mut y);
         self.sub_reference_matvec_t(delta, &mut y);
         self.cfg.noise.apply_output(&mut y, &mut self.rng);
         out.copy_from_slice(&y[..self.in_dim]);
+        self.line = y;
         self.stats.backward_ops += 1;
         let (rows, cols) = (self.array.rows() as u64, self.array.cols() as u64);
         enw_trace::record_span_io(
@@ -691,6 +730,171 @@ mod tests {
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&w), bits(&w1), "weights changed at {threads} threads");
         }
+    }
+
+    /// The update as it was before the bitset staging, kept as the
+    /// oracle of the draw contract: float compares, one flag per (step,
+    /// row), each step's fired columns as an index list, and one forked
+    /// stream per row whether or not the row ever fires.
+    fn update_stochastic_reference(
+        t: &mut AnalogTile,
+        delta: &[f32],
+        xa: &[f32],
+        lr: f32,
+        bl: u32,
+    ) {
+        let amp = (lr / (bl as f32 * t.dw_avg)).sqrt();
+        let p_row: Vec<f32> = delta.iter().map(|d| (amp * d.abs()).min(1.0)).collect();
+        let p_col: Vec<f32> = xa.iter().map(|x| (amp * x.abs()).min(1.0)).collect();
+        let mut rows_fired: Vec<Vec<bool>> = Vec::new();
+        let mut cols_fired: Vec<Vec<usize>> = Vec::new();
+        for _ in 0..bl {
+            rows_fired.push(p_row.iter().map(|&p| p > 0.0 && t.rng.bernoulli(p as f64)).collect());
+            let mut fired = Vec::new();
+            for (j, &p) in p_col.iter().enumerate() {
+                if p > 0.0 && t.rng.bernoulli(p as f64) {
+                    fired.push(j);
+                }
+            }
+            cols_fired.push(fired);
+        }
+        let streams: Vec<Rng64> = delta.iter().map(|_| t.rng.fork()).collect();
+        let drop_connect = t.cfg.drop_connect;
+        let pulses = t.array.par_pulse_by_row(PAR_UPDATE_ROW_CHUNK, |r, pulser| {
+            let mut rng = streams[r].clone();
+            let mut fired = 0u64;
+            for (row_fired, cols) in rows_fired.iter().zip(&cols_fired) {
+                if !row_fired[r] {
+                    continue;
+                }
+                for &j in cols {
+                    if drop_connect > 0.0 && rng.bernoulli(drop_connect as f64) {
+                        continue;
+                    }
+                    let dir = if delta[r] * xa[j] < 0.0 { PulseDir::Up } else { PulseDir::Down };
+                    pulser.pulse(j, dir, &mut rng);
+                    fired += 1;
+                }
+            }
+            fired
+        });
+        t.stats.pulses += pulses;
+    }
+
+    /// Five updates of a clone of `fresh` at `bl` and `drop_connect`,
+    /// through the oracle and — at 1 and 3 threads — through
+    /// `update_biased`: same weights, pulse counts and tile-RNG state,
+    /// bit for bit. Returns the pulses fired.
+    fn assert_update_matches_reference(
+        fresh: &AnalogTile,
+        (bl, drop_connect): (u32, f32),
+        (delta, x, bias): (&[f32], &[f32], f32),
+    ) -> u64 {
+        let update = UpdateScheme::StochasticPulse { bl };
+        let cfg = TileConfig { update, drop_connect, ..fresh.cfg };
+        let mut oracle = fresh.clone();
+        oracle.cfg = cfg;
+        let xa: Vec<f32> = x.iter().copied().chain([bias]).collect();
+        for _ in 0..5 {
+            update_stochastic_reference(&mut oracle, delta, &xa, 0.02, bl);
+        }
+        let bits = |t: &AnalogTile| -> Vec<u32> {
+            t.array.weights_raw().iter().map(|w| w.to_bits()).collect()
+        };
+        for threads in [1, 3] {
+            let mut tile = fresh.clone();
+            tile.cfg = cfg;
+            enw_parallel::with_threads(threads, || {
+                for _ in 0..5 {
+                    tile.update_biased(delta, x, bias, 0.02);
+                }
+            });
+            let case = format!(
+                "{}x{} bl {bl} drop {drop_connect} bias {bias} at {threads} thread(s)",
+                delta.len(),
+                x.len()
+            );
+            assert_eq!(bits(&tile), bits(&oracle), "weights, {case}");
+            assert_eq!(tile.stats.pulses, oracle.stats.pulses, "pulses, {case}");
+            assert_eq!(tile.array.pulse_count(), oracle.array.pulse_count(), "array, {case}");
+            assert_eq!(tile.rng_state(), oracle.rng_state(), "tile rng, {case}");
+        }
+        oracle.stats.pulses
+    }
+
+    #[test]
+    fn update_matches_the_list_based_reference_bit_for_bit() {
+        // Drives with exact zeros (inactive lines), saturating entries
+        // (p = 1.0), the smallest normal (a threshold of one count) and
+        // ordinary values; `zeros` silences a whole side, and both sides
+        // silent with the bias at 0.0 is an update with no draw but the
+        // row seeds.
+        let mixed = |n: usize| -> Vec<f32> {
+            let pattern = [0.4, 0.0, -1e6, f32::MIN_POSITIVE, -0.05, 0.9, 0.0, 3.0];
+            (0..n).map(|i| pattern[(i * 5 + i / 8) % pattern.len()]).collect()
+        };
+        let zeros = |n: usize| vec![0.0f32; n];
+        let mut pulses = 0;
+        // Up to 201 columns (four limbs) and past 64 rows (five row
+        // chunks); `bl` past 64 needs a second step-mask limb.
+        for (out, inp) in [(1, 1), (4, 9), (8, 10), (40, 24), (70, 130), (3, 200)] {
+            let drives = [
+                (mixed(out), mixed(inp), 1.0),
+                (mixed(out), mixed(inp), 0.0),
+                (zeros(out), mixed(inp), 1.0),
+                (mixed(out), zeros(inp), 1.0),
+                (zeros(out), zeros(inp), 0.0),
+            ];
+            for spec in [devices::ideal(2000), devices::rram(), devices::ecram()] {
+                let fresh =
+                    AnalogTile::new(out, inp, &spec, TileConfig::ideal(), &mut Rng64::new(33));
+                for bl in [1, 31, 64, 65, 100] {
+                    for (delta, x, bias) in &drives {
+                        for drop_connect in [0.0, 0.3] {
+                            pulses += assert_update_matches_reference(
+                                &fresh,
+                                (bl, drop_connect),
+                                (delta, x, *bias),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pulses > 100_000, "the sweep must fire: {pulses} pulses");
+    }
+
+    #[test]
+    fn threshold_compare_is_the_float_compare() {
+        // `Rng64::bernoulli(p)` on the output whose top 53 bits are `k`.
+        let float_compare = |k: u64, p: f32| (k as f64 * (1.0 / (1u64 << 53) as f64)) < p as f64;
+        let top = (1u64 << 53) - 1;
+        let mut rng = Rng64::new(53);
+        let mut ps = vec![
+            1.0,
+            f32::from_bits(1.0f32.to_bits() - 1),
+            0.5,
+            1.0 / 3.0,
+            f32::EPSILON,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+        ];
+        // Every binade of (0, 1] many times over, subnormals included.
+        ps.extend((0..20_000).map(|_| f32::from_bits(rng.below(0x3f80_0000) as u32 + 1)));
+        let mut fired = 0u64;
+        for p in ps {
+            let thr = pulse_threshold(p);
+            assert!((1..=top + 1).contains(&thr), "p = {p:e}");
+            let around = [0, thr - 1, thr.min(top), (thr + 1).min(top), top];
+            let random =
+                [rng.next_u64() >> 11, rng.next_u64() >> 11, rng.below(thr as usize) as u64];
+            for k in around.into_iter().chain(random) {
+                assert_eq!(k < thr, float_compare(k, p), "p = {p:e}, k = {k}");
+                fired += u64::from(k < thr);
+            }
+        }
+        assert!(fired > 40_000, "the sweep must see both outcomes");
     }
 
     #[test]

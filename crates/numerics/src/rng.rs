@@ -418,6 +418,17 @@ mod tests {
     }
 
     #[test]
+    fn fork_is_new_of_the_next_output() {
+        // `AnalogTile`'s update keeps a row's stream as this one output
+        // and expands it only if the row fires.
+        let mut parent = Rng64::new(42);
+        let mut twin = parent.clone();
+        let child = parent.fork();
+        assert_eq!(child, Rng64::new(twin.next_u64()));
+        assert_eq!(parent, twin, "a fork costs the parent exactly one output");
+    }
+
+    #[test]
     fn fork_produces_independent_stream() {
         let mut a = Rng64::new(42);
         let mut child = a.fork();

@@ -138,7 +138,11 @@ impl<T> DataPtr<T> {
 /// unless multiple threads are available, we are not already inside a
 /// pool worker, and there is more than one chunk to hand out.
 fn job_slots(nchunks: usize) -> usize {
-    if pool::is_pool_worker() {
+    // The chunk count decides first: `max_threads` reads `ENW_THREADS`,
+    // a lock and a `String` that a zero-alloc caller dispatching one
+    // chunk (every update of a tile of at most one row chunk) must not
+    // pay per call.
+    if nchunks <= 1 || pool::is_pool_worker() {
         return 1;
     }
     max_threads().min(nchunks).max(1)

@@ -27,6 +27,11 @@ echo "== enw gate (paper pins + every smoke experiment; each gate asserted in Ru
 # artifacts, and exits 1 naming every failed gate.
 cargo run --release -q -p enw-bench --bin enw -- gate
 
+echo "== enw run E21 --smoke with ENW_THREADS set (zero-alloc must hold under the variable) =="
+# A single-chunk dispatch must not read the variable (a lock and a
+# `String` per tile update): exits 1 on E21's zero-alloc gate if it does.
+ENW_THREADS=2 cargo run --release -q -p enw-bench --bin enw -- run E21 --smoke >/dev/null
+
 if [[ "${1:-}" == "--full" ]]; then
     echo "== cargo test -q --features proptest (property suites) =="
     cargo test -q --features proptest
