@@ -22,7 +22,7 @@ use enw_core::crossbar::tile::{AnalogTile, TileConfig};
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
 use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::rng::Rng64;
-use enw_core::parallel::scratch;
+use enw_core::parallel::{self, scratch};
 use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
 use enw_core::recsys::trace::TraceGenerator;
 use enw_core::report::Table;
@@ -154,14 +154,7 @@ fn lane_cam_mann(iters: usize) -> Lane {
 /// `predict_query`.
 fn lane_recsys(iters: usize) -> Lane {
     let mut rng = Rng64::new(SEED);
-    let cfg = RecModelConfig {
-        dense_features: 16,
-        bottom_mlp: vec![32, 16],
-        tables: vec![(1000, 4); 4],
-        embedding_dim: 16,
-        top_mlp: vec![32],
-        interaction: Interaction::DotPairwise,
-    };
+    let cfg = recsys_cfg();
     let mut model = RecModel::new(&cfg, &mut rng);
     let gen = TraceGenerator::new(&cfg, 1.0);
     let q = gen.query(&mut rng);
@@ -179,6 +172,35 @@ fn lane_recsys(iters: usize) -> Lane {
     let b = model.predict_query(&q);
     assert!(a.to_bits() == b.to_bits(), "pooled and fused predictions diverged");
     Lane { name: "recsys", before, after }
+}
+
+fn recsys_cfg() -> RecModelConfig {
+    RecModelConfig {
+        dense_features: 16,
+        bottom_mlp: vec![32, 16],
+        tables: vec![(1000, 4); 4],
+        embedding_dim: 16,
+        top_mlp: vec![32],
+        interaction: Interaction::DotPairwise,
+    }
+}
+
+/// Allocations of one warm `predict_batch_into` over a full block of
+/// 256 queries at one thread: the batched path's block matrices and
+/// packed weights all come from the scratch pools, so the count is 0.
+fn recsys_batch_allocs() -> u64 {
+    let mut rng = Rng64::new(SEED);
+    let cfg = recsys_cfg();
+    let model = RecModel::new(&cfg, &mut rng);
+    let queries = TraceGenerator::new(&cfg, 1.0).batch(256, &mut rng);
+    let mut ctrs = vec![0.0f32; queries.len()];
+    parallel::with_threads(1, || {
+        model.predict_batch_into(&queries, &mut ctrs);
+        let before = alloc_audit::thread_snapshot();
+        model.predict_batch_into(&queries, &mut ctrs);
+        black_box(&ctrs);
+        alloc_audit::thread_snapshot().since(before).allocs
+    })
 }
 
 struct ServeCheck {
@@ -354,4 +376,14 @@ pub fn run(run: &mut Run) {
     println!("output arenas make the marginal allocation price of a request zero, so tail");
     println!("latency cannot inherit allocator jitter. Outputs stay bit-identical to the");
     println!("allocating APIs (asserted above), preserving the determinism contract.");
+
+    // Last, so its own set-up shows in none of the totals printed above.
+    let batch_allocs = recsys_batch_allocs();
+    run.gate(
+        "recsys_batch_zero_alloc",
+        batch_allocs == 0,
+        format!(
+            "a warm 256-query predict_batch_into at one thread made {batch_allocs} allocations"
+        ),
+    );
 }

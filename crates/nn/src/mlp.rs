@@ -119,6 +119,42 @@ impl Mlp<DigitalLinear> {
             .collect();
         Mlp { layers }
     }
+
+    /// [`predict_into`](Mlp::predict_into) for a whole batch: `xs` is
+    /// `b × in_dim` row-major, `out` is `b × out_dim` and fully
+    /// overwritten with the logits of every row — bit for bit what `b`
+    /// `predict_into` calls write. Each layer runs once over the batch
+    /// ([`DigitalLinear::forward_batch_into`]); activations ping-pong
+    /// through two scratch matrices, so a warm call allocates nothing.
+    /// `&self`: exact weights are not consumed by a read, so threads may
+    /// share one stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len()` is not a multiple of `in_dim()` or
+    /// `out.len() != (xs.len() / in_dim()) * out_dim()`.
+    // enw:hot
+    pub fn predict_batch_into(&self, xs: &[f32], out: &mut [f32]) {
+        let run = |layer: &DenseLayer<DigitalLinear>, x: &[f32], y: &mut [f32]| {
+            layer.backend().forward_batch_into(x, y);
+            layer.activation().apply_slice(y);
+        };
+        let Some((last, hidden)) = self.layers.split_last() else { return };
+        let Some((first, middle)) = hidden.split_first() else { return run(last, xs, out) };
+        let b = xs.len() / self.in_dim();
+        let widest = hidden.iter().map(|l| l.out_dim()).max().unwrap_or(0);
+        let mut cur = enw_parallel::scratch::take_f32(b * widest);
+        let mut nxt = enw_parallel::scratch::take_f32(b * widest);
+        let mut cur_len = b * first.out_dim();
+        run(first, xs, &mut cur[..cur_len]);
+        for layer in middle {
+            let len = b * layer.out_dim();
+            run(layer, &cur[..cur_len], &mut nxt[..len]);
+            std::mem::swap(&mut cur, &mut nxt);
+            cur_len = len;
+        }
+        run(last, &cur[..cur_len], out);
+    }
 }
 
 impl<B: LinearBackend> Mlp<B> {
@@ -301,6 +337,26 @@ mod tests {
         mlp.train_sgd(&data.train, &SgdConfig { epochs: 15, learning_rate: 0.05 }, &mut rng);
         let acc = mlp.evaluate(&data.test);
         assert!(acc > 0.9, "accuracy {acc}");
+    }
+
+    #[test]
+    fn predict_batch_matches_predict_into_bitwise() {
+        let mut rng = Rng64::new(4);
+        for dims in [&[6, 3][..], &[6, 16, 1], &[5, 9, 12, 4]] {
+            let mut mlp = Mlp::digital(dims, Activation::Relu, &mut rng);
+            let (in_dim, out_dim) = (mlp.in_dim(), mlp.out_dim());
+            for b in [0usize, 1, 3, 4, 5, 33] {
+                let xs: Vec<f32> = (0..b * in_dim).map(|_| rng.uniform_f32() - 0.5).collect();
+                let mut want = vec![f32::NAN; b * out_dim];
+                for (x, y) in xs.chunks_exact(in_dim).zip(want.chunks_exact_mut(out_dim)) {
+                    mlp.predict_into(x, y);
+                }
+                let mut got = vec![f32::NAN; b * out_dim];
+                mlp.predict_batch_into(&xs, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{dims:?}, b = {b}");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //! (chain order untouched, so again bitwise equal to the one-row loop),
 //! and one thread already streams at the host's memory bandwidth
 //! (`ROADMAP.md` item 3b has the measurements).
+//! [`Matrix::matvec_batch_into`] is `matvec` for many inputs at once:
+//! the same chains, run inputs abreast through the register tile
+//! `matmul` uses (the private `tile_fold`), so a caller holding a batch
+//! reuses each weight across inputs instead of re-reading the matrix
+//! per input.
 //!
 //! # Zero-skip fast path
 //!
@@ -32,7 +37,9 @@
 //! sparse gradients cannot resurrect `Inf`/`NaN` garbage stored in
 //! masked-out weights. Every kernel shares the rule through
 //! [`skip_zero_coeff`], which is what keeps the naive and blocked
-//! `matmul` paths bit-identical on inputs containing zeros.
+//! `matmul` paths bit-identical on inputs containing zeros. `matvec` and
+//! `matvec_batch_into` have no coefficient side and skip nothing: there
+//! `0.0 × ∞` is the NaN IEEE says it is.
 
 use crate::rng::Rng64;
 use crate::scan::scan_rows;
@@ -66,14 +73,71 @@ const MATMUL_NC: usize = 512;
 
 /// Register-tile shape of the matmul microkernel: `MATMUL_MR` output
 /// rows × `MATMUL_NR` output columns are accumulated in locals across a
-/// whole k-panel, so each `B` row load feeds `MATMUL_MR` rows' FMAs and
-/// the output is touched once per panel instead of once per `k` step.
-/// 4×16 keeps the accumulator tile at 8 eight-lane vectors — within the
-/// 16 architectural AVX2 registers with room for the `B` row — and the
-/// fixed-size inner loops are what lets the autovectorizer emit packed
-/// fma without a gather.
+/// whole k-panel, so each `B` row load feeds `MATMUL_MR` rows' multiply–
+/// adds and the output is touched once per panel instead of once per
+/// `k` step; the fixed-size inner loops are what lets the autovectorizer
+/// emit packed mul + add without a gather. On the default x86-64 build
+/// (SSE2: four lanes, sixteen registers) the 4×16 tile is sixteen
+/// vectors — every register, not the eight of an AVX2 build. The skip
+/// branch turns each row's update into its own short loop, which keeps
+/// that affordable: 4×8 measured the same 35–39 GFLOP/s at n = 512.
 const MATMUL_MR: usize = 4;
 const MATMUL_NR: usize = 16;
+
+/// Tile shape of [`Matrix::matvec_batch_into`]: `BATCH_MR` inputs ×
+/// `BATCH_NR` outputs. Its fold has no branch, so the whole tile must
+/// stay in registers: eight accumulator vectors, two for the weight
+/// strip and a broadcast fit SSE2's sixteen (12–13 GMAC/s on the
+/// reference host); at 4×16 the accumulators spill and it runs at 2.
+const BATCH_MR: usize = 4;
+const BATCH_NR: usize = 8;
+
+/// The register-tile fold both product kernels run: for each `k` of a
+/// k-major `panel` (`N` values per step) and each of the `M` coefficient
+/// rows, `acc[m][j] += coeff[m][k] · panel[k][j]` — per accumulator one
+/// ascending-`k` chain, the order every kernel in this module promises.
+/// `SKIP` compiles the [zero-skip rule](skip_zero_coeff) in (`matmul`)
+/// or out (`matvec_batch_into`, whose definition is `matvec_into`). The
+/// tile goes in and out by value so it lives in registers in between.
+#[inline(always)]
+fn tile_fold<const M: usize, const N: usize, const SKIP: bool>(
+    coeffs: [&[f32]; M],
+    panel: &[f32],
+    mut acc: [[f32; N]; M],
+) -> [[f32; N]; M] {
+    let (steps, _) = panel.as_chunks::<N>();
+    // One length for every operand, so the `k` index needs no check.
+    let coeffs = coeffs.map(|c| &c[..steps.len()]);
+    for (k, bk) in steps.iter().enumerate() {
+        for (accr, c) in acc.iter_mut().zip(coeffs) {
+            let c = c[k];
+            if SKIP && skip_zero_coeff(c) {
+                continue;
+            }
+            for (a, b) in accr.iter_mut().zip(bk) {
+                *a += c * b;
+            }
+        }
+    }
+    acc
+}
+
+/// `M` inputs of [`Matrix::matvec_batch_into`] against every packed
+/// strip: `x` is the `M` input rows back to back, `out` their `M` output
+/// rows, `packed` the k-major `BATCH_NR`-wide strips of `Wᵀ`. Each tile
+/// starts from `+0.0` and stores only the lanes that are real outputs.
+#[inline(always)]
+fn batch_tile<const M: usize>(packed: &[f32], x: &[f32], out: &mut [f32]) {
+    let (cols, rows) = (x.len() / M, out.len() / M);
+    let x_rows: [&[f32]; M] = std::array::from_fn(|m| &x[m * cols..(m + 1) * cols]);
+    for (s, panel) in packed.chunks_exact(cols * BATCH_NR).enumerate() {
+        let acc = tile_fold::<M, BATCH_NR, false>(x_rows, panel, [[0.0f32; BATCH_NR]; M]);
+        let (lo, hi) = (s * BATCH_NR, rows.min((s + 1) * BATCH_NR));
+        for (out_row, acc_row) in out.chunks_exact_mut(rows).zip(&acc) {
+            out_row[lo..hi].copy_from_slice(&acc_row[..hi - lo]);
+        }
+    }
+}
 
 /// Cap on parallel `matmul` row chunks. Every chunk streams the whole
 /// `B` panel set once, so chunk count is a direct multiplier on `B`
@@ -531,11 +595,11 @@ impl Matrix {
     /// NR-contiguous per-worker copy of `B`'s panel — see
     /// [`matmul_block_rows`](Matrix::matmul_block_rows)); the column
     /// remainder reads `b` directly. The accumulator tile is loaded from
-    /// the output once per strip, updated in locals for the whole panel
-    /// (fixed-size inner loops the autovectorizer turns into packed
-    /// fma), and stored back once. Per output element the term order is
-    /// ascending `k` with the per-coefficient zero skip — exactly the
-    /// naive kernel's fold, so the bits match.
+    /// the output once per strip, folded over the whole panel by
+    /// [`tile_fold`] with the zero skip compiled in, and stored back
+    /// once. Per output element the term order is ascending `k` with the
+    /// per-coefficient zero skip — exactly the naive kernel's fold, so
+    /// the bits match.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn matmul_microkernel_mr_nr(
@@ -551,10 +615,8 @@ impl Matrix {
     ) {
         let k = self.cols;
         let kc = ks.end - ks.start;
-        let a0 = &self.data[i * k..(i + 1) * k];
-        let a1 = &self.data[(i + 1) * k..(i + 2) * k];
-        let a2 = &self.data[(i + 2) * k..(i + 3) * k];
-        let a3 = &self.data[(i + 3) * k..(i + 4) * k];
+        let a: [&[f32]; MATMUL_MR] =
+            std::array::from_fn(|r| &self.data[(i + r) * k + ks.start..(i + r) * k + ks.end]);
         let mut j = js.start;
         let mut strip = 0;
         while j + MATMUL_NR <= js.end {
@@ -563,29 +625,7 @@ impl Matrix {
             for (r, accr) in acc.iter_mut().enumerate() {
                 accr.copy_from_slice(&out_rows[(oi + r) * n + j..(oi + r) * n + j + MATMUL_NR]);
             }
-            for (kk, bk) in (ks.start..ks.end).zip(panel.chunks_exact(MATMUL_NR)) {
-                let (c0, c1, c2, c3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                if !skip_zero_coeff(c0) {
-                    for (av, bv) in acc[0].iter_mut().zip(bk) {
-                        *av += c0 * bv;
-                    }
-                }
-                if !skip_zero_coeff(c1) {
-                    for (av, bv) in acc[1].iter_mut().zip(bk) {
-                        *av += c1 * bv;
-                    }
-                }
-                if !skip_zero_coeff(c2) {
-                    for (av, bv) in acc[2].iter_mut().zip(bk) {
-                        *av += c2 * bv;
-                    }
-                }
-                if !skip_zero_coeff(c3) {
-                    for (av, bv) in acc[3].iter_mut().zip(bk) {
-                        *av += c3 * bv;
-                    }
-                }
-            }
+            let acc = tile_fold::<MATMUL_MR, MATMUL_NR, true>(a, panel, acc);
             for (r, accr) in acc.iter().enumerate() {
                 out_rows[(oi + r) * n + j..(oi + r) * n + j + MATMUL_NR].copy_from_slice(accr);
             }
@@ -595,15 +635,64 @@ impl Matrix {
         // Column remainder (< NR wide): per-term axpy on the tail strip,
         // still ascending k per element.
         if j < js.end {
-            for (r, arow) in [a0, a1, a2, a3].into_iter().enumerate() {
+            for (r, arow) in a.into_iter().enumerate() {
                 let orow = &mut out_rows[(oi + r) * n + j..(oi + r) * n + js.end];
-                for kk in ks.start..ks.end {
-                    let av = arow[kk];
+                for (kk, &av) in (ks.start..ks.end).zip(arow) {
                     if !skip_zero_coeff(av) {
                         axpy_row(orow, av, &b[kk * n + j..kk * n + js.end]);
                     }
                 }
             }
+        }
+    }
+
+    /// [`matvec_into`](Matrix::matvec_into) for `b` inputs at once:
+    /// `xs` is `b × cols` row-major (one input per row) and `out` is
+    /// `b × rows`, fully overwritten with `out[q] = W · xs[q]`. Every
+    /// output element is the chain `matvec_into` writes — `0.0 +
+    /// w[r][0]·x[0] + w[r][1]·x[1] + …` in ascending `k`, no zero skip
+    /// (`0 × ∞` is NaN here as it is there) — and the call books one
+    /// `numerics/matvec` span per input, so a batch reads in a trace as
+    /// the `b` calls it replaces.
+    ///
+    /// The speed comes from running inputs abreast, not from touching a
+    /// chain: `Wᵀ` is packed once per call into 8-wide k-major strips
+    /// (lanes past the last row hold `0.0` and are never stored), and a
+    /// 4 × 8 accumulator tile reuses each packed weight across 4 inputs
+    /// and each input element across 8 outputs. The `b % 4` inputs left
+    /// over run the same fold one row high. Stays on the calling thread;
+    /// a caller with many blocks deals them out itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len()` is not a multiple of `cols` or
+    /// `out.len() != (xs.len() / cols) * rows`.
+    // enw:hot
+    pub fn matvec_batch_into(&self, xs: &[f32], out: &mut [f32]) {
+        let (rows, cols) = (self.rows, self.cols);
+        assert_eq!(xs.len() % cols, 0, "matvec batch input is not whole rows");
+        let b = xs.len() / cols;
+        assert_eq!(out.len(), b * rows, "matvec batch output dimension mismatch");
+        for _ in 0..b {
+            self.record_matvec_traffic();
+        }
+        let strip_len = cols * BATCH_NR;
+        let mut packed = enw_parallel::scratch::take_f32(rows.div_ceil(BATCH_NR) * strip_len);
+        for (strip, wrows) in packed.chunks_exact_mut(strip_len).zip(self.data.chunks(strip_len)) {
+            for (lane, wrow) in wrows.chunks_exact(cols).enumerate() {
+                for (dst, &w) in strip.iter_mut().skip(lane).step_by(BATCH_NR).zip(wrow) {
+                    *dst = w;
+                }
+            }
+        }
+        let mut x_tiles = xs.chunks_exact(BATCH_MR * cols);
+        let mut out_tiles = out.chunks_exact_mut(BATCH_MR * rows);
+        for (x, o) in x_tiles.by_ref().zip(out_tiles.by_ref()) {
+            batch_tile::<BATCH_MR>(&packed, x, o);
+        }
+        let out_rest = out_tiles.into_remainder().chunks_exact_mut(rows);
+        for (x, o) in x_tiles.remainder().chunks_exact(cols).zip(out_rest) {
+            batch_tile::<1>(&packed, x, o);
         }
     }
 
@@ -821,5 +910,88 @@ mod tests {
         w.set(1, 1, f32::NAN);
         let y = w.matvec_t(&[0.0, 0.0]);
         assert_eq!(y, vec![0.0; 3]);
+    }
+
+    /// Bit patterns with every NaN folded onto one: which operand's
+    /// payload a NaN result carries is the instruction selector's
+    /// choice, not part of the chain.
+    fn bits_nan_folded(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    /// `matvec_into` once per input row — the definition
+    /// `matvec_batch_into` must reproduce.
+    fn matvec_row_by_row(w: &Matrix, xs: &[f32]) -> Vec<f32> {
+        let mut out = vec![f32::NAN; xs.len() / w.cols() * w.rows()];
+        for (x, y) in xs.chunks_exact(w.cols()).zip(out.chunks_exact_mut(w.rows())) {
+            w.matvec_into(x, y);
+        }
+        out
+    }
+
+    #[test]
+    fn matvec_batch_matches_matvec_row_by_row_bitwise() {
+        // Output widths with and without a `BATCH_NR` remainder, a
+        // one-column matrix, and every batch size around the row tile.
+        let mut rng = Rng64::new(21);
+        for (rows, cols) in [(1, 5), (7, 5), (8, 33), (10, 1), (64, 65)] {
+            let w = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
+            for b in (0..=2 * BATCH_MR + 1).chain([33]) {
+                let xs: Vec<f32> = (0..b * cols).map(|_| rng.uniform_f32() - 0.5).collect();
+                let mut got = vec![f32::NAN; b * rows];
+                w.matvec_batch_into(&xs, &mut got);
+                assert_eq!(bits(&got), bits(&matvec_row_by_row(&w, &xs)), "{rows}x{cols}, b = {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn matvec_batch_keeps_every_term_of_the_chain() {
+        // Signed zeros, subnormals, infinities and NaN in both operands:
+        // a dropped `0 × inf` term, a reordered chain or an accumulator
+        // that starts at -0.0 all show in the bits.
+        const AWKWARD: [f32; 10] = [
+            0.0,
+            -0.0,
+            1.0e-40,
+            -3.0e-45,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -1.0,
+        ];
+        let mut rng = Rng64::new(22);
+        let mut draw = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| match rng.below(3) {
+                    0 => AWKWARD[rng.below(AWKWARD.len())],
+                    _ => rng.uniform_f32() - 0.5,
+                })
+                .collect()
+        };
+        let (mut nans, mut finite) = (0, 0);
+        for (rows, cols, b) in [(10, 6, 9), (1, 3, 5), (17, 2, 4)] {
+            let w = Matrix::from_vec(rows, cols, draw(rows * cols));
+            let xs = draw(b * cols);
+            let mut got = vec![f32::NAN; b * rows];
+            w.matvec_batch_into(&xs, &mut got);
+            let want = matvec_row_by_row(&w, &xs);
+            nans += want.iter().filter(|v| v.is_nan()).count();
+            finite += want.iter().filter(|v| v.is_finite()).count();
+            assert_eq!(bits_nan_folded(&got), bits_nan_folded(&want), "{rows}x{cols}, b = {b}");
+        }
+        assert!(nans > 10 && finite > 10, "{nans} NaN and {finite} finite outputs");
+        // The case that rules out the zero skip: 0 · inf is NaN, not 0.
+        let w = Matrix::from_rows(&[&[f32::INFINITY, 1.0]]);
+        let mut got = [0.0f32; 2];
+        w.matvec_batch_into(&[0.0, 1.0, -0.0, 1.0], &mut got);
+        assert!(got.iter().all(|v| v.is_nan()), "{got:?}");
+        // All-(-0.0) products sum to +0.0: the chain starts at +0.0.
+        let w = Matrix::from_rows(&[&[-0.0, -0.0]]);
+        let mut got = [f32::NAN; 5];
+        w.matvec_batch_into(&[1.0; 10], &mut got);
+        assert_eq!(bits(&got), bits(&[0.0; 5]));
     }
 }

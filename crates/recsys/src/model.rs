@@ -14,26 +14,25 @@ use enw_nn::mlp::Mlp;
 use enw_nn::DigitalLinear;
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
+use std::borrow::Borrow;
 
-/// Embedding tables handled per parallel chunk when pooling a query's
-/// sparse features. One table per chunk: pooling work is very uneven
-/// across tables (lookup counts differ), so fine chunks balance best.
-const PAR_TABLE_CHUNK: usize = 1;
-
-/// Work units charged per gathered element (`lookups × embedding_dim`)
-/// when gating the multi-table pool through
-/// `enw_parallel::plan_chunks`: index decode, row load, accumulate and
-/// store are all memory-bound, so one element costs a few units, not
-/// one.
-const GATHER_WORK_PER_ELEM: usize = 4;
-
-/// Queries handled per parallel chunk in [`RecModel::predict_batch`].
-const PAR_BATCH_CHUNK: usize = 8;
+/// Queries per block of [`RecModel::predict_batch_into`]: the unit the
+/// MLP stacks run over as one matrix and the unit dealt to a thread.
+/// 256 rows of the widest activation matrix stay inside L2 beside the
+/// packed weights, and amortise the per-layer weight packing to under a
+/// percent; 64 measured about 5 % slower on the `recsys_embed` shape.
+const BATCH_BLOCK: usize = 256;
 
 /// How many lookups ahead [`EmbeddingTable::lookup_pool`] prefetches.
 /// Swept on the reference host: 8 hides most of the random-row DRAM
 /// latency without evicting rows before use.
 const PF_DISTANCE: usize = 8;
+
+/// The logistic link from the top stack's logit to a click-through rate.
+#[inline]
+fn sigmoid(logit: f32) -> f32 {
+    1.0 / (1.0 + (-logit).exp())
+}
 
 /// One embedding table: `rows × dim` learned latent vectors addressed by
 /// categorical indices.
@@ -495,76 +494,58 @@ impl RecModel {
         self.tables.iter().map(|t| t.bytes()).sum()
     }
 
-    /// Predicted click-through rate for one query.
+    /// Predicted click-through rate for one query — the definition the
+    /// batched path is held to. The dense latent, the pooled embeddings
+    /// (one flat `tables × dim` workspace) and the interaction vector
+    /// live in thread-local scratch buffers, so a warm call performs no
+    /// heap allocation. The tables are pooled in line, one after the
+    /// other: fanning a query's gathers out lost to the wake-up on every
+    /// shape measured (21 µs at one thread, 52 µs at two on
+    /// [`RecModelConfig::memory_bound`]).
     ///
     /// # Panics
     ///
     /// Panics if the feature counts don't match the configuration.
+    // enw:hot
     pub fn predict(&mut self, dense: &[f32], sparse: &[Vec<usize>]) -> f32 {
-        let gathered: usize = sparse.iter().map(Vec::len).sum::<usize>() * self.cfg.embedding_dim;
-        // Gate through the shared work-estimate model (per-item work =
-        // average gathered elements per table); chunking stays at
-        // `PAR_TABLE_CHUNK` tables because pooling work is uneven across
-        // tables and fine chunks balance best.
-        let per_table = GATHER_WORK_PER_ELEM * gathered / self.tables.len().max(1);
-        let parallel_pool = enw_parallel::plan_chunks(self.tables.len(), per_table).is_some();
-        Self::predict_core(
-            &self.cfg,
-            &self.tables,
-            &mut self.bottom,
-            &mut self.top,
-            dense,
-            sparse,
-            parallel_pool,
-        )
+        assert_eq!(dense.len(), self.cfg.dense_features, "dense feature count mismatch");
+        let dim = self.cfg.embedding_dim;
+        let mut dense_latent = enw_parallel::scratch::take_f32(dim);
+        self.bottom.predict_into(dense, &mut dense_latent);
+        let mut pooled = enw_parallel::scratch::take_f32(self.tables.len() * dim);
+        self.gather_pools_into(sparse, &mut pooled);
+        self.predict_tail(&dense_latent, &pooled)
     }
 
-    /// Shared inference core behind [`predict`](RecModel::predict) and
-    /// [`predict_batch`](RecModel::predict_batch). The dense latent, the
-    /// pooled embeddings (one flat `tables × dim` workspace) and the
-    /// interaction vector all live in thread-local scratch buffers, so a
-    /// warm steady-state call performs no heap allocation.
-    ///
-    /// With `parallel_pool` set, the per-table gathers fan out to worker
-    /// threads (the memory-bound regime: many tables, heavy pooling), one
-    /// table per disjoint window of the pooled workspace. Each table is
-    /// pooled by the same serial kernel either way, so the output is
-    /// bit-identical at any thread count.
-    // enw:hot
-    fn predict_core(
-        cfg: &RecModelConfig,
-        tables: &[EmbeddingTable],
-        bottom: &mut Mlp<DigitalLinear>,
-        top: &mut Mlp<DigitalLinear>,
-        dense: &[f32],
-        sparse: &[Vec<usize>],
-        parallel_pool: bool,
-    ) -> f32 {
-        assert_eq!(dense.len(), cfg.dense_features, "dense feature count mismatch");
-        assert_eq!(sparse.len(), tables.len(), "one index list per table");
-        let dim = cfg.embedding_dim;
-        let mut dense_latent = enw_parallel::scratch::take_f32(dim);
-        bottom.predict_into(dense, &mut dense_latent);
-        let mut pooled = enw_parallel::scratch::take_f32(tables.len() * dim);
-        if parallel_pool {
-            enw_parallel::run_chunks_mut(&mut pooled, PAR_TABLE_CHUNK * dim, |start, window| {
-                let t = start / dim;
-                tables[t].gather_pool_into(&sparse[t], window);
-            });
-        } else {
-            for ((table, idx), window) in tables.iter().zip(sparse).zip(pooled.chunks_mut(dim)) {
-                table.gather_pool_into(idx, window);
-            }
+    /// Pools every table's index list into its `dim`-wide window of the
+    /// flat `tables × dim` workspace `pooled`, in table order.
+    fn gather_pools_into(&self, sparse: &[Vec<usize>], pooled: &mut [f32]) {
+        assert_eq!(sparse.len(), self.tables.len(), "one index list per table");
+        let windows = pooled.chunks_exact_mut(self.cfg.embedding_dim);
+        for ((table, idx), window) in self.tables.iter().zip(sparse).zip(windows) {
+            table.gather_pool_into(idx, window);
         }
-        let mut interacted = enw_parallel::scratch::take_f32(Self::interaction_width(cfg));
-        Self::interact_into(cfg, &dense_latent, &pooled, &mut interacted);
-        let mut logit = enw_parallel::scratch::take_f32(1);
-        top.predict_into(&interacted, &mut logit);
+    }
+
+    /// The shared tail of [`predict`](RecModel::predict) and
+    /// [`predict_with_pooled`](RecModel::predict_with_pooled):
+    /// interaction, top stack, the `recsys/mlp` booking and the sigmoid.
+    fn predict_tail(&mut self, dense_latent: &[f32], pooled: &[f32]) -> f32 {
+        let mut interacted = enw_parallel::scratch::take_f32(Self::interaction_width(&self.cfg));
+        Self::interact_into(&self.cfg, dense_latent, pooled, &mut interacted);
+        let mut logit = [0.0f32];
+        self.top.predict_into(&interacted, &mut logit);
+        Self::book_mlp(&self.cfg);
+        let [logit] = logit;
+        sigmoid(logit)
+    }
+
+    /// Books one query's pass through both MLP stacks as `recsys/mlp`.
+    /// Weight traffic dominates MLP reads (one f32 per MAC); writes are
+    /// the per-layer activation vectors.
+    fn book_mlp(cfg: &RecModelConfig) {
         let work = Self::mlp_work(cfg);
-        // Weight traffic dominates MLP reads (one f32 per MAC); writes
-        // are the per-layer activation vectors.
         enw_trace::record_span_io("recsys/mlp", work, 4 * work, 4 * Self::mlp_out_elems(cfg));
-        1.0 / (1.0 + (-logit[0]).exp())
     }
 
     /// Elements written across both MLP stacks (per-layer activations
@@ -607,64 +588,107 @@ impl RecModel {
         self.predict(&q.dense, &q.sparse)
     }
 
-    /// Batched prediction: queries are split into fixed chunks and served
-    /// concurrently, each worker running on a clone of the (pure-inference)
-    /// MLP stacks while the embedding tables are shared read-only. Chunk
-    /// boundaries depend only on the batch size, so the returned CTRs are
-    /// bit-identical to calling [`RecModel::predict_query`] in a loop.
+    /// Batched prediction, allocating the result; see
+    /// [`predict_batch_into`](RecModel::predict_batch_into), which needs
+    /// only `&self` (this wrapper keeps the receiver its callers were
+    /// written against). The returned CTRs are bit-identical to calling
+    /// [`RecModel::predict_query`] in a loop.
     ///
     /// # Panics
     ///
     /// Panics if any query's feature counts mismatch the configuration.
-    pub fn predict_batch(&mut self, queries: &[SparseQuery]) -> Vec<f32> {
+    pub fn predict_batch<Q: Borrow<SparseQuery> + Sync>(&mut self, queries: &[Q]) -> Vec<f32> {
         let mut out = vec![0.0f32; queries.len()];
         self.predict_batch_into(queries, &mut out);
         out
     }
 
-    /// [`predict_batch`](RecModel::predict_batch) into a caller-owned
-    /// buffer (`out` is fully overwritten). Each worker clones the MLP
-    /// stacks once per chunk and reuses its thread-local scratch buffers
-    /// across every query in the chunk, so steady-state batched serving
-    /// allocates only the per-chunk stack clones.
+    /// Batched prediction into a caller-owned buffer (`out` is fully
+    /// overwritten): the batch is cut into blocks of 256 queries (a
+    /// private, shape-only constant), and within a block each MLP layer
+    /// runs once, over all the block's queries abreast, instead of once
+    /// per query. Every
+    /// CTR is bit-identical to [`RecModel::predict_query`]'s — the
+    /// batched layers keep each output's accumulation chain, the gathers
+    /// and the sigmoid are the same code — and the trace books what the
+    /// per-query loop books. Block boundaries depend only on the batch
+    /// size; `enw_parallel::plan_chunks` decides from the same shape
+    /// whether the blocks are dealt to the pool or run in line.
+    ///
+    /// `&self`: nothing in the model is consumed by a read, so every
+    /// thread works on the one set of weights; queries may be owned or
+    /// borrowed (`&[SparseQuery]`, `&[&SparseQuery]`). A warm call
+    /// allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != queries.len()` or any query's feature
     /// counts mismatch the configuration.
-    pub fn predict_batch_into(&mut self, queries: &[SparseQuery], out: &mut [f32]) {
+    pub fn predict_batch_into<Q: Borrow<SparseQuery> + Sync>(
+        &self,
+        queries: &[Q],
+        out: &mut [f32],
+    ) {
         assert_eq!(out.len(), queries.len(), "one output slot per query");
+        let block = |start: usize, ctrs: &mut [f32]| {
+            self.predict_block(&queries[start..start + ctrs.len()], ctrs);
+        };
         // Per-query work is dominated by the MLP stacks; the estimate is
         // config-derived so the gate (and thus the execution schedule) is
         // deterministic for a given model and batch size.
-        if enw_parallel::plan_chunks(queries.len(), Self::mlp_work(&self.cfg) as usize).is_none() {
-            for (slot, q) in out.iter_mut().zip(queries) {
-                *slot = self.predict_query(q);
+        if enw_parallel::plan_chunks(queries.len(), Self::mlp_work(&self.cfg) as usize).is_some() {
+            enw_parallel::run_chunks_mut(out, BATCH_BLOCK, block);
+        } else {
+            for (i, ctrs) in out.chunks_mut(BATCH_BLOCK).enumerate() {
+                block(i * BATCH_BLOCK, ctrs);
             }
-            return;
         }
+    }
+
+    /// One block of [`predict_batch_into`](RecModel::predict_batch_into):
+    /// the bottom stack over the block's dense features, every query's
+    /// gathers written into its row of the `block × interaction_width`
+    /// matrix, the top stack over that matrix into `ctrs`, the sigmoid
+    /// in place. All workspaces are thread-local scratch.
+    // enw:hot
+    fn predict_block<Q: Borrow<SparseQuery>>(&self, queries: &[Q], ctrs: &mut [f32]) {
         let cfg = &self.cfg;
-        let tables = &self.tables;
-        let bottom = &self.bottom;
-        let top = &self.top;
-        enw_parallel::run_chunks_mut(out, PAR_BATCH_CHUNK, |start, window| {
-            let mut bottom = bottom.clone();
-            let mut top = top.clone();
-            for (k, slot) in window.iter_mut().enumerate() {
-                let q = &queries[start + k];
-                // Per-query gathers stay serial here: the batch dimension
-                // already saturates the workers.
-                *slot = Self::predict_core(
-                    cfg,
-                    tables,
-                    &mut bottom,
-                    &mut top,
-                    &q.dense,
-                    &q.sparse,
-                    false,
-                );
-            }
+        let (features, dim) = (cfg.dense_features, cfg.embedding_dim);
+        let mut dense = enw_parallel::scratch::take_f32(queries.len() * features);
+        for (row, q) in dense.chunks_exact_mut(features).zip(queries) {
+            let q = q.borrow();
+            assert_eq!(q.dense.len(), features, "dense feature count mismatch");
+            row.copy_from_slice(&q.dense);
+        }
+        let mut latents = enw_parallel::scratch::take_f32(queries.len() * dim);
+        self.bottom.predict_batch_into(&dense, &mut latents);
+
+        let width = Self::interaction_width(cfg);
+        let mut interacted = enw_parallel::scratch::take_f32(queries.len() * width);
+        let mut pooled = enw_parallel::scratch::take_f32(match cfg.interaction {
+            Interaction::Concat => 0, // pooled straight into the row
+            Interaction::DotPairwise => self.tables.len() * dim,
         });
+        let rows = interacted.chunks_exact_mut(width).zip(latents.chunks_exact(dim));
+        for ((row, latent), q) in rows.zip(queries) {
+            let sparse = &q.borrow().sparse;
+            match cfg.interaction {
+                Interaction::Concat => {
+                    let (head, tail) = row.split_at_mut(dim);
+                    head.copy_from_slice(latent);
+                    self.gather_pools_into(sparse, tail);
+                }
+                Interaction::DotPairwise => {
+                    self.gather_pools_into(sparse, &mut pooled);
+                    Self::interact_into(cfg, latent, &pooled, row);
+                }
+            }
+        }
+        self.top.predict_batch_into(&interacted, ctrs);
+        for ctr in ctrs {
+            Self::book_mlp(cfg);
+            *ctr = sigmoid(*ctr);
+        }
     }
 
     /// Predicts from externally supplied pooled embedding vectors (one per
@@ -686,12 +710,7 @@ impl RecModel {
         }
         let mut dense_latent = enw_parallel::scratch::take_f32(dim);
         self.bottom.predict_into(dense, &mut dense_latent);
-        let mut interacted = enw_parallel::scratch::take_f32(Self::interaction_width(&self.cfg));
-        Self::interact_into(&self.cfg, &dense_latent, &flat, &mut interacted);
-        let mut logit = enw_parallel::scratch::take_f32(1);
-        self.top.predict_into(&interacted, &mut logit);
-        enw_trace::record_span("recsys/mlp", Self::mlp_work(&self.cfg));
-        1.0 / (1.0 + (-logit[0]).exp())
+        self.predict_tail(&dense_latent, &flat)
     }
 
     /// The [`Interaction`] operator into a caller-owned buffer (`out` is
@@ -856,6 +875,62 @@ mod tests {
             let batched = enw_parallel::with_threads(threads, || m.predict_batch(&queries));
             let bits: Vec<u32> = batched.iter().map(|v| v.to_bits()).collect();
             assert_eq!(serial, bits, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn predict_batch_into_matches_predict_query_around_every_block_edge() {
+        use crate::trace::TraceGenerator;
+        // Batch sizes on both sides of one and two block boundaries, both
+        // interaction operators, owned and borrowed queries, and thread
+        // counts that deal the blocks unevenly.
+        let sizes = [1, BATCH_BLOCK - 1, BATCH_BLOCK, BATCH_BLOCK + 1, 2 * BATCH_BLOCK + 3];
+        for interaction in [Interaction::Concat, Interaction::DotPairwise] {
+            let mut rng = Rng64::new(9);
+            let cfg = RecModelConfig {
+                tables: vec![(200, 3), (300, 9), (150, 1)],
+                top_mlp: vec![16, 5],
+                interaction,
+                ..tiny_cfg()
+            };
+            let mut m = RecModel::new(&cfg, &mut rng);
+            let queries = TraceGenerator::new(&cfg, 1.05).batch(2 * BATCH_BLOCK + 3, &mut rng);
+            let serial: Vec<u32> = queries.iter().map(|q| m.predict_query(q).to_bits()).collect();
+            let borrowed: Vec<&SparseQuery> = queries.iter().collect();
+            for n in sizes {
+                for threads in [1usize, 2, 3, 8] {
+                    let mut owned_out = vec![f32::NAN; n];
+                    let mut borrowed_out = vec![f32::NAN; n];
+                    enw_parallel::with_threads(threads, || {
+                        m.predict_batch_into(&queries[..n], &mut owned_out);
+                        m.predict_batch_into(&borrowed[..n], &mut borrowed_out);
+                    });
+                    for out in [owned_out, borrowed_out] {
+                        let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            serial[..n],
+                            bits,
+                            "{interaction:?}, n = {n}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predict_is_bitwise_the_same_at_any_thread_count() {
+        // `predict` pools its tables in line, so the thread count has
+        // nothing to act on — on the one preset shape whose gathers used
+        // to fan out (16 tables x 32 lookups x dim 32), shrunk in rows.
+        let mut rng = Rng64::new(10);
+        let cfg = RecModelConfig { tables: vec![(500, 32); 16], ..RecModelConfig::memory_bound() };
+        let mut m = RecModel::new(&cfg, &mut rng);
+        let q = crate::trace::TraceGenerator::new(&cfg, 1.0).query(&mut rng);
+        let at = |m: &mut RecModel, t| enw_parallel::with_threads(t, || m.predict_query(&q));
+        let serial = at(&mut m, 1).to_bits();
+        for threads in [2usize, 8] {
+            assert_eq!(at(&mut m, threads).to_bits(), serial, "threads = {threads}");
         }
     }
 

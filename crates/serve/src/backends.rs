@@ -399,11 +399,11 @@ impl Backend for RecsysBackend {
 
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
         out.clear();
-        // Small batches predict straight off the borrowed payloads — no
-        // query clones, and `predict` reuses thread-local scratch.
-        // Large batches clone the queries once into a contiguous slice so
-        // the batched predictor can fan chunks out to workers; both paths
-        // are bit-identical (the batched serial kernel is the same code).
+        // Small batches predict one query at a time; large ones hand the
+        // batched predictor the borrowed payloads (one pointer per
+        // request, no query clones), which runs the MLP stacks over whole
+        // blocks. Both paths are bit-identical by the predictor's
+        // contract.
         if parallel::plan_chunks(batch.len(), self.model.query_work() as usize).is_none() {
             for r in batch {
                 let q = r.payload.rec_query();
@@ -413,7 +413,7 @@ impl Backend for RecsysBackend {
             }
             return;
         }
-        let queries: Vec<_> = batch.iter().filter_map(|r| r.payload.rec_query()).cloned().collect();
+        let queries: Vec<_> = batch.iter().filter_map(|r| r.payload.rec_query()).collect();
         assert!(queries.len() == batch.len(), "recsys lane got a non-recsys payload");
         let mut ctrs = parallel::scratch::take_f32(queries.len());
         self.model.predict_batch_into(&queries, &mut ctrs);
