@@ -15,9 +15,8 @@
 //! * **Backward** — the transposed reads reduce per column block in
 //!   ascending row-block order, same discipline.
 //! * **Update** — every tile applies the stochastic pulse update to its
-//!   own shard concurrently; tiles own independent RNG streams (forked
-//!   in fixed grid order at construction), so the fan-out is
-//!   embarrassingly parallel *and* schedule-independent.
+//!   own shard; tiles own independent RNG streams (forked in fixed grid
+//!   order at construction), so no tile's draws depend on another's.
 //!
 //! **Bias ownership.** Every [`AnalogTile`] physically carries a bias
 //! column, but only the tiles in the **last** column block drive it
@@ -26,9 +25,11 @@
 //! layer therefore has exactly one bias term per output row, and a
 //! 1×1 grid is bit-identical to a monolithic [`AnalogTile`].
 //!
-//! Per-tile partial-sum buffers are persistent and the fan-out uses the
-//! result-free [`enw_parallel::run_chunks_mut`] entry point, so
-//! forward/backward/update are allocation-free in steady state.
+//! The grid is walked in line, one tile after another (a tile's own
+//! [`AnalogArray`](crate::array::AnalogArray) read still fans out when
+//! the tile is large enough), and the per-tile partial-sum buffers are
+//! persistent, so forward/backward/update are allocation-free in steady
+//! state.
 //!
 //! Checkpointing captures every bit of mutable state — conductances,
 //! per-tile RNG streams, pulse counters — via [`enw_nn::snapshot`], so a
@@ -110,8 +111,6 @@ pub struct TiledAnalogLayer {
     /// Grid cells in row-major order (row block outer, column block
     /// inner) — also the partial-sum reduction order.
     cells: Vec<TileCell>,
-    /// Work estimate per tile for the fan-out's parallel plan.
-    per_tile_work: usize,
 }
 
 impl TiledAnalogLayer {
@@ -190,14 +189,7 @@ impl TiledAnalogLayer {
             }
             cell.tile.program_effective(&target);
         }
-        Ok(TiledAnalogLayer {
-            out_dim,
-            in_dim,
-            grid_rows,
-            grid_cols,
-            cells,
-            per_tile_work: tiling.tile_rows * tiling.tile_cols,
-        })
+        Ok(TiledAnalogLayer { out_dim, in_dim, grid_rows, grid_cols, cells })
     }
 
     /// Grid shape `(row blocks, column blocks)`.
@@ -221,26 +213,6 @@ impl TiledAnalogLayer {
             total.pulses += s.pulses;
         }
         total
-    }
-
-    /// Runs `f` on every cell, fanned out over the worker pool when the
-    /// grid carries enough work ([`enw_parallel::plan_chunks`]). Cells
-    /// only touch their own tile + buffers and their own RNG streams,
-    /// so any schedule produces the same bits; the result-free fan-out
-    /// keeps the section allocation-free in steady state.
-    fn fan_out(&mut self, f: impl Fn(&mut TileCell) + Sync) {
-        match enw_parallel::plan_chunks(self.cells.len(), self.per_tile_work) {
-            Some(chunk) => enw_parallel::run_chunks_mut(&mut self.cells, chunk, |_, window| {
-                for cell in window.iter_mut() {
-                    f(cell);
-                }
-            }),
-            None => {
-                for cell in &mut self.cells {
-                    f(cell);
-                }
-            }
-        }
     }
 
     /// Serializes every bit of mutable state — per-tile conductances,
@@ -328,13 +300,11 @@ impl LinearBackend for TiledAnalogLayer {
     fn forward_into(&mut self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
         assert_eq!(out.len(), self.out_dim, "output dimension mismatch");
-        self.fan_out(|cell| {
+        for cell in &mut self.cells {
             let xs = &x[cell.col0..cell.col0 + cell.tile.in_dim()];
             let bias = if cell.owns_bias { 1.0 } else { 0.0 };
-            // Split borrow: the tile writes this cell's partial buffer.
-            let TileCell { tile, fwd, .. } = cell;
-            tile.forward_biased_into(xs, bias, fwd);
-        });
+            cell.tile.forward_biased_into(xs, bias, &mut cell.fwd);
+        }
         // Reduce per row block in ascending column-block order: the
         // first column block writes, later blocks accumulate. Fixed
         // association — bit-identical at any thread count, and a 1×1
@@ -357,11 +327,10 @@ impl LinearBackend for TiledAnalogLayer {
     fn backward_into(&mut self, delta: &[f32], out: &mut [f32]) {
         assert_eq!(delta.len(), self.out_dim, "gradient dimension mismatch");
         assert_eq!(out.len(), self.in_dim, "gradient output dimension mismatch");
-        self.fan_out(|cell| {
+        for cell in &mut self.cells {
             let ds = &delta[cell.row0..cell.row0 + cell.tile.out_dim()];
-            let TileCell { tile, bwd, .. } = cell;
-            tile.backward_into(ds, bwd);
-        });
+            cell.tile.backward_into(ds, &mut cell.bwd);
+        }
         // Reduce per column block in ascending row-block order (row
         // block 0 writes, later blocks accumulate) — the transposed
         // discipline of the forward reduction.
@@ -382,12 +351,12 @@ impl LinearBackend for TiledAnalogLayer {
     fn update(&mut self, delta: &[f32], x: &[f32], lr: f32) {
         assert_eq!(delta.len(), self.out_dim, "gradient dimension mismatch");
         assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
-        self.fan_out(|cell| {
+        for cell in &mut self.cells {
             let ds = &delta[cell.row0..cell.row0 + cell.tile.out_dim()];
             let xs = &x[cell.col0..cell.col0 + cell.tile.in_dim()];
             let bias = if cell.owns_bias { 1.0 } else { 0.0 };
             cell.tile.update_biased(ds, xs, bias, lr);
-        });
+        }
     }
 
     fn weights(&self) -> Matrix {

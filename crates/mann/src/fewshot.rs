@@ -110,87 +110,6 @@ pub fn evaluate<E: Embedder>(
     }
 }
 
-/// Episodes handled per parallel chunk in [`evaluate_par`]. One episode
-/// per chunk: each already embeds a full support/query set, and episode
-/// costs are even, so fine chunks balance best.
-const PAR_EPISODE_CHUNK: usize = 1;
-
-/// Parallel variant of [`evaluate`]: episodes are drawn serially up front
-/// on the caller's RNG — the exact stream the serial loop consumes — then
-/// embedded and classified concurrently on clones of the (pure-inference)
-/// embedder, in fixed per-episode chunks. The outcome is identical to
-/// [`evaluate`] at any thread count.
-///
-/// # Panics
-///
-/// Panics if the held-out class range is smaller than `sampler.n_way`.
-pub fn evaluate_par<E: Embedder + Clone + Send + Sync>(
-    net: &mut E,
-    domain: &FewShotDomain,
-    sampler: EpisodeSampler,
-    holdout_from: usize,
-    method: SearchMethod,
-    episodes: usize,
-    rng: &mut Rng64,
-) -> FewShotOutcome {
-    let holdout_classes = domain.num_classes() - holdout_from;
-    assert!(
-        holdout_classes >= sampler.n_way,
-        "only {holdout_classes} held-out classes for {}-way episodes",
-        sampler.n_way
-    );
-    let lsh = match method {
-        SearchMethod::Lsh { planes } => {
-            Some(RandomHyperplaneLsh::new(planes, net.embed_dim(), rng))
-        }
-        _ => None,
-    };
-    let drawn: Vec<Episode> =
-        (0..episodes).map(|_| sample_holdout_episode(domain, sampler, holdout_from, rng)).collect();
-    let run_episode = |net: &mut E, episode: &Episode| -> (usize, usize, u64) {
-        let support: Vec<(Vec<f32>, usize)> =
-            episode.support.iter().map(|(x, l)| (net.embed(x), *l)).collect();
-        let mut tally = (0usize, 0usize, 0u64);
-        for (xq, label) in &episode.query {
-            let q = net.embed(xq);
-            let (pred, n_searches) = classify(&q, &support, method, lsh.as_ref());
-            if pred == *label {
-                tally.0 += 1;
-            }
-            tally.1 += 1;
-            tally.2 += n_searches;
-        }
-        tally
-    };
-    // Per-episode work estimate for the shared `plan_chunks` gate: every
-    // sample is embedded (a network forward — at least `embed_dim` work
-    // per sample, usually far more) and every query is scored against
-    // every support embedding. Derived from the sampler configuration
-    // only, so the gate is deterministic for a given evaluation setup.
-    let samples = sampler.n_way * (sampler.k_shot + sampler.n_query);
-    let compares = sampler.n_way * sampler.n_query * sampler.n_way * sampler.k_shot;
-    let per_episode = (samples + compares) * net.embed_dim();
-    let tallies: Vec<(usize, usize, u64)> =
-        if enw_parallel::plan_chunks(drawn.len(), per_episode).is_some() {
-            let proto: &E = net;
-            enw_parallel::map_chunks(drawn.len(), PAR_EPISODE_CHUNK, |r| {
-                let mut worker_net = proto.clone();
-                r.map(|e| run_episode(&mut worker_net, &drawn[e])).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            drawn.iter().map(|e| run_episode(net, e)).collect()
-        };
-    let (correct, total, searches) =
-        tallies.into_iter().fold((0usize, 0usize, 0u64), |a, t| (a.0 + t.0, a.1 + t.1, a.2 + t.2));
-    FewShotOutcome {
-        accuracy: correct as f64 / total as f64,
-        searches_per_query: searches as f64 / total as f64,
-    }
-}
-
 /// Samples an episode restricted to the held-out classes.
 fn sample_holdout_episode(
     domain: &FewShotDomain,
@@ -469,24 +388,6 @@ mod tests {
             many.accuracy,
             few.accuracy
         );
-    }
-
-    #[test]
-    fn evaluate_par_matches_serial_evaluate_exactly() {
-        let (mut net, domain, _) = setup(5);
-        for method in [
-            SearchMethod::Exact(Similarity::Cosine),
-            SearchMethod::RangeEncoded { bits: 4 },
-            SearchMethod::Lsh { planes: 32 },
-        ] {
-            let serial = evaluate(&mut net, &domain, SAMPLER, 15, method, 10, &mut Rng64::new(11));
-            for threads in [1usize, 3, 8] {
-                let par = enw_parallel::with_threads(threads, || {
-                    evaluate_par(&mut net, &domain, SAMPLER, 15, method, 10, &mut Rng64::new(11))
-                });
-                assert_eq!(serial, par, "{method:?} at {threads} threads");
-            }
-        }
     }
 
     #[test]

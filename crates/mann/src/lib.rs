@@ -10,10 +10,6 @@
 //!
 //! * [`memory`] — the soft-read/soft-write attentional memory and the
 //!   similarity metrics (cosine vs. the CAM-friendly L1/L2/L∞ family).
-//! * [`ntm`] — Neural-Turing-Machine addressing (content + interpolation +
-//!   shift + sharpen).
-//! * [`tasks`] — algorithmic memory tasks (NTM copy, content-addressed
-//!   graph storage and traversal).
 //! * [`kv_memory`] — the key–value lifelong memory module with age-based
 //!   replacement used by one-shot learners.
 //! * [`embedding`] — background-trained feature embeddings (the CNN stand-
@@ -45,8 +41,6 @@ pub mod fewshot;
 pub mod kv_memory;
 pub mod lsh;
 pub mod memory;
-pub mod ntm;
-pub mod tasks;
 
 pub use embedding::{
     ConvEmbeddingNet, Embedder, EmbeddingConfig, EmbeddingConfigBuilder, EmbeddingNet,

@@ -20,7 +20,6 @@
 //!   embedding/controller networks the MANN sections rely on.
 //! * [`layer`] — a dense layer combining a backend with an activation.
 //! * [`mlp`] — multi-layer perceptrons with SGD training.
-//! * [`rnn`] — Elman recurrent networks with BPTT for sequence tasks.
 //! * [`quantized`] — reduced-precision inference with statistical weight
 //!   scaling and calibrated activation clipping (the 2-bit claim of
 //!   Sec. II).
@@ -31,7 +30,6 @@
 //!   generator (the workspace's MNIST substitute).
 //! * [`fewshot`] — Omniglot-style class generators and N-way K-shot
 //!   episode sampling.
-//! * [`metrics`] — accuracy and confusion-matrix helpers.
 //!
 //! # Example: train a tiny classifier
 //!
@@ -63,10 +61,8 @@ pub mod error;
 pub mod fewshot;
 pub mod layer;
 pub mod loss;
-pub mod metrics;
 pub mod mlp;
 pub mod quantized;
-pub mod rnn;
 pub mod snapshot;
 
 pub use activation::Activation;

@@ -1,13 +1,14 @@
 //! Dependency-free parallel runtime with deterministic chunked reduction.
 //!
-//! Every hot loop in the workspace — crossbar MVM rows, TCAM arrays in a
-//! bank, embedding tables, few-shot episodes — is data-parallel over an
-//! index range. This module runs such loops on a **persistent, lazily
-//! started worker pool** ([`pool`]): workers are spawned once on first
-//! use, park on a condvar between jobs, and keep their thread-local
-//! scratch pools warm, so the steady-state cost of a parallel section is
-//! an enqueue and an unpark — no thread spawn/join on the hot path. The
-//! runtime keeps a guarantee the numeric code depends on:
+//! The loops in the workspace that carry enough work to split — crossbar
+//! MVM rows and pulse updates, `matmul` row blocks, DLRM query blocks,
+//! design-space points — are data-parallel over an index range. This
+//! module runs such loops on a **persistent, lazily started worker
+//! pool** ([`pool`]): workers are spawned once on first use, park on a
+//! condvar between jobs, and keep their thread-local scratch pools warm,
+//! so the steady-state cost of a parallel section is an enqueue and an
+//! unpark — no thread spawn/join on the hot path. The runtime keeps a
+//! guarantee the numeric code depends on:
 //!
 //! **Determinism.** Work is split at *fixed chunk boundaries* derived
 //! only from the problem size and a caller-chosen chunk length — never
@@ -20,15 +21,16 @@
 //!
 //! **One work-estimate model.** [`plan_chunks`] is the single gate for
 //! "should this call go parallel, and at what granularity": it sizes
-//! chunks for [`TARGET_CHUNK_WORK`] abstract units and only returns a
-//! plan when the problem yields at least two such chunks. Kernels either
-//! get `None` (run serial) or a chunk size that is guaranteed to split —
-//! the gate and the granularity can no longer disagree.
+//! chunks for 2¹⁵ abstract work units and only returns a plan when the
+//! problem yields at least two such chunks. Kernels either get `None`
+//! (run serial) or a chunk size that is guaranteed to split — the gate
+//! and the granularity cannot disagree.
 //!
 //! The worker count comes from, in priority order:
 //! 1. a thread-local override installed by [`with_threads`] (used by
 //!    tests and the scaling experiment),
-//! 2. the `ENW_THREADS` environment variable,
+//! 2. the `ENW_THREADS` environment variable, as it stood at the first
+//!    dispatch (read once per process),
 //! 3. [`std::thread::available_parallelism`].
 //!
 //! With one worker every entry point degenerates to the plain serial
@@ -53,28 +55,32 @@ thread_local! {
 ///
 /// Resolution order: [`with_threads`] override, then `ENW_THREADS`
 /// (values that fail to parse, or `0`, are ignored), then the machine's
-/// available parallelism. Always at least 1.
+/// available parallelism; the last two are resolved at the first call
+/// and never again. Always at least 1.
 pub fn max_threads() -> usize {
-    if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
-        return n.max(1);
+    match THREAD_OVERRIDE.with(|o| o.get()) {
+        Some(n) => n.max(1),
+        None => ambient_threads(),
     }
-    if let Ok(v) = std::env::var("ENW_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    machine_parallelism()
 }
 
-/// [`std::thread::available_parallelism`], resolved once per process.
-/// The raw call re-reads cgroup quota files on Linux — several heap
-/// allocations and microseconds of syscalls — far too heavy for a
-/// per-kernel-dispatch gate.
-fn machine_parallelism() -> usize {
-    static MACHINE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *MACHINE.get_or_init(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+/// The worker count outside any [`with_threads`] scope, resolved once
+/// per process: the environment read is a lock and a `String`, and
+/// [`std::thread::available_parallelism`] re-reads cgroup quota files on
+/// Linux — both far too heavy for a per-kernel-dispatch gate. A process
+/// that wants another count later uses [`with_threads`].
+fn ambient_threads() -> usize {
+    static AMBIENT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *AMBIENT.get_or_init(|| {
+        parse_thread_count(std::env::var("ENW_THREADS").ok().as_deref())
+            .unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    })
+}
+
+/// The worker count an `ENW_THREADS` value asks for: a positive integer,
+/// surrounding whitespace allowed; anything else asks for nothing.
+fn parse_thread_count(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse().ok().filter(|&n| n >= 1)
 }
 
 /// Runs `f` with the worker count pinned to `n` on this thread.
@@ -138,11 +144,7 @@ impl<T> DataPtr<T> {
 /// unless multiple threads are available, we are not already inside a
 /// pool worker, and there is more than one chunk to hand out.
 fn job_slots(nchunks: usize) -> usize {
-    // The chunk count decides first: `max_threads` reads `ENW_THREADS`,
-    // a lock and a `String` that a zero-alloc caller dispatching one
-    // chunk (every update of a tile of at most one row chunk) must not
-    // pay per call.
-    if nchunks <= 1 || pool::is_pool_worker() {
+    if pool::is_pool_worker() {
         return 1;
     }
     max_threads().min(nchunks).max(1)
@@ -241,17 +243,16 @@ where
 /// aims for. Large enough to amortise chunk dispatch and the per-chunk
 /// result slot, small enough that a big kernel still splits into many
 /// chunks for load balancing.
-pub const TARGET_CHUNK_WORK: usize = 1 << 15;
+const TARGET_CHUNK_WORK: usize = 1 << 15;
 
 /// Sizes a chunk for `n` items that each cost roughly `work_per_item`
 /// abstract units (≈ scalar ops), targeting [`TARGET_CHUNK_WORK`] per
-/// chunk. The granularity half of [`plan_chunks`]; use that instead
-/// unless the call site has already decided to go parallel.
+/// chunk: the granularity half of [`plan_chunks`].
 ///
 /// The returned size depends only on the problem shape, never on the
 /// worker count, so chunk boundaries — and therefore reduction order —
 /// remain bit-deterministic at any `ENW_THREADS`.
-pub fn adaptive_chunk(n: usize, work_per_item: usize) -> usize {
+fn adaptive_chunk(n: usize, work_per_item: usize) -> usize {
     if n == 0 {
         return 1;
     }
@@ -265,13 +266,11 @@ pub fn adaptive_chunk(n: usize, work_per_item: usize) -> usize {
 ///
 /// The gate and the granularity share one model, so they cannot
 /// disagree: a plan is returned only when the total estimated work fills
-/// at least two [`TARGET_CHUNK_WORK`]-sized chunks, and the returned
-/// chunk size is exactly [`adaptive_chunk`]'s — by construction a `Some`
-/// always splits into ≥ 2 chunks. (The previous pair of independent
-/// heuristics, `should_parallelize` + `adaptive_chunk`, could pass the
-/// parallelize threshold yet produce a single chunk, paying dispatch for
-/// no split.) `None` also covers single-thread configurations and calls
-/// made from inside a pool worker (nested sections run serial inline).
+/// at least two chunks of 2¹⁵ units, and the returned chunk size is
+/// `min(n, 2¹⁵ / work_per_item)`, at least 1 — by construction a `Some`
+/// always splits into ≥ 2 chunks. `None` also covers single-thread
+/// configurations and calls made from inside a pool worker (nested
+/// sections run serial inline).
 ///
 /// The *decision* may depend on the thread count; the chunk *size* never
 /// does, so outputs stay bit-identical whichever branch runs.
@@ -281,7 +280,7 @@ pub fn plan_chunks(n: usize, work_per_item: usize) -> Option<usize> {
     }
     // Work check before the thread-count check: small loops bail out on
     // shape arithmetic alone, so sub-threshold hot paths (single-query
-    // inference, small tiles) never pay an env-var or `OnceLock` read.
+    // inference, small tiles) never pay a thread-local or `OnceLock` read.
     let total = n.saturating_mul(work_per_item.max(1));
     if total < 2 * TARGET_CHUNK_WORK {
         return None;
@@ -406,20 +405,18 @@ mod tests {
 
     #[test]
     fn env_var_sets_worker_count() {
-        // Process-global: this is the only test that touches ENW_THREADS.
-        std::env::set_var("ENW_THREADS", "1");
-        assert_eq!(max_threads(), 1);
-        std::env::set_var("ENW_THREADS", "6");
-        assert_eq!(max_threads(), 6);
-        // Garbage and zero fall back to the machine default.
-        std::env::set_var("ENW_THREADS", "zero");
-        assert!(max_threads() >= 1);
-        std::env::set_var("ENW_THREADS", "0");
-        assert!(max_threads() >= 1);
-        // The thread-local override outranks the environment.
-        std::env::set_var("ENW_THREADS", "4");
-        assert_eq!(with_threads(2, max_threads), 2);
-        std::env::remove_var("ENW_THREADS");
+        assert_eq!(parse_thread_count(Some("1")), Some(1));
+        assert_eq!(parse_thread_count(Some("6")), Some(6));
+        assert_eq!(parse_thread_count(Some(" 4 ")), Some(4));
+        // Garbage, zero and an unset variable fall back to the machine
+        // default.
+        assert_eq!(parse_thread_count(Some("zero")), None);
+        assert_eq!(parse_thread_count(Some("0")), None);
+        assert_eq!(parse_thread_count(None), None);
+        assert!(ambient_threads() >= 1);
+        // The thread-local override outranks whatever the process
+        // started with.
+        assert_eq!(with_threads(ambient_threads() + 1, max_threads), ambient_threads() + 1);
     }
 
     #[test]
@@ -492,11 +489,16 @@ mod tests {
 
     #[test]
     fn plan_chunks_is_none_inside_pool_workers() {
-        let plans: Vec<Option<usize>> =
-            with_threads(4, || pool::broadcast(|| plan_chunks(1 << 20, 64)));
-        assert!(plans[0].is_some(), "caller thread should plan");
-        assert!(plans.len() >= 2, "pool should have spawned workers");
-        assert!(plans[1..].iter().all(|p| p.is_none()), "workers must run nested loops serial");
+        // Four one-item chunks at four threads: chunk 0 runs on the
+        // caller, chunks 1..4 on pool workers.
+        let plans: Vec<(bool, Option<usize>)> = with_threads(4, || {
+            map_chunks(4, 1, |_| (pool::is_pool_worker(), plan_chunks(1 << 20, 64)))
+        });
+        assert!(!plans[0].0 && plans[0].1.is_some(), "caller thread should plan");
+        assert!(plans[1..].iter().any(|(worker, _)| *worker), "pool should have spawned workers");
+        for (worker, plan) in &plans[1..] {
+            assert!(!worker || plan.is_none(), "workers must run nested loops serial");
+        }
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl Pool {
             mb.wake.notify_one();
         }
     }
-
-    /// Number of workers currently spawned.
-    fn spawned(&'static self) -> usize {
-        self.mailboxes.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
 }
 
 fn worker_loop(mb: &'static Mailbox) {
@@ -268,51 +263,11 @@ pub(crate) fn run_job(slots: usize, run: &(dyn Fn(usize) + Sync)) {
 }
 
 /// Spawns (if necessary) `workers` pool workers without running a job —
-/// lets latency-sensitive callers (the serving runtime) pay thread
-/// start-up before the first request instead of inside it. A no-op for
-/// counts the pool already has.
+/// lets a caller that times parallel sections (E15's thread sweep) pay
+/// thread start-up before its first sample instead of inside it. A no-op
+/// for counts the pool already has.
 pub fn prewarm(workers: usize) {
     pool().ensure_workers(workers.saturating_sub(1));
-}
-
-/// Runs `f` on the calling thread **and** every currently spawned pool
-/// worker, returning the results in deterministic slot order (caller
-/// first, then workers by pool index). Used for pool-wide aggregation
-/// of thread-local state — e.g. [`crate::scratch::worker_stats`].
-///
-/// When called from inside a pool worker (where a broadcast would
-/// deadlock on its own mailbox) only the calling thread's value is
-/// returned.
-pub fn broadcast<R: Send>(f: impl Fn() -> R + Sync) -> Vec<R> {
-    let own = f();
-    if is_pool_worker() {
-        return vec![own];
-    }
-    let p = pool();
-    let n = p.spawned();
-    if n == 0 {
-        return vec![own];
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let slots_ref = &slots;
-    let f_ref = &f;
-    let run = move |slot: usize| {
-        if slot == 0 {
-            return; // the caller's value was taken before dispatch
-        }
-        *slots_ref[slot - 1].lock().unwrap_or_else(|e| e.into_inner()) = Some(f_ref());
-    };
-    run_job(n + 1, &run);
-    let mut out = Vec::with_capacity(n + 1);
-    out.push(own);
-    // Every dispatched slot is filled before `run_job` returns (a worker
-    // panic would have propagated there), so this drops nothing.
-    for s in slots {
-        if let Some(v) = s.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            out.push(v);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -374,23 +329,5 @@ mod tests {
             ok_ref.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ok.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn broadcast_covers_caller_and_all_workers() {
-        prewarm(4); // ensure at least 3 spawned workers
-        let results = broadcast(|| if is_pool_worker() { 1usize } else { 0usize });
-        assert!(results.len() >= 4, "caller + >=3 workers, got {}", results.len());
-        assert_eq!(results[0], 0, "slot 0 is the caller");
-        assert!(results[1..].iter().all(|&v| v == 1), "other slots are pool workers");
-    }
-
-    #[test]
-    fn nested_sections_detect_pool_context() {
-        let nested: Vec<bool> = broadcast(is_pool_worker);
-        assert!(!nested[0]);
-        // Inside a worker, nested parallel entry points must see
-        // is_pool_worker() == true and degrade to serial.
-        assert!(nested[1..].iter().all(|&v| v));
     }
 }

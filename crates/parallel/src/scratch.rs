@@ -198,22 +198,13 @@ scratch_pool!(
     "Pooled `u64`-word scratch buffer (bit-vector workspaces for CAM/TCAM kernels)."
 );
 
-impl PoolStats {
-    fn add(&mut self, s: PoolStats) {
-        self.checkouts += s.checkouts;
-        self.pool_hits += s.pool_hits;
-        self.fresh_allocs += s.fresh_allocs;
-    }
-}
-
 /// Combined checkout counters for this thread's three pools.
 ///
 /// **Calling-thread-only.** Scratch pools are `thread_local!`, and this
 /// function reads only the *calling* thread's counters. Kernels that ran
 /// on the persistent worker pool checked their scratch out on *worker*
 /// threads, which this function cannot see — after a parallel section it
-/// can legitimately report zero checkouts. Use [`worker_stats`] for the
-/// pool-wide picture.
+/// can legitimately report zero checkouts.
 pub fn thread_stats() -> PoolStats {
     let mut total = PoolStats::default();
     for s in [
@@ -228,42 +219,16 @@ pub fn thread_stats() -> PoolStats {
     total
 }
 
-/// Combined checkout counters across the calling thread **and every
-/// spawned pool worker**, summed in deterministic slot order (caller
-/// first, then workers by pool index).
-///
-/// This is what the E18 allocation audit reads after parallel sections:
-/// under the persistent pool, worker threads hold their own
-/// `thread_local!` pools, so [`thread_stats`] on the audit thread misses
-/// all checkouts that kernels performed on workers. The aggregation runs
-/// as a pool broadcast; from inside a pool worker it degrades to that
-/// worker's own counters.
-pub fn worker_stats() -> PoolStats {
-    let mut total = PoolStats::default();
-    for s in crate::pool::broadcast(thread_stats) {
-        total.add(s);
-    }
-    total
-}
-
 /// Drops every buffer retained by this thread's pools and zeroes the
 /// counters. Used by tests and the allocation audit to measure cold
 /// (first-touch) versus warm behaviour.
 ///
 /// **Calling-thread-only**, like [`thread_stats`]: buffers retained by
-/// persistent pool workers stay warm. Use [`reset_worker_pools`] to
-/// clear every worker's pools as well.
+/// persistent pool workers stay warm.
 pub fn reset_thread_pools() {
     POOL_F32.with(|p| p.borrow_mut().clear());
     POOL_USIZE.with(|p| p.borrow_mut().clear());
     POOL_BITS.with(|p| p.borrow_mut().clear());
-}
-
-/// [`reset_thread_pools`] on the calling thread **and every spawned pool
-/// worker** (a pool broadcast). Gives the allocation audit a genuinely
-/// cold start under the persistent pool.
-pub fn reset_worker_pools() {
-    crate::pool::broadcast(reset_thread_pools);
 }
 
 #[cfg(test)]
@@ -357,34 +322,6 @@ mod tests {
         assert_eq!(capacity_class(128), 7);
         assert_eq!(capacity_class(255), 7);
         assert_eq!(capacity_class(256), 8);
-    }
-
-    #[test]
-    fn worker_stats_see_pool_worker_checkouts() {
-        crate::with_threads(4, || {
-            reset_worker_pools();
-            // One scratch checkout per chunk; chunks land on pool
-            // workers that thread_stats (calling-thread-only) misses.
-            let worker_hits = crate::pool::broadcast(|| {
-                if crate::pool::is_pool_worker() {
-                    let g = take_f32(64);
-                    g.len() as u64
-                } else {
-                    0
-                }
-            });
-            let expected: u64 = worker_hits.iter().filter(|&&v| v > 0).count() as u64;
-            assert!(expected >= 1, "broadcast should have reached pool workers");
-            let local = thread_stats();
-            let global = worker_stats();
-            assert_eq!(
-                global.checkouts - local.checkouts,
-                expected,
-                "worker_stats must add exactly the worker-side checkouts"
-            );
-            reset_worker_pools();
-            assert_eq!(worker_stats(), PoolStats::default(), "reset must reach workers too");
-        });
     }
 
     #[test]

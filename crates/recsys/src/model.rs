@@ -573,16 +573,6 @@ impl RecModel {
         work + prev as u64 // final logit layer
     }
 
-    /// Deterministic per-query work estimate (the MLP multiply–
-    /// accumulates of [`mlp_work`](RecModel::mlp_work)) — the unit
-    /// [`predict_batch_into`](RecModel::predict_batch_into) feeds
-    /// `enw_parallel::plan_chunks`. Exposed so callers staging batches
-    /// for this model can consult the same gate before paying batch
-    /// set-up costs.
-    pub fn query_work(&self) -> u64 {
-        Self::mlp_work(&self.cfg)
-    }
-
     /// Convenience: predict from a generated [`SparseQuery`].
     pub fn predict_query(&mut self, q: &SparseQuery) -> f32 {
         self.predict(&q.dense, &q.sparse)

@@ -22,8 +22,9 @@ pub trait Backend {
     fn service_ns(&self, batch: usize) -> u64;
 
     /// Computes one output per request, in request order. Results must be
-    /// bit-identical at any `ENW_THREADS` setting (backends parallelize
-    /// only through `enw-parallel`'s fixed-chunk primitives).
+    /// bit-identical at any `ENW_THREADS` setting, and each output equal
+    /// to serving that request alone (the lanes in [`crate::backends`]
+    /// run one single-request kernel per request, in line).
     fn serve(&mut self, batch: &[Request]) -> Vec<Output>;
 
     /// [`serve`](Backend::serve) into a caller-owned output buffer (`out`

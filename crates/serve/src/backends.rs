@@ -13,6 +13,14 @@
 //! sizes) and the digital lane is the *provisioned fallback tier* — the
 //! degradation ladder of DESIGN.md falls back from analog-noisy to
 //! digital when deadlines are repeatedly missed.
+//!
+//! Every lane serves a batch as one single-request kernel call per
+//! request, in request order, on the calling thread, so an output never
+//! depends on what it was batched with. A serving batch is at most a few
+//! hundred small forwards — less than one worker wake-up — and handing
+//! recsys batches to `RecModel::predict_batch_into` measured 15 % slower
+//! end to end on `serve_node` (its per-call weight pack outweighs the
+//! register tile at 47–256 queries).
 
 use crate::backend::{Backend, ServiceModel};
 use crate::clock::ns_from_secs;
@@ -30,9 +38,6 @@ use enw_recsys::model::{RecModel, RecModelConfig};
 use enw_recsys::serving::batch_latency;
 use enw_recsys::trace::TraceGenerator;
 
-/// Requests per parallel chunk when an MLP lane fans a batch out.
-const PAR_CHUNK: usize = 8;
-
 /// Random post-training-like MLP weights for `dims` (values in
 /// `[-0.5, 0.5]`, inside the PCM programmable range), shared by the
 /// digital lane and the crossbar lane so both serve the *same* model.
@@ -41,9 +46,8 @@ pub fn ideal_layers(dims: &[usize], rng: &mut Rng64) -> Vec<Matrix> {
 }
 
 /// Forward pass through `layers` with ReLU between hidden layers (linear
-/// output). Purely `&self` so batches can fan out across workers. The
-/// per-layer activations ping-pong through thread-local scratch, so the
-/// only allocation is the returned score vector itself.
+/// output). The per-layer activations ping-pong through thread-local
+/// scratch, so the only allocation is the returned score vector itself.
 fn mlp_forward(layers: &[Matrix], x: &[f32]) -> Vec<f32> {
     let widest = layers.iter().map(Matrix::rows).max().unwrap_or(1).max(x.len());
     let mut cur = parallel::scratch::take_f32(widest);
@@ -66,35 +70,19 @@ fn mlp_forward(layers: &[Matrix], x: &[f32]) -> Vec<f32> {
 
 /// Serves a batch of feature-vector requests through shared read-only
 /// layers into a caller-owned output buffer (`out` is cleared, then
-/// refilled): fixed 8-request chunks fan out via `enw-parallel`, each
-/// chunk computed exactly as the serial loop would, so outputs are
-/// bit-identical at any thread count.
+/// refilled), one [`mlp_forward`] per request in batch order.
 fn mlp_serve_into(layers: &[Matrix], in_dim: usize, batch: &[Request], out: &mut Vec<Output>) {
     out.clear();
-    for r in batch {
+    out.extend(batch.iter().map(|r| {
         let f = r.payload.features();
         assert!(
             f.is_some(),
             "MLP lane got a non-feature payload: route requests to the station that generated them"
         );
-        let w = f.map_or(0, <[f32]>::len);
-        assert!(w == in_dim, "feature width {w} does not match lane input {in_dim}");
-    }
-    let feature = |i: usize| batch[i].payload.features().unwrap_or(&[]);
-    // Per-request work = the lane's MLP multiply–accumulates, so the
-    // shared `plan_chunks` gate sees the real batch cost.
-    let per_req: usize = layers.iter().map(|w| w.rows() * w.cols()).sum();
-    if parallel::plan_chunks(batch.len(), per_req).is_none() {
-        out.extend((0..batch.len()).map(|i| Output::Scores(mlp_forward(layers, feature(i)))));
-        return;
-    }
-    out.extend(
-        parallel::map_chunks(batch.len(), PAR_CHUNK, |r| {
-            r.map(|i| Output::Scores(mlp_forward(layers, feature(i)))).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten(),
-    );
+        let f = f.unwrap_or(&[]);
+        assert!(f.len() == in_dim, "feature width {} does not match lane input {in_dim}", f.len());
+        Output::Scores(mlp_forward(layers, f))
+    }));
 }
 
 /// Exact FP32 MLP inference on provisioned digital logic — the reference
@@ -399,25 +387,12 @@ impl Backend for RecsysBackend {
 
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
         out.clear();
-        // Small batches predict one query at a time; large ones hand the
-        // batched predictor the borrowed payloads (one pointer per
-        // request, no query clones), which runs the MLP stacks over whole
-        // blocks. Both paths are bit-identical by the predictor's
-        // contract.
-        if parallel::plan_chunks(batch.len(), self.model.query_work() as usize).is_none() {
-            for r in batch {
-                let q = r.payload.rec_query();
-                assert!(q.is_some(), "recsys lane got a non-recsys payload");
-                let Some(q) = q else { continue };
-                out.push(Output::Ctr(self.model.predict(&q.dense, &q.sparse)));
-            }
-            return;
+        for r in batch {
+            let q = r.payload.rec_query();
+            assert!(q.is_some(), "recsys lane got a non-recsys payload");
+            let Some(q) = q else { continue };
+            out.push(Output::Ctr(self.model.predict(&q.dense, &q.sparse)));
         }
-        let queries: Vec<_> = batch.iter().filter_map(|r| r.payload.rec_query()).collect();
-        assert!(queries.len() == batch.len(), "recsys lane got a non-recsys payload");
-        let mut ctrs = parallel::scratch::take_f32(queries.len());
-        self.model.predict_batch_into(&queries, &mut ctrs);
-        out.extend(ctrs.iter().copied().map(Output::Ctr));
     }
 
     fn make_payload(&self, rng: &mut Rng64) -> Payload {
@@ -474,16 +449,71 @@ mod tests {
         assert!(err < 2.0, "analog lane should still approximate the model, err={err}");
     }
 
+    /// Serves `n` of the lane's own payloads at 1, 2 and 8 threads; every
+    /// run must equal the one-thread run, which is returned with the
+    /// batch for the caller to compare against single-request calls.
+    fn serve_at_thread_counts(
+        lane: &mut dyn Backend,
+        n: u64,
+        rng: &mut Rng64,
+    ) -> (Vec<Request>, Vec<Output>) {
+        let batch: Vec<Request> = (0..n).map(|i| req(i, lane.make_payload(rng))).collect();
+        let serial = parallel::with_threads(1, || lane.serve(&batch));
+        assert_eq!(serial.len(), batch.len());
+        for t in [2, 8] {
+            let par = parallel::with_threads(t, || lane.serve(&batch));
+            assert_eq!(par, serial, "thread count {t} changed a batch of {n}");
+        }
+        (batch, serial)
+    }
+
+    /// From a single request to well past any preset `max_batch`.
+    const BATCH_SIZES: [u64; 4] = [1, 47, 256, 1024];
+
     #[test]
     fn mlp_batch_serving_is_thread_count_invariant() {
         let mut rng = Rng64::new(12);
         let ideal = ideal_layers(&[8, 16, 3], &mut rng);
-        let mut lane = DigitalBackend::from_layers("d", ideal, DigitalBackend::DEFAULT_MODEL);
-        let batch: Vec<Request> = (0..40).map(|i| req(i, lane.make_payload(&mut rng))).collect();
-        let serial = parallel::with_threads(1, || lane.serve(&batch));
-        for t in [2, 4, 8] {
-            let par = parallel::with_threads(t, || lane.serve(&batch));
-            assert_eq!(par, serial, "thread count {t} changed outputs");
+        let mut digital =
+            DigitalBackend::from_layers("d", ideal.clone(), DigitalBackend::DEFAULT_MODEL);
+        let mut analog = CrossbarBackend::program(
+            "x",
+            &ideal,
+            PcmConfig::projected(),
+            1e6,
+            CrossbarBackend::DEFAULT_MODEL,
+            &mut rng,
+        );
+        let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<u32>>();
+        for n in BATCH_SIZES {
+            for (layers, lane) in [
+                (digital.layers.clone(), &mut digital as &mut dyn Backend),
+                (analog.layers.clone(), &mut analog as &mut dyn Backend),
+            ] {
+                let (batch, served) = serve_at_thread_counts(lane, n, &mut rng);
+                for (r, o) in batch.iter().zip(&served) {
+                    let Output::Scores(scores) = o else { unreachable!("MLP lanes return scores") };
+                    let single = mlp_forward(&layers, r.payload.features().unwrap_or(&[]));
+                    assert_eq!(bits(scores), bits(&single), "request {} of {n}", r.id);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recsys_batch_serving_is_thread_count_invariant() {
+        let mut rng = Rng64::new(16);
+        let mut lane =
+            RecsysBackend::new("r", &small_rec_cfg(), 1.0, RooflineMachine::server_cpu(), &mut rng);
+        for n in BATCH_SIZES {
+            let (batch, served) = serve_at_thread_counts(&mut lane, n, &mut rng);
+            for (r, o) in batch.iter().zip(&served) {
+                let (Output::Ctr(ctr), Some(q)) = (o, r.payload.rec_query()) else {
+                    unreachable!("recsys lane serves rec payloads as CTRs")
+                };
+                let single = lane.model.predict(&q.dense, &q.sparse);
+                assert_eq!(ctr.to_bits(), single.to_bits(), "request {} of {n}", r.id);
+            }
         }
     }
 

@@ -26,10 +26,11 @@
 //! here may read `Instant`/`SystemTime` (enforced by `enw-analyze` rule
 //! ENW-D002). Service times come from analytic hardware models, batch
 //! composition from fixed FIFO/size/timeout rules, numeric outputs from
-//! `enw-parallel`'s fixed-chunk kernels, and load from a seeded
-//! generator — so one `(seed, spec)` pair names exactly one response
-//! stream, byte-identical across runs, hosts, and `ENW_THREADS`
-//! settings, including every p50/p95/p99 and shed-rate figure.
+//! per-request kernels run in batch order on the loop's own thread, and
+//! load from a seeded generator — so one `(seed, spec)` pair names
+//! exactly one response stream, byte-identical across runs, hosts, and
+//! `ENW_THREADS` settings, including every p50/p95/p99 and shed-rate
+//! figure.
 //! `enw run E16` in `enw-bench` sweeps QPS levels through this
 //! runtime and emits `BENCH_serving.json`.
 

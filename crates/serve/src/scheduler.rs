@@ -19,8 +19,8 @@
 //!    `max_batch` or the oldest request has waited `max_wait_ns`.
 //!    Requests whose deadline has already passed are `Shed` here,
 //!    unserved.
-//! 3. **Serve** — the active backend computes real outputs (through
-//!    `enw-parallel`'s fixed-chunk kernels) and prices the batch with
+//! 3. **Serve** — the active backend computes real outputs, one request
+//!    after another on the loop's own thread, and prices the batch with
 //!    its analytic service model; the station is busy until then.
 //! 4. **Complete** — responses are emitted; late ones count as deadline
 //!    misses and drive the degradation ladder (primary → fallback after
@@ -242,9 +242,6 @@ impl Server {
     }
 
     fn run_loop(mut self, expected: usize, reqs: impl Iterator<Item = Request>) -> RunReport {
-        // Spin up the shared worker pool before the first batch closes,
-        // so no serving-path latency sample pays thread start-up cost.
-        enw_parallel::prewarm(enw_parallel::max_threads());
         let mut reqs = reqs.peekable();
         let mut responses: Vec<Response> = Vec::with_capacity(expected);
         loop {

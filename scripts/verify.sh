@@ -27,10 +27,15 @@ echo "== enw gate (paper pins + every smoke experiment; each gate asserted in Ru
 # artifacts, and exits 1 naming every failed gate.
 cargo run --release -q -p enw-bench --bin enw -- gate
 
-echo "== enw run E21 --smoke with ENW_THREADS set (zero-alloc must hold under the variable) =="
-# A single-chunk dispatch must not read the variable (a lock and a
-# `String` per tile update): exits 1 on E21's zero-alloc gate if it does.
+echo "== ENW_THREADS: E21 --smoke zero-alloc under =2, E15 --smoke pinned by =1 =="
+# The variable is read once per process, never per dispatch: E21's
+# zero-alloc gate exits 1 if a tile update allocates with it set, and
+# E15 prints the worker count the process resolved.
 ENW_THREADS=2 cargo run --release -q -p enw-bench --bin enw -- run E21 --smoke >/dev/null
+# (no `grep -q`: it would close the pipe under E15's later prints)
+ENW_THREADS=1 cargo run --release -q -p enw-bench --bin enw -- run E15 --smoke \
+    | grep '^host threads: 1 ' >/dev/null \
+    || { echo "ENW_THREADS=1 did not pin E15 to one thread"; exit 1; }
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "== cargo test -q --features proptest (property suites) =="
@@ -58,6 +63,12 @@ echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tracked: workspace Rust lines (ROADMAP aim 2; no gate) =="
-git ls-files '*.rs' | xargs wc -l | tail -1
+# Test lines: every file under a tests/ or examples/ directory, plus
+# everything from a file's first `#[cfg(test)]` on.
+git ls-files '*.rs' | xargs awk '
+    FNR == 1 { in_test = (FILENAME ~ /(^|\/)(tests|examples)\//) }
+    /#\[cfg\(test\)\]/ { in_test = 1 }
+    { if (in_test) test++; else code++ }
+    END { printf "%d total = %d non-test + %d test\n", code + test, code, test }'
 
 echo "verify: OK"

@@ -131,7 +131,6 @@ proptest! {
 
 use enw_core::crossbar::devices::pcm::{PcmConfig, PcmPair};
 use enw_core::nn::conv::{ConvNet, ConvNetConfig, MapShape};
-use enw_core::nn::rnn::RnnClassifier;
 use enw_core::recsys::sequence::{InterestModel, InterestModelConfig};
 
 proptest! {
@@ -170,20 +169,6 @@ proptest! {
         let b = net.embed(&input);
         prop_assert_eq!(a.clone(), b);
         prop_assert!(a.iter().all(|v| (-1.0..=1.0).contains(v)));
-    }
-
-    /// RNN logits depend only on the sequence (stateless between calls),
-    /// and a longer prefix of distinct inputs changes them.
-    #[test]
-    fn rnn_is_stateless_between_calls(seed in any::<u64>(), len in 1usize..8) {
-        let mut rng = Rng64::new(seed);
-        let mut net = RnnClassifier::new(3, 6, 2, &mut rng);
-        let seq: Vec<Vec<f32>> = (0..len)
-            .map(|_| (0..3).map(|_| rng.range(-1.0, 1.0) as f32).collect())
-            .collect();
-        let a = net.predict(&seq);
-        let b = net.predict(&seq);
-        prop_assert_eq!(a, b);
     }
 
     /// Attention weights over any history form a distribution, and

@@ -333,27 +333,6 @@ fn lsh_tcam_agrees_with_cosine_on_separated_clusters() {
     }
 }
 
-/// Sec. I/III: the NTM machinery stores and recalls data structures —
-/// the copy task round-trips exactly and a stored graph is traversable
-/// by content addressing alone.
-#[test]
-fn ntm_tasks_round_trip() {
-    use enw_core::mann::tasks::{copy, GraphMemory};
-    let seq: Vec<Vec<f32>> = (0..10).map(|i| vec![i as f32 / 10.0; 6]).collect();
-    let out = copy(&seq, 16);
-    for (a, b) in out.iter().zip(&seq) {
-        for (x, y) in a.iter().zip(b) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-    let mut rng = Rng64::new(11);
-    let mut g = GraphMemory::new(6, 16, 24, &mut rng);
-    for (a, b) in [(0usize, 1usize), (1, 2), (2, 3), (3, 4), (4, 5)] {
-        g.add_edge(a, b);
-    }
-    assert_eq!(g.walk(0, 5), vec![0, 1, 2, 3, 4, 5]);
-}
-
 /// Sec. IV: a CNN embedding (the source papers' architecture) drives the
 /// same few-shot pipeline as the MLP embedding and beats chance.
 #[test]

@@ -18,7 +18,6 @@ use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::matrix::Matrix;
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel;
-use enw_core::recsys::model::EmbeddingTable;
 
 /// Worker counts exercised by every test: serial fallback, an uneven
 /// split, and more workers than most chunk counts.
@@ -96,46 +95,4 @@ fn parallel_tcam_bank_search_matches_serial_bitwise() {
     for threads in THREAD_COUNTS {
         assert_eq!(reference, run(threads), "threads = {threads}");
     }
-}
-
-#[test]
-fn parallel_embedding_gather_matches_serial_bitwise() {
-    let mut rng = Rng64::new(103);
-    let tables: Vec<EmbeddingTable> =
-        (0..6).map(|_| EmbeddingTable::random(512, 48, &mut rng)).collect();
-    let index_lists: Vec<Vec<usize>> =
-        (0..6).map(|_| (0..100).map(|_| rng.below(512)).collect()).collect();
-    let serial: Vec<Vec<f32>> =
-        tables.iter().zip(&index_lists).map(|(t, idx)| t.lookup_pool(idx)).collect();
-    for threads in THREAD_COUNTS {
-        // Fan the per-table gathers out exactly as RecModel::predict does.
-        let par: Vec<Vec<f32>> = parallel::with_threads(threads, || {
-            parallel::map_chunks(tables.len(), 1, |r| {
-                r.map(|t| tables[t].lookup_pool(&index_lists[t])).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        });
-        for (s, p) in serial.iter().zip(&par) {
-            assert_eq!(bits(s), bits(p), "threads = {threads}");
-        }
-    }
-}
-
-#[test]
-fn enw_threads_env_var_forces_serial_execution() {
-    // ENW_THREADS=1 must pin the worker count (and with_threads must
-    // override it in scoped sections). Env mutation is process-global, so
-    // this file must hold no other test that reads ENW_THREADS.
-    std::env::set_var("ENW_THREADS", "1");
-    assert_eq!(parallel::max_threads(), 1);
-    let mut rng = Rng64::new(104);
-    let a = Matrix::random_uniform(140, 120, -1.0, 1.0, &mut rng);
-    let b = Matrix::random_uniform(120, 100, -1.0, 1.0, &mut rng);
-    let pinned = a.matmul(&b); // serial under ENW_THREADS=1
-    let scoped = parallel::with_threads(4, || a.matmul(&b));
-    assert_eq!(bits(pinned.as_slice()), bits(scoped.as_slice()));
-    assert_eq!(parallel::max_threads(), 1, "with_threads must restore the env-pinned count");
-    std::env::remove_var("ENW_THREADS");
 }
