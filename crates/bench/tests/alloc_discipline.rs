@@ -23,6 +23,10 @@ use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel::{self, scratch};
+use enw_core::recsys::model::RecModel;
+use enw_core::serve::backends::{ideal_layers, DigitalBackend};
+use enw_core::serve::presets::recsys_config;
+use enw_core::serve::{Backend, Request};
 use enw_core::xmann::arch::{Xmann, XmannConfig};
 use enw_core::xmann::cost::XmannCostParams;
 
@@ -210,6 +214,61 @@ fn tcam_search_and_kv_update_allocate_nothing_once_warm() {
     }
     let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
     assert_eq!(allocs, 0, "key-value updates allocated at capacity");
+}
+
+/// What the serving lanes' speed rests on: weights packed at
+/// construction, so a warm read neither allocates nor re-derives
+/// anything, and a workspace borrowed per batch or owned, never per
+/// request.
+#[test]
+fn serving_lane_reads_cost_what_their_docs_say_once_warm() {
+    let mut rng = Rng64::new(20);
+    let window = |f: &mut dyn FnMut()| {
+        let (s0, c0) = (alloc_audit::thread_snapshot(), scratch::thread_stats().checkouts);
+        f();
+        (alloc_audit::thread_snapshot().since(s0).allocs, scratch::thread_stats().checkouts - c0)
+    };
+
+    // Recsys lane: the model owns its workspace.
+    let cfg = recsys_config();
+    let mut model = RecModel::new(&cfg, &mut rng);
+    let queries = enw_core::recsys::trace::TraceGenerator::new(&cfg, 1.0).batch(64, &mut rng);
+    let mut sum = 0.0f32;
+    let mut predict_all = || queries.iter().for_each(|q| sum += model.predict_query(q));
+    predict_all();
+    assert_eq!(window(&mut predict_all), (0, 0), "64 warm RecModel::predict calls");
+    assert!(sum.is_finite());
+
+    // Digital MLP lane: one check-out per batch, one allocation per
+    // request — the score vector it returns.
+    let layers = ideal_layers(&[16, 32, 10], &mut rng);
+    let mut lane = DigitalBackend::from_layers("digital", layers, DigitalBackend::DEFAULT_MODEL);
+    let batch: Vec<Request> = (0..16)
+        .map(|id| Request {
+            id,
+            station: 0,
+            payload: lane.make_payload(&mut rng),
+            arrival_ns: 0,
+            deadline_ns: u64::MAX,
+        })
+        .collect();
+    let mut out = Vec::new();
+    lane.serve_into(&batch, &mut out);
+    assert_eq!(window(&mut || lane.serve_into(&batch, &mut out)), (16, 1), "a 16-request batch");
+
+    // TCAM lane: hashing borrows its projections, the search nothing.
+    let mut kv =
+        TcamKeyValueMemory::new(64, 16, 64, cells::cmos_16t(), TcamConfig::default(), &mut rng);
+    let keys: Vec<Vec<f32>> =
+        (0..32).map(|_| (0..16).map(|_| rng.normal() as f32).collect()).collect();
+    for (label, key) in keys.iter().enumerate() {
+        kv.update(key, label);
+    }
+    let mut hits = 0;
+    let mut retrieve_all =
+        || keys.iter().for_each(|key| hits += usize::from(kv.retrieve(key).0.is_some()));
+    assert_eq!(window(&mut retrieve_all), (0, 32), "32 warm TcamKeyValueMemory::retrieve calls");
+    assert_eq!(hits, 32);
 }
 
 #[test]

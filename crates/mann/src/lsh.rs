@@ -9,6 +9,7 @@
 
 use enw_numerics::bits::BitVec;
 use enw_numerics::matrix::Matrix;
+use enw_numerics::packed::PackedMatvec;
 use enw_numerics::rng::Rng64;
 
 /// A random-hyperplane LSH encoder.
@@ -26,7 +27,8 @@ use enw_numerics::rng::Rng64;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RandomHyperplaneLsh {
-    planes: Matrix, // planes x dim
+    /// `planes × dim`, drawn once and only ever read: held packed.
+    planes: PackedMatvec,
 }
 
 impl RandomHyperplaneLsh {
@@ -37,7 +39,8 @@ impl RandomHyperplaneLsh {
     /// Panics if either parameter is zero.
     pub fn new(planes: usize, dim: usize, rng: &mut Rng64) -> Self {
         assert!(planes > 0 && dim > 0, "degenerate LSH");
-        RandomHyperplaneLsh { planes: Matrix::random_normal(planes, dim, 0.0, 1.0, rng) }
+        let drawn = Matrix::random_normal(planes, dim, 0.0, 1.0, rng);
+        RandomHyperplaneLsh { planes: PackedMatvec::pack(&drawn) }
     }
 
     /// Signature length in bits.
@@ -106,7 +109,8 @@ mod tests {
         for _ in 0..4 {
             let x: Vec<f32> = (0..5).map(|_| rng.normal() as f32).collect();
             lsh.encode_into(&x, &mut sig);
-            let signs: Vec<bool> = lsh.planes.matvec(&x).iter().map(|&p| p >= 0.0).collect();
+            let signs: Vec<bool> =
+                lsh.planes.to_matrix().matvec(&x).iter().map(|&p| p >= 0.0).collect();
             assert_eq!(sig, BitVec::from_bools(&signs));
             assert_eq!(sig, lsh.encode(&x));
         }

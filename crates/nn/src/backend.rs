@@ -143,33 +143,6 @@ impl DigitalLinear {
         );
         self.weights = weights;
     }
-
-    /// [`forward_into`](LinearBackend::forward_into) for a whole batch:
-    /// `xs` is `b × in_dim` row-major (one input per row), `out` is
-    /// `b × out_dim` and fully overwritten with `W · [xs[q]; 1]` per
-    /// row — bit for bit what `b` `forward_into` calls write, computed
-    /// by [`Matrix::matvec_batch_into`] with the inputs abreast.
-    ///
-    /// Inherent and `&self`, not a [`LinearBackend`] method: exact
-    /// weights draw nothing on a read, so a batch may share them across
-    /// threads; an analog tile consumes its RNG per read and cannot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len()` is not a multiple of `in_dim` or
-    /// `out.len() != (xs.len() / in_dim) * out_dim`.
-    // enw:hot
-    pub fn forward_batch_into(&self, xs: &[f32], out: &mut [f32]) {
-        let in_dim = self.in_dim;
-        assert_eq!(xs.len() % in_dim, 0, "batch input is not whole rows");
-        let mut xa = enw_parallel::scratch::take_f32(xs.len() / in_dim * (in_dim + 1));
-        for (row, x) in xa.chunks_exact_mut(in_dim + 1).zip(xs.chunks_exact(in_dim)) {
-            let (head, bias) = row.split_at_mut(in_dim);
-            head.copy_from_slice(x);
-            bias.fill(1.0);
-        }
-        self.weights.matvec_batch_into(&xa, out);
-    }
 }
 
 /// Checks out a scratch buffer holding `[x; 1]` — the bias-augmented
@@ -223,6 +196,7 @@ impl LinearBackend for DigitalLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enw_numerics::packed::PackedMatvec;
 
     #[test]
     fn forward_includes_bias() {
@@ -273,7 +247,8 @@ mod tests {
 
     #[test]
     fn forward_batch_matches_forward_into_bitwise() {
-        // Widths with and without a strip remainder, a one-input layer,
+        // The packed bias read over a batch against the layer's own
+        // forward cycle, which defines `W · [x; 1]`. Widths with and without a strip remainder, a one-input layer,
         // every batch size around the row tile; the inputs carry signed
         // zeros, a subnormal, NaN and both infinities, and one weight
         // row is zero against them (0 x inf must stay NaN).
@@ -296,7 +271,7 @@ mod tests {
                     lin.forward_into(x, y);
                 }
                 let mut got = vec![f32::NAN; b * out_dim];
-                lin.forward_batch_into(&xs, &mut got);
+                PackedMatvec::pack(&lin.weights()).matvec_bias_batch_into(&xs, &mut got);
                 // NaN payloads are the instruction selector's choice.
                 let bits = |v: &[f32]| -> Vec<u32> {
                     v.iter().map(|f| if f.is_nan() { 0 } else { f.to_bits() }).collect()

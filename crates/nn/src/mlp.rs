@@ -11,6 +11,7 @@ use crate::backend::{DigitalLinear, LinearBackend};
 use crate::data::Dataset;
 use crate::layer::DenseLayer;
 use crate::loss::softmax_cross_entropy;
+use enw_numerics::packed::PackedMatvec;
 use enw_numerics::rng::Rng64;
 use enw_numerics::vector::argmax;
 
@@ -120,40 +121,102 @@ impl Mlp<DigitalLinear> {
         Mlp { layers }
     }
 
-    /// [`predict_into`](Mlp::predict_into) for a whole batch: `xs` is
-    /// `b × in_dim` row-major, `out` is `b × out_dim` and fully
-    /// overwritten with the logits of every row — bit for bit what `b`
-    /// `predict_into` calls write. Each layer runs once over the batch
-    /// ([`DigitalLinear::forward_batch_into`]); activations ping-pong
-    /// through two scratch matrices, so a warm call allocates nothing.
-    /// `&self`: exact weights are not consumed by a read, so threads may
-    /// share one stack.
+    /// The read-only image of this stack as it stands: every layer's
+    /// weights packed, its activation kept. Later training of `self`
+    /// does not reach the image.
+    pub fn freeze(&self) -> FrozenMlp {
+        let layers: Vec<_> = self
+            .layers
+            .iter()
+            .map(|l| (PackedMatvec::pack(&l.backend().weights()), l.activation()))
+            .collect();
+        let hidden = &layers[..layers.len() - 1];
+        let widest = hidden.iter().map(|(w, _)| w.rows()).max().unwrap_or(0);
+        FrozenMlp { layers, widest }
+    }
+}
+
+/// A trained `Mlp<DigitalLinear>` frozen for inference
+/// ([`Mlp::freeze`]): each layer's `out × (in + 1)` weights as a
+/// [`PackedMatvec`], read through its bias form, plus the layer's
+/// activation. Nothing can write it, so the pack is never stale, reads
+/// take `&self` (threads may share one stack), and every logit is bit
+/// for bit what [`Mlp::predict_into`] writes.
+///
+/// The caller lends the activation workspace —
+/// [`workspace_len`](FrozenMlp::workspace_len) elements, contents
+/// ignored and overwritten — so one buffer serves a whole batch of calls.
+#[derive(Debug, Clone)]
+pub struct FrozenMlp {
+    layers: Vec<(PackedMatvec, Activation)>,
+    /// Widest hidden activation: half the workspace of one input.
+    widest: usize,
+}
+
+impl FrozenMlp {
+    /// Output dimension.
+    pub fn out_dim(&self) -> usize {
+        self.layers.last().map_or(0, |(w, _)| w.rows())
+    }
+
+    /// Workspace elements a pass over `b` inputs needs (two ping-pong
+    /// halves of the widest hidden activation; 0 for a one-layer stack).
+    pub fn workspace_len(&self, b: usize) -> usize {
+        2 * b * self.widest
+    }
+
+    /// Logits of one input into `out` (fully overwritten), each layer run
+    /// outputs abreast.
     ///
     /// # Panics
     ///
-    /// Panics if `xs.len()` is not a multiple of `in_dim()` or
-    /// `out.len() != (xs.len() / in_dim()) * out_dim()`.
+    /// Panics if `x` is not the stack's input width, `out.len() != out_dim()` or
+    /// `workspace` is shorter than `workspace_len(1)`.
     // enw:hot
-    pub fn predict_batch_into(&self, xs: &[f32], out: &mut [f32]) {
-        let run = |layer: &DenseLayer<DigitalLinear>, x: &[f32], y: &mut [f32]| {
-            layer.backend().forward_batch_into(x, y);
-            layer.activation().apply_slice(y);
-        };
-        let Some((last, hidden)) = self.layers.split_last() else { return };
-        let Some((first, middle)) = hidden.split_first() else { return run(last, xs, out) };
-        let b = xs.len() / self.in_dim();
-        let widest = hidden.iter().map(|l| l.out_dim()).max().unwrap_or(0);
-        let mut cur = enw_parallel::scratch::take_f32(b * widest);
-        let mut nxt = enw_parallel::scratch::take_f32(b * widest);
-        let mut cur_len = b * first.out_dim();
-        run(first, xs, &mut cur[..cur_len]);
-        for layer in middle {
-            let len = b * layer.out_dim();
-            run(layer, &cur[..cur_len], &mut nxt[..len]);
+    pub fn predict_into(&self, x: &[f32], out: &mut [f32], workspace: &mut [f32]) {
+        self.run(1, x, out, workspace, PackedMatvec::matvec_bias_into);
+    }
+
+    /// [`predict_into`](FrozenMlp::predict_into) for a whole batch: `xs`
+    /// is `b × in_dim` row-major, `out` is `b × out_dim` and fully
+    /// overwritten with the logits of every row — bit for bit what `b`
+    /// `predict_into` calls write, each layer run once over the batch
+    /// with the inputs abreast.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not `b × out_dim()`, `xs` is not `b`
+    /// inputs wide or `workspace` is shorter than `workspace_len(b)`.
+    // enw:hot
+    pub fn predict_batch_into(&self, xs: &[f32], out: &mut [f32], workspace: &mut [f32]) {
+        let b = out.len() / self.out_dim();
+        self.run(b, xs, out, workspace, PackedMatvec::matvec_bias_batch_into);
+    }
+
+    /// The layer walk both passes share: activations ping-pong between
+    /// the two halves of `workspace`, `read` is the packed kernel.
+    #[inline(always)]
+    fn run(
+        &self,
+        b: usize,
+        xs: &[f32],
+        out: &mut [f32],
+        workspace: &mut [f32],
+        read: impl Fn(&PackedMatvec, &[f32], &mut [f32]),
+    ) {
+        let Some(((last, last_act), hidden)) = self.layers.split_last() else { return };
+        let (mut cur, mut nxt) = workspace[..self.workspace_len(b)].split_at_mut(b * self.widest);
+        // `None` while the input is still the caller's.
+        let mut cur_len = None;
+        for (w, act) in hidden {
+            let y = &mut nxt[..b * w.rows()];
+            read(w, cur_len.map_or(xs, |n| &cur[..n]), y);
+            act.apply_slice(y);
+            cur_len = Some(y.len());
             std::mem::swap(&mut cur, &mut nxt);
-            cur_len = len;
         }
-        run(last, &cur[..cur_len], out);
+        read(last, cur_len.map_or(xs, |n| &cur[..n]), out);
+        last_act.apply_slice(out);
     }
 }
 
@@ -341,20 +404,37 @@ mod tests {
 
     #[test]
     fn predict_batch_matches_predict_into_bitwise() {
+        // The frozen image, one input at a time and a batch at a time,
+        // against the stack it was frozen from: 1-, 2-, 3- and 4-layer
+        // stacks, identity and ReLU outputs, a workspace that arrives dirty.
         let mut rng = Rng64::new(4);
-        for dims in [&[6, 3][..], &[6, 16, 1], &[5, 9, 12, 4]] {
-            let mut mlp = Mlp::digital(dims, Activation::Relu, &mut rng);
-            let (in_dim, out_dim) = (mlp.in_dim(), mlp.out_dim());
-            for b in [0usize, 1, 3, 4, 5, 33] {
-                let xs: Vec<f32> = (0..b * in_dim).map(|_| rng.uniform_f32() - 0.5).collect();
-                let mut want = vec![f32::NAN; b * out_dim];
-                for (x, y) in xs.chunks_exact(in_dim).zip(want.chunks_exact_mut(out_dim)) {
-                    mlp.predict_into(x, y);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for dims in [&[6, 3][..], &[6, 16, 1], &[5, 9, 12, 4], &[7, 33, 8, 17, 10]] {
+            for output in [Activation::Identity, Activation::Relu] {
+                let layers = dims.windows(2).enumerate().map(|(i, w)| {
+                    let act = if i + 2 == dims.len() { output } else { Activation::Relu };
+                    DenseLayer::new(DigitalLinear::new(w[0], w[1], &mut rng), act)
+                });
+                let mut mlp = Mlp::from_layers(layers.collect());
+                let frozen = mlp.freeze();
+                let (in_dim, out_dim) = (mlp.in_dim(), mlp.out_dim());
+                assert_eq!(frozen.out_dim(), out_dim);
+                for b in [0usize, 1, 3, 4, 5, 33] {
+                    let xs: Vec<f32> = (0..b * in_dim).map(|_| rng.uniform_f32() - 0.5).collect();
+                    let mut want = vec![f32::NAN; b * out_dim];
+                    let mut one_by_one = want.clone();
+                    let mut ws = vec![f32::NAN; frozen.workspace_len(b.max(1))];
+                    let rows =
+                        want.chunks_exact_mut(out_dim).zip(one_by_one.chunks_exact_mut(out_dim));
+                    for (x, (y, y_frozen)) in xs.chunks_exact(in_dim).zip(rows) {
+                        mlp.predict_into(x, y);
+                        frozen.predict_into(x, y_frozen, &mut ws);
+                    }
+                    assert_eq!(bits(&one_by_one), bits(&want), "{dims:?} {output:?}, b = {b}");
+                    let mut got = vec![f32::NAN; b * out_dim];
+                    frozen.predict_batch_into(&xs, &mut got, &mut ws);
+                    assert_eq!(bits(&got), bits(&want), "{dims:?} {output:?}, b = {b}, batched");
                 }
-                let mut got = vec![f32::NAN; b * out_dim];
-                mlp.predict_batch_into(&xs, &mut got);
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "{dims:?}, b = {b}");
             }
         }
     }

@@ -14,6 +14,9 @@
 //! * [`matrix`] — row-major [`matrix::Matrix`] with the handful of
 //!   dense kernels neural workloads need (matmul, matvec, transposed matvec,
 //!   rank-1 update).
+//! * [`packed`] — [`packed::PackedMatvec`], the read-only k-major `Wᵀ`
+//!   image of a matrix for weights that are programmed once and read for
+//!   the rest of a run, with its outputs-abreast and inputs-abreast reads.
 //! * [`scan`] — one reduction per matrix row, several rows abreast: the
 //!   driver under `matvec` and the all-rows similarity/distance scans of
 //!   the MANN memories, and the rule that keeps them bit-identical to
@@ -42,6 +45,7 @@
 
 pub mod bits;
 pub mod matrix;
+pub mod packed;
 pub mod quant;
 pub mod rng;
 pub mod scan;

@@ -20,12 +20,11 @@
 //! `scan_*` memory scans run rows abreast on the driver in `scan.rs`
 //! (chain order untouched, so again bitwise equal to the one-row loop),
 //! and one thread already streams at the host's memory bandwidth
-//! (`ROADMAP.md` item 3b has the measurements).
-//! [`Matrix::matvec_batch_into`] is `matvec` for many inputs at once:
-//! the same chains, run inputs abreast through the register tile
-//! `matmul` uses (the private `tile_fold`), so a caller holding a batch
-//! reuses each weight across inputs instead of re-reading the matrix
-//! per input.
+//! (`ROADMAP.md` item 3b has the measurements). A matrix that is
+//! written once and then only read is better held as a
+//! [`PackedMatvec`](crate::packed::PackedMatvec): the same chains, run
+//! outputs abreast for one input and, for a batch, inputs abreast
+//! through the register tile `matmul` uses (`tile_fold`).
 //!
 //! # Zero-skip fast path
 //!
@@ -38,7 +37,7 @@
 //! masked-out weights. Every kernel shares the rule through
 //! [`skip_zero_coeff`], which is what keeps the naive and blocked
 //! `matmul` paths bit-identical on inputs containing zeros. `matvec` and
-//! `matvec_batch_into` have no coefficient side and skip nothing: there
+//! the packed reads have no coefficient side and skip nothing: there
 //! `0.0 × ∞` is the NaN IEEE says it is.
 
 use crate::rng::Rng64;
@@ -84,23 +83,15 @@ const MATMUL_NC: usize = 512;
 const MATMUL_MR: usize = 4;
 const MATMUL_NR: usize = 16;
 
-/// Tile shape of [`Matrix::matvec_batch_into`]: `BATCH_MR` inputs ×
-/// `BATCH_NR` outputs. Its fold has no branch, so the whole tile must
-/// stay in registers: eight accumulator vectors, two for the weight
-/// strip and a broadcast fit SSE2's sixteen (12–13 GMAC/s on the
-/// reference host); at 4×16 the accumulators spill and it runs at 2.
-const BATCH_MR: usize = 4;
-const BATCH_NR: usize = 8;
-
 /// The register-tile fold both product kernels run: for each `k` of a
 /// k-major `panel` (`N` values per step) and each of the `M` coefficient
 /// rows, `acc[m][j] += coeff[m][k] · panel[k][j]` — per accumulator one
 /// ascending-`k` chain, the order every kernel in this module promises.
 /// `SKIP` compiles the [zero-skip rule](skip_zero_coeff) in (`matmul`)
-/// or out (`matvec_batch_into`, whose definition is `matvec_into`). The
-/// tile goes in and out by value so it lives in registers in between.
+/// or out (the packed batch read, whose definition is `matvec_into`).
+/// The tile goes in and out by value so it lives in registers in between.
 #[inline(always)]
-fn tile_fold<const M: usize, const N: usize, const SKIP: bool>(
+pub(crate) fn tile_fold<const M: usize, const N: usize, const SKIP: bool>(
     coeffs: [&[f32]; M],
     panel: &[f32],
     mut acc: [[f32; N]; M],
@@ -122,21 +113,19 @@ fn tile_fold<const M: usize, const N: usize, const SKIP: bool>(
     acc
 }
 
-/// `M` inputs of [`Matrix::matvec_batch_into`] against every packed
-/// strip: `x` is the `M` input rows back to back, `out` their `M` output
-/// rows, `packed` the k-major `BATCH_NR`-wide strips of `Wᵀ`. Each tile
-/// starts from `+0.0` and stores only the lanes that are real outputs.
-#[inline(always)]
-fn batch_tile<const M: usize>(packed: &[f32], x: &[f32], out: &mut [f32]) {
-    let (cols, rows) = (x.len() / M, out.len() / M);
-    let x_rows: [&[f32]; M] = std::array::from_fn(|m| &x[m * cols..(m + 1) * cols]);
-    for (s, panel) in packed.chunks_exact(cols * BATCH_NR).enumerate() {
-        let acc = tile_fold::<M, BATCH_NR, false>(x_rows, panel, [[0.0f32; BATCH_NR]; M]);
-        let (lo, hi) = (s * BATCH_NR, rows.min((s + 1) * BATCH_NR));
-        for (out_row, acc_row) in out.chunks_exact_mut(rows).zip(&acc) {
-            out_row[lo..hi].copy_from_slice(&acc_row[..hi - lo]);
-        }
-    }
+/// Records the shape-derived span for one matvec read of a `rows × cols`
+/// matrix, in whatever layout: 2 flops per crosspoint, operand reads
+/// (weights + input vector), output writes. Deterministic — a pure
+/// function of the shape.
+pub(crate) fn record_matvec_span(rows: usize, cols: usize) {
+    let f = std::mem::size_of::<f32>() as u64;
+    let (rows, cols) = (rows as u64, cols as u64);
+    enw_trace::record_span_io(
+        "numerics/matvec",
+        2 * rows * cols,
+        f * (rows * cols + cols),
+        f * rows,
+    );
 }
 
 /// Cap on parallel `matmul` row chunks. Every chunk streams the whole
@@ -330,27 +319,12 @@ impl Matrix {
     pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
-        self.record_matvec_traffic();
+        record_matvec_span(self.rows, self.cols);
         scan_rows(&self.data, x, y, 0.0f32, |a, xi, w| a + w * xi, |a| a);
     }
 
-    /// Records the shape-derived span for one matvec call: 2 flops per
-    /// crosspoint, operand reads (weights + input vector), output
-    /// writes. Deterministic — pure function of the shape.
-    pub(crate) fn record_matvec_traffic(&self) {
-        let f = std::mem::size_of::<f32>() as u64;
-        let (rows, cols) = (self.rows as u64, self.cols as u64);
-        enw_trace::record_span_io(
-            "numerics/matvec",
-            2 * rows * cols,
-            f * (rows * cols + cols),
-            f * rows,
-        );
-    }
-
-    /// As [`record_matvec_traffic`](Matrix::record_matvec_traffic) for
-    /// the transposed product (reads the `rows`-long drive vector,
-    /// writes the `cols`-long output).
+    /// As [`record_matvec_span`] for the transposed product (reads the
+    /// `rows`-long drive vector, writes the `cols`-long output).
     fn record_matvec_t_traffic(&self) {
         let f = std::mem::size_of::<f32>() as u64;
         let (rows, cols) = (self.rows as u64, self.cols as u64);
@@ -646,56 +620,6 @@ impl Matrix {
         }
     }
 
-    /// [`matvec_into`](Matrix::matvec_into) for `b` inputs at once:
-    /// `xs` is `b × cols` row-major (one input per row) and `out` is
-    /// `b × rows`, fully overwritten with `out[q] = W · xs[q]`. Every
-    /// output element is the chain `matvec_into` writes — `0.0 +
-    /// w[r][0]·x[0] + w[r][1]·x[1] + …` in ascending `k`, no zero skip
-    /// (`0 × ∞` is NaN here as it is there) — and the call books one
-    /// `numerics/matvec` span per input, so a batch reads in a trace as
-    /// the `b` calls it replaces.
-    ///
-    /// The speed comes from running inputs abreast, not from touching a
-    /// chain: `Wᵀ` is packed once per call into 8-wide k-major strips
-    /// (lanes past the last row hold `0.0` and are never stored), and a
-    /// 4 × 8 accumulator tile reuses each packed weight across 4 inputs
-    /// and each input element across 8 outputs. The `b % 4` inputs left
-    /// over run the same fold one row high. Stays on the calling thread;
-    /// a caller with many blocks deals them out itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len()` is not a multiple of `cols` or
-    /// `out.len() != (xs.len() / cols) * rows`.
-    // enw:hot
-    pub fn matvec_batch_into(&self, xs: &[f32], out: &mut [f32]) {
-        let (rows, cols) = (self.rows, self.cols);
-        assert_eq!(xs.len() % cols, 0, "matvec batch input is not whole rows");
-        let b = xs.len() / cols;
-        assert_eq!(out.len(), b * rows, "matvec batch output dimension mismatch");
-        for _ in 0..b {
-            self.record_matvec_traffic();
-        }
-        let strip_len = cols * BATCH_NR;
-        let mut packed = enw_parallel::scratch::take_f32(rows.div_ceil(BATCH_NR) * strip_len);
-        for (strip, wrows) in packed.chunks_exact_mut(strip_len).zip(self.data.chunks(strip_len)) {
-            for (lane, wrow) in wrows.chunks_exact(cols).enumerate() {
-                for (dst, &w) in strip.iter_mut().skip(lane).step_by(BATCH_NR).zip(wrow) {
-                    *dst = w;
-                }
-            }
-        }
-        let mut x_tiles = xs.chunks_exact(BATCH_MR * cols);
-        let mut out_tiles = out.chunks_exact_mut(BATCH_MR * rows);
-        for (x, o) in x_tiles.by_ref().zip(out_tiles.by_ref()) {
-            batch_tile::<BATCH_MR>(&packed, x, o);
-        }
-        let out_rest = out_tiles.into_remainder().chunks_exact_mut(rows);
-        for (x, o) in x_tiles.remainder().chunks_exact(cols).zip(out_rest) {
-            batch_tile::<1>(&packed, x, o);
-        }
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transposed(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -740,6 +664,7 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::PackedMatvec;
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]])
@@ -919,8 +844,8 @@ mod tests {
         v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
     }
 
-    /// `matvec_into` once per input row — the definition
-    /// `matvec_batch_into` must reproduce.
+    /// `matvec_into` once per input row — the definition the packed
+    /// batch read must reproduce.
     fn matvec_row_by_row(w: &Matrix, xs: &[f32]) -> Vec<f32> {
         let mut out = vec![f32::NAN; xs.len() / w.cols() * w.rows()];
         for (x, y) in xs.chunks_exact(w.cols()).zip(out.chunks_exact_mut(w.rows())) {
@@ -931,15 +856,15 @@ mod tests {
 
     #[test]
     fn matvec_batch_matches_matvec_row_by_row_bitwise() {
-        // Output widths with and without a `BATCH_NR` remainder, a
+        // Output widths with and without a strip remainder, a
         // one-column matrix, and every batch size around the row tile.
         let mut rng = Rng64::new(21);
         for (rows, cols) in [(1, 5), (7, 5), (8, 33), (10, 1), (64, 65)] {
             let w = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
-            for b in (0..=2 * BATCH_MR + 1).chain([33]) {
+            for b in (0..=9).chain([33]) {
                 let xs: Vec<f32> = (0..b * cols).map(|_| rng.uniform_f32() - 0.5).collect();
                 let mut got = vec![f32::NAN; b * rows];
-                w.matvec_batch_into(&xs, &mut got);
+                PackedMatvec::pack(&w).matvec_batch_into(&xs, &mut got);
                 assert_eq!(bits(&got), bits(&matvec_row_by_row(&w, &xs)), "{rows}x{cols}, b = {b}");
             }
         }
@@ -976,7 +901,7 @@ mod tests {
             let w = Matrix::from_vec(rows, cols, draw(rows * cols));
             let xs = draw(b * cols);
             let mut got = vec![f32::NAN; b * rows];
-            w.matvec_batch_into(&xs, &mut got);
+            PackedMatvec::pack(&w).matvec_batch_into(&xs, &mut got);
             let want = matvec_row_by_row(&w, &xs);
             nans += want.iter().filter(|v| v.is_nan()).count();
             finite += want.iter().filter(|v| v.is_finite()).count();
@@ -986,12 +911,12 @@ mod tests {
         // The case that rules out the zero skip: 0 · inf is NaN, not 0.
         let w = Matrix::from_rows(&[&[f32::INFINITY, 1.0]]);
         let mut got = [0.0f32; 2];
-        w.matvec_batch_into(&[0.0, 1.0, -0.0, 1.0], &mut got);
+        PackedMatvec::pack(&w).matvec_batch_into(&[0.0, 1.0, -0.0, 1.0], &mut got);
         assert!(got.iter().all(|v| v.is_nan()), "{got:?}");
         // All-(-0.0) products sum to +0.0: the chain starts at +0.0.
         let w = Matrix::from_rows(&[&[-0.0, -0.0]]);
         let mut got = [f32::NAN; 5];
-        w.matvec_batch_into(&[1.0; 10], &mut got);
+        PackedMatvec::pack(&w).matvec_batch_into(&[1.0; 10], &mut got);
         assert_eq!(bits(&got), bits(&[0.0; 5]));
     }
 }

@@ -39,7 +39,7 @@
 //! 1.55 → 1.75 ms — so the lever is passes and chain latency, not
 //! threads.
 
-use crate::matrix::Matrix;
+use crate::matrix::{record_matvec_span, Matrix};
 #[cfg(doc)]
 use crate::vector;
 
@@ -106,7 +106,7 @@ impl Matrix {
     // enw:hot
     pub fn scan_matvec_l1(&self, x: &[f32], out: &mut [f32], finish: impl Fn(f32, f32) -> f32) {
         self.assert_scan_shape(x, out);
-        self.record_matvec_traffic();
+        record_matvec_span(self.rows(), self.cols());
         let step = |(d, n): (f32, f32), xi: f32, w: f32| (d + w * xi, n + w.abs());
         scan_rows(self.as_slice(), x, out, (0.0f32, SUM_START), step, |(d, n)| finish(d, n));
     }

@@ -10,7 +10,7 @@
 use crate::error::RecsysError;
 use crate::trace::SparseQuery;
 use enw_nn::activation::Activation;
-use enw_nn::mlp::Mlp;
+use enw_nn::mlp::{FrozenMlp, Mlp};
 use enw_nn::DigitalLinear;
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
@@ -19,14 +19,21 @@ use std::borrow::Borrow;
 /// Queries per block of [`RecModel::predict_batch_into`]: the unit the
 /// MLP stacks run over as one matrix and the unit dealt to a thread.
 /// 256 rows of the widest activation matrix stay inside L2 beside the
-/// packed weights, and amortise the per-layer weight packing to under a
-/// percent; 64 measured about 5 % slower on the `recsys_embed` shape.
+/// packed weights; 64 measured about 5 % slower on the `recsys_embed`
+/// shape.
 const BATCH_BLOCK: usize = 256;
 
 /// How many lookups ahead [`EmbeddingTable::lookup_pool`] prefetches.
 /// Swept on the reference host: 8 hides most of the random-row DRAM
 /// latency without evicting rows before use.
 const PF_DISTANCE: usize = 8;
+
+/// Splits the next `len` elements off the front of a workspace.
+fn carve<'a>(workspace: &mut &'a mut [f32], len: usize) -> &'a mut [f32] {
+    let (head, tail) = std::mem::take(workspace).split_at_mut(len);
+    *workspace = tail;
+    head
+}
 
 /// The logistic link from the top stack's logit to a click-through rate.
 #[inline]
@@ -437,9 +444,13 @@ impl RecModelConfigBuilder {
 #[derive(Debug, Clone)]
 pub struct RecModel {
     cfg: RecModelConfig,
-    bottom: Mlp<DigitalLinear>,
+    /// Both stacks are post-training and only ever read: held frozen.
+    bottom: FrozenMlp,
     tables: Vec<EmbeddingTable>,
-    top: Mlp<DigitalLinear>,
+    top: FrozenMlp,
+    /// One query's vectors and stack activations, reused by every
+    /// [`predict`](RecModel::predict).
+    workspace: Vec<f32>,
 }
 
 impl RecModel {
@@ -455,6 +466,23 @@ impl RecModel {
             Some(cfg.embedding_dim),
             "bottom MLP must be non-empty and end at embedding_dim for interaction"
         );
+        let (bottom, tables, top) = Self::draw(cfg, rng);
+        let (bottom, top) = (bottom.freeze(), top.freeze());
+        // Latent and pooled vectors side by side (which is the `Concat`
+        // interaction as it lies), `DotPairwise`'s own vector, and the
+        // ping-pong halves the two stacks share.
+        let vectors = (tables.len() + 1) * cfg.embedding_dim;
+        let ping_pong = bottom.workspace_len(1).max(top.workspace_len(1));
+        let workspace = vec![0.0f32; vectors + Self::dots_len(cfg) + ping_pong];
+        RecModel { cfg: cfg.clone(), bottom, tables, top, workspace }
+    }
+
+    /// The model's random parameters in their fixed draw order: bottom
+    /// stack, tables, top stack.
+    fn draw(
+        cfg: &RecModelConfig,
+        rng: &mut Rng64,
+    ) -> (Mlp<DigitalLinear>, Vec<EmbeddingTable>, Mlp<DigitalLinear>) {
         let mut bottom_dims = vec![cfg.dense_features];
         bottom_dims.extend_from_slice(&cfg.bottom_mlp);
         let bottom = Mlp::digital(&bottom_dims, Activation::Relu, rng);
@@ -467,7 +495,15 @@ impl RecModel {
         top_dims.extend_from_slice(&cfg.top_mlp);
         top_dims.push(1);
         let top = Mlp::digital(&top_dims, Activation::Relu, rng);
-        RecModel { cfg: cfg.clone(), bottom, tables, top }
+        (bottom, tables, top)
+    }
+
+    /// Length of the separate interaction vector `DotPairwise` needs.
+    fn dots_len(cfg: &RecModelConfig) -> usize {
+        match cfg.interaction {
+            Interaction::Concat => 0,
+            Interaction::DotPairwise => Self::interaction_width(cfg),
+        }
     }
 
     /// Width of the interaction output feeding the top MLP.
@@ -495,10 +531,11 @@ impl RecModel {
     }
 
     /// Predicted click-through rate for one query — the definition the
-    /// batched path is held to. The dense latent, the pooled embeddings
-    /// (one flat `tables × dim` workspace) and the interaction vector
-    /// live in thread-local scratch buffers, so a warm call performs no
-    /// heap allocation. The tables are pooled in line, one after the
+    /// batched path is held to. Each stack layer runs outputs abreast on
+    /// its packed weights, and the latent, the pooled embeddings, the
+    /// interaction vector and the stacks' activations are windows of the
+    /// one workspace the model owns, so a call checks nothing out and
+    /// allocates nothing. The tables are pooled in line, one after the
     /// other: fanning a query's gathers out lost to the wake-up on every
     /// shape measured (21 µs at one thread, 52 µs at two on
     /// [`RecModelConfig::memory_bound`]).
@@ -508,36 +545,55 @@ impl RecModel {
     /// Panics if the feature counts don't match the configuration.
     // enw:hot
     pub fn predict(&mut self, dense: &[f32], sparse: &[Vec<usize>]) -> f32 {
-        assert_eq!(dense.len(), self.cfg.dense_features, "dense feature count mismatch");
         let dim = self.cfg.embedding_dim;
-        let mut dense_latent = enw_parallel::scratch::take_f32(dim);
-        self.bottom.predict_into(dense, &mut dense_latent);
-        let mut pooled = enw_parallel::scratch::take_f32(self.tables.len() * dim);
-        self.gather_pools_into(sparse, &mut pooled);
-        self.predict_tail(&dense_latent, &pooled)
+        self.predict_one(dense, |tables, pooled| {
+            Self::gather_pools_into(tables, dim, sparse, pooled)
+        })
+    }
+
+    /// One query through the model, its pooled vectors written by `pool`
+    /// into the flat `tables × dim` window it is handed.
+    #[inline(always)]
+    fn predict_one(
+        &mut self,
+        dense: &[f32],
+        pool: impl FnOnce(&[EmbeddingTable], &mut [f32]),
+    ) -> f32 {
+        let RecModel { cfg, bottom, tables, top, workspace } = self;
+        assert_eq!(dense.len(), cfg.dense_features, "dense feature count mismatch");
+        let dim = cfg.embedding_dim;
+        let mut rest = workspace.as_mut_slice();
+        let vectors = carve(&mut rest, (tables.len() + 1) * dim);
+        let dots = carve(&mut rest, Self::dots_len(cfg));
+        let (latent, pooled) = vectors.split_at_mut(dim);
+        bottom.predict_into(dense, latent, rest);
+        pool(tables, pooled);
+        let interacted: &[f32] = match cfg.interaction {
+            Interaction::Concat => vectors,
+            Interaction::DotPairwise => {
+                Self::dot_pairwise_into(latent, pooled, dots);
+                dots
+            }
+        };
+        let mut logit = [0.0f32];
+        top.predict_into(interacted, &mut logit, rest);
+        Self::book_mlp(cfg);
+        let [logit] = logit;
+        sigmoid(logit)
     }
 
     /// Pools every table's index list into its `dim`-wide window of the
     /// flat `tables × dim` workspace `pooled`, in table order.
-    fn gather_pools_into(&self, sparse: &[Vec<usize>], pooled: &mut [f32]) {
-        assert_eq!(sparse.len(), self.tables.len(), "one index list per table");
-        let windows = pooled.chunks_exact_mut(self.cfg.embedding_dim);
-        for ((table, idx), window) in self.tables.iter().zip(sparse).zip(windows) {
+    fn gather_pools_into(
+        tables: &[EmbeddingTable],
+        dim: usize,
+        sparse: &[Vec<usize>],
+        pooled: &mut [f32],
+    ) {
+        assert_eq!(sparse.len(), tables.len(), "one index list per table");
+        for ((table, idx), window) in tables.iter().zip(sparse).zip(pooled.chunks_exact_mut(dim)) {
             table.gather_pool_into(idx, window);
         }
-    }
-
-    /// The shared tail of [`predict`](RecModel::predict) and
-    /// [`predict_with_pooled`](RecModel::predict_with_pooled):
-    /// interaction, top stack, the `recsys/mlp` booking and the sigmoid.
-    fn predict_tail(&mut self, dense_latent: &[f32], pooled: &[f32]) -> f32 {
-        let mut interacted = enw_parallel::scratch::take_f32(Self::interaction_width(&self.cfg));
-        Self::interact_into(&self.cfg, dense_latent, pooled, &mut interacted);
-        let mut logit = [0.0f32];
-        self.top.predict_into(&interacted, &mut logit);
-        Self::book_mlp(&self.cfg);
-        let [logit] = logit;
-        sigmoid(logit)
     }
 
     /// Books one query's pass through both MLP stacks as `recsys/mlp`.
@@ -639,26 +695,31 @@ impl RecModel {
     /// the bottom stack over the block's dense features, every query's
     /// gathers written into its row of the `block × interaction_width`
     /// matrix, the top stack over that matrix into `ctrs`, the sigmoid
-    /// in place. All workspaces are thread-local scratch.
+    /// in place — all in windows of one scratch check-out.
     // enw:hot
     fn predict_block<Q: Borrow<SparseQuery>>(&self, queries: &[Q], ctrs: &mut [f32]) {
-        let cfg = &self.cfg;
-        let (features, dim) = (cfg.dense_features, cfg.embedding_dim);
-        let mut dense = enw_parallel::scratch::take_f32(queries.len() * features);
+        let RecModel { cfg, bottom, tables, top, .. } = self;
+        let (n, features, dim) = (queries.len(), cfg.dense_features, cfg.embedding_dim);
+        let width = Self::interaction_width(cfg);
+        let pooled_len = match cfg.interaction {
+            Interaction::Concat => 0, // pooled straight into the row
+            Interaction::DotPairwise => tables.len() * dim,
+        };
+        let ping_pong = bottom.workspace_len(n).max(top.workspace_len(n));
+        let mut checkout =
+            enw_parallel::scratch::take_f32(n * (features + dim + width) + pooled_len + ping_pong);
+        let mut rest = checkout.as_mut_slice();
+        let dense = carve(&mut rest, n * features);
+        let latents = carve(&mut rest, n * dim);
+        let interacted = carve(&mut rest, n * width);
+        let pooled = carve(&mut rest, pooled_len);
         for (row, q) in dense.chunks_exact_mut(features).zip(queries) {
             let q = q.borrow();
             assert_eq!(q.dense.len(), features, "dense feature count mismatch");
             row.copy_from_slice(&q.dense);
         }
-        let mut latents = enw_parallel::scratch::take_f32(queries.len() * dim);
-        self.bottom.predict_batch_into(&dense, &mut latents);
+        bottom.predict_batch_into(dense, latents, rest);
 
-        let width = Self::interaction_width(cfg);
-        let mut interacted = enw_parallel::scratch::take_f32(queries.len() * width);
-        let mut pooled = enw_parallel::scratch::take_f32(match cfg.interaction {
-            Interaction::Concat => 0, // pooled straight into the row
-            Interaction::DotPairwise => self.tables.len() * dim,
-        });
         let rows = interacted.chunks_exact_mut(width).zip(latents.chunks_exact(dim));
         for ((row, latent), q) in rows.zip(queries) {
             let sparse = &q.borrow().sparse;
@@ -666,15 +727,15 @@ impl RecModel {
                 Interaction::Concat => {
                     let (head, tail) = row.split_at_mut(dim);
                     head.copy_from_slice(latent);
-                    self.gather_pools_into(sparse, tail);
+                    Self::gather_pools_into(tables, dim, sparse, tail);
                 }
                 Interaction::DotPairwise => {
-                    self.gather_pools_into(sparse, &mut pooled);
-                    Self::interact_into(cfg, latent, &pooled, row);
+                    Self::gather_pools_into(tables, dim, sparse, pooled);
+                    Self::dot_pairwise_into(latent, pooled, row);
                 }
             }
         }
-        self.top.predict_batch_into(&interacted, ctrs);
+        top.predict_batch_into(interacted, ctrs, rest);
         for ctr in ctrs {
             Self::book_mlp(cfg);
             *ctr = sigmoid(*ctr);
@@ -690,44 +751,30 @@ impl RecModel {
     ///
     /// Panics if the vector count or widths mismatch the configuration.
     pub fn predict_with_pooled(&mut self, dense: &[f32], pooled: &[Vec<f32>]) -> f32 {
-        assert_eq!(dense.len(), self.cfg.dense_features, "dense feature count mismatch");
-        assert_eq!(pooled.len(), self.tables.len(), "one pooled vector per table");
         let dim = self.cfg.embedding_dim;
-        let mut flat = enw_parallel::scratch::take_f32(pooled.len() * dim);
-        for (window, p) in flat.chunks_mut(dim).zip(pooled) {
-            assert_eq!(p.len(), dim, "pooled width mismatch");
-            window.copy_from_slice(p);
-        }
-        let mut dense_latent = enw_parallel::scratch::take_f32(dim);
-        self.bottom.predict_into(dense, &mut dense_latent);
-        self.predict_tail(&dense_latent, &flat)
+        self.predict_one(dense, |tables, flat| {
+            assert_eq!(pooled.len(), tables.len(), "one pooled vector per table");
+            for (window, p) in flat.chunks_exact_mut(dim).zip(pooled) {
+                assert_eq!(p.len(), dim, "pooled width mismatch");
+                window.copy_from_slice(p);
+            }
+        })
     }
 
-    /// The [`Interaction`] operator into a caller-owned buffer (`out` is
-    /// fully overwritten). `pooled` is the flat `tables × dim` pooled
-    /// workspace; pair order matches the original push order, so results
-    /// are bit-identical to the allocating formulation.
+    /// The [`Interaction::DotPairwise`] vector into a caller-owned buffer
+    /// (`out` is fully overwritten): the dense latent, then the dot
+    /// product of every pair among it and the `dim`-wide windows of the
+    /// flat `pooled` workspace, pairs in `(i, j > i)` order.
     // enw:hot
-    fn interact_into(cfg: &RecModelConfig, dense_latent: &[f32], pooled: &[f32], out: &mut [f32]) {
-        let dim = cfg.embedding_dim;
-        match cfg.interaction {
-            Interaction::Concat => {
-                out[..dim].copy_from_slice(dense_latent);
-                out[dim..].copy_from_slice(pooled);
-            }
-            Interaction::DotPairwise => {
-                out[..dim].copy_from_slice(dense_latent);
-                let vectors = pooled.len() / dim + 1;
-                let vec_at =
-                    |v: usize| if v == 0 { dense_latent } else { &pooled[(v - 1) * dim..v * dim] };
-                let mut k = dim;
-                for i in 0..vectors {
-                    for j in (i + 1)..vectors {
-                        out[k] = enw_numerics::vector::dot(vec_at(i), vec_at(j));
-                        k += 1;
-                    }
-                }
-            }
+    fn dot_pairwise_into(dense_latent: &[f32], pooled: &[f32], out: &mut [f32]) {
+        let dim = dense_latent.len();
+        let (head, dots) = out.split_at_mut(dim);
+        head.copy_from_slice(dense_latent);
+        let vectors = pooled.len() / dim + 1;
+        let vec_at = |v: usize| if v == 0 { dense_latent } else { &pooled[(v - 1) * dim..v * dim] };
+        let pairs = (0..vectors).flat_map(|i| (i + 1..vectors).map(move |j| (i, j)));
+        for (dot, (i, j)) in dots.iter_mut().zip(pairs) {
+            *dot = enw_numerics::vector::dot(vec_at(i), vec_at(j));
         }
     }
 }
@@ -846,6 +893,100 @@ mod tests {
                 reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "n = {n}"
             );
+        }
+    }
+
+    /// The predictor before the stacks were frozen, kept as the
+    /// reference: row-major `Mlp` stacks drawn as [`RecModel::new`] draws
+    /// them, every vector in its own scratch buffer.
+    struct RowMajorModel {
+        cfg: RecModelConfig,
+        bottom: Mlp<DigitalLinear>,
+        tables: Vec<EmbeddingTable>,
+        top: Mlp<DigitalLinear>,
+    }
+
+    impl RowMajorModel {
+        fn new(cfg: &RecModelConfig, rng: &mut Rng64) -> Self {
+            let (bottom, tables, top) = RecModel::draw(cfg, rng);
+            RowMajorModel { cfg: cfg.clone(), bottom, tables, top }
+        }
+
+        fn predict(&mut self, dense: &[f32], sparse: &[Vec<usize>]) -> f32 {
+            let pooled: Vec<Vec<f32>> =
+                self.tables.iter().zip(sparse).map(|(t, idx)| t.lookup_pool(idx)).collect();
+            self.predict_with_pooled(dense, &pooled)
+        }
+
+        fn predict_with_pooled(&mut self, dense: &[f32], pooled: &[Vec<f32>]) -> f32 {
+            let dim = self.cfg.embedding_dim;
+            let mut dense_latent = enw_parallel::scratch::take_f32(dim);
+            self.bottom.predict_into(dense, &mut dense_latent);
+            let flat = pooled.concat();
+            let mut interacted =
+                enw_parallel::scratch::take_f32(RecModel::interaction_width(&self.cfg));
+            match self.cfg.interaction {
+                Interaction::Concat => {
+                    interacted[..dim].copy_from_slice(&dense_latent);
+                    interacted[dim..].copy_from_slice(&flat);
+                }
+                Interaction::DotPairwise => {
+                    interacted[..dim].copy_from_slice(&dense_latent);
+                    let vectors = flat.len() / dim + 1;
+                    let vec_at = |v: usize| {
+                        if v == 0 {
+                            &dense_latent[..]
+                        } else {
+                            &flat[(v - 1) * dim..v * dim]
+                        }
+                    };
+                    let mut k = dim;
+                    for i in 0..vectors {
+                        for j in (i + 1)..vectors {
+                            interacted[k] = enw_numerics::vector::dot(vec_at(i), vec_at(j));
+                            k += 1;
+                        }
+                    }
+                }
+            }
+            let mut logit = [0.0f32];
+            self.top.predict_into(&interacted, &mut logit);
+            sigmoid(logit[0])
+        }
+    }
+
+    #[test]
+    fn predict_matches_the_row_major_predictor_bitwise() {
+        use crate::trace::TraceGenerator;
+        // Both interaction operators; stacks of one to three layers with
+        // widths on both sides of a packed strip.
+        for interaction in [Interaction::Concat, Interaction::DotPairwise] {
+            for (bottom_mlp, top_mlp) in
+                [(vec![8], vec![]), (vec![16, 8], vec![16]), (vec![33, 9, 8], vec![40, 7])]
+            {
+                let cfg = RecModelConfig {
+                    bottom_mlp,
+                    top_mlp,
+                    tables: vec![(200, 3), (300, 9), (150, 1)],
+                    interaction,
+                    ..tiny_cfg()
+                };
+                let mut model = RecModel::new(&cfg, &mut Rng64::new(11));
+                let mut reference = RowMajorModel::new(&cfg, &mut Rng64::new(11));
+                assert_eq!(model.tables, reference.tables, "same draws, same order");
+                let mut rng = Rng64::new(12);
+                let gen = TraceGenerator::new(&cfg, 1.05);
+                for _ in 0..24 {
+                    let q = gen.query(&mut rng);
+                    let want = reference.predict(&q.dense, &q.sparse).to_bits();
+                    assert_eq!(model.predict(&q.dense, &q.sparse).to_bits(), want, "{cfg:?}");
+                    let pooled: Vec<Vec<f32>> =
+                        (0..3).map(|_| (0..8).map(|_| rng.uniform_f32() - 0.5).collect()).collect();
+                    let want = reference.predict_with_pooled(&q.dense, &pooled).to_bits();
+                    let got = model.predict_with_pooled(&q.dense, &pooled).to_bits();
+                    assert_eq!(got, want, "{cfg:?}, supplied pooled vectors");
+                }
+            }
         }
     }
 

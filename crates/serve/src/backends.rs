@@ -14,13 +14,20 @@
 //! degradation ladder of DESIGN.md falls back from analog-noisy to
 //! digital when deadlines are repeatedly missed.
 //!
-//! Every lane serves a batch as one single-request kernel call per
-//! request, in request order, on the calling thread, so an output never
-//! depends on what it was batched with. A serving batch is at most a few
-//! hundred small forwards — less than one worker wake-up — and handing
-//! recsys batches to `RecModel::predict_batch_into` measured 15 % slower
-//! end to end on `serve_node` (its per-call weight pack outweighs the
-//! register tile at 47–256 queries).
+//! Every lane is programmed once and read for the rest of a run, so it
+//! holds its weights packed for reading from construction on
+//! (`enw_numerics::packed::PackedMatvec`: the MLP lanes' layers, the
+//! TCAM lane's LSH planes, the recsys lane's two frozen stacks) and
+//! nothing can write them afterwards. A batch is served one request at a
+//! time, in request order, on the calling thread — each forward runs its
+//! layer's outputs abreast, so an output never depends on what it was
+//! batched with — and a lane borrows its activation workspace once per
+//! batch (the MLP lanes: one scratch check-out; the recsys lane: the
+//! model's own), never per request. The only allocation is each returned
+//! score vector. A serving batch is at most a few hundred small forwards
+//! — less than one worker wake-up — and handing recsys batches to
+//! `RecModel::predict_batch_into` measured 15 % slower end to end on
+//! `serve_node`.
 
 use crate::backend::{Backend, ServiceModel};
 use crate::clock::ns_from_secs;
@@ -31,6 +38,7 @@ use enw_cam::lsh_memory::TcamKeyValueMemory;
 use enw_crossbar::devices::pcm::PcmConfig;
 use enw_crossbar::inference::PcmLayer;
 use enw_numerics::matrix::Matrix;
+use enw_numerics::packed::PackedMatvec;
 use enw_numerics::rng::Rng64;
 use enw_parallel as parallel;
 use enw_recsys::characterize::RooflineMachine;
@@ -45,44 +53,85 @@ pub fn ideal_layers(dims: &[usize], rng: &mut Rng64) -> Vec<Matrix> {
     dims.windows(2).map(|w| Matrix::random_uniform(w[1], w[0], -0.5, 0.5, rng)).collect()
 }
 
-/// Forward pass through `layers` with ReLU between hidden layers (linear
-/// output). The per-layer activations ping-pong through thread-local
-/// scratch, so the only allocation is the returned score vector itself.
-fn mlp_forward(layers: &[Matrix], x: &[f32]) -> Vec<f32> {
-    let widest = layers.iter().map(Matrix::rows).max().unwrap_or(1).max(x.len());
-    let mut cur = parallel::scratch::take_f32(widest);
-    let mut nxt = parallel::scratch::take_f32(widest);
-    cur[..x.len()].copy_from_slice(x);
-    let mut len = x.len();
-    let last = layers.len().saturating_sub(1);
-    for (i, w) in layers.iter().enumerate() {
-        w.matvec_into(&cur[..len], &mut nxt[..w.rows()]);
-        len = w.rows();
-        if i < last {
-            for v in nxt[..len].iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        std::mem::swap(&mut cur, &mut nxt);
-    }
-    cur[..len].to_vec()
+/// Each request's payload through `view`, after checking once, before
+/// anything is served, that the whole batch carries the kind of payload
+/// this lane serves — so a misrouted request fails the batch loudly and
+/// can never shorten it.
+fn payload_views<'a, T: ?Sized>(
+    lane: &str,
+    batch: &'a [Request],
+    view: fn(&'a Payload) -> Option<&'a T>,
+) -> impl Iterator<Item = &'a T> {
+    assert!(
+        batch.iter().all(|r| view(&r.payload).is_some()),
+        "{lane} lane got another lane's payload: route requests to the station that generated them"
+    );
+    batch.iter().filter_map(move |r| view(&r.payload))
 }
 
-/// Serves a batch of feature-vector requests through shared read-only
-/// layers into a caller-owned output buffer (`out` is cleared, then
-/// refilled), one [`mlp_forward`] per request in batch order.
-fn mlp_serve_into(layers: &[Matrix], in_dim: usize, batch: &[Request], out: &mut Vec<Output>) {
-    out.clear();
-    out.extend(batch.iter().map(|r| {
-        let f = r.payload.features();
-        assert!(
-            f.is_some(),
-            "MLP lane got a non-feature payload: route requests to the station that generated them"
-        );
-        let f = f.unwrap_or(&[]);
-        assert!(f.len() == in_dim, "feature width {} does not match lane input {in_dim}", f.len());
-        Output::Scores(mlp_forward(layers, f))
-    }));
+/// The bias-free MLP both feature lanes serve — ReLU between hidden
+/// layers, linear output — with every layer packed at construction.
+#[derive(Debug, Clone)]
+struct PackedMlp {
+    layers: Vec<PackedMatvec>,
+    /// Widest hidden activation: half of a forward's ping-pong workspace.
+    widest: usize,
+}
+
+impl PackedMlp {
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty.
+    fn pack(layers: &[Matrix]) -> Self {
+        assert!(!layers.is_empty(), "an MLP lane needs at least one layer");
+        let hidden = &layers[..layers.len() - 1];
+        PackedMlp {
+            layers: layers.iter().map(PackedMatvec::pack).collect(),
+            widest: hidden.iter().map(Matrix::rows).max().unwrap_or(0),
+        }
+    }
+
+    fn in_dim(&self) -> usize {
+        self.layers.first().map_or(0, PackedMatvec::cols)
+    }
+
+    /// Serves a batch of feature-vector requests into a caller-owned
+    /// output buffer (`out` is cleared, then refilled), one forward per
+    /// request in batch order, all on one workspace check-out.
+    fn serve_into(&self, lane: &str, batch: &[Request], out: &mut Vec<Output>) {
+        out.clear();
+        let mut workspace = parallel::scratch::take_f32(2 * self.widest);
+        let in_dim = self.in_dim();
+        out.extend(payload_views(lane, batch, Payload::features).map(|f| {
+            assert!(
+                f.len() == in_dim,
+                "feature width {} does not match lane input {in_dim}",
+                f.len()
+            );
+            Output::Scores(self.forward(f, &mut workspace))
+        }));
+    }
+
+    /// One forward pass: hidden activations ping-pong between the halves
+    /// of `workspace`, the last layer writes the returned scores.
+    fn forward(&self, x: &[f32], workspace: &mut [f32]) -> Vec<f32> {
+        let Some((last, hidden)) = self.layers.split_last() else { return Vec::new() };
+        let (mut cur, mut nxt) = workspace.split_at_mut(self.widest);
+        // `None` while the input is still the request's.
+        let mut cur_len = None;
+        for w in hidden {
+            let y = &mut nxt[..w.rows()];
+            w.matvec_into(cur_len.map_or(x, |n| &cur[..n]), y);
+            for v in y.iter_mut() {
+                *v = v.max(0.0);
+            }
+            cur_len = Some(y.len());
+            std::mem::swap(&mut cur, &mut nxt);
+        }
+        let mut scores = vec![0.0f32; last.rows()];
+        last.matvec_into(cur_len.map_or(x, |n| &cur[..n]), &mut scores);
+        scores
+    }
 }
 
 /// Exact FP32 MLP inference on provisioned digital logic — the reference
@@ -90,7 +139,7 @@ fn mlp_serve_into(layers: &[Matrix], in_dim: usize, batch: &[Request], out: &mut
 #[derive(Debug, Clone)]
 pub struct DigitalBackend {
     name: String,
-    layers: Vec<Matrix>,
+    mlp: PackedMlp,
     model: ServiceModel,
 }
 
@@ -105,13 +154,12 @@ impl DigitalBackend {
     ///
     /// Panics if `layers` is empty.
     pub fn from_layers(name: &str, layers: Vec<Matrix>, model: ServiceModel) -> Self {
-        assert!(!layers.is_empty(), "an MLP lane needs at least one layer");
-        DigitalBackend { name: name.to_string(), layers, model }
+        DigitalBackend { name: name.to_string(), mlp: PackedMlp::pack(&layers), model }
     }
 
     /// Input width.
     pub fn in_dim(&self) -> usize {
-        self.layers.first().map_or(0, Matrix::cols)
+        self.mlp.in_dim()
     }
 }
 
@@ -131,7 +179,7 @@ impl Backend for DigitalBackend {
     }
 
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
-        mlp_serve_into(&self.layers, self.in_dim(), batch, out);
+        self.mlp.serve_into(&self.name, batch, out);
     }
 
     fn make_payload(&self, rng: &mut Rng64) -> Payload {
@@ -148,7 +196,7 @@ impl Backend for DigitalBackend {
 pub struct CrossbarBackend {
     name: String,
     /// Effective (noisy, drifted) weights at deployment time.
-    layers: Vec<Matrix>,
+    mlp: PackedMlp,
     model: ServiceModel,
 }
 
@@ -174,8 +222,7 @@ impl CrossbarBackend {
         model: ServiceModel,
         rng: &mut Rng64,
     ) -> Self {
-        assert!(!ideal.is_empty(), "an MLP lane needs at least one layer");
-        let layers = ideal
+        let layers: Vec<Matrix> = ideal
             .iter()
             .map(|w| {
                 let mut layer = PcmLayer::program(w, cfg, rng);
@@ -183,12 +230,12 @@ impl CrossbarBackend {
                 layer.weights_at(t_read)
             })
             .collect();
-        CrossbarBackend { name: name.to_string(), layers, model }
+        CrossbarBackend { name: name.to_string(), mlp: PackedMlp::pack(&layers), model }
     }
 
     /// Input width.
     pub fn in_dim(&self) -> usize {
-        self.layers.first().map_or(0, Matrix::cols)
+        self.mlp.in_dim()
     }
 }
 
@@ -208,7 +255,7 @@ impl Backend for CrossbarBackend {
     }
 
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
-        mlp_serve_into(&self.layers, self.in_dim(), batch, out);
+        self.mlp.serve_into(&self.name, batch, out);
     }
 
     fn make_payload(&self, rng: &mut Rng64) -> Payload {
@@ -312,10 +359,8 @@ impl Backend for TcamBackend {
 
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
         out.clear();
-        for r in batch {
-            let q = r.payload.features();
-            assert!(q.is_some(), "TCAM lane got a non-feature payload");
-            let (hit, _cost) = self.mem.retrieve(q.unwrap_or(&[]));
+        for q in payload_views(&self.name, batch, Payload::features) {
+            let (hit, _cost) = self.mem.retrieve(q);
             out.push(Output::Label(hit.map(|h| h.value)));
         }
     }
@@ -387,10 +432,7 @@ impl Backend for RecsysBackend {
 
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
         out.clear();
-        for r in batch {
-            let q = r.payload.rec_query();
-            assert!(q.is_some(), "recsys lane got a non-recsys payload");
-            let Some(q) = q else { continue };
+        for q in payload_views(&self.name, batch, Payload::rec_query) {
             out.push(Output::Ctr(self.model.predict(&q.dense, &q.sparse)));
         }
     }
@@ -467,6 +509,29 @@ mod tests {
         (batch, serial)
     }
 
+    /// The forward pass before the layers were packed, kept as the
+    /// reference: row-major `matvec_into`, ReLU between hidden layers,
+    /// two scratch buffers per request.
+    fn row_major_forward(layers: &[Matrix], x: &[f32]) -> Vec<f32> {
+        let widest = layers.iter().map(Matrix::rows).max().unwrap_or(1).max(x.len());
+        let mut cur = parallel::scratch::take_f32(widest);
+        let mut nxt = parallel::scratch::take_f32(widest);
+        cur[..x.len()].copy_from_slice(x);
+        let mut len = x.len();
+        let last = layers.len().saturating_sub(1);
+        for (i, w) in layers.iter().enumerate() {
+            w.matvec_into(&cur[..len], &mut nxt[..w.rows()]);
+            len = w.rows();
+            if i < last {
+                for v in nxt[..len].iter_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+            std::mem::swap(&mut cur, &mut nxt);
+        }
+        cur[..len].to_vec()
+    }
+
     /// From a single request to well past any preset `max_batch`.
     const BATCH_SIZES: [u64; 4] = [1, 47, 256, 1024];
 
@@ -486,14 +551,17 @@ mod tests {
         );
         let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<u32>>();
         for n in BATCH_SIZES {
+            let row_major = |mlp: &PackedMlp| -> Vec<Matrix> {
+                mlp.layers.iter().map(PackedMatvec::to_matrix).collect()
+            };
             for (layers, lane) in [
-                (digital.layers.clone(), &mut digital as &mut dyn Backend),
-                (analog.layers.clone(), &mut analog as &mut dyn Backend),
+                (row_major(&digital.mlp), &mut digital as &mut dyn Backend),
+                (row_major(&analog.mlp), &mut analog as &mut dyn Backend),
             ] {
                 let (batch, served) = serve_at_thread_counts(lane, n, &mut rng);
                 for (r, o) in batch.iter().zip(&served) {
                     let Output::Scores(scores) = o else { unreachable!("MLP lanes return scores") };
-                    let single = mlp_forward(&layers, r.payload.features().unwrap_or(&[]));
+                    let single = row_major_forward(&layers, r.payload.features().unwrap_or(&[]));
                     assert_eq!(bits(scores), bits(&single), "request {} of {n}", r.id);
                 }
             }

@@ -205,18 +205,23 @@ impl Server {
     /// serving anything if the trace is unsorted or names an unknown
     /// station.
     ///
-    /// Each admitted request is cloned out of the borrowed trace; when the
-    /// caller owns the trace, [`Server::try_run_owned`] moves requests
-    /// into the loop instead and never clones a payload.
+    /// Each admitted request is cloned out of the borrowed trace — about
+    /// 60 ns per request on the preset mix — and this is still the faster
+    /// entry point: [`Server::try_run_owned`] measured 10–15 % slower.
     pub fn try_run(self, trace_reqs: &[Request]) -> Result<RunReport, ServeError> {
         self.validate(trace_reqs)?;
         Ok(self.run_loop(trace_reqs.len(), trace_reqs.iter().cloned()))
     }
 
     /// [`Server::try_run`] over an owned trace: requests (and their
-    /// payload buffers) move straight from the trace into the station
-    /// queues, so the steady-state event loop performs zero per-request
-    /// heap allocations.
+    /// payload buffers) move from the trace into the station queues
+    /// instead of being cloned, so the loop makes no allocation per
+    /// request of its own — which is what its one caller, E18's
+    /// marginal-allocation audit, is there to see. It is not the fast
+    /// path: each payload is then freed where its request ends, scattered
+    /// through the run, instead of in one sweep when the caller drops the
+    /// trace, and the preset server ran 830 ns per request this way
+    /// against 740 ns borrowed.
     pub fn try_run_owned(self, trace_reqs: Vec<Request>) -> Result<RunReport, ServeError> {
         self.validate(&trace_reqs)?;
         let n = trace_reqs.len();
