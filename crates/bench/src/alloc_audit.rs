@@ -127,11 +127,6 @@ impl Backend for ConstLabel {
     fn service_ns(&self, batch: usize) -> u64 {
         ServiceModel { setup_ns: 200, per_item_ns: 50 }.ns(batch)
     }
-    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.serve_into(batch, &mut out);
-        out
-    }
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
         out.clear();
         out.extend(batch.iter().map(|_| Output::Label(Some(1))));
@@ -141,9 +136,9 @@ impl Backend for ConstLabel {
     }
 }
 
-/// Allocations the calling thread makes during one owned-trace run of
-/// `n` requests through a single [`ConstLabel`] station (the trace is
-/// built before the window opens).
+/// Allocations the calling thread makes during one run of `n` requests
+/// through a single [`ConstLabel`] station (the trace is built before
+/// the window opens; its empty payloads clone without allocating).
 ///
 /// # Errors
 ///
@@ -162,7 +157,7 @@ pub fn serve_run_allocs(n: usize) -> Result<u64, ServeError> {
     let spec = StationSpec::simple(Box::new(ConstLabel), BatchPolicy::new(8, 500, 64));
     let server = Server::try_new(vec![spec])?;
     let s0 = thread_snapshot();
-    let report = server.try_run_owned(reqs)?;
+    let report = server.try_run(&reqs)?;
     let allocs = thread_snapshot().since(s0).allocs;
     assert_eq!(report.responses.len(), n, "every request must resolve");
     Ok(allocs)

@@ -6,8 +6,7 @@
 //! percentiles, shed/reject/miss rates, and degradation-ladder activity.
 //!
 //! The simulation itself runs on virtual time, so the response stream and
-//! every percentile are a pure function of the seed; the only wall-clock
-//! reading here times how fast the simulator chews through the trace.
+//! every percentile are a pure function of the seed.
 //!
 //! Emits `BENCH_serving.json` in the working directory so CI can track
 //! tail latencies and shed rates over time. Pass `--smoke` for a short
@@ -18,7 +17,6 @@ use crate::run::Run;
 use enw_core::report::Table;
 use enw_core::serve::presets::{saturation_qps, traffic_classes, try_fleet};
 use enw_core::serve::{generate_trace, LoadSpec, RunReport, StationMetrics};
-use std::time::Instant;
 
 const SEED: u64 = 16;
 /// Fractions of the fleet's saturation QPS swept by the experiment:
@@ -31,12 +29,10 @@ struct LevelResult {
     qps_frac: f64,
     qps: f64,
     arrivals: usize,
-    sim_seconds: f64,
     report: RunReport,
 }
 
-/// One simulated run at `frac` times saturation; returns the report and
-/// how long the simulator took in wall time (telemetry only).
+/// One simulated run at `frac` times saturation.
 fn run_level(frac: f64, horizon_ns: u64) -> LevelResult {
     let server = try_fleet(SEED).expect("preset fleet");
     let classes = traffic_classes();
@@ -44,9 +40,8 @@ fn run_level(frac: f64, horizon_ns: u64) -> LevelResult {
     let spec = LoadSpec { qps, duration_ns: horizon_ns, seed: SEED ^ (frac.to_bits()) };
     let trace = generate_trace(&server, &spec, &classes);
     let arrivals = trace.len();
-    let t = Instant::now();
     let report = server.try_run(&trace).expect("generated trace is valid");
-    LevelResult { qps_frac: frac, qps, arrivals, sim_seconds: t.elapsed().as_secs_f64(), report }
+    LevelResult { qps_frac: frac, qps, arrivals, report }
 }
 fn to_json(levels: &[LevelResult], deterministic: bool) -> Json {
     let station = |l: &LevelResult, m: &StationMetrics| {
@@ -75,7 +70,6 @@ fn to_json(levels: &[LevelResult], deterministic: bool) -> Json {
             ("qps_frac", num(format_args!("{:.2}", l.qps_frac))),
             ("qps", num(format_args!("{:.1}", l.qps))),
             ("arrivals", num(l.arrivals)),
-            ("sim_seconds", num(format_args!("{:.4}", l.sim_seconds))),
             ("stations", Json::arr(l.report.stations.iter().map(|m| station(l, m)))),
         ])
     };

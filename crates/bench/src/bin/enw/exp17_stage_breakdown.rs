@@ -1,5 +1,5 @@
 //! E17 — per-stage work attribution across all four workload lanes via
-//! the `enw-trace` span recorder (methodology companion to E1/E15/E16).
+//! the `enw-trace` span recorder (methodology companion to E1/E16).
 //!
 //! Every kernel crate records deterministic work units (element counts,
 //! pulses) into named spans (`lane/stage`). This binary runs a small

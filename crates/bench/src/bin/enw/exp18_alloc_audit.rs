@@ -1,5 +1,5 @@
 //! E18 — allocation accounting for the zero-allocation hot paths
-//! (methodology companion to E15/E17).
+//! (methodology companion to E17).
 //!
 //! The memory-bound workloads (recsys Sec. V, X-MANN Sec. III) spend
 //! their budget on bytes moved, so per-inference `Vec` churn is pure
@@ -30,32 +30,29 @@ use enw_core::trace::{self, TraceMode};
 use enw_core::xmann::arch::{Xmann, XmannConfig};
 use enw_core::xmann::cost::XmannCostParams;
 use std::hint::black_box;
-use std::time::Instant;
 
 const SEED: u64 = 18;
 const WARMUP: usize = 32;
 
-/// Allocations, bytes, and wall nanoseconds per iteration of `f`, after
-/// `WARMUP` unmeasured iterations have faulted pages in and warmed the
-/// thread-local scratch pools.
-fn measure(iters: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+/// Allocations and bytes per iteration of `f`, after `WARMUP` unmeasured
+/// iterations have faulted pages in and warmed the thread-local scratch
+/// pools.
+fn measure(iters: usize, mut f: impl FnMut()) -> (f64, f64) {
     for _ in 0..WARMUP {
         f();
     }
     let s0 = alloc_audit::thread_snapshot();
-    let t0 = Instant::now();
     for _ in 0..iters {
         f();
     }
-    let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
     let d = alloc_audit::thread_snapshot().since(s0);
-    (d.allocs as f64 / iters as f64, d.bytes as f64 / iters as f64, ns)
+    (d.allocs as f64 / iters as f64, d.bytes as f64 / iters as f64)
 }
 
 struct Lane {
     name: &'static str,
-    before: (f64, f64, f64),
-    after: (f64, f64, f64),
+    before: (f64, f64),
+    after: (f64, f64),
 }
 
 impl Lane {
@@ -240,8 +237,6 @@ fn to_json(lanes: &[Lane], serve: &ServeCheck, smoke: bool) -> Json {
             ("bytes_per_inference_before", num(format_args!("{:.1}", l.before.1))),
             ("bytes_per_inference_after", num(format_args!("{:.1}", l.after.1))),
             ("alloc_reduction_pct", num(format_args!("{:.1}", l.reduction_pct()))),
-            ("ns_per_inference_before", num(format_args!("{:.0}", l.before.2))),
-            ("ns_per_inference_after", num(format_args!("{:.0}", l.after.2))),
             ("meets_90pct_target", l.meets_target().into()),
         ])
     };
@@ -295,8 +290,6 @@ pub fn run(run: &mut Run) {
         "bytes/inf before",
         "bytes/inf after",
         "reduction",
-        "ns/inf before",
-        "ns/inf after",
     ]);
     for l in &lanes {
         table.row_owned(vec![
@@ -306,8 +299,6 @@ pub fn run(run: &mut Run) {
             format!("{:.0}", l.before.1),
             format!("{:.0}", l.after.1),
             format!("{:.1}%", l.reduction_pct()),
-            format!("{:.0}", l.before.2),
-            format!("{:.0}", l.after.2),
         ]);
     }
     run.emit(&table);

@@ -9,7 +9,7 @@
 //!
 //! The whole cluster runs on virtual time, so every number is a pure
 //! function of `(spec, trace)` — bit-identical across reruns and
-//! `ENW_THREADS`; the only wall-clock reading times the simulator.
+//! `ENW_THREADS`.
 //!
 //! Emits `BENCH_fleet.json` in the working directory so CI can track
 //! tails and goodput-per-node over time. Pass `--smoke` for a short
@@ -21,7 +21,6 @@ use enw_core::fleet::presets::{fleet_spec, scales, trace, FleetScale, Scenario};
 use enw_core::fleet::sim::{try_run, FleetReport, LaneReport};
 use enw_core::report::Table;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 const SEED: u64 = 19;
 const SMOKE_HORIZON_NS: u64 = 50_000_000; // 50 ms of virtual time
@@ -31,7 +30,6 @@ struct Cell {
     scenario: Scenario,
     scale: FleetScale,
     arrivals: usize,
-    sim_seconds: f64,
     report: FleetReport,
 }
 
@@ -39,9 +37,8 @@ struct Cell {
 fn run_cell(scenario: Scenario, scale: FleetScale, horizon_ns: u64) -> Cell {
     let t = trace(scenario, scale, horizon_ns, SEED);
     let arrivals = t.len();
-    let wall = Instant::now();
     let report = try_run(fleet_spec(scale), &t).expect("preset spec and trace are valid");
-    Cell { scenario, scale, arrivals, sim_seconds: wall.elapsed().as_secs_f64(), report }
+    Cell { scenario, scale, arrivals, report }
 }
 
 fn to_json(cells: &[Cell], deterministic: bool) -> Json {
@@ -73,7 +70,6 @@ fn to_json(cells: &[Cell], deterministic: bool) -> Json {
             ("nodes", num(c.scale.nodes)),
             ("shards", num(c.scale.shards)),
             ("arrivals", num(c.arrivals)),
-            ("sim_seconds", num(format_args!("{:.4}", c.sim_seconds))),
             ("lanes", Json::arr(c.report.lanes.iter().map(lane))),
         ];
         if let Some(sh) = &c.report.shard {

@@ -55,7 +55,6 @@ experiments! {
     "E12" => exp12_recsys_roofline,
     "E13" => exp13_embedding_compression,
     "E14" => exp14_embedding_cache,
-    "E15" => exp15_parallel_scaling,
     "E16" => exp16_serving_slo,
     "E17" => exp17_stage_breakdown,
     "E18" => exp18_alloc_audit,
@@ -70,7 +69,7 @@ experiments! {
 
 /// What `enw gate` runs, in smoke mode: the three sub-second paper
 /// pins, then every experiment with a CI-sized form.
-const GATE_SET: [&str; 10] = ["E9", "E10", "E14", "E16", "E17", "E18", "E19", "E20", "E15", "E21"];
+const GATE_SET: [&str; 9] = ["E9", "E10", "E14", "E16", "E17", "E18", "E19", "E20", "E21"];
 
 const USAGE: &str = "usage: enw list | enw run <ID>... [--smoke] | enw gate";
 

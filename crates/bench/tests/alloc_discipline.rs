@@ -106,65 +106,43 @@ fn scratch_checkout_reuses_buffers_instead_of_allocating() {
 }
 
 #[test]
-fn analog_tile_reads_allocate_nothing_at_two_threads() {
-    // 256 x 256 clears the `plan_chunks` gate in both directions, so at
-    // two threads every read is a real pool dispatch.
-    let mut rng = Rng64::new(14);
-    let mut tile = AnalogTile::new(256, 256, &devices::ideal(1000), TileConfig::ideal(), &mut rng);
-    let x: Vec<f32> = (0..256).map(|_| rng.uniform_f32() - 0.5).collect();
-    let (mut y, mut dx) = (vec![0.0f32; 256], vec![0.0f32; 256]);
-    parallel::with_threads(2, || {
-        let mut reads = |tile: &mut AnalogTile| {
-            tile.forward_into(&x, &mut y);
-            tile.backward_into(&x, &mut dx);
-        };
-        for _ in 0..8 {
-            reads(&mut tile);
-        }
-        let iters = 100;
-        let s0 = alloc_audit::thread_snapshot();
-        for _ in 0..iters {
-            reads(&mut tile);
-        }
-        let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
-        assert_eq!(allocs, 0, "warm tile reads allocated over {iters} forward+backward pairs");
-    });
-}
-
-#[test]
 fn analog_tile_cycles_allocate_nothing_and_reads_touch_no_pool() {
-    // The tile shape `analog_train` runs: one row chunk, far below the
-    // `plan_chunks` gate. The line buffer is the tile's own, so only
-    // the update's staging comes from a pool — one check-out per cycle.
+    // The tile shape `analog_train` runs (one row chunk) and a 256 x 256
+    // one whose update deals sixteen. The line buffer is the tile's own
+    // and a read stays on the calling thread at any size, so only the
+    // update's staging comes from a pool — one check-out per cycle.
     // (Uncalibrated: a zero-shifted tile's transposed reference read
     // keeps a check-out of its own.)
-    let mut rng = Rng64::new(15);
-    let mut tile = AnalogTile::new(8, 10, &devices::ecram(), TileConfig::default(), &mut rng);
-    let x: Vec<f32> = (0..10).map(|_| rng.uniform_f32() - 0.5).collect();
-    let d: Vec<f32> = (0..8).map(|_| rng.uniform_f32() - 0.5).collect();
-    let (mut y, mut dx) = (vec![0.0f32; 8], vec![0.0f32; 10]);
-    let mut cycle = |tile: &mut AnalogTile| {
-        tile.forward_into(&x, &mut y);
-        tile.backward_into(&d, &mut dx);
-        tile.update(&d, &x, 0.01);
-    };
-    for threads in [1, 2] {
-        parallel::with_threads(threads, || {
-            for _ in 0..8 {
-                cycle(&mut tile);
-            }
-            let cycles = 200;
-            let (s0, c0) = (alloc_audit::thread_snapshot(), scratch::thread_stats().checkouts);
-            for _ in 0..cycles {
-                cycle(&mut tile);
-            }
-            let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
-            let checkouts = scratch::thread_stats().checkouts - c0;
-            assert_eq!(allocs, 0, "warm tile cycles allocated at {threads} thread(s)");
-            assert_eq!(checkouts, cycles, "check-outs over {cycles} cycles at {threads} thread(s)");
-        });
+    for (rows, cols) in [(8, 10), (256, 256)] {
+        let mut rng = Rng64::new(15);
+        let mut tile =
+            AnalogTile::new(rows, cols, &devices::ecram(), TileConfig::default(), &mut rng);
+        let x: Vec<f32> = (0..cols).map(|_| rng.uniform_f32() - 0.5).collect();
+        let d: Vec<f32> = (0..rows).map(|_| rng.uniform_f32() - 0.5).collect();
+        let (mut y, mut dx) = (vec![0.0f32; rows], vec![0.0f32; cols]);
+        let mut cycle = |tile: &mut AnalogTile| {
+            tile.forward_into(&x, &mut y);
+            tile.backward_into(&d, &mut dx);
+            tile.update(&d, &x, 0.01);
+        };
+        for threads in [1, 2] {
+            parallel::with_threads(threads, || {
+                for _ in 0..8 {
+                    cycle(&mut tile);
+                }
+                let cycles = 200;
+                let (s0, c0) = (alloc_audit::thread_snapshot(), scratch::thread_stats().checkouts);
+                for _ in 0..cycles {
+                    cycle(&mut tile);
+                }
+                let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+                let checkouts = scratch::thread_stats().checkouts - c0;
+                assert_eq!(allocs, 0, "warm {rows}x{cols} cycles allocated at {threads} thread(s)");
+                assert_eq!(checkouts, cycles, "{rows}x{cols} check-outs at {threads} thread(s)");
+            });
+        }
+        assert!(tile.stats().pulses > 0, "the updates must fire");
     }
-    assert!(tile.stats().pulses > 0, "the updates must fire");
 }
 
 #[test]

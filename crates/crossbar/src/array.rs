@@ -11,14 +11,6 @@ use crate::device::{DeviceSpec, PulseDir, PulsedDevice};
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
 
-// Each read has one entry point and one body. `matvec_into` and
-// `matvec_t_into` ask `enw_parallel::plan_chunks` themselves (per-line
-// crosspoint count as the work estimate) and run the body — a private
-// row- or column-window helper — either once over the whole output or
-// over fixed windows on the worker pool. Boundaries depend only on the
-// array shape and each output line is one independent reduction, so
-// results are bit-identical at any `ENW_THREADS`.
-
 /// How a defective device fails (paper Sec. II-B2: imperfect yield).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefectMode {
@@ -132,10 +124,10 @@ impl AnalogArray {
     }
 
     /// [`matvec`](AnalogArray::matvec) into a caller-owned output buffer
-    /// (`y` is fully overwritten). Large arrays split their rows at
-    /// work-estimate-sized chunk boundaries across the `enw_parallel`
-    /// pool; each output current is the same ascending-column sum either
-    /// way, so results are bit-identical at any thread count.
+    /// (`y` is fully overwritten): each output current is one
+    /// ascending-column sum, on the calling thread — the hardware read is
+    /// O(1) and booked on the virtual clock, and simulations parallelise
+    /// across tiles and samples, not inside one array read.
     ///
     /// # Panics
     ///
@@ -144,20 +136,7 @@ impl AnalogArray {
     pub fn matvec_into(&self, x: &[f32], ir_drop: f32, y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
-        match enw_parallel::plan_chunks(self.rows, self.cols) {
-            None => self.read_rows(x, ir_drop, 0, y),
-            Some(chunk) => enw_parallel::run_chunks_mut(y, chunk, |r0, window| {
-                self.read_rows(x, ir_drop, r0, window)
-            }),
-        }
-    }
-
-    /// The forward-read body: output currents for rows
-    /// `r0..r0 + window.len()`, each an ascending-column sum.
-    // enw:hot
-    fn read_rows(&self, x: &[f32], ir_drop: f32, r0: usize, window: &mut [f32]) {
-        for (out, r) in window.iter_mut().zip(r0..) {
-            let row = &self.weights[r * self.cols..(r + 1) * self.cols];
+        for (r, (out, row)) in y.iter_mut().zip(self.weights.chunks_exact(self.cols)).enumerate() {
             let mut acc = 0.0f32;
             if ir_drop == 0.0 {
                 for (w, xi) in row.iter().zip(x) {
@@ -186,10 +165,9 @@ impl AnalogArray {
     }
 
     /// [`matvec_t`](AnalogArray::matvec_t) into a caller-owned output
-    /// buffer (`y` is fully overwritten). Large arrays split their output
-    /// *columns* at work-estimate-sized chunk boundaries; every window
-    /// walks the rows in ascending order with the same zero-`d` skip, so
-    /// results are bit-identical at any thread count.
+    /// buffer (`y` is fully overwritten): every output current is
+    /// accumulated over ascending rows, on the calling thread; rows
+    /// driven with exactly zero are skipped.
     ///
     /// # Panics
     ///
@@ -198,34 +176,19 @@ impl AnalogArray {
     pub fn matvec_t_into(&self, d: &[f32], ir_drop: f32, y: &mut [f32]) {
         assert_eq!(d.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output dimension mismatch");
-        match enw_parallel::plan_chunks(self.cols, self.rows) {
-            None => self.read_cols(d, ir_drop, 0, y),
-            Some(chunk) => enw_parallel::run_chunks_mut(y, chunk, |c0, window| {
-                self.read_cols(d, ir_drop, c0, window)
-            }),
-        }
-    }
-
-    /// The transposed-read body: output currents for columns
-    /// `c0..c0 + window.len()`, accumulated over ascending rows; rows
-    /// driven with exactly zero are skipped.
-    // enw:hot
-    fn read_cols(&self, d: &[f32], ir_drop: f32, c0: usize, window: &mut [f32]) {
-        let cols = self.cols;
-        window.fill(0.0);
-        for (r, di) in d.iter().enumerate() {
+        y.fill(0.0);
+        for (r, (di, row)) in d.iter().zip(self.weights.chunks_exact(self.cols)).enumerate() {
             if *di == 0.0 {
                 continue;
             }
-            let row = &self.weights[r * cols + c0..r * cols + c0 + window.len()];
             if ir_drop == 0.0 {
-                for (out, w) in window.iter_mut().zip(row) {
+                for (out, w) in y.iter_mut().zip(row) {
                     *out += w * di;
                 }
             } else {
                 let rfrac = r as f32 / self.rows as f32;
-                for (c, (out, w)) in window.iter_mut().zip(row).enumerate() {
-                    let atten = 1.0 - ir_drop * 0.5 * (rfrac + (c0 + c) as f32 / cols as f32);
+                for (c, (out, w)) in y.iter_mut().zip(row).enumerate() {
+                    let atten = 1.0 - ir_drop * 0.5 * (rfrac + c as f32 / self.cols as f32);
                     *out += w * di * atten;
                 }
             }
@@ -523,11 +486,8 @@ mod tests {
     }
 
     #[test]
-    fn par_reads_bitwise_match_serial_reads() {
-        // 300 x 260 clears the `plan_chunks` gate in both directions, so
-        // 3 and 8 threads really split rows (forward) and columns
-        // (transposed).
-        let (rows, cols) = (300, 260);
+    fn reads_bitwise_match_naive_folds() {
+        let (rows, cols) = (30, 26);
         let mut rng = Rng64::new(11);
         let mut a = AnalogArray::new(rows, cols, &devices::ideal(1000), &mut rng);
         let target = Matrix::random_uniform(rows, cols, -0.9, 0.9, &mut rng);
@@ -541,9 +501,8 @@ mod tests {
         d[3] = 0.0; // exercise the zero-skip path
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for ir in [0.0f32, 0.15] {
-            // The oracle: one naive fold per output line, no windows
-            // (at `ir == 0` the attenuation is exactly 1.0, a bitwise
-            // no-op factor).
+            // The oracle: one naive fold per output line (at `ir == 0`
+            // the attenuation is exactly 1.0, a bitwise no-op factor).
             let atten = |r: usize, c: usize| {
                 1.0 - ir * 0.5 * (r as f32 / rows as f32 + c as f32 / cols as f32)
             };
@@ -557,12 +516,8 @@ mod tests {
                         .fold(0.0, |acc, r| acc + a.weight(r, c) * d[r] * atten(r, c))
                 })
                 .collect();
-            for threads in [1usize, 3, 8] {
-                let (py, pyt) =
-                    enw_parallel::with_threads(threads, || (a.matvec(&x, ir), a.matvec_t(&d, ir)));
-                assert_eq!(bits(&py), bits(&y), "forward, ir {ir}, {threads} threads");
-                assert_eq!(bits(&pyt), bits(&yt), "transposed, ir {ir}, {threads} threads");
-            }
+            assert_eq!(bits(&a.matvec(&x, ir)), bits(&y), "forward, ir {ir}");
+            assert_eq!(bits(&a.matvec_t(&d, ir)), bits(&yt), "transposed, ir {ir}");
         }
     }
 

@@ -724,7 +724,7 @@ mod tests {
         };
         let (w1, p1) = run(1);
         assert!(p1 > 0, "update should fire pulses");
-        for threads in [3usize, 8] {
+        for threads in [2usize, 3, 8] {
             let (w, p) = run(threads);
             assert_eq!(p, p1, "pulse count changed at {threads} threads");
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -243,10 +243,9 @@ mod tests {
         let run =
             |n: usize| with_threads(n, || explore(&space2(), &eval, &SearchConfig::default()));
         let r1 = run(1);
-        let r2 = run(2);
-        let r8 = run(8);
-        assert_eq!(r1, r2);
-        assert_eq!(r1, r8);
+        for threads in [2, 3, 8] {
+            assert_eq!(r1, run(threads), "{threads} threads");
+        }
         assert_eq!(r1, run(1), "rerun at the same thread count drifted");
         assert!(r1.clock_ns > 0);
     }

@@ -9,18 +9,14 @@
 //! only one with variants behind it, and it — not its caller — picks
 //! among them from the problem shape: the naive `(i, k, j)` triple loop
 //! for small or very narrow products, and above that a cache-blocked,
-//! register-tiled kernel that it runs inline or, when
-//! `enw_parallel::plan_chunks` returns a plan, over fixed row chunks on
-//! the worker pool. Both kernels accumulate each output element's terms
+//! register-tiled kernel. Both accumulate each output element's terms
 //! in ascending-`k` order under the same
-//! [zero-coefficient skip](#zero-skip-fast-path) rule, and chunk
-//! boundaries depend only on the shape, so the result is **bitwise
-//! identical** whichever branch runs and at any thread count. The
-//! matrix–vector kernels stay on the calling thread: `matvec` and the
-//! `scan_*` memory scans run rows abreast on the driver in `scan.rs`
-//! (chain order untouched, so again bitwise equal to the one-row loop),
-//! and one thread already streams at the host's memory bandwidth
-//! (`ROADMAP.md` item 3b has the measurements). A matrix that is
+//! [zero-coefficient skip](#zero-skip-fast-path) rule, so the result is
+//! **bitwise identical** whichever runs. Every kernel in this module
+//! stays on the calling thread: `matvec` and the `scan_*` memory scans
+//! run rows abreast on the driver in `scan.rs` (chain order untouched,
+//! so again bitwise equal to the one-row loop), and one thread already
+//! streams at the host's memory bandwidth. A matrix that is
 //! written once and then only read is better held as a
 //! [`PackedMatvec`](crate::packed::PackedMatvec): the same chains, run
 //! outputs abreast for one input and, for a batch, inputs abreast
@@ -127,13 +123,6 @@ pub(crate) fn record_matvec_span(rows: usize, cols: usize) {
         f * rows,
     );
 }
-
-/// Cap on parallel `matmul` row chunks. Every chunk streams the whole
-/// `B` panel set once, so chunk count is a direct multiplier on `B`
-/// memory traffic; 16 chunks bound that re-streaming at 16× while still
-/// dealing the widest supported fan-out (8 slots) two chunks deep for
-/// load balance.
-const MATMUL_MAX_CHUNKS: usize = 16;
 
 /// Dispatch threshold: below this flop count the simple serial loop
 /// beats cache-blocking overhead.
@@ -404,9 +393,9 @@ impl Matrix {
     ///
     /// Terms with a zero left-hand coefficient are skipped under the
     /// module-level [zero-skip fast path](crate::matrix) shared with
-    /// [`matvec_t`](Matrix::matvec_t). Which kernel runs, and on how
-    /// many threads, is [`matmul_into`](Matrix::matmul_into)'s decision
-    /// and invisible in the result.
+    /// [`matvec_t`](Matrix::matvec_t). Which kernel runs is
+    /// [`matmul_into`](Matrix::matmul_into)'s decision and invisible in
+    /// the result.
     ///
     /// # Panics
     ///
@@ -421,11 +410,8 @@ impl Matrix {
     /// (`out` is fully overwritten) — the one entry point to the product
     /// kernels. Small products, and ones too narrow for a register tile
     /// (`other.cols < 8`), run the naive triple loop; the rest run the
-    /// cache-blocked kernel, over fixed row chunks on the `enw_parallel`
-    /// pool when `plan_chunks` says the product is worth splitting and
-    /// inline otherwise. Every branch performs the identical term
-    /// sequence per output element, so results are bitwise equal
-    /// whichever runs and at any thread count.
+    /// cache-blocked kernel. Both perform the identical term sequence
+    /// per output element, so results are bitwise equal whichever runs.
     ///
     /// # Panics
     ///
@@ -439,22 +425,10 @@ impl Matrix {
         out.data.fill(0.0);
         let (m, k, n) = (self.rows, self.cols, other.cols);
         if m * k * n < BLOCKED_MIN_FLOPS || n < 8 {
-            return self.matmul_naive_into(other, &mut out.data);
+            self.matmul_naive_into(other, &mut out.data);
+        } else {
+            self.matmul_blocked_into(other, &mut out.data);
         }
-        let Some(row_chunk) = enw_parallel::plan_chunks(m, k * n) else {
-            return self.matmul_block_rows(other, 0..m, &mut out.data);
-        };
-        // Chunks must keep MR-row groups intact or every chunk lands in
-        // the microkernel's row-remainder (per-term axpy) path, and each
-        // chunk streams the whole `B` panel set once, so the chunk count
-        // is capped to bound `B` re-streaming (16 chunks still deal 8
-        // slots two-deep). Both adjustments depend only on the problem
-        // size, so determinism holds.
-        let row_chunk = row_chunk.max(m.div_ceil(MATMUL_MAX_CHUNKS)).next_multiple_of(MATMUL_MR);
-        enw_parallel::run_chunks_mut(&mut out.data, row_chunk * n, |start, window| {
-            let r0 = start / n;
-            self.matmul_block_rows(other, r0..r0 + window.len() / n, window);
-        });
     }
 
     /// Shape-derived span for one matmul call: 2 flops per `m·k·n`
@@ -482,8 +456,7 @@ impl Matrix {
         }
     }
 
-    /// Cache-blocked, register-tiled product over a row range of `self`,
-    /// writing into `out_rows` (the row-major window for those rows).
+    /// Cache-blocked, register-tiled product into the row-major `out`.
     ///
     /// Walks `B` in `MATMUL_KC × MATMUL_NC` panels so a panel stays
     /// cache-resident, and computes each panel through the
@@ -499,11 +472,10 @@ impl Matrix {
     /// dot-product formulation was measured ~2.5× *slower* here: the
     /// per-term zero-skip branch defeats autovectorization of dot
     /// products, while the axpy/tile forms keep vectorizable j-loops.)
-    fn matmul_block_rows(&self, other: &Matrix, rows: Range<usize>, out_rows: &mut [f32]) {
+    fn matmul_blocked_into(&self, other: &Matrix, out: &mut [f32]) {
         let k = self.cols;
         let n = other.cols;
-        let nrows = rows.end - rows.start;
-        debug_assert_eq!(out_rows.len(), nrows * n);
+        let nrows = self.rows;
         let b = &other.data;
         let mut jb = 0;
         while jb < n {
@@ -516,11 +488,7 @@ impl Matrix {
                 // Pack the panel's full-NR strips into thread-local
                 // scratch, NR-contiguous per k step: the microkernel's
                 // k-loop then streams the panel sequentially instead of
-                // striding by `n` per step. Under the chunked dispatch the
-                // packing runs on each participant, so every worker owns
-                // a private packed copy of the panels it consumes —
-                // which is what keeps 8-thread chunks from contending on
-                // the same `B` cache lines. Values are copied verbatim
+                // striding by `n` per step. Values are copied verbatim
                 // and consumed in the identical (kk, j) order, so the
                 // result stays bitwise equal to the unpacked kernel.
                 let pack_len = if nrows >= MATMUL_MR { nstrips * kc * MATMUL_NR } else { 0 };
@@ -537,24 +505,23 @@ impl Matrix {
                     pack_guard = Some(g);
                 }
                 let packed: &[f32] = pack_guard.as_deref().unwrap_or(&[]);
-                let mut oi = 0;
-                while oi + MATMUL_MR <= nrows {
-                    let i = rows.start + oi;
-                    self.matmul_microkernel_mr_nr(b, packed, out_rows, i, oi, kb..ke, jb..je, n);
-                    oi += MATMUL_MR;
+                let mut i = 0;
+                while i + MATMUL_MR <= nrows {
+                    self.matmul_microkernel_mr_nr(b, packed, out, i, kb..ke, jb..je, n);
+                    i += MATMUL_MR;
                 }
                 // Row remainder (< MR rows): per-term axpy, same
                 // ascending-k order per output element.
-                while oi < nrows {
-                    let arow = &self.data[(rows.start + oi) * k..(rows.start + oi + 1) * k];
-                    let orow = &mut out_rows[oi * n + jb..oi * n + je];
+                while i < nrows {
+                    let arow = &self.data[i * k..(i + 1) * k];
+                    let orow = &mut out[i * n + jb..i * n + je];
                     for kk in kb..ke {
                         let av = arow[kk];
                         if !skip_zero_coeff(av) {
                             axpy_row(orow, av, &b[kk * n + jb..kk * n + je]);
                         }
                     }
-                    oi += 1;
+                    i += 1;
                 }
                 kb = ke;
             }
@@ -563,11 +530,11 @@ impl Matrix {
     }
 
     /// The register microkernel: accumulates the `MATMUL_MR × MATMUL_NR`
-    /// output tile at `(global row `i`, window row `oi`)` over the
-    /// k-panel `ks`, one `MATMUL_NR`-wide column strip of `js` at a
+    /// output tile at row `i` over the k-panel `ks`, one
+    /// `MATMUL_NR`-wide column strip of `js` at a
     /// time. Full strips read the k-panel from `packed` (the caller's
-    /// NR-contiguous per-worker copy of `B`'s panel — see
-    /// [`matmul_block_rows`](Matrix::matmul_block_rows)); the column
+    /// NR-contiguous copy of `B`'s panel — see
+    /// [`matmul_blocked_into`](Matrix::matmul_blocked_into)); the column
     /// remainder reads `b` directly. The accumulator tile is loaded from
     /// the output once per strip, folded over the whole panel by
     /// [`tile_fold`] with the zero skip compiled in, and stored back
@@ -580,9 +547,8 @@ impl Matrix {
         &self,
         b: &[f32],
         packed: &[f32],
-        out_rows: &mut [f32],
+        out: &mut [f32],
         i: usize,
-        oi: usize,
         ks: Range<usize>,
         js: Range<usize>,
         n: usize,
@@ -597,11 +563,11 @@ impl Matrix {
             let panel = &packed[strip * kc * MATMUL_NR..(strip + 1) * kc * MATMUL_NR];
             let mut acc = [[0.0f32; MATMUL_NR]; MATMUL_MR];
             for (r, accr) in acc.iter_mut().enumerate() {
-                accr.copy_from_slice(&out_rows[(oi + r) * n + j..(oi + r) * n + j + MATMUL_NR]);
+                accr.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + MATMUL_NR]);
             }
             let acc = tile_fold::<MATMUL_MR, MATMUL_NR, true>(a, panel, acc);
             for (r, accr) in acc.iter().enumerate() {
-                out_rows[(oi + r) * n + j..(oi + r) * n + j + MATMUL_NR].copy_from_slice(accr);
+                out[(i + r) * n + j..(i + r) * n + j + MATMUL_NR].copy_from_slice(accr);
             }
             j += MATMUL_NR;
             strip += 1;
@@ -610,7 +576,7 @@ impl Matrix {
         // still ascending k per element.
         if j < js.end {
             for (r, arow) in a.into_iter().enumerate() {
-                let orow = &mut out_rows[(oi + r) * n + j..(oi + r) * n + js.end];
+                let orow = &mut out[(i + r) * n + j..(i + r) * n + js.end];
                 for (kk, &av) in (ks.start..ks.end).zip(arow) {
                     if !skip_zero_coeff(av) {
                         axpy_row(orow, av, &b[kk * n + j..kk * n + js.end]);
@@ -786,28 +752,13 @@ mod tests {
     fn blocked_matmul_bitwise_matches_reference() {
         // 70×150 × 150×90 clears BLOCKED_MIN_FLOPS, has non-multiple-of-8
         // k and non-multiple-of-block edges, and zeros exercise both the
-        // fused-8 fallback and the skip path.
-        let a = random_with_zeros(70, 150, 1);
-        let b = random_with_zeros(150, 90, 2);
-        let blocked = a.matmul(&b);
-        let reference = matmul_reference(&a, &b);
-        assert_eq!(bits(blocked.as_slice()), bits(&reference));
-    }
-
-    #[test]
-    fn par_kernels_bitwise_match_serial_across_thread_counts() {
-        // Two shapes past the `plan_chunks` gate, so 3 and 8 threads
-        // really fan out: a square-ish one on the blocked kernel, and a
-        // 6-column one that must stay on the naive branch (`cols < 8`)
-        // however many threads are offered.
-        for (m, k, n) in [(130, 140, 120), (2048, 16, 6)] {
-            let a = random_with_zeros(m, k, 3);
-            let b = random_with_zeros(k, n, 4);
-            let oracle = bits(&matmul_reference(&a, &b));
-            for threads in [1usize, 3, 8] {
-                let c = enw_parallel::with_threads(threads, || a.matmul(&b));
-                assert_eq!(bits(c.as_slice()), oracle, "{m}x{k}x{n} at {threads} threads");
-            }
+        // fused-8 fallback and the skip path; 2048×16 × 16×6 clears it
+        // too but must stay on the naive branch (`cols < 8`).
+        for (m, k, n) in [(70, 150, 90), (2048, 16, 6)] {
+            let a = random_with_zeros(m, k, 1);
+            let b = random_with_zeros(k, n, 2);
+            let reference = matmul_reference(&a, &b);
+            assert_eq!(bits(a.matmul(&b).as_slice()), bits(&reference), "{m}x{k}x{n}");
         }
     }
 

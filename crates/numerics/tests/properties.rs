@@ -150,54 +150,6 @@ proptest! {
     }
 }
 
-/// Asserts two matrices/vectors agree to the last bit — the determinism
-/// contract of every parallel kernel (no tolerances, ever).
-fn assert_bits_eq(a: &[f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "element {i} differs: {x} vs {y}");
-    }
-}
-
-// Thread-count invariance of `matmul`, the one kernel that plans its own
-// fan-out: chunk boundaries and per-element accumulation order derive
-// only from the problem shape, so ENW_THREADS=1/2/8 must produce
-// bit-identical outputs. Shapes are random (including dims of 1 and
-// non-multiples of the register tile); the *_parallel_path variant
-// forces shapes past both the blocked-kernel threshold and the
-// `plan_chunks` gate so the pool fan-out itself is always exercised.
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24 })]
-
-    #[test]
-    fn matmul_bit_identical_at_any_thread_count(
-        m in 1usize..96, k in 1usize..96, n in 1usize..96, seed in any::<u64>()) {
-        let mut rng = Rng64::new(seed);
-        let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
-        let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
-        let serial = enw_parallel::with_threads(1, || a.matmul(&b));
-        for t in [2usize, 8] {
-            let par = enw_parallel::with_threads(t, || a.matmul(&b));
-            assert_bits_eq(serial.as_slice(), par.as_slice());
-        }
-    }
-
-    #[test]
-    fn matmul_parallel_path_bit_identical(
-        m in 128usize..192, k in 33usize..64, n in 33usize..64, seed in any::<u64>()) {
-        // m*k*n >= 128*33*33 > 2^17 (blocked) > 2x TARGET_CHUNK_WORK:
-        // always fans out.
-        let mut rng = Rng64::new(seed);
-        let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
-        let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
-        let serial = enw_parallel::with_threads(1, || a.matmul(&b));
-        for t in [2usize, 8] {
-            let par = enw_parallel::with_threads(t, || a.matmul(&b));
-            assert_bits_eq(serial.as_slice(), par.as_slice());
-        }
-    }
-}
-
 /// A `[-1, 1)` draw three times in four, else raw bits — which reach
 /// both zeros, subnormals, infinities and NaN.
 fn awkward_f32(rng: &mut Rng64) -> f32 {

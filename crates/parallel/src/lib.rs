@@ -1,9 +1,9 @@
 //! Dependency-free parallel runtime with deterministic chunked reduction.
 //!
 //! The loops in the workspace that carry enough work to split — crossbar
-//! MVM rows and pulse updates, `matmul` row blocks, DLRM query blocks,
-//! design-space points — are data-parallel over an index range. This
-//! module runs such loops on a **persistent, lazily started worker
+//! pulse updates by row block, DLRM query blocks, design-space points —
+//! are data-parallel over an index range. This module runs such loops
+//! on a **persistent, lazily started worker
 //! pool** ([`pool`]): workers are spawned once on first use, park on a
 //! condvar between jobs, and keep their thread-local scratch pools warm,
 //! so the steady-state cost of a parallel section is an enqueue and an
@@ -19,16 +19,16 @@
 //! same floating-point operations in the same order as the serial loop,
 //! so results are bit-identical for 1, 3, or 64 threads.
 //!
-//! **One work-estimate model.** [`plan_chunks`] is the single gate for
-//! "should this call go parallel, and at what granularity": it sizes
-//! chunks for 2¹⁵ abstract work units and only returns a plan when the
-//! problem yields at least two such chunks. Kernels either get `None`
-//! (run serial) or a chunk size that is guaranteed to split — the gate
-//! and the granularity cannot disagree.
+//! **No work model.** A caller names its chunk length — a shape-only
+//! constant of its own (16 tile rows, 256 DLRM queries, one design
+//! point) — and the runtime deals whatever chunks that yields: one chunk
+//! runs in line, two or more go to the pool. Nothing here estimates
+//! whether a loop is worth splitting; a loop that is not is written as a
+//! plain loop.
 //!
 //! The worker count comes from, in priority order:
 //! 1. a thread-local override installed by [`with_threads`] (used by
-//!    tests and the scaling experiment),
+//!    tests and the benchmark),
 //! 2. the `ENW_THREADS` environment variable, as it stood at the first
 //!    dispatch (read once per process),
 //! 3. [`std::thread::available_parallelism`].
@@ -40,8 +40,6 @@
 
 pub mod pool;
 pub mod scratch;
-
-pub use pool::prewarm;
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -57,7 +55,7 @@ thread_local! {
 /// (values that fail to parse, or `0`, are ignored), then the machine's
 /// available parallelism; the last two are resolved at the first call
 /// and never again. Always at least 1.
-pub fn max_threads() -> usize {
+fn max_threads() -> usize {
     match THREAD_OVERRIDE.with(|o| o.get()) {
         Some(n) => n.max(1),
         None => ambient_threads(),
@@ -87,7 +85,7 @@ fn parse_thread_count(value: Option<&str>) -> Option<usize> {
 ///
 /// Nested calls stack; the previous override is restored on exit (also
 /// on panic, since the guard restores on drop). This is how the
-/// equivalence tests and E15 (`enw run E15`) sweep thread counts.
+/// equivalence tests and `enw_perf` sweep thread counts.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -239,64 +237,6 @@ where
     deal_chunks(data.len(), chunk, |_, r| f(r.start, unsafe { base.window(r.start, r.len()) }));
 }
 
-/// Abstract per-chunk work (≈ scalar operations) that [`plan_chunks`]
-/// aims for. Large enough to amortise chunk dispatch and the per-chunk
-/// result slot, small enough that a big kernel still splits into many
-/// chunks for load balancing.
-const TARGET_CHUNK_WORK: usize = 1 << 15;
-
-/// Sizes a chunk for `n` items that each cost roughly `work_per_item`
-/// abstract units (≈ scalar ops), targeting [`TARGET_CHUNK_WORK`] per
-/// chunk: the granularity half of [`plan_chunks`].
-///
-/// The returned size depends only on the problem shape, never on the
-/// worker count, so chunk boundaries — and therefore reduction order —
-/// remain bit-deterministic at any `ENW_THREADS`.
-fn adaptive_chunk(n: usize, work_per_item: usize) -> usize {
-    if n == 0 {
-        return 1;
-    }
-    (TARGET_CHUNK_WORK / work_per_item.max(1)).clamp(1, n)
-}
-
-/// The single go-parallel decision for a loop of `n` items costing
-/// `work_per_item` abstract units (≈ scalar ops) each: `Some(chunk)`
-/// when the loop should run on the pool split at `chunk`-item
-/// boundaries, `None` when it should stay serial.
-///
-/// The gate and the granularity share one model, so they cannot
-/// disagree: a plan is returned only when the total estimated work fills
-/// at least two chunks of 2¹⁵ units, and the returned chunk size is
-/// `min(n, 2¹⁵ / work_per_item)`, at least 1 — by construction a `Some`
-/// always splits into ≥ 2 chunks. `None` also covers single-thread
-/// configurations and calls made from inside a pool worker (nested
-/// sections run serial inline).
-///
-/// The *decision* may depend on the thread count; the chunk *size* never
-/// does, so outputs stay bit-identical whichever branch runs.
-pub fn plan_chunks(n: usize, work_per_item: usize) -> Option<usize> {
-    if n == 0 || pool::is_pool_worker() {
-        return None;
-    }
-    // Work check before the thread-count check: small loops bail out on
-    // shape arithmetic alone, so sub-threshold hot paths (single-query
-    // inference, small tiles) never pay a thread-local or `OnceLock` read.
-    let total = n.saturating_mul(work_per_item.max(1));
-    if total < 2 * TARGET_CHUNK_WORK {
-        return None;
-    }
-    if max_threads() <= 1 {
-        return None;
-    }
-    let chunk = adaptive_chunk(n, work_per_item);
-    // Defensive: the gate above already implies >= 2 chunks except at
-    // saturation edges (e.g. n == 1 with work_per_item == usize::MAX).
-    if n.div_ceil(chunk) < 2 {
-        return None;
-    }
-    Some(chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,88 +357,6 @@ mod tests {
         // The thread-local override outranks whatever the process
         // started with.
         assert_eq!(with_threads(ambient_threads() + 1, max_threads), ambient_threads() + 1);
-    }
-
-    #[test]
-    fn adaptive_chunk_tracks_work_estimate() {
-        // Cheap items coalesce into big chunks; expensive items split.
-        assert_eq!(adaptive_chunk(1 << 20, 1), TARGET_CHUNK_WORK);
-        assert_eq!(adaptive_chunk(1 << 20, TARGET_CHUNK_WORK), 1);
-        // Never exceeds the item count, never returns zero.
-        assert_eq!(adaptive_chunk(10, 1), 10);
-        assert_eq!(adaptive_chunk(0, 0), 1);
-        assert_eq!(adaptive_chunk(5, usize::MAX), 1);
-        // Independent of the worker count by construction.
-        let at1 = with_threads(1, || adaptive_chunk(4096, 100));
-        let at8 = with_threads(8, || adaptive_chunk(4096, 100));
-        assert_eq!(at1, at8);
-    }
-
-    #[test]
-    fn plan_chunks_gate_and_granularity_agree() {
-        with_threads(8, || {
-            // Any Some(chunk) must split into at least two chunks and
-            // must equal the adaptive size — the two halves of the model
-            // cannot disagree.
-            for (n, wpi) in [
-                (1usize, 1usize),
-                (2, TARGET_CHUNK_WORK),
-                (3, TARGET_CHUNK_WORK - 1),
-                (1 << 16, 1),
-                (65, 1 << 10),
-                (1000, 64),
-                (7, usize::MAX), // saturating total must not wrap to a refusal
-            ] {
-                match plan_chunks(n, wpi) {
-                    Some(chunk) => {
-                        assert_eq!(chunk, adaptive_chunk(n, wpi), "n={n} wpi={wpi}");
-                        assert!(n.div_ceil(chunk) >= 2, "single-chunk plan for n={n} wpi={wpi}");
-                    }
-                    None => {
-                        let total = n.saturating_mul(wpi.max(1));
-                        assert!(total < 2 * TARGET_CHUNK_WORK, "refused big job n={n} wpi={wpi}");
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn plan_chunks_boundary_cases() {
-        with_threads(8, || {
-            // Exactly at the two-chunk threshold: 2 items of exactly
-            // TARGET_CHUNK_WORK each parallelize with chunk == 1 ...
-            assert_eq!(plan_chunks(2, TARGET_CHUNK_WORK), Some(1));
-            // ... one unit below the threshold stays serial.
-            assert_eq!(plan_chunks(2, TARGET_CHUNK_WORK - 1), None);
-            // Cheap items: the first Some appears once two full chunks
-            // of TARGET_CHUNK_WORK singles exist.
-            assert_eq!(plan_chunks(2 * TARGET_CHUNK_WORK - 1, 1), None);
-            assert_eq!(plan_chunks(2 * TARGET_CHUNK_WORK, 1), Some(TARGET_CHUNK_WORK));
-            // Degenerate shapes never plan.
-            assert_eq!(plan_chunks(0, 1000), None);
-            assert_eq!(plan_chunks(0, 0), None);
-            // One giant item cannot split: chunk would be 1 == n.
-            assert_eq!(plan_chunks(1, usize::MAX), None);
-        });
-        // Single-thread configurations never plan, whatever the size.
-        with_threads(1, || {
-            assert_eq!(plan_chunks(1 << 20, 1 << 10), None);
-        });
-    }
-
-    #[test]
-    fn plan_chunks_is_none_inside_pool_workers() {
-        // Four one-item chunks at four threads: chunk 0 runs on the
-        // caller, chunks 1..4 on pool workers.
-        let plans: Vec<(bool, Option<usize>)> = with_threads(4, || {
-            map_chunks(4, 1, |_| (pool::is_pool_worker(), plan_chunks(1 << 20, 64)))
-        });
-        assert!(!plans[0].0 && plans[0].1.is_some(), "caller thread should plan");
-        assert!(plans[1..].iter().any(|(worker, _)| *worker), "pool should have spawned workers");
-        for (worker, plan) in &plans[1..] {
-            assert!(!worker || plan.is_none(), "workers must run nested loops serial");
-        }
     }
 
     #[test]

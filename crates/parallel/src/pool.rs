@@ -3,10 +3,9 @@
 //!
 //! The previous runtime paid a `thread::scope` spawn/join per call —
 //! microseconds of kernel-level coordination that swamped the parallel
-//! win on short kernels (E15 measured `matmul_1024x1024` *losing* time
-//! at 2 threads). This pool spawns each worker **once**, on first use,
-//! and parks it on a condvar between jobs, so the steady-state cost of a
-//! parallel section is one mutex-protected enqueue and one unpark per
+//! win on short kernels. This pool spawns each worker **once**, on first
+//! use, and parks it on a condvar between jobs, so the steady-state cost
+//! of a parallel section is one mutex-protected enqueue and one unpark per
 //! participating worker. Workers keep their thread-local scratch pools
 //! ([`crate::scratch`]) warm across jobs, which also removes the
 //! first-touch allocations the scoped runtime repaid on every call.
@@ -18,8 +17,8 @@
 //! `1..slots` are pool workers. Chunk *c* is always owned by slot
 //! `c % slots` — a static round-robin deal that depends only on the
 //! chunk count and the slot count, never on scheduling order. Chunk
-//! boundaries themselves derive only from the problem size (see
-//! [`crate::plan_chunks`]), each chunk is computed exactly as the serial
+//! boundaries themselves derive only from the problem size and the
+//! caller's chunk length, each chunk is computed exactly as the serial
 //! loop would compute it, and per-chunk results land in index-order
 //! slots that the caller folds left to right. Scheduling nondeterminism
 //! therefore affects *when* a chunk runs, never *what* it computes or
@@ -260,14 +259,6 @@ pub(crate) fn run_job(slots: usize, run: &(dyn Fn(usize) + Sync)) {
     if let Some(payload) = worker_panic {
         std::panic::resume_unwind(payload);
     }
-}
-
-/// Spawns (if necessary) `workers` pool workers without running a job —
-/// lets a caller that times parallel sections (E15's thread sweep) pay
-/// thread start-up before its first sample instead of inside it. A no-op
-/// for counts the pool already has.
-pub fn prewarm(workers: usize) {
-    pool().ensure_workers(workers.saturating_sub(1));
 }
 
 #[cfg(test)]

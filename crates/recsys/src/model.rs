@@ -658,8 +658,8 @@ impl RecModel {
     /// batched layers keep each output's accumulation chain, the gathers
     /// and the sigmoid are the same code — and the trace books what the
     /// per-query loop books. Block boundaries depend only on the batch
-    /// size; `enw_parallel::plan_chunks` decides from the same shape
-    /// whether the blocks are dealt to the pool or run in line.
+    /// size; two or more blocks are dealt to the `enw_parallel` pool, one
+    /// block (or any batch at one thread) runs in line.
     ///
     /// `&self`: nothing in the model is consumed by a read, so every
     /// thread works on the one set of weights; queries may be owned or
@@ -676,19 +676,9 @@ impl RecModel {
         out: &mut [f32],
     ) {
         assert_eq!(out.len(), queries.len(), "one output slot per query");
-        let block = |start: usize, ctrs: &mut [f32]| {
+        enw_parallel::run_chunks_mut(out, BATCH_BLOCK, |start, ctrs| {
             self.predict_block(&queries[start..start + ctrs.len()], ctrs);
-        };
-        // Per-query work is dominated by the MLP stacks; the estimate is
-        // config-derived so the gate (and thus the execution schedule) is
-        // deterministic for a given model and batch size.
-        if enw_parallel::plan_chunks(queries.len(), Self::mlp_work(&self.cfg) as usize).is_some() {
-            enw_parallel::run_chunks_mut(out, BATCH_BLOCK, block);
-        } else {
-            for (i, ctrs) in out.chunks_mut(BATCH_BLOCK).enumerate() {
-                block(i * BATCH_BLOCK, ctrs);
-            }
-        }
+        });
     }
 
     /// One block of [`predict_batch_into`](RecModel::predict_batch_into):

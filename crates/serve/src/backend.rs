@@ -21,21 +21,20 @@ pub trait Backend {
     /// `batch >= 1` so the event loop always moves forward.
     fn service_ns(&self, batch: usize) -> u64;
 
-    /// Computes one output per request, in request order. Results must be
+    /// Computes one output per request into a caller-owned buffer (`out`
+    /// is cleared, then filled in request order), so a warm buffer is
+    /// refilled in place and the scheduler's steady-state loop performs no
+    /// per-request heap allocation of its own. Results must be
     /// bit-identical at any `ENW_THREADS` setting, and each output equal
     /// to serving that request alone (the lanes in [`crate::backends`]
     /// run one single-request kernel per request, in line).
-    fn serve(&mut self, batch: &[Request]) -> Vec<Output>;
+    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>);
 
-    /// [`serve`](Backend::serve) into a caller-owned output buffer (`out`
-    /// is cleared, then filled with one output per request, in request
-    /// order). The default delegates to `serve` and moves the results;
-    /// allocation-disciplined backends override it so a warm buffer is
-    /// refilled in place and the scheduler's steady-state loop performs no
-    /// per-request heap allocation.
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
-        out.clear();
-        out.append(&mut self.serve(batch));
+    /// [`serve_into`](Backend::serve_into), allocating the result.
+    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
+        let mut out = Vec::new();
+        self.serve_into(batch, &mut out);
+        out
     }
 
     /// Draws a payload this backend understands — used by the load

@@ -172,12 +172,6 @@ impl Backend for DigitalBackend {
         self.model.ns(batch)
     }
 
-    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.serve_into(batch, &mut out);
-        out
-    }
-
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
         self.mlp.serve_into(&self.name, batch, out);
     }
@@ -246,12 +240,6 @@ impl Backend for CrossbarBackend {
 
     fn service_ns(&self, batch: usize) -> u64 {
         self.model.ns(batch)
-    }
-
-    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.serve_into(batch, &mut out);
-        out
     }
 
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
@@ -351,12 +339,6 @@ impl Backend for TcamBackend {
         self.model.ns(batch)
     }
 
-    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.serve_into(batch, &mut out);
-        out
-    }
-
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
         out.clear();
         for q in payload_views(&self.name, batch, Payload::features) {
@@ -422,12 +404,6 @@ impl Backend for RecsysBackend {
             return 0;
         }
         ns_from_secs(batch_latency(&self.cfg, batch as u64, &self.machine))
-    }
-
-    fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.serve_into(batch, &mut out);
-        out
     }
 
     fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {

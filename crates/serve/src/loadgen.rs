@@ -174,8 +174,9 @@ mod tests {
         fn service_ns(&self, batch: usize) -> u64 {
             ServiceModel { setup_ns: 10, per_item_ns: 1 }.ns(batch)
         }
-        fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-            batch.iter().map(|_| Output::Label(None)).collect()
+        fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+            out.clear();
+            out.extend(batch.iter().map(|_| Output::Label(None)));
         }
         fn make_payload(&self, rng: &mut Rng64) -> Payload {
             Payload::Features((0..self.0).map(|_| rng.uniform_f32()).collect())

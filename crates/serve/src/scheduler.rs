@@ -203,29 +203,11 @@ impl Server {
 
     /// Runs the whole trace to completion and reports. Fails without
     /// serving anything if the trace is unsorted or names an unknown
-    /// station.
-    ///
-    /// Each admitted request is cloned out of the borrowed trace — about
-    /// 60 ns per request on the preset mix — and this is still the faster
-    /// entry point: [`Server::try_run_owned`] measured 10–15 % slower.
+    /// station. Each admitted request is cloned out of the borrowed
+    /// trace.
     pub fn try_run(self, trace_reqs: &[Request]) -> Result<RunReport, ServeError> {
         self.validate(trace_reqs)?;
-        Ok(self.run_loop(trace_reqs.len(), trace_reqs.iter().cloned()))
-    }
-
-    /// [`Server::try_run`] over an owned trace: requests (and their
-    /// payload buffers) move from the trace into the station queues
-    /// instead of being cloned, so the loop makes no allocation per
-    /// request of its own — which is what its one caller, E18's
-    /// marginal-allocation audit, is there to see. It is not the fast
-    /// path: each payload is then freed where its request ends, scattered
-    /// through the run, instead of in one sweep when the caller drops the
-    /// trace, and the preset server ran 830 ns per request this way
-    /// against 740 ns borrowed.
-    pub fn try_run_owned(self, trace_reqs: Vec<Request>) -> Result<RunReport, ServeError> {
-        self.validate(&trace_reqs)?;
-        let n = trace_reqs.len();
-        Ok(self.run_loop(n, trace_reqs.into_iter()))
+        Ok(self.run_loop(trace_reqs))
     }
 
     fn validate(&self, trace_reqs: &[Request]) -> Result<(), ServeError> {
@@ -246,9 +228,9 @@ impl Server {
         Ok(())
     }
 
-    fn run_loop(mut self, expected: usize, reqs: impl Iterator<Item = Request>) -> RunReport {
-        let mut reqs = reqs.peekable();
-        let mut responses: Vec<Response> = Vec::with_capacity(expected);
+    fn run_loop(mut self, trace_reqs: &[Request]) -> RunReport {
+        let mut reqs = trace_reqs.iter().peekable();
+        let mut responses: Vec<Response> = Vec::with_capacity(trace_reqs.len());
         loop {
             let mut t_next: Option<u64> = reqs.peek().map(|r| r.arrival_ns);
             for st in &self.stations {
@@ -269,7 +251,7 @@ impl Server {
             }
             // 2. All arrivals at this instant are admitted (trace order).
             while let Some(r) = reqs.next_if(|r| r.arrival_ns == t) {
-                self.admit(r, t, &mut responses);
+                self.admit(r.clone(), t, &mut responses);
             }
             // 3. Idle stations close every batch that is now due; a close
             // may shed the entire batch and leave the station idle with a
@@ -456,8 +438,9 @@ mod tests {
         fn service_ns(&self, batch: usize) -> u64 {
             self.model.ns(batch)
         }
-        fn serve(&mut self, batch: &[Request]) -> Vec<Output> {
-            batch.iter().map(|_| Output::Scores(vec![self.echo])).collect()
+        fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+            out.clear();
+            out.extend(batch.iter().map(|_| Output::Scores(vec![self.echo])));
         }
         fn make_payload(&self, _rng: &mut Rng64) -> Payload {
             Payload::Features(vec![0.0])
@@ -599,26 +582,5 @@ mod tests {
     #[test]
     fn empty_spec_list_is_rejected() {
         assert_eq!(Server::try_new(Vec::new()).err(), Some(ServeError::NoStations));
-    }
-
-    #[test]
-    fn owned_run_matches_borrowed_run() {
-        let mk = || StationSpec::simple(Toy::boxed("t", 777, 0.5), BatchPolicy::new(3, 1_500, 6));
-        let trace: Vec<Request> = (0..40).map(|k| req(k, k * 400, k * 400 + 5_000)).collect();
-        let borrowed =
-            Server::try_new(vec![mk()]).and_then(|s| s.try_run(&trace)).expect("valid fixture");
-        let owned = Server::try_new(vec![mk()])
-            .and_then(|s| s.try_run_owned(trace))
-            .expect("valid fixture");
-        assert_eq!(borrowed.render(), owned.render());
-        assert_eq!(borrowed.duration_ns, owned.duration_ns);
-    }
-
-    #[test]
-    fn owned_run_validates_like_borrowed_run() {
-        let spec = StationSpec::simple(Toy::boxed("t", 1, 0.0), BatchPolicy::new(1, 0, 1));
-        let server = Server::try_new(vec![spec]).expect("one station");
-        let err = server.try_run_owned(vec![req(0, 10, 20), req(1, 5, 20)]);
-        assert_eq!(err.err(), Some(ServeError::UnsortedTrace { position: 1 }));
     }
 }

@@ -5,8 +5,10 @@
 #   scripts/verify.sh          build + tests + clippy (tier-1)
 #   scripts/verify.sh --full   additionally runs the property-test suites
 #                              (--features proptest), loops tier-1
-#                              20x to catch flakes and checks every
-#                              enw_perf workload against its digest pin
+#                              20x to catch flakes, runs `enw gate` twice
+#                              and compares every byte it writes, and
+#                              checks every enw_perf workload against its
+#                              digest pin
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,19 +25,25 @@ echo "== enw-analyze (lints + baseline diff + waiver audit) =="
 cargo run --release -q -p enw-analyze -- --baseline analyze-baseline.json --audit-waivers
 
 echo "== enw gate (paper pins + every smoke experiment; each gate asserted in Rust) =="
-# Runs E9, E10, E14 and E15..E21 in smoke mode, writes the BENCH_*.json
-# artifacts, and exits 1 naming every failed gate.
+# Runs E9, E10, E14 and E16..E21 in smoke mode, writes the BENCH_*.json
+# artifacts, and exits 1 naming every failed gate. No gate reads a host
+# clock: every byte this writes is a function of the seed.
 cargo run --release -q -p enw-bench --bin enw -- gate
 
-echo "== ENW_THREADS: E21 --smoke zero-alloc under =2, E15 --smoke pinned by =1 =="
+echo "== ENW_THREADS: E21 --smoke zero-alloc under =2; stdout equal at =1 and =2 over every fan-out =="
 # The variable is read once per process, never per dispatch: E21's
-# zero-alloc gate exits 1 if a tile update allocates with it set, and
-# E15 prints the worker count the process resolved.
+# zero-alloc gate exits 1 if a tile update allocates with it set.
 ENW_THREADS=2 cargo run --release -q -p enw-bench --bin enw -- run E21 --smoke >/dev/null
-# (no `grep -q`: it would close the pipe under E15's later prints)
-ENW_THREADS=1 cargo run --release -q -p enw-bench --bin enw -- run E15 --smoke \
-    | grep '^host threads: 1 ' >/dev/null \
-    || { echo "ENW_THREADS=1 did not pin E15 to one thread"; exit 1; }
+# The three loops that fan out, by count: E4's 32-row tiles deal two
+# 16-row chunks per pulse update, E17's recsys lane deals two 256-query
+# blocks (at full size only: its smoke batch is 64 queries), E20 deals
+# design points.
+for t in 1 2; do
+    ENW_THREADS=$t cargo run --release -q -p enw-bench --bin enw -- run E4 E17 >target/threads-$t.out
+    ENW_THREADS=$t cargo run --release -q -p enw-bench --bin enw -- run E20 --smoke >>target/threads-$t.out
+done
+cmp target/threads-1.out target/threads-2.out \
+    || { echo "stdout differs between ENW_THREADS=1 and ENW_THREADS=2"; exit 1; }
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "== cargo test -q --features proptest (property suites) =="
@@ -46,6 +54,13 @@ if [[ "${1:-}" == "--full" ]]; then
             || { tail -n 40 target/tier1-loop.log; echo "tier-1 failed on run $i of 20"; exit 1; }
     done
     echo "tier-1: 20 of 20 green"
+    echo "== enw gate twice: stdout, stderr and every BENCH_*.json byte-identical =="
+    for d in target/gate-a target/gate-b; do
+        rm -rf $d && mkdir -p $d
+        (cd $d && ../release/enw gate >stdout 2>stderr)
+    done
+    diff -r target/gate-a target/gate-b \
+        || { echo "two enw gate runs wrote different bytes"; exit 1; }
     echo "== enw_perf: every workload reproduces its pinned digest (3 s each, untraced) =="
     # The check a simulator-speed change must pass: a run off its pin in
     # crates/bench/src/bin/enw_perf/digests.txt fails every op. Timings

@@ -13,16 +13,15 @@ fn run_lane(lane: Lane, threads: usize) -> SearchResult {
     with_threads(threads, || explore(&lane.space(), &|p| lane.evaluate(p), &SearchConfig::smoke()))
 }
 
-/// One lane's full search result compared across 1, 2 and 8 workers and
-/// across a rerun at the same width. `SearchResult` derives `PartialEq`,
+/// One lane's full search result compared across 1, 2, 3 and 8 workers
+/// and across a rerun at the same width. `SearchResult` derives `PartialEq`,
 /// so this compares fronts, counters, the virtual clock and the full
 /// accepted-move trajectory.
 fn assert_thread_invariant(lane: Lane) {
     let r1 = run_lane(lane, 1);
-    let r2 = run_lane(lane, 2);
-    let r8 = run_lane(lane, 8);
-    assert_eq!(r1, r2, "{}: 1 vs 2 workers diverged", lane.name());
-    assert_eq!(r1, r8, "{}: 1 vs 8 workers diverged", lane.name());
+    for threads in [2, 3, 8] {
+        assert_eq!(r1, run_lane(lane, threads), "{}: 1 vs {threads} workers", lane.name());
+    }
     assert_eq!(r1, run_lane(lane, 1), "{}: rerun at one worker drifted", lane.name());
     assert!(r1.clock_ns > 0, "{}: virtual clock never advanced", lane.name());
     assert!(r1.front.len() >= 3, "{}: front collapsed", lane.name());

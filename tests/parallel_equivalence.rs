@@ -1,11 +1,15 @@
 //! Serial-vs-parallel bit-exactness across crate boundaries: every
-//! kernel that fans out must return outputs bitwise identical to its
+//! loop that fans out must return outputs bitwise identical to its
 //! one-thread run at any worker count (the determinism contract of
 //! `enw_core::parallel` — fixed chunk boundaries, ascending-index
 //! accumulation inside every chunk).
 //!
-//! Per-crate unit tests cover each kernel in isolation; this suite checks
-//! the composed, cross-crate paths the experiment binaries exercise.
+//! Three loops fan out. The tile update (`par_pulse_by_row`) is swept
+//! here, inside a whole tile cycle; DLRM query blocks in
+//! `recsys::model`'s `predict_batch_into_matches_predict_query_around_every_block_edge`;
+//! design-space points in `tests/dse_determinism.rs`. `scripts/verify.sh`
+//! repeats the sweep on whole experiments (`ENW_THREADS=1` against `=2`,
+//! stdout compared byte for byte).
 
 use enw_core::cam::array::TcamConfig;
 use enw_core::cam::bank::TcamBank;
@@ -15,53 +19,39 @@ use enw_core::crossbar::tile::{AnalogTile, TileConfig};
 use enw_core::mann::encoding::TernaryWord;
 use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::bits::BitVec;
-use enw_core::numerics::matrix::Matrix;
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel;
 
-/// Worker counts exercised by every test: serial fallback, an uneven
-/// split, and more workers than most chunk counts.
-const THREAD_COUNTS: [usize; 3] = [1, 3, 8];
+/// Worker counts exercised by every test: serial fallback, an even
+/// split, an uneven one, and more workers than most chunk counts.
+const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
-fn par_matvec_matches_serial_bitwise() {
-    // The crossbar is where a parallel matvec lives. A 300 x 259 tile
-    // (300 x 260 array with the bias column) clears the `plan_chunks`
-    // gate in both read directions, so multi-worker runs really split
-    // rows (forward) and columns (backward), each with an uneven tail,
-    // under the full noisy periphery.
+fn tile_cycle_matches_serial_bitwise() {
+    // A 300 x 259 tile (300 x 260 array with the bias column) under the
+    // full noisy periphery: the update deals nineteen 16-row chunks with
+    // an uneven tail; the two reads before it stay on the calling thread
+    // and leave the periphery RNG where the update picks it up.
     let mut rng = Rng64::new(100);
-    let tile = AnalogTile::new(300, 259, &devices::ideal(1000), TileConfig::default(), &mut rng);
+    let tile = AnalogTile::new(300, 259, &devices::rram(), TileConfig::default(), &mut rng);
     let x: Vec<f32> = (0..259).map(|_| rng.range(-1.0, 1.0) as f32).collect();
     let d: Vec<f32> = (0..300).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-    let reads = || {
+    let cycle = || {
         let mut tile = tile.clone(); // same periphery RNG state every run
         let (mut y, mut dx) = (vec![0.0f32; 300], vec![0.0f32; 259]);
         tile.forward_into(&x, &mut y);
         tile.backward_into(&d, &mut dx);
-        (y, dx)
+        tile.update(&d, &x, 0.05);
+        (bits(&y), bits(&dx), bits(tile.weights().as_slice()), tile.stats().pulses)
     };
-    let serial = parallel::with_threads(1, reads);
+    let serial = parallel::with_threads(1, cycle);
+    assert!(serial.3 > 0, "the update must fire");
     for threads in THREAD_COUNTS {
-        let par = parallel::with_threads(threads, reads);
-        assert_eq!(bits(&serial.0), bits(&par.0), "forward, threads = {threads}");
-        assert_eq!(bits(&serial.1), bits(&par.1), "backward, threads = {threads}");
-    }
-}
-
-#[test]
-fn par_matmul_matches_serial_bitwise() {
-    let mut rng = Rng64::new(101);
-    let a = Matrix::random_uniform(150, 130, -1.0, 1.0, &mut rng);
-    let b = Matrix::random_uniform(130, 110, -1.0, 1.0, &mut rng);
-    let serial = parallel::with_threads(1, || a.matmul(&b));
-    for threads in THREAD_COUNTS {
-        let par = parallel::with_threads(threads, || a.matmul(&b));
-        assert_eq!(bits(serial.as_slice()), bits(par.as_slice()), "threads = {threads}");
+        assert_eq!(serial, parallel::with_threads(threads, cycle), "threads = {threads}");
     }
 }
 
