@@ -3,7 +3,10 @@
 //! A CAM/TCAM natively computes the Hamming distance between a query and
 //! every stored word (paper Sec. IV). [`BitVec`] is the software image of
 //! one stored word: bits packed into `u64` limbs so that distance is a few
-//! XOR + popcount operations.
+//! XOR + popcount operations. [`nearest_hamming`], the whole-store search,
+//! picks one of three codegens per scan by what the CPU reports: AVX-512
+//! VPOPCNTDQ for 256-bit words, scalar `popcnt`, or the portable body that
+//! both are checked against.
 
 /// A fixed-length packed bit vector.
 ///
@@ -161,12 +164,16 @@ pub fn hamming_limbs(a: &[u64], b: &[u64]) -> u32 {
 /// `None` on an empty store. `words` holds `limbs_per_word` limbs per
 /// stored word, back to back.
 ///
-/// The scan has one source body and two codegens. The release build
-/// targets baseline x86-64, where `count_ones` is a dozen-op bit trick;
-/// where the CPU reports `popcnt` the same body runs compiled with the
-/// instruction. The choice is made once per scan, not per word, so the
-/// popcounts still inline into the loop. Popcount is exact integer
-/// arithmetic: the two codegens cannot differ in any bit.
+/// The scan has three codegens, chosen once per scan (not per word, so
+/// the popcounts still inline into the loop). The release build targets
+/// baseline x86-64, where `count_ones` is a dozen-op bit trick: that is
+/// the portable source body. Where the CPU reports `popcnt` the same body
+/// runs compiled with the instruction. Where it reports AVX-512F and
+/// VPOPCNTDQ, 256-bit words go through an explicit vector kernel that
+/// counts eight words per step and hands every block that holds a new
+/// best back to the same body. Popcount is exact integer arithmetic and
+/// every codegen folds in index order with the same strict `<`: none can
+/// differ from another in any bit.
 ///
 /// # Panics
 ///
@@ -182,10 +189,96 @@ pub fn nearest_hamming(
     assert_eq!(query.len(), limbs_per_word, "hamming length mismatch");
     assert_eq!(words.len() % limbs_per_word, 0, "limb store is not a whole number of words");
     #[cfg(target_arch = "x86_64")]
-    if let Some(hit) = nearest_hamming_popcnt(words, limbs_per_word, query) {
+    if let Some(hit) = nearest_hamming_avx512(words, limbs_per_word, query)
+        .or_else(|| nearest_hamming_popcnt(words, limbs_per_word, query))
+    {
         return hit;
     }
     nearest_hamming_body(words, limbs_per_word, query)
+}
+
+/// [`nearest_hamming`] for 256-bit words as explicit AVX-512 VPOPCNTDQ
+/// code, eight words per step; the outer `None` means the words are not
+/// 4 limbs wide or this CPU lacks the instructions.
+///
+/// A step XORs 8 words (4 loads) against the query held twice in one
+/// register, counts every limb with `vpopcntq`, folds the limb counts into
+/// 8 word distances and compares them with the running best in one mask.
+/// Only a block in which some word beats the best is folded again, in
+/// index order, by the source body, and so are the last `n % 8` words:
+/// the strict-`<`, lowest-index rule is that body's own. Only 256-bit
+/// words get this arm because only they have traffic (DESIGN.md, "TCAM
+/// search").
+#[cfg(target_arch = "x86_64")]
+fn nearest_hamming_avx512(
+    words: &[u64],
+    limbs_per_word: usize,
+    query: &[u64],
+) -> Option<Option<(usize, u32)>> {
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn scan(words: &[u64], q: &[u64; 4]) -> Option<(usize, u32)> {
+        use std::arch::x86_64::*;
+        let [q0, q1, q2, q3] = q.map(|l| l as i64);
+        let query = _mm512_set_epi64(q3, q2, q1, q0, q3, q2, q1, q0);
+        let (blocks, rest) = words.as_chunks::<32>();
+        let mut best: Option<(usize, u32)> = None;
+        // All ones as unsigned: any distance beats "no best yet".
+        let mut bound = _mm512_set1_epi64(-1);
+        for (b, block) in blocks.iter().enumerate() {
+            let at = block.as_ptr();
+            // SAFETY: `block` is one whole 32-limb chunk of `words`, and
+            // the four unaligned 8-limb loads at offsets 0, 8, 16 and 24
+            // read exactly it; the caller checked the CPU has AVX-512F.
+            let (v0, v1, v2, v3) = unsafe {
+                (
+                    _mm512_loadu_si512(at.cast()),
+                    _mm512_loadu_si512(at.add(8).cast()),
+                    _mm512_loadu_si512(at.add(16).cast()),
+                    _mm512_loadu_si512(at.add(24).cast()),
+                )
+            };
+            // Limb counts, two words per register: words 0|1, 2|3, 4|5, 6|7.
+            let p0 = _mm512_popcnt_epi64(_mm512_xor_si512(v0, query));
+            let p1 = _mm512_popcnt_epi64(_mm512_xor_si512(v1, query));
+            let p2 = _mm512_popcnt_epi64(_mm512_xor_si512(v2, query));
+            let p3 = _mm512_popcnt_epi64(_mm512_xor_si512(v3, query));
+            // Pairwise limb sums, then the two halves of every word: the 8
+            // distances come out in word order 0, 2, 1, 3, 4, 6, 5, 7,
+            // which a test of "any lane below the bound" does not see.
+            let s01 =
+                _mm512_add_epi64(_mm512_unpacklo_epi64(p0, p1), _mm512_unpackhi_epi64(p0, p1));
+            let s23 =
+                _mm512_add_epi64(_mm512_unpacklo_epi64(p2, p3), _mm512_unpackhi_epi64(p2, p3));
+            let distances = _mm512_add_epi64(
+                _mm512_shuffle_i64x2::<0b10_00_10_00>(s01, s23),
+                _mm512_shuffle_i64x2::<0b11_01_11_01>(s01, s23),
+            );
+            if _mm512_cmplt_epu64_mask(distances, bound) != 0 {
+                if let Some((i, d)) = nearest_fixed::<4>(block, q) {
+                    best = Some((8 * b + i, d));
+                    bound = _mm512_set1_epi64(i64::from(d));
+                }
+            }
+        }
+        let tail = nearest_fixed::<4>(rest, q).map(|(i, d)| (8 * blocks.len() + i, d));
+        if tail.is_some_and(|(_, d)| best.is_none_or(|(_, b)| d < b)) {
+            tail
+        } else {
+            best
+        }
+    }
+    if limbs_per_word != 4
+        || !std::arch::is_x86_feature_detected!("avx512f")
+        || !std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+    {
+        return None;
+    }
+    // `query` is 4 limbs: `nearest_hamming` checked it against `limbs_per_word`.
+    let q = query.first_chunk()?;
+    // SAFETY: `scan` needs nothing of its caller but a CPU with AVX-512F
+    // and VPOPCNTDQ, which the lines above have just established; its
+    // only unsafe operations are loads inside `words`.
+    Some(unsafe { scan(words, q) })
 }
 
 /// [`nearest_hamming`] compiled with the `popcnt` instruction; the outer
@@ -394,15 +487,40 @@ mod tests {
             .min_by_key(|&(i, d)| (d, i))
     }
 
+    /// Every codegen this CPU can run, and the dispatch, against the
+    /// per-bit scan.
+    fn assert_codegens_agree(words: &[u64], limbs_per_word: usize, query: &[u64], what: &str) {
+        let expected = naive_nearest(words, limbs_per_word, query);
+        assert_eq!(expected.is_none(), words.is_empty(), "{what}");
+        assert_eq!(
+            nearest_hamming_body(words, limbs_per_word, query),
+            expected,
+            "portable, {what}"
+        );
+        #[cfg(target_arch = "x86_64")]
+        for (arm, hit) in [
+            ("avx512_vpopcntdq", nearest_hamming_avx512(words, limbs_per_word, query)),
+            ("popcnt", nearest_hamming_popcnt(words, limbs_per_word, query)),
+        ] {
+            if let Some(hit) = hit {
+                assert_eq!(hit, expected, "{arm}, {what}");
+            }
+        }
+        assert_eq!(nearest_hamming(words, limbs_per_word, query), expected, "dispatched, {what}");
+    }
+
     #[test]
     fn nearest_hamming_codegens_agree_with_each_other_and_a_per_bit_scan() {
         let mut rng = crate::rng::Rng64::new(16);
-        // Every fixed-width arm (1, 2, 4, 8 limbs) and the generic one.
+        // Every fixed-width arm (1, 2, 4, 8 limbs) and the generic one, at
+        // lengths on both sides of the AVX-512 arm's 8-word blocks.
         for limbs_per_word in [1usize, 2, 3, 4, 5, 8, 9] {
-            for len in [0usize, 1, 2, 7, 64, 257] {
+            for len in [0usize, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 257, 512, 4099] {
                 let mut words: Vec<u64> =
                     (0..len * limbs_per_word).map(|_| rng.next_u64()).collect();
                 let query: Vec<u64> = (0..limbs_per_word).map(|_| rng.next_u64()).collect();
+                let what = format!("{limbs_per_word} limbs x {len} words");
+                assert_codegens_agree(&words, limbs_per_word, &query, &format!("random, {what}"));
                 if len > 2 {
                     // The nearest word twice, neither copy first: the
                     // lower index must win the tie.
@@ -410,17 +528,29 @@ mod tests {
                     for at in [len / 2, len - 1] {
                         words[at * limbs_per_word..][..limbs_per_word].copy_from_slice(&near);
                     }
+                    assert_codegens_agree(&words, limbs_per_word, &query, &format!("tie, {what}"));
                 }
-                let expected = naive_nearest(&words, limbs_per_word, &query);
-                assert_eq!(expected.is_none(), len == 0);
-                let portable = nearest_hamming_body(&words, limbs_per_word, &query);
-                assert_eq!(portable, expected, "{limbs_per_word} limbs x {len} words");
-                #[cfg(target_arch = "x86_64")]
-                if let Some(hit) = nearest_hamming_popcnt(&words, limbs_per_word, &query) {
-                    assert_eq!(hit, expected, "popcnt, {limbs_per_word} limbs x {len} words");
-                }
-                assert_eq!(nearest_hamming(&words, limbs_per_word, &query), expected);
             }
+        }
+        // 256-bit words, placed against the 8-word blocks: every other
+        // word is at the full 256 bits, the planted ones nearer.
+        let query: [u64; 4] = std::array::from_fn(|_| rng.next_u64());
+        let far = query.map(|l| !l);
+        let near = query.map(|l| l ^ (1 << 40));
+        for (len, at, word, what) in [
+            (8, &[6, 2][..], near, "tie inside one block"),
+            (16, &[13, 5], near, "tie across two blocks"),
+            (17, &[16, 9], near, "tie of a block and the remainder"),
+            (4099, &[4098, 4097], near, "tie inside the remainder"),
+            (65, &[40, 41, 64], query, "distance 0"),
+            (4099, &[], far, "all equal at 256"),
+            (512, &(0..512).collect::<Vec<_>>(), near, "all equal at 1"),
+        ] {
+            let mut words = far.repeat(len);
+            for &i in at {
+                words[4 * i..][..4].copy_from_slice(&word);
+            }
+            assert_codegens_agree(&words, 4, &query, &format!("{what}, {len} words"));
         }
     }
 

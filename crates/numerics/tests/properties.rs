@@ -91,40 +91,20 @@ proptest! {
 
     /// The word-scan kernel against a per-bit scan, for every fixed-width
     /// arm (1, 2, 4, 8 limbs), the generic arm and widths that are not a
-    /// limb multiple, from the empty store up. One word is planted at
-    /// several indices next to the first query, so the minimum is a tie
-    /// and the lowest index has to win it.
+    /// limb multiple, from the empty store up.
     #[test]
     fn nearest_hamming_matches_naive_per_bit_scan(
         width in 1usize..521, len in 0usize..301, seed in any::<u64>()) {
-        let mut rng = Rng64::new(seed);
-        let word =
-            |rng: &mut Rng64| (0..width).map(|_| rng.below(2) == 1).collect::<Vec<bool>>();
-        let mut words: Vec<Vec<bool>> = (0..len).map(|_| word(&mut rng)).collect();
-        let mut queries = vec![word(&mut rng)];
-        if len > 0 {
-            let planted = words[rng.below(len)].clone();
-            for _ in 0..3 {
-                words[rng.below(len)] = planted.clone();
-            }
-            let mut near = planted;
-            for _ in 0..rng.below(3) {
-                let flip = rng.below(width);
-                near[flip] = !near[flip];
-            }
-            queries.insert(0, near);
-        }
-        let flat: Vec<u64> =
-            words.iter().flat_map(|w| BitVec::from_bools(w).limbs().to_vec()).collect();
-        for q in &queries {
-            let naive = words
-                .iter()
-                .map(|w| w.iter().zip(q).filter(|(a, b)| a != b).count() as u32)
-                .enumerate()
-                .min_by_key(|&(i, d)| (d, i));
-            let got = nearest_hamming(&flat, width.div_ceil(64), BitVec::from_bools(q).limbs());
-            prop_assert_eq!(got, naive);
-        }
+        nearest_matches_naive(width, len, seed);
+    }
+
+    /// 256-bit words, at least 9 of them: where the CPU has AVX-512
+    /// VPOPCNTDQ the dispatched scan runs both the vector arm's 8-word
+    /// blocks and its scalar remainder.
+    #[test]
+    fn nearest_hamming_256_bit_blocks_and_remainder_match_naive(
+        len in 9usize..600, seed in any::<u64>()) {
+        nearest_matches_naive(256, len, seed);
     }
 
     #[test]
@@ -147,6 +127,39 @@ proptest! {
         for _ in 0..50 {
             prop_assert!(rng.below(n) < n);
         }
+    }
+}
+
+/// `nearest_hamming` over `len` random `width`-bit words against a
+/// per-bit scan. One word is planted at several indices next to the first
+/// query, so the minimum is a tie and the lowest index has to win it.
+fn nearest_matches_naive(width: usize, len: usize, seed: u64) {
+    let mut rng = Rng64::new(seed);
+    let word = |rng: &mut Rng64| (0..width).map(|_| rng.below(2) == 1).collect::<Vec<bool>>();
+    let mut words: Vec<Vec<bool>> = (0..len).map(|_| word(&mut rng)).collect();
+    let mut queries = vec![word(&mut rng)];
+    if len > 0 {
+        let planted = words[rng.below(len)].clone();
+        for _ in 0..3 {
+            words[rng.below(len)] = planted.clone();
+        }
+        let mut near = planted;
+        for _ in 0..rng.below(3) {
+            let flip = rng.below(width);
+            near[flip] = !near[flip];
+        }
+        queries.insert(0, near);
+    }
+    let flat: Vec<u64> =
+        words.iter().flat_map(|w| BitVec::from_bools(w).limbs().to_vec()).collect();
+    for q in &queries {
+        let naive = words
+            .iter()
+            .map(|w| w.iter().zip(q).filter(|(a, b)| a != b).count() as u32)
+            .enumerate()
+            .min_by_key(|&(i, d)| (d, i));
+        let got = nearest_hamming(&flat, width.div_ceil(64), BitVec::from_bools(q).limbs());
+        assert_eq!(got, naive, "{width} bits x {len} words");
     }
 }
 

@@ -15,6 +15,18 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== TCAM scan codegen on this host (bits::nearest_hamming, 256-bit words) =="
+# The AVX-512 arm's oracle test skips where the CPU lacks the feature;
+# this line is how a log shows which arm ran. Nothing here selects one.
+flags=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true) "
+if [[ $flags == *" avx512f "* && $flags == *" avx512_vpopcntdq "* ]]; then
+    echo "nearest_hamming codegen: avx512_vpopcntdq"
+elif [[ $flags == *" popcnt "* ]]; then
+    echo "nearest_hamming codegen: popcnt"
+else
+    echo "nearest_hamming codegen: portable"
+fi
+
 echo "== cargo test -q =="
 cargo test -q
 
