@@ -16,6 +16,8 @@ use enw_core::cam::cells;
 use enw_core::cam::lsh_memory::TcamKeyValueMemory;
 use enw_core::crossbar::devices;
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
+use enw_core::fleet::presets::{fleet_spec, scales, trace, Scenario};
+use enw_core::fleet::sim::try_run;
 use enw_core::fleet::{ShardScheme, ShardSpec, ShardedStore};
 use enw_core::mann::encoding::TernaryWord;
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
@@ -274,11 +276,38 @@ fn sharded_store_pool_batch_allocates_nothing_once_warm() {
     }
     for (threads, half) in [1, 2].into_iter().zip(measured.chunks(128)) {
         parallel::with_threads(threads, || {
-            let s0 = alloc_audit::thread_snapshot();
+            let (s0, c0) = (alloc_audit::thread_snapshot(), scratch::thread_stats().checkouts);
             let misses: u64 = half.chunks(16).map(|batch| store.pool_batch(batch).misses).sum();
             let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+            let checkouts = scratch::thread_stats().checkouts - c0;
             assert!(misses > 0, "the window must exercise eviction");
             assert_eq!(allocs, 0, "warm pooled reads allocated at {threads} thread(s)");
+            assert_eq!(checkouts, 0, "the store owns its workspace at {threads} thread(s)");
         });
     }
+}
+
+#[test]
+fn fixed_membership_fleet_allocates_nothing_per_request_batch_or_epoch() {
+    // Pinning min == max keeps membership (and so rebalance, which
+    // allocates) out of the run; what is left is per-request, per-batch
+    // and per-epoch work, and doubling the horizon must not add to it.
+    let scale = scales()[0];
+    let run = |horizon_ns| {
+        let mut spec = fleet_spec(scale);
+        for lane in &mut spec.lanes {
+            lane.autoscale.min_replicas = lane.initial_replicas;
+            lane.autoscale.max_replicas = lane.initial_replicas;
+        }
+        let trace = trace(Scenario::DiurnalZipf, scale, horizon_ns, 19);
+        let s0 = alloc_audit::thread_snapshot();
+        let report = try_run(spec, &trace).expect("preset spec and trace are valid");
+        let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+        let batches: u64 = report.lanes.iter().map(|l| l.metrics.batches).sum();
+        assert!(batches > 100, "{horizon_ns} ns served only {batches} batches");
+        assert!(report.lanes.iter().all(|l| l.scale_ups + l.scale_downs == 0));
+        allocs
+    };
+    let _ = run(10_000_000); // warm-up: lazy statics, code paths
+    assert_eq!(run(20_000_000), run(10_000_000), "2x the horizon must cost no extra allocation");
 }

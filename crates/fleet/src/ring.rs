@@ -192,17 +192,27 @@ impl HashRing {
         None
     }
 
-    /// How many of the probe keys `0..probes` changed primary between
-    /// `self` and `after` — the observable rebalance cost of a
-    /// membership change, in moved key-space fraction.
-    pub fn moved_keys(&self, after: &HashRing, probes: u64) -> u64 {
-        (0..probes).filter(|&k| self.primary(k) != after.primary(k)).count() as u64
+    /// How many of the probe keys `0..probes` have `node` as primary.
+    ///
+    /// This prices a one-member change on one ring: adding `node` moves
+    /// exactly the keys it then owns (every other key's first clockwise
+    /// point is unchanged), and removing it moves exactly the keys it
+    /// owned. So count on the ring *after* an add and *before* a remove.
+    pub fn keys_owned(&self, node: u32, probes: u64) -> u64 {
+        (0..probes).filter(|&k| self.primary(k) == Some(node)).count() as u64
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// How many of the probe keys `0..probes` changed primary between
+    /// `before` and `after`: the two-ring count [`HashRing::keys_owned`]
+    /// replaced, kept as its oracle.
+    pub(crate) fn moved_keys(before: &HashRing, after: &HashRing, probes: u64) -> u64 {
+        (0..probes).filter(|&k| before.primary(k) != after.primary(k)).count() as u64
+    }
 
     #[test]
     fn empty_ring_routes_nothing() {
@@ -270,7 +280,8 @@ mod tests {
         let mut ring = HashRing::with_nodes(32, 8);
         let before = ring.clone();
         ring.add_node(8);
-        let moved = before.moved_keys(&ring, 4096);
+        let moved = ring.keys_owned(8, 4096);
+        assert_eq!(moved, moved_keys(&before, &ring, 4096));
         // ~1/9 of the key space should move to the newcomer; allow slack.
         assert!(moved > 0);
         assert!((moved as f64) < 0.30 * 4096.0, "moved {moved} of 4096 keys");

@@ -6,12 +6,10 @@
 //! ([`ShardScheme::Range`]) or hashed rows ([`ShardScheme::Hash`]) — and
 //! every shard is assigned owners on a consistent-hash ring over the
 //! lane's current replicas. A routed lookup groups its indices by
-//! shard, gathers each shard's rows (range shards through the borrowed
-//! `recsys::TableView` window, hash shards through the parent table) and
-//! merges the pooled partials *in shard order*. A batch is a handful of
-//! users, so the whole read is one thread's straight-line work and the
-//! result is a pure function of `(user, store)` — no worker pool is
-//! involved.
+//! shard, sums each shard's rows into a partial and merges the partials
+//! *in shard order*. A batch is a handful of users, so the whole read is
+//! one thread's straight-line work and the result is a pure function of
+//! `(user, store)` — no worker pool is involved.
 //!
 //! Placement is temperature-driven, E14 style: each shard fronts its own
 //! LRU [`EmbeddingCache`] and an epoch access counter; at rebalance the
@@ -21,7 +19,6 @@
 
 use crate::ring::{key_point, HashRing};
 use enw_numerics::rng::Rng64;
-use enw_parallel::scratch;
 use enw_recsys::cache::{CacheStats, EmbeddingCache};
 use enw_recsys::EmbeddingTable;
 
@@ -32,8 +29,7 @@ const PLACEMENT_VNODES: u32 = 32;
 /// How rows map to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardScheme {
-    /// Contiguous row ranges — owners hold a dense window (served
-    /// through `EmbeddingTable::range_view`).
+    /// Contiguous row ranges — owners hold a dense window.
     Range,
     /// Rows scattered by hash — balances skewed catalogues at the cost
     /// of dense windows.
@@ -90,6 +86,10 @@ impl ShardSpec {
         assert!(self.replication > 0, "replication factor must be at least 1");
         assert!((0.0..=1.0).contains(&self.hot_fraction), "hot_fraction must sit in [0, 1]");
         assert!(self.cache_rows > 0, "per-shard caches need capacity");
+        assert!(
+            u32::try_from(self.shards).is_ok() && u32::try_from(self.lookups_per_table).is_ok(),
+            "shards and lookups must fit the 32-bit halves of a group key"
+        );
     }
 }
 
@@ -122,6 +122,8 @@ pub struct RebalanceCost {
 pub struct ShardedStore {
     spec: ShardSpec,
     tables: Vec<EmbeddingTable>,
+    /// Shard of each row, the same in every table.
+    row_shard: Vec<u32>,
     /// Rows in each `(table, shard)` slot, `table * shards + shard`.
     shard_rows: Vec<usize>,
     /// Epoch access counters per slot (halved at each rebalance).
@@ -133,6 +135,30 @@ pub struct ShardedStore {
     owners: Vec<Vec<u32>>,
     /// Hot flags from the last rebalance.
     hot: Vec<bool>,
+    ws: Workspace,
+}
+
+/// What [`ShardedStore::pool_batch`] works in: sized at construction
+/// (the touch stamps at each rebalance), so a warm read allocates
+/// nothing.
+#[derive(Debug, Clone)]
+struct Workspace {
+    /// `stamps[node] == serial` iff `node` already served the current
+    /// user; indexed by node id.
+    stamps: Vec<u64>,
+    serial: u64,
+    /// The current user's owner pick for each owner-set length, indexed
+    /// by that length (`0` unused).
+    pick: Vec<usize>,
+    /// One table's lookups as `shard << 32 | k`: sorted, they group by
+    /// shard, shards ascending and each group in `k` order.
+    keys: Vec<u64>,
+    /// One table's lookup rows, by `k`.
+    rows: Vec<usize>,
+    /// One shard group's pooled partial.
+    partial: Vec<f32>,
+    /// The current user's pooled output, one `dim` stripe per table.
+    pooled: Vec<f32>,
 }
 
 impl ShardedStore {
@@ -150,21 +176,35 @@ impl ShardedStore {
             .map(|_| EmbeddingTable::random(spec.rows_per_table, spec.dim, &mut rng))
             .collect();
         let slots = spec.total_shards();
+        // `validate` bounds `shards` by `u32`.
+        let row_shard: Vec<u32> =
+            (0..spec.rows_per_table).map(|row| shard_of_row(&spec, row) as u32).collect();
         let mut shard_rows = vec![0usize; slots];
         for t in 0..spec.tables {
-            for row in 0..spec.rows_per_table {
-                shard_rows[t * spec.shards + shard_of_row(&spec, row)] += 1;
+            for &s in &row_shard {
+                shard_rows[t * spec.shards + s as usize] += 1;
             }
         }
         let caches = (0..slots).map(|_| EmbeddingCache::new(spec.cache_rows)).collect();
+        let ws = Workspace {
+            stamps: Vec::new(),
+            serial: 0,
+            pick: vec![0; spec.replication + 1],
+            keys: vec![0; spec.lookups_per_table],
+            rows: vec![0; spec.lookups_per_table],
+            partial: vec![0.0; spec.dim],
+            pooled: vec![0.0; spec.tables * spec.dim],
+        };
         ShardedStore {
             spec,
             tables,
+            row_shard,
             shard_rows,
             accesses: vec![0; slots],
             caches,
             owners: vec![Vec::new(); slots],
             hot: vec![false; slots],
+            ws,
         }
     }
 
@@ -205,136 +245,87 @@ impl ShardedStore {
         (self.shard_rows[slot] * self.spec.dim * 4) as u64
     }
 
-    /// The `k`-th lookup row of `user` in `table` — a fixed hash, so a
-    /// returning user re-touches the same rows (that is what makes
-    /// hot-key skew heat shards and caches).
-    #[inline]
-    fn index_for(&self, user: u64, table: usize, k: usize) -> usize {
-        let h = key_point(user ^ ((table as u64) << 40) ^ ((k as u64) << 52) ^ 0x00c0_ffee);
-        (h % self.spec.rows_per_table as u64) as usize
-    }
-
-    /// Accounting, then the numeric gather, for one routed batch — both
-    /// in line on the calling thread.
+    /// Accounting and the numeric gather for one routed batch, in one
+    /// pass on the calling thread.
     ///
-    /// Cache accesses, shard temperatures and owner-touch counts are
-    /// walked in `(query, table, lookup)` order (LRU state is
-    /// order-sensitive); each query is then pooled in turn into its own
-    /// stripe. A batch is at most a lane's `max_batch` queries of a few
-    /// microseconds each, less than waking a worker costs, so nothing
-    /// here fans out.
+    /// Each lookup is hashed once, and cache accesses, shard
+    /// temperatures and owner touches are accounted in `(user, table,
+    /// lookup)` order (LRU state is order-sensitive). As soon as a
+    /// table's lookups are known it is pooled: a `+0.0` partial per
+    /// shard group summed in `k` order, merged into the table's stripe
+    /// in ascending shard order. The checksum then folds the user's
+    /// stripes. A batch is at most a lane's `max_batch` users of well
+    /// under a microsecond each, less than waking a worker costs, so
+    /// nothing here fans out.
     ///
     /// # Panics
     ///
     /// Panics if `users` is empty or the store has not been rebalanced
     /// onto a replica set yet.
+    // enw:hot
     pub fn pool_batch(&mut self, users: &[u64]) -> BatchCost {
         assert!(!users.is_empty(), "empty batch");
-        let spec = &self.spec;
+        let ShardedStore { spec, tables, row_shard, accesses, caches, owners, ws, .. } = self;
+        let (dim, lookups) = (spec.dim, spec.lookups_per_table);
         let mut cost = BatchCost::default();
-        let mut touched = scratch::take_usize(spec.total_shards());
         for &user in users {
             // Reads pin one replica per (user, shard): spread by user
             // hash, stable across identical membership.
             let pick = key_point(user);
-            let mut ntouched = 0usize;
-            for t in 0..spec.tables {
-                for k in 0..spec.lookups_per_table {
-                    let row = self.index_for(user, t, k);
-                    let s = shard_of_row(spec, row);
-                    let slot = t * spec.shards + s;
-                    self.accesses[slot] += 1;
-                    if self.caches[slot].access(t, row) {
+            for (len, p) in ws.pick.iter_mut().enumerate().skip(1) {
+                *p = (pick % len as u64) as usize;
+            }
+            ws.serial += 1;
+            for (t, (table, stripe)) in tables.iter().zip(ws.pooled.chunks_mut(dim)).enumerate() {
+                for k in 0..lookups {
+                    let row = index_for(spec, user, t, k);
+                    let shard = row_shard[row];
+                    let slot = t * spec.shards + shard as usize;
+                    accesses[slot] += 1;
+                    if caches[slot].access(t, row) {
                         cost.hits += 1;
                     } else {
                         cost.misses += 1;
                     }
-                    let owners = &self.owners[slot];
-                    assert!(!owners.is_empty(), "store serves before its first rebalance");
-                    let owner = owners[(pick % owners.len() as u64) as usize];
-                    let touched = touched.as_mut_slice();
-                    if !touched[..ntouched].contains(&(owner as usize)) {
-                        touched[ntouched] = owner as usize;
-                        ntouched += 1;
+                    let set = &owners[slot];
+                    assert!(!set.is_empty(), "store serves before its first rebalance");
+                    let owner = set[ws.pick[set.len()]] as usize;
+                    if ws.stamps[owner] != ws.serial {
+                        ws.stamps[owner] = ws.serial;
+                        cost.owner_touches += 1;
+                    }
+                    ws.rows[k] = row;
+                    ws.keys[k] = u64::from(shard) << 32 | k as u64;
+                }
+                ws.keys.sort_unstable();
+                stripe.fill(0.0);
+                for group in ws.keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+                    ws.partial.fill(0.0);
+                    for &key in group {
+                        let row = table.row(ws.rows[key as u32 as usize]);
+                        for (p, v) in ws.partial.iter_mut().zip(row) {
+                            *p += v;
+                        }
+                    }
+                    for (o, p) in stripe.iter_mut().zip(&ws.partial) {
+                        *o += p;
                     }
                 }
             }
-            cost.owner_touches += ntouched as u64;
+            for &v in &ws.pooled {
+                cost.checksum = cost.checksum.rotate_left(1) ^ u64::from(v.to_bits());
+            }
         }
-
-        let stripe = spec.tables * spec.dim;
-        let mut pooled = scratch::take_f32(users.len() * stripe);
-        for (&user, window) in users.iter().zip(pooled.chunks_mut(stripe)) {
-            self.pool_user_into(user, window);
-        }
-        for &v in pooled.as_slice() {
-            cost.checksum = cost.checksum.rotate_left(1) ^ u64::from(v.to_bits());
-        }
+        let pooled = (users.len() * ws.pooled.len()) as u64;
         enw_trace::record_span_io(
             "fleet/pool_batch",
-            (users.len() * stripe) as u64,
-            (cost.hits + cost.misses) * (spec.dim * 4) as u64,
-            (pooled.as_slice().len() * 4) as u64,
+            pooled,
+            (cost.hits + cost.misses) * (dim * 4) as u64,
+            pooled * 4,
         );
         enw_trace::counter_add("fleet.owner_touches", cost.owner_touches);
         enw_trace::counter_add("fleet.cache_misses", cost.misses);
         cost
-    }
-
-    /// Pools all of `user`'s lookups into `out` (one `dim` stripe per
-    /// table, fully overwritten): each lookup's row and shard are
-    /// computed once, the lookups are grouped by shard, each shard's
-    /// rows are gathered through its storage unit, and partials merge in
-    /// ascending shard order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != tables * dim`.
-    // enw:hot
-    pub fn pool_user_into(&self, user: u64, out: &mut [f32]) {
-        let spec = &self.spec;
-        assert_eq!(out.len(), spec.tables * spec.dim, "pooled stripe width mismatch");
-        let lookups = spec.lookups_per_table;
-        let mut rows = scratch::take_usize(lookups);
-        let mut keys = scratch::take_usize(lookups);
-        let mut partial = scratch::take_f32(spec.dim);
-        let (rows, keys, partial) =
-            (rows.as_mut_slice(), keys.as_mut_slice(), partial.as_mut_slice());
-        for (t, stripe) in out.chunks_mut(spec.dim).enumerate() {
-            // Sorting `shard * lookups + k` groups the lookups by shard,
-            // shards ascending and each shard's lookups in `k` order.
-            for (k, (row, key)) in rows.iter_mut().zip(keys.iter_mut()).enumerate() {
-                *row = self.index_for(user, t, k);
-                *key = shard_of_row(spec, *row) * lookups + k;
-            }
-            keys.sort_unstable();
-            stripe.fill(0.0);
-            for group in keys.chunk_by_mut(|a, b| a / lookups == b / lookups) {
-                let Some(&first) = group.first() else { continue };
-                let s = first / lookups;
-                match spec.scheme {
-                    ShardScheme::Range => {
-                        // Range shards address their window locally —
-                        // the unit an owner node actually holds.
-                        let start = range_start(spec, s);
-                        let len = range_start(spec, s + 1) - start;
-                        for key in group.iter_mut() {
-                            *key = rows[*key % lookups] - start;
-                        }
-                        self.tables[t].range_view(start, len).gather_pool_into(group, partial);
-                    }
-                    ShardScheme::Hash => {
-                        for key in group.iter_mut() {
-                            *key = rows[*key % lookups];
-                        }
-                        self.tables[t].gather_pool_into(group, partial);
-                    }
-                }
-                for (o, p) in stripe.iter_mut().zip(partial.iter()) {
-                    *o += p;
-                }
-            }
-        }
     }
 
     /// Recomputes hot/cold placement over `nodes` and returns what the
@@ -351,6 +342,9 @@ impl ShardedStore {
         let mut ring = HashRing::new(PLACEMENT_VNODES);
         for &n in nodes {
             ring.add_node(n);
+            if self.ws.stamps.len() <= n as usize {
+                self.ws.stamps.resize(n as usize + 1, 0);
+            }
         }
         let slots = self.spec.total_shards();
         let mut rank: Vec<usize> = (0..slots).collect();
@@ -392,11 +386,13 @@ fn shard_of_row(spec: &ShardSpec, row: usize) -> usize {
     }
 }
 
-/// First row of range shard `s` (valid for `s == shards` as the end
-/// sentinel).
+/// The `k`-th lookup row of `user` in `table` — a fixed hash, so a
+/// returning user re-touches the same rows (that is what makes hot-key
+/// skew heat shards and caches).
 #[inline]
-fn range_start(spec: &ShardSpec, s: usize) -> usize {
-    s * spec.rows_per_table / spec.shards
+fn index_for(spec: &ShardSpec, user: u64, table: usize, k: usize) -> usize {
+    let h = key_point(user ^ ((table as u64) << 40) ^ ((k as u64) << 52) ^ 0x00c0_ffee);
+    (h % spec.rows_per_table as u64) as usize
 }
 
 /// Placement-ring key of a `(table, shard)` slot, domain-separated from
@@ -407,8 +403,84 @@ fn shard_key(slot: usize) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The two-pass read the one-pass [`ShardedStore::pool_batch`]
+    /// replaced, kept as its oracle: the whole batch's accounting, then
+    /// each user pooled through per-shard-group gathers.
+    impl ShardedStore {
+        pub(crate) fn pool_batch_two_pass(&mut self, users: &[u64]) -> BatchCost {
+            assert!(!users.is_empty(), "empty batch");
+            let spec = &self.spec;
+            let mut cost = BatchCost::default();
+            let mut touched = vec![0usize; spec.total_shards()];
+            for &user in users {
+                let pick = key_point(user);
+                let mut ntouched = 0usize;
+                for t in 0..spec.tables {
+                    for k in 0..spec.lookups_per_table {
+                        let row = index_for(spec, user, t, k);
+                        let s = shard_of_row(spec, row);
+                        let slot = t * spec.shards + s;
+                        self.accesses[slot] += 1;
+                        if self.caches[slot].access(t, row) {
+                            cost.hits += 1;
+                        } else {
+                            cost.misses += 1;
+                        }
+                        let owners = &self.owners[slot];
+                        assert!(!owners.is_empty(), "store serves before its first rebalance");
+                        let owner = owners[(pick % owners.len() as u64) as usize];
+                        if !touched[..ntouched].contains(&(owner as usize)) {
+                            touched[ntouched] = owner as usize;
+                            ntouched += 1;
+                        }
+                    }
+                }
+                cost.owner_touches += ntouched as u64;
+            }
+            let stripe = spec.tables * spec.dim;
+            let mut pooled = vec![0.0f32; users.len() * stripe];
+            for (&user, window) in users.iter().zip(pooled.chunks_mut(stripe)) {
+                self.pool_user_into(user, window);
+            }
+            for &v in &pooled {
+                cost.checksum = cost.checksum.rotate_left(1) ^ u64::from(v.to_bits());
+            }
+            cost
+        }
+
+        /// Pools all of `user`'s lookups into `out` (one `dim` stripe
+        /// per table): lookups grouped by shard, each group gathered by
+        /// the table's own `gather_pool_into`, partials merged in
+        /// ascending shard order.
+        pub(crate) fn pool_user_into(&self, user: u64, out: &mut [f32]) {
+            let spec = &self.spec;
+            assert_eq!(out.len(), spec.tables * spec.dim, "pooled stripe width mismatch");
+            let lookups = spec.lookups_per_table;
+            let mut rows = vec![0usize; lookups];
+            let mut keys = vec![0usize; lookups];
+            let mut partial = vec![0.0f32; spec.dim];
+            for (t, stripe) in out.chunks_mut(spec.dim).enumerate() {
+                for (k, (row, key)) in rows.iter_mut().zip(keys.iter_mut()).enumerate() {
+                    *row = index_for(spec, user, t, k);
+                    *key = shard_of_row(spec, *row) * lookups + k;
+                }
+                keys.sort_unstable();
+                stripe.fill(0.0);
+                for group in keys.chunk_by_mut(|a, b| a / lookups == b / lookups) {
+                    for key in group.iter_mut() {
+                        *key = rows[*key % lookups];
+                    }
+                    self.tables[t].gather_pool_into(group, &mut partial);
+                    for (o, p) in stripe.iter_mut().zip(&partial) {
+                        *o += p;
+                    }
+                }
+            }
+        }
+    }
 
     fn spec(scheme: ShardScheme) -> ShardSpec {
         ShardSpec {
@@ -447,7 +519,8 @@ mod tests {
             let mut sharded = vec![0.0f32; 2 * 8];
             store.pool_user_into(user, &mut sharded);
             for t in 0..2 {
-                let indices: Vec<usize> = (0..6).map(|k| store.index_for(user, t, k)).collect();
+                let indices: Vec<usize> =
+                    (0..6).map(|k| index_for(&store.spec, user, t, k)).collect();
                 let mut direct = store.tables[t].lookup_pool(&indices);
                 // Shard-order merge permutes the additions; compare with
                 // a tolerance scaled to the pooled magnitude.

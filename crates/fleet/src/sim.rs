@@ -18,8 +18,17 @@
 //! is fixed — completions, control, arrivals, batch starts — so a whole
 //! fleet run is a pure function of `(spec, trace)`, bit-identical across
 //! reruns and `ENW_THREADS` settings.
+//!
+//! The loop does only the work an instant owes. A wake-up heap holds one
+//! live entry per replica that owes the loop work (its batch's
+//! completion, or the instant its oldest request's wait closes a batch),
+//! so the next instant is the heap's top, not a scan of every replica;
+//! and at that instant only the replicas woken then, plus those admitted
+//! into, complete or start batches, in `(lane, id)` order — the order a
+//! sweep over every replica visits them in.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::autoscale::{AutoscalePolicy, Autoscaler, EpochSignals, ScaleDecision};
 use crate::error::FleetError;
@@ -32,6 +41,12 @@ use enw_trace::Histogram;
 /// Probe keys hashed to price a membership change (`keys_moved` is the
 /// count whose primary changed, out of this many).
 const REBALANCE_PROBES: u64 = 2048;
+
+/// [`Lane::position`] entry of a retired replica id.
+const RETIRED: u32 = u32::MAX;
+
+/// A wake-up: `(time, lane, replica id)`, earliest first.
+type Wakeup = Reverse<(u64, usize, u32)>;
 
 /// One lane's static configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +92,8 @@ struct Replica {
     queue: VecDeque<FleetRequest>,
     batch: Vec<FleetRequest>,
     done_at: Option<u64>,
+    /// Time of this replica's live wake-up entry, if it has one.
+    wake: Option<u64>,
     metrics: StationMetrics,
 }
 
@@ -87,8 +104,16 @@ impl Replica {
             queue: VecDeque::with_capacity(policy.queue_cap),
             batch: Vec::with_capacity(policy.max_batch),
             done_at: None,
+            wake: None,
             metrics: StationMetrics::new(&format!("{lane}/n{id}")),
         }
+    }
+
+    /// When the loop next owes this replica work: its batch's
+    /// completion, else the instant its oldest request's wait closes a
+    /// batch; `None` when idle with an empty queue.
+    fn due_at(&self, max_wait_ns: u64) -> Option<u64> {
+        self.done_at.or_else(|| self.queue.front().map(|r| r.arrival_ns + max_wait_ns))
     }
 }
 
@@ -99,6 +124,9 @@ struct Lane {
     ring: HashRing,
     /// Live replicas, ascending id (ids are never reused).
     replicas: Vec<Replica>,
+    /// Position in `replicas` of every id issued so far, [`RETIRED`]
+    /// once retired.
+    position: Vec<u32>,
     next_id: u32,
     scaler: Autoscaler,
     next_epoch_ns: u64,
@@ -134,6 +162,7 @@ impl Lane {
             replicas_peak: spec.initial_replicas,
             folded: StationMetrics::new(&spec.name),
             users: Vec::with_capacity(spec.policy.max_batch),
+            position: (0..spec.initial_replicas as u32).collect(),
             spec,
             ring,
             replicas,
@@ -162,8 +191,92 @@ impl Lane {
         self.replicas.iter().map(|r| r.queue.len()).sum()
     }
 
-    fn busy(&self) -> bool {
-        self.replicas.iter().any(|r| r.done_at.is_some() || !r.queue.is_empty())
+    /// Where replica `id` sits in `replicas`, if it is live.
+    fn slot(&self, id: u32) -> Option<usize> {
+        match self.position.get(id as usize) {
+            Some(&p) if p != RETIRED => Some(p as usize),
+            _ => None,
+        }
+    }
+
+    /// Whether replica `id` is live with its wake-up entry at `w`.
+    fn wakes_at(&self, id: u32, w: u64) -> bool {
+        self.slot(id).is_some_and(|p| self.replicas[p].wake == Some(w))
+    }
+
+    /// Finishes replica `rp`'s batch if it is due at `t`: on-time
+    /// requests complete, late ones count as deadline misses; either way
+    /// the latency lands in the replica's and the epoch's histograms.
+    fn complete(&mut self, rp: usize, t: u64) {
+        let rep = &mut self.replicas[rp];
+        if rep.done_at != Some(t) {
+            return;
+        }
+        rep.done_at = None;
+        for r in rep.batch.drain(..) {
+            let latency = t - r.arrival_ns;
+            if t > r.deadline_ns {
+                rep.metrics.deadline_misses += 1;
+            } else {
+                rep.metrics.completed += 1;
+            }
+            rep.metrics.record_latency(latency);
+            self.epoch_hist.record(latency);
+            self.epoch_served += 1;
+            if !self.spec.sharded {
+                // Sharded lanes fold their pooled-output bits at batch
+                // start; plain lanes fold completion identities here.
+                self.checksum = self.checksum.rotate_left(1) ^ key_point(r.user ^ t);
+            }
+        }
+    }
+
+    /// Closes batches on replica `rp` while it is idle and its queue is
+    /// full enough or its oldest request has waited out `max_wait_ns`;
+    /// requests already past their deadline are shed instead of served.
+    /// `store` is the sharded store when this is the sharded lane.
+    fn start_batches(&mut self, rp: usize, t: u64, mut store: Option<&mut ShardedStore>) {
+        let policy = self.spec.policy;
+        loop {
+            let rep = &mut self.replicas[rp];
+            if rep.done_at.is_some() {
+                break;
+            }
+            let Some(oldest) = rep.queue.front().map(|r| r.arrival_ns) else { break };
+            let close = rep.queue.len() >= policy.max_batch || oldest + policy.max_wait_ns <= t;
+            if !close {
+                break;
+            }
+            rep.batch.clear();
+            let mut shed_now = 0u64;
+            while rep.batch.len() < policy.max_batch {
+                let Some(r) = rep.queue.pop_front() else { break };
+                if r.deadline_ns <= t {
+                    rep.metrics.shed += 1;
+                    shed_now += 1;
+                } else {
+                    rep.batch.push(r);
+                }
+            }
+            self.epoch_dropped += shed_now;
+            if rep.batch.is_empty() {
+                // Everything pulled was already dead; the queue may
+                // still hold serviceable requests.
+                continue;
+            }
+            let mut ns = self.spec.service.ns(rep.batch.len());
+            if let Some(st) = store.as_deref_mut() {
+                self.users.clear();
+                self.users.extend(rep.batch.iter().map(|r| r.user));
+                let cost = st.pool_batch(&self.users);
+                ns = ns
+                    .saturating_add(self.spec.fanout_ns * cost.owner_touches)
+                    .saturating_add(self.spec.miss_ns * cost.misses);
+                self.checksum = self.checksum.rotate_left(1) ^ cost.checksum;
+            }
+            rep.metrics.batches += 1;
+            rep.done_at = Some(t.saturating_add(ns.max(1)));
+        }
     }
 }
 
@@ -369,30 +482,85 @@ impl Fleet {
 
         let mut clock = VirtualClock::new();
         let mut next_arrival = 0usize;
+        // Every replica whose `due_at` is set has a live entry at that
+        // time (its `wake`); an entry superseded before it comes due goes
+        // stale and is dropped when it reaches the top.
+        let most: usize = self.lanes.iter().map(|l| l.spec.autoscale.max_replicas).sum();
+        let mut wakeups: BinaryHeap<Wakeup> = BinaryHeap::with_capacity(2 * most);
+        // The replicas an instant owes work, as `(lane, id)`.
+        let mut due: Vec<(usize, u32)> = Vec::with_capacity(2 * most);
         loop {
-            let work_left = next_arrival < trace.len() || self.lanes.iter().any(Lane::busy);
-            let mut next: Option<u64> = trace.get(next_arrival).map(|r| r.arrival_ns);
-            for lane in &self.lanes {
-                for rep in &lane.replicas {
-                    if let Some(done) = rep.done_at {
-                        next = min_opt(next, done);
-                    } else if let Some(front) = rep.queue.front() {
-                        next = min_opt(next, front.arrival_ns + lane.spec.policy.max_wait_ns);
-                    }
+            while let Some(&Reverse((w, li, id))) = wakeups.peek() {
+                if self.lanes[li].wakes_at(id, w) {
+                    break;
                 }
-                if work_left {
-                    next = min_opt(next, lane.next_epoch_ns);
+                wakeups.pop();
+            }
+            let woken = wakeups.peek().map(|&Reverse((w, _, _))| w);
+            let arrival = trace.get(next_arrival).map(|r| r.arrival_ns);
+            let work_left = arrival.is_some() || woken.is_some();
+            let epoch = self.lanes.iter().map(|l| l.next_epoch_ns).min().filter(|_| work_left);
+            let Some(t) = [arrival, woken, epoch].into_iter().flatten().min() else { break };
+            clock.advance_to(t);
+
+            due.clear();
+            while let Some(&Reverse((w, li, id))) = wakeups.peek() {
+                if w != t {
+                    break;
+                }
+                wakeups.pop();
+                let lane = &mut self.lanes[li];
+                if let Some(rp) = lane.slot(id).filter(|&rp| lane.replicas[rp].wake == Some(t)) {
+                    lane.replicas[rp].wake = None;
+                    due.push((li, id));
                 }
             }
-            let Some(t) = next else { break };
-            clock.advance_to(t);
-            self.complete(t);
+            // Ids rise with position, so `(lane, id)` order is the order
+            // a sweep over every replica would visit them in — what the
+            // LRU, the checksums and the epoch histograms see.
+            due.sort_unstable();
+            for &(li, id) in &due {
+                let lane = &mut self.lanes[li];
+                if let Some(rp) = lane.slot(id) {
+                    lane.complete(rp, t);
+                }
+            }
             self.control(t);
-            next_arrival = self.admit(trace, next_arrival, t);
-            self.start_batches(t);
+            next_arrival = self.admit(trace, next_arrival, t, &mut due);
+            due.sort_unstable();
+            due.dedup();
+            for &(li, id) in &due {
+                let lane = &mut self.lanes[li];
+                if let Some(rp) = lane.slot(id) {
+                    let store =
+                        if self.sharded_lane == Some(li) { self.store.as_mut() } else { None };
+                    lane.start_batches(rp, t, store);
+                }
+            }
+            for &(li, id) in &due {
+                let lane = &mut self.lanes[li];
+                // A replica retired by this instant's control owes nothing.
+                let Some(rp) = lane.slot(id) else { continue };
+                let max_wait_ns = lane.spec.policy.max_wait_ns;
+                let rep = &mut lane.replicas[rp];
+                let at = rep.due_at(max_wait_ns);
+                if at == rep.wake {
+                    continue;
+                }
+                rep.wake = at;
+                let Some(w) = at else { continue };
+                if wakeups.len() == wakeups.capacity() {
+                    let lanes = &self.lanes;
+                    wakeups.retain(|&Reverse((w, li, id))| lanes[li].wakes_at(id, w));
+                }
+                wakeups.push(Reverse((w, li, id)));
+            }
         }
+        Ok(self.finish(clock.now_ns()))
+    }
 
-        let t_end = clock.now_ns();
+    /// Closes the run's books at `t_end` and reports.
+    fn finish(mut self, t_end: u64) -> FleetReport {
         for lane in &mut self.lanes {
             lane.integrate_to(t_end);
         }
@@ -426,38 +594,7 @@ impl Fleet {
                 }
             })
             .collect();
-        Ok(FleetReport { duration_ns: t_end, lanes, shard })
-    }
-
-    /// Finishes every batch due at `t`: on-time requests complete, late
-    /// ones count as deadline misses; either way the latency lands in
-    /// the replica's and the epoch's histograms.
-    fn complete(&mut self, t: u64) {
-        for lane in &mut self.lanes {
-            for rep in lane.replicas.iter_mut() {
-                if rep.done_at != Some(t) {
-                    continue;
-                }
-                rep.done_at = None;
-                for r in rep.batch.drain(..) {
-                    let latency = t - r.arrival_ns;
-                    if t > r.deadline_ns {
-                        rep.metrics.deadline_misses += 1;
-                    } else {
-                        rep.metrics.completed += 1;
-                    }
-                    rep.metrics.record_latency(latency);
-                    lane.epoch_hist.record(latency);
-                    lane.epoch_served += 1;
-                    if !lane.spec.sharded {
-                        // Sharded lanes fold their pooled-output bits at
-                        // batch start; plain lanes fold completion
-                        // identities here.
-                        lane.checksum = lane.checksum.rotate_left(1) ^ key_point(r.user ^ t);
-                    }
-                }
-            }
-        }
+        FleetReport { duration_ns: t_end, lanes, shard }
     }
 
     /// Runs every lane whose control epoch closes at `t`.
@@ -478,14 +615,16 @@ impl Fleet {
             match lane.scaler.observe(&signals) {
                 ScaleDecision::Up => {
                     lane.integrate_to(t);
-                    let before = lane.ring.clone();
+                    // Ids are issued in order, so `id` indexes the end
+                    // of `position`.
                     let id = lane.next_id;
                     lane.next_id += 1;
                     lane.ring.add_node(id);
+                    lane.position.push(lane.replicas.len() as u32);
                     lane.replicas.push(Replica::new(&lane.spec.name, id, &lane.spec.policy));
                     lane.replicas_peak = lane.replicas_peak.max(lane.replicas.len());
                     lane.scale_ups += 1;
-                    lane.keys_moved += before.moved_keys(&lane.ring, REBALANCE_PROBES);
+                    lane.keys_moved += lane.ring.keys_owned(id, REBALANCE_PROBES);
                     if sharded {
                         if let Some(st) = self.store.as_mut() {
                             lane.moved_bytes += st.rebalance(lane.ring.nodes()).moved_bytes;
@@ -503,12 +642,15 @@ impl Fleet {
                         .rposition(|r| r.done_at.is_none() && r.queue.is_empty());
                     if let Some(pos) = candidate {
                         lane.integrate_to(t);
-                        let before = lane.ring.clone();
                         let rep = lane.replicas.remove(pos);
+                        lane.position[rep.id as usize] = RETIRED;
+                        for later in &lane.replicas[pos..] {
+                            lane.position[later.id as usize] -= 1;
+                        }
+                        lane.keys_moved += lane.ring.keys_owned(rep.id, REBALANCE_PROBES);
                         lane.ring.remove_node(rep.id);
                         absorb(&mut lane.folded, &rep.metrics);
                         lane.scale_downs += 1;
-                        lane.keys_moved += before.moved_keys(&lane.ring, REBALANCE_PROBES);
                         if sharded {
                             if let Some(st) = self.store.as_mut() {
                                 lane.moved_bytes += st.rebalance(lane.ring.nodes()).moved_bytes;
@@ -519,7 +661,7 @@ impl Fleet {
                 }
                 ScaleDecision::Hold => {}
             }
-            lane.epoch_hist = Histogram::new();
+            lane.epoch_hist.clear();
             lane.epoch_served = 0;
             lane.epoch_dropped = 0;
             lane.next_epoch_ns += lane.spec.autoscale.epoch_ns;
@@ -527,8 +669,15 @@ impl Fleet {
     }
 
     /// Routes every arrival at `t`: bounded-load pick over the lane's
-    /// ring, reject when every replica's queue is at capacity.
-    fn admit(&mut self, trace: &[FleetRequest], mut i: usize, t: u64) -> usize {
+    /// ring, reject when every replica's queue is at capacity. Each
+    /// replica admitted into is listed in `admitted` as `(lane, id)`.
+    fn admit(
+        &mut self,
+        trace: &[FleetRequest],
+        mut i: usize,
+        t: u64,
+        admitted: &mut Vec<(usize, u32)>,
+    ) -> usize {
         while let Some(&r) = trace.get(i) {
             if r.arrival_ns != t {
                 break;
@@ -537,22 +686,20 @@ impl Fleet {
             let lane = &mut self.lanes[r.lane];
             let cap = lane.spec.policy.queue_cap;
             let pick = {
-                let reps = &lane.replicas;
-                lane.ring.pick_bounded(r.user, cap, |id| {
-                    match reps.binary_search_by_key(&id, |rep| rep.id) {
-                        Ok(p) => reps[p].queue.len(),
-                        // Ring and replica set are kept in lockstep;
-                        // treat a stranger as full just in case.
-                        Err(_) => cap,
-                    }
+                let l = &*lane;
+                // Ring and replica set are kept in lockstep; treat a
+                // stranger as full just in case.
+                l.ring.pick_bounded(r.user, cap, |id| {
+                    l.slot(id).map_or(cap, |p| l.replicas[p].queue.len())
                 })
             };
             match pick {
                 Some(id) => {
-                    if let Ok(p) = lane.replicas.binary_search_by_key(&id, |rep| rep.id) {
+                    if let Some(p) = lane.slot(id) {
                         let rep = &mut lane.replicas[p];
                         rep.metrics.arrived += 1;
                         rep.queue.push_back(r);
+                        admitted.push((r.lane, id));
                     }
                 }
                 None => {
@@ -564,67 +711,6 @@ impl Fleet {
         }
         i
     }
-
-    /// Closes batches on every idle replica whose queue is full enough
-    /// or whose oldest request has waited out `max_wait_ns`; requests
-    /// already past their deadline are shed instead of served.
-    fn start_batches(&mut self, t: u64) {
-        for (li, lane) in self.lanes.iter_mut().enumerate() {
-            let sharded = self.sharded_lane == Some(li);
-            let policy = lane.spec.policy;
-            let service = lane.spec.service;
-            for rp in 0..lane.replicas.len() {
-                loop {
-                    let rep = &mut lane.replicas[rp];
-                    if rep.done_at.is_some() || rep.queue.is_empty() {
-                        break;
-                    }
-                    let oldest = match rep.queue.front() {
-                        Some(front) => front.arrival_ns,
-                        None => break,
-                    };
-                    let close =
-                        rep.queue.len() >= policy.max_batch || oldest + policy.max_wait_ns <= t;
-                    if !close {
-                        break;
-                    }
-                    rep.batch.clear();
-                    let mut shed_now = 0u64;
-                    while rep.batch.len() < policy.max_batch {
-                        let Some(r) = rep.queue.pop_front() else { break };
-                        if r.deadline_ns <= t {
-                            rep.metrics.shed += 1;
-                            shed_now += 1;
-                        } else {
-                            rep.batch.push(r);
-                        }
-                    }
-                    lane.epoch_dropped += shed_now;
-                    let b = lane.replicas[rp].batch.len();
-                    if b == 0 {
-                        // Everything pulled was already dead; the queue
-                        // may still hold serviceable requests.
-                        continue;
-                    }
-                    let mut ns = service.ns(b);
-                    if sharded {
-                        lane.users.clear();
-                        lane.users.extend(lane.replicas[rp].batch.iter().map(|r| r.user));
-                        if let Some(st) = self.store.as_mut() {
-                            let cost = st.pool_batch(&lane.users);
-                            ns = ns
-                                .saturating_add(lane.spec.fanout_ns * cost.owner_touches)
-                                .saturating_add(lane.spec.miss_ns * cost.misses);
-                            lane.checksum = lane.checksum.rotate_left(1) ^ cost.checksum;
-                        }
-                    }
-                    let rep = &mut lane.replicas[rp];
-                    rep.metrics.batches += 1;
-                    rep.done_at = Some(t.saturating_add(ns.max(1)));
-                }
-            }
-        }
-    }
 }
 
 /// Convenience: build and run in one call.
@@ -634,13 +720,6 @@ impl Fleet {
 /// Propagates [`Fleet::try_new`] and [`Fleet::try_run`] errors.
 pub fn try_run(spec: FleetSpec, trace: &[FleetRequest]) -> Result<FleetReport, FleetError> {
     Fleet::try_new(spec)?.try_run(trace)
-}
-
-fn min_opt(a: Option<u64>, b: u64) -> Option<u64> {
-    Some(match a {
-        Some(a) => a.min(b),
-        None => b,
-    })
 }
 
 /// Folds `m`'s counters and latencies into `into`.
@@ -660,9 +739,56 @@ fn absorb(into: &mut StationMetrics, m: &StationMetrics) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::tests::moved_keys;
     use crate::shape::{ShapeKind, UserMix, UserSampler};
     use crate::shard::ShardScheme;
     use crate::traffic::{generate_fleet_trace, FleetClass, FleetLoadSpec};
+    use enw_numerics::rng::Rng64;
+
+    /// The loop [`Fleet::try_run`] replaced, kept as its oracle: every
+    /// event scans all replicas for the next time, then completes and
+    /// starts batches by sweeping them all.
+    impl Fleet {
+        fn try_run_sweep(mut self, trace: &[FleetRequest]) -> FleetReport {
+            let mut clock = VirtualClock::new();
+            let mut next_arrival = 0usize;
+            let mut admitted = Vec::new();
+            loop {
+                let busy = |l: &Lane| {
+                    l.replicas.iter().any(|r| r.done_at.is_some() || !r.queue.is_empty())
+                };
+                let work_left = next_arrival < trace.len() || self.lanes.iter().any(busy);
+                let mut next = trace.get(next_arrival).map(|r| r.arrival_ns);
+                for lane in &self.lanes {
+                    let wait = lane.spec.policy.max_wait_ns;
+                    for at in lane.replicas.iter().filter_map(|r| r.due_at(wait)) {
+                        next = Some(next.map_or(at, |n| n.min(at)));
+                    }
+                    if work_left {
+                        next = Some(next.map_or(lane.next_epoch_ns, |n| n.min(lane.next_epoch_ns)));
+                    }
+                }
+                let Some(t) = next else { break };
+                clock.advance_to(t);
+                for lane in &mut self.lanes {
+                    for rp in 0..lane.replicas.len() {
+                        lane.complete(rp, t);
+                    }
+                }
+                self.control(t);
+                admitted.clear();
+                next_arrival = self.admit(trace, next_arrival, t, &mut admitted);
+                for (li, lane) in self.lanes.iter_mut().enumerate() {
+                    let mut store =
+                        if self.sharded_lane == Some(li) { self.store.as_mut() } else { None };
+                    for rp in 0..lane.replicas.len() {
+                        lane.start_batches(rp, t, store.as_deref_mut());
+                    }
+                }
+            }
+            self.finish(clock.now_ns())
+        }
+    }
 
     fn scale(min: usize, max: usize) -> AutoscalePolicy {
         AutoscalePolicy {
@@ -791,10 +917,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quiet_tail_scales_back_down() {
-        // Heavy burst then a long quiet tail: ups then downs.
-        let mut t = trace(350_000.0, 10_000_000, 4);
+    /// A heavy burst then a long quiet tail: ups then downs.
+    fn burst_then_calm(seed: u64) -> Vec<FleetRequest> {
+        let mut t = trace(350_000.0, 10_000_000, seed);
         // One straggler far out so epochs keep ticking through the calm.
         let last_id = t.last().map_or(0, |r| r.id + 1);
         t.push(FleetRequest {
@@ -804,9 +929,104 @@ mod tests {
             arrival_ns: 60_000_000,
             deadline_ns: 63_000_000,
         });
-        let report = try_run(spec(6), &t).expect("valid spec");
+        t
+    }
+
+    #[test]
+    fn quiet_tail_scales_back_down() {
+        let report = try_run(spec(6), &burst_then_calm(4)).expect("valid spec");
         let downs: u64 = report.lanes.iter().map(|l| l.scale_downs).sum();
         assert!(downs > 0, "a quiet tail must shrink the fleet again");
+    }
+
+    #[test]
+    fn heap_loop_one_pass_read_and_one_ring_match_their_oracles() {
+        let mut rng = Rng64::new(27);
+
+        // Rebalance pricing along a random add/remove chain.
+        let mut ring = HashRing::with_nodes(32, 3);
+        let mut next_id = 3u32;
+        for _ in 0..64 {
+            let before = ring.clone();
+            let (node, owned) = if ring.node_count() > 1 && rng.bernoulli(0.5) {
+                let node = ring.nodes()[rng.below(ring.node_count())];
+                let owned = ring.keys_owned(node, REBALANCE_PROBES);
+                ring.remove_node(node);
+                (node, owned)
+            } else {
+                let node = next_id;
+                next_id += 1;
+                ring.add_node(node);
+                (node, ring.keys_owned(node, REBALANCE_PROBES))
+            };
+            assert_eq!(owned, moved_keys(&before, &ring, REBALANCE_PROBES), "node {node}");
+        }
+
+        // Sharded reads, batch by batch: both schemes, replication 1-3,
+        // caches smaller and larger than a 64-row shard, batches of 1-16
+        // users, and placement moving under them.
+        for scheme in [ShardScheme::Range, ShardScheme::Hash] {
+            for replication in 1..=3 {
+                for cache_rows in [8, 100] {
+                    let shards = ShardSpec {
+                        tables: 3,
+                        rows_per_table: 256,
+                        dim: 5,
+                        lookups_per_table: 6,
+                        shards: 4,
+                        replication,
+                        scheme,
+                        hot_fraction: 0.5,
+                        cache_rows,
+                    };
+                    let mut fast = ShardedStore::new(shards, 5);
+                    let mut nodes = vec![0u32, 1, 2];
+                    fast.rebalance(&nodes);
+                    let mut slow = fast.clone();
+                    for batch in 0..48 {
+                        if batch % 8 == 7 {
+                            if nodes.len() > 1 && rng.bernoulli(0.5) {
+                                nodes.remove(rng.below(nodes.len()));
+                            } else {
+                                nodes.push(nodes.iter().max().map_or(0, |n| n + 1));
+                            }
+                            assert_eq!(fast.rebalance(&nodes), slow.rebalance(&nodes));
+                        }
+                        let users: Vec<u64> =
+                            (0..1 + rng.below(16)).map(|_| rng.below(300) as u64).collect();
+                        assert_eq!(
+                            fast.pool_batch(&users),
+                            slow.pool_batch_two_pass(&users),
+                            "{scheme:?}, replication {replication}, cache {cache_rows}, batch {batch}"
+                        );
+                    }
+                }
+            }
+        }
+
+        // Whole fleets that scale both ways, against the sweep loop.
+        let cases = [
+            (ShardScheme::Range, 1, 16, 1),
+            (ShardScheme::Hash, 2, 200, 4),
+            (ShardScheme::Range, 3, 200, 16),
+            (ShardScheme::Hash, 3, 16, 16),
+        ];
+        for (seed, (scheme, replication, cache_rows, max_batch)) in (40..).zip(cases) {
+            let mut s = spec(6);
+            s.lanes[1].policy = BatchPolicy::new(max_batch, 200_000, 32);
+            if let Some(store) = s.store.as_mut() {
+                store.scheme = scheme;
+                store.replication = replication;
+                store.cache_rows = cache_rows;
+            }
+            let t = burst_then_calm(seed);
+            let fast = Fleet::try_new(s.clone()).expect("valid spec").try_run(&t).expect("valid");
+            let slow = Fleet::try_new(s).expect("valid spec").try_run_sweep(&t);
+            let ups: u64 = fast.lanes.iter().map(|l| l.scale_ups).sum();
+            let downs: u64 = fast.lanes.iter().map(|l| l.scale_downs).sum();
+            assert!(ups > 0 && downs > 0, "seed {seed}: {ups} up, {downs} down");
+            assert_eq!(fast.render(), slow.render(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -200,91 +200,6 @@ impl EmbeddingTable {
         }
         self.weights.matvec_t(&onehot)
     }
-
-    /// A borrowed view of the contiguous row window
-    /// `[start, start + len)` — the unit a range-sharded store hands
-    /// each shard owner, addressed by shard-local indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty or runs past the table.
-    pub fn range_view(&self, start: usize, len: usize) -> TableView<'_> {
-        assert!(len > 0, "empty table view");
-        assert!(start + len <= self.rows(), "view [{start}, {}) runs past the table", start + len);
-        TableView { table: self, start, len }
-    }
-}
-
-/// A contiguous row window of an [`EmbeddingTable`] — what one range
-/// shard's owner sees. Indices are shard-local; the view translates to
-/// parent rows, so a sharded gather decomposes into per-view gathers
-/// whose pooled partials sum (in shard order) to the full pool.
-#[derive(Debug, Clone, Copy)]
-pub struct TableView<'a> {
-    table: &'a EmbeddingTable,
-    start: usize,
-    len: usize,
-}
-
-impl TableView<'_> {
-    /// Rows in this window.
-    pub fn rows(&self) -> usize {
-        self.len
-    }
-
-    /// First parent row covered.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Latent dimension (same as the parent table's).
-    pub fn dim(&self) -> usize {
-        self.table.dim()
-    }
-
-    /// Bytes of storage this window pins at FP32.
-    pub fn bytes(&self) -> u64 {
-        (self.len * self.dim() * 4) as u64
-    }
-
-    /// One row by shard-local index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn row(&self, local: usize) -> &[f32] {
-        assert!(local < self.len, "local row {local} outside view of {} rows", self.len);
-        self.table.row(self.start + local)
-    }
-
-    /// Sum-pools the shard-local `indices` rows into `pooled` (fully
-    /// overwritten). Accumulation is sequential in index order, so the
-    /// result is bit-identical to the parent table's gather over the
-    /// translated indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty, any index is outside the view, or
-    /// `pooled.len() != dim()`.
-    // enw:hot
-    pub fn gather_pool_into(&self, indices: &[usize], pooled: &mut [f32]) {
-        assert!(!indices.is_empty(), "empty multi-hot lookup");
-        let dim = self.dim();
-        assert_eq!(pooled.len(), dim, "pooled output width mismatch");
-        enw_trace::record_span_io(
-            "recsys/shard_gather",
-            (indices.len() * dim) as u64,
-            (4 * indices.len() * dim) as u64,
-            (4 * dim) as u64,
-        );
-        pooled.fill(0.0);
-        for &local in indices {
-            assert!(local < self.len, "local row {local} outside view of {} rows", self.len);
-            for (p, v) in pooled.iter_mut().zip(self.table.row(self.start + local)) {
-                *p += v;
-            }
-        }
-    }
 }
 
 /// How pooled embeddings and the dense stack output combine.

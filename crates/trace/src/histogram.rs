@@ -151,6 +151,16 @@ impl Histogram {
         self.max
     }
 
+    /// Empties the histogram in place: afterwards it equals
+    /// [`Histogram::new`] and keeps its bucket storage.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.total = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// Element-wise merge (the commutative reduction used on join).
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -255,6 +265,12 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert!(h.is_empty());
         assert!(h.nonzero_buckets().is_empty());
+        let mut cleared = Histogram::new();
+        for v in [3u64, 7_000, 1 << 50] {
+            cleared.record(v);
+        }
+        cleared.clear();
+        assert_eq!(cleared, h, "clear must leave exactly a new histogram");
     }
 
     #[test]
