@@ -127,18 +127,19 @@ impl Backend for ConstLabel {
     fn service_ns(&self, batch: usize) -> u64 {
         ServiceModel { setup_ns: 200, per_item_ns: 50 }.ns(batch)
     }
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+    fn serve_payloads(&mut self, batch: &[&Payload], out: &mut Vec<Output>) {
         out.clear();
         out.extend(batch.iter().map(|_| Output::Label(Some(1))));
     }
     fn make_payload(&self, _rng: &mut Rng64) -> Payload {
-        Payload::Features(Vec::new())
+        Payload::Features(vec![0.0; 16])
     }
 }
 
 /// Allocations the calling thread makes during one run of `n` requests
-/// through a single [`ConstLabel`] station (the trace is built before
-/// the window opens; its empty payloads clone without allocating).
+/// through a single [`ConstLabel`] station. The trace is built before
+/// the window opens, with 16-float feature payloads: a loop that copied
+/// a request's payload would allocate per request inside the window.
 ///
 /// # Errors
 ///
@@ -149,7 +150,7 @@ pub fn serve_run_allocs(n: usize) -> Result<u64, ServeError> {
         .map(|k| Request {
             id: k as u64,
             station: 0,
-            payload: Payload::Features(Vec::new()),
+            payload: Payload::Features(vec![0.0; 16]),
             arrival_ns: 1_000 * k as u64,
             deadline_ns: u64::MAX,
         })

@@ -27,8 +27,8 @@ use enw_core::numerics::rng::Rng64;
 use enw_core::parallel::{self, scratch};
 use enw_core::recsys::model::RecModel;
 use enw_core::serve::backends::{ideal_layers, DigitalBackend};
-use enw_core::serve::presets::recsys_config;
-use enw_core::serve::{Backend, Request};
+use enw_core::serve::presets::{recsys_config, saturation_qps, traffic_classes, try_fleet};
+use enw_core::serve::{generate_trace, Backend, LoadSpec, Payload, StationMetrics};
 use enw_core::xmann::arch::{Xmann, XmannConfig};
 use enw_core::xmann::cost::XmannCostParams;
 
@@ -41,6 +41,47 @@ fn serve_loop_allocates_nothing_per_request_after_warm_up() {
     let _ = run(128); // warm-up: lazy statics, code paths
     let (small, large) = (run(256), run(2048));
     assert_eq!(large, small, "8x the requests must cost no extra allocation");
+}
+
+/// The preset server over `serve_lane_digest`'s two smoke-size traces.
+/// Once warm, a run allocates one score vector per request an MLP lane
+/// serves and a fixed set of run-level buffers besides: no request is
+/// copied out of the trace, and nothing else is allocated per request.
+#[test]
+fn preset_server_run_allocates_only_its_answers() {
+    const SEED: u64 = 11;
+    // The response vector, the loop's payload buffer and the report's
+    // station list; every station buffer is sized when it is built.
+    const RUN_BUFFERS: u64 = 3;
+    let classes = traffic_classes();
+    let fleet = || try_fleet(SEED).expect("the preset server is valid");
+    let sat = saturation_qps(&fleet(), &classes);
+    let specs = [
+        LoadSpec { qps: 0.9 * sat, duration_ns: 4_000_000, seed: SEED },
+        LoadSpec { qps: 2.5 * sat, duration_ns: 2_000_000, seed: SEED ^ 0x9e37_79b9 },
+    ];
+    for spec in specs {
+        let trace = generate_trace(&fleet(), &spec, &classes);
+        let run = || {
+            let server = fleet();
+            let s0 = alloc_audit::thread_snapshot();
+            let report = server.try_run(&trace).expect("a generated trace is valid");
+            let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+            // Stations 0 (crossbar, digital fallback) and 1 (digital)
+            // answer with score vectors; TCAM labels and recsys CTRs are
+            // plain values.
+            let scored: u64 = report.stations[..2].iter().map(StationMetrics::served).sum();
+            (allocs, scored)
+        };
+        let _ = run(); // warm-up: lazy statics, scratch pools
+        let (allocs, scored) = run();
+        assert_eq!(
+            allocs,
+            scored + RUN_BUFFERS,
+            "{} requests, {scored} answered with score vectors",
+            trace.len()
+        );
+    }
 }
 
 #[test]
@@ -219,22 +260,19 @@ fn serving_lane_reads_cost_what_their_docs_say_once_warm() {
     assert_eq!(window(&mut predict_all), (0, 0), "64 warm RecModel::predict calls");
     assert!(sum.is_finite());
 
-    // Digital MLP lane: one check-out per batch, one allocation per
-    // request — the score vector it returns.
+    // Digital MLP lane: it owns its workspace, so a batch checks nothing
+    // out and allocates once per request — the score vector it returns.
     let layers = ideal_layers(&[16, 32, 10], &mut rng);
     let mut lane = DigitalBackend::from_layers("digital", layers, DigitalBackend::DEFAULT_MODEL);
-    let batch: Vec<Request> = (0..16)
-        .map(|id| Request {
-            id,
-            station: 0,
-            payload: lane.make_payload(&mut rng),
-            arrival_ns: 0,
-            deadline_ns: u64::MAX,
-        })
-        .collect();
+    let payloads: Vec<Payload> = (0..16).map(|_| lane.make_payload(&mut rng)).collect();
+    let batch: Vec<&Payload> = payloads.iter().collect();
     let mut out = Vec::new();
-    lane.serve_into(&batch, &mut out);
-    assert_eq!(window(&mut || lane.serve_into(&batch, &mut out)), (16, 1), "a 16-request batch");
+    lane.serve_payloads(&batch, &mut out);
+    assert_eq!(
+        window(&mut || lane.serve_payloads(&batch, &mut out)),
+        (16, 0),
+        "a 16-request batch"
+    );
 
     // TCAM lane: hashing borrows its projections, the search nothing.
     let mut kv =

@@ -164,9 +164,9 @@ mod tests {
 
     #[test]
     fn source_chain_reaches_the_originating_error() {
-        let e = EnwError::from(ServeError::QueueFull { capacity: 8 });
+        let e = EnwError::from(ServeError::InfeasibleSla { sla_ns: 100 });
         let src = e.source().expect("wrapped errors expose a source");
-        assert!(src.to_string().contains("capacity 8"), "{src}");
+        assert!(src.to_string().contains("100 ns"), "{src}");
         assert!(EnwError::UnknownExperiment { id: "E99".into() }.source().is_none());
     }
 

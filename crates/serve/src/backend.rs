@@ -21,14 +21,22 @@ pub trait Backend {
     /// `batch >= 1` so the event loop always moves forward.
     fn service_ns(&self, batch: usize) -> u64;
 
-    /// Computes one output per request into a caller-owned buffer (`out`
-    /// is cleared, then filled in request order), so a warm buffer is
-    /// refilled in place and the scheduler's steady-state loop performs no
-    /// per-request heap allocation of its own. Results must be
-    /// bit-identical at any `ENW_THREADS` setting, and each output equal
-    /// to serving that request alone (the lanes in [`crate::backends`]
-    /// run one single-request kernel per request, in line).
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>);
+    /// Computes one output per payload into a caller-owned buffer (`out`
+    /// is cleared, then filled in batch order). A lane only reads the
+    /// payloads: the scheduler hands it references into the trace it
+    /// borrows, and refills one warm `out` per station, so serving a
+    /// batch copies no request and allocates only what the outputs
+    /// themselves hold. Results must be bit-identical at any
+    /// `ENW_THREADS` setting, and each output equal to serving that
+    /// payload alone (the lanes in [`crate::backends`] run one
+    /// single-request kernel per payload, in line).
+    fn serve_payloads(&mut self, batch: &[&Payload], out: &mut Vec<Output>);
+
+    /// [`serve_payloads`](Backend::serve_payloads) over whole requests,
+    /// for callers that hold a batch of them (lane probes, tests).
+    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+        self.serve_payloads(&batch.iter().map(|r| &r.payload).collect::<Vec<_>>(), out);
+    }
 
     /// [`serve_into`](Backend::serve_into), allocating the result.
     fn serve(&mut self, batch: &[Request]) -> Vec<Output> {

@@ -21,17 +21,18 @@
 //! nothing can write them afterwards. A batch is served one request at a
 //! time, in request order, on the calling thread — each forward runs its
 //! layer's outputs abreast, so an output never depends on what it was
-//! batched with — and a lane borrows its activation workspace once per
-//! batch (the MLP lanes: one scratch check-out; the recsys lane: the
-//! model's own), never per request. The only allocation is each returned
-//! score vector. A serving batch is at most a few hundred small forwards
+//! batched with — and a lane reads the payloads where the trace holds
+//! them. The MLP lanes own their activation workspace and the recsys
+//! lane's model owns its own, so nothing is checked out per batch or per
+//! request; the only allocation is each returned score vector. A serving
+//! batch is at most a few hundred small forwards
 //! — less than one worker wake-up — and handing recsys batches to
 //! `RecModel::predict_batch_into` measured 15 % slower end to end on
 //! `serve_node`.
 
 use crate::backend::{Backend, ServiceModel};
 use crate::clock::ns_from_secs;
-use crate::request::{Output, Payload, Request};
+use crate::request::{Output, Payload};
 use enw_cam::array::TcamConfig;
 use enw_cam::cells::CellTech;
 use enw_cam::lsh_memory::TcamKeyValueMemory;
@@ -40,7 +41,6 @@ use enw_crossbar::inference::PcmLayer;
 use enw_numerics::matrix::Matrix;
 use enw_numerics::packed::PackedMatvec;
 use enw_numerics::rng::Rng64;
-use enw_parallel as parallel;
 use enw_recsys::characterize::RooflineMachine;
 use enw_recsys::model::{RecModel, RecModelConfig};
 use enw_recsys::serving::batch_latency;
@@ -53,20 +53,20 @@ pub fn ideal_layers(dims: &[usize], rng: &mut Rng64) -> Vec<Matrix> {
     dims.windows(2).map(|w| Matrix::random_uniform(w[1], w[0], -0.5, 0.5, rng)).collect()
 }
 
-/// Each request's payload through `view`, after checking once, before
-/// anything is served, that the whole batch carries the kind of payload
-/// this lane serves — so a misrouted request fails the batch loudly and
-/// can never shorten it.
+/// Each payload through `view`, after checking once, before anything is
+/// served, that the whole batch carries the kind of payload this lane
+/// serves — so a misrouted request fails the batch loudly and can never
+/// shorten it.
 fn payload_views<'a, T: ?Sized>(
     lane: &str,
-    batch: &'a [Request],
+    batch: &'a [&'a Payload],
     view: fn(&'a Payload) -> Option<&'a T>,
 ) -> impl Iterator<Item = &'a T> {
     assert!(
-        batch.iter().all(|r| view(&r.payload).is_some()),
+        batch.iter().all(|p| view(p).is_some()),
         "{lane} lane got another lane's payload: route requests to the station that generated them"
     );
-    batch.iter().filter_map(move |r| view(&r.payload))
+    batch.iter().filter_map(move |p| view(p))
 }
 
 /// The bias-free MLP both feature lanes serve — ReLU between hidden
@@ -76,6 +76,8 @@ struct PackedMlp {
     layers: Vec<PackedMatvec>,
     /// Widest hidden activation: half of a forward's ping-pong workspace.
     widest: usize,
+    /// The ping-pong workspace, `2 * widest` long, owned by the lane.
+    workspace: Vec<f32>,
 }
 
 impl PackedMlp {
@@ -85,9 +87,11 @@ impl PackedMlp {
     fn pack(layers: &[Matrix]) -> Self {
         assert!(!layers.is_empty(), "an MLP lane needs at least one layer");
         let hidden = &layers[..layers.len() - 1];
+        let widest = hidden.iter().map(Matrix::rows).max().unwrap_or(0);
         PackedMlp {
             layers: layers.iter().map(PackedMatvec::pack).collect(),
-            widest: hidden.iter().map(Matrix::rows).max().unwrap_or(0),
+            widest,
+            workspace: vec![0.0; 2 * widest],
         }
     }
 
@@ -95,12 +99,12 @@ impl PackedMlp {
         self.layers.first().map_or(0, PackedMatvec::cols)
     }
 
-    /// Serves a batch of feature-vector requests into a caller-owned
+    /// Serves a batch of feature-vector payloads into a caller-owned
     /// output buffer (`out` is cleared, then refilled), one forward per
-    /// request in batch order, all on one workspace check-out.
-    fn serve_into(&self, lane: &str, batch: &[Request], out: &mut Vec<Output>) {
+    /// payload in batch order, all on the lane's own workspace.
+    fn serve_payloads(&mut self, lane: &str, batch: &[&Payload], out: &mut Vec<Output>) {
         out.clear();
-        let mut workspace = parallel::scratch::take_f32(2 * self.widest);
+        let mut workspace = std::mem::take(&mut self.workspace);
         let in_dim = self.in_dim();
         out.extend(payload_views(lane, batch, Payload::features).map(|f| {
             assert!(
@@ -110,6 +114,7 @@ impl PackedMlp {
             );
             Output::Scores(self.forward(f, &mut workspace))
         }));
+        self.workspace = workspace;
     }
 
     /// One forward pass: hidden activations ping-pong between the halves
@@ -172,8 +177,8 @@ impl Backend for DigitalBackend {
         self.model.ns(batch)
     }
 
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
-        self.mlp.serve_into(&self.name, batch, out);
+    fn serve_payloads(&mut self, batch: &[&Payload], out: &mut Vec<Output>) {
+        self.mlp.serve_payloads(&self.name, batch, out);
     }
 
     fn make_payload(&self, rng: &mut Rng64) -> Payload {
@@ -242,8 +247,8 @@ impl Backend for CrossbarBackend {
         self.model.ns(batch)
     }
 
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
-        self.mlp.serve_into(&self.name, batch, out);
+    fn serve_payloads(&mut self, batch: &[&Payload], out: &mut Vec<Output>) {
+        self.mlp.serve_payloads(&self.name, batch, out);
     }
 
     fn make_payload(&self, rng: &mut Rng64) -> Payload {
@@ -339,7 +344,7 @@ impl Backend for TcamBackend {
         self.model.ns(batch)
     }
 
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+    fn serve_payloads(&mut self, batch: &[&Payload], out: &mut Vec<Output>) {
         out.clear();
         for q in payload_views(&self.name, batch, Payload::features) {
             let (hit, _cost) = self.mem.retrieve(q);
@@ -406,7 +411,7 @@ impl Backend for RecsysBackend {
         ns_from_secs(batch_latency(&self.cfg, batch as u64, &self.machine))
     }
 
-    fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+    fn serve_payloads(&mut self, batch: &[&Payload], out: &mut Vec<Output>) {
         out.clear();
         for q in payload_views(&self.name, batch, Payload::rec_query) {
             out.push(Output::Ctr(self.model.predict(&q.dense, &q.sparse)));
@@ -421,7 +426,9 @@ impl Backend for RecsysBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Request;
     use enw_cam::cells;
+    use enw_parallel as parallel;
 
     fn req(id: u64, payload: Payload) -> Request {
         Request { id, station: 0, payload, arrival_ns: 0, deadline_ns: u64::MAX }

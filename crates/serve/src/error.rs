@@ -30,11 +30,6 @@ pub enum ServeError {
         /// Number of stations the server actually has.
         stations: usize,
     },
-    /// An admission was refused because the station queue was full.
-    QueueFull {
-        /// The queue's capacity.
-        capacity: usize,
-    },
     /// A batch policy or station spec failed validation.
     InvalidPolicy {
         /// Which constraint was violated.
@@ -61,9 +56,6 @@ impl fmt::Display for ServeError {
                 f,
                 "request {request_id} targets station {station} but only {stations} exist"
             ),
-            ServeError::QueueFull { capacity } => {
-                write!(f, "station queue is full (capacity {capacity})")
-            }
             ServeError::InvalidPolicy { reason } => write!(f, "invalid policy: {reason}"),
             ServeError::InfeasibleSla { sla_ns } => {
                 write!(f, "no feasible configuration under an SLA of {sla_ns} ns")
@@ -84,7 +76,6 @@ mod tests {
             (ServeError::NoStations, "at least one station"),
             (ServeError::UnsortedTrace { position: 3 }, "index 3"),
             (ServeError::UnknownStation { request_id: 9, station: 4, stations: 2 }, "station 4"),
-            (ServeError::QueueFull { capacity: 8 }, "capacity 8"),
             (ServeError::InvalidPolicy { reason: "max_batch must be > 0" }, "max_batch"),
             (ServeError::InfeasibleSla { sla_ns: 100 }, "100 ns"),
         ];

@@ -42,7 +42,6 @@ pub mod loadgen;
 pub mod metrics;
 pub mod policy;
 pub mod presets;
-pub mod queue;
 pub mod request;
 pub mod scheduler;
 

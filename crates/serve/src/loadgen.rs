@@ -174,7 +174,7 @@ mod tests {
         fn service_ns(&self, batch: usize) -> u64 {
             ServiceModel { setup_ns: 10, per_item_ns: 1 }.ns(batch)
         }
-        fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+        fn serve_payloads(&mut self, batch: &[&Payload], out: &mut Vec<Output>) {
             out.clear();
             out.extend(batch.iter().map(|_| Output::Label(None)));
         }

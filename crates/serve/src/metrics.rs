@@ -29,7 +29,7 @@ pub struct LatencySummary {
 }
 
 /// Counters and latencies for one station over a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StationMetrics {
     /// Lane name (primary backend's).
     pub name: String,

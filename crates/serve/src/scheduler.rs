@@ -11,10 +11,16 @@
 //! stream is a pure function of the trace: bit-identical across runs,
 //! hosts, and `ENW_THREADS` settings.
 //!
+//! The loop borrows the trace and never copies a request out of it: a
+//! station queues trace positions, reads a request's id, arrival and
+//! deadline where the trace holds them, and hands its lane references to
+//! the payloads. Each lane's batch prices are tabulated when the station
+//! is built, so a close looks its price up.
+//!
 //! Station lifecycle per batch:
 //!
 //! 1. **Admit** — arrivals enter the station queue or are `Rejected`
-//!    when it is full (backpressure).
+//!    when it already holds `queue_cap` requests (backpressure).
 //! 2. **Close** — an idle station closes a batch when the queue reaches
 //!    `max_batch` or the oldest request has waited `max_wait_ns`.
 //!    Requests whose deadline has already passed are `Shed` here,
@@ -40,23 +46,41 @@ use crate::clock::VirtualClock;
 use crate::error::ServeError;
 use crate::metrics::StationMetrics;
 use crate::policy::{BatchPolicy, DegradePolicy, StationSpec};
-use crate::queue::BoundedQueue;
 use crate::request::{render_responses, Outcome, Output, Payload, Request, Response};
 use enw_numerics::rng::Rng64;
 use enw_trace as trace;
+use std::collections::VecDeque;
+
+/// A backend with its batch prices tabulated once: `price[b]` is
+/// `service_ns(b).max(1)` for every batch size `b` its station can
+/// close. The trait requires `service_ns` to be deterministic and total,
+/// so the table is exactly what pricing each batch would return.
+struct Lane {
+    backend: Box<dyn Backend>,
+    price: Vec<u64>,
+}
+
+impl Lane {
+    fn new(backend: Box<dyn Backend>, max_batch: usize) -> Self {
+        let price = (0..=max_batch).map(|b| backend.service_ns(b).max(1)).collect();
+        Lane { backend, price }
+    }
+}
 
 struct Station {
-    backend: Box<dyn Backend>,
-    fallback: Option<Box<dyn Backend>>,
+    primary: Lane,
+    fallback: Option<Lane>,
     ladder: Option<DegradePolicy>,
     policy: BatchPolicy,
-    queue: BoundedQueue,
+    /// Trace positions of the waiting requests, oldest first.
+    queue: VecDeque<usize>,
     busy_until: Option<u64>,
-    pending: Vec<(Request, Output)>,
-    // Per-station arena: batch close and serve refill these warm buffers
-    // in place, so the steady-state event loop performs no per-request
-    // heap allocation (each grows once to `max_batch` and stays).
-    batch_buf: Vec<Request>,
+    /// The batch in flight: each request's trace position and output.
+    pending: Vec<(usize, Output)>,
+    // Per-station arena, sized to `max_batch` at construction: batch
+    // close and serve refill these buffers in place, so the event loop
+    // allocates nothing per request or per batch of its own.
+    batch_buf: Vec<usize>,
     outputs_buf: Vec<Output>,
     on_fallback: bool,
     miss_streak: u32,
@@ -67,20 +91,21 @@ struct Station {
 impl Station {
     fn new(spec: StationSpec) -> Self {
         let metrics = StationMetrics::new(spec.primary.name());
+        let max_batch = spec.policy.max_batch;
         let (fallback, ladder) = match spec.degrade {
-            Some((f, l)) => (Some(f), Some(l)),
+            Some((f, l)) => (Some(Lane::new(f, max_batch)), Some(l)),
             None => (None, None),
         };
         Station {
-            queue: BoundedQueue::new(spec.policy.queue_cap),
-            backend: spec.primary,
+            queue: VecDeque::with_capacity(spec.policy.queue_cap.min(1024)),
+            primary: Lane::new(spec.primary, max_batch),
             fallback,
             ladder,
             policy: spec.policy,
             busy_until: None,
-            pending: Vec::new(),
-            batch_buf: Vec::new(),
-            outputs_buf: Vec::new(),
+            pending: Vec::with_capacity(max_batch),
+            batch_buf: Vec::with_capacity(max_batch),
+            outputs_buf: Vec::with_capacity(max_batch),
             on_fallback: false,
             miss_streak: 0,
             clean_streak: 0,
@@ -88,27 +113,53 @@ impl Station {
         }
     }
 
+    /// Instant the oldest waiting request's wait times out, if any waits.
+    fn wait_expiry_ns(&self, trace_reqs: &[Request]) -> Option<u64> {
+        self.queue
+            .front()
+            .map(|&pos| trace_reqs[pos].arrival_ns.saturating_add(self.policy.max_wait_ns))
+    }
+
     /// Earliest future instant at which this station, left alone, must
     /// act: batch completion when busy, else the oldest request's
     /// wait-timeout expiry.
-    fn next_event_ns(&self) -> Option<u64> {
-        if let Some(b) = self.busy_until {
-            return Some(b);
-        }
-        self.queue.oldest_arrival_ns().map(|oldest| oldest.saturating_add(self.policy.max_wait_ns))
+    fn next_event_ns(&self, trace_reqs: &[Request]) -> Option<u64> {
+        self.busy_until.or_else(|| self.wait_expiry_ns(trace_reqs))
     }
 
     /// True when an idle station should close a batch now.
-    fn can_close(&self, now_ns: u64) -> bool {
+    fn can_close(&self, now_ns: u64, trace_reqs: &[Request]) -> bool {
         if self.busy_until.is_some() || self.queue.is_empty() {
             return false;
         }
-        if self.queue.len() >= self.policy.max_batch {
-            return true;
+        self.queue.len() >= self.policy.max_batch
+            || self.wait_expiry_ns(trace_reqs).is_some_and(|expiry| now_ns >= expiry)
+    }
+
+    /// Moves the degradation ladder after a completed batch.
+    fn step_ladder(&mut self, any_miss: bool) {
+        let Some(ladder) = self.ladder else { return };
+        if !self.on_fallback {
+            if any_miss {
+                self.miss_streak += 1;
+                if self.miss_streak >= ladder.miss_streak && self.fallback.is_some() {
+                    self.on_fallback = true;
+                    self.metrics.fallback_switches += 1;
+                    self.clean_streak = 0;
+                }
+            } else {
+                self.miss_streak = 0;
+            }
+        } else if any_miss {
+            self.clean_streak = 0;
+        } else {
+            self.clean_streak += 1;
+            if ladder.recover_streak > 0 && self.clean_streak >= ladder.recover_streak {
+                self.on_fallback = false;
+                self.metrics.recoveries += 1;
+                self.miss_streak = 0;
+            }
         }
-        self.queue
-            .oldest_arrival_ns()
-            .is_some_and(|oldest| now_ns >= oldest.saturating_add(self.policy.max_wait_ns))
     }
 }
 
@@ -163,7 +214,7 @@ impl Server {
     /// Panics if `i` is out of range.
     pub fn station_name(&self, i: usize) -> &str {
         assert!(i < self.stations.len(), "station index out of range");
-        self.stations[i].backend.name()
+        self.stations[i].primary.backend.name()
     }
 
     /// Batch policy of station `i`.
@@ -184,7 +235,7 @@ impl Server {
     /// Panics if `i` is out of range.
     pub fn payload_for(&self, i: usize, rng: &mut Rng64) -> Payload {
         assert!(i < self.stations.len(), "station index out of range");
-        self.stations[i].backend.make_payload(rng)
+        self.stations[i].primary.backend.make_payload(rng)
     }
 
     /// Steady-state capacity (requests/second) of station `i` serving
@@ -197,44 +248,53 @@ impl Server {
         assert!(i < self.stations.len(), "station index out of range");
         let st = &self.stations[i];
         let b = st.policy.max_batch;
-        let ns = st.backend.service_ns(b).max(1);
+        let ns = st.primary.backend.service_ns(b).max(1);
         b as f64 / (ns as f64 / 1e9)
     }
 
     /// Runs the whole trace to completion and reports. Fails without
     /// serving anything if the trace is unsorted or names an unknown
-    /// station. Each admitted request is cloned out of the borrowed
-    /// trace.
+    /// station; where it does both, the unsorted position is reported.
+    /// The trace is only read: stations queue positions into it and
+    /// lanes read each payload where it lies.
     pub fn try_run(self, trace_reqs: &[Request]) -> Result<RunReport, ServeError> {
         self.validate(trace_reqs)?;
         Ok(self.run_loop(trace_reqs))
     }
 
+    /// One pass over the trace. The first unknown station is held back
+    /// until the pass ends, so an out-of-order arrival anywhere wins.
     fn validate(&self, trace_reqs: &[Request]) -> Result<(), ServeError> {
-        for (i, w) in trace_reqs.windows(2).enumerate() {
-            if w[0].arrival_ns > w[1].arrival_ns {
-                return Err(ServeError::UnsortedTrace { position: i + 1 });
+        let stations = self.stations.len();
+        let mut unknown = None;
+        let mut prev_arrival = 0;
+        for (position, r) in trace_reqs.iter().enumerate() {
+            if r.arrival_ns < prev_arrival {
+                return Err(ServeError::UnsortedTrace { position });
             }
-        }
-        for r in trace_reqs {
-            if r.station >= self.stations.len() {
-                return Err(ServeError::UnknownStation {
+            prev_arrival = r.arrival_ns;
+            if r.station >= stations && unknown.is_none() {
+                unknown = Some(ServeError::UnknownStation {
                     request_id: r.id,
                     station: r.station,
-                    stations: self.stations.len(),
+                    stations,
                 });
             }
         }
-        Ok(())
+        unknown.map_or(Ok(()), Err)
     }
 
     fn run_loop(mut self, trace_reqs: &[Request]) -> RunReport {
-        let mut reqs = trace_reqs.iter().peekable();
+        let mut next_arrival = 0;
         let mut responses: Vec<Response> = Vec::with_capacity(trace_reqs.len());
+        // The closing batch's payloads, borrowed from the trace: one
+        // buffer, refilled at every close.
+        let widest = self.stations.iter().map(|s| s.policy.max_batch).max().unwrap_or(0);
+        let mut payloads: Vec<&Payload> = Vec::with_capacity(widest);
         loop {
-            let mut t_next: Option<u64> = reqs.peek().map(|r| r.arrival_ns);
+            let mut t_next: Option<u64> = trace_reqs.get(next_arrival).map(|r| r.arrival_ns);
             for st in &self.stations {
-                if let Some(cand) = st.next_event_ns() {
+                if let Some(cand) = st.next_event_ns(trace_reqs) {
                     t_next = Some(t_next.map_or(cand, |t| t.min(cand)));
                 }
             }
@@ -246,12 +306,13 @@ impl Server {
             // 1. Completions due now free their stations.
             for i in 0..self.stations.len() {
                 if self.stations[i].busy_until == Some(t) {
-                    self.complete_batch(i, t, &mut responses);
+                    self.complete_batch(i, t, trace_reqs, &mut responses);
                 }
             }
             // 2. All arrivals at this instant are admitted (trace order).
-            while let Some(r) = reqs.next_if(|r| r.arrival_ns == t) {
-                self.admit(r.clone(), t, &mut responses);
+            while let Some(r) = trace_reqs.get(next_arrival).filter(|r| r.arrival_ns == t) {
+                self.admit(next_arrival, r, t, &mut responses);
+                next_arrival += 1;
             }
             // 3. Idle stations close every batch that is now due; a close
             // may shed the entire batch and leave the station idle with a
@@ -259,8 +320,8 @@ impl Server {
             loop {
                 let mut progressed = false;
                 for i in 0..self.stations.len() {
-                    if self.stations[i].can_close(t) {
-                        self.close_batch(i, t, &mut responses);
+                    if self.stations[i].can_close(t, trace_reqs) {
+                        self.close_batch(i, t, trace_reqs, &mut payloads, &mut responses);
                         progressed = true;
                     }
                 }
@@ -276,35 +337,47 @@ impl Server {
         }
     }
 
-    fn admit(&mut self, req: Request, now_ns: u64, responses: &mut Vec<Response>) {
+    /// Queues the request at trace position `pos`, or rejects it when its
+    /// station already holds `queue_cap` waiting requests.
+    fn admit(&mut self, pos: usize, req: &Request, now_ns: u64, responses: &mut Vec<Response>) {
         let station = &mut self.stations[req.station];
         station.metrics.arrived += 1;
         trace::counter_add("serve.arrived", 1);
-        let (id, sid, arrival) = (req.id, req.station, req.arrival_ns);
-        if station.queue.try_offer(req).is_err() {
-            station.metrics.rejected += 1;
-            trace::record_span("serve/reject", 1);
-            responses.push(Response {
-                id,
-                station: sid,
-                outcome: Outcome::Rejected,
-                output: None,
-                arrival_ns: arrival,
-                finish_ns: now_ns,
-            });
+        if station.queue.len() < station.policy.queue_cap {
+            station.queue.push_back(pos);
+            return;
         }
+        station.metrics.rejected += 1;
+        trace::record_span("serve/reject", 1);
+        responses.push(Response {
+            id: req.id,
+            station: req.station,
+            outcome: Outcome::Rejected,
+            output: None,
+            arrival_ns: req.arrival_ns,
+            finish_ns: now_ns,
+        });
     }
 
-    fn close_batch(&mut self, i: usize, now_ns: u64, responses: &mut Vec<Response>) {
+    fn close_batch<'t>(
+        &mut self,
+        i: usize,
+        now_ns: u64,
+        trace_reqs: &'t [Request],
+        payloads: &mut Vec<&'t Payload>,
+        responses: &mut Vec<Response>,
+    ) {
         let close_span = trace::span("serve/batch_close");
         let station = &mut self.stations[i];
-        // Refill the station's warm batch buffer in place — the only
-        // allocations in a steady-state close are whatever the backend's
-        // outputs themselves need.
-        let mut batch = std::mem::take(&mut station.batch_buf);
-        station.queue.take_into(station.policy.max_batch, &mut batch);
-        close_span.add_work(batch.len() as u64);
-        batch.retain(|req| {
+        let taken = station.policy.max_batch.min(station.queue.len());
+        close_span.add_work(taken as u64);
+        // Refill the warm position and payload buffers in place — the
+        // only allocations in a steady-state close are whatever the
+        // backend's outputs themselves need.
+        station.batch_buf.clear();
+        payloads.clear();
+        for pos in station.queue.drain(..taken) {
+            let req = &trace_reqs[pos];
             trace::record_span("serve/queue_wait", now_ns.saturating_sub(req.arrival_ns));
             // Timeout shedding: a request already past its deadline gets
             // no service — answering it late helps no one and slows the
@@ -320,50 +393,55 @@ impl Server {
                     arrival_ns: req.arrival_ns,
                     finish_ns: now_ns,
                 });
-                return false;
+            } else {
+                station.batch_buf.push(pos);
+                payloads.push(&req.payload);
             }
-            true
-        });
-        if batch.is_empty() {
-            station.batch_buf = batch;
+        }
+        if payloads.is_empty() {
             return;
         }
         let on_fallback = station.on_fallback && station.fallback.is_some();
-        let backend = match (&mut station.fallback, on_fallback) {
-            (Some(f), true) => f.as_mut(),
-            _ => station.backend.as_mut(),
+        let lane = match (&mut station.fallback, on_fallback) {
+            (Some(f), true) => f,
+            _ => &mut station.primary,
         };
-        let mut outputs = std::mem::take(&mut station.outputs_buf);
-        backend.serve_into(&batch, &mut outputs);
+        let outputs = &mut station.outputs_buf;
+        lane.backend.serve_payloads(payloads, outputs);
         assert!(
-            outputs.len() == batch.len(),
+            outputs.len() == payloads.len(),
             "backend {} returned {} outputs for a batch of {}",
-            backend.name(),
+            lane.backend.name(),
             outputs.len(),
-            batch.len()
+            payloads.len()
         );
-        let service = backend.service_ns(batch.len()).max(1);
+        let service = lane.price[payloads.len()];
         // Work = modeled service nanoseconds: deterministic, and exactly
         // the currency exp17's stage-share breakdown wants.
         trace::record_span("serve/backend_execute", service);
-        trace::record_value("serve.batch_size", batch.len() as u64);
+        trace::record_value("serve.batch_size", payloads.len() as u64);
         station.busy_until = Some(now_ns.saturating_add(service));
         station.metrics.batches += 1;
         if on_fallback {
             station.metrics.degraded_batches += 1;
         }
         station.pending.clear();
-        station.pending.extend(batch.drain(..).zip(outputs.drain(..)));
-        station.batch_buf = batch;
-        station.outputs_buf = outputs;
+        station.pending.extend(station.batch_buf.drain(..).zip(outputs.drain(..)));
     }
 
-    fn complete_batch(&mut self, i: usize, now_ns: u64, responses: &mut Vec<Response>) {
+    fn complete_batch(
+        &mut self,
+        i: usize,
+        now_ns: u64,
+        trace_reqs: &[Request],
+        responses: &mut Vec<Response>,
+    ) {
         let station = &mut self.stations[i];
         station.busy_until = None;
         let Station { pending, metrics, .. } = station;
         let mut any_miss = false;
-        for (req, out) in pending.drain(..) {
+        for (pos, out) in pending.drain(..) {
+            let req = &trace_reqs[pos];
             let late = now_ns > req.deadline_ns;
             if late {
                 metrics.deadline_misses += 1;
@@ -383,28 +461,7 @@ impl Server {
                 finish_ns: now_ns,
             });
         }
-        let Some(ladder) = station.ladder else { return };
-        if !station.on_fallback {
-            if any_miss {
-                station.miss_streak += 1;
-                if station.miss_streak >= ladder.miss_streak && station.fallback.is_some() {
-                    station.on_fallback = true;
-                    station.metrics.fallback_switches += 1;
-                    station.clean_streak = 0;
-                }
-            } else {
-                station.miss_streak = 0;
-            }
-        } else if any_miss {
-            station.clean_streak = 0;
-        } else {
-            station.clean_streak += 1;
-            if ladder.recover_streak > 0 && station.clean_streak >= ladder.recover_streak {
-                station.on_fallback = false;
-                station.metrics.recoveries += 1;
-                station.miss_streak = 0;
-            }
-        }
+        station.step_ladder(any_miss);
     }
 }
 
@@ -414,7 +471,8 @@ mod tests {
     use crate::backend::ServiceModel;
 
     /// Toy lane: echoes a constant so tests can tell which backend
-    /// served a request.
+    /// served a request, then the payload's first feature so they can
+    /// tell which request an output belongs to.
     struct Toy {
         name: String,
         model: ServiceModel,
@@ -423,11 +481,11 @@ mod tests {
 
     impl Toy {
         fn boxed(name: &str, service_ns: u64, echo: f32) -> Box<dyn Backend> {
-            Box::new(Toy {
-                name: name.to_string(),
-                model: ServiceModel { setup_ns: service_ns, per_item_ns: 0 },
-                echo,
-            })
+            Toy::priced(name, ServiceModel { setup_ns: service_ns, per_item_ns: 0 }, echo)
+        }
+
+        fn priced(name: &str, model: ServiceModel, echo: f32) -> Box<dyn Backend> {
+            Box::new(Toy { name: name.to_string(), model, echo })
         }
     }
 
@@ -438,9 +496,12 @@ mod tests {
         fn service_ns(&self, batch: usize) -> u64 {
             self.model.ns(batch)
         }
-        fn serve_into(&mut self, batch: &[Request], out: &mut Vec<Output>) {
+        fn serve_payloads(&mut self, batch: &[&Payload], out: &mut Vec<Output>) {
             out.clear();
-            out.extend(batch.iter().map(|_| Output::Scores(vec![self.echo])));
+            out.extend(batch.iter().map(|p| {
+                let first = p.features().and_then(|f| f.first().copied()).unwrap_or(-1.0);
+                Output::Scores(vec![self.echo, first])
+            }));
         }
         fn make_payload(&self, _rng: &mut Rng64) -> Payload {
             Payload::Features(vec![0.0])
@@ -499,6 +560,26 @@ mod tests {
         // The rejected response carries the rejection instant.
         let rej = report.responses.iter().find(|r| r.id == 2).expect("rejected response");
         assert_eq!(rej.finish_ns, 6);
+    }
+
+    #[test]
+    fn queue_is_fifo_and_rejects_when_full() {
+        // Request 0 runs at once; 1 and 2 fill the two queue slots behind
+        // it, 3 bounces off, and the queued two are served oldest first.
+        let spec = StationSpec::simple(Toy::boxed("t", 10_000, 1.0), BatchPolicy::new(1, 0, 2));
+        let trace: Vec<Request> = (0..4).map(|k| req(k, k, u64::MAX)).collect();
+        let report = run_one(spec, &trace);
+        let order: Vec<(u64, Outcome, u64)> =
+            report.responses.iter().map(|r| (r.id, r.outcome, r.finish_ns)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (3, Outcome::Rejected, 3),
+                (0, Outcome::Completed, 10_000),
+                (1, Outcome::Completed, 20_000),
+                (2, Outcome::Completed, 30_000),
+            ]
+        );
     }
 
     #[test]
@@ -567,6 +648,17 @@ mod tests {
     }
 
     #[test]
+    fn an_unsorted_trace_outranks_an_earlier_unknown_station() {
+        let spec = StationSpec::simple(Toy::boxed("t", 1, 0.0), BatchPolicy::new(1, 0, 1));
+        let server = Server::try_new(vec![spec]).expect("one station");
+        let mut trace: Vec<Request> = (0..5).map(|k| req(k, 10 * k, u64::MAX)).collect();
+        trace[1].station = 4;
+        trace[3].arrival_ns = 5;
+        let err = server.try_run(&trace);
+        assert_eq!(err.err(), Some(ServeError::UnsortedTrace { position: 3 }));
+    }
+
+    #[test]
     fn unknown_stations_are_rejected() {
         let spec = StationSpec::simple(Toy::boxed("t", 1, 0.0), BatchPolicy::new(1, 0, 1));
         let server = Server::try_new(vec![spec]).expect("one station");
@@ -582,5 +674,214 @@ mod tests {
     #[test]
     fn empty_spec_list_is_rejected() {
         assert_eq!(Server::try_new(Vec::new()).err(), Some(ServeError::NoStations));
+    }
+
+    impl Server {
+        /// The loop as it was before stations queued trace positions: each
+        /// admitted request is cloned into a FIFO that refuses it once
+        /// `queue_cap` wait, a closed batch of clones is served through
+        /// `serve_into` and priced by calling `service_ns`. `try_run` must
+        /// match it bit for bit.
+        fn run_loop_cloned(mut self, trace_reqs: &[Request]) -> RunReport {
+            let n = self.stations.len();
+            let mut queues: Vec<VecDeque<Request>> = vec![VecDeque::new(); n];
+            let mut pending: Vec<Vec<(Request, Output)>> = vec![Vec::new(); n];
+            let mut reqs = trace_reqs.iter().peekable();
+            let mut responses = Vec::new();
+            let wake = |st: &Station, q: &VecDeque<Request>| {
+                st.busy_until.or_else(|| {
+                    q.front().map(|r| r.arrival_ns.saturating_add(st.policy.max_wait_ns))
+                })
+            };
+            loop {
+                let mut t_next = reqs.peek().map(|r| r.arrival_ns);
+                for (st, q) in self.stations.iter().zip(&queues) {
+                    if let Some(cand) = wake(st, q) {
+                        t_next = Some(t_next.map_or(cand, |t| t.min(cand)));
+                    }
+                }
+                let Some(t) = t_next else { break };
+                self.clock.advance_to(t);
+                for (i, st) in self.stations.iter_mut().enumerate() {
+                    if st.busy_until != Some(t) {
+                        continue;
+                    }
+                    st.busy_until = None;
+                    let mut any_miss = false;
+                    for (req, out) in pending[i].drain(..) {
+                        let late = t > req.deadline_ns;
+                        any_miss |= late;
+                        if late {
+                            st.metrics.deadline_misses += 1;
+                        } else {
+                            st.metrics.completed += 1;
+                        }
+                        st.metrics.record_latency(t.saturating_sub(req.arrival_ns));
+                        responses.push(Response {
+                            id: req.id,
+                            station: i,
+                            outcome: if late { Outcome::DeadlineMiss } else { Outcome::Completed },
+                            output: Some(out),
+                            arrival_ns: req.arrival_ns,
+                            finish_ns: t,
+                        });
+                    }
+                    st.step_ladder(any_miss);
+                }
+                while let Some(r) = reqs.next_if(|r| r.arrival_ns == t) {
+                    let (st, q) = (&mut self.stations[r.station], &mut queues[r.station]);
+                    st.metrics.arrived += 1;
+                    if q.len() < st.policy.queue_cap {
+                        q.push_back(r.clone());
+                        continue;
+                    }
+                    st.metrics.rejected += 1;
+                    responses.push(Response {
+                        id: r.id,
+                        station: r.station,
+                        outcome: Outcome::Rejected,
+                        output: None,
+                        arrival_ns: r.arrival_ns,
+                        finish_ns: t,
+                    });
+                }
+                loop {
+                    let mut progressed = false;
+                    for (i, (st, q)) in self.stations.iter_mut().zip(&mut queues).enumerate() {
+                        let due = st.busy_until.is_none()
+                            && (q.len() >= st.policy.max_batch
+                                || wake(st, q).is_some_and(|expiry| t >= expiry));
+                        if !due {
+                            continue;
+                        }
+                        progressed = true;
+                        let taken = st.policy.max_batch.min(q.len());
+                        let mut batch: Vec<Request> = q.drain(..taken).collect();
+                        batch.retain(|req| {
+                            if t < req.deadline_ns {
+                                return true;
+                            }
+                            st.metrics.shed += 1;
+                            responses.push(Response {
+                                id: req.id,
+                                station: i,
+                                outcome: Outcome::Shed,
+                                output: None,
+                                arrival_ns: req.arrival_ns,
+                                finish_ns: t,
+                            });
+                            false
+                        });
+                        if batch.is_empty() {
+                            continue;
+                        }
+                        let on_fallback = st.on_fallback && st.fallback.is_some();
+                        let backend = match (&mut st.fallback, on_fallback) {
+                            (Some(f), true) => &mut f.backend,
+                            _ => &mut st.primary.backend,
+                        };
+                        let outputs = backend.serve(&batch);
+                        let service = backend.service_ns(batch.len()).max(1);
+                        st.busy_until = Some(t.saturating_add(service));
+                        st.metrics.batches += 1;
+                        if on_fallback {
+                            st.metrics.degraded_batches += 1;
+                        }
+                        pending[i] = batch.into_iter().zip(outputs).collect();
+                    }
+                    if !progressed {
+                        break;
+                    }
+                }
+            }
+            RunReport {
+                responses,
+                duration_ns: self.clock.now_ns(),
+                stations: self.stations.into_iter().map(|s| s.metrics).collect(),
+            }
+        }
+    }
+
+    /// 1–5 toy stations with mixed service models, half with a fallback
+    /// rung, queues of 1–8, and a trace of same-instant bursts under
+    /// deadlines short enough to shed and to miss.
+    fn random_case(seed: u64) -> (Vec<StationSpec>, Vec<Request>) {
+        let mut rng = Rng64::new(seed);
+        let stations = 1 + rng.below(5);
+        let specs = (0..stations)
+            .map(|s| {
+                let max_batch = 1 + rng.below(4);
+                let queue_cap = max_batch + rng.below(9 - max_batch);
+                let max_wait_ns = if rng.bernoulli(0.3) { 0 } else { rng.below(2_000) as u64 };
+                let policy = BatchPolicy::new(max_batch, max_wait_ns, queue_cap);
+                let model = ServiceModel {
+                    setup_ns: rng.below(3_000) as u64,
+                    per_item_ns: rng.below(400) as u64,
+                };
+                let primary = Toy::priced(&format!("p{s}"), model, s as f32);
+                if !rng.bernoulli(0.5) {
+                    return StationSpec::simple(primary, policy);
+                }
+                let model = ServiceModel {
+                    setup_ns: rng.below(300) as u64,
+                    per_item_ns: rng.below(50) as u64,
+                };
+                let ladder = DegradePolicy::new(1 + rng.below(3) as u32, rng.below(4) as u32);
+                StationSpec::with_fallback(
+                    primary,
+                    policy,
+                    Toy::priced(&format!("f{s}"), model, -1.0 - s as f32),
+                    ladder,
+                )
+            })
+            .collect();
+        let mut arrival_ns = 0;
+        let trace_reqs = (0..40 + rng.below(160) as u64)
+            .map(|id| {
+                if !rng.bernoulli(0.35) {
+                    arrival_ns += rng.below(1_500) as u64;
+                }
+                Request {
+                    id,
+                    station: rng.below(stations),
+                    payload: Payload::Features(vec![id as f32]),
+                    arrival_ns,
+                    deadline_ns: arrival_ns + 200 + rng.below(6_000) as u64,
+                }
+            })
+            .collect();
+        (specs, trace_reqs)
+    }
+
+    #[test]
+    fn position_queue_loop_matches_the_cloning_oracle() {
+        let mut seen = StationMetrics::default();
+        for seed in 0..300 {
+            let (specs, trace_reqs) = random_case(seed);
+            let fast = Server::try_new(specs)
+                .and_then(|s| s.try_run(&trace_reqs))
+                .expect("a random case is valid");
+            let oracle = Server::try_new(random_case(seed).0)
+                .expect("a random case has stations")
+                .run_loop_cloned(&trace_reqs);
+            assert_eq!(fast.render(), oracle.render(), "seed {seed}");
+            assert_eq!(fast.duration_ns, oracle.duration_ns, "seed {seed}");
+            assert_eq!(fast.stations, oracle.stations, "seed {seed}");
+            for m in &fast.stations {
+                seen.rejected += m.rejected;
+                seen.shed += m.shed;
+                seen.deadline_misses += m.deadline_misses;
+                seen.fallback_switches += m.fallback_switches;
+                seen.recoveries += m.recoveries;
+            }
+        }
+        let hit = [
+            seen.rejected,
+            seen.shed,
+            seen.deadline_misses,
+            seen.fallback_switches,
+            seen.recoveries,
+        ];
+        assert!(hit.iter().all(|&n| n > 0), "every path must run: {seen:?}");
     }
 }

@@ -41,11 +41,11 @@
 //!
 //! # Overhead
 //!
-//! The mode switch is a single relaxed atomic load. With
-//! `ENW_TRACE=off` (the default) every entry point returns before
-//! touching thread-local state, so instrumented kernels run at their
-//! uninstrumented speed (`enw_perf` times an off-mode span as
-//! `trace.off_span.ns`).
+//! The mode switch is a single relaxed atomic load. Every entry point is
+//! `#[inline]` down to that load, with its recording body out of line,
+//! so with `ENW_TRACE=off` (the default) a call from another crate costs
+//! a load and a branch: instrumented kernels run at their uninstrumented
+//! speed (`enw_perf` times an off-mode span as `trace.off_span.ns`).
 //!
 //! # Modes
 //!
@@ -121,19 +121,24 @@ static MODE: AtomicU8 = AtomicU8::new(3);
 
 /// Current trace mode (resolved from `ENW_TRACE` on first call; override
 /// with [`set_mode`]).
+#[inline]
 pub fn mode() -> TraceMode {
     match MODE.load(Ordering::Relaxed) {
         0 => TraceMode::Off,
         1 => TraceMode::Summary,
         2 => TraceMode::Full,
-        _ => {
-            let m = std::env::var("ENW_TRACE")
-                .map(|v| TraceMode::from_env_str(&v))
-                .unwrap_or(TraceMode::Off);
-            set_mode(m);
-            m
-        }
+        _ => mode_from_env(),
     }
+}
+
+/// First-call resolution of `ENW_TRACE`, kept out of line so the
+/// inlined [`mode`] is one load and a compare.
+#[inline(never)]
+fn mode_from_env() -> TraceMode {
+    let m =
+        std::env::var("ENW_TRACE").map(|v| TraceMode::from_env_str(&v)).unwrap_or(TraceMode::Off);
+    set_mode(m);
+    m
 }
 
 /// Overrides the trace mode for the whole process (tests, experiment
@@ -163,6 +168,7 @@ static TIME_SOURCE: OnceLock<fn() -> u64> = OnceLock::new();
 /// Sets the virtual trace clock to an absolute nanosecond value. The
 /// serving scheduler calls this as its event loop advances, so span
 /// durations inside the runtime are virtual-time deltas.
+#[inline]
 pub fn set_virtual_ns(ns: u64) {
     VIRTUAL_NOW.store(ns, Ordering::Relaxed);
 }

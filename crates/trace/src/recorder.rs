@@ -124,6 +124,7 @@ impl Span {
 
     /// Attributes `units` of deterministic work (element counts, modeled
     /// nanoseconds) to this span entry.
+    #[inline]
     pub fn add_work(&self, units: u64) {
         if self.live {
             self.work.set(self.work.get().saturating_add(units));
@@ -140,13 +141,11 @@ impl Span {
             self.bytes_written.set(self.bytes_written.get().saturating_add(written));
         }
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.live {
-            return;
-        }
+    /// The live half of [`Drop`], out of line so an inert span's drop is
+    /// one branch.
+    #[inline(never)]
+    fn record(&self) {
         let dur_ns = now_ns().saturating_sub(self.start_ns);
         let work = self.work.get();
         let (bytes_read, bytes_written) = (self.bytes_read.get(), self.bytes_written.get());
@@ -166,7 +165,17 @@ impl Drop for Span {
     }
 }
 
+impl Drop for Span {
+    #[inline]
+    fn drop(&mut self) {
+        if self.live {
+            self.record();
+        }
+    }
+}
+
 /// Opens a named span; the returned guard records when it drops.
+#[inline]
 pub fn span(name: &'static str) -> Span {
     let live = enabled();
     Span {
@@ -181,6 +190,7 @@ pub fn span(name: &'static str) -> Span {
 
 /// One-shot span: records a single entry of `name` carrying `work`
 /// units and no clock time. The cheap form kernel hot paths use.
+#[inline]
 pub fn record_span(name: &'static str, work: u64) {
     record_span_io(name, work, 0, 0);
 }
@@ -190,10 +200,15 @@ pub fn record_span(name: &'static str, work: u64) {
 /// must derive from operand shapes only, so the recorded traffic — and
 /// the arithmetic-intensity column in the summary table — is identical
 /// on every rerun.
+#[inline]
 pub fn record_span_io(name: &'static str, work: u64, bytes_read: u64, bytes_written: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record_span_live(name, work, bytes_read, bytes_written);
     }
+}
+
+#[inline(never)]
+fn record_span_live(name: &'static str, work: u64, bytes_read: u64, bytes_written: u64) {
     let full = mode() == TraceMode::Full;
     let start_ns = if full { now_ns() } else { 0 };
     with_local(|sink| {
@@ -209,18 +224,28 @@ pub fn record_span_io(name: &'static str, work: u64, bytes_read: u64, bytes_writ
 }
 
 /// Adds `v` to the named monotone counter.
+#[inline]
 pub fn counter_add(name: &'static str, v: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        counter_add_live(name, v);
     }
+}
+
+#[inline(never)]
+fn counter_add_live(name: &'static str, v: u64) {
     with_local(|sink| *sink.counters.entry(name).or_default() += v);
 }
 
 /// Records `v` into the named fixed-bucket histogram.
+#[inline]
 pub fn record_value(name: &'static str, v: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record_value_live(name, v);
     }
+}
+
+#[inline(never)]
+fn record_value_live(name: &'static str, v: u64) {
     with_local(|sink| sink.values.entry(name).or_default().record(v));
 }
 
