@@ -36,6 +36,7 @@ pub fn try_banner(id: &str) -> Result<enw_core::Experiment, enw_core::EnwError> 
 /// Panics if `id` is not in the registry — experiment binaries are
 /// fail-fast CLI tools; library callers wanting a `Result` use
 /// [`try_banner`] (or [`enw_core::registry::find`]) instead.
+#[expect(clippy::panic, reason = "experiment binaries are fail-fast CLI tools")]
 pub fn banner(id: &str) {
     if let Err(e) = try_banner(id) {
         panic!("unknown experiment id {id}: {e}");

@@ -15,17 +15,24 @@ use enw_core::cam::bank::TcamBank;
 use enw_core::cam::cells;
 use enw_core::cam::lsh_memory::TcamKeyValueMemory;
 use enw_core::crossbar::devices;
+use enw_core::crossbar::tiki_taka::{TikiTakaConfig, TikiTakaTile};
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
+use enw_core::crossbar::tiled::{TiledAnalogLayer, TilingConfig};
 use enw_core::fleet::presets::{fleet_spec, scales, trace, Scenario};
 use enw_core::fleet::sim::try_run;
+use enw_core::fleet::HashRing;
 use enw_core::fleet::{ShardScheme, ShardSpec, ShardedStore};
 use enw_core::mann::encoding::TernaryWord;
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
-use enw_core::nn::backend::LinearBackend;
+use enw_core::nn::backend::{DigitalLinear, LinearBackend};
+use enw_core::nn::conv::{ConvNet, ConvNetConfig, MapShape};
+use enw_core::nn::{Activation, Mlp};
 use enw_core::numerics::bits::BitVec;
+use enw_core::numerics::matrix::Matrix;
+use enw_core::numerics::packed::PackedMatvec;
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel::{self, scratch};
-use enw_core::recsys::model::RecModel;
+use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
 use enw_core::serve::backends::{ideal_layers, DigitalBackend};
 use enw_core::serve::presets::{recsys_config, saturation_qps, traffic_classes, try_fleet};
 use enw_core::serve::{generate_trace, Backend, LoadSpec, Payload, StationMetrics};
@@ -348,4 +355,129 @@ fn fixed_membership_fleet_allocates_nothing_per_request_batch_or_epoch() {
     };
     let _ = run(10_000_000); // warm-up: lazy statics, code paths
     assert_eq!(run(20_000_000), run(10_000_000), "2x the horizon must cost no extra allocation");
+}
+
+/// The `_into` kernels the serving, memory and tile tests above do not
+/// reach, one row each: eight warm-up calls, then 64 calls inside a
+/// window that must count no allocation. One thread, so a kernel that
+/// fans out still runs every chunk inside the window.
+#[test]
+fn hot_kernels_allocate_nothing_once_warm() {
+    let mut rng = Rng64::new(21);
+    let inputs = [16, 20, 64, 8, 12, 32, 144]
+        .map(|n| (0..n).map(|_| rng.uniform_f32() - 0.5).collect::<Vec<f32>>());
+    let [x16, x20, xs64, d8, d12, q32, image] = inputs.each_ref().map(Vec::as_slice);
+    let mut rng = Rng64::new(22);
+    let ecram = devices::ecram();
+    let tiling = TilingConfig { tile_rows: 8, tile_cols: 10 };
+    let conv_cfg = ConvNetConfig {
+        input: MapShape { channels: 1, height: 12, width: 12 },
+        conv_channels: vec![4, 4],
+        embed_dim: 16,
+        classes: 5,
+    };
+    // The preset model concatenates; the block form's pairwise dots need their own.
+    let recsys = RecModelConfig { interaction: Interaction::DotPairwise, ..recsys_config() };
+    let word = |rng: &mut Rng64| (0..256).map(|_| rng.bernoulli(0.5)).collect::<BitVec>();
+
+    let mut mlp = Mlp::digital(&[16, 32, 24, 10], Activation::Tanh, &mut rng);
+    let frozen = mlp.freeze();
+    let mut linear = DigitalLinear::new(16, 8, &mut rng);
+    let mut conv = ConvNet::new(&conv_cfg, &mut rng);
+    let mut tiled = TiledAnalogLayer::new(12, 20, &ecram, TileConfig::default(), tiling, &mut rng)
+        .expect("a non-empty grid is valid");
+    let mut tiki = TikiTakaTile::new(
+        8,
+        16,
+        &ecram,
+        TileConfig::default(),
+        TikiTakaConfig::default(),
+        &mut rng,
+    );
+    let a = Matrix::random_uniform(16, 24, -1.0, 1.0, &mut rng);
+    let b = Matrix::random_uniform(24, 8, -1.0, 1.0, &mut rng);
+    let packed = PackedMatvec::pack(&Matrix::random_uniform(8, 16, -1.0, 1.0, &mut rng));
+    let model = RecModel::new(&recsys, &mut rng);
+    let queries = enw_core::recsys::trace::TraceGenerator::new(&recsys, 1.0).batch(64, &mut rng);
+    let memory = DifferentiableMemory::random(128, 32, &mut rng);
+    let (w1, w2) = (word(&mut rng), word(&mut rng));
+    let ring = HashRing::with_nodes(16, 8);
+
+    type Kernel<'a> = Box<dyn FnMut() + 'a>;
+    let out = |n: usize| vec![0.0f32; n];
+    let rows: Vec<(&str, Kernel)> = vec![
+        ("Mlp::predict_into", {
+            let mut y = out(10);
+            Box::new(move || mlp.predict_into(x16, &mut y))
+        }),
+        ("FrozenMlp::predict_batch_into", {
+            let (mut y, mut ws) = (out(40), out(frozen.workspace_len(4)));
+            Box::new(move || frozen.predict_batch_into(xs64, &mut y, &mut ws))
+        }),
+        ("DigitalLinear::backward_into", {
+            let mut y = out(16);
+            Box::new(move || linear.backward_into(d8, &mut y))
+        }),
+        ("ConvNet::{embed,predict}_into", {
+            let (mut e, mut y) = (out(16), out(5));
+            Box::new(move || {
+                conv.embed_into(image, &mut e);
+                conv.predict_into(image, &mut y);
+            })
+        }),
+        ("TiledAnalogLayer::{forward,backward}_into", {
+            let (mut y, mut dx) = (out(12), out(20));
+            Box::new(move || {
+                tiled.forward_into(x20, &mut y);
+                tiled.backward_into(d12, &mut dx);
+            })
+        }),
+        ("TikiTakaTile::{forward,backward}_into", {
+            let (mut y, mut dx) = (out(8), out(16));
+            Box::new(move || {
+                tiki.forward_into(x16, &mut y);
+                tiki.backward_into(d8, &mut dx);
+            })
+        }),
+        ("Matrix::matmul_into", {
+            let mut c = Matrix::zeros(16, 8);
+            Box::new(move || a.matmul_into(&b, &mut c))
+        }),
+        ("PackedMatvec::matvec_batch_into", {
+            let mut y = out(32);
+            Box::new(move || packed.matvec_batch_into(xs64, &mut y))
+        }),
+        ("RecModel::predict_batch_into", {
+            let mut ctrs = out(queries.len());
+            Box::new(move || model.predict_batch_into(&queries, &mut ctrs))
+        }),
+        ("DifferentiableMemory::similarities_into (dot, L1, L2, Linf)", {
+            let mut y = out(128);
+            Box::new(move || {
+                for sim in
+                    [Similarity::Dot, Similarity::NegL1, Similarity::NegL2, Similarity::NegLinf]
+                {
+                    memory.similarities_into(q32, sim, &mut y);
+                }
+            })
+        }),
+        ("BitVec::hamming", Box::new(move || assert!(w1.hamming(&w2) > 0))),
+        ("HashRing::owners_into", {
+            let mut owners = [0u32; 3];
+            Box::new(move || assert_eq!(ring.owners_into(0x5eed, &mut owners), 3))
+        }),
+    ];
+    parallel::with_threads(1, || {
+        for (name, mut kernel) in rows {
+            for _ in 0..8 {
+                kernel();
+            }
+            let s0 = alloc_audit::thread_snapshot();
+            for _ in 0..64 {
+                kernel();
+            }
+            let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+            assert_eq!(allocs, 0, "{name} allocated over 64 warm calls");
+        }
+    });
 }

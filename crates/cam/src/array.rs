@@ -246,7 +246,6 @@ impl TcamArray {
     /// # Panics
     ///
     /// Panics if the pattern width mismatches.
-    // enw:hot
     pub fn peek_ternary_into(&self, pattern: &TernaryWord, hits: &mut Vec<usize>) {
         assert_eq!(pattern.len(), self.width, "pattern width mismatch");
         hits.clear();
@@ -278,7 +277,6 @@ impl TcamArray {
     /// # Panics
     ///
     /// Panics if the query width mismatches.
-    // enw:hot
     pub fn peek_nearest(&self, query: &BitVec) -> Option<NearestHit> {
         assert_eq!(query.len(), self.width, "query width mismatch");
         nearest_hamming(&self.limbs, self.limbs_per_word, query.limbs())

@@ -17,7 +17,7 @@
 //!   part of the API — [`Tunable::encode`] emits entries in exactly that
 //!   order, so [`Point::key`] is a stable identity for hashing, sorting
 //!   and JSON output. Never build a point by iterating a hash-ordered
-//!   container (enforced by lint ENW-A005).
+//!   container (`clippy.toml` bans the hash collections).
 //! * [`Tunable::decode`] is *total on in-bounds points*: bounds are
 //!   validated here, cross-field constraints by the crate's own builder,
 //!   and both failure paths return typed errors through [`EnwError`].

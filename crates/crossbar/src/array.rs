@@ -132,7 +132,6 @@ impl AnalogArray {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `y.len() != rows`.
-    // enw:hot
     pub fn matvec_into(&self, x: &[f32], ir_drop: f32, y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
@@ -172,7 +171,6 @@ impl AnalogArray {
     /// # Panics
     ///
     /// Panics if `d.len() != rows` or `y.len() != cols`.
-    // enw:hot
     pub fn matvec_t_into(&self, d: &[f32], ir_drop: f32, y: &mut [f32]) {
         assert_eq!(d.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output dimension mismatch");

@@ -146,7 +146,6 @@ impl LinearBackend for TikiTakaTile {
         self.c.out_dim()
     }
 
-    // enw:hot
     fn forward_into(&mut self, x: &[f32], out: &mut [f32]) {
         self.c.forward_into(x, out);
         let mut ya = enw_parallel::scratch::take_f32(out.len());
@@ -158,7 +157,6 @@ impl LinearBackend for TikiTakaTile {
         }
     }
 
-    // enw:hot
     fn backward_into(&mut self, delta: &[f32], out: &mut [f32]) {
         self.c.backward_into(delta, out);
         let mut da = enw_parallel::scratch::take_f32(out.len());

@@ -336,7 +336,6 @@ impl AnalogTile {
     /// term for each row accumulates in ascending-column order, exactly
     /// as the pre-`_into` per-call-buffer code did, so results are
     /// bit-identical.
-    // enw:hot
     fn sub_reference_matvec(&self, x: &[f32], y: &mut [f32]) {
         if let Some(r) = &self.reference {
             let cols = self.array.cols();
@@ -354,7 +353,6 @@ impl AnalogTile {
     /// [`sub_reference_matvec`](AnalogTile::sub_reference_matvec):
     /// subtracts `Rᵀ · d` from `y` in place, walking rows in ascending
     /// order like the serial reference read.
-    // enw:hot
     fn sub_reference_matvec_t(&self, d: &[f32], y: &mut [f32]) {
         if let Some(r) = &self.reference {
             let cols = self.array.cols();
@@ -495,7 +493,6 @@ impl AnalogTile {
     /// partial sums across column blocks add exactly one bias term per
     /// output row. With `bias_drive == 1.0` this is the identical code
     /// (and RNG) path as the monolithic forward.
-    // enw:hot
     pub fn forward_biased_into(&mut self, x: &[f32], bias_drive: f32, out: &mut [f32]) {
         let mut xa = self.take_augmented(x, bias_drive);
         self.cfg.noise.apply_input(&mut xa);
@@ -536,12 +533,10 @@ impl LinearBackend for AnalogTile {
         self.array.rows()
     }
 
-    // enw:hot
     fn forward_into(&mut self, x: &[f32], out: &mut [f32]) {
         self.forward_biased_into(x, 1.0, out);
     }
 
-    // enw:hot
     fn backward_into(&mut self, delta: &[f32], out: &mut [f32]) {
         assert_eq!(delta.len(), self.array.rows(), "gradient dimension mismatch");
         assert_eq!(out.len(), self.in_dim, "gradient output dimension mismatch");

@@ -296,7 +296,6 @@ impl LinearBackend for TiledAnalogLayer {
         self.out_dim
     }
 
-    // enw:hot
     fn forward_into(&mut self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
         assert_eq!(out.len(), self.out_dim, "output dimension mismatch");
@@ -323,7 +322,6 @@ impl LinearBackend for TiledAnalogLayer {
         enw_trace::record_span_io("crossbar/tiled/reduce", partials, 4 * partials, 4 * out.len() as u64);
     }
 
-    // enw:hot
     fn backward_into(&mut self, delta: &[f32], out: &mut [f32]) {
         assert_eq!(delta.len(), self.out_dim, "gradient dimension mismatch");
         assert_eq!(out.len(), self.in_dim, "gradient output dimension mismatch");

@@ -11,7 +11,7 @@
 
 /// The classic 64-bit splitmix finalizer: full-avalanche, cheap, and —
 /// unlike a hash *map* — a fixed function, so ring placement never
-/// depends on process-level seeding (enw-analyze rule ENW-D003).
+/// depends on process-level seeding (`clippy.toml` bans `RandomState`).
 #[inline]
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -138,7 +138,6 @@ impl HashRing {
     /// primary) and returns how many were found — less than `out.len()`
     /// only when the ring has fewer members. Allocation-free; distinct
     /// because a replica set with one node twice replicates nothing.
-    // enw:hot
     pub fn owners_into(&self, key: u64, out: &mut [u32]) -> usize {
         if self.points.is_empty() || out.is_empty() {
             return 0;
@@ -175,7 +174,6 @@ impl HashRing {
     /// consistent-hashing rule), so one hot key cannot sink its primary.
     /// Returns `None` when every member is at capacity — the admission
     /// layer's cue to reject.
-    // enw:hot
     pub fn pick_bounded(&self, key: u64, cap: usize, load: impl Fn(u32) -> usize) -> Option<u32> {
         if self.points.is_empty() {
             return None;

@@ -262,7 +262,6 @@ impl ShardedStore {
     ///
     /// Panics if `users` is empty or the store has not been rebalanced
     /// onto a replica set yet.
-    // enw:hot
     pub fn pool_batch(&mut self, users: &[u64]) -> BatchCost {
         assert!(!users.is_empty(), "empty batch");
         let ShardedStore { spec, tables, row_shard, accesses, caches, owners, ws, .. } = self;

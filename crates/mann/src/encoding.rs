@@ -85,7 +85,6 @@ impl TernaryWord {
     /// # Panics
     ///
     /// Panics if the limb count differs from this pattern's.
-    // enw:hot
     pub fn matches_limbs(&self, stored: &[u64]) -> bool {
         let bits = self.bits.limbs();
         let care = self.care.limbs();

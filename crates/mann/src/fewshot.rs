@@ -156,7 +156,7 @@ pub fn classify_knn(
     scored.sort_by(|a, b| b.0.total_cmp(&a.0));
     let k = k.min(scored.len());
     // Ordered map: vote iteration must not depend on hash order
-    // (enw-analyze rule ENW-D001).
+    // (the workspace `clippy.toml` bans `HashMap`).
     let mut votes = std::collections::BTreeMap::new();
     for &(_, label) in &scored[..k] {
         *votes.entry(label).or_insert(0usize) += 1;
@@ -253,6 +253,7 @@ pub fn classify(
             (stored[0].2, n_searches)
         }
         SearchMethod::Lsh { .. } => {
+            #[expect(clippy::expect_used, reason = "documented contract: see # Panics of classify")]
             let lsh = lsh.expect("LSH method requires a prepared encoder");
             let sig_q = lsh.encode(query);
             let mut best = (usize::MAX, 0usize);

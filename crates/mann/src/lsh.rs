@@ -72,7 +72,6 @@ impl RandomHyperplaneLsh {
     /// # Panics
     ///
     /// Panics if the input width or `sig.len() != planes()` mismatches.
-    // enw:hot
     pub fn encode_into(&self, x: &[f32], sig: &mut BitVec) {
         assert_eq!(sig.len(), self.planes(), "signature width mismatch");
         let mut projections = enw_parallel::scratch::take_f32(self.planes());

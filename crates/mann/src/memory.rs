@@ -126,7 +126,6 @@ impl DifferentiableMemory {
     /// # Panics
     ///
     /// Panics if the query width or output length mismatches.
-    // enw:hot
     pub fn similarities_into(&self, query: &[f32], sim: Similarity, out: &mut [f32]) {
         assert_eq!(query.len(), self.dim(), "query width mismatch");
         assert_eq!(out.len(), self.slots(), "similarity output length mismatch");
@@ -169,7 +168,6 @@ impl DifferentiableMemory {
     /// # Panics
     ///
     /// Panics if the query width or output length mismatches.
-    // enw:hot
     pub fn content_address_into(&self, query: &[f32], sim: Similarity, beta: f32, out: &mut [f32]) {
         let mut scores = enw_parallel::scratch::take_f32(self.slots());
         self.similarities_into(query, sim, &mut scores);
@@ -194,7 +192,6 @@ impl DifferentiableMemory {
     /// # Panics
     ///
     /// Panics if `weights.len() != slots` or `out.len() != dim`.
-    // enw:hot
     pub fn soft_read_into(&self, weights: &[f32], out: &mut [f32]) {
         assert_eq!(weights.len(), self.slots(), "weight length mismatch");
         self.data.matvec_t_into(weights, out);

@@ -28,7 +28,7 @@ pub trait LinearBackend {
     /// default allocates once and delegates to the required
     /// [`forward_into`](LinearBackend::forward_into) — the `_into` form
     /// is the primitive so hot inference paths are allocation-free by
-    /// construction (ENW-M002 walks them transitively).
+    /// construction (`alloc_discipline.rs` counts them).
     ///
     /// # Panics
     ///
@@ -168,13 +168,11 @@ impl LinearBackend for DigitalLinear {
         self.weights.rows()
     }
 
-    // enw:hot
     fn forward_into(&mut self, x: &[f32], out: &mut [f32]) {
         let xa = augmented_scratch(x, self.in_dim);
         self.weights.matvec_into(&xa, out);
     }
 
-    // enw:hot
     fn backward_into(&mut self, delta: &[f32], out: &mut [f32]) {
         assert_eq!(out.len(), self.in_dim, "gradient output dimension mismatch");
         let mut full = enw_parallel::scratch::take_f32(self.weights.cols());

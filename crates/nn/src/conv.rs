@@ -142,7 +142,6 @@ impl<B: LinearBackend> ConvLayer<B> {
 
     /// Forward with caching; output layout `channel-major` like the
     /// input (`out` is fully overwritten with post-ReLU activations).
-    // enw:hot
     fn forward_into(&mut self, input: &[f32], out: &mut [f32]) {
         self.fill_patches(input);
         let positions = self.positions();
@@ -246,7 +245,6 @@ impl MaxPool {
         MaxPool { in_shape, out_shape, cached_argmax: vec![0; out_shape.len()] }
     }
 
-    // enw:hot
     fn forward_into(&mut self, input: &[f32], out: &mut [f32]) {
         let s = self.in_shape;
         let o = self.out_shape;
@@ -307,7 +305,6 @@ impl<B: LinearBackend> ConvStage<B> {
         }
     }
 
-    // enw:hot
     fn run_forward(&mut self, input: &[f32]) {
         self.conv.forward_into(input, &mut self.conv_out);
         if let Some(p) = &mut self.pool {
@@ -507,7 +504,6 @@ impl<B: LinearBackend> ConvNet<B> {
         stages.iter_mut().map(|s| &mut s.conv.backend).chain([embed, head])
     }
 
-    // enw:hot
     fn forward_features(&mut self, input: &[f32]) {
         for i in 0..self.stages.len() {
             let (done, rest) = self.stages.split_at_mut(i);
@@ -520,7 +516,6 @@ impl<B: LinearBackend> ConvNet<B> {
     /// Penultimate (embedding) activations into a caller-owned buffer —
     /// the feature vector the MANN memory stores. `out` is fully
     /// overwritten.
-    // enw:hot
     pub fn embed_into(&mut self, input: &[f32], out: &mut [f32]) {
         self.forward_features(input);
         let ConvNet { stages, embed, embed_pre, .. } = self;
@@ -540,7 +535,6 @@ impl<B: LinearBackend> ConvNet<B> {
 
     /// Raw logits for one input into a caller-owned buffer (`out` is
     /// fully overwritten).
-    // enw:hot
     pub fn predict_into(&mut self, input: &[f32], out: &mut [f32]) {
         self.forward_features(input);
         let ConvNet { stages, embed, head, embed_pre, embedded, .. } = self;

@@ -81,7 +81,6 @@ impl<B: LinearBackend> DenseLayer<B> {
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim()` or `out.len() != out_dim()`.
-    // enw:hot
     pub fn infer_into(&mut self, x: &[f32], out: &mut [f32]) {
         self.backend.forward_into(x, out);
         self.activation.apply_slice(out);

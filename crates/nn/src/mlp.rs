@@ -172,7 +172,6 @@ impl FrozenMlp {
     ///
     /// Panics if `x` is not the stack's input width, `out.len() != out_dim()` or
     /// `workspace` is shorter than `workspace_len(1)`.
-    // enw:hot
     pub fn predict_into(&self, x: &[f32], out: &mut [f32], workspace: &mut [f32]) {
         self.run(1, x, out, workspace, PackedMatvec::matvec_bias_into);
     }
@@ -187,7 +186,6 @@ impl FrozenMlp {
     ///
     /// Panics if `out.len()` is not `b × out_dim()`, `xs` is not `b`
     /// inputs wide or `workspace` is shorter than `workspace_len(b)`.
-    // enw:hot
     pub fn predict_batch_into(&self, xs: &[f32], out: &mut [f32], workspace: &mut [f32]) {
         let b = out.len() / self.out_dim();
         self.run(b, xs, out, workspace, PackedMatvec::matvec_bias_batch_into);
@@ -271,7 +269,6 @@ impl<B: LinearBackend> Mlp<B> {
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim()` or `out.len() != out_dim()`.
-    // enw:hot
     pub fn predict_into(&mut self, x: &[f32], out: &mut [f32]) {
         let last = self.layers.len() - 1;
         if last == 0 {

@@ -138,7 +138,6 @@ impl BitVec {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-// enw:hot
 #[inline]
 pub fn hamming_limbs(a: &[u64], b: &[u64]) -> u32 {
     assert_eq!(a.len(), b.len(), "hamming length mismatch");
@@ -179,7 +178,6 @@ pub fn hamming_limbs(a: &[u64], b: &[u64]) -> u32 {
 ///
 /// Panics if `limbs_per_word` is zero, `query` is not `limbs_per_word`
 /// long, or `words` is not a whole number of words.
-// enw:hot
 pub fn nearest_hamming(
     words: &[u64],
     limbs_per_word: usize,

@@ -304,7 +304,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `y.len() != rows`.
-    // enw:hot
     pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
@@ -350,7 +349,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `d.len() != rows` or `y.len() != cols`.
-    // enw:hot
     pub fn matvec_t_into(&self, d: &[f32], y: &mut [f32]) {
         assert_eq!(d.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output dimension mismatch");
@@ -417,7 +415,6 @@ impl Matrix {
     ///
     /// Panics if `self.cols != other.rows` or `out` is not
     /// `self.rows × other.cols`.
-    // enw:hot
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.rows, other.cols), "matmul output shape mismatch");

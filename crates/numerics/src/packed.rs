@@ -156,7 +156,6 @@ impl PackedMatvec {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `y.len() != rows`.
-    // enw:hot
     pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         self.read_one(x, y);
@@ -168,7 +167,6 @@ impl PackedMatvec {
     /// # Panics
     ///
     /// Panics if `x.len() + 1 != cols` or `y.len() != rows`.
-    // enw:hot
     pub fn matvec_bias_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len() + 1, self.cols, "input dimension mismatch");
         self.read_one(x, y);
@@ -184,7 +182,6 @@ impl PackedMatvec {
     ///
     /// Panics if `out.len()` is not a multiple of `rows` or
     /// `xs.len() != (out.len() / rows) * cols`.
-    // enw:hot
     pub fn matvec_batch_into(&self, xs: &[f32], out: &mut [f32]) {
         self.read_batch(xs, self.cols, out);
     }
@@ -196,7 +193,6 @@ impl PackedMatvec {
     ///
     /// Panics if `out.len()` is not a multiple of `rows` or
     /// `xs.len() != (out.len() / rows) * (cols - 1)`.
-    // enw:hot
     pub fn matvec_bias_batch_into(&self, xs: &[f32], out: &mut [f32]) {
         self.read_batch(xs, self.cols - 1, out);
     }

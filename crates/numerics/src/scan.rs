@@ -103,7 +103,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `out.len() != rows`.
-    // enw:hot
     pub fn scan_matvec_l1(&self, x: &[f32], out: &mut [f32], finish: impl Fn(f32, f32) -> f32) {
         self.assert_scan_shape(x, out);
         record_matvec_span(self.rows(), self.cols());
@@ -118,7 +117,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `out.len() != rows`.
-    // enw:hot
     pub fn scan_dot_sq_norm(&self, x: &[f32], out: &mut [f32], finish: impl Fn(f32, f32) -> f32) {
         self.assert_scan_shape(x, out);
         let step = |(d, n): (f32, f32), xi: f32, w: f32| (d + xi * w, n + w * w);
@@ -133,7 +131,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `out.len() != rows`.
-    // enw:hot
     pub fn scan_dot(&self, x: &[f32], out: &mut [f32]) {
         self.assert_scan_shape(x, out);
         scan_rows(self.as_slice(), x, out, SUM_START, |a, xi, w| a + xi * w, |a| a);
@@ -144,7 +141,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `out.len() != rows`.
-    // enw:hot
     pub fn scan_dist_l1(&self, x: &[f32], out: &mut [f32], finish: impl Fn(f32) -> f32) {
         self.assert_scan_shape(x, out);
         scan_rows(self.as_slice(), x, out, SUM_START, |a, xi, w| a + (xi - w).abs(), finish);
@@ -156,7 +152,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `out.len() != rows`.
-    // enw:hot
     pub fn scan_dist_sq_l2(&self, x: &[f32], out: &mut [f32], finish: impl Fn(f32) -> f32) {
         self.assert_scan_shape(x, out);
         scan_rows(self.as_slice(), x, out, SUM_START, |a, xi, w| a + (xi - w) * (xi - w), finish);
@@ -167,7 +162,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `out.len() != rows`.
-    // enw:hot
     pub fn scan_dist_linf(&self, x: &[f32], out: &mut [f32], finish: impl Fn(f32) -> f32) {
         self.assert_scan_shape(x, out);
         scan_rows(self.as_slice(), x, out, 0.0f32, |m, xi, w| m.max((xi - w).abs()), finish);

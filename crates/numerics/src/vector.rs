@@ -126,7 +126,6 @@ pub fn softmax(logits: &[f32], beta: f32) -> Vec<f32> {
 ///
 /// Panics if `logits` is empty, `beta` is not finite, or the lengths
 /// mismatch.
-// enw:hot
 pub fn softmax_into(logits: &[f32], beta: f32, out: &mut [f32]) {
     assert!(!logits.is_empty(), "softmax over empty slice");
     assert!(beta.is_finite(), "softmax temperature must be finite");

@@ -191,6 +191,7 @@ where
 /// Chunk boundaries depend only on `n` and `chunk`, so the result vector
 /// is identical for any worker count; fold it left-to-right for a
 /// bit-deterministic reduction.
+#[expect(clippy::expect_used, reason = "the dealer computes every chunk exactly once")]
 pub fn map_chunks<R, F>(n: usize, chunk: usize, f: F) -> Vec<R>
 where
     R: Send,

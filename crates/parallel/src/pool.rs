@@ -156,6 +156,7 @@ impl Pool {
                 wake: Condvar::new(),
             }));
             let id = boxes.len();
+            #[expect(clippy::disallowed_methods, reason = "the pool starts every worker thread")]
             let spawned = thread::Builder::new()
                 .name(format!("enw-worker-{id}"))
                 .spawn(move || worker_loop(mb));

@@ -329,6 +329,7 @@ mod tests {
         reset_thread_pools();
         let g = take_f32(512);
         drop(g);
+        #[allow(clippy::disallowed_methods)]
         let other = std::thread::spawn(|| {
             let before = thread_stats();
             let g = take_f32(512);

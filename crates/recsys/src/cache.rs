@@ -218,7 +218,7 @@ impl EmbeddingCache {
 }
 
 /// Home slot of `key` in an index of `mask + 1` slots: a fixed
-/// splitmix64-style finalizer, never seeded (ENW-D003), so sequential
+/// splitmix64-style finalizer, never seeded (no `RandomState`), so sequential
 /// rows of one table spread instead of clustering a linear probe.
 #[inline]
 fn home_slot((table, row): (usize, usize), mask: usize) -> usize {

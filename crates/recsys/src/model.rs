@@ -111,7 +111,6 @@ impl EmbeddingTable {
     ///
     /// Panics if `indices` is empty, any index is out of range, or
     /// `pooled.len() != dim()`.
-    // enw:hot
     pub fn gather_pool_into(&self, indices: &[usize], pooled: &mut [f32]) {
         assert!(!indices.is_empty(), "empty multi-hot lookup");
         let dim = self.dim();
@@ -458,7 +457,6 @@ impl RecModel {
     /// # Panics
     ///
     /// Panics if the feature counts don't match the configuration.
-    // enw:hot
     pub fn predict(&mut self, dense: &[f32], sparse: &[Vec<usize>]) -> f32 {
         let dim = self.cfg.embedding_dim;
         self.predict_one(dense, |tables, pooled| {
@@ -601,7 +599,6 @@ impl RecModel {
     /// gathers written into its row of the `block × interaction_width`
     /// matrix, the top stack over that matrix into `ctrs`, the sigmoid
     /// in place — all in windows of one scratch check-out.
-    // enw:hot
     fn predict_block<Q: Borrow<SparseQuery>>(&self, queries: &[Q], ctrs: &mut [f32]) {
         let RecModel { cfg, bottom, tables, top, .. } = self;
         let (n, features, dim) = (queries.len(), cfg.dense_features, cfg.embedding_dim);
@@ -670,7 +667,6 @@ impl RecModel {
     /// (`out` is fully overwritten): the dense latent, then the dot
     /// product of every pair among it and the `dim`-wide windows of the
     /// flat `pooled` workspace, pairs in `(i, j > i)` order.
-    // enw:hot
     fn dot_pairwise_into(dense_latent: &[f32], pooled: &[f32], out: &mut [f32]) {
         let dim = dense_latent.len();
         let (head, dots) = out.split_at_mut(dim);

@@ -1,7 +1,7 @@
 //! Virtual time: the only clock the serving runtime knows about.
 //!
-//! Nothing in `enw-serve` reads wall-clock time (`enw-analyze` rule
-//! ENW-D002 denies `Instant`/`SystemTime` here). Instead the scheduler
+//! Nothing in `enw-serve` reads wall-clock time (the workspace
+//! `clippy.toml` denies `Instant`/`SystemTime` here). Instead the scheduler
 //! owns a [`VirtualClock`] — a monotone nanosecond counter advanced by
 //! the event loop — and every latency, deadline and service time is a
 //! `u64` nanosecond count derived from analytic hardware models. Two runs

@@ -23,8 +23,8 @@
 //! # Determinism contract
 //!
 //! The whole runtime runs on a [`clock::VirtualClock`]; no library code
-//! here may read `Instant`/`SystemTime` (enforced by `enw-analyze` rule
-//! ENW-D002). Service times come from analytic hardware models, batch
+//! here may read `Instant`/`SystemTime` (denied by the workspace
+//! `clippy.toml`). Service times come from analytic hardware models, batch
 //! composition from fixed FIFO/size/timeout rules, numeric outputs from
 //! per-request kernels run in batch order on the loop's own thread, and
 //! load from a seeded generator — so one `(seed, spec)` pair names

@@ -36,8 +36,8 @@
 //! used by `enw-serve`'s scheduler), so span durations are deterministic.
 //! A bench harness *may* install a real monotonic source with
 //! [`install_time_source`] — that is a profiling convenience and
-//! explicitly outside the determinism contract (only `enw-bench` is
-//! allowed ambient time by lint ENW-D002).
+//! explicitly outside the determinism contract (only `enw-bench` may
+//! name `Instant`: see the workspace `clippy.toml`).
 //!
 //! # Overhead
 //!

@@ -347,6 +347,7 @@ mod tests {
             // Worker-thread recordings of the same span must merge in.
             // Join explicitly: the scope's implicit wait can return
             // before the TLS destructor that performs the merge has run.
+            #[allow(clippy::disallowed_methods)]
             std::thread::scope(|scope| {
                 let h = scope.spawn(|| record_span_io("test/io", 0, 100, 10));
                 h.join().expect("worker panicked");
@@ -406,6 +407,7 @@ mod tests {
     #[test]
     fn worker_thread_sinks_merge_on_join() {
         let report = with_summary_mode(|| {
+            #[allow(clippy::disallowed_methods)]
             std::thread::scope(|s| {
                 // Join each handle explicitly: the scope's implicit wait
                 // returns when the closures finish, which can be before

@@ -291,7 +291,6 @@ impl Xmann {
     /// # Panics
     ///
     /// Panics if the query width or output length mismatches.
-    // enw:hot
     pub fn similarity_into(&mut self, query: &[f32], out: &mut [f32]) -> Cost {
         assert_eq!(query.len(), self.memory.dim(), "query width mismatch");
         assert_eq!(out.len(), self.memory.slots(), "similarity output length mismatch");
@@ -334,7 +333,6 @@ impl Xmann {
     /// # Panics
     ///
     /// Panics if the query width or output length mismatches.
-    // enw:hot
     pub fn content_address_into(&mut self, query: &[f32], beta: f32, out: &mut [f32]) -> Cost {
         let mut sim = enw_parallel::scratch::take_f32(self.memory.slots());
         let sim_cost = self.similarity_into(query, &mut sim);
@@ -364,7 +362,6 @@ impl Xmann {
     /// # Panics
     ///
     /// Panics if `weights.len() != slots` or `out.len() != dim`.
-    // enw:hot
     pub fn soft_read_into(&mut self, weights: &[f32], out: &mut [f32]) -> Cost {
         self.memory.soft_read_into(weights, out);
         let phase = self.crossbar_phase(self.cfg.tile_rows, self.cfg.tile_cols);

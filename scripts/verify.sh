@@ -2,7 +2,7 @@
 # Offline verification gate for the workspace. No network access needed:
 # proptest resolves to the vendored shim in vendor/.
 #
-#   scripts/verify.sh          build + tests + clippy (tier-1)
+#   scripts/verify.sh          build + tests + clippy + lint fixture (tier-1)
 #   scripts/verify.sh --full   additionally runs the property-test suites
 #                              (--features proptest), loops tier-1
 #                              20x to catch flakes, runs `enw gate` twice
@@ -30,11 +30,27 @@ fi
 echo "== cargo test -q =="
 cargo test -q
 
-echo "== enw-analyze (lints + baseline diff + waiver audit) =="
-# Fails on deny findings, on findings not present in the committed
-# baseline snapshot (refresh with --write-baseline analyze-baseline.json
-# after review), and on stale lint.toml waivers.
-cargo run --release -q -p enw-analyze -- --baseline analyze-baseline.json --audit-waivers
+# Library code may not panic outside a waiver at the site
+# (`#[expect(clippy::..., reason = ...)]`); clippy.toml adds the
+# determinism rules, and a waiver that matches nothing fails as
+# `unfulfilled_lint_expectations`.
+lints=(-D warnings -Dclippy::{unwrap_used,expect_used,panic,todo,unimplemented,unreachable})
+echo "== cargo clippy --workspace --lib (panic lints + clippy.toml) =="
+cargo clippy --workspace --lib -- "${lints[@]}"
+
+echo "== lint fixture: every rule above still fires =="
+# scripts/lint-fixture breaks each rule once, on a line marked `// lint:`;
+# a marked line that draws no error means a rule has stopped biting.
+fixture=$(cargo clippy -q --manifest-path scripts/lint-fixture/Cargo.toml --lib \
+    --target-dir target/lint-fixture --message-format short -- "${lints[@]}" 2>&1 || true)
+marked=0 unfired=0
+while IFS=: read -r line rest; do
+    marked=$((marked + 1))
+    grep -q "^src/lib.rs:$line:" <<<"$fixture" \
+        || { echo "lint fixture line $line drew no ${rest##*// lint: }"; unfired=$((unfired + 1)); }
+done < <(grep -nE '// lint: [a-z_]+$' scripts/lint-fixture/src/lib.rs)
+[[ $unfired == 0 ]] || exit 1
+echo "lint fixture: all $marked marked lines fire"
 
 echo "== enw gate (paper pins + every smoke experiment; each gate asserted in Rust) =="
 # Runs E9, E10, E14 and E16..E21 in smoke mode, writes the BENCH_*.json
