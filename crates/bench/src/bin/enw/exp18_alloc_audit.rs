@@ -6,7 +6,8 @@
 //! overhead. Under `enw`'s counting `#[global_allocator]` this
 //! measures, for each of the four workload lanes, heap allocations and
 //! bytes per inference through the allocating convenience APIs (before)
-//! versus the scratch-pooled `_into` APIs (after), once warm. It also
+//! versus the `_into` APIs (after), whose temporaries live in workspaces
+//! their holders own, once warm. It also
 //! shows the serving event loop allocates nothing per request at steady
 //! state: the marginal allocation cost of 8x more requests through a
 //! station is ~zero.
@@ -22,7 +23,7 @@ use enw_core::crossbar::tile::{AnalogTile, TileConfig};
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
 use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::rng::Rng64;
-use enw_core::parallel::{self, scratch};
+use enw_core::parallel;
 use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
 use enw_core::recsys::trace::TraceGenerator;
 use enw_core::report::Table;
@@ -35,8 +36,7 @@ const SEED: u64 = 18;
 const WARMUP: usize = 32;
 
 /// Allocations and bytes per iteration of `f`, after `WARMUP` unmeasured
-/// iterations have faulted pages in and warmed the thread-local scratch
-/// pools.
+/// iterations have faulted pages in and grown every owned workspace.
 fn measure(iters: usize, mut f: impl FnMut()) -> (f64, f64) {
     for _ in 0..WARMUP {
         f();
@@ -147,8 +147,8 @@ fn lane_cam_mann(iters: usize) -> Lane {
 }
 
 /// DLRM-style CTR inference: per-table `lookup_pool` + the pooled
-/// predict entry (allocating composition) vs the fused scratch-based
-/// `predict_query`.
+/// predict entry (allocating composition) vs the fused `predict_query`,
+/// which runs in the model's own workspace.
 fn lane_recsys(iters: usize) -> Lane {
     let mut rng = Rng64::new(SEED);
     let cfg = recsys_cfg();
@@ -183,12 +183,13 @@ fn recsys_cfg() -> RecModelConfig {
 }
 
 /// Allocations of one warm `predict_batch_into` over a full block of
-/// 256 queries at one thread: the batched path's block matrices and
-/// packed weights all come from the scratch pools, so the count is 0.
+/// 256 queries at one thread: the weights are packed at construction and
+/// the block's matrices live in the model's per-participant windows,
+/// grown by the first call, so the count is 0.
 fn recsys_batch_allocs() -> u64 {
     let mut rng = Rng64::new(SEED);
     let cfg = recsys_cfg();
-    let model = RecModel::new(&cfg, &mut rng);
+    let mut model = RecModel::new(&cfg, &mut rng);
     let queries = TraceGenerator::new(&cfg, 1.0).batch(256, &mut rng);
     let mut ctrs = vec![0.0f32; queries.len()];
     parallel::with_threads(1, || {
@@ -249,19 +250,12 @@ fn to_json(lanes: &[Lane], serve: &ServeCheck, smoke: bool) -> Json {
         ("allocs_marginal_per_request", num(format_args!("{marginal:.4}"))),
         ("zero_alloc_steady_state", serve.zero_alloc().into()),
     ]);
-    let stats = scratch::thread_stats();
-    let scratch = Json::Obj(vec![
-        ("checkouts", num(stats.checkouts)),
-        ("pool_hits", num(stats.pool_hits)),
-        ("fresh_allocs", num(stats.fresh_allocs)),
-    ]);
     Json::Obj(vec![
         ("bench", "alloc_audit".into()),
         ("seed", num(SEED)),
         ("mode", if smoke { "smoke" } else { "full" }.into()),
         ("lanes", Json::arr(lanes.iter().map(lane))),
         ("serve", serve),
-        ("scratch", scratch),
     ])
 }
 
@@ -333,11 +327,6 @@ pub fn run(run: &mut Run) {
         serve.marginal_per_request(),
         if serve.zero_alloc() { "PASS (zero-alloc steady state)" } else { "BELOW TARGET" }
     );
-    let stats = scratch::thread_stats();
-    println!(
-        "scratch pools: {} checkouts, {} pool hits, {} fresh allocations",
-        stats.checkouts, stats.pool_hits, stats.fresh_allocs
-    );
 
     run.json("BENCH_alloc.json", &to_json(&lanes, &serve, smoke));
 
@@ -361,12 +350,12 @@ pub fn run(run: &mut Run) {
     print!("{}", report.summary_table());
 
     println!();
-    println!("Reading: once the scratch pools are warm, every kernel lane serves inference");
-    println!("from reused buffers — the allocating convenience wrappers cost exactly their");
-    println!("output vectors, and the _into forms cost nothing. The serving loop's batch and");
-    println!("output arenas make the marginal allocation price of a request zero, so tail");
-    println!("latency cannot inherit allocator jitter. Outputs stay bit-identical to the");
-    println!("allocating APIs (asserted above), preserving the determinism contract.");
+    println!("Reading: once the workspaces their holders own are grown, every kernel lane");
+    println!("serves inference from reused buffers — the allocating convenience wrappers cost");
+    println!("exactly their output vectors, and the _into forms cost nothing. The serving");
+    println!("loop's batch and output arenas make the marginal allocation price of a request");
+    println!("zero, so tail latency cannot inherit allocator jitter. Outputs stay bit-identical");
+    println!("to the allocating APIs (asserted above), preserving the determinism contract.");
 
     // Last, so its own set-up shows in none of the totals printed above.
     let batch_allocs = recsys_batch_allocs();

@@ -164,8 +164,8 @@ fn check_gates(sizes: &Sizes) -> Gates {
     b.run(&data, steps);
     let resume_identical = b.checkpoint() == uninterrupted;
 
-    // 4. Zero allocations per steady-state step, once buffers and
-    // scratch pools are warm.
+    // 4. Zero allocations per steady-state step, once every owned
+    // buffer is grown.
     let mut p = AnalogPipeline::new(&cfg, &data).expect("valid gate config");
     for _ in 0..WARMUP_STEPS {
         p.step(&data);

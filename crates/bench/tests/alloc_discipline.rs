@@ -31,7 +31,7 @@ use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::matrix::Matrix;
 use enw_core::numerics::packed::PackedMatvec;
 use enw_core::numerics::rng::Rng64;
-use enw_core::parallel::{self, scratch};
+use enw_core::parallel;
 use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
 use enw_core::serve::backends::{ideal_layers, DigitalBackend};
 use enw_core::serve::presets::{recsys_config, saturation_qps, traffic_classes, try_fleet};
@@ -80,7 +80,7 @@ fn preset_server_run_allocates_only_its_answers() {
             let scored: u64 = report.stations[..2].iter().map(StationMetrics::served).sum();
             (allocs, scored)
         };
-        let _ = run(); // warm-up: lazy statics, scratch pools
+        let _ = run(); // warm-up: lazy statics, owned workspaces
         let (allocs, scored) = run();
         assert_eq!(
             allocs,
@@ -141,32 +141,18 @@ fn xmann_into_kernels_run_allocation_free_once_pools_are_warm() {
 }
 
 #[test]
-fn scratch_checkout_reuses_buffers_instead_of_allocating() {
-    {
-        let _warm = scratch::take_f32(1000); // provisions the size class
-    }
-    let iters = 256;
-    let s0 = alloc_audit::thread_snapshot();
-    for _ in 0..iters {
-        let buf = scratch::take_f32(1000);
-        assert_eq!(buf.len(), 1000);
-    }
-    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
-    assert_eq!(allocs, 0, "warm scratch checkouts allocated over {iters} iterations");
-}
-
-#[test]
 fn analog_tile_cycles_allocate_nothing_and_reads_touch_no_pool() {
-    // The tile shape `analog_train` runs (one row chunk) and a 256 x 256
-    // one whose update deals sixteen. The line buffer is the tile's own
-    // and a read stays on the calling thread at any size, so only the
-    // update's staging comes from a pool — one check-out per cycle.
-    // (Uncalibrated: a zero-shifted tile's transposed reference read
-    // keeps a check-out of its own.)
-    for (rows, cols) in [(8, 10), (256, 256)] {
+    // The tile shape `analog_train` runs (one row chunk), a 256 x 256
+    // one whose update deals sixteen, and a zero-shifted one, whose
+    // backward read also subtracts the reference's transposed product.
+    // The line buffers and the update's staging are the tile's own.
+    for (rows, cols, zero_shifted) in [(8, 10, false), (256, 256, false), (8, 10, true)] {
         let mut rng = Rng64::new(15);
         let mut tile =
             AnalogTile::new(rows, cols, &devices::ecram(), TileConfig::default(), &mut rng);
+        if zero_shifted {
+            tile.calibrate_zero_shift(100);
+        }
         let x: Vec<f32> = (0..cols).map(|_| rng.uniform_f32() - 0.5).collect();
         let d: Vec<f32> = (0..rows).map(|_| rng.uniform_f32() - 0.5).collect();
         let (mut y, mut dx) = (vec![0.0f32; rows], vec![0.0f32; cols]);
@@ -180,15 +166,16 @@ fn analog_tile_cycles_allocate_nothing_and_reads_touch_no_pool() {
                 for _ in 0..8 {
                     cycle(&mut tile);
                 }
-                let cycles = 200;
-                let (s0, c0) = (alloc_audit::thread_snapshot(), scratch::thread_stats().checkouts);
-                for _ in 0..cycles {
+                let s0 = alloc_audit::thread_snapshot();
+                for _ in 0..200 {
                     cycle(&mut tile);
                 }
                 let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
-                let checkouts = scratch::thread_stats().checkouts - c0;
-                assert_eq!(allocs, 0, "warm {rows}x{cols} cycles allocated at {threads} thread(s)");
-                assert_eq!(checkouts, cycles, "{rows}x{cols} check-outs at {threads} thread(s)");
+                assert_eq!(
+                    allocs, 0,
+                    "warm {rows}x{cols} cycles (zero-shifted: {zero_shifted}) allocated at \
+                     {threads} thread(s)"
+                );
             });
         }
         assert!(tile.stats().pulses > 0, "the updates must fire");
@@ -252,9 +239,9 @@ fn tcam_search_and_kv_update_allocate_nothing_once_warm() {
 fn serving_lane_reads_cost_what_their_docs_say_once_warm() {
     let mut rng = Rng64::new(20);
     let window = |f: &mut dyn FnMut()| {
-        let (s0, c0) = (alloc_audit::thread_snapshot(), scratch::thread_stats().checkouts);
+        let s0 = alloc_audit::thread_snapshot();
         f();
-        (alloc_audit::thread_snapshot().since(s0).allocs, scratch::thread_stats().checkouts - c0)
+        alloc_audit::thread_snapshot().since(s0).allocs
     };
 
     // Recsys lane: the model owns its workspace.
@@ -264,24 +251,20 @@ fn serving_lane_reads_cost_what_their_docs_say_once_warm() {
     let mut sum = 0.0f32;
     let mut predict_all = || queries.iter().for_each(|q| sum += model.predict_query(q));
     predict_all();
-    assert_eq!(window(&mut predict_all), (0, 0), "64 warm RecModel::predict calls");
+    assert_eq!(window(&mut predict_all), 0, "64 warm RecModel::predict calls");
     assert!(sum.is_finite());
 
-    // Digital MLP lane: it owns its workspace, so a batch checks nothing
-    // out and allocates once per request — the score vector it returns.
+    // Digital MLP lane: it owns its workspace, so a batch allocates once
+    // per request — the score vector it returns.
     let layers = ideal_layers(&[16, 32, 10], &mut rng);
     let mut lane = DigitalBackend::from_layers("digital", layers, DigitalBackend::DEFAULT_MODEL);
     let payloads: Vec<Payload> = (0..16).map(|_| lane.make_payload(&mut rng)).collect();
     let batch: Vec<&Payload> = payloads.iter().collect();
     let mut out = Vec::new();
     lane.serve_payloads(&batch, &mut out);
-    assert_eq!(
-        window(&mut || lane.serve_payloads(&batch, &mut out)),
-        (16, 0),
-        "a 16-request batch"
-    );
+    assert_eq!(window(&mut || lane.serve_payloads(&batch, &mut out)), 16, "a 16-request batch");
 
-    // TCAM lane: hashing borrows its projections, the search nothing.
+    // TCAM lane: the memory owns the projections hashing stages.
     let mut kv =
         TcamKeyValueMemory::new(64, 16, 64, cells::cmos_16t(), TcamConfig::default(), &mut rng);
     let keys: Vec<Vec<f32>> =
@@ -292,7 +275,7 @@ fn serving_lane_reads_cost_what_their_docs_say_once_warm() {
     let mut hits = 0;
     let mut retrieve_all =
         || keys.iter().for_each(|key| hits += usize::from(kv.retrieve(key).0.is_some()));
-    assert_eq!(window(&mut retrieve_all), (0, 32), "32 warm TcamKeyValueMemory::retrieve calls");
+    assert_eq!(window(&mut retrieve_all), 0, "32 warm TcamKeyValueMemory::retrieve calls");
     assert_eq!(hits, 32);
 }
 
@@ -321,13 +304,11 @@ fn sharded_store_pool_batch_allocates_nothing_once_warm() {
     }
     for (threads, half) in [1, 2].into_iter().zip(measured.chunks(128)) {
         parallel::with_threads(threads, || {
-            let (s0, c0) = (alloc_audit::thread_snapshot(), scratch::thread_stats().checkouts);
+            let s0 = alloc_audit::thread_snapshot();
             let misses: u64 = half.chunks(16).map(|batch| store.pool_batch(batch).misses).sum();
             let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
-            let checkouts = scratch::thread_stats().checkouts - c0;
             assert!(misses > 0, "the window must exercise eviction");
             assert_eq!(allocs, 0, "warm pooled reads allocated at {threads} thread(s)");
-            assert_eq!(checkouts, 0, "the store owns its workspace at {threads} thread(s)");
         });
     }
 }
@@ -397,7 +378,7 @@ fn hot_kernels_allocate_nothing_once_warm() {
     let a = Matrix::random_uniform(16, 24, -1.0, 1.0, &mut rng);
     let b = Matrix::random_uniform(24, 8, -1.0, 1.0, &mut rng);
     let packed = PackedMatvec::pack(&Matrix::random_uniform(8, 16, -1.0, 1.0, &mut rng));
-    let model = RecModel::new(&recsys, &mut rng);
+    let mut model = RecModel::new(&recsys, &mut rng);
     let queries = enw_core::recsys::trace::TraceGenerator::new(&recsys, 1.0).batch(64, &mut rng);
     let memory = DifferentiableMemory::random(128, 32, &mut rng);
     let (w1, w2) = (word(&mut rng), word(&mut rng));

@@ -47,6 +47,8 @@ pub struct TcamKeyValueMemory {
     cam: TcamArray,
     /// Signature of the key in hand, reused across `retrieve`/`update`.
     sig: BitVec,
+    /// The key's hyperplane projections, staged while it is hashed.
+    projections: Vec<f32>,
     values: Vec<usize>,
     ages: Vec<u64>,
     capacity: usize,
@@ -73,6 +75,7 @@ impl TcamKeyValueMemory {
             lsh: RandomHyperplaneLsh::new(planes, dim, rng),
             cam: TcamArray::new(planes, tech, cfg),
             sig: BitVec::zeros(planes),
+            projections: vec![0.0; planes],
             values: Vec::new(),
             ages: Vec::new(),
             capacity,
@@ -97,7 +100,7 @@ impl TcamKeyValueMemory {
 
     /// Retrieves the nearest stored key (one parallel TCAM search).
     pub fn retrieve(&mut self, query: &[f32]) -> (Option<TcamRetrieval>, Cost) {
-        self.lsh.encode_into(query, &mut self.sig);
+        self.lsh.encode_into(query, &mut self.projections, &mut self.sig);
         let (hit, cost) = self.cam.search_nearest(&self.sig);
         let r = hit.map(|NearestHit { index, distance }| TcamRetrieval {
             value: self.values[index],
@@ -115,7 +118,7 @@ impl TcamKeyValueMemory {
     /// Returns the written slot and the hardware cost.
     pub fn update(&mut self, query: &[f32], value: usize) -> (usize, Cost) {
         self.clock += 1;
-        self.lsh.encode_into(query, &mut self.sig);
+        self.lsh.encode_into(query, &mut self.projections, &mut self.sig);
         let mut cost = Cost::zero();
         let retrieved = if self.values.is_empty() {
             None
@@ -162,6 +165,24 @@ mod tests {
         let mut v = vec![0.0; 8];
         v[hot] = 1.0;
         v
+    }
+
+    #[test]
+    fn owned_buffers_hold_no_stale_state() {
+        // A warm memory and a clone whose projections arrive full of NaN
+        // and whose signature all ones agree on every retrieval and update.
+        let mut rng = Rng64::new(5);
+        let mut m = mem(4, &mut rng);
+        m.update(&unit(0), 0);
+        let mut dirty = m.clone();
+        for label in 0..8 {
+            let key: Vec<f32> = (0..8).map(|_| rng.normal() as f32).collect();
+            dirty.projections.fill(f32::NAN);
+            dirty.sig = BitVec::from_bools(&[true; 128]);
+            assert_eq!(dirty.retrieve(&key), m.retrieve(&key));
+            dirty.projections.fill(f32::NAN);
+            assert_eq!(dirty.update(&key, label % 3), m.update(&key, label % 3));
+        }
     }
 
     #[test]

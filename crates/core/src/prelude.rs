@@ -24,9 +24,6 @@ pub use crate::tunable::{
 
 pub use enw_numerics::rng::Rng64;
 
-pub use enw_parallel::scratch::{self, take_bits, take_f32, take_usize};
-pub use enw_parallel::scratch::{ScratchBits, ScratchF32, ScratchUsize};
-
 pub use enw_nn::backend::{DigitalLinear, LinearBackend};
 pub use enw_nn::error::NnError;
 pub use enw_nn::mlp::{Mlp, SgdConfig, SgdConfigBuilder};

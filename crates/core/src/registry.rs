@@ -123,7 +123,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "E18",
             paper_anchor: "Methodology (memory discipline)",
-            claim: "Scratch-pooled `_into` kernels cut steady-state allocations per inference >=90% on all four lanes and the serving loop runs allocation-free per request, outputs bit-identical to the allocating APIs",
+            claim: "`_into` kernels over owned workspaces cut steady-state allocations per inference >=90% on all four lanes and the serving loop runs allocation-free per request, outputs bit-identical to the allocating APIs",
             binary: "exp18_alloc_audit",
         },
         Experiment {

@@ -65,6 +65,9 @@ pub struct TikiTakaTile {
     cfg: TikiTakaConfig,
     update_counter: u64,
     next_col: usize,
+    /// A's forward or backward read, `max(in_dim, out_dim)` long;
+    /// transient (fully overwritten before use).
+    line: Vec<f32>,
 }
 
 impl TikiTakaTile {
@@ -81,7 +84,8 @@ impl TikiTakaTile {
         let mut a = AnalogTile::new(out_dim, in_dim, spec, tile_cfg, rng);
         a.calibrate_zero_shift(cfg.calibration_pairs);
         let c = AnalogTile::new(out_dim, in_dim, spec, tile_cfg, rng);
-        TikiTakaTile { a, c, cfg, update_counter: 0, next_col: 0 }
+        let line = vec![0.0; in_dim.max(out_dim)];
+        TikiTakaTile { a, c, cfg, update_counter: 0, next_col: 0, line }
     }
 
     /// Write-verify programs the *main* array's effective weights.
@@ -148,8 +152,8 @@ impl LinearBackend for TikiTakaTile {
 
     fn forward_into(&mut self, x: &[f32], out: &mut [f32]) {
         self.c.forward_into(x, out);
-        let mut ya = enw_parallel::scratch::take_f32(out.len());
-        self.a.forward_into(x, &mut ya);
+        let ya = &mut self.line[..out.len()];
+        self.a.forward_into(x, ya);
         // `y = yc + γ·ya`, same term order as the allocating zip/map this
         // replaces, so the bits match.
         for (o, a) in out.iter_mut().zip(ya.iter()) {
@@ -159,8 +163,8 @@ impl LinearBackend for TikiTakaTile {
 
     fn backward_into(&mut self, delta: &[f32], out: &mut [f32]) {
         self.c.backward_into(delta, out);
-        let mut da = enw_parallel::scratch::take_f32(out.len());
-        self.a.backward_into(delta, &mut da);
+        let da = &mut self.line[..out.len()];
+        self.a.backward_into(delta, da);
         for (o, a) in out.iter_mut().zip(da.iter()) {
             *o += self.cfg.gamma * a;
         }
@@ -197,6 +201,20 @@ mod tests {
             TikiTakaConfig::default(),
             &mut rng,
         )
+    }
+
+    #[test]
+    fn the_line_holds_no_stale_state() {
+        // A warm pair and a clone whose line arrives full of NaN agree
+        // bit for bit on both reads.
+        let mut t = tt(9);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        t.forward(&[0.4, -0.3]);
+        let mut dirty = t.clone();
+        dirty.line.fill(f32::NAN);
+        assert_eq!(bits(&dirty.forward(&[0.4, -0.3])), bits(&t.forward(&[0.4, -0.3])));
+        dirty.line.fill(f32::NAN);
+        assert_eq!(bits(&dirty.backward(&[0.2, 0.5])), bits(&t.backward(&[0.2, 0.5])));
     }
 
     #[test]

@@ -193,10 +193,17 @@ pub struct AnalogTile {
     /// The column-side line buffer, `in_dim + 1` long: the
     /// bias-augmented drive `[x; bias_drive]` of a forward read or an
     /// update, or the column currents of a transposed read — a cycle
-    /// needs one of them at a time. Owned so a read touches no
-    /// thread-local pool; transient (fully overwritten before use) and
-    /// excluded from checkpoints.
+    /// needs one of them at a time. Owned so a cycle allocates nothing;
+    /// transient (fully overwritten before use) and excluded from
+    /// checkpoints.
     line: Vec<f32>,
+    /// The zero-shift reference's transposed product `Rᵀ · d`, `in_dim +
+    /// 1` long once a calibrated tile has run a backward read; zeroed
+    /// per read, since it accumulates.
+    ref_line: Vec<f32>,
+    /// The stochastic update's pulse masks, stream seeds and active
+    /// lines; cleared and resized per update, since the masks are OR-ed.
+    staging: Vec<u64>,
 }
 
 /// The integer form of a Bernoulli(`p`) draw for `p` in `(0, 1]`:
@@ -252,6 +259,8 @@ impl AnalogTile {
             rng: rng.fork(),
             stats: TileStats::default(),
             line: vec![0.0; in_dim + 1],
+            ref_line: Vec::new(),
+            staging: Vec::new(),
         }
     }
 
@@ -353,10 +362,12 @@ impl AnalogTile {
     /// [`sub_reference_matvec`](AnalogTile::sub_reference_matvec):
     /// subtracts `Rᵀ · d` from `y` in place, walking rows in ascending
     /// order like the serial reference read.
-    fn sub_reference_matvec_t(&self, d: &[f32], y: &mut [f32]) {
+    fn sub_reference_matvec_t(&mut self, d: &[f32], y: &mut [f32]) {
         if let Some(r) = &self.reference {
             let cols = self.array.cols();
-            let mut refp = enw_parallel::scratch::take_f32(cols);
+            let refp = &mut self.ref_line;
+            refp.clear();
+            refp.resize(cols, 0.0);
             for (row, di) in d.iter().enumerate() {
                 for (c, out) in refp.iter_mut().enumerate() {
                     *out += r[row * cols + c] * di;
@@ -391,15 +402,17 @@ impl AnalogTile {
         // yields the SGD step: E[Δw_ij] = −lr·d_i·x_j.
         let amp = (lr / (bl as f32 * self.dw_avg)).sqrt();
         let (rows, cols, bl) = (delta.len(), xa.len(), bl as usize);
-        // All staging is one zero-filled check-out, so a steady-state
-        // training step allocates nothing here and every mask starts
-        // clear: per row a step mask (bit `s` set: the row fired on
-        // step `s`), per step a column bitset, per row a stream seed,
-        // and the active lines as dense `[index, threshold]` pairs.
+        // All staging is the tile's one buffer, zero-filled here, so a
+        // steady-state training step allocates nothing and every mask
+        // starts clear: per row a step mask (bit `s` set: the row fired
+        // on step `s`), per step a column bitset, per row a stream seed,
+        // and the active lines as dense `[index, threshold]` pairs. Taken,
+        // not borrowed: to the compiler a borrowed field's mask writes may
+        // alias the tile RNG (an 8 × 10 update took ~1.5× as long).
         let (mlimbs, climbs) = (bl.div_ceil(64), cols.div_ceil(64));
-        let mut staging = enw_parallel::scratch::take_bits(
-            rows * mlimbs + bl * climbs + rows + 2 * (rows + cols),
-        );
+        let mut staging = std::mem::take(&mut self.staging);
+        staging.clear();
+        staging.resize(rows * mlimbs + bl * climbs + rows + 2 * (rows + cols), 0);
         let (row_steps, rest) = staging.split_at_mut(rows * mlimbs);
         let (step_cols, rest) = rest.split_at_mut(bl * climbs);
         let (seeds, rest) = rest.split_at_mut(rows);
@@ -451,6 +464,7 @@ impl AnalogTile {
             fired
         });
         self.stats.pulses += pulses;
+        self.staging = staging;
     }
 
     fn update_mean_field(&mut self, delta: &[f32], xa: &[f32], lr: f32) {
@@ -590,6 +604,49 @@ mod tests {
     fn ideal_tile(out: usize, inp: usize, seed: u64) -> AnalogTile {
         let mut rng = Rng64::new(seed);
         AnalogTile::new(out, inp, &devices::ideal(2000), TileConfig::ideal(), &mut rng)
+    }
+
+    #[test]
+    fn owned_buffers_hold_no_stale_state() {
+        // A warm tile and a clone whose line buffers arrive full of NaN
+        // and whose staging arrives all ones agree bit for bit on every
+        // cycle: outputs, pulses, weights and the RNG stream. Plain and
+        // zero-shifted, under both update schemes; 69 inputs and the bias
+        // give the column bitsets a partial second limb.
+        fn soiled(t: &mut AnalogTile, dirty: bool) -> &mut AnalogTile {
+            if dirty {
+                t.line.fill(f32::NAN);
+                t.ref_line.fill(f32::NAN);
+                t.staging.fill(u64::MAX);
+            }
+            t
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for update in [UpdateScheme::StochasticPulse { bl: 31 }, UpdateScheme::MeanField] {
+            for zero_shifted in [false, true] {
+                let mut rng = Rng64::new(21);
+                let cfg = TileConfig::builder().update(update).build().expect("valid");
+                let mut tile = AnalogTile::new(6, 69, &devices::ecram(), cfg, &mut rng);
+                if zero_shifted {
+                    tile.calibrate_zero_shift(50);
+                }
+                let x: Vec<f32> = (0..69).map(|_| rng.uniform_f32() - 0.5).collect();
+                let d: Vec<f32> = (0..6).map(|_| rng.uniform_f32() - 0.5).collect();
+                // The dirty clone is soiled before each phase of a cycle.
+                let cycle = |t: &mut AnalogTile, dirty: bool| {
+                    let y = bits(&soiled(t, dirty).forward(&x));
+                    let dx = bits(&soiled(t, dirty).backward(&d));
+                    soiled(t, dirty).update(&d, &x, 0.05);
+                    (y, dx, bits(t.weights().as_slice()), t.stats(), t.rng_state())
+                };
+                tile.update(&d, &x, 0.05);
+                let mut dirty = tile.clone();
+                for _ in 0..3 {
+                    let (want, got) = (cycle(&mut tile, false), cycle(&mut dirty, true));
+                    assert_eq!(got, want, "{update:?}, zero-shifted: {zero_shifted}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -60,22 +60,23 @@ impl RandomHyperplaneLsh {
     /// Panics if the input width mismatches.
     pub fn encode(&self, x: &[f32]) -> BitVec {
         let mut sig = BitVec::zeros(self.planes());
-        self.encode_into(x, &mut sig);
+        self.encode_into(x, &mut vec![0.0; self.planes()], &mut sig);
         sig
     }
 
     /// [`encode`](RandomHyperplaneLsh::encode) into a caller-owned
-    /// signature (every bit of `sig` is overwritten): the projections live
-    /// in a scratch checkout, so a reused `sig` makes hashing
+    /// signature (every bit of `sig` is overwritten), the projections
+    /// staged in the caller's `projections` (`planes()` long, contents
+    /// ignored and overwritten): with both reused, hashing is
     /// allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics if the input width or `sig.len() != planes()` mismatches.
-    pub fn encode_into(&self, x: &[f32], sig: &mut BitVec) {
+    /// Panics if the input width, `projections.len()` or `sig.len()`
+    /// mismatches.
+    pub fn encode_into(&self, x: &[f32], projections: &mut [f32], sig: &mut BitVec) {
         assert_eq!(sig.len(), self.planes(), "signature width mismatch");
-        let mut projections = enw_parallel::scratch::take_f32(self.planes());
-        self.planes.matvec_into(x, &mut projections);
+        self.planes.matvec_into(x, projections);
         sig.assign(projections.iter().map(|&p| p >= 0.0));
     }
 
@@ -107,7 +108,7 @@ mod tests {
         let mut sig = BitVec::from_bools(&[true; 130]);
         for _ in 0..4 {
             let x: Vec<f32> = (0..5).map(|_| rng.normal() as f32).collect();
-            lsh.encode_into(&x, &mut sig);
+            lsh.encode_into(&x, &mut [f32::NAN; 130], &mut sig);
             let signs: Vec<bool> =
                 lsh.planes.to_matrix().matvec(&x).iter().map(|&p| p >= 0.0).collect();
             assert_eq!(sig, BitVec::from_bools(&signs));

@@ -9,7 +9,7 @@
 
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
-use enw_numerics::vector::{self, softmax_into};
+use enw_numerics::vector::{self, softmax_in_place};
 
 /// Similarity measure used for content-based addressing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,16 +162,15 @@ impl DifferentiableMemory {
     }
 
     /// [`content_address`](DifferentiableMemory::content_address) into a
-    /// caller-owned buffer (`out` is fully overwritten); the intermediate
-    /// similarity scores live in thread-local scratch.
+    /// caller-owned buffer (`out` is fully overwritten): the similarity
+    /// scores are written into `out` and turned into weights there.
     ///
     /// # Panics
     ///
     /// Panics if the query width or output length mismatches.
     pub fn content_address_into(&self, query: &[f32], sim: Similarity, beta: f32, out: &mut [f32]) {
-        let mut scores = enw_parallel::scratch::take_f32(self.slots());
-        self.similarities_into(query, sim, &mut scores);
-        softmax_into(&scores, beta, out);
+        self.similarities_into(query, sim, out);
+        softmax_in_place(out, beta);
     }
 
     /// Soft read `r = wᵀ·M`: every slot contributes per its attention
@@ -217,13 +216,6 @@ impl DifferentiableMemory {
             }
         }
     }
-
-    /// Index of the best-matching slot under `sim` (ties → lowest index).
-    pub fn nearest(&self, query: &[f32], sim: Similarity) -> usize {
-        let mut scores = enw_parallel::scratch::take_f32(self.slots());
-        self.similarities_into(query, sim, &mut scores);
-        vector::argmax(&scores)
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +248,7 @@ mod tests {
             Similarity::NegL2,
             Similarity::NegLinf,
         ] {
-            assert_eq!(m.nearest(&[0.9, 0.0], sim), 0, "{sim:?}");
+            assert_eq!(vector::argmax(&m.similarities(&[0.9, 0.0], sim)), 0, "{sim:?}");
         }
     }
 

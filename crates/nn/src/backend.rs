@@ -99,10 +99,20 @@ pub trait LinearBackend {
 /// let z = lin.forward(&[0.1, -0.2, 0.3]);
 /// assert_eq!(z.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DigitalLinear {
     weights: Matrix, // out_dim x (in_dim + 1)
     in_dim: usize,
+    /// The `in_dim + 1` line: `[x; 1]` of a forward read or an update,
+    /// or a backward read's full transposed product. Transient (every
+    /// cycle overwrites what it reads), so it takes no part in equality.
+    line: Vec<f32>,
+}
+
+impl PartialEq for DigitalLinear {
+    fn eq(&self, other: &Self) -> bool {
+        self.weights == other.weights && self.in_dim == other.in_dim
+    }
 }
 
 impl DigitalLinear {
@@ -113,7 +123,7 @@ impl DigitalLinear {
         for r in 0..out_dim {
             weights.set(r, in_dim, 0.0); // zero bias column
         }
-        DigitalLinear { weights, in_dim }
+        DigitalLinear { weights, in_dim, line: vec![0.0; in_dim + 1] }
     }
 
     /// Creates a layer from an explicit weight matrix
@@ -125,7 +135,7 @@ impl DigitalLinear {
     pub fn from_weights(weights: Matrix) -> Self {
         assert!(weights.cols() >= 2, "weight matrix needs at least one input and a bias column");
         let in_dim = weights.cols() - 1;
-        DigitalLinear { weights, in_dim }
+        DigitalLinear { weights, in_dim, line: vec![0.0; in_dim + 1] }
     }
 
     /// Replaces the stored weights (shape-checked). Used by
@@ -143,20 +153,17 @@ impl DigitalLinear {
         );
         self.weights = weights;
     }
-}
 
-/// Checks out a scratch buffer holding `[x; 1]` — the bias-augmented
-/// input every backend drives its weight matrix with.
-///
-/// # Panics
-///
-/// Panics if `x.len() != in_dim`.
-pub(crate) fn augmented_scratch(x: &[f32], in_dim: usize) -> enw_parallel::scratch::ScratchF32 {
-    assert_eq!(x.len(), in_dim, "input dimension mismatch");
-    let mut xa = enw_parallel::scratch::take_f32(in_dim + 1);
-    xa[..in_dim].copy_from_slice(x);
-    xa[in_dim] = 1.0;
-    xa
+    /// Loads the line with the bias-augmented input `[x; 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != in_dim`.
+    fn load_augmented(&mut self, x: &[f32]) {
+        assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
+        self.line[..self.in_dim].copy_from_slice(x);
+        self.line[self.in_dim] = 1.0;
+    }
 }
 
 impl LinearBackend for DigitalLinear {
@@ -169,21 +176,20 @@ impl LinearBackend for DigitalLinear {
     }
 
     fn forward_into(&mut self, x: &[f32], out: &mut [f32]) {
-        let xa = augmented_scratch(x, self.in_dim);
-        self.weights.matvec_into(&xa, out);
+        self.load_augmented(x);
+        self.weights.matvec_into(&self.line, out);
     }
 
     fn backward_into(&mut self, delta: &[f32], out: &mut [f32]) {
         assert_eq!(out.len(), self.in_dim, "gradient output dimension mismatch");
-        let mut full = enw_parallel::scratch::take_f32(self.weights.cols());
-        self.weights.matvec_t_into(delta, &mut full);
-        out.copy_from_slice(&full[..self.in_dim]);
+        self.weights.matvec_t_into(delta, &mut self.line);
+        out.copy_from_slice(&self.line[..self.in_dim]);
     }
 
     fn update(&mut self, delta: &[f32], x: &[f32], lr: f32) {
-        let xa = augmented_scratch(x, self.in_dim);
+        self.load_augmented(x);
         // Gradient descent: W -= lr * dL/dz * x^T, so scale is -lr.
-        self.weights.rank1_update(delta, &xa, -lr);
+        self.weights.rank1_update(delta, &self.line, -lr);
     }
 
     fn weights(&self) -> Matrix {
@@ -220,6 +226,26 @@ mod tests {
         assert!((snap.at(0, 0) + 0.1).abs() < 1e-6);
         assert!((snap.at(0, 1) + 0.2).abs() < 1e-6);
         assert!((snap.at(0, 2) + 0.1).abs() < 1e-6); // bias sees x=1
+    }
+
+    #[test]
+    fn the_line_holds_no_stale_state() {
+        // A warm layer and a clone whose line arrives full of NaN agree
+        // bit for bit on every cycle; equality ignores the line.
+        let mut lin = DigitalLinear::new(5, 3, &mut Rng64::new(4));
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (x, d) = ([0.3, -0.1, 0.7, 0.0, -0.4], [0.2, -0.5, 0.1]);
+        lin.forward(&x);
+        let mut dirty = lin.clone();
+        dirty.line.fill(f32::NAN);
+        assert_eq!(dirty, lin);
+        assert_eq!(bits(&dirty.forward(&x)), bits(&lin.forward(&x)));
+        dirty.line.fill(f32::NAN);
+        assert_eq!(bits(&dirty.backward(&d)), bits(&lin.backward(&d)));
+        dirty.line.fill(f32::NAN);
+        dirty.update(&d, &x, 0.1);
+        lin.update(&d, &x, 0.1);
+        assert_eq!(bits(dirty.weights().as_slice()), bits(lin.weights().as_slice()));
     }
 
     #[test]

@@ -75,8 +75,8 @@ impl<B: LinearBackend> DenseLayer<B> {
     }
 
     /// Inference-only forward pass into a caller-owned buffer (`out` is
-    /// fully overwritten; no caching, no allocation beyond what the
-    /// backend borrows from scratch pools).
+    /// fully overwritten; no caching and, on a warm backend, no
+    /// allocation).
     ///
     /// # Panics
     ///

@@ -96,6 +96,11 @@ impl SgdConfigBuilder {
 #[derive(Debug, Clone)]
 pub struct Mlp<B> {
     layers: Vec<DenseLayer<B>>,
+    /// [`predict_into`](Mlp::predict_into)'s two ping-pong halves, each
+    /// as wide as the widest hidden layer; grown on first use.
+    workspace: Vec<f32>,
+    /// [`classify`](Mlp::classify)'s logits.
+    logits: Vec<f32>,
 }
 
 impl Mlp<DigitalLinear> {
@@ -118,7 +123,7 @@ impl Mlp<DigitalLinear> {
                 DenseLayer::new(DigitalLinear::new(w[0], w[1], rng), act)
             })
             .collect();
-        Mlp { layers }
+        Mlp::from_layers(layers)
     }
 
     /// The read-only image of this stack as it stands: every layer's
@@ -230,7 +235,7 @@ impl<B: LinearBackend> Mlp<B> {
         for pair in layers.windows(2) {
             assert_eq!(pair[0].out_dim(), pair[1].in_dim(), "layer dimensions do not chain");
         }
-        Mlp { layers }
+        Mlp { layers, workspace: Vec::new(), logits: Vec::new() }
     }
 
     /// Input dimension.
@@ -263,36 +268,42 @@ impl<B: LinearBackend> Mlp<B> {
 
     /// Inference forward pass into a caller-owned logits buffer (`out`
     /// is fully overwritten). Per-layer activations ping-pong through
-    /// two persistent workspaces borrowed from the thread-local scratch
-    /// pool, so a warm steady-state call performs no heap allocation.
+    /// the two halves of a workspace the stack owns, so a warm call
+    /// performs no heap allocation.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim()` or `out.len() != out_dim()`.
     pub fn predict_into(&mut self, x: &[f32], out: &mut [f32]) {
-        let last = self.layers.len() - 1;
+        let Mlp { layers, workspace, .. } = self;
+        let last = layers.len() - 1;
         if last == 0 {
-            return self.layers[0].infer_into(x, out);
+            return layers[0].infer_into(x, out);
         }
-        let widest = self.layers[..last].iter().map(|l| l.out_dim()).max().unwrap_or(1);
-        let mut cur = enw_parallel::scratch::take_f32(widest);
-        let mut nxt = enw_parallel::scratch::take_f32(widest);
-        let mut cur_len = self.layers[0].out_dim();
-        self.layers[0].infer_into(x, &mut cur[..cur_len]);
-        for i in 1..last {
-            let w = self.layers[i].out_dim();
-            self.layers[i].infer_into(&cur[..cur_len], &mut nxt[..w]);
+        let widest = layers[..last].iter().map(|l| l.out_dim()).max().unwrap_or(1);
+        if workspace.len() < 2 * widest {
+            workspace.resize(2 * widest, 0.0);
+        }
+        let (mut cur, mut nxt) = workspace[..2 * widest].split_at_mut(widest);
+        let mut cur_len = layers[0].out_dim();
+        layers[0].infer_into(x, &mut cur[..cur_len]);
+        for layer in &mut layers[1..last] {
+            let w = layer.out_dim();
+            layer.infer_into(&cur[..cur_len], &mut nxt[..w]);
             std::mem::swap(&mut cur, &mut nxt);
             cur_len = w;
         }
-        self.layers[last].infer_into(&cur[..cur_len], out);
+        layers[last].infer_into(&cur[..cur_len], out);
     }
 
     /// Predicted class label.
     pub fn classify(&mut self, x: &[f32]) -> usize {
-        let mut logits = enw_parallel::scratch::take_f32(self.out_dim());
+        let mut logits = std::mem::take(&mut self.logits);
+        logits.resize(self.out_dim(), 0.0);
         self.predict_into(x, &mut logits);
-        argmax(&logits)
+        let label = argmax(&logits);
+        self.logits = logits;
+        label
     }
 
     /// One SGD step on a single `(x, label)` pair; returns the sample loss.
@@ -397,6 +408,23 @@ mod tests {
         mlp.train_sgd(&data.train, &SgdConfig { epochs: 15, learning_rate: 0.05 }, &mut rng);
         let acc = mlp.evaluate(&data.test);
         assert!(acc > 0.9, "accuracy {acc}");
+    }
+
+    #[test]
+    fn owned_workspaces_hold_no_stale_state() {
+        // A warm stack and a clone whose workspaces arrive full of NaN
+        // agree bit for bit.
+        let mut rng = Rng64::new(5);
+        let mut mlp = Mlp::digital(&[6, 9, 12, 4], Activation::Relu, &mut rng);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (x, y) = ([0.3, -0.2, 0.1, 0.9, -0.7, 0.0], [-0.4, 0.5, 0.2, -0.1, 0.6, 0.8]);
+        mlp.classify(&x);
+        let mut dirty = mlp.clone();
+        dirty.workspace.fill(f32::NAN);
+        assert_eq!(bits(&dirty.predict(&y)), bits(&mlp.predict(&y)));
+        dirty.workspace.fill(f32::NAN);
+        dirty.logits.fill(f32::NAN);
+        assert_eq!(dirty.classify(&x), mlp.classify(&x));
     }
 
     #[test]

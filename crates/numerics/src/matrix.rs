@@ -38,7 +38,6 @@
 
 use crate::rng::Rng64;
 use crate::scan::scan_rows;
-use std::ops::Range;
 
 /// The shared zero-coefficient skip rule (see the module docs): a term
 /// is dropped when its coefficient is exactly `±0.0`. Every product
@@ -294,7 +293,7 @@ impl Matrix {
 
     /// [`matvec`](Matrix::matvec) into a caller-owned output buffer
     /// (`y` is fully overwritten). This is the allocation-free form hot
-    /// loops use with `enw_parallel::scratch` workspaces.
+    /// loops use with buffers they own.
     ///
     /// Runs on the rows-abreast scan driver (`scan.rs`, which documents
     /// the rule) as its plain dot fold: each `y[r]` is the single
@@ -456,15 +455,16 @@ impl Matrix {
     /// Cache-blocked, register-tiled product into the row-major `out`.
     ///
     /// Walks `B` in `MATMUL_KC × MATMUL_NC` panels so a panel stays
-    /// cache-resident, and computes each panel through the
-    /// [`MATMUL_MR`]`×`[`MATMUL_NR`] register microkernel
-    /// ([`matmul_microkernel_mr_nr`](Matrix::matmul_microkernel_mr_nr)):
-    /// the accumulator tile lives in locals across the whole k-panel, so
-    /// output traffic drops from once per `k` step to once per panel and
-    /// every `B` row load is reused by `MATMUL_MR` output rows. Row and
-    /// column remainders fall back to the per-term axpy path. Every path
-    /// accumulates each output element in ascending-`k` order with the
-    /// shared zero-skip rule, so the result is bitwise equal to
+    /// cache-resident, and computes each panel through a
+    /// [`MATMUL_MR`]`×`[`MATMUL_NR`] register microkernel: the
+    /// accumulator tile is loaded from the output once, folded over the
+    /// whole k-panel in locals by [`tile_fold`] with the zero skip
+    /// compiled in, and stored back once, so output traffic drops from
+    /// once per `k` step to once per panel and every `B` row load is
+    /// reused by `MATMUL_MR` output rows. Row and column remainders fall
+    /// back to the per-term axpy path. Every path accumulates each output
+    /// element in ascending-`k` order with the shared zero-skip rule, so
+    /// the result is bitwise equal to
     /// [`matmul_naive_into`](Matrix::matmul_naive_into). (A packed-`Bᵀ`
     /// dot-product formulation was measured ~2.5× *slower* here: the
     /// per-term zero-skip branch defeats autovectorization of dot
@@ -473,113 +473,57 @@ impl Matrix {
         let k = self.cols;
         let n = other.cols;
         let nrows = self.rows;
+        // Rows past the last full register tile run per term.
+        let tiled = nrows - nrows % MATMUL_MR;
         let b = &other.data;
+        // One full-NR strip of a k-panel, NR-contiguous per k step
+        // (8 KiB on the stack): the microkernel's k-loop then streams it
+        // sequentially instead of striding by `n` per step. Values are
+        // copied verbatim and consumed in the identical (kk, j) order, so
+        // the result stays bitwise equal to the unpacked kernel.
+        let mut strip = [0.0f32; MATMUL_KC * MATMUL_NR];
         let mut jb = 0;
         while jb < n {
             let je = (jb + MATMUL_NC).min(n);
-            let nstrips = (je - jb) / MATMUL_NR;
+            // End of the panel's full-NR strips.
+            let js = jb + (je - jb) / MATMUL_NR * MATMUL_NR;
             let mut kb = 0;
             while kb < k {
                 let ke = (kb + MATMUL_KC).min(k);
-                let kc = ke - kb;
-                // Pack the panel's full-NR strips into thread-local
-                // scratch, NR-contiguous per k step: the microkernel's
-                // k-loop then streams the panel sequentially instead of
-                // striding by `n` per step. Values are copied verbatim
-                // and consumed in the identical (kk, j) order, so the
-                // result stays bitwise equal to the unpacked kernel.
-                let pack_len = if nrows >= MATMUL_MR { nstrips * kc * MATMUL_NR } else { 0 };
-                let mut pack_guard = None;
-                if pack_len > 0 {
-                    let mut g = enw_parallel::scratch::take_f32(pack_len);
-                    for s in 0..nstrips {
-                        let j0 = jb + s * MATMUL_NR;
-                        let panel = &mut g[s * kc * MATMUL_NR..(s + 1) * kc * MATMUL_NR];
-                        for (kk, dst) in (kb..ke).zip(panel.chunks_exact_mut(MATMUL_NR)) {
-                            dst.copy_from_slice(&b[kk * n + j0..kk * n + j0 + MATMUL_NR]);
+                let packed = &mut strip[..(ke - kb) * MATMUL_NR];
+                for j in (jb..js).step_by(MATMUL_NR) {
+                    for (kk, dst) in (kb..ke).zip(packed.chunks_exact_mut(MATMUL_NR)) {
+                        dst.copy_from_slice(&b[kk * n + j..kk * n + j + MATMUL_NR]);
+                    }
+                    for i in (0..tiled).step_by(MATMUL_MR) {
+                        let a = std::array::from_fn(|r| &self.data[(i + r) * k..][kb..ke]);
+                        let mut acc = [[0.0f32; MATMUL_NR]; MATMUL_MR];
+                        for (r, accr) in acc.iter_mut().enumerate() {
+                            accr.copy_from_slice(&out[(i + r) * n + j..][..MATMUL_NR]);
+                        }
+                        let acc = tile_fold::<MATMUL_MR, MATMUL_NR, true>(a, packed, acc);
+                        for (r, accr) in acc.iter().enumerate() {
+                            out[(i + r) * n + j..][..MATMUL_NR].copy_from_slice(accr);
                         }
                     }
-                    pack_guard = Some(g);
                 }
-                let packed: &[f32] = pack_guard.as_deref().unwrap_or(&[]);
-                let mut i = 0;
-                while i + MATMUL_MR <= nrows {
-                    self.matmul_microkernel_mr_nr(b, packed, out, i, kb..ke, jb..je, n);
-                    i += MATMUL_MR;
-                }
-                // Row remainder (< MR rows): per-term axpy, same
-                // ascending-k order per output element.
-                while i < nrows {
+                // Column remainder (< NR wide) of the tiled rows and the
+                // row remainder (< MR rows) across the panel: per-term
+                // axpy, same ascending-k order per output element.
+                let tails = (0..tiled).map(|i| (i, js)).chain((tiled..nrows).map(|i| (i, jb)));
+                for (i, j0) in tails.filter(|&(_, j0)| j0 < je) {
                     let arow = &self.data[i * k..(i + 1) * k];
-                    let orow = &mut out[i * n + jb..i * n + je];
+                    let orow = &mut out[i * n + j0..i * n + je];
                     for kk in kb..ke {
                         let av = arow[kk];
                         if !skip_zero_coeff(av) {
-                            axpy_row(orow, av, &b[kk * n + jb..kk * n + je]);
+                            axpy_row(orow, av, &b[kk * n + j0..kk * n + je]);
                         }
                     }
-                    i += 1;
                 }
                 kb = ke;
             }
             jb = je;
-        }
-    }
-
-    /// The register microkernel: accumulates the `MATMUL_MR × MATMUL_NR`
-    /// output tile at row `i` over the k-panel `ks`, one
-    /// `MATMUL_NR`-wide column strip of `js` at a
-    /// time. Full strips read the k-panel from `packed` (the caller's
-    /// NR-contiguous copy of `B`'s panel — see
-    /// [`matmul_blocked_into`](Matrix::matmul_blocked_into)); the column
-    /// remainder reads `b` directly. The accumulator tile is loaded from
-    /// the output once per strip, folded over the whole panel by
-    /// [`tile_fold`] with the zero skip compiled in, and stored back
-    /// once. Per output element the term order is ascending `k` with the
-    /// per-coefficient zero skip — exactly the naive kernel's fold, so
-    /// the bits match.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn matmul_microkernel_mr_nr(
-        &self,
-        b: &[f32],
-        packed: &[f32],
-        out: &mut [f32],
-        i: usize,
-        ks: Range<usize>,
-        js: Range<usize>,
-        n: usize,
-    ) {
-        let k = self.cols;
-        let kc = ks.end - ks.start;
-        let a: [&[f32]; MATMUL_MR] =
-            std::array::from_fn(|r| &self.data[(i + r) * k + ks.start..(i + r) * k + ks.end]);
-        let mut j = js.start;
-        let mut strip = 0;
-        while j + MATMUL_NR <= js.end {
-            let panel = &packed[strip * kc * MATMUL_NR..(strip + 1) * kc * MATMUL_NR];
-            let mut acc = [[0.0f32; MATMUL_NR]; MATMUL_MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                accr.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + MATMUL_NR]);
-            }
-            let acc = tile_fold::<MATMUL_MR, MATMUL_NR, true>(a, panel, acc);
-            for (r, accr) in acc.iter().enumerate() {
-                out[(i + r) * n + j..(i + r) * n + j + MATMUL_NR].copy_from_slice(accr);
-            }
-            j += MATMUL_NR;
-            strip += 1;
-        }
-        // Column remainder (< NR wide): per-term axpy on the tail strip,
-        // still ascending k per element.
-        if j < js.end {
-            for (r, arow) in a.into_iter().enumerate() {
-                let orow = &mut out[(i + r) * n + j..(i + r) * n + js.end];
-                for (kk, &av) in (ks.start..ks.end).zip(arow) {
-                    if !skip_zero_coeff(av) {
-                        axpy_row(orow, av, &b[kk * n + j..kk * n + js.end]);
-                    }
-                }
-            }
         }
     }
 

@@ -119,23 +119,34 @@ pub fn softmax(logits: &[f32], beta: f32) -> Vec<f32> {
 }
 
 /// [`softmax`] into a caller-owned buffer (`out` is fully overwritten):
-/// exponentials accumulate into `out`, then one in-order sum and divide —
-/// bit-identical to the allocating form.
+/// the logits copied in, then [`softmax_in_place`] — bit-identical to
+/// the allocating form.
 ///
 /// # Panics
 ///
 /// Panics if `logits` is empty, `beta` is not finite, or the lengths
 /// mismatch.
 pub fn softmax_into(logits: &[f32], beta: f32, out: &mut [f32]) {
-    assert!(!logits.is_empty(), "softmax over empty slice");
-    assert!(beta.is_finite(), "softmax temperature must be finite");
     assert_eq!(out.len(), logits.len(), "softmax output length mismatch");
-    let max = logits.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(beta * x));
-    for (e, &x) in out.iter_mut().zip(logits) {
-        *e = (beta * x - max).exp();
+    out.copy_from_slice(logits);
+    softmax_in_place(out, beta);
+}
+
+/// [`softmax`] over `xs` in place: the max of `beta · x`, then each
+/// exponential, one in-order sum and a divide.
+///
+/// # Panics
+///
+/// Panics if `xs` is empty or `beta` is not finite.
+pub fn softmax_in_place(xs: &mut [f32], beta: f32) {
+    assert!(!xs.is_empty(), "softmax over empty slice");
+    assert!(beta.is_finite(), "softmax temperature must be finite");
+    let max = xs.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(beta * x));
+    for e in xs.iter_mut() {
+        *e = (beta * *e - max).exp();
     }
-    let sum: f32 = out.iter().sum();
-    for e in out.iter_mut() {
+    let sum: f32 = xs.iter().sum();
+    for e in xs.iter_mut() {
         *e /= sum;
     }
 }

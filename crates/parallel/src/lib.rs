@@ -4,11 +4,10 @@
 //! pulse updates by row block, DLRM query blocks, design-space points —
 //! are data-parallel over an index range. This module runs such loops
 //! on a **persistent, lazily started worker
-//! pool** ([`pool`]): workers are spawned once on first use, park on a
-//! condvar between jobs, and keep their thread-local scratch pools warm,
-//! so the steady-state cost of a parallel section is an enqueue and an
-//! unpark — no thread spawn/join on the hot path. The runtime keeps a
-//! guarantee the numeric code depends on:
+//! pool** ([`pool`]): workers are spawned once on first use and park on
+//! a condvar between jobs, so the steady-state cost of a parallel
+//! section is an enqueue and an unpark — no thread spawn/join on the hot
+//! path. The runtime keeps a guarantee the numeric code depends on:
 //!
 //! **Determinism.** Work is split at *fixed chunk boundaries* derived
 //! only from the problem size and a caller-chosen chunk length — never
@@ -37,9 +36,16 @@
 //! loop on the calling thread — no pool interaction, no overhead. The
 //! same degeneration applies to parallel sections reached from *inside*
 //! a pool worker (nested parallelism runs serial inline; see [`pool`]).
+//!
+//! **No thread-local buffers.** A kernel's temporaries live in its
+//! holder or in the per-participant windows [`run_chunks_mut_with`]
+//! hands out.
+#![expect(
+    clippy::disallowed_macros,
+    reason = "the thread-count override and the pool-worker flag are per-thread by definition"
+)]
 
 pub mod pool;
-pub mod scratch;
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -97,26 +103,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Raw-pointer writer for per-chunk result slots. Sound because the
-/// static chunk deal gives every index to exactly one participant, and
-/// the owning `Vec` outlives the job (the pool blocks until all slots
-/// finish).
-struct SlotWriter<R>(*mut Option<R>);
-
-// SAFETY: distinct job slots write distinct indices; R crosses threads.
-unsafe impl<R: Send> Send for SlotWriter<R> {}
-unsafe impl<R: Send> Sync for SlotWriter<R> {}
-
-impl<R> SlotWriter<R> {
-    /// # Safety
-    ///
-    /// `idx` must be in bounds of the backing `Vec` and owned by exactly
-    /// one job slot, and the `Vec` must outlive the job.
-    unsafe fn write(&self, idx: usize, value: R) {
-        *self.0.add(idx) = Some(value);
-    }
-}
-
 /// Raw-pointer base for handing disjoint `&mut` windows of one slice to
 /// different job slots (the pointer equivalent of `chunks_mut`).
 struct DataPtr<T>(*mut T);
@@ -148,42 +134,6 @@ fn job_slots(nchunks: usize) -> usize {
     max_threads().min(nchunks).max(1)
 }
 
-/// Number of fixed-boundary chunks `0..n` splits into (`chunk` clamped
-/// to at least 1).
-fn chunk_count(n: usize, chunk: usize) -> usize {
-    n.div_ceil(chunk.max(1))
-}
-
-/// The one fan-out every public runner is a shell over: splits `0..n`
-/// at fixed `chunk` boundaries and runs `body(c, range)` exactly once
-/// per chunk `c`. With a single participant (one thread, one chunk, or
-/// a call from inside a pool worker) the chunks run inline in ascending
-/// order; otherwise chunk `c` is dealt to slot `c % slots` — a static
-/// deal, no stealing — over the persistent pool, which blocks until
-/// every slot is done. Allocation-free either way.
-fn deal_chunks<F>(n: usize, chunk: usize, body: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let chunk = chunk.max(1);
-    let nchunks = chunk_count(n, chunk);
-    let range = |c: usize| c * chunk..((c + 1) * chunk).min(n);
-    let slots = job_slots(nchunks);
-    if slots <= 1 {
-        for c in 0..nchunks {
-            body(c, range(c));
-        }
-        return;
-    }
-    pool::run_job(slots, &|slot| {
-        let mut c = slot;
-        while c < nchunks {
-            body(c, range(c));
-            c += slots;
-        }
-    });
-}
-
 /// Applies `f` to each fixed-boundary chunk of `0..n`, in parallel on
 /// the persistent pool, and returns the per-chunk results **in chunk
 /// order**.
@@ -197,11 +147,9 @@ where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
-    let mut results: Vec<Option<R>> = (0..chunk_count(n, chunk)).map(|_| None).collect();
-    let out = SlotWriter(results.as_mut_ptr());
-    // SAFETY: the dealer hands each chunk index in `0..results.len()` to
-    // exactly one participant, and `results` outlives the job.
-    deal_chunks(n, chunk, |c, range| unsafe { out.write(c, f(range)) });
+    let chunk = chunk.max(1);
+    let mut results: Vec<Option<R>> = (0..n.div_ceil(chunk)).map(|_| None).collect();
+    run_chunks_mut(&mut results, 1, |c, slot| slot[0] = Some(f(c * chunk..n.min((c + 1) * chunk))));
     results.into_iter().map(|r| r.expect("chunk not computed")).collect()
 }
 
@@ -233,9 +181,62 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let base = DataPtr(data.as_mut_ptr());
-    // SAFETY: as in `for_each_chunk_mut`.
-    deal_chunks(data.len(), chunk, |_, r| f(r.start, unsafe { base.window(r.start, r.len()) }));
+    run_chunks_mut_with(data, chunk, &mut Vec::<()>::new(), 0, |start, w, _| f(start, w));
+}
+
+/// The one dealer every runner above is a shell over: [`run_chunks_mut`]
+/// with a workspace. `data` is split at fixed `chunk` boundaries and
+/// each chunk runs exactly once. With a single participant (one thread,
+/// one chunk, or a call from inside a pool worker) the chunks run inline
+/// in ascending order; otherwise chunk `c` goes to participant
+/// `c % slots` — a static deal, no stealing — over the persistent pool,
+/// which blocks until every participant is done.
+///
+/// Each participant also gets its own `per_slot`-long window of the
+/// caller-owned `workspace`, which is grown (never shrunk) to one window
+/// per participant. A participant runs its chunks one after another, so
+/// a chunk may use the window as scratch, but must not read what an
+/// earlier chunk left there: which chunks share a window depends on the
+/// thread count. With a warm workspace the section allocates nothing.
+pub fn run_chunks_mut_with<T, W, F>(
+    data: &mut [T],
+    chunk: usize,
+    workspace: &mut Vec<W>,
+    per_slot: usize,
+    f: F,
+) where
+    T: Send,
+    W: Send + Default,
+    F: Fn(usize, &mut [T], &mut [W]) + Sync,
+{
+    let (n, chunk) = (data.len(), chunk.max(1));
+    let nchunks = n.div_ceil(chunk);
+    let slots = job_slots(nchunks);
+    // An overflowing length saturates to `usize::MAX` elements, which
+    // the resize refuses with a panic.
+    let len = slots.saturating_mul(per_slot);
+    if workspace.len() < len {
+        workspace.resize_with(len, W::default);
+    }
+    let (base, windows) = (DataPtr(data.as_mut_ptr()), DataPtr(workspace.as_mut_ptr()));
+    let run = |slot: usize, c: usize| {
+        let start = c * chunk;
+        // SAFETY: fixed chunk boundaries make the `data` windows disjoint
+        // and in bounds, and each chunk runs exactly once; participant
+        // `slot` runs its chunks one at a time and alone owns
+        // `workspace[slot * per_slot..][..per_slot]`, in bounds for every
+        // `slot < slots` after the resize above; both slices outlive the
+        // job.
+        let (window, ws) = unsafe {
+            (base.window(start, chunk.min(n - start)), windows.window(slot * per_slot, per_slot))
+        };
+        f(start, window, ws);
+    };
+    if slots <= 1 {
+        (0..nchunks).for_each(|c| run(0, c));
+    } else {
+        pool::run_job(slots, &|slot| (slot..nchunks).step_by(slots).for_each(|c| run(slot, c)));
+    }
 }
 
 #[cfg(test)]
@@ -311,6 +312,30 @@ mod tests {
                 });
             });
             assert_eq!(a, b, "thread count {t}");
+        }
+    }
+
+    #[test]
+    fn run_chunks_mut_with_hands_each_participant_its_own_window() {
+        // Five 7-long chunks, chunk `c` on participant `c % slots`: each
+        // records the window it got and leaves its start in it.
+        let mut workspace: Vec<u32> = Vec::new();
+        for (t, slots, grown) in [(1, 1, 1), (2, 2, 2), (3, 3, 3), (8, 5, 5), (2, 2, 5)] {
+            let mut data = vec![0usize; 31];
+            with_threads(t, || {
+                run_chunks_mut_with(&mut data, 7, &mut workspace, 4, |start, w, window| {
+                    window.fill(start as u32);
+                    w.fill(window.as_ptr() as usize);
+                });
+            });
+            assert_eq!(workspace.len(), 4 * grown, "grown to the widest deal, never shrunk");
+            for c in 0..5 {
+                let at = data[7 * c] - workspace.as_ptr() as usize;
+                let window = at / std::mem::size_of::<[u32; 4]>();
+                assert_eq!(window, c % slots, "chunk {c} at {t} thread(s)");
+                let last = (c..5).step_by(slots).next_back().unwrap_or(c);
+                assert_eq!(workspace[4 * window..][..4], [7 * last as u32; 4]);
+            }
         }
     }
 

@@ -6,9 +6,7 @@
 //! win on short kernels. This pool spawns each worker **once**, on first
 //! use, and parks it on a condvar between jobs, so the steady-state cost
 //! of a parallel section is one mutex-protected enqueue and one unpark per
-//! participating worker. Workers keep their thread-local scratch pools
-//! ([`crate::scratch`]) warm across jobs, which also removes the
-//! first-touch allocations the scoped runtime repaid on every call.
+//! participating worker, and no per-call spawn allocations.
 //!
 //! # Deterministic ownership
 //!

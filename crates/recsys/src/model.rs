@@ -105,7 +105,7 @@ impl EmbeddingTable {
 
     /// [`lookup_pool`](EmbeddingTable::lookup_pool) into a caller-owned
     /// buffer (`pooled` is fully overwritten) — the allocation-free form
-    /// the batched predictors drive with scratch workspaces.
+    /// the predictors drive with their own workspaces.
     ///
     /// # Panics
     ///
@@ -365,6 +365,10 @@ pub struct RecModel {
     /// One query's vectors and stack activations, reused by every
     /// [`predict`](RecModel::predict).
     workspace: Vec<f32>,
+    /// One window per participant of
+    /// [`predict_batch_into`](RecModel::predict_batch_into), each holding
+    /// a block's matrices; grown on first use.
+    block_windows: Vec<f32>,
 }
 
 impl RecModel {
@@ -388,7 +392,7 @@ impl RecModel {
         let vectors = (tables.len() + 1) * cfg.embedding_dim;
         let ping_pong = bottom.workspace_len(1).max(top.workspace_len(1));
         let workspace = vec![0.0f32; vectors + Self::dots_len(cfg) + ping_pong];
-        RecModel { cfg: cfg.clone(), bottom, tables, top, workspace }
+        RecModel { cfg: cfg.clone(), bottom, tables, top, workspace, block_windows: Vec::new() }
     }
 
     /// The model's random parameters in their fixed draw order: bottom
@@ -472,7 +476,7 @@ impl RecModel {
         dense: &[f32],
         pool: impl FnOnce(&[EmbeddingTable], &mut [f32]),
     ) -> f32 {
-        let RecModel { cfg, bottom, tables, top, workspace } = self;
+        let RecModel { cfg, bottom, tables, top, workspace, .. } = self;
         assert_eq!(dense.len(), cfg.dense_features, "dense feature count mismatch");
         let dim = cfg.embedding_dim;
         let mut rest = workspace.as_mut_slice();
@@ -548,10 +552,9 @@ impl RecModel {
     }
 
     /// Batched prediction, allocating the result; see
-    /// [`predict_batch_into`](RecModel::predict_batch_into), which needs
-    /// only `&self` (this wrapper keeps the receiver its callers were
-    /// written against). The returned CTRs are bit-identical to calling
-    /// [`RecModel::predict_query`] in a loop.
+    /// [`predict_batch_into`](RecModel::predict_batch_into). The returned
+    /// CTRs are bit-identical to calling [`RecModel::predict_query`] in a
+    /// loop.
     ///
     /// # Panics
     ///
@@ -574,47 +577,69 @@ impl RecModel {
     /// size; two or more blocks are dealt to the `enw_parallel` pool, one
     /// block (or any batch at one thread) runs in line.
     ///
-    /// `&self`: nothing in the model is consumed by a read, so every
-    /// thread works on the one set of weights; queries may be owned or
-    /// borrowed (`&[SparseQuery]`, `&[&SparseQuery]`). A warm call
-    /// allocates nothing.
+    /// Every thread reads the one set of weights; each participant
+    /// stages its blocks in its own window of a workspace the model owns
+    /// ([`enw_parallel::run_chunks_mut_with`]), so a warm call allocates
+    /// nothing. Queries may be owned or borrowed (`&[SparseQuery]`,
+    /// `&[&SparseQuery]`).
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != queries.len()` or any query's feature
     /// counts mismatch the configuration.
     pub fn predict_batch_into<Q: Borrow<SparseQuery> + Sync>(
-        &self,
+        &mut self,
         queries: &[Q],
         out: &mut [f32],
     ) {
         assert_eq!(out.len(), queries.len(), "one output slot per query");
-        enw_parallel::run_chunks_mut(out, BATCH_BLOCK, |start, ctrs| {
-            self.predict_block(&queries[start..start + ctrs.len()], ctrs);
-        });
+        let per_slot = self.block_len(queries.len().min(BATCH_BLOCK));
+        let mut windows = std::mem::take(&mut self.block_windows);
+        let block = |at: usize, ctrs: &mut [f32], ws: &mut [f32]| {
+            self.predict_block(&queries[at..at + ctrs.len()], ctrs, ws);
+        };
+        enw_parallel::run_chunks_mut_with(out, BATCH_BLOCK, &mut windows, per_slot, block);
+        self.block_windows = windows;
+    }
+
+    /// Workspace elements one block of `n` queries needs: its dense
+    /// features, latents and interaction rows, `DotPairwise`'s pooled
+    /// vectors, and the ping-pong halves the two stacks share.
+    fn block_len(&self, n: usize) -> usize {
+        let (features, dim) = (self.cfg.dense_features, self.cfg.embedding_dim);
+        let ping_pong = self.bottom.workspace_len(n).max(self.top.workspace_len(n));
+        n * (features + dim + Self::interaction_width(&self.cfg)) + self.pooled_len() + ping_pong
+    }
+
+    /// Length of a block's pooled vectors: `DotPairwise` pools each
+    /// query into them, `Concat` straight into the query's row.
+    fn pooled_len(&self) -> usize {
+        match self.cfg.interaction {
+            Interaction::Concat => 0,
+            Interaction::DotPairwise => self.tables.len() * self.cfg.embedding_dim,
+        }
     }
 
     /// One block of [`predict_batch_into`](RecModel::predict_batch_into):
     /// the bottom stack over the block's dense features, every query's
     /// gathers written into its row of the `block × interaction_width`
     /// matrix, the top stack over that matrix into `ctrs`, the sigmoid
-    /// in place — all in windows of one scratch check-out.
-    fn predict_block<Q: Borrow<SparseQuery>>(&self, queries: &[Q], ctrs: &mut [f32]) {
+    /// in place — all in windows of `rest` (at least
+    /// [`block_len`](RecModel::block_len) long, contents ignored and
+    /// overwritten).
+    fn predict_block<Q: Borrow<SparseQuery>>(
+        &self,
+        queries: &[Q],
+        ctrs: &mut [f32],
+        mut rest: &mut [f32],
+    ) {
         let RecModel { cfg, bottom, tables, top, .. } = self;
         let (n, features, dim) = (queries.len(), cfg.dense_features, cfg.embedding_dim);
         let width = Self::interaction_width(cfg);
-        let pooled_len = match cfg.interaction {
-            Interaction::Concat => 0, // pooled straight into the row
-            Interaction::DotPairwise => tables.len() * dim,
-        };
-        let ping_pong = bottom.workspace_len(n).max(top.workspace_len(n));
-        let mut checkout =
-            enw_parallel::scratch::take_f32(n * (features + dim + width) + pooled_len + ping_pong);
-        let mut rest = checkout.as_mut_slice();
         let dense = carve(&mut rest, n * features);
         let latents = carve(&mut rest, n * dim);
         let interacted = carve(&mut rest, n * width);
-        let pooled = carve(&mut rest, pooled_len);
+        let pooled = carve(&mut rest, self.pooled_len());
         for (row, q) in dense.chunks_exact_mut(features).zip(queries) {
             let q = q.borrow();
             assert_eq!(q.dense.len(), features, "dense feature count mismatch");
@@ -799,7 +824,7 @@ mod tests {
 
     /// The predictor before the stacks were frozen, kept as the
     /// reference: row-major `Mlp` stacks drawn as [`RecModel::new`] draws
-    /// them, every vector in its own scratch buffer.
+    /// them, every vector in its own buffer.
     struct RowMajorModel {
         cfg: RecModelConfig,
         bottom: Mlp<DigitalLinear>,
@@ -821,11 +846,10 @@ mod tests {
 
         fn predict_with_pooled(&mut self, dense: &[f32], pooled: &[Vec<f32>]) -> f32 {
             let dim = self.cfg.embedding_dim;
-            let mut dense_latent = enw_parallel::scratch::take_f32(dim);
+            let mut dense_latent = vec![0.0f32; dim];
             self.bottom.predict_into(dense, &mut dense_latent);
             let flat = pooled.concat();
-            let mut interacted =
-                enw_parallel::scratch::take_f32(RecModel::interaction_width(&self.cfg));
+            let mut interacted = vec![0.0f32; RecModel::interaction_width(&self.cfg)];
             match self.cfg.interaction {
                 Interaction::Concat => {
                     interacted[..dim].copy_from_slice(&dense_latent);
@@ -946,6 +970,30 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn block_windows_hold_no_stale_state() {
+        // A warm model and a clone whose windows arrive full of NaN agree
+        // bit for bit: four blocks, the last short, on 1, 2 and 4 windows.
+        for interaction in [Interaction::Concat, Interaction::DotPairwise] {
+            let mut rng = Rng64::new(12);
+            let cfg = RecModelConfig { interaction, ..tiny_cfg() };
+            let mut m = RecModel::new(&cfg, &mut rng);
+            let queries = crate::trace::TraceGenerator::new(&cfg, 1.05).batch(785, &mut rng);
+            for threads in [1usize, 2, 8] {
+                let run = |m: &mut RecModel| {
+                    let mut out = vec![0.0f32; queries.len()];
+                    enw_parallel::with_threads(threads, || {
+                        m.predict_batch_into(&queries, &mut out)
+                    });
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let (clean, mut dirty) = (run(&mut m), m.clone());
+                dirty.block_windows.fill(f32::NAN);
+                assert_eq!(run(&mut dirty), clean, "{interaction:?}, {threads} threads");
             }
         }
     }

@@ -494,11 +494,10 @@ mod tests {
 
     /// The forward pass before the layers were packed, kept as the
     /// reference: row-major `matvec_into`, ReLU between hidden layers,
-    /// two scratch buffers per request.
+    /// two buffers per request.
     fn row_major_forward(layers: &[Matrix], x: &[f32]) -> Vec<f32> {
         let widest = layers.iter().map(Matrix::rows).max().unwrap_or(1).max(x.len());
-        let mut cur = parallel::scratch::take_f32(widest);
-        let mut nxt = parallel::scratch::take_f32(widest);
+        let (mut cur, mut nxt) = (vec![0.0f32; widest], vec![0.0f32; widest]);
         cur[..x.len()].copy_from_slice(x);
         let mut len = x.len();
         let last = layers.len().saturating_sub(1);

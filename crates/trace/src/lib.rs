@@ -69,6 +69,10 @@
 //! assert_eq!(report.spans[0].work, 128);
 //! trace::set_mode(trace::TraceMode::Off);
 //! ```
+#![expect(
+    clippy::disallowed_macros,
+    reason = "recording is thread-local by design: each thread's recorder merges into the sink"
+)]
 
 pub mod histogram;
 pub mod recorder;

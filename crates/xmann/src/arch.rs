@@ -9,7 +9,7 @@
 
 use crate::cost::{Cost, XmannCostParams};
 use enw_mann::memory::DifferentiableMemory;
-use enw_numerics::vector::softmax_into;
+use enw_numerics::vector::softmax_in_place;
 
 /// Geometry of the tile hierarchy.
 ///
@@ -328,15 +328,15 @@ impl Xmann {
 
     /// [`content_address`](Xmann::content_address) into a caller-owned
     /// buffer (`out` is fully overwritten); returns the charged cost. The
-    /// similarity scores stage through thread-local scratch.
+    /// similarity scores are written into `out` and turned into weights
+    /// there.
     ///
     /// # Panics
     ///
     /// Panics if the query width or output length mismatches.
     pub fn content_address_into(&mut self, query: &[f32], beta: f32, out: &mut [f32]) -> Cost {
-        let mut sim = enw_parallel::scratch::take_f32(self.memory.slots());
-        let sim_cost = self.similarity_into(query, &mut sim);
-        softmax_into(&sim, beta, out);
+        let sim_cost = self.similarity_into(query, out);
+        softmax_in_place(out, beta);
         // Softmax: ~3 SFU ops per slot (exp, sum contribution, divide).
         let sfu = self.sfu_phase(3 * self.memory.slots());
         self.total += sfu;

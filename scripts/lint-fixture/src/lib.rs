@@ -14,6 +14,8 @@ pub fn raw_threads() {
     let _ = std::thread::Builder::new().spawn(|| {}); // lint: disallowed_methods
 }
 
+thread_local!(static SCRATCH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) }); // lint: disallowed_macros
+
 pub fn panics(x: Option<u32>, n: u32) -> u32 {
     let a = x.unwrap(); // lint: unwrap_used
     let b = x.expect("present"); // lint: expect_used

@@ -15,6 +15,7 @@ use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::matrix::Matrix;
 use enw_core::numerics::rng::Rng64;
+use enw_core::numerics::vector::argmax;
 use enw_core::recsys::model::EmbeddingTable;
 use proptest::prelude::*;
 
@@ -123,7 +124,7 @@ proptest! {
         mem.write_slot(0, &[1.0, 0.0, 0.0, 0.0]);
         mem.write_slot(1, &[0.0, 0.0, 1.0, 0.0]);
         mem.write_slot(2, &[0.0, 0.0, 0.0, -1.0]);
-        let before = mem.nearest(&q, Similarity::Cosine);
+        let before = argmax(&mem.similarities(&q, Similarity::Cosine));
         prop_assert_eq!(before, 0);
         let _ = rng.next_u64();
     }
