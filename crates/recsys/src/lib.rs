@@ -48,6 +48,7 @@ pub mod characterize;
 pub mod error;
 pub mod model;
 pub mod quantize;
+mod rows;
 pub mod sequence;
 pub mod serving;
 pub mod trace;

@@ -8,11 +8,11 @@
 //! click-through-rate.
 
 use crate::error::RecsysError;
+use crate::rows::AlignedRows;
 use crate::trace::SparseQuery;
 use enw_nn::activation::Activation;
 use enw_nn::mlp::{FrozenMlp, Mlp};
 use enw_nn::DigitalLinear;
-use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
 use std::borrow::Borrow;
 
@@ -23,10 +23,12 @@ use std::borrow::Borrow;
 /// shape.
 const BATCH_BLOCK: usize = 256;
 
-/// How many lookups ahead [`EmbeddingTable::lookup_pool`] prefetches.
-/// Swept on the reference host: 8 hides most of the random-row DRAM
-/// latency without evicting rows before use.
-const PF_DISTANCE: usize = 8;
+/// How many lookups ahead [`EmbeddingTable::gather_pool_into`]
+/// prefetches a row's lines. Swept on the reference host over aligned
+/// rows on huge pages, in one process, `recsys_embed`'s two batches at
+/// two threads: 16 beat 8 in 19 of 20 pairs (median 1.12×); 12 beat 8
+/// in 11 of 20, noise.
+const PF_DISTANCE: usize = 16;
 
 /// Splits the next `len` elements off the front of a workspace.
 fn carve<'a>(workspace: &mut &'a mut [f32], len: usize) -> &'a mut [f32] {
@@ -42,10 +44,12 @@ fn sigmoid(logit: f32) -> f32 {
 }
 
 /// One embedding table: `rows × dim` learned latent vectors addressed by
-/// categorical indices.
+/// categorical indices. Row 0 starts on a 2 MiB boundary backed by huge
+/// pages where the kernel grants them (tables of 2 MiB or more), on a
+/// 128 B boundary otherwise, so a row spans no line it does not fill.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTable {
-    weights: Matrix,
+    weights: AlignedRows,
 }
 
 impl EmbeddingTable {
@@ -56,7 +60,8 @@ impl EmbeddingTable {
     ///
     /// Panics if either dimension is zero.
     pub fn random(rows: usize, dim: usize, rng: &mut Rng64) -> Self {
-        EmbeddingTable { weights: Matrix::random_uniform(rows, dim, -0.5, 0.5, rng) }
+        let values = (0..rows * dim).map(|_| rng.range(-0.5, 0.5) as f32);
+        EmbeddingTable { weights: AlignedRows::laid_out(rows, dim, values) }
     }
 
     /// Number of rows (catalogue size).
@@ -66,7 +71,7 @@ impl EmbeddingTable {
 
     /// Latent dimension.
     pub fn dim(&self) -> usize {
-        self.weights.cols()
+        self.weights.dim()
     }
 
     /// Bytes of storage at FP32.
@@ -85,18 +90,12 @@ impl EmbeddingTable {
 
     /// Multi-hot lookup with sum pooling: gathers `indices` rows and sums
     /// them — the operation whose irregular DRAM accesses dominate
-    /// memory-bound recommendation models.
+    /// memory-bound recommendation models. Allocates the result; see
+    /// [`gather_pool_into`](EmbeddingTable::gather_pool_into).
     ///
     /// # Panics
     ///
     /// Panics if `indices` is empty or any index is out of range.
-    /// The kernel is unrolled eight indices deep with software prefetch:
-    /// rows `PF_DISTANCE` lookups ahead are pulled toward L1 while the
-    /// current eight rows are summed, hiding the random-access DRAM
-    /// latency that makes the naive loop miss-bound. Each output element
-    /// keeps a single accumulator that adds the gathered rows sequentially
-    /// in index order, so the result is bit-identical to the plain
-    /// one-row-at-a-time loop at any unroll factor.
     pub fn lookup_pool(&self, indices: &[usize]) -> Vec<f32> {
         let mut pooled = vec![0.0f32; self.dim()];
         self.gather_pool_into(indices, &mut pooled);
@@ -106,6 +105,15 @@ impl EmbeddingTable {
     /// [`lookup_pool`](EmbeddingTable::lookup_pool) into a caller-owned
     /// buffer (`pooled` is fully overwritten) — the allocation-free form
     /// the predictors drive with their own workspaces.
+    ///
+    /// The kernel is unrolled eight indices deep with software prefetch:
+    /// every line of the row `PF_DISTANCE` lookups ahead is requested
+    /// while the current eight rows are summed, so the random-access DRAM
+    /// latency overlaps the adds (on the table's aligned rows, a 128 B
+    /// row is two lines, both requested). Each output element keeps a
+    /// single accumulator that adds the gathered rows sequentially in
+    /// index order, so the result is bit-identical to the plain
+    /// one-row-at-a-time loop at any unroll factor or prefetch distance.
     ///
     /// # Panics
     ///
@@ -166,38 +174,32 @@ impl EmbeddingTable {
         }
     }
 
-    /// Hints the cache hierarchy to pull row `i` toward L1 (no-op on
-    /// non-x86 hosts). Purely a performance hint: it reads nothing and
-    /// cannot fault, so gathered values are unaffected.
+    /// Hints the cache hierarchy to pull row `i` toward L1: every 64 B
+    /// line from the row's first byte to its last, however the row sits
+    /// on them (no-op on non-x86 hosts). Purely a performance hint: it
+    /// reads nothing and cannot fault, so gathered values are unaffected.
     #[inline(always)]
     fn prefetch_row(&self, i: usize) {
         #[cfg(target_arch = "x86_64")]
         {
             let row = self.weights.row(i);
-            // SAFETY: every 64-byte step stays inside the row slice, and
-            // _mm_prefetch has no architectural effect beyond the hint.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                let base = row.as_ptr().cast::<i8>();
-                let mut off = 0usize;
-                while off < std::mem::size_of_val(row) {
-                    _mm_prefetch(base.add(off), _MM_HINT_T0);
-                    off += 64;
+            let first = row.as_ptr().cast::<i8>();
+            let lead = first as usize % 64;
+            let line = first.wrapping_sub(lead);
+            let mut off = 0usize;
+            while off < lead + std::mem::size_of_val(row) {
+                // SAFETY: _mm_prefetch has no architectural effect beyond
+                // the hint, and each address is the start of a line that
+                // holds a byte of the row.
+                unsafe {
+                    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                    _mm_prefetch(line.wrapping_add(off), _MM_HINT_T0);
                 }
+                off += 64;
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = i;
-    }
-
-    /// Reference implementation of [`EmbeddingTable::lookup_pool`] as a
-    /// dense one-hot matrix product (for equivalence testing).
-    pub fn lookup_pool_dense(&self, indices: &[usize]) -> Vec<f32> {
-        let mut onehot = vec![0.0f32; self.rows()];
-        for &i in indices {
-            onehot[i] += 1.0;
-        }
-        self.weights.matvec_t(&onehot)
     }
 }
 
@@ -728,13 +730,24 @@ mod tests {
         assert!((0.0..=1.0).contains(&ctr));
     }
 
+    /// The pooled lookup as a dense one-hot matrix product over a copy
+    /// of the table.
+    fn lookup_pool_dense(t: &EmbeddingTable, indices: &[usize]) -> Vec<f32> {
+        let mut onehot = vec![0.0f32; t.rows()];
+        for &i in indices {
+            onehot[i] += 1.0;
+        }
+        let rows: Vec<&[f32]> = (0..t.rows()).map(|i| t.row(i)).collect();
+        enw_numerics::matrix::Matrix::from_rows(&rows).matvec_t(&onehot)
+    }
+
     #[test]
     fn pooled_lookup_matches_dense_reference() {
         let mut rng = Rng64::new(2);
         let t = EmbeddingTable::random(20, 4, &mut rng);
         let idx = [3usize, 7, 7, 19];
         let sparse = t.lookup_pool(&idx);
-        let dense = t.lookup_pool_dense(&idx);
+        let dense = lookup_pool_dense(&t, &idx);
         for (a, b) in sparse.iter().zip(&dense) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -802,23 +815,29 @@ mod tests {
     #[test]
     fn unrolled_lookup_pool_is_bitwise_stable() {
         // Index counts 1..=20 cover the unrolled path, the remainder path,
-        // and repeats; compare against an independent one-row-at-a-time sum.
-        let mut rng = Rng64::new(7);
-        let t = EmbeddingTable::random(64, 24, &mut rng);
-        for n in 1usize..=20 {
-            let idx: Vec<usize> = (0..n).map(|_| rng.below(64)).collect();
-            let fast = t.lookup_pool(&idx);
-            let mut reference = vec![0.0f32; t.dim()];
-            for &i in &idx {
-                for (p, v) in reference.iter_mut().zip(t.row(i)) {
-                    *p += v;
+        // the prefetch look-ahead and repeats; compare against an
+        // independent one-row-at-a-time sum. Widths whose rows end inside
+        // a line, on one, and past one, each on a 128 B-aligned table
+        // (300 rows) and a 2 MiB-aligned one (one row past 2 MiB).
+        let dims = [1usize, 3, 16, 17, 24, 32, 33];
+        for (dim, rows) in dims.into_iter().flat_map(|d| [(d, 300), (d, (2 << 20) / (4 * d) + 1)]) {
+            let mut rng = Rng64::new(7);
+            let t = EmbeddingTable::random(rows, dim, &mut rng);
+            for n in 1usize..=20 {
+                let idx: Vec<usize> = (0..n).map(|_| rng.below(rows)).collect();
+                let fast = t.lookup_pool(&idx);
+                let mut reference = vec![0.0f32; dim];
+                for &i in &idx {
+                    for (p, v) in reference.iter_mut().zip(t.row(i)) {
+                        *p += v;
+                    }
                 }
+                assert_eq!(
+                    fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{rows} x {dim}, n = {n}"
+                );
             }
-            assert_eq!(
-                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "n = {n}"
-            );
         }
     }
 

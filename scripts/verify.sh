@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== TCAM scan codegen on this host (bits::nearest_hamming, 256-bit words) =="
+echo "== TCAM scan codegen and huge-page mode on this host =="
 # The AVX-512 arm's oracle test skips where the CPU lacks the feature;
 # this line is how a log shows which arm ran. Nothing here selects one.
 flags=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true) "
@@ -26,6 +26,9 @@ elif [[ $flags == *" popcnt "* ]]; then
 else
     echo "nearest_hamming codegen: portable"
 fi
+# Embedding tables of 2 MiB or more ask for huge pages with madvise;
+# under `[never]` they run on 4 KiB pages, same results, slower gathers.
+echo "transparent_hugepage: $(cat /sys/kernel/mm/transparent_hugepage/enabled 2>/dev/null || echo unavailable)"
 
 echo "== cargo test -q =="
 cargo test -q

@@ -96,7 +96,12 @@ proptest! {
         let table = EmbeddingTable::random(40, 12, &mut rng);
         let idx: Vec<usize> = (0..n_idx).map(|_| rng.below(40)).collect();
         let a = table.lookup_pool(&idx);
-        let b = table.lookup_pool_dense(&idx);
+        let mut onehot = vec![0.0f32; 40];
+        for &i in &idx {
+            onehot[i] += 1.0;
+        }
+        let rows: Vec<&[f32]> = (0..40).map(|i| table.row(i)).collect();
+        let b = Matrix::from_rows(&rows).matvec_t(&onehot);
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x - y).abs() < 1e-4);
         }
