@@ -1,5 +1,5 @@
-//! Allocation accounting for the E18 memory-discipline experiment, the
-//! E21 zero-allocation gate and the zero-allocation integration tests.
+//! Allocation accounting for the E21 zero-allocation gate and the
+//! zero-allocation integration tests.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
 //! allocation (and requested byte) twice: into process-wide relaxed
@@ -12,13 +12,10 @@
 //!
 //! - [`thread_snapshot`] — the calling thread's totals. A window on one
 //!   thread is exact whatever other threads do (the libtest harness
-//!   allocates concurrently), so the `alloc_discipline` tests and E18's
-//!   single-threaded windows assert `== 0` / `large == small` on it.
-//! - [`snapshot`] / [`counters`] — the whole process. E21's pooled
-//!   training-step gate and the `enw_trace` alloc source read these,
-//!   because they must see what pool workers allocate. [`counters`] has
-//!   the exact shape `enw_trace::install_alloc_source` expects, which is
-//!   how `ENW_TRACE=summary` output gains its allocator line in E18.
+//!   allocates concurrently), so the `alloc_discipline` tests assert
+//!   `== 0` on it.
+//! - [`snapshot`] — the whole process. E21's pooled training-step gate
+//!   reads it, because it must see what pool workers allocate.
 //!
 //! All counters are monotone totals; callers diff snapshots around the
 //! region of interest.
@@ -100,19 +97,12 @@ impl Snapshot {
 /// Process-wide counter values since process start. Both stay zero
 /// unless [`CountingAlloc`] is installed as the global allocator.
 pub fn snapshot() -> Snapshot {
-    let (allocs, bytes) = counters();
-    Snapshot { allocs, bytes }
+    Snapshot { allocs: ALLOCS.load(Ordering::Relaxed), bytes: BYTES.load(Ordering::Relaxed) }
 }
 
 /// The calling thread's counter values since the thread started.
 pub fn thread_snapshot() -> Snapshot {
     THREAD.get()
-}
-
-/// Raw process-wide `(allocs, bytes)` totals — the signature
-/// `enw_trace::install_alloc_source` takes.
-pub fn counters() -> (u64, u64) {
-    (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
 }
 
 /// Constant-output backend: isolates the scheduler event loop (queue,

@@ -34,16 +34,17 @@ pub fn run(run: &mut Run) {
 
         // Forward fidelity against the digital reference.
         let x: Vec<f32> = (0..n).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let y = tile.forward(&x);
+        let (mut y, mut y_ref) = (vec![0.0f32; n], vec![0.0f32; n]);
+        tile.forward_into(&x, &mut y);
         let mut xa = x.clone();
         xa.push(1.0);
-        let y_ref = target.matvec(&xa);
+        target.matvec_into(&xa, &mut y_ref);
         let max_err = y.iter().zip(&y_ref).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
 
         // One backward, then repeated identical updates to measure the
         // realized mean step against the intended -lr*d*x.
         let d: Vec<f32> = (0..n).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let _ = tile.backward(&d);
+        tile.backward_into(&d, &mut vec![0.0f32; n]);
         let before = tile.weights();
         let lr = 0.001;
         let reps = 50u64;

@@ -113,12 +113,14 @@ fn lane_fewshot(smoke: bool) {
         bank.write(BitVec::from_bools(&bits));
     }
 
+    let (mut scores, mut weights) = (vec![0.0f32; slots], vec![0.0f32; slots]);
+    let mut read = vec![0.0f32; dim];
     for _ in 0..queries {
         let q: Vec<f32> = (0..dim).map(|_| rng.uniform_f32() - 0.5).collect();
-        let _ = mem.similarities(&q, Similarity::Cosine);
-        let sim = xm.similarity(&q);
-        let weights = numerics::vector::softmax(&sim.value, 1.0);
-        let _ = xm.soft_read(&weights);
+        mem.similarities_into(&q, Similarity::Cosine, &mut scores);
+        xm.similarity_into(&q, &mut weights);
+        numerics::vector::softmax_in_place(&mut weights, 1.0);
+        xm.soft_read_into(&weights, &mut read);
         let erase = vec![0.1f32; dim];
         let _ = xm.soft_write(&weights, &erase, &q);
         let bits: Vec<bool> = q.iter().map(|&v| v >= 0.0).collect();
@@ -141,7 +143,8 @@ fn lane_recsys(smoke: bool) {
     let mut model = RecModel::new(&cfg, &mut rng);
     let gen = TraceGenerator::new(&cfg, 1.0);
     let queries = gen.batch(if smoke { 64 } else { 512 }, &mut rng);
-    let preds = model.predict_batch(&queries);
+    let mut preds = vec![0.0f32; queries.len()];
+    model.predict_batch_into(&queries, &mut preds);
     assert!(preds.iter().all(|p| (0.0..=1.0).contains(p)));
 }
 

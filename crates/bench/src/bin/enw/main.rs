@@ -19,8 +19,8 @@ use enw_core::EnwError;
 use run::Run;
 use std::process::ExitCode;
 
-/// E18 and E21 measure allocations, so the whole binary runs on the
-/// counting allocator (two relaxed adds per allocation).
+/// E21 measures allocations, so the whole binary runs on the counting
+/// allocator (two relaxed adds per allocation).
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -57,7 +57,6 @@ experiments! {
     "E14" => exp14_embedding_cache,
     "E16" => exp16_serving_slo,
     "E17" => exp17_stage_breakdown,
-    "E18" => exp18_alloc_audit,
     "E19" => exp19_fleet_sweep,
     "E20" => exp20_dse,
     "E21" => exp21_deep_analog,
@@ -69,7 +68,7 @@ experiments! {
 
 /// What `enw gate` runs, in smoke mode: the three sub-second paper
 /// pins, then every experiment with a CI-sized form.
-const GATE_SET: [&str; 9] = ["E9", "E10", "E14", "E16", "E17", "E18", "E19", "E20", "E21"];
+const GATE_SET: [&str; 8] = ["E9", "E10", "E14", "E16", "E17", "E19", "E20", "E21"];
 
 const USAGE: &str = "usage: enw list | enw run <ID>... [--smoke] | enw gate";
 
@@ -81,7 +80,7 @@ fn run_one(id: &str, smoke: bool) -> Result<Run, EnwError> {
         .ok_or_else(|| EnwError::UnknownExperiment { id: id.to_string() })?;
     let mut run = Run::start(entry.id, smoke)?;
     // Experiments share this process: a trace mode one of them switches
-    // on (E17, E18) must not leak into the next.
+    // on (E17 does) must not leak into the next.
     let trace_mode = enw_core::trace::mode();
     (entry.body)(&mut run);
     enw_core::trace::set_mode(trace_mode);

@@ -1,6 +1,6 @@
 //! Zero-allocation integration tests, run under a counting global
-//! allocator (the same [`enw_bench::alloc_audit::CountingAlloc`] the E18
-//! binary installs). These pin the memory-discipline contract so a
+//! allocator (the same [`enw_bench::alloc_audit::CountingAlloc`] the
+//! `enw` binary installs). These pin the memory-discipline contract so a
 //! regression that re-introduces per-request heap traffic fails CI, not
 //! just the benchmark narrative.
 //!

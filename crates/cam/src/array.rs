@@ -227,21 +227,8 @@ impl TcamArray {
     }
 
     /// Pure ternary match (no cost accounting): indices of stored words
-    /// matching `pattern`. Allocating wrapper around
-    /// [`peek_ternary_into`](TcamArray::peek_ternary_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern width mismatches.
-    pub fn peek_ternary(&self, pattern: &TernaryWord) -> Vec<usize> {
-        let mut hits = Vec::new();
-        self.peek_ternary_into(pattern, &mut hits);
-        hits
-    }
-
-    /// Pure ternary match appending matching indices to a caller-owned
-    /// vector (`hits` is cleared first) — the form the match loop itself
-    /// runs in, so repeated searches can reuse one buffer.
+    /// matching `pattern`, appended to a caller-owned vector (`hits` is
+    /// cleared first) so repeated searches can reuse one buffer.
     ///
     /// # Panics
     ///
@@ -265,7 +252,8 @@ impl TcamArray {
     ///
     /// Panics if the pattern width mismatches.
     pub fn search_ternary(&mut self, pattern: &TernaryWord) -> (Vec<usize>, Cost) {
-        let hits = self.peek_ternary(pattern);
+        let mut hits = Vec::new();
+        self.peek_ternary_into(pattern, &mut hits);
         let cost = self.record_search();
         (hits, cost)
     }

@@ -33,8 +33,9 @@ pub enum DefectMode {
 ///
 /// let mut rng = Rng64::new(0);
 /// let arr = AnalogArray::new(4, 3, &devices::ideal(1000), &mut rng);
-/// let y = arr.matvec(&[1.0, 0.5, -0.5], 0.0);
-/// assert_eq!(y.len(), 4);
+/// let mut y = [f32::NAN; 4];
+/// arr.matvec_into(&[1.0, 0.5, -0.5], 0.0, &mut y);
+/// assert_eq!(y, [0.0; 4]); // every device starts at zero weight
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalogArray {
@@ -107,27 +108,17 @@ impl AnalogArray {
         self.weights[i] = w.clamp(d.w_min, d.w_max);
     }
 
-    /// Forward read `y = W · x` with optional IR drop.
+    /// Forward read `y = W · x` with optional IR drop, into a
+    /// caller-owned output buffer (`y` is fully overwritten): each output
+    /// current is one ascending-column sum, on the calling thread — the
+    /// hardware read is O(1) and booked on the virtual clock, and
+    /// simulations parallelise across tiles and samples, not inside one
+    /// array read.
     ///
     /// The IR-drop model attenuates each crosspoint's contribution by
     /// `1 − ir_drop · (r/rows + c/cols)/2`: devices far from both drivers
     /// lose the most signal, a first-order picture of interconnect
     /// resistance on large arrays (why the paper wants 10–100 MΩ devices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f32], ir_drop: f32) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.rows];
-        self.matvec_into(x, ir_drop, &mut y);
-        y
-    }
-
-    /// [`matvec`](AnalogArray::matvec) into a caller-owned output buffer
-    /// (`y` is fully overwritten): each output current is one
-    /// ascending-column sum, on the calling thread — the hardware read is
-    /// O(1) and booked on the virtual clock, and simulations parallelise
-    /// across tiles and samples, not inside one array read.
     ///
     /// # Panics
     ///
@@ -152,19 +143,9 @@ impl AnalogArray {
         }
     }
 
-    /// Transposed read `y = Wᵀ · d` with the same IR-drop model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d.len() != rows`.
-    pub fn matvec_t(&self, d: &[f32], ir_drop: f32) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.cols];
-        self.matvec_t_into(d, ir_drop, &mut y);
-        y
-    }
-
-    /// [`matvec_t`](AnalogArray::matvec_t) into a caller-owned output
-    /// buffer (`y` is fully overwritten): every output current is
+    /// Transposed read `y = Wᵀ · d` with the same IR-drop model as
+    /// [`matvec_into`](AnalogArray::matvec_into), into a caller-owned
+    /// output buffer (`y` is fully overwritten): every output current is
     /// accumulated over ascending rows, on the calling thread; rows
     /// driven with exactly zero are skipped.
     ///
@@ -393,7 +374,9 @@ mod tests {
     fn starts_at_zero() {
         let mut rng = Rng64::new(1);
         let a = small_array(&mut rng);
-        assert_eq!(a.matvec(&[1.0; 4], 0.0), vec![0.0; 3]);
+        let mut y = [f32::NAN; 3];
+        a.matvec_into(&[1.0; 4], 0.0, &mut y);
+        assert_eq!(y, [0.0; 3]);
         assert_eq!(a.pulse_count(), 0);
     }
 
@@ -403,8 +386,9 @@ mod tests {
         let mut a = small_array(&mut rng);
         a.set_weight(0, 0, 0.5);
         a.set_weight(1, 2, -0.25);
-        let y = a.matvec(&[1.0, 0.0, 2.0, 0.0], 0.0);
-        assert_eq!(y, vec![0.5, -0.5, 0.0]);
+        let mut y = [0.0; 3];
+        a.matvec_into(&[1.0, 0.0, 2.0, 0.0], 0.0, &mut y);
+        assert_eq!(y, [0.5, -0.5, 0.0]);
     }
 
     #[test]
@@ -412,7 +396,8 @@ mod tests {
         let mut rng = Rng64::new(3);
         let mut a = small_array(&mut rng);
         a.set_weight(2, 1, 0.7);
-        let y = a.matvec_t(&[0.0, 0.0, 1.0], 0.0);
+        let mut y = [0.0; 4];
+        a.matvec_t_into(&[0.0, 0.0, 1.0], 0.0, &mut y);
         assert_eq!(y[1], 0.7);
     }
 
@@ -422,7 +407,8 @@ mod tests {
         let mut a = AnalogArray::new(2, 2, &devices::ideal(1000), &mut rng);
         a.set_weight(0, 0, 1.0);
         a.set_weight(1, 1, 1.0);
-        let y = a.matvec(&[1.0, 1.0], 0.2);
+        let mut y = [0.0; 2];
+        a.matvec_into(&[1.0, 1.0], 0.2, &mut y);
         assert!(y[1] < y[0], "far device should see more attenuation: {y:?}");
     }
 
@@ -498,6 +484,7 @@ mod tests {
         let mut d: Vec<f32> = (0..rows).map(|_| rng.range(-1.0, 1.0) as f32).collect();
         d[3] = 0.0; // exercise the zero-skip path
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut got, mut got_t) = (vec![0.0f32; rows], vec![0.0f32; cols]);
         for ir in [0.0f32, 0.15] {
             // The oracle: one naive fold per output line (at `ir == 0`
             // the attenuation is exactly 1.0, a bitwise no-op factor).
@@ -514,8 +501,10 @@ mod tests {
                         .fold(0.0, |acc, r| acc + a.weight(r, c) * d[r] * atten(r, c))
                 })
                 .collect();
-            assert_eq!(bits(&a.matvec(&x, ir)), bits(&y), "forward, ir {ir}");
-            assert_eq!(bits(&a.matvec_t(&d, ir)), bits(&yt), "transposed, ir {ir}");
+            a.matvec_into(&x, ir, &mut got);
+            a.matvec_t_into(&d, ir, &mut got_t);
+            assert_eq!(bits(&got), bits(&y), "forward, ir {ir}");
+            assert_eq!(bits(&got_t), bits(&yt), "transposed, ir {ir}");
         }
     }
 

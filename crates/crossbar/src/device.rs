@@ -31,16 +31,6 @@ pub enum PulseDir {
     Down,
 }
 
-impl PulseDir {
-    /// The opposite direction.
-    pub fn flipped(self) -> PulseDir {
-        match self {
-            PulseDir::Up => PulseDir::Down,
-            PulseDir::Down => PulseDir::Up,
-        }
-    }
-}
-
 /// One materialized crosspoint device: concrete step sizes, bounds,
 /// nonlinearity and noise for a single array position.
 ///

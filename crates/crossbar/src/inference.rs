@@ -181,7 +181,8 @@ mod tests {
         let layer = PcmLayer::program(&w, quiet(PcmConfig::bare()), &mut rng);
         let x = [1.0f32, -0.5, 0.25];
         let y = layer.matvec(&x, 0.0);
-        let y_ref = layer.weights_at(0.0).matvec(&x);
+        let mut y_ref = [0.0f32; 2];
+        layer.weights_at(0.0).matvec_into(&x, &mut y_ref);
         for (a, b) in y.iter().zip(&y_ref) {
             assert!((a - b).abs() < 1e-5);
         }

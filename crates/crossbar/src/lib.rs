@@ -77,3 +77,24 @@ pub use noise::AnalogNoise;
 pub use tiki_taka::{TikiTakaConfig, TikiTakaTile};
 pub use tile::{AnalogTile, TileConfig, TileConfigBuilder, UpdateScheme};
 pub use tiled::{TiledAnalogLayer, TilingConfig};
+
+/// Reads into fresh buffers for the unit tests, through the backend's
+/// `_into` forms.
+#[cfg(test)]
+pub(crate) mod test_reads {
+    use enw_nn::backend::LinearBackend;
+
+    /// `forward_into` a fresh `out_dim()` buffer.
+    pub fn forward(b: &mut impl LinearBackend, x: &[f32]) -> Vec<f32> {
+        let mut y = vec![0.0f32; b.out_dim()];
+        b.forward_into(x, &mut y);
+        y
+    }
+
+    /// `backward_into` a fresh `in_dim()` buffer.
+    pub fn backward(b: &mut impl LinearBackend, d: &[f32]) -> Vec<f32> {
+        let mut dx = vec![0.0f32; b.in_dim()];
+        b.backward_into(d, &mut dx);
+        dx
+    }
+}

@@ -55,8 +55,9 @@ impl Default for TikiTakaConfig {
 /// let mut rng = Rng64::new(0);
 /// let mut tile = TikiTakaTile::new(
 ///     4, 3, &devices::rram(), TileConfig::ideal(), TikiTakaConfig::default(), &mut rng);
-/// let y = tile.forward(&[0.1, 0.2, 0.3]);
-/// assert_eq!(y.len(), 4);
+/// let mut y = [0.0; 4];
+/// tile.forward_into(&[0.1, 0.2, 0.3], &mut y);
+/// assert!(y.iter().all(|v| v.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TikiTakaTile {
@@ -190,6 +191,7 @@ impl LinearBackend for TikiTakaTile {
 mod tests {
     use super::*;
     use crate::devices;
+    use crate::test_reads::{backward, forward};
 
     fn tt(seed: u64) -> TikiTakaTile {
         let mut rng = Rng64::new(seed);
@@ -209,12 +211,12 @@ mod tests {
         // bit for bit on both reads.
         let mut t = tt(9);
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        t.forward(&[0.4, -0.3]);
+        forward(&mut t, &[0.4, -0.3]);
         let mut dirty = t.clone();
         dirty.line.fill(f32::NAN);
-        assert_eq!(bits(&dirty.forward(&[0.4, -0.3])), bits(&t.forward(&[0.4, -0.3])));
+        assert_eq!(bits(&forward(&mut dirty, &[0.4, -0.3])), bits(&forward(&mut t, &[0.4, -0.3])));
         dirty.line.fill(f32::NAN);
-        assert_eq!(bits(&dirty.backward(&[0.2, 0.5])), bits(&t.backward(&[0.2, 0.5])));
+        assert_eq!(bits(&backward(&mut dirty, &[0.2, 0.5])), bits(&backward(&mut t, &[0.2, 0.5])));
     }
 
     #[test]
@@ -228,7 +230,7 @@ mod tests {
     fn forward_combines_both_arrays() {
         let mut t = tt(2);
         t.program_effective(&Matrix::from_rows(&[&[0.4, 0.0, 0.0], &[0.0, 0.4, 0.0]]));
-        let y = t.forward(&[1.0, 1.0]);
+        let y = forward(&mut t, &[1.0, 1.0]);
         // A starts (near) zero, so output ≈ C's contribution.
         assert!((y[0] - 0.4).abs() < 0.1, "{y:?}");
     }
@@ -280,14 +282,14 @@ mod tests {
         let target = |x: &[f32]| 0.4 * x[0] - 0.3 * x[1];
         for _ in 0..3000 {
             let x = [rng.range(-1.0, 1.0) as f32, rng.range(-1.0, 1.0) as f32];
-            let y = t.forward(&x)[0];
+            let y = forward(&mut t, &x)[0];
             let err = y - target(&x);
             t.update(&[err], &x, 0.02);
         }
         let mut err_sum = 0.0f64;
         for _ in 0..100 {
             let x = [rng.range(-1.0, 1.0) as f32, rng.range(-1.0, 1.0) as f32];
-            err_sum += (t.forward(&x)[0] - target(&x)).abs() as f64;
+            err_sum += (forward(&mut t, &x)[0] - target(&x)).abs() as f64;
         }
         let mae = err_sum / 100.0;
         assert!(mae < 0.12, "mean absolute error {mae}");

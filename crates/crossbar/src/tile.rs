@@ -176,8 +176,9 @@ impl TileConfigBuilder {
 ///
 /// let mut rng = Rng64::new(0);
 /// let mut tile = AnalogTile::new(8, 4, &devices::ideal(1000), TileConfig::ideal(), &mut rng);
-/// let y = tile.forward(&[0.1, -0.2, 0.3, 0.4]);
-/// assert_eq!(y.len(), 8);
+/// let mut y = [0.0; 8];
+/// tile.forward_into(&[0.1, -0.2, 0.3, 0.4], &mut y);
+/// assert!(y.iter().all(|v| v.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnalogTile {
@@ -556,7 +557,7 @@ impl LinearBackend for AnalogTile {
         assert_eq!(out.len(), self.in_dim, "gradient output dimension mismatch");
         // The periphery applies output noise to the full column read —
         // bias column included — before truncation, so the RNG stream
-        // (and therefore every later draw) matches the allocating path.
+        // draws one value per array column whatever `in_dim` is.
         let mut y = std::mem::take(&mut self.line);
         self.array.matvec_t_into(delta, self.cfg.noise.ir_drop, &mut y);
         self.sub_reference_matvec_t(delta, &mut y);
@@ -600,6 +601,7 @@ impl LinearBackend for AnalogTile {
 mod tests {
     use super::*;
     use crate::devices;
+    use crate::test_reads::{backward, forward};
 
     fn ideal_tile(out: usize, inp: usize, seed: u64) -> AnalogTile {
         let mut rng = Rng64::new(seed);
@@ -634,8 +636,8 @@ mod tests {
                 let d: Vec<f32> = (0..6).map(|_| rng.uniform_f32() - 0.5).collect();
                 // The dirty clone is soiled before each phase of a cycle.
                 let cycle = |t: &mut AnalogTile, dirty: bool| {
-                    let y = bits(&soiled(t, dirty).forward(&x));
-                    let dx = bits(&soiled(t, dirty).backward(&d));
+                    let y = bits(&forward(soiled(t, dirty), &x));
+                    let dx = bits(&backward(soiled(t, dirty), &d));
                     soiled(t, dirty).update(&d, &x, 0.05);
                     (y, dx, bits(t.weights().as_slice()), t.stats(), t.rng_state())
                 };
@@ -652,7 +654,7 @@ mod tests {
     #[test]
     fn forward_of_zero_weights_is_zero() {
         let mut t = ideal_tile(3, 2, 1);
-        assert_eq!(t.forward(&[0.5, -0.5]), vec![0.0; 3]);
+        assert_eq!(forward(&mut t, &[0.5, -0.5]), vec![0.0; 3]);
     }
 
     #[test]
@@ -660,7 +662,7 @@ mod tests {
         let mut t = ideal_tile(2, 2, 2);
         let target = Matrix::from_rows(&[&[0.3, -0.2, 0.1], &[0.0, 0.5, -0.4]]);
         t.program_effective(&target);
-        let y = t.forward(&[1.0, 1.0]);
+        let y = forward(&mut t, &[1.0, 1.0]);
         let expect = [0.3 - 0.2 + 0.1, 0.5 - 0.4];
         for (a, e) in y.iter().zip(expect) {
             assert!((a - e).abs() < 0.01, "{a} vs {e}");
@@ -672,7 +674,7 @@ mod tests {
         let mut t = ideal_tile(2, 3, 3);
         let target = Matrix::from_rows(&[&[0.1, 0.2, 0.3, 0.0], &[-0.1, 0.0, 0.4, 0.0]]);
         t.program_effective(&target);
-        let dx = t.backward(&[1.0, 1.0]);
+        let dx = backward(&mut t, &[1.0, 1.0]);
         assert_eq!(dx.len(), 3);
         assert!((dx[0] - 0.0).abs() < 0.02);
         assert!((dx[2] - 0.7).abs() < 0.02);
@@ -728,15 +730,15 @@ mod tests {
             }
         }
         // Forward of the zero-shifted tile is ~0 for any input.
-        let y = t.forward(&[1.0, 1.0, 1.0]);
+        let y = forward(&mut t, &[1.0, 1.0, 1.0]);
         assert!(y.iter().all(|v| v.abs() < 0.2), "{y:?}");
     }
 
     #[test]
     fn stats_count_cycles() {
         let mut t = ideal_tile(2, 2, 8);
-        t.forward(&[0.0, 0.0]);
-        t.backward(&[0.0, 0.0]);
+        forward(&mut t, &[0.0, 0.0]);
+        backward(&mut t, &[0.0, 0.0]);
         t.update(&[1.0, 0.5], &[1.0, 1.0], 0.01);
         let s = t.stats();
         assert_eq!(s.forward_ops, 1);
@@ -749,7 +751,7 @@ mod tests {
         let mut t = ideal_tile(1, 1, 9);
         let target = Matrix::from_rows(&[&[0.0, 0.5]]); // zero weight, 0.5 bias
         t.program_effective(&target);
-        let y = t.forward(&[0.0]);
+        let y = forward(&mut t, &[0.0]);
         assert!((y[0] - 0.5).abs() < 0.01);
     }
 

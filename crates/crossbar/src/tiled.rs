@@ -99,8 +99,9 @@ struct TileCell {
 ///     &mut rng,
 /// ).unwrap();
 /// assert_eq!(layer.grid(), (3, 2));
-/// let y = layer.forward(&[0.1; 12]);
-/// assert_eq!(y.len(), 20);
+/// let mut y = [0.0; 20];
+/// layer.forward_into(&[0.1; 12], &mut y);
+/// assert!(y.iter().all(|v| v.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TiledAnalogLayer {
@@ -379,6 +380,7 @@ impl LinearBackend for TiledAnalogLayer {
 mod tests {
     use super::*;
     use crate::devices;
+    use crate::test_reads::{backward, forward};
 
     fn noisy_cfg() -> TileConfig {
         TileConfig { drop_connect: 0.25, ..TileConfig::ideal() }
@@ -460,14 +462,14 @@ mod tests {
         let x: Vec<f32> = (0..6).map(|i| (i as f32 - 2.5) / 4.0).collect();
         let d: Vec<f32> = (0..10).map(|i| ((i % 3) as f32 - 1.0) / 5.0).collect();
         for _ in 0..3 {
-            let ym = mono.forward(&x);
-            let yt = tiled.forward(&x);
+            let ym = forward(&mut mono, &x);
+            let yt = forward(&mut tiled, &x);
             assert_eq!(
                 ym.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 yt.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
-            let bm = mono.backward(&d);
-            let bt = tiled.backward(&d);
+            let bm = backward(&mut mono, &d);
+            let bt = backward(&mut tiled, &d);
             assert_eq!(
                 bm.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 bt.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -499,8 +501,8 @@ mod tests {
                 let mut fwd = Vec::new();
                 let mut bwd = Vec::new();
                 for _ in 0..4 {
-                    fwd = layer.forward(&x);
-                    bwd = layer.backward(&d);
+                    fwd = forward(&mut layer, &x);
+                    bwd = backward(&mut layer, &d);
                     layer.update(&d, &x, 0.02);
                 }
                 (weight_bits(&layer.weights()), fwd, bwd, layer.stats().pulses)
@@ -543,7 +545,7 @@ mod tests {
         assert_eq!(non_owner_pulses, 0, "non-owning tiles must keep their bias silent");
         assert!(owner_pulses > 0, "the owning block must train its bias");
         // The trained bias shows up in the forward read of a zero input.
-        let y = layer.forward(&x);
+        let y = forward(&mut layer, &x);
         assert!(y.iter().any(|v| v.abs() > 1e-4), "{y:?}");
     }
 
@@ -586,8 +588,8 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         // And the post-resume forward reads match bitwise (RNG streams
         // must have been restored exactly).
-        let ya = a.forward(&x);
-        let yb = b.forward(&x);
+        let ya = forward(&mut a, &x);
+        let yb = forward(&mut b, &x);
         assert!(ya.iter().zip(&yb).all(|(p, q)| p.to_bits() == q.to_bits()));
     }
 

@@ -198,11 +198,11 @@ fn eval_xmann(point: &Point) -> Option<Objectives> {
     let cfg = XmannConfig::decode(point).ok()?;
     let mut x = Xmann::new(XM_SLOTS, XM_DIM, cfg, XmannCostParams::default());
     let q: Vec<f32> = (0..XM_DIM).map(|i| ((i % 13) as f32 - 6.0) / 6.0).collect();
-    let sim = x.similarity(&q);
+    let cost = x.similarity_into(&q, &mut vec![0.0f32; XM_SLOTS]);
     let area = (cfg.total_tiles * cfg.tile_rows * cfg.tile_cols) as f64;
     Some(Objectives {
-        latency_ns: sim.cost.latency_ns,
-        energy_pj: sim.cost.energy_pj,
+        latency_ns: cost.latency_ns,
+        energy_pj: cost.energy_pj,
         quality_per_area: 1.0e6 / area,
     })
 }

@@ -232,7 +232,9 @@ impl EmbeddingNet {
         let n_layers = self.mlp.layers().len();
         let mut a = x.to_vec();
         for layer in self.mlp.layers_mut().iter_mut().take(n_layers - 1) {
-            a = layer.infer(&a);
+            let mut z = vec![0.0f32; layer.out_dim()];
+            layer.infer_into(&a, &mut z);
+            a = z;
         }
         a
     }
@@ -307,7 +309,9 @@ impl Embedder for ConvEmbeddingNet {
     }
 
     fn embed(&mut self, x: &[f32]) -> Vec<f32> {
-        self.net.embed(x)
+        let mut e = vec![0.0f32; self.net.embed_dim()];
+        self.net.embed_into(x, &mut e);
+        e
     }
 }
 

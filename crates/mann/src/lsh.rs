@@ -109,8 +109,9 @@ mod tests {
         for _ in 0..4 {
             let x: Vec<f32> = (0..5).map(|_| rng.normal() as f32).collect();
             lsh.encode_into(&x, &mut [f32::NAN; 130], &mut sig);
-            let signs: Vec<bool> =
-                lsh.planes.to_matrix().matvec(&x).iter().map(|&p| p >= 0.0).collect();
+            let mut proj = [0.0f32; 130];
+            lsh.planes.to_matrix().matvec_into(&x, &mut proj);
+            let signs: Vec<bool> = proj.iter().map(|&p| p >= 0.0).collect();
             assert_eq!(sig, BitVec::from_bools(&signs));
             assert_eq!(sig, lsh.encode(&x));
         }

@@ -49,10 +49,12 @@ impl Similarity {
 ///
 /// let mut mem = DifferentiableMemory::new(4, 3);
 /// mem.write_slot(0, &[1.0, 0.0, 0.0]);
-/// let w = mem.content_address(&[1.0, 0.1, 0.0], Similarity::Cosine, 5.0);
-/// assert_eq!(w.len(), 4);
-/// let r = mem.soft_read(&w);
-/// assert_eq!(r.len(), 3);
+/// let mut w = [0.0; 4];
+/// mem.content_address_into(&[1.0, 0.1, 0.0], Similarity::Cosine, 5.0, &mut w);
+/// assert!(w[0] > w[1]);
+/// let mut r = [0.0; 3];
+/// mem.soft_read_into(&w, &mut r);
+/// assert_eq!(r[0], w[0]); // only slot 0 holds anything
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DifferentiableMemory {
@@ -109,18 +111,7 @@ impl DifferentiableMemory {
     }
 
     /// Similarity of `query` against *every* slot — the all-locations scan
-    /// that dominates MANN runtime on conventional hardware.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query width mismatches.
-    pub fn similarities(&self, query: &[f32], sim: Similarity) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.slots()];
-        self.similarities_into(query, sim, &mut out);
-        out
-    }
-
-    /// [`similarities`](DifferentiableMemory::similarities) into a
+    /// that dominates MANN runtime on conventional hardware — into a
     /// caller-owned buffer of `slots` scores (`out` is fully overwritten).
     ///
     /// # Panics
@@ -154,16 +145,9 @@ impl DifferentiableMemory {
     }
 
     /// Content-based addressing: softmax (inverse temperature `beta`) over
-    /// the similarity scores.
-    pub fn content_address(&self, query: &[f32], sim: Similarity, beta: f32) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.slots()];
-        self.content_address_into(query, sim, beta, &mut out);
-        out
-    }
-
-    /// [`content_address`](DifferentiableMemory::content_address) into a
-    /// caller-owned buffer (`out` is fully overwritten): the similarity
-    /// scores are written into `out` and turned into weights there.
+    /// the similarity scores, into a caller-owned buffer (`out` is fully
+    /// overwritten): the scores are written into `out` and turned into
+    /// weights there.
     ///
     /// # Panics
     ///
@@ -174,19 +158,8 @@ impl DifferentiableMemory {
     }
 
     /// Soft read `r = wᵀ·M`: every slot contributes per its attention
-    /// weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != slots`.
-    pub fn soft_read(&self, weights: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.dim()];
-        self.soft_read_into(weights, &mut out);
-        out
-    }
-
-    /// [`soft_read`](DifferentiableMemory::soft_read) into a caller-owned
-    /// buffer of `dim` elements (`out` is fully overwritten).
+    /// weight, into a caller-owned buffer of `dim` elements (`out` is
+    /// fully overwritten).
     ///
     /// # Panics
     ///
@@ -233,7 +206,8 @@ mod tests {
     #[test]
     fn content_address_peaks_on_match() {
         let m = mem3();
-        let w = m.content_address(&[1.0, 0.05], Similarity::Cosine, 10.0);
+        let mut w = [0.0f32; 3];
+        m.content_address_into(&[1.0, 0.05], Similarity::Cosine, 10.0, &mut w);
         assert!(w[0] > w[1] && w[0] > w[2]);
         assert!((w.iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
@@ -241,6 +215,7 @@ mod tests {
     #[test]
     fn nearest_matches_each_metric() {
         let m = mem3();
+        let mut scores = [0.0f32; 3];
         for sim in [
             Similarity::Cosine,
             Similarity::Dot,
@@ -248,21 +223,25 @@ mod tests {
             Similarity::NegL2,
             Similarity::NegLinf,
         ] {
-            assert_eq!(vector::argmax(&m.similarities(&[0.9, 0.0], sim)), 0, "{sim:?}");
+            m.similarities_into(&[0.9, 0.0], sim, &mut scores);
+            assert_eq!(vector::argmax(&scores), 0, "{sim:?}");
         }
     }
 
     #[test]
     fn soft_read_interpolates() {
         let m = mem3();
-        let r = m.soft_read(&[0.5, 0.5, 0.0]);
-        assert_eq!(r, vec![0.5, 0.5]);
+        let mut r = [0.0f32; 2];
+        m.soft_read_into(&[0.5, 0.5, 0.0], &mut r);
+        assert_eq!(r, [0.5, 0.5]);
     }
 
     #[test]
     fn hard_attention_reads_one_slot() {
         let m = mem3();
-        assert_eq!(m.soft_read(&[0.0, 1.0, 0.0]), vec![0.0, 1.0]);
+        let mut r = [f32::NAN; 2];
+        m.soft_read_into(&[0.0, 1.0, 0.0], &mut r);
+        assert_eq!(r, [0.0, 1.0]);
     }
 
     #[test]
@@ -284,13 +263,15 @@ mod tests {
 
     #[test]
     fn similarities_length() {
-        let m = mem3();
-        assert_eq!(m.similarities(&[0.0, 0.0], Similarity::NegL2).len(), 3);
+        // One score per slot, every slot written.
+        let mut scores = [f32::NAN; 3];
+        mem3().similarities_into(&[0.0, 0.0], Similarity::NegL2, &mut scores);
+        assert!(scores.iter().all(|v| v.is_finite()), "{scores:?}");
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn bad_query_width_panics() {
-        mem3().similarities(&[1.0], Similarity::Cosine);
+        mem3().similarities_into(&[1.0], Similarity::Cosine, &mut [0.0; 3]);
     }
 }

@@ -24,47 +24,20 @@ pub trait LinearBackend {
     /// Output dimension.
     fn out_dim(&self) -> usize;
 
-    /// Forward cycle: `z = W · [x; 1]`, allocating the result. The
-    /// default allocates once and delegates to the required
-    /// [`forward_into`](LinearBackend::forward_into) — the `_into` form
-    /// is the primitive so hot inference paths are allocation-free by
+    /// Forward cycle `z = W · [x; 1]` into a caller-owned buffer (`out`
+    /// is fully overwritten). Every backend writes directly into `out`
+    /// without allocating, so hot inference paths are allocation-free by
     /// construction (`alloc_discipline.rs` counts them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim()`.
-    fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.out_dim()];
-        self.forward_into(x, &mut y);
-        y
-    }
-
-    /// Forward cycle into a caller-owned buffer (`out` is fully
-    /// overwritten). Required: every backend must provide a form that
-    /// writes directly into `out` without allocating.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim()` or `out.len() != out_dim()`.
     fn forward_into(&mut self, x: &[f32], out: &mut [f32]);
 
-    /// Backward cycle: returns `Wᵀ · delta` truncated to the logical input
-    /// dimension (the bias column's gradient is internal to the layer).
-    /// The default allocates once and delegates to the required
-    /// [`backward_into`](LinearBackend::backward_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta.len() != out_dim()`.
-    fn backward(&mut self, delta: &[f32]) -> Vec<f32> {
-        let mut dx = vec![0.0f32; self.in_dim()];
-        self.backward_into(delta, &mut dx);
-        dx
-    }
-
-    /// Backward cycle into a caller-owned buffer of `in_dim()` elements
-    /// (`out` is fully overwritten). Required: every backend must provide
-    /// a form that writes directly into `out` without allocating.
+    /// Backward cycle: `Wᵀ · delta` truncated to the logical input
+    /// dimension (the bias column's gradient is internal to the layer),
+    /// into a caller-owned buffer of `in_dim()` elements (`out` is fully
+    /// overwritten) without allocating.
     ///
     /// # Panics
     ///
@@ -96,8 +69,9 @@ pub trait LinearBackend {
 ///
 /// let mut rng = Rng64::new(0);
 /// let mut lin = DigitalLinear::new(3, 2, &mut rng);
-/// let z = lin.forward(&[0.1, -0.2, 0.3]);
-/// assert_eq!(z.len(), 2);
+/// let mut z = [0.0; 2];
+/// lin.forward_into(&[0.1, -0.2, 0.3], &mut z);
+/// assert!(z.iter().all(|v| v.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DigitalLinear {
@@ -200,20 +174,21 @@ impl LinearBackend for DigitalLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_reads::{backward, forward};
     use enw_numerics::packed::PackedMatvec;
 
     #[test]
     fn forward_includes_bias() {
         let w = Matrix::from_rows(&[&[1.0, 2.0, 0.5]]); // 1 output, 2 inputs + bias
         let mut lin = DigitalLinear::from_weights(w);
-        assert_eq!(lin.forward(&[1.0, 1.0]), vec![3.5]);
+        assert_eq!(forward(&mut lin, &[1.0, 1.0]), vec![3.5]);
     }
 
     #[test]
     fn backward_drops_bias_gradient() {
         let w = Matrix::from_rows(&[&[1.0, 2.0, 0.5]]);
         let mut lin = DigitalLinear::from_weights(w);
-        let dx = lin.backward(&[2.0]);
+        let dx = backward(&mut lin, &[2.0]);
         assert_eq!(dx, vec![2.0, 4.0]); // bias component 1.0 dropped
     }
 
@@ -235,13 +210,13 @@ mod tests {
         let mut lin = DigitalLinear::new(5, 3, &mut Rng64::new(4));
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let (x, d) = ([0.3, -0.1, 0.7, 0.0, -0.4], [0.2, -0.5, 0.1]);
-        lin.forward(&x);
+        forward(&mut lin, &x);
         let mut dirty = lin.clone();
         dirty.line.fill(f32::NAN);
         assert_eq!(dirty, lin);
-        assert_eq!(bits(&dirty.forward(&x)), bits(&lin.forward(&x)));
+        assert_eq!(bits(&forward(&mut dirty, &x)), bits(&forward(&mut lin, &x)));
         dirty.line.fill(f32::NAN);
-        assert_eq!(bits(&dirty.backward(&d)), bits(&lin.backward(&d)));
+        assert_eq!(bits(&backward(&mut dirty, &d)), bits(&backward(&mut lin, &d)));
         dirty.line.fill(f32::NAN);
         dirty.update(&d, &x, 0.1);
         lin.update(&d, &x, 0.1);
@@ -266,7 +241,7 @@ mod tests {
     #[should_panic(expected = "input dimension mismatch")]
     fn wrong_input_len_panics() {
         let mut rng = Rng64::new(0);
-        DigitalLinear::new(3, 2, &mut rng).forward(&[1.0]);
+        forward(&mut DigitalLinear::new(3, 2, &mut rng), &[1.0]);
     }
 
     #[test]
@@ -315,7 +290,7 @@ mod tests {
         let target = |x: &[f32]| 3.0 * x[0] - 2.0 * x[1] + 0.5;
         for _ in 0..2000 {
             let x = [rng.range(-1.0, 1.0) as f32, rng.range(-1.0, 1.0) as f32];
-            let y = lin.forward(&x)[0];
+            let y = forward(&mut lin, &x)[0];
             let err = y - target(&x);
             lin.update(&[err], &x, 0.05);
         }

@@ -355,8 +355,9 @@ pub struct ConvNetConfig {
 ///     classes: 3,
 /// };
 /// let mut net = ConvNet::new(&cfg, &mut rng);
-/// let logits = net.predict(&[0.0; 64]);
-/// assert_eq!(logits.len(), 3);
+/// let mut logits = [0.0; 3];
+/// net.predict_into(&[0.0; 64], &mut logits);
+/// assert!(logits.iter().all(|v| v.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConvNet<B: LinearBackend = DigitalLinear> {
@@ -526,13 +527,6 @@ impl<B: LinearBackend> ConvNet<B> {
         }
     }
 
-    /// Penultimate (embedding) activations, allocating the result.
-    pub fn embed(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut e = vec![0.0f32; self.embed_dim()];
-        self.embed_into(input, &mut e);
-        e
-    }
-
     /// Raw logits for one input into a caller-owned buffer (`out` is
     /// fully overwritten).
     pub fn predict_into(&mut self, input: &[f32], out: &mut [f32]) {
@@ -544,13 +538,6 @@ impl<B: LinearBackend> ConvNet<B> {
             *e = z.tanh();
         }
         head.forward_into(embedded, out);
-    }
-
-    /// Raw logits for one input, allocating the result.
-    pub fn predict(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut logits = vec![0.0f32; self.classes()];
-        self.predict_into(input, &mut logits);
-        logits
     }
 
     /// Predicted class (allocation-free: reuses the internal logits
@@ -659,8 +646,11 @@ mod tests {
     fn shapes_flow_through() {
         let mut rng = Rng64::new(1);
         let mut net = ConvNet::new(&cfg(4), &mut rng);
-        assert_eq!(net.predict(&[0.1; 64]).len(), 4);
-        assert_eq!(net.embed(&[0.1; 64]).len(), 24);
+        let (mut logits, mut e) = (vec![f32::NAN; 4], vec![f32::NAN; 24]);
+        net.predict_into(&[0.1; 64], &mut logits);
+        net.embed_into(&[0.1; 64], &mut e);
+        assert!(logits.iter().chain(&e).all(|v| v.is_finite()));
+        assert_eq!(net.classify(&[0.1; 64]), argmax(&logits));
         assert_eq!(net.layer_count(), 3);
         assert_eq!(net.backends_mut().count(), 3);
     }
@@ -747,25 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_forms() {
-        let mut rng = Rng64::new(8);
-        let mut net = ConvNet::new(&cfg(4), &mut rng);
-        let input: Vec<f32> = (0..64).map(|i| ((i % 9) as f32 - 4.0) / 9.0).collect();
-        let logits = net.predict(&input);
-        let mut buf = vec![0.0f32; 4];
-        net.predict_into(&input, &mut buf);
-        assert_eq!(
-            logits.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        let e = net.embed(&input);
-        let mut ebuf = vec![0.0f32; 24];
-        net.embed_into(&input, &mut ebuf);
-        assert!(e.iter().zip(&ebuf).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(net.classify(&input), argmax(&logits));
-    }
-
-    #[test]
     fn deeper_stack_constructs() {
         let mut rng = Rng64::new(5);
         let cfg = ConvNetConfig {
@@ -775,7 +746,7 @@ mod tests {
             classes: 2,
         };
         let mut net = ConvNet::new(&cfg, &mut rng);
-        assert_eq!(net.predict(&vec![0.0; 144]).len(), 2);
+        net.predict_into(&[0.0; 144], &mut [0.0; 2]);
         assert_eq!(net.layer_count(), 4);
     }
 

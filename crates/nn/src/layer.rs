@@ -60,16 +60,11 @@ impl<B: LinearBackend> DenseLayer<B> {
     /// Forward pass; caches input and pre-activation for a later backward
     /// pass.
     pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        self.cached_input = x.to_vec();
-        self.cached_pre = self.backend.forward(x);
+        self.cached_input.clear();
+        self.cached_input.extend_from_slice(x);
+        self.cached_pre.resize(self.backend.out_dim(), 0.0);
+        self.backend.forward_into(x, &mut self.cached_pre);
         let mut a = self.cached_pre.clone();
-        self.activation.apply_slice(&mut a);
-        a
-    }
-
-    /// Inference-only forward pass (no caching).
-    pub fn infer(&mut self, x: &[f32]) -> Vec<f32> {
-        let mut a = self.backend.forward(x);
         self.activation.apply_slice(&mut a);
         a
     }
@@ -99,12 +94,13 @@ impl<B: LinearBackend> DenseLayer<B> {
             self.cached_pre.len(),
             "backward called with mismatched gradient (did forward run?)"
         );
-        self.cached_delta = upstream
-            .iter()
-            .zip(&self.cached_pre)
-            .map(|(g, &z)| g * self.activation.derivative(z))
-            .collect();
-        self.backend.backward(&self.cached_delta)
+        self.cached_delta.clear();
+        self.cached_delta.extend(
+            upstream.iter().zip(&self.cached_pre).map(|(g, &z)| g * self.activation.derivative(z)),
+        );
+        let mut dx = vec![0.0f32; self.backend.in_dim()];
+        self.backend.backward_into(&self.cached_delta, &mut dx);
+        dx
     }
 
     /// Update cycle: applies the cached rank-1 gradient with learning rate
@@ -185,8 +181,10 @@ mod tests {
             xp[i] += eps;
             let mut xm = x;
             xm[i] -= eps;
-            let lp: f32 = l.infer(&xp).iter().sum();
-            let lm: f32 = l.infer(&xm).iter().sum();
+            let (mut ap, mut am) = ([0.0f32; 2], [0.0f32; 2]);
+            l.infer_into(&xp, &mut ap);
+            l.infer_into(&xm, &mut am);
+            let (lp, lm): (f32, f32) = (ap.iter().sum(), am.iter().sum());
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dx[i]).abs() < 1e-2, "dim {i}: {num} vs {}", dx[i]);
         }

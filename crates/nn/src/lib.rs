@@ -69,3 +69,24 @@ pub use activation::Activation;
 pub use backend::{DigitalLinear, LinearBackend};
 pub use error::NnError;
 pub use mlp::{Mlp, SgdConfig, SgdConfigBuilder};
+
+/// Reads into fresh buffers for the unit tests, through the backend's
+/// `_into` forms.
+#[cfg(test)]
+pub(crate) mod test_reads {
+    use crate::backend::LinearBackend;
+
+    /// `forward_into` a fresh `out_dim()` buffer.
+    pub fn forward(b: &mut impl LinearBackend, x: &[f32]) -> Vec<f32> {
+        let mut y = vec![0.0f32; b.out_dim()];
+        b.forward_into(x, &mut y);
+        y
+    }
+
+    /// `backward_into` a fresh `in_dim()` buffer.
+    pub fn backward(b: &mut impl LinearBackend, d: &[f32]) -> Vec<f32> {
+        let mut dx = vec![0.0f32; b.in_dim()];
+        b.backward_into(d, &mut dx);
+        dx
+    }
+}

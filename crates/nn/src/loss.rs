@@ -2,24 +2,14 @@
 
 use enw_numerics::vector::softmax_into;
 
-/// Softmax cross-entropy loss for one sample.
+/// Softmax cross-entropy loss for one sample, its gradient into a
+/// caller-owned buffer — the allocation-free form steady-state training
+/// loops use. `grad` is fully overwritten with `dL/dlogits`; the loss is
+/// returned.
 ///
-/// Returns `(loss, dL/dlogits)`. The gradient is the classic
-/// `softmax(logits) − onehot(label)`, which assumes the final layer uses an
-/// identity activation (i.e. produces raw logits).
-///
-/// # Panics
-///
-/// Panics if `logits` is empty or `label` is out of range.
-pub fn softmax_cross_entropy(logits: &[f32], label: usize) -> (f32, Vec<f32>) {
-    let mut grad = vec![0.0f32; logits.len()];
-    let loss = softmax_cross_entropy_into(logits, label, &mut grad);
-    (loss, grad)
-}
-
-/// [`softmax_cross_entropy`] into a caller-owned gradient buffer — the
-/// allocation-free form steady-state training loops use. `grad` is fully
-/// overwritten with `dL/dlogits`; the loss is returned.
+/// The gradient is the classic `softmax(logits) − onehot(label)`, which
+/// assumes the final layer uses an identity activation (i.e. produces raw
+/// logits).
 ///
 /// # Panics
 ///
@@ -51,21 +41,28 @@ pub fn squared_error(output: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
 mod tests {
     use super::*;
 
+    /// Loss and gradient into a fresh buffer.
+    fn ce(logits: &[f32], label: usize) -> (f32, Vec<f32>) {
+        let mut grad = vec![0.0f32; logits.len()];
+        let loss = softmax_cross_entropy_into(logits, label, &mut grad);
+        (loss, grad)
+    }
+
     #[test]
     fn cross_entropy_perfect_prediction_is_small() {
-        let (loss, _) = softmax_cross_entropy(&[10.0, -10.0], 0);
+        let (loss, _) = ce(&[10.0, -10.0], 0);
         assert!(loss < 1e-3);
     }
 
     #[test]
     fn cross_entropy_wrong_prediction_is_large() {
-        let (loss, _) = softmax_cross_entropy(&[10.0, -10.0], 1);
+        let (loss, _) = ce(&[10.0, -10.0], 1);
         assert!(loss > 5.0);
     }
 
     #[test]
     fn cross_entropy_gradient_sums_to_zero() {
-        let (_, g) = softmax_cross_entropy(&[1.0, 2.0, 0.5], 1);
+        let (_, g) = ce(&[1.0, 2.0, 0.5], 1);
         assert!(g.iter().sum::<f32>().abs() < 1e-6);
         assert!(g[1] < 0.0); // pushes the true logit up
     }
@@ -74,15 +71,14 @@ mod tests {
     fn cross_entropy_gradient_matches_finite_difference() {
         let logits = [0.4f32, -1.2, 0.9];
         let label = 2;
-        let (_, g) = softmax_cross_entropy(&logits, label);
+        let (_, g) = ce(&logits, label);
         let eps = 1e-3f32;
         for i in 0..3 {
             let mut lp = logits;
             lp[i] += eps;
             let mut lm = logits;
             lm[i] -= eps;
-            let num = (softmax_cross_entropy(&lp, label).0 - softmax_cross_entropy(&lm, label).0)
-                / (2.0 * eps);
+            let num = (ce(&lp, label).0 - ce(&lm, label).0) / (2.0 * eps);
             assert!((num - g[i]).abs() < 1e-2, "dim {i}: {num} vs {}", g[i]);
         }
     }
@@ -104,18 +100,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_label_panics() {
-        softmax_cross_entropy(&[1.0, 2.0], 5);
-    }
-
-    #[test]
-    fn into_variant_is_bit_identical_to_allocating_form() {
-        let logits = [0.3f32, -0.7, 1.1, 0.0];
-        let (loss, grad) = softmax_cross_entropy(&logits, 2);
-        let mut buf = [0.0f32; 4];
-        let loss_into = softmax_cross_entropy_into(&logits, 2, &mut buf);
-        assert_eq!(loss.to_bits(), loss_into.to_bits());
-        for (a, b) in grad.iter().zip(&buf) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        ce(&[1.0, 2.0], 5);
     }
 }

@@ -10,7 +10,7 @@ use crate::activation::Activation;
 use crate::backend::{DigitalLinear, LinearBackend};
 use crate::data::Dataset;
 use crate::layer::DenseLayer;
-use crate::loss::softmax_cross_entropy;
+use crate::loss::softmax_cross_entropy_into;
 use enw_numerics::packed::PackedMatvec;
 use enw_numerics::rng::Rng64;
 use enw_numerics::vector::argmax;
@@ -90,8 +90,9 @@ impl SgdConfigBuilder {
 ///
 /// let mut rng = Rng64::new(0);
 /// let mut mlp = Mlp::digital(&[8, 16, 3], Activation::Tanh, &mut rng);
-/// let logits = mlp.predict(&[0.0; 8]);
-/// assert_eq!(logits.len(), 3);
+/// let mut logits = [0.0; 3];
+/// mlp.predict_into(&[0.0; 8], &mut logits);
+/// assert!(logits.iter().all(|v| v.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mlp<B> {
@@ -259,15 +260,8 @@ impl<B: LinearBackend> Mlp<B> {
         &mut self.layers
     }
 
-    /// Inference forward pass returning raw logits.
-    pub fn predict(&mut self, x: &[f32]) -> Vec<f32> {
-        let mut logits = vec![0.0f32; self.out_dim()];
-        self.predict_into(x, &mut logits);
-        logits
-    }
-
-    /// Inference forward pass into a caller-owned logits buffer (`out`
-    /// is fully overwritten). Per-layer activations ping-pong through
+    /// Inference forward pass into a caller-owned buffer of raw logits
+    /// (`out` is fully overwritten). Per-layer activations ping-pong through
     /// the two halves of a workspace the stack owns, so a warm call
     /// performs no heap allocation.
     ///
@@ -312,7 +306,8 @@ impl<B: LinearBackend> Mlp<B> {
         for layer in &mut self.layers {
             a = layer.forward(&a);
         }
-        let (loss, mut grad) = softmax_cross_entropy(&a, label);
+        let mut grad = vec![0.0f32; a.len()];
+        let loss = softmax_cross_entropy_into(&a, label, &mut grad);
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad);
         }
@@ -421,7 +416,10 @@ mod tests {
         mlp.classify(&x);
         let mut dirty = mlp.clone();
         dirty.workspace.fill(f32::NAN);
-        assert_eq!(bits(&dirty.predict(&y)), bits(&mlp.predict(&y)));
+        let (mut got, mut want) = ([0.0f32; 4], [0.0f32; 4]);
+        dirty.predict_into(&y, &mut got);
+        mlp.predict_into(&y, &mut want);
+        assert_eq!(bits(&got), bits(&want));
         dirty.workspace.fill(f32::NAN);
         dirty.logits.fill(f32::NAN);
         assert_eq!(dirty.classify(&x), mlp.classify(&x));

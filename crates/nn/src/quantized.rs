@@ -77,7 +77,9 @@ impl QuantizedMlp {
         for i in 0..calibration.len().min(200) {
             let mut a = calibration.input(i).to_vec();
             for (l, layer) in mlp.layers_mut().iter_mut().enumerate() {
-                a = layer.infer(&a);
+                let mut z = vec![0.0f32; layer.out_dim()];
+                layer.infer_into(&a, &mut z);
+                a = z;
                 act_samples[l].extend(a.iter().map(|v| v.abs() as f64));
             }
         }
@@ -116,7 +118,8 @@ impl QuantizedMlp {
             assert_eq!(a.len() + 1, w.cols(), "input width mismatch");
             let mut xa = a.clone();
             xa.push(1.0);
-            let mut z = w.matvec(&xa);
+            let mut z = vec![0.0f32; w.rows()];
+            w.matvec_into(&xa, &mut z);
             for v in &mut z {
                 *v = aq.round_trip(act.apply(*v));
             }
@@ -198,7 +201,8 @@ pub fn quantization_aware_finetune(
                     }
                 }
             }
-            let (loss, mut grad) = crate::loss::softmax_cross_entropy(&a, data.label(i));
+            let mut grad = vec![0.0f32; a.len()];
+            let loss = crate::loss::softmax_cross_entropy_into(&a, data.label(i), &mut grad);
             total += loss as f64;
             // Backward with the straight-through estimator (activation
             // quantization passes gradients unchanged).

@@ -39,8 +39,9 @@
 //! let mut rng = Rng64::new(42);
 //! let w = Matrix::random_uniform(4, 3, -1.0, 1.0, &mut rng);
 //! let x = [1.0, 0.5, -0.25];
-//! let y = w.matvec(&x);
-//! assert_eq!(y.len(), 4);
+//! let mut y = [0.0; 4];
+//! w.matvec_into(&x, &mut y);
+//! assert!(y.iter().all(|v| v.is_finite()));
 //! ```
 
 pub mod bits;

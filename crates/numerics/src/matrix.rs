@@ -129,8 +129,8 @@ const BLOCKED_MIN_FLOPS: usize = 1 << 17;
 
 /// A dense, row-major `f32` matrix.
 ///
-/// The three kernels [`matvec`](Matrix::matvec),
-/// [`matvec_t`](Matrix::matvec_t) and [`rank1_update`](Matrix::rank1_update)
+/// The three kernels [`matvec_into`](Matrix::matvec_into),
+/// [`matvec_t_into`](Matrix::matvec_t_into) and [`rank1_update`](Matrix::rank1_update)
 /// mirror the forward, backward and update cycles that a resistive crossbar
 /// executes in the analog domain (paper Fig. 1).
 ///
@@ -140,8 +140,11 @@ const BLOCKED_MIN_FLOPS: usize = 1 << 17;
 /// use enw_numerics::matrix::Matrix;
 ///
 /// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-/// assert_eq!(m.matvec_t(&[1.0, 1.0]), vec![4.0, 6.0]);
+/// let mut y = [0.0; 2];
+/// m.matvec_into(&[1.0, 1.0], &mut y);
+/// assert_eq!(y, [3.0, 7.0]);
+/// m.matvec_t_into(&[1.0, 1.0], &mut y);
+/// assert_eq!(y, [4.0, 6.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -276,24 +279,12 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Forward matrix–vector product `y = W · x` (`x` has `cols` entries,
-    /// `y` has `rows`).
+    /// Forward matrix–vector product `y = W · x` into a caller-owned
+    /// output buffer (`x` has `cols` entries, `y` has `rows` and is fully
+    /// overwritten).
     ///
     /// This is the crossbar forward pass: input voltages on the columns,
     /// currents summed along each row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.rows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// [`matvec`](Matrix::matvec) into a caller-owned output buffer
-    /// (`y` is fully overwritten). This is the allocation-free form hot
-    /// loops use with buffers they own.
     ///
     /// Runs on the rows-abreast scan driver (`scan.rs`, which documents
     /// the rule) as its plain dot fold: each `y[r]` is the single
@@ -323,27 +314,16 @@ impl Matrix {
         );
     }
 
-    /// Transposed product `y = Wᵀ · d` (`d` has `rows` entries, `y` has
-    /// `cols`).
+    /// Transposed product `y = Wᵀ · d` into a caller-owned output buffer
+    /// (`d` has `rows` entries, `y` has `cols` and is fully overwritten,
+    /// including skipped-term zeros).
     ///
     /// This is the crossbar backward pass: the same array is driven from the
     /// rows and read from the columns.
     ///
     /// Rows whose coefficient `d[r]` is exactly zero are skipped under
     /// the module-level [zero-skip fast path](crate::matrix) shared with
-    /// [`matmul`](Matrix::matmul).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d.len() != rows`.
-    pub fn matvec_t(&self, d: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.cols];
-        self.matvec_t_into(d, &mut y);
-        y
-    }
-
-    /// [`matvec_t`](Matrix::matvec_t) into a caller-owned output buffer
-    /// (`y` is fully overwritten, including skipped-term zeros).
+    /// [`matmul_into`](Matrix::matmul_into).
     ///
     /// # Panics
     ///
@@ -386,29 +366,16 @@ impl Matrix {
         }
     }
 
-    /// Full matrix product `self · other`.
+    /// Full matrix product `self · other` into a caller-owned output
+    /// matrix (`out` is fully overwritten) — the one entry point to the
+    /// product kernels. Small products, and ones too narrow for a register
+    /// tile (`other.cols < 8`), run the naive triple loop; the rest run the
+    /// cache-blocked kernel. Both perform the identical term sequence
+    /// per output element, so results are bitwise equal whichever runs.
     ///
     /// Terms with a zero left-hand coefficient are skipped under the
     /// module-level [zero-skip fast path](crate::matrix) shared with
-    /// [`matvec_t`](Matrix::matvec_t). Which kernel runs is
-    /// [`matmul_into`](Matrix::matmul_into)'s decision and invisible in
-    /// the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`matmul`](Matrix::matmul) into a caller-owned output matrix
-    /// (`out` is fully overwritten) — the one entry point to the product
-    /// kernels. Small products, and ones too narrow for a register tile
-    /// (`other.cols < 8`), run the naive triple loop; the rest run the
-    /// cache-blocked kernel. Both perform the identical term sequence
-    /// per output element, so results are bitwise equal whichever runs.
+    /// [`matvec_t_into`](Matrix::matvec_t_into).
     ///
     /// # Panics
     ///
@@ -557,11 +524,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
@@ -579,15 +541,19 @@ mod tests {
 
     #[test]
     fn matvec_matches_manual() {
-        let m = sample();
-        assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
+        let mut y = [0.0; 2];
+        sample().matvec_into(&[1.0, 0.0, -1.0], &mut y);
+        assert_eq!(y, [-2.0, -2.0]);
     }
 
     #[test]
     fn matvec_t_matches_transpose_matvec() {
         let m = sample();
         let d = [2.0, -1.0];
-        assert_eq!(m.matvec_t(&d), m.transposed().matvec(&d));
+        let (mut y, mut want) = ([0.0; 3], [0.0; 3]);
+        m.matvec_t_into(&d, &mut y);
+        m.transposed().matvec_into(&d, &mut want);
+        assert_eq!(y, want);
     }
 
     #[test]
@@ -602,21 +568,23 @@ mod tests {
     fn matmul_identity() {
         let m = sample();
         let id = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
-        assert_eq!(m.matmul(&id), m);
+        let mut out = Matrix::zeros(2, 3);
+        m.matmul_into(&id, &mut out);
+        assert_eq!(out, m);
     }
 
     #[test]
     fn matmul_shapes() {
         let a = Matrix::zeros(2, 5);
         let b = Matrix::zeros(5, 7);
-        assert_eq!(a.matmul(&b).rows(), 2);
-        assert_eq!(a.matmul(&b).cols(), 7);
+        // `matmul_into` asserts the output is `a.rows × b.cols`.
+        a.matmul_into(&b, &mut Matrix::zeros(2, 7));
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_wrong_len_panics() {
-        sample().matvec(&[1.0]);
+        sample().matvec_into(&[1.0], &mut [0.0; 2]);
     }
 
     #[test]
@@ -631,12 +599,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         a.axpy(2.0, &b);
         assert_eq!(a.row(1), &[6.0, 8.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -699,7 +661,9 @@ mod tests {
             let a = random_with_zeros(m, k, 1);
             let b = random_with_zeros(k, n, 2);
             let reference = matmul_reference(&a, &b);
-            assert_eq!(bits(a.matmul(&b).as_slice()), bits(&reference), "{m}x{k}x{n}");
+            let mut c = Matrix::zeros(m, n);
+            a.matmul_into(&b, &mut c);
+            assert_eq!(bits(c.as_slice()), bits(&reference), "{m}x{k}x{n}");
         }
     }
 
@@ -719,14 +683,16 @@ mod tests {
         // Row 0 of `a` is all-zero, so its output row touches every B row
         // — including the non-finite ones — only through skipped terms
         // and must come out exactly zero.
-        let c = a.matmul(&b);
+        let mut c = Matrix::zeros(64, 64);
+        a.matmul_into(&b, &mut c);
         assert!(c.row(0).iter().all(|v| *v == 0.0), "{:?}", &c.row(0)[..4]);
         // matvec_t with d == 0 on the rows whose weights are non-finite.
         let mut w = Matrix::zeros(2, 3);
         w.set(0, 0, f32::INFINITY);
         w.set(1, 1, f32::NAN);
-        let y = w.matvec_t(&[0.0, 0.0]);
-        assert_eq!(y, vec![0.0; 3]);
+        let mut y = [f32::NAN; 3];
+        w.matvec_t_into(&[0.0, 0.0], &mut y);
+        assert_eq!(y, [0.0; 3]);
     }
 
     /// Bit patterns with every NaN folded onto one: which operand's

@@ -294,7 +294,10 @@ mod tests {
         if let Some(last) = augmented.last_mut() {
             *last = 1.0;
         }
-        (w.matvec(x), w.matvec(&augmented))
+        let (mut y, mut y_aug) = (vec![0.0; w.rows()], vec![0.0; w.rows()]);
+        w.matvec_into(x, &mut y);
+        w.matvec_into(&augmented, &mut y_aug);
+        (y, y_aug)
     }
 
     const ROWS: [usize; 10] = [1, 7, 8, 9, 10, 16, 32, 33, 64, 130];

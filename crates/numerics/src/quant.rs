@@ -4,10 +4,7 @@
 //! (Sec. II), the 4-bit fixed-point feature vectors fed to TCAM range
 //! encodings (Sec. IV-B1), and embedding-table compression of up to 16×
 //! (Sec. V-B). [`Quantizer`] implements the shared primitive: a symmetric
-//! uniform quantizer with a per-tensor scale and optional stochastic
-//! rounding.
-
-use crate::rng::Rng64;
+//! uniform quantizer with a per-tensor scale.
 
 /// A symmetric uniform quantizer with `bits` of precision.
 ///
@@ -79,17 +76,6 @@ impl Quantizer {
         code.clamp(-(self.qmax as i64), self.qmax as i64) as i32
     }
 
-    /// Quantizes with stochastic rounding: the fractional part decides the
-    /// probability of rounding up. Unbiased in expectation, which is why
-    /// reduced-precision *training* (Sec. II) prefers it.
-    pub fn quantize_stochastic(&self, v: f32, rng: &mut Rng64) -> i32 {
-        let scaled = (v / self.step()) as f64;
-        let floor = scaled.floor();
-        let frac = scaled - floor;
-        let code = if rng.bernoulli(frac) { floor as i64 + 1 } else { floor as i64 };
-        code.clamp(-(self.qmax as i64), self.qmax as i64) as i32
-    }
-
     /// Maps a code back to a real value.
     pub fn dequantize(&self, code: i32) -> f32 {
         code as f32 * self.step()
@@ -109,21 +95,6 @@ impl Quantizer {
     /// Number of distinct levels produced by [`Quantizer::to_levels`].
     pub fn level_count(&self) -> u32 {
         (2 * self.qmax + 1) as u32
-    }
-
-    /// Mean squared quantization error over a slice.
-    pub fn mse(&self, values: &[f32]) -> f64 {
-        if values.is_empty() {
-            return 0.0;
-        }
-        values
-            .iter()
-            .map(|&v| {
-                let e = (v - self.round_trip(v)) as f64;
-                e * e
-            })
-            .sum::<f64>()
-            / values.len() as f64
     }
 }
 
@@ -161,6 +132,16 @@ mod tests {
     }
 
     #[test]
+    fn more_bits_less_mse() {
+        let data: Vec<f32> = (0..1000).map(|i| (i as f32 / 500.0) - 1.0).collect();
+        let mse = |q: Quantizer| -> f64 {
+            data.iter().map(|&v| ((v - q.round_trip(v)) as f64).powi(2)).sum::<f64>()
+                / data.len() as f64
+        };
+        assert!(mse(Quantizer::new(8, 1.0)) < mse(Quantizer::new(4, 1.0)));
+    }
+
+    #[test]
     fn levels_are_offset_binary() {
         let q = Quantizer::new(4, 1.0);
         let levels = q.to_levels(&[-1.0, 0.0, 1.0]);
@@ -168,26 +149,6 @@ mod tests {
         assert_eq!(levels[1], q.qmax() as u32);
         assert_eq!(levels[2], 2 * q.qmax() as u32);
         assert!(levels.iter().all(|&l| l < q.level_count()));
-    }
-
-    #[test]
-    fn stochastic_rounding_unbiased() {
-        let q = Quantizer::new(4, 1.0);
-        let mut rng = Rng64::new(77);
-        let v = 0.4 * q.step(); // 40% of the way to the next code
-        let n = 50_000;
-        let mean: f64 =
-            (0..n).map(|_| q.dequantize(q.quantize_stochastic(v, &mut rng)) as f64).sum::<f64>()
-                / n as f64;
-        assert!((mean - v as f64).abs() < q.step() as f64 * 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn more_bits_less_mse() {
-        let data: Vec<f32> = (0..1000).map(|i| (i as f32 / 500.0) - 1.0).collect();
-        let q4 = Quantizer::new(4, 1.0);
-        let q8 = Quantizer::new(8, 1.0);
-        assert!(q8.mse(&data) < q4.mse(&data));
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (`+∞` if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -146,7 +141,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.std_dev(), 2.0);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }

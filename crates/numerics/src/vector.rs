@@ -41,12 +41,6 @@ pub fn norm_l2(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
-/// L∞ norm (maximum absolute value).
-#[inline]
-pub fn norm_linf(a: &[f32]) -> f32 {
-    a.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-}
-
 /// L1 (Manhattan) distance.
 ///
 /// # Panics
@@ -104,23 +98,12 @@ pub fn cosine_from_parts(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
     (dot / (norm_a * norm_b)).clamp(-1.0, 1.0)
 }
 
-/// Numerically stable softmax; optionally sharpened by inverse temperature
-/// `beta` (`softmax(beta * x)`).
+/// Numerically stable softmax into a caller-owned buffer (`out` is
+/// fully overwritten); optionally sharpened by inverse temperature
+/// `beta` (`softmax(beta * x)`): the logits copied in, then
+/// [`softmax_in_place`].
 ///
-/// Returns a distribution that sums to 1 for any finite input.
-///
-/// # Panics
-///
-/// Panics if `logits` is empty or `beta` is not finite.
-pub fn softmax(logits: &[f32], beta: f32) -> Vec<f32> {
-    let mut out = vec![0.0f32; logits.len()];
-    softmax_into(logits, beta, &mut out);
-    out
-}
-
-/// [`softmax`] into a caller-owned buffer (`out` is fully overwritten):
-/// the logits copied in, then [`softmax_in_place`] — bit-identical to
-/// the allocating form.
+/// Writes a distribution that sums to 1 for any finite input.
 ///
 /// # Panics
 ///
@@ -132,7 +115,7 @@ pub fn softmax_into(logits: &[f32], beta: f32, out: &mut [f32]) {
     softmax_in_place(out, beta);
 }
 
-/// [`softmax`] over `xs` in place: the max of `beta · x`, then each
+/// [`softmax_into`] over `xs` in place: the max of `beta · x`, then each
 /// exponential, one in-order sum and a divide.
 ///
 /// # Panics
@@ -208,7 +191,6 @@ mod tests {
         let v = [3.0, -4.0];
         assert_eq!(norm_l1(&v), 7.0);
         assert_eq!(norm_l2(&v), 5.0);
-        assert_eq!(norm_linf(&v), 4.0);
     }
 
     #[test]
@@ -239,22 +221,25 @@ mod tests {
 
     #[test]
     fn softmax_sums_to_one() {
-        let p = softmax(&[1.0, 2.0, 3.0], 1.0);
+        let mut p = [0.0; 3];
+        softmax_into(&[1.0, 2.0, 3.0], 1.0, &mut p);
         assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
         assert!(p[2] > p[1] && p[1] > p[0]);
     }
 
     #[test]
     fn softmax_handles_large_logits() {
-        let p = softmax(&[1000.0, 1001.0], 1.0);
+        let mut p = [0.0; 2];
+        softmax_into(&[1000.0, 1001.0], 1.0, &mut p);
         assert!(p.iter().all(|x| x.is_finite()));
         assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn softmax_beta_sharpens() {
-        let soft = softmax(&[1.0, 2.0], 1.0);
-        let sharp = softmax(&[1.0, 2.0], 10.0);
+        let (mut soft, mut sharp) = ([0.0; 2], [0.0; 2]);
+        softmax_into(&[1.0, 2.0], 1.0, &mut soft);
+        softmax_into(&[1.0, 2.0], 10.0, &mut sharp);
         assert!(sharp[1] > soft[1]);
     }
 

@@ -21,8 +21,9 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let m = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
         let d: Vec<f32> = (0..rows).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let a = m.matvec_t(&d);
-        let b = m.transposed().matvec(&d);
+        let (mut a, mut b) = (vec![0.0f32; cols], vec![0.0f32; cols]);
+        m.matvec_t_into(&d, &mut a);
+        m.transposed().matvec_into(&d, &mut b);
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x - y).abs() < 1e-4);
         }
@@ -44,7 +45,8 @@ proptest! {
 
     #[test]
     fn softmax_is_distribution(v in finite_vec(16), beta in 0.1f32..20.0) {
-        let p = vector::softmax(&v, beta);
+        let mut p = vec![0.0f32; v.len()];
+        vector::softmax_into(&v, beta, &mut p);
         prop_assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
         prop_assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
     }

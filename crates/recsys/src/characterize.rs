@@ -156,11 +156,6 @@ impl RooflineMachine {
         }
     }
 
-    /// Attainable throughput (FLOP/s) for an operator under the roofline.
-    pub fn attainable_flops(&self, p: &OpProfile) -> f64 {
-        self.peak_flops.min(p.intensity() * self.mem_bandwidth)
-    }
-
     /// Estimated execution time (seconds) of one operator invocation:
     /// `max(compute time, memory time)`.
     pub fn time_seconds(&self, p: &OpProfile) -> f64 {
@@ -232,13 +227,6 @@ mod tests {
         assert_eq!(single.flops, 0);
         assert!(pooled.flops > 0);
         assert_eq!(pooled.bytes, 10 * single.bytes);
-    }
-
-    #[test]
-    fn roofline_attainable_capped_at_peak() {
-        let m = RooflineMachine::server_cpu();
-        let hot = OpProfile { flops: 1_000_000, bytes: 1 };
-        assert_eq!(m.attainable_flops(&hot), m.peak_flops);
     }
 
     #[test]

@@ -553,20 +553,6 @@ impl RecModel {
         self.predict(&q.dense, &q.sparse)
     }
 
-    /// Batched prediction, allocating the result; see
-    /// [`predict_batch_into`](RecModel::predict_batch_into). The returned
-    /// CTRs are bit-identical to calling [`RecModel::predict_query`] in a
-    /// loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query's feature counts mismatch the configuration.
-    pub fn predict_batch<Q: Borrow<SparseQuery> + Sync>(&mut self, queries: &[Q]) -> Vec<f32> {
-        let mut out = vec![0.0f32; queries.len()];
-        self.predict_batch_into(queries, &mut out);
-        out
-    }
-
     /// Batched prediction into a caller-owned buffer (`out` is fully
     /// overwritten): the batch is cut into blocks of 256 queries (a
     /// private, shape-only constant), and within a block each MLP layer
@@ -738,7 +724,9 @@ mod tests {
             onehot[i] += 1.0;
         }
         let rows: Vec<&[f32]> = (0..t.rows()).map(|i| t.row(i)).collect();
-        enw_numerics::matrix::Matrix::from_rows(&rows).matvec_t(&onehot)
+        let mut pooled = vec![0.0f32; t.dim()];
+        enw_numerics::matrix::Matrix::from_rows(&rows).matvec_t_into(&onehot, &mut pooled);
+        pooled
     }
 
     #[test]
@@ -924,6 +912,16 @@ mod tests {
                     let q = gen.query(&mut rng);
                     let want = reference.predict(&q.dense, &q.sparse).to_bits();
                     assert_eq!(model.predict(&q.dense, &q.sparse).to_bits(), want, "{cfg:?}");
+                    // The query's own `lookup_pool` vectors, supplied
+                    // pooled, give the fused gather's CTR.
+                    let own: Vec<Vec<f32>> = model
+                        .tables()
+                        .iter()
+                        .zip(&q.sparse)
+                        .map(|(t, i)| t.lookup_pool(i))
+                        .collect();
+                    let got = model.predict_with_pooled(&q.dense, &own).to_bits();
+                    assert_eq!(got, want, "{cfg:?}, the query's own pooled vectors");
                     let pooled: Vec<Vec<f32>> =
                         (0..3).map(|_| (0..8).map(|_| rng.uniform_f32() - 0.5).collect()).collect();
                     let want = reference.predict_with_pooled(&q.dense, &pooled).to_bits();
@@ -947,7 +945,8 @@ mod tests {
         let queries = gen.batch(37, &mut rng);
         let serial: Vec<u32> = queries.iter().map(|q| m.predict_query(q).to_bits()).collect();
         for threads in [1usize, 3, 8] {
-            let batched = enw_parallel::with_threads(threads, || m.predict_batch(&queries));
+            let mut batched = vec![0.0f32; queries.len()];
+            enw_parallel::with_threads(threads, || m.predict_batch_into(&queries, &mut batched));
             let bits: Vec<u32> = batched.iter().map(|v| v.to_bits()).collect();
             assert_eq!(serial, bits, "threads = {threads}");
         }

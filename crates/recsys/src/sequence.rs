@@ -16,7 +16,7 @@ use enw_nn::activation::Activation;
 use enw_nn::mlp::Mlp;
 use enw_nn::DigitalLinear;
 use enw_numerics::rng::Rng64;
-use enw_numerics::vector::{dot, softmax};
+use enw_numerics::vector::{dot, softmax_in_place};
 
 /// Configuration of the interest model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,9 +96,10 @@ impl InterestModel {
         assert!(!history.is_empty(), "empty interaction history");
         let cand = self.items.row(candidate);
         let scale = 1.0 / (self.cfg.embedding_dim as f32).sqrt();
-        let scores: Vec<f32> =
+        let mut scores: Vec<f32> =
             history.iter().map(|&h| dot(self.items.row(h), cand) * scale).collect();
-        softmax(&scores, 1.0)
+        softmax_in_place(&mut scores, 1.0);
+        scores
     }
 
     /// The attention-pooled interest vector for a candidate.
@@ -126,7 +127,9 @@ impl InterestModel {
         let mut input = interest;
         input.extend_from_slice(self.items.row(candidate));
         input.extend_from_slice(dense);
-        let logit = self.predictor.predict(&input)[0];
+        let mut logit = [0.0f32];
+        self.predictor.predict_into(&input, &mut logit);
+        let logit = logit[0];
         1.0 / (1.0 + (-logit).exp())
     }
 

@@ -137,7 +137,9 @@ proptest! {
         let queries = TraceGenerator::new(&cfg, 1.0).batch(batch, &mut rng);
         let predict_at = |threads: usize| {
             let mut m = model.clone();
-            enw_parallel::with_threads(threads, || m.predict_batch(&queries))
+            let mut ctrs = vec![0.0f32; queries.len()];
+            enw_parallel::with_threads(threads, || m.predict_batch_into(&queries, &mut ctrs));
+            ctrs
         };
         let serial = predict_at(1);
         for t in [2usize, 8] {

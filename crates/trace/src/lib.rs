@@ -193,39 +193,6 @@ pub fn now_ns() -> u64 {
     }
 }
 
-/// A snapshot of process-wide heap-allocation counters, as reported by an
-/// installed [alloc source](install_alloc_source).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    /// Heap allocations since process start.
-    pub allocs: u64,
-    /// Bytes requested by those allocations.
-    pub bytes: u64,
-}
-
-/// An installed allocation-counter source (bench-only; the counting
-/// `#[global_allocator]` lives in `enw-bench`).
-static ALLOC_SOURCE: OnceLock<fn() -> (u64, u64)> = OnceLock::new();
-
-/// Installs a process-wide allocation-counter source returning
-/// `(allocs, bytes)` since process start. Like [`install_time_source`]
-/// this is a profiling convenience outside the determinism contract:
-/// counts are rendered in [`TraceReport::summary_table`] but never stored
-/// in a [`TraceReport`]. First caller wins; returns `false` if a source
-/// was already installed.
-pub fn install_alloc_source(f: fn() -> (u64, u64)) -> bool {
-    ALLOC_SOURCE.set(f).is_ok()
-}
-
-/// Current allocation counters, or `None` when no source is installed
-/// (the default — deterministic runs never install one).
-pub fn alloc_stats() -> Option<AllocStats> {
-    ALLOC_SOURCE.get().map(|f| {
-        let (allocs, bytes) = f();
-        AllocStats { allocs, bytes }
-    })
-}
-
 #[cfg(test)]
 pub(crate) mod test_lock {
     use std::sync::{Mutex, MutexGuard};
@@ -270,21 +237,6 @@ mod tests {
         set_virtual_ns(123);
         assert_eq!(now_ns(), 123);
         set_virtual_ns(0);
-    }
-
-    #[test]
-    fn alloc_source_installs_once_and_feeds_the_summary() {
-        let _guard = test_lock::hold();
-        assert_eq!(alloc_stats(), None, "no source installed yet");
-        assert!(install_alloc_source(|| (7, 4096)));
-        assert!(!install_alloc_source(|| (0, 0)), "second install must be refused");
-        assert_eq!(alloc_stats(), Some(AllocStats { allocs: 7, bytes: 4096 }));
-        // The report itself never stores the counters; only the rendered
-        // console table shows them.
-        let r = TraceReport::default();
-        let table = r.summary_table();
-        assert!(table.contains("allocator"), "{table}");
-        assert!(table.contains("4096"), "{table}");
     }
 
     #[test]

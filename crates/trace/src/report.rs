@@ -155,16 +155,6 @@ impl TraceReport {
         self.spans.iter().map(|s| s.work).sum()
     }
 
-    /// Total trace-clock nanoseconds across all spans.
-    pub fn total_clock_ns(&self) -> u64 {
-        self.spans.iter().map(|s| s.clock_ns).sum()
-    }
-
-    /// Total bytes moved (reads plus writes) across all spans.
-    pub fn total_bytes_moved(&self) -> u64 {
-        self.spans.iter().map(|s| s.bytes_moved()).sum()
-    }
-
     /// Chrome-trace-compatible JSON (load in `chrome://tracing` or
     /// Perfetto): a `traceEvents` array of complete (`"ph": "X"`) events
     /// plus a `summary` object with the aggregates. In summary mode the
@@ -290,15 +280,6 @@ impl TraceReport {
                 ));
             }
         }
-        // Allocation counters are read at render time from the installed
-        // source (if any) rather than stored in the report, so report
-        // bytes stay deterministic while the console view shows them.
-        if let Some(a) = crate::alloc_stats() {
-            out.push_str(&format!(
-                "\n{:<32} {:>14} allocations {:>14} bytes\n",
-                "allocator", a.allocs, a.bytes
-            ));
-        }
         out
     }
 }
@@ -348,8 +329,6 @@ mod tests {
         assert!(json.contains("\"bytes_written\": 140"), "{json}");
         assert!(json.contains("\"p50\": 1234") || json.contains("\"p50\": 12"), "{json}");
         assert_eq!(r.total_work(), 100);
-        assert_eq!(r.total_clock_ns(), 30);
-        assert_eq!(r.total_bytes_moved(), 700);
     }
 
     #[test]

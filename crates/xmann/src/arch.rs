@@ -126,9 +126,9 @@ pub struct OpResult<T> {
 ///
 /// let mut x = Xmann::new(1024, 64, XmannConfig::default(), XmannCostParams::default());
 /// let q = vec![0.1f32; 64];
-/// let sim = x.similarity(&q);
-/// assert_eq!(sim.value.len(), 1024);
-/// assert!(sim.cost.energy_pj > 0.0);
+/// let mut sim = vec![0.0f32; 1024];
+/// let cost = x.similarity_into(&q, &mut sim);
+/// assert!(cost.energy_pj > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Xmann {
@@ -272,21 +272,11 @@ impl Xmann {
     /// the query against every memory row plus per-row L1 norms — *two
     /// crossbar operations* — then the SFU normalizes.
     ///
-    /// Returns the normalized similarity `dot(m, q) / (‖m‖₁ + ε)` per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query width mismatches.
-    pub fn similarity(&mut self, query: &[f32]) -> OpResult<Vec<f32>> {
-        let mut value = vec![0.0f32; self.memory.slots()];
-        let cost = self.similarity_into(query, &mut value);
-        OpResult { value, cost }
-    }
-
-    /// [`similarity`](Xmann::similarity) into a caller-owned buffer of
-    /// `slots` scores (`out` is fully overwritten); returns the charged
-    /// cost. Dot product and norm come out of one pass over the memory,
-    /// so the call needs no intermediate buffer and never allocates.
+    /// Writes the normalized similarity `dot(m, q) / (‖m‖₁ + ε)` per row
+    /// into a caller-owned buffer of `slots` scores (`out` is fully
+    /// overwritten); returns the charged cost. Dot product and norm come
+    /// out of one pass over the memory, so the call needs no intermediate
+    /// buffer and never allocates.
     ///
     /// # Panics
     ///
@@ -319,17 +309,10 @@ impl Xmann {
         cost
     }
 
-    /// Content addressing: similarity + softmax in the SFU.
-    pub fn content_address(&mut self, query: &[f32], beta: f32) -> OpResult<Vec<f32>> {
-        let mut value = vec![0.0f32; self.memory.slots()];
-        let cost = self.content_address_into(query, beta, &mut value);
-        OpResult { value, cost }
-    }
-
-    /// [`content_address`](Xmann::content_address) into a caller-owned
-    /// buffer (`out` is fully overwritten); returns the charged cost. The
-    /// similarity scores are written into `out` and turned into weights
-    /// there.
+    /// Content addressing: similarity + softmax in the SFU, into a
+    /// caller-owned buffer (`out` is fully overwritten); returns the
+    /// charged cost. The similarity scores are written into `out` and
+    /// turned into weights there.
     ///
     /// # Panics
     ///
@@ -347,17 +330,8 @@ impl Xmann {
     /// the attention weights driven on the rows and outputs read along the
     /// columns (the transposable direction).
     ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != slots`.
-    pub fn soft_read(&mut self, weights: &[f32]) -> OpResult<Vec<f32>> {
-        let mut value = vec![0.0f32; self.memory.dim()];
-        let cost = self.soft_read_into(weights, &mut value);
-        OpResult { value, cost }
-    }
-
-    /// [`soft_read`](Xmann::soft_read) into a caller-owned buffer of `dim`
-    /// elements (`out` is fully overwritten); returns the charged cost.
+    /// Writes into a caller-owned buffer of `dim` elements (`out` is fully
+    /// overwritten); returns the charged cost.
     ///
     /// # Panics
     ///
@@ -437,8 +411,9 @@ mod tests {
     #[test]
     fn similarity_favors_matching_row() {
         let mut x = tiny();
-        let r = x.similarity(&[1.0, 0.0, 0.0]);
-        let best = enw_numerics::vector::argmax(&r.value);
+        let mut r = [0.0f32; 4];
+        x.similarity_into(&[1.0, 0.0, 0.0], &mut r);
+        let best = enw_numerics::vector::argmax(&r);
         assert_eq!(best, 0);
     }
 
@@ -446,16 +421,18 @@ mod tests {
     fn soft_read_matches_reference() {
         let mut x = tiny();
         let w = [0.25f32, 0.25, 0.25, 0.25];
-        let r = x.soft_read(&w);
-        let reference = x.memory().soft_read(&w);
-        assert_eq!(r.value, reference);
+        let (mut r, mut reference) = ([0.0f32; 3], [0.0f32; 3]);
+        x.soft_read_into(&w, &mut r);
+        x.memory().soft_read_into(&w, &mut reference);
+        assert_eq!(r, reference);
     }
 
     #[test]
     fn content_address_is_distribution() {
         let mut x = tiny();
-        let r = x.content_address(&[0.0, 1.0, 0.0], 5.0);
-        assert!((r.value.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        let mut r = [0.0f32; 4];
+        x.content_address_into(&[0.0, 1.0, 0.0], 5.0, &mut r);
+        assert!((r.iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
 
     #[test]
@@ -469,10 +446,10 @@ mod tests {
     fn costs_accumulate() {
         let mut x = tiny();
         assert_eq!(x.total_cost(), Cost::zero());
-        x.similarity(&[1.0, 0.0, 0.0]);
+        x.similarity_into(&[1.0, 0.0, 0.0], &mut [0.0; 4]);
         let after_one = x.total_cost();
         assert!(after_one.energy_pj > 0.0 && after_one.latency_ns > 0.0);
-        x.soft_read(&[0.25; 4]);
+        x.soft_read_into(&[0.25; 4], &mut [0.0; 3]);
         assert!(x.total_cost().energy_pj > after_one.energy_pj);
     }
 
@@ -484,8 +461,8 @@ mod tests {
         let p = XmannCostParams::default();
         let mut small = Xmann::new(64, 32, XmannConfig::default(), p);
         let mut large = Xmann::new(4096, 32, XmannConfig::default(), p);
-        let cs = small.similarity(&[0.1; 32]).cost;
-        let cl = large.similarity(&[0.1; 32]).cost;
+        let cs = small.similarity_into(&[0.1; 32], &mut [0.0; 64]);
+        let cl = large.similarity_into(&[0.1; 32], &mut [0.0; 4096]);
         // Crossbar phase latency identical; only reduce/SFU grow.
         assert!(cl.latency_ns < cs.latency_ns * 64.0, "latency must not scale with slots");
     }
@@ -495,8 +472,8 @@ mod tests {
         let p = XmannCostParams::default();
         let mut small = Xmann::new(64, 32, XmannConfig::default(), p);
         let mut large = Xmann::new(4096, 32, XmannConfig::default(), p);
-        let es = small.similarity(&[0.1; 32]).cost.energy_pj;
-        let el = large.similarity(&[0.1; 32]).cost.energy_pj;
+        let es = small.similarity_into(&[0.1; 32], &mut [0.0; 64]).energy_pj;
+        let el = large.similarity_into(&[0.1; 32], &mut [0.0; 4096]).energy_pj;
         assert!(el > es * 10.0);
     }
 

@@ -10,7 +10,7 @@
 use crate::arch::OpResult;
 use crate::cost::{Cost, GpuCostParams};
 use enw_mann::memory::{DifferentiableMemory, Similarity};
-use enw_numerics::vector::softmax;
+use enw_numerics::vector::softmax_in_place;
 
 /// A GPU implementation of the MANN differentiable memory.
 ///
@@ -66,7 +66,8 @@ impl GpuMann {
     ///
     /// Panics if the query width mismatches.
     pub fn similarity(&mut self, query: &[f32]) -> OpResult<Vec<f32>> {
-        let value = self.memory.similarities(query, Similarity::Cosine);
+        let mut value = vec![0.0f32; self.memory.slots()];
+        self.memory.similarities_into(query, Similarity::Cosine, &mut value);
         let elems = (self.memory.slots() * self.memory.dim()) as u64;
         let cost = self.params.kernel(self.footprint_bytes(), 4 * elems);
         self.total += cost;
@@ -75,18 +76,19 @@ impl GpuMann {
 
     /// Content addressing: similarity scan + softmax kernel.
     pub fn content_address(&mut self, query: &[f32], beta: f32) -> OpResult<Vec<f32>> {
-        let sim = self.similarity(query);
-        let value = softmax(&sim.value, beta);
+        let OpResult { mut value, cost } = self.similarity(query);
+        softmax_in_place(&mut value, beta);
         let soft =
             self.params.kernel((self.memory.slots() * 4) as u64, 3 * self.memory.slots() as u64);
         self.total += soft;
-        OpResult { value, cost: sim.cost + soft }
+        OpResult { value, cost: cost + soft }
     }
 
     /// Soft read: weighted sum over all rows (full memory traffic, 2 FLOPs
     /// per element).
     pub fn soft_read(&mut self, weights: &[f32]) -> OpResult<Vec<f32>> {
-        let value = self.memory.soft_read(weights);
+        let mut value = vec![0.0f32; self.memory.dim()];
+        self.memory.soft_read_into(weights, &mut value);
         let elems = (self.memory.slots() * self.memory.dim()) as u64;
         let cost = self.params.kernel(self.footprint_bytes(), 2 * elems);
         self.total += cost;
@@ -131,7 +133,9 @@ mod tests {
     fn functional_results_match_reference_memory() {
         let mut g = gpu();
         let w = [0.5f32, 0.5, 0.0, 0.0];
-        assert_eq!(g.soft_read(&w).value, g.memory().soft_read(&w));
+        let mut reference = vec![0.0f32; 3];
+        g.memory().soft_read_into(&w, &mut reference);
+        assert_eq!(g.soft_read(&w).value, reference);
     }
 
     #[test]

@@ -82,14 +82,15 @@ pub fn run_benchmark(
     x.load_memory(&rows);
     g.load_memory(&rows);
     let erase = vec![0.5f32; bench.dim];
+    let (mut wx, mut rx) = (vec![0.0f32; bench.slots], vec![0.0f32; bench.dim]);
     for _ in 0..bench.queries {
         let q: Vec<f32> = (0..bench.dim).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let wx = x.content_address(&q, 5.0);
+        x.content_address_into(&q, 5.0, &mut wx);
         let wg = g.content_address(&q, 5.0);
-        let rx = x.soft_read(&wx.value);
+        x.soft_read_into(&wx, &mut rx);
         let rg = g.soft_read(&wg.value);
-        debug_assert_eq!(rx.value.len(), rg.value.len());
-        x.soft_write(&wx.value, &erase, &q);
+        debug_assert_eq!(rx.len(), rg.value.len());
+        x.soft_write(&wx, &erase, &q);
         g.soft_write(&wg.value, &erase, &q);
     }
     Comparison { name: bench.name, slots: bench.slots, xmann: x.total_cost(), gpu: g.total_cost() }

@@ -56,10 +56,24 @@ done < <(grep -nE '// lint: [a-z_]+$' scripts/lint-fixture/src/lib.rs)
 echo "lint fixture: all $marked marked lines fire"
 
 echo "== enw gate (paper pins + every smoke experiment; each gate asserted in Rust) =="
-# Runs E9, E10, E14 and E16..E21 in smoke mode, writes the BENCH_*.json
-# artifacts, and exits 1 naming every failed gate. No gate reads a host
-# clock: every byte this writes is a function of the seed.
-cargo run --release -q -p enw-bench --bin enw -- gate
+# Runs E9, E10, E14, E16, E17 and E19..E21 in smoke mode, writes the
+# BENCH_*.json artifacts, and exits 1 naming every failed gate. No gate
+# reads a host clock: every byte this writes is a function of the seed.
+cargo run --release -q -p enw-bench --bin enw -- gate | tee target/gate.out
+
+echo "== enw gate stdout: every experiment's block against its golden digest =="
+# golden.txt holds one `<id> <sha256>` line per gate experiment: the
+# digest of its stdout block, from its `== <id> [` header up to the next.
+# A change that moves science updates a line and says so in CHANGES.md.
+golden=crates/bench/src/bin/enw/golden.txt
+rm -rf target/golden && mkdir -p target/golden
+awk '/^== [^ ]+ \[/ { f = "target/golden/" $2 } f { print > f }' target/gate.out
+for f in target/golden/*; do
+    echo "${f##*/} $(sha256sum <"$f" | cut -d' ' -f1)"
+done | sort >target/golden.txt
+differ=$({ diff <(sort "$golden") target/golden.txt || true; } | awk '/^[<>]/ { print $2 }' | sort -u)
+[[ -z $differ ]] || { echo "enw gate stdout differs from $golden for:" $differ; exit 1; }
+echo "golden: all $(wc -l <"$golden") experiments match"
 
 echo "== ENW_THREADS: E21 --smoke zero-alloc under =2; stdout equal at =1 and =2 over every fan-out =="
 # The variable is read once per process, never per dispatch: E21's

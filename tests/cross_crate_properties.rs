@@ -81,8 +81,9 @@ proptest! {
         let x: Vec<f32> = (0..cols).map(|_| rng.range(-1.0, 1.0) as f32).collect();
         let mut xa = x.clone();
         xa.push(1.0);
-        let y = tile.forward(&x);
-        let y_ref = target.matvec(&xa);
+        let (mut y, mut y_ref) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+        tile.forward_into(&x, &mut y);
+        target.matvec_into(&xa, &mut y_ref);
         for (a, b) in y.iter().zip(&y_ref) {
             prop_assert!((a - b).abs() < 0.01, "{a} vs {b}");
         }
@@ -101,7 +102,8 @@ proptest! {
             onehot[i] += 1.0;
         }
         let rows: Vec<&[f32]> = (0..40).map(|i| table.row(i)).collect();
-        let b = Matrix::from_rows(&rows).matvec_t(&onehot);
+        let mut b = vec![0.0f32; 12];
+        Matrix::from_rows(&rows).matvec_t_into(&onehot, &mut b);
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x - y).abs() < 1e-4);
         }
@@ -116,7 +118,9 @@ proptest! {
         let mem = DifferentiableMemory::random(slots, 8, &mut rng);
         let mut w = vec![0.0f32; slots];
         w[hot] = 1.0;
-        prop_assert_eq!(mem.soft_read(&w), mem.slot(hot).to_vec());
+        let mut r = vec![0.0f32; 8];
+        mem.soft_read_into(&w, &mut r);
+        prop_assert_eq!(r, mem.slot(hot).to_vec());
     }
 
     /// The best slot under any similarity stays the best after adding an
@@ -129,7 +133,9 @@ proptest! {
         mem.write_slot(0, &[1.0, 0.0, 0.0, 0.0]);
         mem.write_slot(1, &[0.0, 0.0, 1.0, 0.0]);
         mem.write_slot(2, &[0.0, 0.0, 0.0, -1.0]);
-        let before = argmax(&mem.similarities(&q, Similarity::Cosine));
+        let mut scores = [0.0f32; 3];
+        mem.similarities_into(&q, Similarity::Cosine, &mut scores);
+        let before = argmax(&scores);
         prop_assert_eq!(before, 0);
         let _ = rng.next_u64();
     }
@@ -171,9 +177,10 @@ proptest! {
         };
         let mut net = ConvNet::new(&cfg, &mut rng);
         let input: Vec<f32> = (0..64).map(|_| rng.range(-1.0, 1.0) as f32).collect();
-        let a = net.embed(&input);
-        let b = net.embed(&input);
-        prop_assert_eq!(a.clone(), b);
+        let (mut a, mut b) = (vec![0.0f32; 8], vec![0.0f32; 8]);
+        net.embed_into(&input, &mut a);
+        net.embed_into(&input, &mut b);
+        prop_assert_eq!(&a, &b);
         prop_assert!(a.iter().all(|v| (-1.0..=1.0).contains(v)));
     }
 
@@ -271,8 +278,9 @@ proptest! {
         let x: Vec<f32> = (0..in_dim).map(|_| rng.range(-1.0, 1.0) as f32).collect();
         let mut xa = x.clone();
         xa.push(1.0);
-        let y = layer.forward(&x);
-        let y_ref = layer.weights().matvec(&xa);
+        let (mut y, mut y_ref) = (vec![0.0f32; out_dim], vec![0.0f32; out_dim]);
+        layer.forward_into(&x, &mut y);
+        layer.weights().matvec_into(&xa, &mut y_ref);
         for (a, b) in y.iter().zip(&y_ref) {
             prop_assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }

@@ -113,17 +113,20 @@ fn xmann_is_functionally_equivalent_to_reference() {
     for (i, r) in rows.iter().enumerate() {
         reference.write_slot(i, r);
     }
+    let (mut got, mut want) = (vec![0.0f32; dim], vec![0.0f32; dim]);
     for trial in 0..5 {
         let w: Vec<f32> = {
             let raw: Vec<f32> = (0..slots).map(|_| rng.uniform_f32()).collect();
             let sum: f32 = raw.iter().sum();
             raw.into_iter().map(|v| v / sum).collect()
         };
-        assert_eq!(x.soft_read(&w).value, reference.soft_read(&w), "trial {trial}");
+        x.soft_read_into(&w, &mut got);
+        reference.soft_read_into(&w, &mut want);
+        assert_eq!(got, want, "trial {trial}");
     }
     // Content addressing peaks on the planted best match.
-    let planted = rows[37].clone();
-    let addr = x.content_address(&planted, 20.0).value;
+    let mut addr = vec![0.0f32; slots];
+    x.content_address_into(&rows[37], 20.0, &mut addr);
     assert_eq!(enw_core::numerics::vector::argmax(&addr), 37);
 }
 
@@ -289,19 +292,24 @@ fn mixed_digital_analog_network_trains() {
     tile.program_effective(&target);
     let mut out_layer = DenseLayer::new(tile, Activation::Identity);
     // Train the analog layer alone on raw pixels (logistic regression).
+    let mut grad = vec![0.0f32; 3];
     for _ in 0..10 {
         for i in 0..split.train.len() {
             let x = split.train.input(i);
             let logits = out_layer.forward(x);
-            let (_, grad) =
-                enw_core::nn::loss::softmax_cross_entropy(&logits, split.train.label(i));
+            enw_core::nn::loss::softmax_cross_entropy_into(
+                &logits,
+                split.train.label(i),
+                &mut grad,
+            );
             out_layer.backward(&grad);
             out_layer.apply_update(0.05);
         }
     }
     let mut correct = 0;
+    let mut logits = vec![0.0f32; 3];
     for i in 0..split.test.len() {
-        let logits = out_layer.infer(split.test.input(i));
+        out_layer.infer_into(split.test.input(i), &mut logits);
         if enw_core::numerics::vector::argmax(&logits) == split.test.label(i) {
             correct += 1;
         }
