@@ -32,14 +32,14 @@ pub fn run(run: &mut Run) {
         let zipf = ZipfSampler::new(CATALOGUE, alpha);
         for &capacity in &[1_000usize, 10_000, 100_000] {
             let mut rng = Rng64::new(14);
-            let mut cache = EmbeddingCache::new(capacity);
+            let mut cache = EmbeddingCache::new(capacity, CATALOGUE);
             // Warm up on 10% of the trace, then measure.
             for _ in 0..LOOKUPS / 10 {
-                cache.access(0, zipf.sample(&mut rng));
+                cache.access(zipf.sample(&mut rng));
             }
             cache.reset_stats();
             for _ in 0..LOOKUPS {
-                cache.access(0, zipf.sample(&mut rng));
+                cache.access(zipf.sample(&mut rng));
             }
             let hr = cache.stats().hit_rate();
             rates.push(hr);

@@ -32,6 +32,7 @@ use enw_core::numerics::matrix::Matrix;
 use enw_core::numerics::packed::PackedMatvec;
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel;
+use enw_core::recsys::cache::EmbeddingCache;
 use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
 use enw_core::serve::backends::{ideal_layers, DigitalBackend};
 use enw_core::serve::presets::{recsys_config, saturation_qps, traffic_classes, try_fleet};
@@ -383,6 +384,18 @@ fn hot_kernels_allocate_nothing_once_warm() {
     let memory = DifferentiableMemory::random(128, 32, &mut rng);
     let (w1, w2) = (word(&mut rng), word(&mut rng));
     let ring = HashRing::with_nodes(16, 8);
+    // One cache per call (8 warm-up, 64 counted), each filled to
+    // capacity with every third key hit again, so its first eviction
+    // links a recency list whose tick order is not the fill order.
+    let mut full_caches: Vec<EmbeddingCache> = (0..72)
+        .map(|_| {
+            let mut cache = EmbeddingCache::new(32, 64);
+            for key in (0..32).chain((0..32).step_by(3)) {
+                cache.access(key);
+            }
+            cache
+        })
+        .collect();
 
     type Kernel<'a> = Box<dyn FnMut() + 'a>;
     let out = |n: usize| vec![0.0f32; n];
@@ -446,6 +459,10 @@ fn hot_kernels_allocate_nothing_once_warm() {
         ("HashRing::owners_into", {
             let mut owners = [0u32; 3];
             Box::new(move || assert_eq!(ring.owners_into(0x5eed, &mut owners), 3))
+        }),
+        ("EmbeddingCache::access, a full cache's first eviction", {
+            let mut fresh = full_caches.iter_mut();
+            Box::new(move || assert!(!fresh.next().expect("one cache per call").access(32)))
         }),
     ];
     parallel::with_threads(1, || {

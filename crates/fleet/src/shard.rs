@@ -90,6 +90,10 @@ impl ShardSpec {
             u32::try_from(self.shards).is_ok() && u32::try_from(self.lookups_per_table).is_ok(),
             "shards and lookups must fit the 32-bit halves of a group key"
         );
+        assert!(
+            self.rows_per_table < u32::MAX as usize,
+            "rows must fit the 32-bit ranks that key the shard caches"
+        );
     }
 }
 
@@ -124,6 +128,9 @@ pub struct ShardedStore {
     tables: Vec<EmbeddingTable>,
     /// Shard of each row, the same in every table.
     row_shard: Vec<u32>,
+    /// Rank of each row among its shard's rows, the same in every
+    /// table: the row's key in its slot's cache.
+    row_rank: Vec<u32>,
     /// Rows in each `(table, shard)` slot, `table * shards + shard`.
     shard_rows: Vec<usize>,
     /// Epoch access counters per slot (halved at each rebalance).
@@ -150,13 +157,14 @@ struct Workspace {
     /// The current user's owner pick for each owner-set length, indexed
     /// by that length (`0` unused).
     pick: Vec<usize>,
-    /// One table's lookups as `shard << 32 | k`: sorted, they group by
-    /// shard, shards ascending and each group in `k` order.
+    /// One table's lookups as `shard << 32 | k`, by `k`.
     keys: Vec<u64>,
+    /// The same keys in ascending order — grouped by shard, shards
+    /// ascending and each group in `k` order — then a `u64::MAX`
+    /// sentinel that no shard's key matches.
+    sorted: Vec<u64>,
     /// One table's lookup rows, by `k`.
     rows: Vec<usize>,
-    /// One shard group's pooled partial.
-    partial: Vec<f32>,
     /// The current user's pooled output, one `dim` stripe per table.
     pooled: Vec<f32>,
 }
@@ -179,26 +187,32 @@ impl ShardedStore {
         // `validate` bounds `shards` by `u32`.
         let row_shard: Vec<u32> =
             (0..spec.rows_per_table).map(|row| shard_of_row(&spec, row) as u32).collect();
-        let mut shard_rows = vec![0usize; slots];
-        for t in 0..spec.tables {
-            for &s in &row_shard {
-                shard_rows[t * spec.shards + s as usize] += 1;
-            }
-        }
-        let caches = (0..slots).map(|_| EmbeddingCache::new(spec.cache_rows)).collect();
+        let mut rows_in_shard = vec![0u32; spec.shards];
+        let row_rank: Vec<u32> = row_shard
+            .iter()
+            .map(|&s| {
+                rows_in_shard[s as usize] += 1;
+                rows_in_shard[s as usize] - 1
+            })
+            .collect();
+        let shard_rows: Vec<usize> =
+            (0..slots).map(|slot| rows_in_shard[slot % spec.shards] as usize).collect();
+        let caches =
+            shard_rows.iter().map(|&rows| EmbeddingCache::new(spec.cache_rows, rows)).collect();
         let ws = Workspace {
             stamps: Vec::new(),
             serial: 0,
             pick: vec![0; spec.replication + 1],
             keys: vec![0; spec.lookups_per_table],
+            sorted: vec![u64::MAX; spec.lookups_per_table + 1],
             rows: vec![0; spec.lookups_per_table],
-            partial: vec![0.0; spec.dim],
             pooled: vec![0.0; spec.tables * spec.dim],
         };
         ShardedStore {
             spec,
             tables,
             row_shard,
+            row_rank,
             shard_rows,
             accesses: vec![0; slots],
             caches,
@@ -253,10 +267,14 @@ impl ShardedStore {
     /// lookup)` order (LRU state is order-sensitive). As soon as a
     /// table's lookups are known it is pooled: a `+0.0` partial per
     /// shard group summed in `k` order, merged into the table's stripe
-    /// in ascending shard order. The checksum then folds the user's
-    /// stripes. A batch is at most a lane's `max_batch` users of well
-    /// under a microsecond each, less than waking a worker costs, so
-    /// nothing here fans out.
+    /// in ascending shard order. Each lookup's place in that order is
+    /// its rank among the table's keys, counted without a branch; the
+    /// stripe is summed `LANES` words at a time in registers, and a
+    /// group's merge is a select on "the next key is another shard's".
+    /// The user's stripes then fold into the checksum in closed form. A
+    /// batch is at most a lane's `max_batch` users of well under a
+    /// microsecond each, less than waking a worker costs, so nothing
+    /// here fans out.
     ///
     /// # Panics
     ///
@@ -264,7 +282,9 @@ impl ShardedStore {
     /// onto a replica set yet.
     pub fn pool_batch(&mut self, users: &[u64]) -> BatchCost {
         assert!(!users.is_empty(), "empty batch");
-        let ShardedStore { spec, tables, row_shard, accesses, caches, owners, ws, .. } = self;
+        let ShardedStore {
+            spec, tables, row_shard, row_rank, accesses, caches, owners, ws, ..
+        } = self;
         let (dim, lookups) = (spec.dim, spec.lookups_per_table);
         let mut cost = BatchCost::default();
         for &user in users {
@@ -272,7 +292,7 @@ impl ShardedStore {
             // hash, stable across identical membership.
             let pick = key_point(user);
             for (len, p) in ws.pick.iter_mut().enumerate().skip(1) {
-                *p = (pick % len as u64) as usize;
+                *p = reduce(pick, len) as usize;
             }
             ws.serial += 1;
             for (t, (table, stripe)) in tables.iter().zip(ws.pooled.chunks_mut(dim)).enumerate() {
@@ -281,7 +301,7 @@ impl ShardedStore {
                     let shard = row_shard[row];
                     let slot = t * spec.shards + shard as usize;
                     accesses[slot] += 1;
-                    if caches[slot].access(t, row) {
+                    if caches[slot].access(row_rank[row] as usize) {
                         cost.hits += 1;
                     } else {
                         cost.misses += 1;
@@ -289,31 +309,25 @@ impl ShardedStore {
                     let set = &owners[slot];
                     assert!(!set.is_empty(), "store serves before its first rebalance");
                     let owner = set[ws.pick[set.len()]] as usize;
-                    if ws.stamps[owner] != ws.serial {
-                        ws.stamps[owner] = ws.serial;
-                        cost.owner_touches += 1;
-                    }
+                    cost.owner_touches += u64::from(ws.stamps[owner] != ws.serial);
+                    ws.stamps[owner] = ws.serial;
                     ws.rows[k] = row;
                     ws.keys[k] = u64::from(shard) << 32 | k as u64;
                 }
-                ws.keys.sort_unstable();
-                stripe.fill(0.0);
-                for group in ws.keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-                    ws.partial.fill(0.0);
-                    for &key in group {
-                        let row = table.row(ws.rows[key as u32 as usize]);
-                        for (p, v) in ws.partial.iter_mut().zip(row) {
-                            *p += v;
-                        }
-                    }
-                    for (o, p) in stripe.iter_mut().zip(&ws.partial) {
-                        *o += p;
-                    }
+                // Keys are distinct (`k` is), so ranks are a permutation.
+                for &key in &ws.keys {
+                    let rank: usize = ws.keys.iter().map(|&other| usize::from(other < key)).sum();
+                    ws.sorted[rank] = key;
+                }
+                let blocks = dim - dim % LANES;
+                for at in (0..blocks).step_by(LANES) {
+                    pool_words::<LANES>(stripe, at, table, &ws.sorted, &ws.rows);
+                }
+                for at in blocks..dim {
+                    pool_words::<1>(stripe, at, table, &ws.sorted, &ws.rows);
                 }
             }
-            for &v in &ws.pooled {
-                cost.checksum = cost.checksum.rotate_left(1) ^ u64::from(v.to_bits());
-            }
+            cost.checksum = fold_checksum(cost.checksum, &ws.pooled);
         }
         let pooled = (users.len() * ws.pooled.len()) as u64;
         enw_trace::record_span_io(
@@ -376,6 +390,67 @@ impl ShardedStore {
     }
 }
 
+/// Stripe words [`pool_words`] sums at a time: the preset's whole
+/// 16-word stripe, four SSE registers per accumulator.
+const LANES: usize = 16;
+
+/// `h % n`, as a mask when `n` is a power of two (the presets' row and
+/// owner counts): the same value without a divide.
+#[inline]
+fn reduce(h: u64, n: usize) -> u64 {
+    let n = n as u64;
+    if n.is_power_of_two() {
+        h & (n - 1)
+    } else {
+        h % n
+    }
+}
+
+/// Pools one table's lookups into the stripe words `at..at + N`, in
+/// `sorted` order (shard groups ascending, each in `k` order, then a
+/// sentinel): each row is added into a `+0.0` partial, which is merged
+/// into the stripe and reset where the next key is another shard's.
+/// Fixed-size arrays keep the words in registers. The merge is a select
+/// that adds `+0.0` inside a group; a stripe starts at `+0.0` and a sum
+/// is `-0.0` only if both addends are, so that leaves it bit for bit:
+/// these are the per-group gathers' f32 additions, in their order.
+#[inline(always)]
+fn pool_words<const N: usize>(
+    stripe: &mut [f32],
+    at: usize,
+    table: &EmbeddingTable,
+    sorted: &[u64],
+    rows: &[usize],
+) {
+    let mut partial = [0.0f32; N];
+    let mut sum = [0.0f32; N];
+    for pair in sorted.windows(2) {
+        let row = &table.row(rows[pair[0] as u32 as usize])[at..at + N];
+        let close = pair[0] >> 32 != pair[1] >> 32;
+        for ((s, p), v) in sum.iter_mut().zip(&mut partial).zip(row) {
+            *p += v;
+            *s += if close { *p } else { 0.0 };
+            *p = if close { 0.0 } else { *p };
+        }
+    }
+    stripe[at..at + N].copy_from_slice(&sum);
+}
+
+/// `checksum` after folding in `words` one at a time, each step
+/// `c ← rotl(c, 1) ^ bits`, computed in closed form: rotation is linear
+/// over XOR, so after `n` steps
+/// `c ← rotl(c, n) ^ ⊕ᵢ rotl(bitsᵢ, n − 1 − i)`, with no chain through
+/// the words.
+#[inline]
+fn fold_checksum(checksum: u64, words: &[f32]) -> u64 {
+    let n = words.len();
+    let mut folded = 0u64;
+    for (i, v) in words.iter().enumerate() {
+        folded ^= u64::from(v.to_bits()).rotate_left(((n - 1 - i) % 64) as u32);
+    }
+    checksum.rotate_left((n % 64) as u32) ^ folded
+}
+
 /// Which shard of its table `row` belongs to.
 #[inline]
 fn shard_of_row(spec: &ShardSpec, row: usize) -> usize {
@@ -391,7 +466,7 @@ fn shard_of_row(spec: &ShardSpec, row: usize) -> usize {
 #[inline]
 fn index_for(spec: &ShardSpec, user: u64, table: usize, k: usize) -> usize {
     let h = key_point(user ^ ((table as u64) << 40) ^ ((k as u64) << 52) ^ 0x00c0_ffee);
-    (h % spec.rows_per_table as u64) as usize
+    reduce(h, spec.rows_per_table) as usize
 }
 
 /// Placement-ring key of a `(table, shard)` slot, domain-separated from
@@ -423,7 +498,7 @@ pub(crate) mod tests {
                         let s = shard_of_row(spec, row);
                         let slot = t * spec.shards + s;
                         self.accesses[slot] += 1;
-                        if self.caches[slot].access(t, row) {
+                        if self.caches[slot].access(self.row_rank[row] as usize) {
                             cost.hits += 1;
                         } else {
                             cost.misses += 1;

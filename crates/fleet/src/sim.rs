@@ -964,41 +964,48 @@ mod tests {
 
         // Sharded reads, batch by batch: both schemes, replication 1-3,
         // caches smaller and larger than a 64-row shard, batches of 1-16
-        // users, and placement moving under them.
-        for scheme in [ShardScheme::Range, ShardScheme::Hash] {
-            for replication in 1..=3 {
-                for cache_rows in [8, 100] {
-                    let shards = ShardSpec {
-                        tables: 3,
-                        rows_per_table: 256,
-                        dim: 5,
-                        lookups_per_table: 6,
-                        shards: 4,
-                        replication,
-                        scheme,
-                        hot_fraction: 0.5,
-                        cache_rows,
-                    };
-                    let mut fast = ShardedStore::new(shards, 5);
-                    let mut nodes = vec![0u32, 1, 2];
-                    fast.rebalance(&nodes);
-                    let mut slow = fast.clone();
-                    for batch in 0..48 {
-                        if batch % 8 == 7 {
-                            if nodes.len() > 1 && rng.bernoulli(0.5) {
-                                nodes.remove(rng.below(nodes.len()));
-                            } else {
-                                nodes.push(nodes.iter().max().map_or(0, |n| n + 1));
+        // users, and placement moving under them; 1 to 9 lookups per
+        // table (the preset's 4 among them) over stripes of 5, 16 and 17
+        // words, so the rank placement, the group select and the
+        // closed-form checksum fold all see ragged shapes.
+        let shapes = [1, 4, 6, 9].into_iter().flat_map(|lookups| [5, 16, 17].map(|d| (lookups, d)));
+        for (lookups_per_table, dim) in shapes {
+            for scheme in [ShardScheme::Range, ShardScheme::Hash] {
+                for replication in 1..=3 {
+                    for cache_rows in [8, 100] {
+                        let shards = ShardSpec {
+                            tables: 3,
+                            rows_per_table: 256,
+                            dim,
+                            lookups_per_table,
+                            shards: 4,
+                            replication,
+                            scheme,
+                            hot_fraction: 0.5,
+                            cache_rows,
+                        };
+                        let mut fast = ShardedStore::new(shards, 5);
+                        let mut nodes = vec![0u32, 1, 2];
+                        fast.rebalance(&nodes);
+                        let mut slow = fast.clone();
+                        for batch in 0..48 {
+                            if batch % 8 == 7 {
+                                if nodes.len() > 1 && rng.bernoulli(0.5) {
+                                    nodes.remove(rng.below(nodes.len()));
+                                } else {
+                                    nodes.push(nodes.iter().max().map_or(0, |n| n + 1));
+                                }
+                                assert_eq!(fast.rebalance(&nodes), slow.rebalance(&nodes));
                             }
-                            assert_eq!(fast.rebalance(&nodes), slow.rebalance(&nodes));
+                            let users: Vec<u64> =
+                                (0..1 + rng.below(16)).map(|_| rng.below(300) as u64).collect();
+                            assert_eq!(
+                                fast.pool_batch(&users),
+                                slow.pool_batch_two_pass(&users),
+                                "{scheme:?}, {lookups_per_table} lookups, dim {dim}, replication \
+                                 {replication}, cache {cache_rows}, batch {batch}"
+                            );
                         }
-                        let users: Vec<u64> =
-                            (0..1 + rng.below(16)).map(|_| rng.below(300) as u64).collect();
-                        assert_eq!(
-                            fast.pool_batch(&users),
-                            slow.pool_batch_two_pass(&users),
-                            "{scheme:?}, replication {replication}, cache {cache_rows}, batch {batch}"
-                        );
                     }
                 }
             }

@@ -7,50 +7,55 @@
 //! the catalogue captures most lookups; the experiment harness sweeps
 //! capacity and skew to map that trade-off.
 
-/// "No node": an empty index slot, or the end of the recency list.
+/// "No node": an uncached key, or the end of the recency list.
 const NIL: u32 = u32::MAX;
 
-/// One cached row in the slab, linked into the recency list.
+/// One cached key in the slab.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    key: (usize, usize),
+    key: u32,
     /// Towards the most recently used end.
     prev: u32,
     /// Towards the least recently used end.
     next: u32,
+    /// Last-use tick; only read while the recency list is unlinked.
+    tick: u64,
 }
 
-/// An LRU cache over `(table, row)` embedding identifiers.
+/// An exact LRU cache over the dense key space `0..keys` (a row of one
+/// table, or a row's rank within its shard).
 ///
-/// Exact LRU in O(1) per access: cached keys live in a slab threaded as
-/// a doubly linked recency list, found through an open-addressed index
-/// (linear probing, at most half full, backward-shift deletion). The
-/// slot hash is a fixed mix, so the hit/miss sequence — and every probe
-/// — is a pure function of the access sequence.
+/// O(1) per access: cached keys live in a slab found through a plain
+/// `Vec<u32>` of node ids, one per key. Until the first eviction a hit
+/// only stamps its node's last-use tick; the first eviction links the
+/// recency list once, in tick order, and from then on every hit moves
+/// its node to the front of the list. The hit/miss sequence is a pure
+/// function of the access sequence.
 ///
 /// # Example
 ///
 /// ```
 /// use enw_recsys::cache::EmbeddingCache;
 ///
-/// let mut cache = EmbeddingCache::new(2);
-/// cache.access(0, 7);
-/// cache.access(0, 7);
+/// let mut cache = EmbeddingCache::new(2, 16);
+/// cache.access(7);
+/// cache.access(7);
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EmbeddingCache {
     capacity: usize,
-    /// Cached keys; grows by `push` up to `capacity`, after which the
-    /// evicted node is reused in place.
+    /// Cached keys; grows by `push` up to `capacity` (reserved up
+    /// front), after which the evicted node is reused in place.
     nodes: Vec<Node>,
-    /// Node id per slot, [`NIL`] when empty. A power of two at least
-    /// twice `capacity`, so probe runs stay short and always end.
+    /// Node id per key, [`NIL`] when the key is not cached.
     index: Vec<u32>,
-    /// Most recently used node.
+    /// Most recently used node; [`NIL`] until the list is linked.
     head: u32,
     /// Least recently used node — the next eviction.
     tail: u32,
+    /// Accesses so far while the list is unlinked.
+    clock: u64,
     hits: u64,
     misses: u64,
 }
@@ -77,21 +82,22 @@ impl CacheStats {
 }
 
 impl EmbeddingCache {
-    /// A cache holding up to `capacity` embedding rows.
+    /// A cache holding up to `capacity` of the keys `0..keys`.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or does not leave room for `u32`
-    /// node ids (`capacity >= u32::MAX / 2`).
-    pub fn new(capacity: usize) -> Self {
+    /// Panics if `capacity` is zero or `keys` does not fit `u32` keys
+    /// and node ids (`keys >= u32::MAX`).
+    pub fn new(capacity: usize, keys: usize) -> Self {
         assert!(capacity > 0, "zero-capacity cache");
-        assert!(capacity < (u32::MAX / 2) as usize, "cache capacity exceeds u32 node ids");
+        assert!(keys < u32::MAX as usize, "cache keys exceed u32 ids");
         EmbeddingCache {
             capacity,
-            nodes: Vec::new(),
-            index: vec![NIL; (2 * capacity).next_power_of_two()],
+            nodes: Vec::with_capacity(capacity.min(keys)),
+            index: vec![NIL; keys],
             head: NIL,
             tail: NIL,
+            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -102,53 +108,61 @@ impl EmbeddingCache {
         self.capacity
     }
 
-    /// Records an access to `(table, row)`; returns `true` on hit.
-    pub fn access(&mut self, table: usize, row: usize) -> bool {
-        let key = (table, row);
-        let mut slot = self.probe(key);
-        let found = self.index[slot];
-        if found != NIL {
+    /// Records an access to `key`; returns `true` on hit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is outside the cache's key space.
+    #[inline]
+    pub fn access(&mut self, key: usize) -> bool {
+        let id = self.index[key];
+        if id != NIL {
             self.hits += 1;
-            if found != self.head {
-                self.unlink(found);
-                self.push_front(found);
+            if self.head == NIL {
+                self.clock += 1;
+                self.nodes[id as usize].tick = self.clock;
+            } else if id != self.head {
+                self.unlink(id);
+                self.push_front(id);
             }
             return true;
         }
         self.misses += 1;
-        let id = if self.nodes.len() < self.capacity {
-            self.nodes.push(Node { key, prev: NIL, next: NIL });
-            (self.nodes.len() - 1) as u32
-        } else {
-            // Evict the least recently used entry and reuse its node.
-            // The shift may move entries of `key`'s own run, so the
-            // free slot is probed for again.
-            let id = self.tail;
-            self.unlink(id);
-            self.remove_from_index(id);
-            self.nodes[id as usize].key = key;
-            slot = self.probe(key);
-            id
-        };
-        self.index[slot] = id;
+        if self.nodes.len() < self.capacity {
+            self.clock += 1;
+            let node = Node { key: key as u32, prev: NIL, next: NIL, tick: self.clock };
+            self.index[key] = self.nodes.len() as u32;
+            self.nodes.push(node);
+            return false;
+        }
+        if self.head == NIL {
+            self.link_by_tick();
+        }
+        // Evict the least recently used entry and reuse its node.
+        let id = self.tail;
+        self.unlink(id);
+        let node = &mut self.nodes[id as usize];
+        self.index[node.key as usize] = NIL;
+        node.key = key as u32;
+        self.index[key] = id;
         self.push_front(id);
         false
     }
 
-    /// Walks `key`'s probe run to the slot that holds it or, if it is
-    /// not cached, to the empty slot that ends the run. The index is
-    /// never more than half full, so every run ends.
-    #[inline]
-    fn probe(&self, key: (usize, usize)) -> usize {
-        let mask = self.index.len() - 1;
-        let mut slot = home_slot(key, mask);
-        loop {
-            let id = self.index[slot];
-            if id == NIL || self.nodes[id as usize].key == key {
-                return slot;
-            }
-            slot = (slot + 1) & mask;
+    /// Links the full slab into the recency list, oldest tick at the
+    /// tail: the nodes are sorted by tick in place (no allocation) and
+    /// the index is pointed at their new ids.
+    #[cold]
+    fn link_by_tick(&mut self) {
+        self.nodes.sort_unstable_by_key(|n| n.tick);
+        let last = self.nodes.len() as u32 - 1;
+        for (id, node) in (0u32..).zip(&mut self.nodes) {
+            self.index[node.key as usize] = id;
+            node.prev = if id == last { NIL } else { id + 1 };
+            node.next = if id == 0 { NIL } else { id - 1 };
         }
+        self.head = last;
+        self.tail = 0;
     }
 
     /// Takes node `id` out of the recency list.
@@ -179,32 +193,6 @@ impl EmbeddingCache {
         self.head = id;
     }
 
-    /// Empties node `id`'s index slot and closes the gap by backward
-    /// shift: each later entry of the probe run moves into the hole
-    /// unless that would put it before its home slot.
-    fn remove_from_index(&mut self, id: u32) {
-        let mask = self.index.len() - 1;
-        let mut hole = self.probe(self.nodes[id as usize].key);
-        let mut next = hole;
-        loop {
-            next = (next + 1) & mask;
-            let moved = self.index[next];
-            if moved == NIL {
-                break;
-            }
-            let home = home_slot(self.nodes[moved as usize].key, mask);
-            // `moved` must stay put iff its home lies cyclically in
-            // `(hole, next]`: measured back from `next`, home is then
-            // strictly nearer than the hole. Runs may wrap the end of
-            // the index, hence the masked differences.
-            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
-                self.index[hole] = moved;
-                hole = next;
-            }
-        }
-        self.index[hole] = NIL;
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats { hits: self.hits, misses: self.misses }
@@ -215,17 +203,6 @@ impl EmbeddingCache {
         self.hits = 0;
         self.misses = 0;
     }
-}
-
-/// Home slot of `key` in an index of `mask + 1` slots: a fixed
-/// splitmix64-style finalizer, never seeded (no `RandomState`), so sequential
-/// rows of one table spread instead of clustering a linear probe.
-#[inline]
-fn home_slot((table, row): (usize, usize), mask: usize) -> usize {
-    let mut z = (row as u64).wrapping_add((table as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) as usize & mask
 }
 
 /// DRAM vs cache access energy for computing traffic savings.
@@ -260,8 +237,8 @@ mod tests {
     /// tick → key in two ordered maps. Kept as the oracle.
     struct MapLru {
         capacity: usize,
-        entries: BTreeMap<(usize, usize), u64>,
-        order: BTreeMap<u64, (usize, usize)>,
+        entries: BTreeMap<usize, u64>,
+        order: BTreeMap<u64, usize>,
         clock: u64,
     }
 
@@ -270,9 +247,8 @@ mod tests {
             MapLru { capacity, entries: BTreeMap::new(), order: BTreeMap::new(), clock: 0 }
         }
 
-        fn access(&mut self, table: usize, row: usize) -> bool {
+        fn access(&mut self, key: usize) -> bool {
             self.clock += 1;
-            let key = (table, row);
             if let Some(tick) = self.entries.get_mut(&key) {
                 self.order.remove(tick);
                 *tick = self.clock;
@@ -292,108 +268,91 @@ mod tests {
 
     #[test]
     fn matches_the_ordered_map_lru_access_for_access() {
-        // 64 keys (so capacities 64, 100 and 256 never evict) and 4096
-        // keys, each spread over 3 tables; Zipf so hits and misses mix.
-        for universe in [64usize, 4096] {
-            let zipf = ZipfSampler::new(universe, 0.9);
-            for capacity in [1usize, 2, 3, 16, 64, 100, 256] {
-                let mut rng = Rng64::new((universe + capacity) as u64);
-                let mut lru = EmbeddingCache::new(capacity);
+        // 64 keys (capacities 64, 100 and 256 are equal to and above the
+        // key count, so they never evict) and 4096 keys; Zipf so hits and
+        // misses mix and the list is linked after many stamped hits.
+        for keys in [64usize, 4096] {
+            let zipf = ZipfSampler::new(keys, 0.9);
+            for capacity in [1usize, 2, 3, 16, 63, 64, 100, 256] {
+                let mut rng = Rng64::new((keys + capacity) as u64);
+                let mut lru = EmbeddingCache::new(capacity, keys);
                 let mut oracle = MapLru::new(capacity);
                 for step in 0..50_000 {
-                    let k = zipf.sample(&mut rng);
-                    let (table, row) = (k % 3, k / 3);
+                    let key = zipf.sample(&mut rng);
                     assert_eq!(
-                        lru.access(table, row),
-                        oracle.access(table, row),
-                        "universe {universe}, capacity {capacity}, step {step}: ({table}, {row})"
+                        lru.access(key),
+                        oracle.access(key),
+                        "keys {keys}, capacity {capacity}, step {step}: {key}"
                     );
                 }
                 assert_eq!(lru.nodes.len(), oracle.entries.len());
+                assert_eq!(lru.head == NIL, capacity >= keys, "linked iff it evicted");
                 assert_eq!(lru.stats().hits + lru.stats().misses, 50_000);
             }
         }
     }
 
-    /// Rows of table 0 whose home is `home` in a capacity-4 (8-slot) index.
-    fn rows_homed_at(home: usize) -> impl Iterator<Item = usize> {
-        (0usize..).filter(move |&row| home_slot((0, row), 7) == home)
-    }
-
-    fn slot_of(c: &EmbeddingCache, row: usize) -> Option<usize> {
-        c.index.iter().position(|&id| id != NIL && c.nodes[id as usize].key == (0, row))
-    }
-
     #[test]
-    fn eviction_shift_crosses_the_end_of_the_index() {
-        let filler = rows_homed_at(4).next().unwrap();
-        let newcomer = rows_homed_at(3).next().unwrap();
-
-        // A run homed at the last slot wraps into 0 and 1; evicting its
-        // head pulls both followers back across the end.
-        let run: Vec<usize> = rows_homed_at(7).take(3).collect();
-        let mut c = EmbeddingCache::new(4);
-        for &row in run.iter().chain([&filler]) {
-            c.access(0, row);
+    fn first_eviction_at_access_capacity_plus_one_links_in_tick_order() {
+        // Fill with distinct keys, then (in the second case) hit a
+        // shuffled half, so the tick order the list is linked in differs
+        // from the insertion order; then a new key evicts. Without the
+        // hits the first eviction is access `capacity + 1`.
+        for capacity in [1usize, 2, 5, 32] {
+            for stamped in [0, capacity.div_ceil(2)] {
+                let keys = 4 * capacity;
+                let mut rng = Rng64::new(capacity as u64);
+                let mut lru = EmbeddingCache::new(capacity, keys);
+                let mut oracle = MapLru::new(capacity);
+                let mut seq: Vec<usize> = (0..capacity).collect();
+                let mut again: Vec<usize> = (0..capacity).collect();
+                rng.shuffle(&mut again);
+                seq.extend_from_slice(&again[..stamped]);
+                seq.push(capacity);
+                seq.extend((0..1000).map(|_| rng.below(2 * capacity)));
+                for (step, &key) in seq.iter().enumerate() {
+                    assert_eq!(lru.head == NIL, step <= capacity + stamped, "step {step}");
+                    assert_eq!(
+                        lru.access(key),
+                        oracle.access(key),
+                        "capacity {capacity}, {stamped} stamped, step {step}"
+                    );
+                }
+            }
         }
-        assert_eq!(
-            run.iter().map(|&r| slot_of(&c, r)).collect::<Vec<_>>(),
-            [Some(7), Some(0), Some(1)]
-        );
-        c.access(0, newcomer); // evicts run[0], the LRU, from slot 7
-        assert_eq!(
-            run.iter().map(|&r| slot_of(&c, r)).collect::<Vec<_>>(),
-            [None, Some(7), Some(0)]
-        );
-        assert_eq!(c.index[1], NIL);
-        assert!(c.access(0, run[1]) && c.access(0, run[2]) && c.access(0, filler));
-        assert!(!c.access(0, run[0]));
-
-        // Entries homed at slot 0 sit *behind* a hole at the last slot:
-        // home 0 lies in (7, 0] and (7, 1], so neither may move into it.
-        let last = rows_homed_at(7).next().unwrap();
-        let first: Vec<usize> = rows_homed_at(0).take(2).collect();
-        let mut c = EmbeddingCache::new(4);
-        for row in [last, first[0], first[1], filler] {
-            c.access(0, row);
-        }
-        c.access(0, newcomer); // evicts `last` from slot 7
-        assert_eq!(c.index[7], NIL);
-        assert_eq!((slot_of(&c, first[0]), slot_of(&c, first[1])), (Some(0), Some(1)));
-        assert!(c.access(0, first[0]) && c.access(0, first[1]));
     }
 
     #[test]
     fn repeat_access_hits() {
-        let mut c = EmbeddingCache::new(4);
-        assert!(!c.access(0, 1));
-        assert!(c.access(0, 1));
+        let mut c = EmbeddingCache::new(4, 8);
+        assert!(!c.access(1));
+        assert!(c.access(1));
         assert_eq!(c.stats().hit_rate(), 0.5);
     }
 
     #[test]
     fn lru_evicts_oldest() {
-        let mut c = EmbeddingCache::new(2);
-        c.access(0, 1);
-        c.access(0, 2);
-        c.access(0, 1); // refresh 1; 2 becomes LRU
-        c.access(0, 3); // evicts 2
-        assert!(c.access(0, 1), "1 should still be cached");
-        assert!(!c.access(0, 2), "2 should have been evicted");
+        let mut c = EmbeddingCache::new(2, 8);
+        c.access(1);
+        c.access(2);
+        c.access(1); // refresh 1; 2 becomes LRU
+        c.access(3); // evicts 2
+        assert!(c.access(1), "1 should still be cached");
+        assert!(!c.access(2), "2 should have been evicted");
     }
 
     #[test]
-    fn distinct_tables_do_not_collide() {
-        let mut c = EmbeddingCache::new(4);
-        c.access(0, 5);
-        assert!(!c.access(1, 5));
+    fn distinct_keys_do_not_collide() {
+        let mut c = EmbeddingCache::new(4, 8);
+        c.access(5);
+        assert!(!c.access(6));
     }
 
     #[test]
     fn capacity_respected() {
-        let mut c = EmbeddingCache::new(3);
+        let mut c = EmbeddingCache::new(3, 10);
         for i in 0..10 {
-            c.access(0, i);
+            c.access(i);
         }
         assert_eq!(c.nodes.len(), 3);
     }
@@ -402,10 +361,9 @@ mod tests {
     fn zipf_traffic_gets_high_hit_rate_with_small_cache() {
         let mut rng = Rng64::new(1);
         let zipf = ZipfSampler::new(100_000, 1.0);
-        let mut c = EmbeddingCache::new(1000); // 1% of catalogue
+        let mut c = EmbeddingCache::new(1000, 100_000); // 1% of catalogue
         for _ in 0..20_000 {
-            let row = zipf.sample(&mut rng);
-            c.access(0, row);
+            c.access(zipf.sample(&mut rng));
         }
         let hr = c.stats().hit_rate();
         assert!(hr > 0.4, "hit rate {hr} too low for Zipf(1.0) with 1% cache");
@@ -414,9 +372,9 @@ mod tests {
     #[test]
     fn uniform_traffic_gets_low_hit_rate() {
         let mut rng = Rng64::new(2);
-        let mut c = EmbeddingCache::new(1000);
+        let mut c = EmbeddingCache::new(1000, 100_000);
         for _ in 0..20_000 {
-            c.access(0, rng.below(100_000));
+            c.access(rng.below(100_000));
         }
         let hr = c.stats().hit_rate();
         assert!(hr < 0.1, "hit rate {hr} too high for uniform traffic");
@@ -432,10 +390,10 @@ mod tests {
 
     #[test]
     fn reset_stats_keeps_contents() {
-        let mut c = EmbeddingCache::new(4);
-        c.access(0, 1);
+        let mut c = EmbeddingCache::new(4, 8);
+        c.access(1);
         c.reset_stats();
         assert_eq!(c.stats().hits + c.stats().misses, 0);
-        assert!(c.access(0, 1), "contents must survive reset");
+        assert!(c.access(1), "contents must survive reset");
     }
 }

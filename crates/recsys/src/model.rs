@@ -84,6 +84,7 @@ impl EmbeddingTable {
     /// # Panics
     ///
     /// Panics if out of range.
+    #[inline]
     pub fn row(&self, index: usize) -> &[f32] {
         self.weights.row(index)
     }

@@ -87,9 +87,9 @@ fn main() {
     let zipf = ZipfSampler::new(500_000, 1.0);
     for &capacity in &[500usize, 5_000, 50_000] {
         let mut rng = Rng64::new(3);
-        let mut cache = EmbeddingCache::new(capacity);
+        let mut cache = EmbeddingCache::new(capacity, zipf.len());
         for _ in 0..100_000 {
-            cache.access(0, zipf.sample(&mut rng));
+            cache.access(zipf.sample(&mut rng));
         }
         let hr = cache.stats().hit_rate();
         cache_table.row_owned(vec![

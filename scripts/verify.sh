@@ -56,7 +56,7 @@ done < <(grep -nE '// lint: [a-z_]+$' scripts/lint-fixture/src/lib.rs)
 echo "lint fixture: all $marked marked lines fire"
 
 echo "== enw gate (paper pins + every smoke experiment; each gate asserted in Rust) =="
-# Runs E9, E10, E14, E16, E17 and E19..E21 in smoke mode, writes the
+# Runs E2..E5, E7..E14, E16, E17 and E19..E21 in smoke mode, writes the
 # BENCH_*.json artifacts, and exits 1 naming every failed gate. No gate
 # reads a host clock: every byte this writes is a function of the seed.
 cargo run --release -q -p enw-bench --bin enw -- gate | tee target/gate.out
