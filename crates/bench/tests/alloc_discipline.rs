@@ -187,25 +187,35 @@ fn analog_tile_cycles_allocate_nothing_and_reads_touch_no_pool() {
 fn tcam_search_and_kv_update_allocate_nothing_once_warm() {
     let mut rng = Rng64::new(16);
     let word = |rng: &mut Rng64| (0..256).map(|_| rng.bernoulli(0.5)).collect::<BitVec>();
-    // 64 arrays of 32 words: the bank shape of `tcam_fewshot`, scaled down.
-    let mut bank = TcamBank::new(256, 32, cells::fefet_2t(), TcamConfig::default());
-    for _ in 0..64 * 32 {
-        bank.write(word(&mut rng));
-    }
-    assert_eq!(bank.array_count(), 64);
-    let query = word(&mut rng);
     // Every bit cared for, so a random pattern matches no stored word.
     let pattern = TernaryWord::new(word(&mut rng), BitVec::from_bools(&[true; 256]));
-    for threads in [1, 2] {
-        parallel::with_threads(threads, || {
-            let s0 = alloc_audit::thread_snapshot();
-            for _ in 0..16 {
-                assert!(bank.search_nearest(&query).0.is_some());
-                assert!(bank.search_ternary(&pattern).0.is_empty());
-            }
-            let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
-            assert_eq!(allocs, 0, "bank searches allocated at {threads} thread(s)");
-        });
+    let query = word(&mut rng);
+    // 64 arrays of 32 words (one search chunk, swept in line) and the
+    // bank shape of `tcam_fewshot`, 64 arrays of 512 (eight chunks, dealt
+    // to the pool at two threads; at one, every chunk runs here).
+    for rows in [32, 512] {
+        let mut bank = TcamBank::new(256, rows, cells::fefet_2t(), TcamConfig::default());
+        for _ in 0..64 * rows {
+            bank.write(word(&mut rng));
+        }
+        assert_eq!(bank.array_count(), 64);
+        for threads in [1, 2] {
+            parallel::with_threads(threads, || {
+                if rows == 512 && threads == 2 {
+                    // Warm: the first fan-out may start the pool. A
+                    // one-chunk bank never dispatches, so its first
+                    // search stays inside the counted window.
+                    bank.search_nearest(&query);
+                }
+                let s0 = alloc_audit::thread_snapshot();
+                for _ in 0..16 {
+                    assert!(bank.search_nearest(&query).0.is_some());
+                    assert!(bank.search_ternary(&pattern).0.is_empty());
+                }
+                let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+                assert_eq!(allocs, 0, "{rows}-row bank searches allocated at {threads} thread(s)");
+            });
+        }
     }
 
     let capacity = 64;

@@ -69,6 +69,38 @@ impl TcamConfigBuilder {
     }
 }
 
+/// Cost of programming one `width`-bit word.
+pub(crate) fn write_cost(width: usize, tech: &CellTech) -> Cost {
+    Cost::new(width as f64 * tech.write_bit_pj, tech.write_word_ns)
+}
+
+/// Cost of one parallel search over an array holding `words` words.
+///
+/// With `s` match-line segments, selective precharge evaluates one
+/// segment at a time and kills mismatching lines early; to first order
+/// the expected charged-cell count drops toward `1/s` of the array
+/// while latency grows by one sense stage per extra segment.
+pub(crate) fn search_cost(words: usize, width: usize, tech: &CellTech, cfg: TcamConfig) -> Cost {
+    let cells = (words * width) as f64;
+    let s = cfg.segments as f64;
+    let energy = cells * tech.search_bit_pj * (1.0 / s + 0.5 / s.max(1.0) * (s - 1.0) / s);
+    let latency = tech.search_ns + (s - 1.0) * 0.5 * tech.search_ns;
+    Cost::new(energy, latency)
+}
+
+/// Indices of the words in `limbs` (`limbs_per_word` limbs each) that
+/// `pattern` matches, in index order.
+pub(crate) fn ternary_hits(
+    limbs: &[u64],
+    limbs_per_word: usize,
+    pattern: &TernaryWord,
+) -> Vec<usize> {
+    (limbs.chunks_exact(limbs_per_word).enumerate())
+        .filter(|(_, w)| pattern.matches_limbs(w))
+        .map(|(i, _)| i)
+        .collect()
+}
+
 /// A ternary CAM array of fixed word width.
 ///
 /// # Example
@@ -146,11 +178,6 @@ impl TcamArray {
         self.len == 0
     }
 
-    /// The cell technology in use.
-    pub fn tech(&self) -> &CellTech {
-        &self.tech
-    }
-
     /// Cumulative cost of all writes and searches.
     pub fn total_cost(&self) -> Cost {
         self.total
@@ -181,7 +208,7 @@ impl TcamArray {
         self.limbs.extend_from_slice(word.limbs());
         self.len += 1;
         self.writes += 1;
-        let cost = Cost::new(self.width as f64 * self.tech.write_bit_pj, self.tech.write_word_ns);
+        let cost = write_cost(self.width, &self.tech);
         self.total += cost;
         (self.len - 1, cost)
     }
@@ -197,52 +224,17 @@ impl TcamArray {
         let lpw = self.limbs_per_word;
         self.limbs[index * lpw..(index + 1) * lpw].copy_from_slice(word.limbs());
         self.writes += 1;
-        let cost = Cost::new(self.width as f64 * self.tech.write_bit_pj, self.tech.write_word_ns);
+        let cost = write_cost(self.width, &self.tech);
         self.total += cost;
         cost
-    }
-
-    /// Cost of one parallel search over the whole array.
-    ///
-    /// With `s` match-line segments, selective precharge evaluates one
-    /// segment at a time and kills mismatching lines early; to first order
-    /// the expected charged-cell count drops toward `1/s` of the array
-    /// while latency grows by one sense stage per extra segment.
-    fn search_cost(&self) -> Cost {
-        let cells = (self.len * self.width) as f64;
-        let s = self.cfg.segments as f64;
-        let energy = cells * self.tech.search_bit_pj * (1.0 / s + 0.5 / s.max(1.0) * (s - 1.0) / s);
-        let latency = self.tech.search_ns + (s - 1.0) * 0.5 * self.tech.search_ns;
-        Cost::new(energy, latency)
     }
 
     /// Books one search against the array's cumulative cost and returns
-    /// that search's cost. Split out from the search entry points so
-    /// `TcamBank` can pair it with the `peek_*` match computations while
-    /// it sweeps its arrays.
-    pub(crate) fn record_search(&mut self) -> Cost {
-        let cost = self.search_cost();
+    /// that search's cost.
+    fn record_search(&mut self) -> Cost {
+        let cost = search_cost(self.len, self.width, &self.tech, self.cfg);
         self.total += cost;
         cost
-    }
-
-    /// Pure ternary match (no cost accounting): indices of stored words
-    /// matching `pattern`, appended to a caller-owned vector (`hits` is
-    /// cleared first) so repeated searches can reuse one buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern width mismatches.
-    pub fn peek_ternary_into(&self, pattern: &TernaryWord, hits: &mut Vec<usize>) {
-        assert_eq!(pattern.len(), self.width, "pattern width mismatch");
-        hits.clear();
-        hits.extend(
-            self.limbs
-                .chunks_exact(self.limbs_per_word)
-                .enumerate()
-                .filter(|(_, w)| pattern.matches_limbs(w))
-                .map(|(i, _)| i),
-        );
     }
 
     /// Exact ternary match of `pattern` against every stored word — one
@@ -252,36 +244,23 @@ impl TcamArray {
     ///
     /// Panics if the pattern width mismatches.
     pub fn search_ternary(&mut self, pattern: &TernaryWord) -> (Vec<usize>, Cost) {
-        let mut hits = Vec::new();
-        self.peek_ternary_into(pattern, &mut hits);
-        let cost = self.record_search();
-        (hits, cost)
-    }
-
-    /// Pure nearest-match computation (no cost accounting): the
-    /// minimum-Hamming-distance stored word, ties to the lowest index.
-    /// See [`search_nearest`](TcamArray::search_nearest).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query width mismatches.
-    pub fn peek_nearest(&self, query: &BitVec) -> Option<NearestHit> {
-        assert_eq!(query.len(), self.width, "query width mismatch");
-        nearest_hamming(&self.limbs, self.limbs_per_word, query.limbs())
-            .map(|(index, distance)| NearestHit { index, distance: distance as usize })
+        assert_eq!(pattern.len(), self.width, "pattern width mismatch");
+        let hits = ternary_hits(&self.limbs, self.limbs_per_word, pattern);
+        (hits, self.record_search())
     }
 
     /// Nearest-match search by match-line discharge-rate sensing: returns
-    /// the minimum-Hamming-distance stored word in a single parallel
-    /// search.
+    /// the minimum-Hamming-distance stored word (the lowest index on
+    /// ties) in a single parallel search.
     ///
     /// # Panics
     ///
     /// Panics if the query width mismatches.
     pub fn search_nearest(&mut self, query: &BitVec) -> (Option<NearestHit>, Cost) {
-        let best = self.peek_nearest(query);
-        let cost = self.record_search();
-        (best, cost)
+        assert_eq!(query.len(), self.width, "query width mismatch");
+        let best = nearest_hamming(&self.limbs, self.limbs_per_word, query.limbs())
+            .map(|(index, distance)| NearestHit { index, distance: distance as usize });
+        (best, self.record_search())
     }
 }
 

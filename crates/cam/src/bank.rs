@@ -2,21 +2,34 @@
 //! enable larger MANN memories" — but a single array's word-line/match-
 //! line lengths are bounded, so large memories are built from banks
 //! searched in parallel and combined by a global priority stage).
+//!
+//! The host mirrors that organization: the bank's words live in one limb
+//! store, each array is a `rows_per_array` window of it that books its
+//! own search cost, and a nearest search sweeps the store in fixed
+//! [`CHUNK_WORDS`]-word chunks dealt across the `enw-parallel` pool, then
+//! folds the chunk hits in order — the global priority stage.
 
-use crate::array::{NearestHit, TcamArray, TcamConfig};
+use crate::array::{search_cost, ternary_hits, write_cost, NearestHit, TcamConfig};
 use crate::cells::CellTech;
 use enw_mann::encoding::TernaryWord;
-use enw_numerics::bits::BitVec;
+use enw_numerics::bits::{nearest_hamming, BitVec};
 use enw_xmann::cost::Cost;
+
+/// Words per chunk of a nearest search: a shape-only constant. Chunk `c`
+/// runs on participant `c % slots` of the pool, so at a fixed thread
+/// count each core rescans the same chunks every search and keeps them
+/// in its own L2 — 512 KiB a core for `tcam_fewshot`'s 1 MiB bank at two
+/// threads. A bank of one chunk searches on the calling thread.
+pub const CHUNK_WORDS: usize = 4096;
 
 /// A bank of equally sized TCAM arrays behaving as one large memory.
 ///
 /// Searches broadcast to every array concurrently (latency = one array
 /// search + one combine stage; energy = sum over arrays), and writes fill
 /// arrays in order. That concurrency is the modelled hardware's and lives
-/// in the booked [`Cost`]; the host sweeps the arrays one after another
-/// on the calling thread, since a whole-bank scan costs less than waking
-/// a worker for it.
+/// in the booked [`Cost`]. On the host, a bank of more than
+/// [`CHUNK_WORDS`] words is swept on every pool participant at once;
+/// hits, costs and totals are the same bits at any thread count.
 ///
 /// # Example
 ///
@@ -36,10 +49,19 @@ use enw_xmann::cost::Cost;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TcamBank {
-    arrays: Vec<TcamArray>,
+    width: usize,
+    /// `u64` limbs per stored word (`width.div_ceil(64)`).
+    limbs_per_word: usize,
     rows_per_array: usize,
+    tech: CellTech,
     cfg: TcamConfig,
     combine_stage_ns: f64,
+    /// Every stored word's limbs in global index order; array `a` is
+    /// words `a * rows_per_array..` of it.
+    limbs: Vec<u64>,
+    /// The last nearest search's hit in each chunk, in chunk order. Grown
+    /// by `write`, so a search allocates nothing.
+    chunk_hits: Vec<Option<(usize, u32)>>,
     total: Cost,
 }
 
@@ -48,37 +70,43 @@ impl TcamBank {
     ///
     /// # Panics
     ///
-    /// Panics if `rows_per_array` is zero (array construction panics on
-    /// zero width).
+    /// Panics if `width`, `rows_per_array` or `cfg.segments` is zero.
     pub fn new(width: usize, rows_per_array: usize, tech: CellTech, cfg: TcamConfig) -> Self {
         assert!(rows_per_array > 0, "arrays need capacity");
+        assert!(width > 0, "zero-width TCAM");
+        assert!(cfg.segments > 0, "need at least one match-line segment");
         TcamBank {
-            arrays: vec![TcamArray::new(width, tech, cfg)],
+            width,
+            limbs_per_word: width.div_ceil(64),
             rows_per_array,
+            tech,
             cfg,
             combine_stage_ns: 0.5,
+            limbs: Vec::new(),
+            chunk_hits: Vec::new(),
             total: Cost::zero(),
         }
     }
 
     /// Word width.
     pub fn width(&self) -> usize {
-        self.arrays[0].width()
+        self.width
     }
 
     /// Total stored words.
     pub fn len(&self) -> usize {
-        self.arrays.iter().map(|a| a.len()).sum()
+        self.limbs.len() / self.limbs_per_word
     }
 
     /// Returns `true` if nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.limbs.is_empty()
     }
 
-    /// Number of physical arrays currently allocated.
+    /// Number of physical arrays currently allocated (an empty bank has
+    /// one).
     pub fn array_count(&self) -> usize {
-        self.arrays.len()
+        self.len().div_ceil(self.rows_per_array).max(1)
     }
 
     /// Cumulative hardware cost.
@@ -86,21 +114,36 @@ impl TcamBank {
         self.total
     }
 
-    /// Appends a word, allocating a new array when the current one fills.
+    /// Appends a word, opening a new array when the current one fills.
     /// Returns the global index.
     ///
     /// # Panics
     ///
     /// Panics if the word width mismatches.
     pub fn write(&mut self, word: BitVec) -> (usize, Cost) {
-        if self.arrays.last().is_none_or(|a| a.len() >= self.rows_per_array) {
-            let tech = *self.arrays[0].tech();
-            self.arrays.push(TcamArray::new(self.width(), tech, self.cfg));
-        }
-        let bank_idx = self.arrays.len() - 1;
-        let (local, cost) = self.arrays[bank_idx].write(&word);
+        assert_eq!(word.len(), self.width, "word width mismatch");
+        let index = self.len();
+        self.limbs.extend_from_slice(word.limbs());
+        self.chunk_hits.resize((index + 1).div_ceil(CHUNK_WORDS), None);
+        let cost = write_cost(self.width, &self.tech);
         self.total += cost;
-        (bank_idx * self.rows_per_array + local, cost)
+        (index, cost)
+    }
+
+    /// Books one whole-bank search: each array's own search cost, in
+    /// array order — energy sums over the arrays, latency is one array's
+    /// (they search concurrently) plus the combine stage.
+    fn record_search(&mut self) -> Cost {
+        let (mut energy, mut latency) = (0.0, 0.0f64);
+        for a in 0..self.array_count() {
+            let words = (self.len() - a * self.rows_per_array).min(self.rows_per_array);
+            let cost = search_cost(words, self.width, &self.tech, self.cfg);
+            energy += cost.energy_pj;
+            latency = latency.max(cost.latency_ns);
+        }
+        let cost = Cost::new(energy, latency + self.combine_stage_ns);
+        self.total += cost;
+        cost
     }
 
     /// Books the deterministic host-side traffic of one whole-bank
@@ -118,58 +161,187 @@ impl TcamBank {
 
     /// Nearest-Hamming search across every array in parallel; ties break
     /// toward the lowest global index (the global priority encoder).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query width mismatches.
     pub fn search_nearest(&mut self, query: &BitVec) -> (Option<NearestHit>, Cost) {
+        assert_eq!(query.len(), self.width, "query width mismatch");
         self.record_search_traffic("cam/search_nearest", 1);
+        let (limbs, lpw, q) = (&self.limbs[..], self.limbs_per_word, query.limbs());
+        let chunk = CHUNK_WORDS * lpw;
+        enw_parallel::run_chunks_mut(&mut self.chunk_hits, 1, |c, hit| {
+            hit[0] = nearest_hamming(&limbs[c * chunk..limbs.len().min((c + 1) * chunk)], lpw, q);
+        });
+        // Each chunk's hit is its lowest index at its least distance, and
+        // a strict `<` over the chunks in order keeps the lowest global
+        // index among equal distances.
         let mut best: Option<NearestHit> = None;
-        let mut energy = 0.0;
-        let mut latency: f64 = 0.0;
-        for (b, arr) in self.arrays.iter_mut().enumerate() {
-            let hit = arr.peek_nearest(query);
-            let cost = arr.record_search();
-            energy += cost.energy_pj;
-            latency = latency.max(cost.latency_ns); // concurrent arrays
-            if let Some(h) = hit {
-                // Arrays are swept in ascending global index, so a strict
-                // `<` keeps the lowest index among equal distances.
-                if best.is_none_or(|cur| h.distance < cur.distance) {
-                    best = Some(NearestHit { index: b * self.rows_per_array + h.index, ..h });
+        for (c, hit) in self.chunk_hits.iter().enumerate() {
+            if let Some((index, distance)) = *hit {
+                if best.is_none_or(|b| (distance as usize) < b.distance) {
+                    best = Some(NearestHit {
+                        index: c * CHUNK_WORDS + index,
+                        distance: distance as usize,
+                    });
                 }
             }
         }
-        let cost = Cost::new(energy, latency + self.combine_stage_ns);
-        self.total += cost;
-        (best, cost)
+        (best, self.record_search())
     }
 
     /// Ternary match across all arrays; returns global indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern width mismatches.
     pub fn search_ternary(&mut self, pattern: &TernaryWord) -> (Vec<usize>, Cost) {
+        assert_eq!(pattern.len(), self.width, "pattern width mismatch");
         // A ternary pattern ships two words (bits + care mask).
         self.record_search_traffic("cam/search_ternary", 2);
-        let mut hits = Vec::new();
-        let mut local = Vec::new();
-        let mut energy = 0.0;
-        let mut latency: f64 = 0.0;
-        for (b, arr) in self.arrays.iter_mut().enumerate() {
-            arr.peek_ternary_into(pattern, &mut local);
-            let cost = arr.record_search();
-            energy += cost.energy_pj;
-            latency = latency.max(cost.latency_ns);
-            hits.extend(local.iter().map(|i| b * self.rows_per_array + i));
-        }
-        let cost = Cost::new(energy, latency + self.combine_stage_ns);
-        self.total += cost;
-        (hits, cost)
+        let hits = ternary_hits(&self.limbs, self.limbs_per_word, pattern);
+        (hits, self.record_search())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::TcamArray;
     use crate::cells;
     use enw_numerics::rng::Rng64;
 
     fn word(bits: usize, rng: &mut Rng64) -> BitVec {
         (0..bits).map(|_| rng.bernoulli(0.5)).collect()
+    }
+
+    /// The sweep the bank ran before its words shared one store, kept as
+    /// the oracle: one `TcamArray` per `rows_per_array` words, each
+    /// searched and booked in turn, hits folded in array order with a
+    /// strict `<`.
+    struct PerArraySweep {
+        arrays: Vec<TcamArray>,
+        rows_per_array: usize,
+        total: Cost,
+    }
+
+    impl PerArraySweep {
+        fn new(width: usize, rows_per_array: usize) -> Self {
+            let array = TcamArray::new(width, cells::fefet_2t(), TcamConfig::default());
+            PerArraySweep { arrays: vec![array], rows_per_array, total: Cost::zero() }
+        }
+
+        fn write(&mut self, word: &BitVec) {
+            if self.arrays.last().is_none_or(|a| a.len() >= self.rows_per_array) {
+                let width = self.arrays[0].width();
+                self.arrays.push(TcamArray::new(width, cells::fefet_2t(), TcamConfig::default()));
+            }
+            self.total += self.arrays.last_mut().unwrap().write(word).1;
+        }
+
+        /// Folds each array's search cost; `hit` sees each array's result.
+        fn sweep(&mut self, mut hit: impl FnMut(usize, &mut TcamArray) -> Cost) -> Cost {
+            let (mut energy, mut latency) = (0.0, 0.0f64);
+            for (a, arr) in self.arrays.iter_mut().enumerate() {
+                let cost = hit(a * self.rows_per_array, arr);
+                energy += cost.energy_pj;
+                latency = latency.max(cost.latency_ns);
+            }
+            let cost = Cost::new(energy, latency + 0.5);
+            self.total += cost;
+            cost
+        }
+
+        fn search_nearest(&mut self, query: &BitVec) -> (Option<NearestHit>, Cost) {
+            let mut best: Option<NearestHit> = None;
+            let cost = self.sweep(|first, arr| {
+                let (hit, cost) = arr.search_nearest(query);
+                if let Some(h) = hit {
+                    if best.is_none_or(|cur| h.distance < cur.distance) {
+                        best = Some(NearestHit { index: first + h.index, ..h });
+                    }
+                }
+                cost
+            });
+            (best, cost)
+        }
+
+        fn search_ternary(&mut self, pattern: &TernaryWord) -> (Vec<usize>, Cost) {
+            let mut hits = Vec::new();
+            let cost = self.sweep(|first, arr| {
+                let (local, cost) = arr.search_ternary(pattern);
+                hits.extend(local.iter().map(|i| first + i));
+                cost
+            });
+            (hits, cost)
+        }
+    }
+
+    fn bits(c: Cost) -> (u64, u64) {
+        (c.energy_pj.to_bits(), c.latency_ns.to_bits())
+    }
+
+    /// Every search against the per-array oracle at 1, 2, 3 and 8
+    /// threads: banks on and off the array (512) and chunk (4,096)
+    /// boundaries, 1-, 2- and 4-limb words, ties planted inside a chunk,
+    /// across an array boundary and across chunk boundaries, and
+    /// all-equal stores at distance 0 and at the full width.
+    #[test]
+    fn chunked_sweep_matches_the_per_array_oracle_at_any_thread_count() {
+        const SIZES: [usize; 10] =
+            [0, 1, 511, 512, 513, 4095, 4096, 4097, 3 * CHUNK_WORDS + 17, 32_768];
+        const TIES: [(usize, usize); 4] = [(5, 9), (511, 512), (4095, 4096), (4090, 12_290)];
+        for width in [64, 128, 256] {
+            let mut rng = Rng64::new(width as u64);
+            for n in SIZES {
+                let mut words: Vec<BitVec> = (0..n).map(|_| word(width, &mut rng)).collect();
+                let mut queries = vec![word(width, &mut rng)];
+                for (a, b) in TIES.into_iter().filter(|&(_, b)| b < n) {
+                    let planted = word(width, &mut rng);
+                    (words[a], words[b]) = (planted.clone(), planted.clone());
+                    let mut near = planted.clone();
+                    near.set(0, !near.get(0));
+                    queries.extend([planted, near]);
+                }
+                let all_equal = word(width, &mut rng);
+                let complement: BitVec = all_equal.iter().map(|b| !b).collect();
+                // Matches every word of the all-equal store, few others.
+                let pattern = TernaryWord::new(all_equal.clone(), word(width, &mut rng));
+                for store in [words, vec![all_equal.clone(); n]] {
+                    let mut oracle = PerArraySweep::new(width, 512);
+                    let mut bank =
+                        TcamBank::new(width, 512, cells::fefet_2t(), TcamConfig::default());
+                    for w in &store {
+                        oracle.write(w);
+                        bank.write(w.clone());
+                    }
+                    let queries = [&queries[..], &[all_equal.clone(), complement.clone()]].concat();
+                    let want: Vec<_> = queries.iter().map(|q| oracle.search_nearest(q)).collect();
+                    let want_ternary = oracle.search_ternary(&pattern);
+                    for threads in [1, 2, 3, 8] {
+                        let mut bank = bank.clone();
+                        enw_parallel::with_threads(threads, || {
+                            for (q, (hit, cost)) in queries.iter().zip(&want) {
+                                let (got, got_cost) = bank.search_nearest(q);
+                                let at = format!("{n} x {width} bits, {threads} thread(s)");
+                                assert_eq!(got, *hit, "{at}");
+                                assert_eq!(bits(got_cost), bits(*cost), "{at}");
+                            }
+                            let (got, cost) = bank.search_ternary(&pattern);
+                            assert_eq!(
+                                (got, bits(cost)),
+                                (want_ternary.0.clone(), bits(want_ternary.1))
+                            );
+                        });
+                        assert_eq!(bits(bank.total_cost()), bits(oracle.total));
+                    }
+                    if n > 0 && store[0] == all_equal {
+                        let full = NearestHit { index: 0, distance: width };
+                        assert_eq!(bank.search_nearest(&complement).0, Some(full));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

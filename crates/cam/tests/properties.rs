@@ -94,3 +94,31 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8 })]
+
+    /// The same check on banks of two to four search chunks (4,096 words
+    /// each), so the chunks are dealt to the pool and their hits folded:
+    /// queries copied from stored words (distance 0, with the copy's
+    /// first occurrence to win) beside random ones.
+    #[test]
+    fn dealt_bank_search_matches_naive_per_bit_scan(
+        width in 1usize..300, len in 4097usize..16_384, rows_per_array in 1usize..700,
+        seed in any::<u64>()) {
+        let mut rng = Rng64::new(seed);
+        let mut words = random_words(len, width, &mut rng);
+        // A word stored twice, in different chunks.
+        let (a, b) = (rng.below(4096), 4096 + rng.below(len - 4096));
+        words[b] = words[a].clone();
+        let mut bank = TcamBank::new(width, rows_per_array, cells::fefet_2t(), TcamConfig::default());
+        for w in &words {
+            bank.write(BitVec::from_bools(w));
+        }
+        let queries = [words[b].clone(), (0..width).map(|_| rng.below(2) == 1).collect()];
+        for q in &queries {
+            let (hit, _) = bank.search_nearest(&BitVec::from_bools(q));
+            prop_assert_eq!(hit, naive_nearest(&words, q));
+        }
+    }
+}

@@ -1,13 +1,14 @@
 //! Dependency-free parallel runtime with deterministic chunked reduction.
 //!
 //! The loops in the workspace that carry enough work to split — crossbar
-//! pulse updates by row block, DLRM query blocks, design-space points —
-//! are data-parallel over an index range. This module runs such loops
-//! on a **persistent, lazily started worker
-//! pool** ([`pool`]): workers are spawned once on first use and park on
-//! a condvar between jobs, so the steady-state cost of a parallel
-//! section is an enqueue and an unpark — no thread spawn/join on the hot
-//! path. The runtime keeps a guarantee the numeric code depends on:
+//! pulse updates by row block, DLRM query blocks, design-space points,
+//! TCAM bank chunks — are data-parallel over an index range. This module
+//! runs such loops on a **persistent, lazily started worker pool**
+//! ([`pool`]): workers are spawned once on first use and poll for the
+//! next job a while before they park, so back-to-back parallel sections
+//! cost an enqueue and a cache-line hand-off — no thread spawn/join and
+//! no wake syscall on the hot path. The runtime keeps a guarantee the
+//! numeric code depends on:
 //!
 //! **Determinism.** Work is split at *fixed chunk boundaries* derived
 //! only from the problem size and a caller-chosen chunk length — never

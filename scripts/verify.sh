@@ -7,8 +7,9 @@
 #                              (--features proptest), loops tier-1
 #                              20x to catch flakes, runs `enw gate` twice
 #                              and compares every byte it writes, and
-#                              checks every enw_perf workload against its
-#                              digest pin
+#                              checks every other enw_perf workload
+#                              against its digest pin (tcam_fewshot's
+#                              check runs in both modes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,16 +80,32 @@ echo "== ENW_THREADS: E21 --smoke zero-alloc under =2; stdout equal at =1 and =2
 # The variable is read once per process, never per dispatch: E21's
 # zero-alloc gate exits 1 if a tile update allocates with it set.
 ENW_THREADS=2 cargo run --release -q -p enw-bench --bin enw -- run E21 --smoke >/dev/null
-# The three loops that fan out, by count: E4's 32-row tiles deal two
-# 16-row chunks per pulse update, E17's recsys lane deals two 256-query
-# blocks (at full size only: its smoke batch is 64 queries), E20 deals
-# design points.
+# The loops that fan out, by count: E4's 32-row tiles deal two 16-row
+# chunks per pulse update, E17's recsys lane deals two 256-query blocks
+# (at full size only: its smoke batch is 64 queries), E20 deals design
+# points. The fourth, the TCAM bank's nearest search, deals 4,096-word
+# chunks, and no experiment's bank holds more than one (E17's is 512
+# words): the tcam_fewshot digest check below is what runs it dealt.
 for t in 1 2; do
     ENW_THREADS=$t cargo run --release -q -p enw-bench --bin enw -- run E4 E17 >target/threads-$t.out
     ENW_THREADS=$t cargo run --release -q -p enw-bench --bin enw -- run E20 --smoke >>target/threads-$t.out
 done
 cmp target/threads-1.out target/threads-2.out \
     || { echo "stdout differs between ENW_THREADS=1 and ENW_THREADS=2"; exit 1; }
+
+# The check a simulator-speed change must pass: a run off its pin in
+# crates/bench/src/bin/enw_perf/digests.txt fails every op. Timings are
+# not judged here; artifacts go to target/enw_perf/.
+perf_digest() {
+    local line
+    line=$(cargo run --release -q -p enw-bench --bin enw_perf -- \
+        --workload "$1" --seconds 3 --trace 0 | tail -n 1)
+    [[ $line == '{"correct":true,'*'"failed":0,'* ]] \
+        || { echo "enw_perf $1: $line"; exit 1; }
+    echo "enw_perf $1: digest ok"
+}
+echo "== enw_perf tcam_fewshot: a 32,768-word bank, dealt, against its digest pin (3 s) =="
+perf_digest tcam_fewshot
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "== cargo test -q --features proptest (property suites) =="
@@ -106,16 +123,9 @@ if [[ "${1:-}" == "--full" ]]; then
     done
     diff -r target/gate-a target/gate-b \
         || { echo "two enw gate runs wrote different bytes"; exit 1; }
-    echo "== enw_perf: every workload reproduces its pinned digest (3 s each, untraced) =="
-    # The check a simulator-speed change must pass: a run off its pin in
-    # crates/bench/src/bin/enw_perf/digests.txt fails every op. Timings
-    # are not judged here; artifacts go to target/enw_perf/.
+    echo "== enw_perf: every other workload reproduces its pinned digest (3 s each, untraced) =="
     for w in $(cargo run --release -q -p enw-bench --bin enw_perf -- list); do
-        line=$(cargo run --release -q -p enw-bench --bin enw_perf -- \
-            --workload "$w" --seconds 3 --trace 0 | tail -n 1)
-        [[ $line == '{"correct":true,'*'"failed":0,'* ]] \
-            || { echo "enw_perf $w: $line"; exit 1; }
-        echo "enw_perf $w: digest ok"
+        [[ $w == tcam_fewshot ]] || perf_digest "$w"
     done
 fi
 

@@ -58,11 +58,11 @@ fn tile_cycle_matches_serial_bitwise() {
 #[test]
 fn parallel_tcam_bank_search_matches_serial_bitwise() {
     let mut rng = Rng64::new(102);
-    // The bank sweeps its 41 arrays on the calling thread whatever the
-    // pool size; this pins that hits and booked costs stay independent of
-    // the thread count should a fan-out ever come back.
+    // 12,305 words in 24-word arrays: four search chunks of 4,096 words,
+    // the last one short, dealt across the pool. Hits and booked costs
+    // must not depend on the thread count.
     let mut bank = TcamBank::new(64, 24, cells::fefet_2t(), TcamConfig::default());
-    for _ in 0..960 {
+    for _ in 0..3 * 4096 + 16 {
         let w: BitVec = (0..64).map(|_| rng.bernoulli(0.5)).collect();
         bank.write(w);
     }
