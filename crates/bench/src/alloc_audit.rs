@@ -145,7 +145,10 @@ pub fn serve_run_allocs(n: usize) -> Result<u64, ServeError> {
             deadline_ns: u64::MAX,
         })
         .collect();
-    let spec = StationSpec::simple(Box::new(ConstLabel), BatchPolicy::new(8, 500, 64));
+    let spec = StationSpec::simple(
+        Box::new(ConstLabel),
+        BatchPolicy { max_batch: 8, max_wait_ns: 500, queue_cap: 64 },
+    );
     let server = Server::try_new(vec![spec])?;
     let s0 = thread_snapshot();
     let report = server.try_run(&reqs)?;

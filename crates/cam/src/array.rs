@@ -11,15 +11,13 @@
 //!   parallel search (the LSH-MANN mode of ref. \[9\]).
 
 use crate::cells::CellTech;
+use crate::error::{check, CamError};
 use enw_mann::encoding::TernaryWord;
 use enw_numerics::bits::{nearest_hamming, BitVec};
 use enw_xmann::cost::Cost;
 
-/// Geometry and segmentation of a TCAM array.
-///
-/// Construct via [`TcamConfig::builder`]; direct struct-literal
-/// construction in downstream code is deprecated (it bypasses
-/// validation and will stop compiling as fields are added).
+/// Geometry and segmentation of a TCAM array. Write it as a struct
+/// literal and check it with [`validate`](TcamConfig::validate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcamConfig {
     /// Match-line segments: selective precharge evaluates segments
@@ -35,37 +33,11 @@ impl Default for TcamConfig {
 }
 
 impl TcamConfig {
-    /// Starts a validating builder seeded with the default geometry.
-    pub fn builder() -> TcamConfigBuilder {
-        TcamConfigBuilder { segments: TcamConfig::default().segments }
-    }
-}
-
-/// Validating builder for [`TcamConfig`].
-///
-/// `build()` rejects degenerate geometry with a typed
-/// [`CamError`](crate::error::CamError) instead of panicking, so search
-/// drivers can probe candidate configurations safely.
-#[derive(Debug, Clone)]
-pub struct TcamConfigBuilder {
-    segments: usize,
-}
-
-impl TcamConfigBuilder {
-    /// Sets the number of match-line segments.
-    pub fn segments(mut self, segments: usize) -> Self {
-        self.segments = segments;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    pub fn build(self) -> Result<TcamConfig, crate::error::CamError> {
-        if self.segments == 0 {
-            return Err(crate::error::CamError::InvalidConfig {
-                reason: "segments must be at least 1",
-            });
-        }
-        Ok(TcamConfig { segments: self.segments })
+    /// Checks the geometry: at least one match-line segment.
+    /// [`TcamArray::new`] and [`TcamBank::new`](crate::bank::TcamBank::new)
+    /// panic on what this rejects.
+    pub fn validate(&self) -> Result<(), CamError> {
+        check(self.segments > 0, "segments must be at least 1")
     }
 }
 
@@ -147,10 +119,11 @@ impl TcamArray {
     ///
     /// # Panics
     ///
-    /// Panics if `width` or `cfg.segments` is zero.
+    /// Panics if `width` is zero or [`TcamConfig::validate`] rejects `cfg`.
     pub fn new(width: usize, tech: CellTech, cfg: TcamConfig) -> Self {
         assert!(width > 0, "zero-width TCAM");
-        assert!(cfg.segments > 0, "need at least one match-line segment");
+        let geometry = cfg.validate();
+        assert!(geometry.is_ok(), "need at least one match-line segment: {geometry:?}");
         TcamArray {
             width,
             limbs_per_word: width.div_ceil(64),
@@ -386,17 +359,17 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_default() {
-        assert_eq!(TcamConfig::builder().build().unwrap(), TcamConfig::default());
+        assert_eq!(TcamConfig::default().validate(), Ok(()));
     }
 
     #[test]
     fn builder_rejects_zero_segments() {
-        let err = TcamConfig::builder().segments(0).build().unwrap_err();
+        let err = TcamConfig { segments: 0 }.validate().unwrap_err();
         assert!(err.to_string().contains("segments"), "{err}");
     }
 
     #[test]
     fn builder_sets_segments() {
-        assert_eq!(TcamConfig::builder().segments(4).build().unwrap().segments, 4);
+        assert_eq!(TcamConfig { segments: 4 }.validate(), Ok(()));
     }
 }

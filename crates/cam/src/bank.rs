@@ -70,11 +70,13 @@ impl TcamBank {
     ///
     /// # Panics
     ///
-    /// Panics if `width`, `rows_per_array` or `cfg.segments` is zero.
+    /// Panics if `width` or `rows_per_array` is zero, or
+    /// [`TcamConfig::validate`] rejects `cfg`.
     pub fn new(width: usize, rows_per_array: usize, tech: CellTech, cfg: TcamConfig) -> Self {
         assert!(rows_per_array > 0, "arrays need capacity");
         assert!(width > 0, "zero-width TCAM");
-        assert!(cfg.segments > 0, "need at least one match-line segment");
+        let geometry = cfg.validate();
+        assert!(geometry.is_ok(), "need at least one match-line segment: {geometry:?}");
         TcamBank {
             width,
             limbs_per_word: width.div_ceil(64),

@@ -1,8 +1,7 @@
 //! Typed failures for the TCAM hardware models.
 //!
-//! The CAM crate's configuration surface used to validate with asserts
-//! only; builders' `build()` now returns `Result<_, CamError>` so a
-//! search driver (the DSE engine in particular) can probe candidate
+//! [`crate::array::TcamConfig::validate`] returns `Result<_, CamError>`
+//! so a search driver (the DSE engine in particular) can probe candidate
 //! configurations without tripping panics.
 
 use std::error::Error;
@@ -28,6 +27,11 @@ impl fmt::Display for CamError {
 }
 
 impl Error for CamError {}
+
+/// `Ok` when `ok` holds, else the configuration error naming `reason`.
+pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), CamError> {
+    ok.then_some(()).ok_or(CamError::InvalidConfig { reason })
+}
 
 #[cfg(test)]
 mod tests {

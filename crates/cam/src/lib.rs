@@ -44,7 +44,7 @@ pub mod cells;
 pub mod error;
 pub mod lsh_memory;
 
-pub use array::{NearestHit, TcamArray, TcamConfig, TcamConfigBuilder};
+pub use array::{NearestHit, TcamArray, TcamConfig};
 pub use bank::TcamBank;
 pub use baseline::{compare_search, gpu_search_cost, SearchComparison};
 pub use cells::CellTech;

@@ -110,9 +110,8 @@ impl TcamKeyValueMemory {
         (r, cost)
     }
 
-    /// Lifelong-memory update (same policy as the reference
-    /// `enw_mann::KeyValueMemory`): correct retrievals refresh the slot's
-    /// age and rewrite its signature with the fresh query; wrong or empty
+    /// Lifelong-memory update: correct retrievals refresh the slot's age
+    /// and rewrite its signature with the fresh query; wrong or empty
     /// retrievals claim a free slot or evict the oldest.
     ///
     /// Returns the written slot and the hardware cost.
@@ -231,21 +230,21 @@ mod tests {
 
     #[test]
     fn agrees_with_reference_memory_on_clean_inputs() {
-        // The TCAM memory and the FP32 reference should retrieve the same
-        // classes for well-separated keys.
-        use enw_mann::kv_memory::KeyValueMemory;
+        // The TCAM memory and an FP32 cosine nearest neighbour over the
+        // same keys should retrieve the same classes for well-separated
+        // keys.
         use enw_mann::memory::Similarity;
         let mut rng = Rng64::new(5);
         let mut hw = mem(8, &mut rng);
-        let mut sw = KeyValueMemory::new(8, 8, Similarity::Cosine);
-        for (i, label) in [(0usize, 10usize), (3, 11), (6, 12)] {
+        let stored = [(0usize, 10usize), (3, 11), (6, 12)];
+        for (i, label) in stored {
             hw.update(&unit(i), label);
-            sw.update(&unit(i), label);
         }
-        for i in [0usize, 3, 6] {
-            let (h, _) = hw.retrieve(&unit(i));
-            let s = sw.retrieve(&unit(i)).expect("non-empty");
-            assert_eq!(h.expect("non-empty").value, s.value);
+        let score = |q: usize, k: usize| Similarity::Cosine.score(&unit(q), &unit(k));
+        for q in [0usize, 3, 6] {
+            let (h, _) = hw.retrieve(&unit(q));
+            let best = stored.iter().max_by(|a, b| score(q, a.0).total_cmp(&score(q, b.0)));
+            assert_eq!(h.expect("non-empty").value, best.expect("non-empty").1);
         }
     }
 }

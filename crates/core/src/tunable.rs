@@ -1,8 +1,9 @@
 //! The unified tunable-config API: typed parameter spaces over the
 //! workspace's hardware/workload configuration structs.
 //!
-//! Every simulator crate exposes a configuration struct with a validating
-//! builder; this module adds the *search-facing* view of those structs.
+//! Every simulator crate exposes a configuration struct with one
+//! `validate` rule; this module adds the *search-facing* view of those
+//! structs.
 //! A [`Tunable`] type declares a [`ParamSpace`] — an ordered list of
 //! named, bounded axes — and maps itself to and from a [`Point`] in that
 //! space. The DSE engine (`enw-dse`) enumerates and locally searches
@@ -19,8 +20,9 @@
 //!   and JSON output. Never build a point by iterating a hash-ordered
 //!   container (`clippy.toml` bans the hash collections).
 //! * [`Tunable::decode`] is *total on in-bounds points*: bounds are
-//!   validated here, cross-field constraints by the crate's own builder,
-//!   and both failure paths return typed errors through [`EnwError`].
+//!   validated here, cross-field constraints by the config's own
+//!   `validate`, and both failure paths return typed errors through
+//!   [`EnwError`].
 //!   `step` is search granularity (grid spacing, neighbor stride), not a
 //!   decode constraint — off-step in-bounds values decode fine.
 //! * Lossy families are allowed: a config whose shape exceeds the family
@@ -419,8 +421,8 @@ pub trait Tunable: Sized {
     fn encode(&self) -> Point;
 
     /// The configuration at `point`, validated first against
-    /// [`space`](Tunable::space) bounds and then by the crate's own
-    /// builder for cross-field constraints.
+    /// [`space`](Tunable::space) bounds and then by the config's own
+    /// `validate` for cross-field constraints.
     fn decode(point: &Point) -> Result<Self, EnwError>;
 }
 
@@ -470,31 +472,25 @@ impl Tunable for TileConfig {
     }
 
     fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point).map_err(EnwError::from)?;
-        let dac_bits = point.int("dac_bits").map_err(EnwError::from)?;
-        let adc_bits = point.int("adc_bits").map_err(EnwError::from)?;
+        Self::space().validate(point)?;
+        let dac_bits = point.int("dac_bits")?;
+        let adc_bits = point.int("adc_bits")?;
         let standard = AnalogNoise::standard();
         let noise = AnalogNoise {
             dac_bits: (dac_bits > 0).then_some(dac_bits as u32),
             adc_bits: (adc_bits > 0).then_some(adc_bits as u32),
-            read_noise: point.real("read_noise").map_err(EnwError::from)? as f32,
+            read_noise: point.real("read_noise")? as f32,
             // Not tunable axes: keep the standard periphery's values.
             output_bound: standard.output_bound,
             ir_drop: standard.ir_drop,
         };
-        let update = match point.choice("update").map_err(EnwError::from)? {
+        let update = match point.choice("update")? {
             "mean_field" => UpdateScheme::MeanField,
-            _ => UpdateScheme::StochasticPulse {
-                bl: point.int("bl").map_err(EnwError::from)? as u32,
-            },
+            _ => UpdateScheme::StochasticPulse { bl: point.int("bl")? as u32 },
         };
-        let drop_connect = point.real("drop_connect").map_err(EnwError::from)? as f32;
-        TileConfig::builder()
-            .noise(noise)
-            .update(update)
-            .drop_connect(drop_connect)
-            .build()
-            .map_err(EnwError::from)
+        let cfg = TileConfig { noise, update, drop_connect: point.real("drop_connect")? as f32 };
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -527,14 +523,15 @@ impl Tunable for XmannConfig {
     }
 
     fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point).map_err(EnwError::from)?;
-        XmannConfig::builder()
-            .tile_rows(point.int("tile_rows").map_err(EnwError::from)? as usize)
-            .tile_cols(point.int("tile_cols").map_err(EnwError::from)? as usize)
-            .tiles_per_subarray(point.int("tiles_per_subarray").map_err(EnwError::from)? as usize)
-            .total_tiles(point.int("total_tiles").map_err(EnwError::from)? as usize)
-            .build()
-            .map_err(EnwError::from)
+        Self::space().validate(point)?;
+        let cfg = XmannConfig {
+            tile_rows: point.int("tile_rows")? as usize,
+            tile_cols: point.int("tile_cols")? as usize,
+            tiles_per_subarray: point.int("tiles_per_subarray")? as usize,
+            total_tiles: point.int("total_tiles")? as usize,
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -551,11 +548,10 @@ impl Tunable for TcamConfig {
     }
 
     fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point).map_err(EnwError::from)?;
-        TcamConfig::builder()
-            .segments(point.int("segments").map_err(EnwError::from)? as usize)
-            .build()
-            .map_err(EnwError::from)
+        Self::space().validate(point)?;
+        let cfg = TcamConfig { segments: point.int("segments")? as usize };
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -578,12 +574,13 @@ impl Tunable for SgdConfig {
     }
 
     fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point).map_err(EnwError::from)?;
-        SgdConfig::builder()
-            .epochs(point.int("epochs").map_err(EnwError::from)? as usize)
-            .learning_rate(point.real("learning_rate").map_err(EnwError::from)? as f32)
-            .build()
-            .map_err(EnwError::from)
+        Self::space().validate(point)?;
+        let cfg = SgdConfig {
+            epochs: point.int("epochs")? as usize,
+            learning_rate: point.real("learning_rate")? as f32,
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -625,16 +622,17 @@ impl Tunable for EmbeddingConfig {
     }
 
     fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point).map_err(EnwError::from)?;
-        EmbeddingConfig::builder()
-            .hidden(vec![point.int("hidden_width").map_err(EnwError::from)? as usize])
-            .embed_dim(point.int("embed_dim").map_err(EnwError::from)? as usize)
-            .background_classes(point.int("background_classes").map_err(EnwError::from)? as usize)
-            .samples_per_class(point.int("samples_per_class").map_err(EnwError::from)? as usize)
-            .epochs(point.int("epochs").map_err(EnwError::from)? as usize)
-            .learning_rate(point.real("learning_rate").map_err(EnwError::from)? as f32)
-            .build()
-            .map_err(EnwError::from)
+        Self::space().validate(point)?;
+        let cfg = EmbeddingConfig {
+            hidden: vec![point.int("hidden_width")? as usize],
+            embed_dim: point.int("embed_dim")? as usize,
+            background_classes: point.int("background_classes")? as usize,
+            samples_per_class: point.int("samples_per_class")? as usize,
+            epochs: point.int("epochs")? as usize,
+            learning_rate: point.real("learning_rate")? as f32,
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -693,26 +691,22 @@ impl Tunable for RecModelConfig {
     }
 
     fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point).map_err(EnwError::from)?;
-        let embedding_dim = point.int("embedding_dim").map_err(EnwError::from)? as usize;
-        let bottom_width = point.int("bottom_width").map_err(EnwError::from)? as usize;
-        let tables = point.int("tables").map_err(EnwError::from)? as usize;
-        let rows = point.int("rows").map_err(EnwError::from)? as usize;
-        let lookups = point.int("lookups").map_err(EnwError::from)? as usize;
-        let top_width = point.int("top_width").map_err(EnwError::from)? as usize;
-        let interaction = match point.choice("interaction").map_err(EnwError::from)? {
-            "dot_pairwise" => Interaction::DotPairwise,
-            _ => Interaction::Concat,
+        Self::space().validate(point)?;
+        let embedding_dim = point.int("embedding_dim")? as usize;
+        let (rows, lookups) = (point.int("rows")? as usize, point.int("lookups")? as usize);
+        let cfg = RecModelConfig {
+            dense_features: point.int("dense_features")? as usize,
+            bottom_mlp: vec![point.int("bottom_width")? as usize, embedding_dim],
+            tables: vec![(rows, lookups); point.int("tables")? as usize],
+            embedding_dim,
+            top_mlp: vec![point.int("top_width")? as usize],
+            interaction: match point.choice("interaction")? {
+                "dot_pairwise" => Interaction::DotPairwise,
+                _ => Interaction::Concat,
+            },
         };
-        RecModelConfig::builder(RecModelConfig::compute_bound())
-            .dense_features(point.int("dense_features").map_err(EnwError::from)? as usize)
-            .bottom_mlp(vec![bottom_width, embedding_dim])
-            .embedding_dim(embedding_dim)
-            .tables(vec![(rows, lookups); tables])
-            .top_mlp(vec![top_width])
-            .interaction(interaction)
-            .build()
-            .map_err(EnwError::from)
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -737,13 +731,14 @@ impl Tunable for BatchPolicy {
     }
 
     fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point).map_err(EnwError::from)?;
-        BatchPolicy::builder()
-            .max_batch(point.int("max_batch").map_err(EnwError::from)? as usize)
-            .max_wait_ns(point.int("max_wait_ns").map_err(EnwError::from)? as u64)
-            .queue_cap(point.int("queue_cap").map_err(EnwError::from)? as usize)
-            .build()
-            .map_err(EnwError::from)
+        Self::space().validate(point)?;
+        let policy = BatchPolicy {
+            max_batch: point.int("max_batch")? as usize,
+            max_wait_ns: point.int("max_wait_ns")? as u64,
+            queue_cap: point.int("queue_cap")? as usize,
+        };
+        policy.validate()?;
+        Ok(policy)
     }
 }
 
@@ -855,8 +850,30 @@ mod tests {
         assert_eq!(EmbeddingConfig::decode(&e.encode()).unwrap(), e);
         let m = RecModelConfig::memory_bound();
         assert_eq!(RecModelConfig::decode(&m.encode()).unwrap(), m);
-        let b = BatchPolicy::new(8, 200_000, 32);
+        let b = BatchPolicy { max_batch: 8, max_wait_ns: 200_000, queue_cap: 32 };
         assert_eq!(BatchPolicy::decode(&b.encode()).unwrap(), b);
+        // Every default and preset passes its own rule.
+        assert_eq!(t.validate(), Ok(()));
+        assert_eq!(TileConfig::ideal().validate(), Ok(()));
+        assert_eq!(x.validate(), Ok(()));
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(s.validate(), Ok(()));
+        assert_eq!(e.validate(), Ok(()));
+        assert_eq!(m.validate(), Ok(()));
+        assert_eq!(RecModelConfig::compute_bound().validate(), Ok(()));
+        assert_eq!(b.validate(), Ok(()));
+        let server = enw_serve::presets::try_fleet(1).expect("the preset server validates");
+        for i in 0..server.station_count() {
+            assert_eq!(server.policy(i).validate(), Ok(()), "station {i}");
+        }
+        for scale in enw_fleet::presets::scales() {
+            let spec = enw_fleet::presets::fleet_spec(scale);
+            for lane in &spec.lanes {
+                assert_eq!(lane.policy.validate(), Ok(()), "{}", lane.name);
+                assert_eq!(lane.autoscale.validate(), Ok(()), "{}", lane.name);
+            }
+            assert_eq!(spec.store.map(|s| s.validate()), Some(Ok(())), "{scale:?}");
+        }
     }
 
     #[test]

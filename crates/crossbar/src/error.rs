@@ -29,6 +29,11 @@ impl fmt::Display for CrossbarError {
 
 impl Error for CrossbarError {}
 
+/// `Ok` when `ok` holds, else the configuration error naming `reason`.
+pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), CrossbarError> {
+    ok.then_some(()).ok_or(CrossbarError::InvalidConfig { reason })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

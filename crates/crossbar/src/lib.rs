@@ -75,7 +75,7 @@ pub use device::{DeviceSpec, PulseDir, PulsedDevice};
 pub use error::CrossbarError;
 pub use noise::AnalogNoise;
 pub use tiki_taka::{TikiTakaConfig, TikiTakaTile};
-pub use tile::{AnalogTile, TileConfig, TileConfigBuilder, UpdateScheme};
+pub use tile::{AnalogTile, TileConfig, UpdateScheme};
 pub use tiled::{TiledAnalogLayer, TilingConfig};
 
 /// Reads into fresh buffers for the unit tests, through the backend's

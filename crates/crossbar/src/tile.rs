@@ -38,7 +38,7 @@
 
 use crate::array::AnalogArray;
 use crate::device::{DeviceSpec, PulseDir};
-use crate::error::CrossbarError;
+use crate::error::{check, CrossbarError};
 use crate::noise::AnalogNoise;
 use enw_nn::backend::LinearBackend;
 use enw_numerics::matrix::Matrix;
@@ -104,62 +104,12 @@ impl TileConfig {
         TileConfig { noise: AnalogNoise::ideal(), ..TileConfig::default() }
     }
 
-    /// Starts building a configuration; constraints are checked once at
-    /// [`TileConfigBuilder::build`].
-    pub fn builder() -> TileConfigBuilder {
-        TileConfigBuilder::default()
-    }
-}
-
-/// Builder for [`TileConfig`]: set what differs from the defaults
-/// (standard noise, stochastic pulses with `bl = 31`, no drop-connect)
-/// and let [`build`](TileConfigBuilder::build) validate the whole
-/// configuration at once.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TileConfigBuilder {
-    noise: Option<AnalogNoise>,
-    update: Option<UpdateScheme>,
-    drop_connect: f32,
-}
-
-impl TileConfigBuilder {
-    /// Converter/noise model (default: [`AnalogNoise::standard`]).
-    pub fn noise(mut self, noise: AnalogNoise) -> Self {
-        self.noise = Some(noise);
-        self
-    }
-
-    /// Update realization (default: stochastic pulses, `bl = 31`).
-    pub fn update(mut self, update: UpdateScheme) -> Self {
-        self.update = Some(update);
-        self
-    }
-
-    /// Probability of suppressing an update coincidence (default 0).
-    pub fn drop_connect(mut self, p: f32) -> Self {
-        self.drop_connect = p;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    pub fn build(self) -> Result<TileConfig, CrossbarError> {
-        let defaults = TileConfig::default();
-        let update = self.update.unwrap_or(defaults.update);
-        if let UpdateScheme::StochasticPulse { bl } = update {
-            if bl == 0 {
-                return Err(CrossbarError::InvalidConfig {
-                    reason: "pulse-train length bl must be at least 1",
-                });
-            }
-        }
-        if !(0.0..1.0).contains(&self.drop_connect) {
-            return Err(CrossbarError::InvalidConfig { reason: "drop_connect must lie in [0, 1)" });
-        }
-        Ok(TileConfig {
-            noise: self.noise.unwrap_or(defaults.noise),
-            update,
-            drop_connect: self.drop_connect,
-        })
+    /// Checks the configuration: a pulse train of at least one pulse and
+    /// a drop-connect probability in `[0, 1)`.
+    pub fn validate(&self) -> Result<(), CrossbarError> {
+        let pulses = !matches!(self.update, UpdateScheme::StochasticPulse { bl: 0 });
+        check(pulses, "pulse-train length bl must be at least 1")?;
+        check((0.0..1.0).contains(&self.drop_connect), "drop_connect must lie in [0, 1)")
     }
 }
 
@@ -242,6 +192,10 @@ fn ones(limbs: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 impl AnalogTile {
     /// Builds a tile over freshly materialized devices, weights at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`TileConfig::validate`] rejects `cfg`.
     pub fn new(
         out_dim: usize,
         in_dim: usize,
@@ -249,6 +203,8 @@ impl AnalogTile {
         cfg: TileConfig,
         rng: &mut Rng64,
     ) -> Self {
+        let valid = cfg.validate();
+        assert!(valid.is_ok(), "invalid tile configuration: {valid:?}");
         let array = AnalogArray::new(out_dim, in_dim + 1, spec, rng);
         let dw_avg = 0.5 * (spec.base.dw_up + spec.base.dw_down);
         AnalogTile {
@@ -627,7 +583,7 @@ mod tests {
         for update in [UpdateScheme::StochasticPulse { bl: 31 }, UpdateScheme::MeanField] {
             for zero_shifted in [false, true] {
                 let mut rng = Rng64::new(21);
-                let cfg = TileConfig::builder().update(update).build().expect("valid");
+                let cfg = TileConfig { update, ..TileConfig::default() };
                 let mut tile = AnalogTile::new(6, 69, &devices::ecram(), cfg, &mut rng);
                 if zero_shifted {
                     tile.calibrate_zero_shift(50);
@@ -953,18 +909,32 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_default_config() {
-        let built = TileConfig::builder().build().expect("defaults are valid");
-        assert_eq!(built, TileConfig::default());
-        let ideal = TileConfig::builder().noise(AnalogNoise::ideal()).build().expect("valid");
-        assert_eq!(ideal, TileConfig::ideal());
+        assert_eq!(TileConfig::default().validate(), Ok(()));
+        assert_eq!(TileConfig::ideal().validate(), Ok(()));
+        assert_eq!(
+            TileConfig { update: UpdateScheme::MeanField, ..TileConfig::default() }.validate(),
+            Ok(())
+        );
     }
 
     #[test]
     fn builder_rejects_invalid_configs() {
-        let err = TileConfig::builder().drop_connect(1.5).build();
+        let err = TileConfig { drop_connect: 1.5, ..TileConfig::default() }.validate();
         assert!(matches!(err, Err(CrossbarError::InvalidConfig { .. })), "{err:?}");
-        let err = TileConfig::builder().update(UpdateScheme::StochasticPulse { bl: 0 }).build();
+        let err =
+            TileConfig { update: UpdateScheme::StochasticPulse { bl: 0 }, ..TileConfig::default() }
+                .validate();
         assert!(matches!(err, Err(CrossbarError::InvalidConfig { .. })), "{err:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "pulse-train length bl must be at least 1")]
+    fn invalid_config_is_rejected_at_construction() {
+        // Accepted, a zero-length pulse train fires nothing: the tile
+        // never trains.
+        let cfg =
+            TileConfig { update: UpdateScheme::StochasticPulse { bl: 0 }, ..TileConfig::ideal() };
+        AnalogTile::new(4, 4, &devices::ideal(1000), cfg, &mut Rng64::new(1));
     }
 
     #[test]

@@ -79,7 +79,9 @@ impl Lane {
             Lane::Cam => TcamConfig::default().encode(),
             Lane::Recsys => RecModelConfig::memory_bound().encode(),
             // The E19 fleet's mlp-lane policy (see enw-fleet presets).
-            Lane::Serve => BatchPolicy::new(8, 200_000, 32).encode(),
+            Lane::Serve => {
+                BatchPolicy { max_batch: 8, max_wait_ns: 200_000, queue_cap: 32 }.encode()
+            }
         }
     }
 

@@ -20,6 +20,8 @@
 //! `calm_epochs_to_downscale` consecutive epochs, so one quiet epoch in
 //! a diurnal trough cannot flap the fleet.
 
+use crate::error::{check, FleetError};
+
 /// Scaling thresholds and pacing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalePolicy {
@@ -42,23 +44,20 @@ pub struct AutoscalePolicy {
 }
 
 impl AutoscalePolicy {
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if bounds are inverted, the epoch or SLO is zero, or the
-    /// queue fractions are not `0 < down <= up <= 1`.
-    pub fn validate(&self) {
-        assert!(self.min_replicas >= 1, "a lane cannot run on zero replicas");
-        assert!(self.min_replicas <= self.max_replicas, "min_replicas exceeds max_replicas");
-        assert!(self.epoch_ns > 0, "control epoch must be positive");
-        assert!(self.p99_slo_ns > 0, "p99 SLO must be positive");
-        assert!(
+    /// Checks internal consistency: bounds in order, a positive epoch and
+    /// SLO, queue fractions with `0 < down <= up <= 1`, and at least one
+    /// calm epoch before a downscale.
+    pub fn validate(&self) -> Result<(), FleetError> {
+        check(self.min_replicas >= 1, "a lane cannot run on zero replicas")?;
+        check(self.min_replicas <= self.max_replicas, "min_replicas exceeds max_replicas")?;
+        check(self.epoch_ns > 0, "control epoch must be positive")?;
+        check(self.p99_slo_ns > 0, "p99 SLO must be positive")?;
+        check(
             self.down_queue_frac > 0.0 && self.down_queue_frac <= self.up_queue_frac,
-            "queue fractions must satisfy 0 < down <= up"
-        );
-        assert!(self.up_queue_frac <= 1.0, "up_queue_frac above 1 can never fire");
-        assert!(self.calm_epochs_to_downscale >= 1, "downscale needs at least one calm epoch");
+            "queue fractions must satisfy 0 < down <= up",
+        )?;
+        check(self.up_queue_frac <= 1.0, "up_queue_frac above 1 can never fire")?;
+        check(self.calm_epochs_to_downscale >= 1, "downscale needs at least one calm epoch")
     }
 }
 
@@ -105,10 +104,10 @@ impl Autoscaler {
     ///
     /// # Panics
     ///
-    /// Panics if the policy is inconsistent
-    /// (see [`AutoscalePolicy::validate`]).
+    /// Panics if [`AutoscalePolicy::validate`] rejects `policy`.
     pub fn new(policy: AutoscalePolicy) -> Self {
-        policy.validate();
+        let valid = policy.validate();
+        assert!(valid.is_ok(), "inconsistent autoscale policy: {valid:?}");
         Autoscaler { policy, calm_streak: 0, cooldown_left: 0, scale_ups: 0, scale_downs: 0 }
     }
 

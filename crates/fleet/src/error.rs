@@ -47,3 +47,8 @@ impl fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
+
+/// `Ok` when `ok` holds, else the spec error naming `reason`.
+pub(crate) fn check(ok: bool, reason: &str) -> Result<(), FleetError> {
+    ok.then_some(()).ok_or_else(|| FleetError::InvalidSpec { reason: reason.to_string() })
+}

@@ -132,7 +132,7 @@ pub fn fleet_spec(scale: FleetScale) -> FleetSpec {
             LaneSpec {
                 name: "mlp".to_string(),
                 service: ServiceModel { setup_ns: 40_000, per_item_ns: 15_000 },
-                policy: BatchPolicy::new(8, 200_000, 32),
+                policy: BatchPolicy { max_batch: 8, max_wait_ns: 200_000, queue_cap: 32 },
                 autoscale: autoscale(scale.nodes, 2_000_000),
                 initial_replicas: scale.nodes,
                 vnodes: 64,
@@ -143,7 +143,7 @@ pub fn fleet_spec(scale: FleetScale) -> FleetSpec {
             LaneSpec {
                 name: "recsys".to_string(),
                 service: ServiceModel { setup_ns: 60_000, per_item_ns: 20_000 },
-                policy: BatchPolicy::new(16, 250_000, 64),
+                policy: BatchPolicy { max_batch: 16, max_wait_ns: 250_000, queue_cap: 64 },
                 autoscale: autoscale(scale.nodes, 3_000_000),
                 initial_replicas: scale.nodes,
                 vnodes: 64,

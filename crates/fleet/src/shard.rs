@@ -17,6 +17,7 @@
 //! cold shards get a single owner, and the store reports how many bytes
 //! a real cluster would have copied.
 
+use crate::error::{check, FleetError};
 use crate::ring::{key_point, HashRing};
 use enw_numerics::rng::Rng64;
 use enw_recsys::cache::{CacheStats, EmbeddingCache};
@@ -75,25 +76,26 @@ impl ShardSpec {
         self.tables * self.shards
     }
 
-    fn validate(&self) {
-        assert!(self.tables > 0, "a store needs at least one table");
-        assert!(self.rows_per_table > 0 && self.dim > 0, "tables must be non-empty");
-        assert!(self.lookups_per_table > 0, "queries must look something up");
-        assert!(
-            self.shards > 0 && self.shards <= self.rows_per_table,
-            "shards must be in 1..=rows"
-        );
-        assert!(self.replication > 0, "replication factor must be at least 1");
-        assert!((0.0..=1.0).contains(&self.hot_fraction), "hot_fraction must sit in [0, 1]");
-        assert!(self.cache_rows > 0, "per-shard caches need capacity");
-        assert!(
+    /// Checks internal consistency: non-empty tables and lookups,
+    /// `1..=rows` shards, a replication factor and cache capacity of at
+    /// least 1, `hot_fraction` in `[0, 1]`, and counts that fit the
+    /// 32-bit keys the store indexes by.
+    pub fn validate(&self) -> Result<(), FleetError> {
+        check(self.tables > 0, "a store needs at least one table")?;
+        check(self.rows_per_table > 0 && self.dim > 0, "tables must be non-empty")?;
+        check(self.lookups_per_table > 0, "queries must look something up")?;
+        check(self.shards > 0 && self.shards <= self.rows_per_table, "shards must be in 1..=rows")?;
+        check(self.replication > 0, "replication factor must be at least 1")?;
+        check((0.0..=1.0).contains(&self.hot_fraction), "hot_fraction must sit in [0, 1]")?;
+        check(self.cache_rows > 0, "per-shard caches need capacity")?;
+        check(
             u32::try_from(self.shards).is_ok() && u32::try_from(self.lookups_per_table).is_ok(),
-            "shards and lookups must fit the 32-bit halves of a group key"
-        );
-        assert!(
+            "shards and lookups must fit the 32-bit halves of a group key",
+        )?;
+        check(
             self.rows_per_table < u32::MAX as usize,
-            "rows must fit the 32-bit ranks that key the shard caches"
-        );
+            "rows must fit the 32-bit ranks that key the shard caches",
+        )
     }
 }
 
@@ -176,9 +178,10 @@ impl ShardedStore {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is internally inconsistent (see [`ShardSpec`]).
+    /// Panics if [`ShardSpec::validate`] rejects `spec`.
     pub fn new(spec: ShardSpec, seed: u64) -> Self {
-        spec.validate();
+        let valid = spec.validate();
+        assert!(valid.is_ok(), "inconsistent shard spec: {valid:?}");
         let mut rng = Rng64::new(seed);
         let tables: Vec<EmbeddingTable> = (0..spec.tables)
             .map(|_| EmbeddingTable::random(spec.rows_per_table, spec.dim, &mut rng))

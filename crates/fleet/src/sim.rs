@@ -150,7 +150,6 @@ struct Lane {
 
 impl Lane {
     fn new(spec: LaneSpec) -> Self {
-        assert!(spec.initial_replicas > 0, "a lane needs at least one initial replica");
         let scaler = Autoscaler::new(spec.autoscale);
         let ring = HashRing::with_nodes(spec.vnodes, spec.initial_replicas as u32);
         let replicas = (0..spec.initial_replicas as u32)
@@ -414,8 +413,9 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`FleetError::NoLanes`] for an empty spec and
-    /// [`FleetError::InvalidSpec`] when replica bounds or store/lane
-    /// wiring are inconsistent.
+    /// [`FleetError::InvalidSpec`] when a lane's batch policy, its
+    /// autoscale policy or the store spec does not validate, or replica
+    /// bounds or store/lane wiring are inconsistent.
     pub fn try_new(spec: FleetSpec) -> Result<Fleet, FleetError> {
         if spec.lanes.is_empty() {
             return Err(FleetError::NoLanes);
@@ -437,6 +437,10 @@ impl Fleet {
         }
         for l in &spec.lanes {
             let a = &l.autoscale;
+            let lane_error =
+                |e| FleetError::InvalidSpec { reason: format!("lane {}: {e}", l.name) };
+            l.policy.validate().map_err(lane_error)?;
+            a.validate()?;
             if l.initial_replicas < a.min_replicas || l.initial_replicas > a.max_replicas {
                 return Err(FleetError::InvalidSpec {
                     reason: format!(
@@ -445,6 +449,9 @@ impl Fleet {
                     ),
                 });
             }
+        }
+        if let Some(store) = &spec.store {
+            store.validate()?;
         }
         let seed = spec.seed;
         let mut store = spec.store.map(|s| ShardedStore::new(s, seed));
@@ -807,7 +814,7 @@ mod tests {
         LaneSpec {
             name: "mlp".to_string(),
             service: ServiceModel { setup_ns: 30_000, per_item_ns: 10_000 },
-            policy: BatchPolicy::new(8, 200_000, 32),
+            policy: BatchPolicy { max_batch: 8, max_wait_ns: 200_000, queue_cap: 32 },
             autoscale: scale(1, max_replicas),
             initial_replicas: 2,
             vnodes: 32,
@@ -821,7 +828,7 @@ mod tests {
         LaneSpec {
             name: "recsys".to_string(),
             service: ServiceModel { setup_ns: 40_000, per_item_ns: 12_000 },
-            policy: BatchPolicy::new(8, 200_000, 32),
+            policy: BatchPolicy { max_batch: 8, max_wait_ns: 200_000, queue_cap: 32 },
             autoscale: scale(1, max_replicas),
             initial_replicas: 2,
             vnodes: 32,
@@ -1020,7 +1027,7 @@ mod tests {
         ];
         for (seed, (scheme, replication, cache_rows, max_batch)) in (40..).zip(cases) {
             let mut s = spec(6);
-            s.lanes[1].policy = BatchPolicy::new(max_batch, 200_000, 32);
+            s.lanes[1].policy = BatchPolicy { max_batch, max_wait_ns: 200_000, queue_cap: 32 };
             if let Some(store) = s.store.as_mut() {
                 store.scheme = scheme;
                 store.replication = replication;
@@ -1070,6 +1077,50 @@ mod tests {
         let mut bad_initial = spec(4);
         bad_initial.lanes[0].initial_replicas = 9;
         assert!(matches!(try_run(bad_initial, &[]), Err(FleetError::InvalidSpec { .. })));
+        // Accepted, case 0 hangs `try_run` (an empty batch closes forever)
+        // and cases 2 and 3 panic inside `try_new`.
+        let mut cases = vec![spec(4), spec(4), spec(4), spec(4)];
+        cases[0].lanes[0].policy.max_batch = 0;
+        cases[1].lanes[0].policy.queue_cap = cases[1].lanes[0].policy.max_batch - 1;
+        cases[2].lanes[1].autoscale.epoch_ns = 0;
+        if let Some(store) = &mut cases[3].store {
+            store.shards = 0;
+        }
+        // Every other autoscale rule, one case each.
+        let autoscale: [fn(&mut AutoscalePolicy); 5] = [
+            |a| a.min_replicas = 0,
+            |a| a.p99_slo_ns = 0,
+            |a| a.down_queue_frac = 0.0,
+            |a| a.up_queue_frac = 1.5,
+            |a| a.calm_epochs_to_downscale = 0,
+        ];
+        for break_rule in autoscale {
+            let mut bad = spec(4);
+            break_rule(&mut bad.lanes[0].autoscale);
+            cases.push(bad);
+        }
+        for (i, bad) in cases.into_iter().enumerate() {
+            let err = Fleet::try_new(bad).err();
+            assert!(matches!(err, Some(FleetError::InvalidSpec { .. })), "case {i}: {err:?}");
+        }
+        // Every other store rule, checked without building the store: the
+        // last two would size tables of 2^32 rows.
+        let store_rules: [fn(&mut ShardSpec); 9] = [
+            |s| s.tables = 0,
+            |s| s.dim = 0,
+            |s| s.lookups_per_table = 0,
+            |s| s.shards = s.rows_per_table + 1,
+            |s| s.replication = 0,
+            |s| s.hot_fraction = 1.5,
+            |s| s.cache_rows = 0,
+            |s| s.lookups_per_table = u32::MAX as usize + 1,
+            |s| s.rows_per_table = u32::MAX as usize,
+        ];
+        for (i, break_rule) in store_rules.into_iter().enumerate() {
+            let mut bad = store();
+            break_rule(&mut bad);
+            assert!(matches!(bad.validate(), Err(FleetError::InvalidSpec { .. })), "rule {i}");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! nearest-neighbour search in that embedding space, which is what makes
 //! the evaluation genuinely "few-shot".
 
+use crate::error::{check, MannError};
 use enw_nn::activation::Activation;
 use enw_nn::conv::{ConvNet, ConvNetConfig, MapShape};
 use enw_nn::data::Dataset;
@@ -30,11 +31,8 @@ pub trait Embedder {
     fn embed(&mut self, x: &[f32]) -> Vec<f32>;
 }
 
-/// Training configuration for the embedding network.
-///
-/// Construct via [`EmbeddingConfig::builder`]; direct struct-literal
-/// construction in downstream code is deprecated (it bypasses
-/// validation and will stop compiling as fields are added).
+/// Training configuration for the embedding network. Write it as a
+/// struct literal and check it with [`validate`](EmbeddingConfig::validate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingConfig {
     /// Hidden layer widths between input and the embedding layer.
@@ -66,87 +64,30 @@ impl Default for EmbeddingConfig {
 }
 
 impl EmbeddingConfig {
-    /// Starts a validating builder seeded with the default configuration.
-    pub fn builder() -> EmbeddingConfigBuilder {
-        EmbeddingConfigBuilder { cfg: EmbeddingConfig::default() }
-    }
-}
-
-/// Validating builder for [`EmbeddingConfig`].
-///
-/// `build()` rejects setups that cannot train (no background classes to
-/// hold out against, empty episodes, degenerate schedules) with a typed
-/// [`MannError`](crate::error::MannError), before any episode runs.
-#[derive(Debug, Clone)]
-pub struct EmbeddingConfigBuilder {
-    cfg: EmbeddingConfig,
-}
-
-impl EmbeddingConfigBuilder {
-    /// Sets hidden layer widths between input and the embedding layer.
-    pub fn hidden(mut self, hidden: Vec<usize>) -> Self {
-        self.cfg.hidden = hidden;
-        self
+    /// Checks the setup: non-zero widths, at least two background
+    /// classes to hold out against, non-empty classes and a schedule
+    /// that trains. Both `train`s panic on what this rejects.
+    pub fn validate(&self) -> Result<(), MannError> {
+        check(self.embed_dim > 0, "embed_dim must be non-zero")?;
+        check(!self.hidden.contains(&0), "hidden widths must be non-zero")?;
+        check(self.background_classes >= 2, "background_classes must be at least 2")?;
+        check(self.samples_per_class > 0, "samples_per_class must be at least 1")?;
+        check(self.epochs > 0, "epochs must be at least 1")?;
+        let lr = self.learning_rate;
+        check(lr.is_finite() && lr > 0.0, "learning_rate must be finite and positive")
     }
 
-    /// Sets the embedding dimensionality.
-    pub fn embed_dim(mut self, embed_dim: usize) -> Self {
-        self.cfg.embed_dim = embed_dim;
-        self
-    }
-
-    /// Sets the number of background-training classes.
-    pub fn background_classes(mut self, background_classes: usize) -> Self {
-        self.cfg.background_classes = background_classes;
-        self
-    }
-
-    /// Sets training samples drawn per background class.
-    pub fn samples_per_class(mut self, samples_per_class: usize) -> Self {
-        self.cfg.samples_per_class = samples_per_class;
-        self
-    }
-
-    /// Sets SGD passes.
-    pub fn epochs(mut self, epochs: usize) -> Self {
-        self.cfg.epochs = epochs;
-        self
-    }
-
-    /// Sets the SGD step size.
-    pub fn learning_rate(mut self, learning_rate: f32) -> Self {
-        self.cfg.learning_rate = learning_rate;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    pub fn build(self) -> Result<EmbeddingConfig, crate::error::MannError> {
-        use crate::error::MannError;
-        if self.cfg.embed_dim == 0 {
-            return Err(MannError::InvalidConfig { reason: "embed_dim must be non-zero" });
-        }
-        if self.cfg.hidden.contains(&0) {
-            return Err(MannError::InvalidConfig { reason: "hidden widths must be non-zero" });
-        }
-        if self.cfg.background_classes < 2 {
-            return Err(MannError::InvalidConfig {
-                reason: "background_classes must be at least 2",
-            });
-        }
-        if self.cfg.samples_per_class == 0 {
-            return Err(MannError::InvalidConfig {
-                reason: "samples_per_class must be at least 1",
-            });
-        }
-        if self.cfg.epochs == 0 {
-            return Err(MannError::InvalidConfig { reason: "epochs must be at least 1" });
-        }
-        if !self.cfg.learning_rate.is_finite() || self.cfg.learning_rate <= 0.0 {
-            return Err(MannError::InvalidConfig {
-                reason: "learning_rate must be finite and positive",
-            });
-        }
-        Ok(self.cfg)
+    /// Panics unless [`validate`](EmbeddingConfig::validate) passes and
+    /// `domain` has every background class.
+    fn assert_trains_on(&self, domain: &FewShotDomain) {
+        let valid = self.validate();
+        assert!(valid.is_ok(), "degenerate embedding config: {valid:?}");
+        assert!(
+            self.background_classes <= domain.num_classes(),
+            "domain has {} classes, background needs {}",
+            domain.num_classes(),
+            self.background_classes
+        );
     }
 }
 
@@ -183,16 +124,10 @@ impl EmbeddingNet {
     ///
     /// # Panics
     ///
-    /// Panics if the domain has fewer classes than
-    /// `cfg.background_classes`, or the config is degenerate.
+    /// Panics if [`EmbeddingConfig::validate`] rejects `cfg`, or the
+    /// domain has fewer classes than `cfg.background_classes`.
     pub fn train(domain: &FewShotDomain, cfg: &EmbeddingConfig, rng: &mut Rng64) -> Self {
-        assert!(cfg.background_classes > 1, "need at least two background classes");
-        assert!(
-            cfg.background_classes <= domain.num_classes(),
-            "domain has {} classes, background needs {}",
-            domain.num_classes(),
-            cfg.background_classes
-        );
+        cfg.assert_trains_on(domain);
         // Build the background dataset.
         let n = cfg.background_classes * cfg.samples_per_class;
         let mut inputs = Matrix::zeros(n, domain.dim());
@@ -269,13 +204,7 @@ impl ConvEmbeddingNet {
     /// Panics if the domain dimensionality is not a perfect square, or on
     /// the same config violations as [`EmbeddingNet::train`].
     pub fn train(domain: &FewShotDomain, cfg: &EmbeddingConfig, rng: &mut Rng64) -> Self {
-        assert!(cfg.background_classes > 1, "need at least two background classes");
-        assert!(
-            cfg.background_classes <= domain.num_classes(),
-            "domain has {} classes, background needs {}",
-            domain.num_classes(),
-            cfg.background_classes
-        );
+        cfg.assert_trains_on(domain);
         let side = (domain.dim() as f64).sqrt() as usize;
         assert_eq!(side * side, domain.dim(), "domain dim must be a perfect square for a CNN");
         let n = cfg.background_classes * cfg.samples_per_class;
@@ -412,23 +341,29 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_default() {
-        assert_eq!(EmbeddingConfig::builder().build().unwrap(), EmbeddingConfig::default());
+        assert_eq!(EmbeddingConfig::default().validate(), Ok(()));
     }
 
     #[test]
     fn builder_rejects_one_background_class() {
-        let err = EmbeddingConfig::builder().background_classes(1).build().unwrap_err();
+        let cfg = EmbeddingConfig { background_classes: 1, ..EmbeddingConfig::default() };
+        let err = cfg.validate().unwrap_err();
         assert!(err.to_string().contains("background_classes"), "{err}");
+        let cfg = EmbeddingConfig { samples_per_class: 0, ..EmbeddingConfig::default() };
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn builder_rejects_zero_hidden_width() {
-        assert!(EmbeddingConfig::builder().hidden(vec![64, 0]).build().is_err());
+        let cfg = EmbeddingConfig { hidden: vec![64, 0], ..EmbeddingConfig::default() };
+        assert!(cfg.validate().is_err());
+        assert!(EmbeddingConfig { embed_dim: 0, ..EmbeddingConfig::default() }.validate().is_err());
     }
 
     #[test]
     fn builder_rejects_degenerate_schedule() {
-        assert!(EmbeddingConfig::builder().epochs(0).build().is_err());
-        assert!(EmbeddingConfig::builder().learning_rate(0.0).build().is_err());
+        let d = EmbeddingConfig::default;
+        assert!(EmbeddingConfig { epochs: 0, ..d() }.validate().is_err());
+        assert!(EmbeddingConfig { learning_rate: 0.0, ..d() }.validate().is_err());
     }
 }

@@ -1,9 +1,8 @@
 //! Typed failures for the MANN model-side crate.
 //!
-//! Embedding-training configuration used to be validated by asserts at
-//! train time; [`crate::embedding::EmbeddingConfig::builder`] returns
-//! `Result<_, MannError>` so degenerate setups are rejected at
-//! construction, before any episode runs.
+//! [`crate::embedding::EmbeddingConfig::validate`] returns
+//! `Result<_, MannError>` so degenerate setups are rejected before any
+//! episode runs.
 
 use std::error::Error;
 use std::fmt;
@@ -28,6 +27,11 @@ impl fmt::Display for MannError {
 }
 
 impl Error for MannError {}
+
+/// `Ok` when `ok` holds, else the configuration error naming `reason`.
+pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), MannError> {
+    ok.then_some(()).ok_or(MannError::InvalidConfig { reason })
+}
 
 #[cfg(test)]
 mod tests {

@@ -10,8 +10,6 @@
 //!
 //! * [`memory`] — the soft-read/soft-write attentional memory and the
 //!   similarity metrics (cosine vs. the CAM-friendly L1/L2/L∞ family).
-//! * [`kv_memory`] — the key–value lifelong memory module with age-based
-//!   replacement used by one-shot learners.
 //! * [`embedding`] — background-trained feature embeddings (the CNN stand-
 //!   in that generates memory keys).
 //! * [`lsh`] — random-hyperplane locality-sensitive hashing to binary
@@ -21,31 +19,27 @@
 //! * [`fewshot`] — the N-way K-shot evaluation harness comparing exact,
 //!   quantized, range-encoded and LSH searches.
 //!
-//! # Example: one-shot learning with a key–value memory
+//! # Example: one-shot recall by content addressing
 //!
 //! ```
-//! use enw_mann::kv_memory::KeyValueMemory;
-//! use enw_mann::memory::Similarity;
+//! use enw_mann::memory::{DifferentiableMemory, Similarity};
 //!
-//! let mut mem = KeyValueMemory::new(16, 4, Similarity::Cosine);
-//! mem.update(&[1.0, 0.0, 0.0, 0.0], 0); // one example of class 0
-//! mem.update(&[0.0, 1.0, 0.0, 0.0], 1); // one example of class 1
-//! let hit = mem.retrieve(&[0.9, 0.2, 0.0, 0.0]).expect("non-empty");
-//! assert_eq!(hit.value, 0);
+//! let mut mem = DifferentiableMemory::new(2, 4);
+//! mem.write_slot(0, &[1.0, 0.0, 0.0, 0.0]); // one example of class 0
+//! mem.write_slot(1, &[0.0, 1.0, 0.0, 0.0]); // one example of class 1
+//! let mut w = [0.0; 2];
+//! mem.content_address_into(&[0.9, 0.2, 0.0, 0.0], Similarity::Cosine, 10.0, &mut w);
+//! assert!(w[0] > w[1]); // the query recalls class 0
 //! ```
 
 pub mod embedding;
 pub mod encoding;
 pub mod error;
 pub mod fewshot;
-pub mod kv_memory;
 pub mod lsh;
 pub mod memory;
 
-pub use embedding::{
-    ConvEmbeddingNet, Embedder, EmbeddingConfig, EmbeddingConfigBuilder, EmbeddingNet,
-};
+pub use embedding::{ConvEmbeddingNet, Embedder, EmbeddingConfig, EmbeddingNet};
 pub use error::MannError;
 pub use fewshot::{FewShotOutcome, SearchMethod};
-pub use kv_memory::KeyValueMemory;
 pub use memory::{DifferentiableMemory, Similarity};

@@ -1,9 +1,7 @@
 //! Typed failures for the digital NN substrate.
 //!
-//! Training hyper-parameters used to be plain structs with no validated
-//! construction path; [`crate::mlp::SgdConfig::builder`] returns
-//! `Result<_, NnError>` so out-of-range schedules are rejected before a
-//! training loop starts.
+//! [`crate::mlp::SgdConfig::validate`] returns `Result<_, NnError>` so
+//! out-of-range schedules are rejected before a training loop starts.
 
 use std::error::Error;
 use std::fmt;
@@ -28,6 +26,11 @@ impl fmt::Display for NnError {
 }
 
 impl Error for NnError {}
+
+/// `Ok` when `ok` holds, else the configuration error naming `reason`.
+pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), NnError> {
+    ok.then_some(()).ok_or(NnError::InvalidConfig { reason })
+}
 
 #[cfg(test)]
 mod tests {

@@ -68,7 +68,7 @@ pub mod snapshot;
 pub use activation::Activation;
 pub use backend::{DigitalLinear, LinearBackend};
 pub use error::NnError;
-pub use mlp::{Mlp, SgdConfig, SgdConfigBuilder};
+pub use mlp::{Mlp, SgdConfig};
 
 /// Reads into fresh buffers for the unit tests, through the backend's
 /// `_into` forms.

@@ -9,17 +9,15 @@
 use crate::activation::Activation;
 use crate::backend::{DigitalLinear, LinearBackend};
 use crate::data::Dataset;
+use crate::error::{check, NnError};
 use crate::layer::DenseLayer;
 use crate::loss::softmax_cross_entropy_into;
 use enw_numerics::packed::PackedMatvec;
 use enw_numerics::rng::Rng64;
 use enw_numerics::vector::argmax;
 
-/// Hyper-parameters for SGD training.
-///
-/// Construct via [`SgdConfig::builder`]; direct struct-literal
-/// construction in downstream code is deprecated (it bypasses
-/// validation and will stop compiling as fields are added).
+/// Hyper-parameters for SGD training. Write it as a struct literal and
+/// check it with [`validate`](SgdConfig::validate).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Number of passes over the training set.
@@ -35,47 +33,12 @@ impl Default for SgdConfig {
 }
 
 impl SgdConfig {
-    /// Starts a validating builder seeded with the default schedule.
-    pub fn builder() -> SgdConfigBuilder {
-        SgdConfigBuilder { cfg: SgdConfig::default() }
-    }
-}
-
-/// Validating builder for [`SgdConfig`].
-///
-/// `build()` rejects schedules that cannot train (zero epochs,
-/// non-positive or non-finite step sizes) with a typed
-/// [`NnError`](crate::error::NnError).
-#[derive(Debug, Clone)]
-pub struct SgdConfigBuilder {
-    cfg: SgdConfig,
-}
-
-impl SgdConfigBuilder {
-    /// Sets the number of passes over the training set.
-    pub fn epochs(mut self, epochs: usize) -> Self {
-        self.cfg.epochs = epochs;
-        self
-    }
-
-    /// Sets the step size for every rank-1 update.
-    pub fn learning_rate(mut self, learning_rate: f32) -> Self {
-        self.cfg.learning_rate = learning_rate;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    pub fn build(self) -> Result<SgdConfig, crate::error::NnError> {
-        use crate::error::NnError;
-        if self.cfg.epochs == 0 {
-            return Err(NnError::InvalidConfig { reason: "epochs must be at least 1" });
-        }
-        if !self.cfg.learning_rate.is_finite() || self.cfg.learning_rate <= 0.0 {
-            return Err(NnError::InvalidConfig {
-                reason: "learning_rate must be finite and positive",
-            });
-        }
-        Ok(self.cfg)
+    /// Checks the schedule: at least one epoch and a finite, positive
+    /// step size.
+    pub fn validate(&self) -> Result<(), NnError> {
+        check(self.epochs > 0, "epochs must be at least 1")?;
+        let lr = self.learning_rate;
+        check(lr.is_finite() && lr > 0.0, "learning_rate must be finite and positive")
     }
 }
 
@@ -464,19 +427,19 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_default() {
-        assert_eq!(SgdConfig::builder().build().unwrap(), SgdConfig::default());
+        assert_eq!(SgdConfig::default().validate(), Ok(()));
     }
 
     #[test]
     fn builder_rejects_zero_epochs() {
-        let err = SgdConfig::builder().epochs(0).build().unwrap_err();
+        let err = SgdConfig { epochs: 0, ..SgdConfig::default() }.validate().unwrap_err();
         assert!(err.to_string().contains("epochs"), "{err}");
     }
 
     #[test]
     fn builder_rejects_bad_learning_rate() {
-        assert!(SgdConfig::builder().learning_rate(0.0).build().is_err());
-        assert!(SgdConfig::builder().learning_rate(f32::NAN).build().is_err());
-        assert!(SgdConfig::builder().learning_rate(-0.1).build().is_err());
+        for learning_rate in [0.0, f32::NAN, -0.1] {
+            assert!(SgdConfig { learning_rate, ..SgdConfig::default() }.validate().is_err());
+        }
     }
 }

@@ -39,6 +39,11 @@ impl fmt::Display for RecsysError {
 
 impl Error for RecsysError {}
 
+/// `Ok` when `ok` holds, else the configuration error naming `reason`.
+pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), RecsysError> {
+    ok.then_some(()).ok_or(RecsysError::InvalidConfig { reason })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

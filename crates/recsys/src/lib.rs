@@ -57,7 +57,7 @@ pub mod training;
 pub use cache::{CacheStats, EmbeddingCache, MemoryEnergy};
 pub use characterize::{profile, Bound, ModelProfile, OpProfile, RooflineMachine};
 pub use error::RecsysError;
-pub use model::{EmbeddingTable, Interaction, RecModel, RecModelConfig, RecModelConfigBuilder};
+pub use model::{EmbeddingTable, Interaction, RecModel, RecModelConfig};
 pub use quantize::QuantizedTable;
 pub use sequence::{InterestModel, InterestModelConfig};
 pub use serving::{batch_latency, throughput, try_max_batch_under_sla, try_sla_throughput};

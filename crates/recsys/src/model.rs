@@ -7,7 +7,7 @@
 //! top/predictor MLP whose sigmoid output is the predicted
 //! click-through-rate.
 
-use crate::error::RecsysError;
+use crate::error::{check, RecsysError};
 use crate::rows::AlignedRows;
 use crate::trace::SparseQuery;
 use enw_nn::activation::Activation;
@@ -260,86 +260,21 @@ impl RecModelConfig {
         }
     }
 
-    /// Starts building a configuration from `base`; cross-field
-    /// constraints (the bottom MLP ending at `embedding_dim`, non-zero
-    /// dimensions) are checked once at [`RecModelConfigBuilder::build`]
-    /// instead of panicking inside [`RecModel::new`].
-    pub fn builder(base: RecModelConfig) -> RecModelConfigBuilder {
-        RecModelConfigBuilder { cfg: base }
-    }
-}
-
-/// Builder for [`RecModelConfig`]: start from a preset
-/// ([`RecModelConfig::compute_bound`] or
-/// [`RecModelConfig::memory_bound`]), override fields, and validate the
-/// whole configuration at [`build`](RecModelConfigBuilder::build).
-#[derive(Debug, Clone)]
-pub struct RecModelConfigBuilder {
-    cfg: RecModelConfig,
-}
-
-impl RecModelConfigBuilder {
-    /// Number of continuous input features.
-    pub fn dense_features(mut self, n: usize) -> Self {
-        self.cfg.dense_features = n;
-        self
-    }
-
-    /// Bottom MLP hidden widths (must end at the embedding dimension).
-    pub fn bottom_mlp(mut self, widths: Vec<usize>) -> Self {
-        self.cfg.bottom_mlp = widths;
-        self
-    }
-
-    /// `(rows, lookups_per_query)` per embedding table.
-    pub fn tables(mut self, tables: Vec<(usize, usize)>) -> Self {
-        self.cfg.tables = tables;
-        self
-    }
-
-    /// Shared latent dimension.
-    pub fn embedding_dim(mut self, dim: usize) -> Self {
-        self.cfg.embedding_dim = dim;
-        self
-    }
-
-    /// Top (predictor) MLP hidden widths.
-    pub fn top_mlp(mut self, widths: Vec<usize>) -> Self {
-        self.cfg.top_mlp = widths;
-        self
-    }
-
-    /// Feature-interaction operator.
-    pub fn interaction(mut self, interaction: Interaction) -> Self {
-        self.cfg.interaction = interaction;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    pub fn build(self) -> Result<RecModelConfig, RecsysError> {
-        let c = self.cfg;
-        if c.embedding_dim == 0 {
-            return Err(RecsysError::InvalidConfig { reason: "embedding_dim must be non-zero" });
-        }
-        if c.dense_features == 0 {
-            return Err(RecsysError::InvalidConfig { reason: "dense_features must be non-zero" });
-        }
-        if c.bottom_mlp.last() != Some(&c.embedding_dim) {
-            return Err(RecsysError::InvalidConfig {
-                reason: "bottom MLP must be non-empty and end at embedding_dim",
-            });
-        }
-        if c.tables.is_empty() {
-            return Err(RecsysError::InvalidConfig {
-                reason: "at least one embedding table is required",
-            });
-        }
-        if c.tables.iter().any(|&(rows, lookups)| rows == 0 || lookups == 0) {
-            return Err(RecsysError::InvalidConfig {
-                reason: "every table needs non-zero rows and lookups",
-            });
-        }
-        Ok(c)
+    /// Checks the cross-field constraints: non-zero dimensions, a bottom
+    /// MLP ending at `embedding_dim`, and at least one table with rows
+    /// and lookups. [`RecModel::new`] panics on what this rejects.
+    pub fn validate(&self) -> Result<(), RecsysError> {
+        check(self.embedding_dim > 0, "embedding_dim must be non-zero")?;
+        check(self.dense_features > 0, "dense_features must be non-zero")?;
+        check(
+            self.bottom_mlp.last() == Some(&self.embedding_dim),
+            "bottom MLP must be non-empty and end at embedding_dim",
+        )?;
+        check(!self.tables.is_empty(), "at least one embedding table is required")?;
+        check(
+            self.tables.iter().all(|&(rows, lookups)| rows > 0 && lookups > 0),
+            "every table needs non-zero rows and lookups",
+        )
     }
 }
 
@@ -379,14 +314,10 @@ impl RecModel {
     ///
     /// # Panics
     ///
-    /// Panics if the bottom MLP does not end at `embedding_dim`, or any
-    /// dimension is zero.
+    /// Panics if [`RecModelConfig::validate`] rejects `cfg`.
     pub fn new(cfg: &RecModelConfig, rng: &mut Rng64) -> Self {
-        assert_eq!(
-            cfg.bottom_mlp.last().copied(),
-            Some(cfg.embedding_dim),
-            "bottom MLP must be non-empty and end at embedding_dim for interaction"
-        );
+        let valid = cfg.validate();
+        assert!(valid.is_ok(), "invalid model configuration: {valid:?}");
         let (bottom, tables, top) = Self::draw(cfg, rng);
         let (bottom, top) = (bottom.freeze(), top.freeze());
         // Latent and pooled vectors side by side (which is the `Concat`
@@ -761,26 +692,25 @@ mod tests {
 
     #[test]
     fn builder_validates_cross_field_constraints() {
-        let ok = RecModelConfig::builder(tiny_cfg())
-            .embedding_dim(4)
-            .bottom_mlp(vec![8, 4])
-            .build()
-            .expect("consistent override");
-        assert_eq!(ok.embedding_dim, 4);
-        let err = RecModelConfig::builder(tiny_cfg()).embedding_dim(16).build();
-        assert!(matches!(err, Err(RecsysError::InvalidConfig { .. })), "{err:?}");
-        let err = RecModelConfig::builder(tiny_cfg()).tables(vec![]).build();
-        assert!(matches!(err, Err(RecsysError::InvalidConfig { .. })), "{err:?}");
-        let err = RecModelConfig::builder(tiny_cfg()).tables(vec![(0, 2)]).build();
-        assert!(matches!(err, Err(RecsysError::InvalidConfig { .. })), "{err:?}");
+        let ok = RecModelConfig { embedding_dim: 4, bottom_mlp: vec![8, 4], ..tiny_cfg() };
+        assert_eq!(ok.validate(), Ok(()));
+        for bad in [
+            RecModelConfig { embedding_dim: 16, ..tiny_cfg() },
+            RecModelConfig { tables: vec![], ..tiny_cfg() },
+            RecModelConfig { tables: vec![(0, 2)], ..tiny_cfg() },
+            RecModelConfig { tables: vec![(5, 0)], ..tiny_cfg() },
+            RecModelConfig { embedding_dim: 0, bottom_mlp: vec![8, 0], ..tiny_cfg() },
+            RecModelConfig { dense_features: 0, ..tiny_cfg() },
+        ] {
+            let err = bad.validate();
+            assert!(matches!(err, Err(RecsysError::InvalidConfig { .. })), "{err:?}");
+        }
     }
 
     #[test]
     fn builder_passthrough_matches_preset() {
-        let built = RecModelConfig::builder(RecModelConfig::compute_bound())
-            .build()
-            .expect("presets are valid");
-        assert_eq!(built, RecModelConfig::compute_bound());
+        assert_eq!(RecModelConfig::compute_bound().validate(), Ok(()));
+        assert_eq!(RecModelConfig::memory_bound().validate(), Ok(()));
     }
 
     #[test]

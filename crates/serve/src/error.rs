@@ -3,8 +3,8 @@
 //! Everything that used to be a panic message, a `bool`, or an ad-hoc
 //! admission sentinel on the public surface now has a variant here, so
 //! callers can branch on the cause and error chains render through
-//! `std::error::Error`. Constructors that take already-validated inputs
-//! (builders' `build()`) return `Result<_, ServeError>` too.
+//! `std::error::Error`. Policies' `validate` returns `Result<_, ServeError>`
+//! too.
 
 use std::error::Error;
 use std::fmt;
@@ -30,7 +30,7 @@ pub enum ServeError {
         /// Number of stations the server actually has.
         stations: usize,
     },
-    /// A batch policy or station spec failed validation.
+    /// A batch policy or degradation ladder failed validation.
     InvalidPolicy {
         /// Which constraint was violated.
         reason: &'static str,
@@ -65,6 +65,11 @@ impl fmt::Display for ServeError {
 }
 
 impl Error for ServeError {}
+
+/// `Ok` when `ok` holds, else the policy error naming `reason`.
+pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), ServeError> {
+    ok.then_some(()).ok_or(ServeError::InvalidPolicy { reason })
+}
 
 #[cfg(test)]
 mod tests {

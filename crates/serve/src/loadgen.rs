@@ -186,7 +186,12 @@ mod tests {
     fn server(stations: usize) -> Server {
         Server::try_new(
             (0..stations)
-                .map(|i| StationSpec::simple(Box::new(Stub(i + 1)), BatchPolicy::new(4, 100, 16)))
+                .map(|i| {
+                    StationSpec::simple(
+                        Box::new(Stub(i + 1)),
+                        BatchPolicy { max_batch: 4, max_wait_ns: 100, queue_cap: 16 },
+                    )
+                })
                 .collect(),
         )
         .expect("test server has stations")

@@ -10,7 +10,7 @@
 
 use crate::backend::Backend;
 use crate::clock::ns_from_secs;
-use crate::error::ServeError;
+use crate::error::{check, ServeError};
 use enw_recsys::characterize::RooflineMachine;
 use enw_recsys::model::RecModelConfig;
 use enw_recsys::serving::try_max_batch_under_sla;
@@ -27,21 +27,12 @@ pub struct BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// A validated policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero or `queue_cap < max_batch`.
-    pub fn new(max_batch: usize, max_wait_ns: u64, queue_cap: usize) -> Self {
-        assert!(max_batch >= 1, "batches must hold at least one request");
-        assert!(queue_cap >= max_batch, "queue must hold at least one full batch");
-        BatchPolicy { max_batch, max_wait_ns, queue_cap }
-    }
-
-    /// Starts building a policy; constraints are checked at
-    /// [`BatchPolicyBuilder::build`] instead of panicking here.
-    pub fn builder() -> BatchPolicyBuilder {
-        BatchPolicyBuilder::default()
+    /// Checks the policy: batches of at least one request and a queue
+    /// that holds a full batch. [`Server::try_new`](crate::Server::try_new)
+    /// and `enw-fleet`'s `Fleet::try_new` reject what this rejects.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        check(self.max_batch >= 1, "max_batch must be at least 1")?;
+        check(self.queue_cap >= self.max_batch, "queue_cap must hold at least one full batch")
     }
 
     /// SLA-derived policy for a recommendation lane: `max_batch` is the
@@ -63,58 +54,13 @@ impl BatchPolicy {
         let max_batch = (b as usize).max(1);
         let service = enw_recsys::serving::batch_latency(cfg, max_batch as u64, machine);
         let headroom = (sla_seconds - service).max(0.0);
-        BatchPolicy::builder()
-            .max_batch(max_batch)
-            .max_wait_ns(ns_from_secs(headroom))
-            .queue_cap(queue_cap.max(max_batch))
-            .build()
-    }
-}
-
-/// Builder for [`BatchPolicy`]: set what differs from the defaults
-/// (`max_batch = 1`, `max_wait_ns = 0`, `queue_cap =` one full batch)
-/// and let [`build`](BatchPolicyBuilder::build) validate the whole
-/// configuration at once.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchPolicyBuilder {
-    max_batch: Option<usize>,
-    max_wait_ns: u64,
-    queue_cap: Option<usize>,
-}
-
-impl BatchPolicyBuilder {
-    /// Close as soon as this many requests wait (default 1).
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = Some(n);
-        self
-    }
-
-    /// Close when the oldest waiting request has waited this long
-    /// (default 0: close immediately).
-    pub fn max_wait_ns(mut self, ns: u64) -> Self {
-        self.max_wait_ns = ns;
-        self
-    }
-
-    /// Admission-queue capacity (default: `max_batch`).
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = Some(cap);
-        self
-    }
-
-    /// Validates and produces the policy.
-    pub fn build(self) -> Result<BatchPolicy, ServeError> {
-        let max_batch = self.max_batch.unwrap_or(1);
-        let queue_cap = self.queue_cap.unwrap_or(max_batch);
-        if max_batch == 0 {
-            return Err(ServeError::InvalidPolicy { reason: "max_batch must be at least 1" });
-        }
-        if queue_cap < max_batch {
-            return Err(ServeError::InvalidPolicy {
-                reason: "queue_cap must hold at least one full batch",
-            });
-        }
-        Ok(BatchPolicy { max_batch, max_wait_ns: self.max_wait_ns, queue_cap })
+        let policy = BatchPolicy {
+            max_batch,
+            max_wait_ns: ns_from_secs(headroom),
+            queue_cap: queue_cap.max(max_batch),
+        };
+        policy.validate()?;
+        Ok(policy)
     }
 }
 
@@ -133,15 +79,10 @@ pub struct DegradePolicy {
 }
 
 impl DegradePolicy {
-    /// A validated policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `miss_streak` is zero (degrading on the first miss is
-    /// expressed as `miss_streak = 1`).
-    pub fn new(miss_streak: u32, recover_streak: u32) -> Self {
-        assert!(miss_streak >= 1, "miss streak must be at least 1");
-        DegradePolicy { miss_streak, recover_streak }
+    /// Checks the ladder: a step down needs at least one missed batch
+    /// (degrading on the first miss is `miss_streak = 1`).
+    pub fn validate(&self) -> Result<(), ServeError> {
+        check(self.miss_streak >= 1, "miss streak must be at least 1")
     }
 }
 
@@ -169,42 +110,6 @@ impl StationSpec {
         ladder: DegradePolicy,
     ) -> Self {
         StationSpec { primary, policy, degrade: Some((fallback, ladder)) }
-    }
-
-    /// Starts building a station around its primary backend.
-    pub fn builder(primary: Box<dyn Backend>) -> StationSpecBuilder {
-        StationSpecBuilder { primary, policy: None, degrade: None }
-    }
-}
-
-/// Builder for [`StationSpec`]: attach the batch policy (required) and
-/// optionally a degradation rung, then validate at
-/// [`build`](StationSpecBuilder::build).
-pub struct StationSpecBuilder {
-    primary: Box<dyn Backend>,
-    policy: Option<BatchPolicy>,
-    degrade: Option<(Box<dyn Backend>, DegradePolicy)>,
-}
-
-impl StationSpecBuilder {
-    /// Batch-close policy for the lane (required).
-    pub fn policy(mut self, policy: BatchPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Degradation rung: step down to `fallback` per `ladder`.
-    pub fn fallback(mut self, fallback: Box<dyn Backend>, ladder: DegradePolicy) -> Self {
-        self.degrade = Some((fallback, ladder));
-        self
-    }
-
-    /// Validates and produces the spec.
-    pub fn build(self) -> Result<StationSpec, ServeError> {
-        let Some(policy) = self.policy else {
-            return Err(ServeError::InvalidPolicy { reason: "a station needs a batch policy" });
-        };
-        Ok(StationSpec { primary: self.primary, policy, degrade: self.degrade })
     }
 }
 
@@ -248,28 +153,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "queue must hold")]
     fn policy_validates_queue_cap() {
-        BatchPolicy::new(16, 0, 8);
+        let err = BatchPolicy { max_batch: 16, max_wait_ns: 0, queue_cap: 8 }.validate();
+        assert!(
+            matches!(err, Err(ServeError::InvalidPolicy { reason }) if reason.contains("queue"))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "miss streak")]
     fn ladder_validates_streak() {
-        DegradePolicy::new(0, 1);
+        let err = DegradePolicy { miss_streak: 0, recover_streak: 1 }.validate();
+        assert!(
+            matches!(err, Err(ServeError::InvalidPolicy { reason }) if reason.contains("miss streak"))
+        );
+        assert_eq!(DegradePolicy { miss_streak: 1, recover_streak: 0 }.validate(), Ok(()));
     }
 
     #[test]
     fn builder_defaults_and_validation() {
-        let p = BatchPolicy::builder().max_batch(4).build().expect("valid");
-        assert_eq!((p.max_batch, p.max_wait_ns, p.queue_cap), (4, 0, 4));
-        let err = BatchPolicy::builder().max_batch(16).queue_cap(8).build();
+        let p = BatchPolicy { max_batch: 4, max_wait_ns: 0, queue_cap: 4 };
+        assert_eq!(p.validate(), Ok(()));
+        let err = BatchPolicy { max_batch: 16, queue_cap: 8, ..p }.validate();
         assert!(matches!(err, Err(ServeError::InvalidPolicy { .. })), "{err:?}");
-        let err = BatchPolicy::builder().max_batch(0).build();
+        let err = BatchPolicy { max_batch: 0, queue_cap: 0, ..p }.validate();
         assert!(matches!(err, Err(ServeError::InvalidPolicy { .. })), "{err:?}");
-        assert_eq!(
-            BatchPolicy::builder().max_batch(2).max_wait_ns(7).queue_cap(9).build(),
-            Ok(BatchPolicy::new(2, 7, 9))
-        );
+        assert_eq!(BatchPolicy { max_batch: 2, max_wait_ns: 7, queue_cap: 9 }.validate(), Ok(()));
     }
 }

@@ -115,19 +115,23 @@ pub fn try_fleet(seed: u64) -> Result<Server, crate::ServeError> {
         );
     let recsys = RecsysBackend::new("recsys", &cfg, 1.0, machine, &mut rng);
 
-    // Every figure below is a compile-time constant satisfying
-    // `BatchPolicy::new`'s documented invariants, so the infallible
-    // validated constructors apply; only `Server::try_new` stays
-    // fallible and its error propagates.
+    // `Server::try_new` validates every policy and ladder below; its
+    // error propagates.
     let specs = vec![
         StationSpec::with_fallback(
             Box::new(analog),
-            BatchPolicy::new(8, 200_000, 64),
+            BatchPolicy { max_batch: 8, max_wait_ns: 200_000, queue_cap: 64 },
             Box::new(analog_fallback),
-            DegradePolicy::new(3, 8),
+            DegradePolicy { miss_streak: 3, recover_streak: 8 },
         ),
-        StationSpec::simple(Box::new(digital), BatchPolicy::new(16, 100_000, 128)),
-        StationSpec::simple(Box::new(tcam), BatchPolicy::new(4, 50_000, 64)),
+        StationSpec::simple(
+            Box::new(digital),
+            BatchPolicy { max_batch: 16, max_wait_ns: 100_000, queue_cap: 128 },
+        ),
+        StationSpec::simple(
+            Box::new(tcam),
+            BatchPolicy { max_batch: 4, max_wait_ns: 50_000, queue_cap: 64 },
+        ),
         StationSpec::simple(Box::new(recsys), recsys_policy),
     ];
     Server::try_new(specs)

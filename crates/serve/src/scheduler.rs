@@ -191,10 +191,17 @@ pub struct Server {
 impl Server {
     /// Builds a server from station specs; station indices follow the
     /// order given here. Fails with [`ServeError::NoStations`] on an
-    /// empty spec list.
+    /// empty spec list and [`ServeError::InvalidPolicy`] when a batch
+    /// policy or degradation ladder does not validate.
     pub fn try_new(specs: Vec<StationSpec>) -> Result<Self, ServeError> {
         if specs.is_empty() {
             return Err(ServeError::NoStations);
+        }
+        for spec in &specs {
+            spec.policy.validate()?;
+            if let Some((_, ladder)) = &spec.degrade {
+                ladder.validate()?;
+            }
         }
         Ok(Server {
             stations: specs.into_iter().map(Station::new).collect(),
@@ -524,8 +531,10 @@ mod tests {
 
     #[test]
     fn batch_closes_when_full() {
-        let spec =
-            StationSpec::simple(Toy::boxed("t", 100, 1.0), BatchPolicy::new(2, 1_000_000, 8));
+        let spec = StationSpec::simple(
+            Toy::boxed("t", 100, 1.0),
+            BatchPolicy { max_batch: 2, max_wait_ns: 1_000_000, queue_cap: 8 },
+        );
         let report = run_one(spec, &[req(0, 10, u64::MAX), req(1, 10, u64::MAX)]);
         // Both arrived at 10, batch of 2 closed at 10, completed at 110.
         assert_eq!(report.responses.len(), 2);
@@ -538,7 +547,10 @@ mod tests {
 
     #[test]
     fn batch_closes_on_wait_timeout() {
-        let spec = StationSpec::simple(Toy::boxed("t", 100, 1.0), BatchPolicy::new(8, 500, 16));
+        let spec = StationSpec::simple(
+            Toy::boxed("t", 100, 1.0),
+            BatchPolicy { max_batch: 8, max_wait_ns: 500, queue_cap: 16 },
+        );
         let report = run_one(spec, &[req(0, 10, u64::MAX)]);
         // Lone request waits max_wait = 500, closes at 510, done at 610.
         assert_eq!(report.responses[0].finish_ns, 610);
@@ -549,7 +561,10 @@ mod tests {
     fn full_queue_rejects() {
         // Service is long, so request 0 occupies the lane while 1 waits
         // in the single queue slot and 2 bounces off.
-        let spec = StationSpec::simple(Toy::boxed("t", 10_000, 1.0), BatchPolicy::new(1, 0, 1));
+        let spec = StationSpec::simple(
+            Toy::boxed("t", 10_000, 1.0),
+            BatchPolicy { max_batch: 1, max_wait_ns: 0, queue_cap: 1 },
+        );
         let report =
             run_one(spec, &[req(0, 0, u64::MAX), req(1, 5, u64::MAX), req(2, 6, u64::MAX)]);
         let outcomes: Vec<(u64, Outcome)> =
@@ -566,7 +581,10 @@ mod tests {
     fn queue_is_fifo_and_rejects_when_full() {
         // Request 0 runs at once; 1 and 2 fill the two queue slots behind
         // it, 3 bounces off, and the queued two are served oldest first.
-        let spec = StationSpec::simple(Toy::boxed("t", 10_000, 1.0), BatchPolicy::new(1, 0, 2));
+        let spec = StationSpec::simple(
+            Toy::boxed("t", 10_000, 1.0),
+            BatchPolicy { max_batch: 1, max_wait_ns: 0, queue_cap: 2 },
+        );
         let trace: Vec<Request> = (0..4).map(|k| req(k, k, u64::MAX)).collect();
         let report = run_one(spec, &trace);
         let order: Vec<(u64, Outcome, u64)> =
@@ -586,7 +604,10 @@ mod tests {
     fn expired_requests_are_shed_at_close() {
         // Request 1 queues behind a 10 µs batch and its 2 µs deadline
         // passes before the lane frees up: shed, never served.
-        let spec = StationSpec::simple(Toy::boxed("t", 10_000, 1.0), BatchPolicy::new(1, 0, 4));
+        let spec = StationSpec::simple(
+            Toy::boxed("t", 10_000, 1.0),
+            BatchPolicy { max_batch: 1, max_wait_ns: 0, queue_cap: 4 },
+        );
         let report = run_one(spec, &[req(0, 0, u64::MAX), req(1, 5, 2_000)]);
         let shed = report.responses.iter().find(|r| r.id == 1).expect("response for 1");
         assert_eq!(shed.outcome, Outcome::Shed);
@@ -601,9 +622,9 @@ mod tests {
         // fallback needs 10 ns (clean). miss_streak 2, recover after 2.
         let spec = StationSpec::with_fallback(
             Toy::boxed("analog", 1_000, 1.0),
-            BatchPolicy::new(1, 0, 4),
+            BatchPolicy { max_batch: 1, max_wait_ns: 0, queue_cap: 4 },
             Toy::boxed("digital", 10, 2.0),
-            DegradePolicy::new(2, 2),
+            DegradePolicy { miss_streak: 2, recover_streak: 2 },
         );
         // Arrivals far apart so each is its own batch.
         let trace: Vec<Request> = (0..6).map(|k| req(k, 10_000 * k, 10_000 * k + 800)).collect();
@@ -630,7 +651,12 @@ mod tests {
 
     #[test]
     fn reruns_are_bit_identical() {
-        let mk = || StationSpec::simple(Toy::boxed("t", 777, 0.5), BatchPolicy::new(3, 1_500, 6));
+        let mk = || {
+            StationSpec::simple(
+                Toy::boxed("t", 777, 0.5),
+                BatchPolicy { max_batch: 3, max_wait_ns: 1_500, queue_cap: 6 },
+            )
+        };
         let trace: Vec<Request> = (0..40).map(|k| req(k, k * 400, k * 400 + 5_000)).collect();
         let a = run_one(mk(), &trace);
         let b = run_one(mk(), &trace);
@@ -641,7 +667,10 @@ mod tests {
 
     #[test]
     fn unsorted_traces_are_rejected() {
-        let spec = StationSpec::simple(Toy::boxed("t", 1, 0.0), BatchPolicy::new(1, 0, 1));
+        let spec = StationSpec::simple(
+            Toy::boxed("t", 1, 0.0),
+            BatchPolicy { max_batch: 1, max_wait_ns: 0, queue_cap: 1 },
+        );
         let server = Server::try_new(vec![spec]).expect("one station");
         let err = server.try_run(&[req(0, 10, 20), req(1, 5, 20)]);
         assert_eq!(err.err(), Some(ServeError::UnsortedTrace { position: 1 }));
@@ -649,7 +678,10 @@ mod tests {
 
     #[test]
     fn an_unsorted_trace_outranks_an_earlier_unknown_station() {
-        let spec = StationSpec::simple(Toy::boxed("t", 1, 0.0), BatchPolicy::new(1, 0, 1));
+        let spec = StationSpec::simple(
+            Toy::boxed("t", 1, 0.0),
+            BatchPolicy { max_batch: 1, max_wait_ns: 0, queue_cap: 1 },
+        );
         let server = Server::try_new(vec![spec]).expect("one station");
         let mut trace: Vec<Request> = (0..5).map(|k| req(k, 10 * k, u64::MAX)).collect();
         trace[1].station = 4;
@@ -660,7 +692,10 @@ mod tests {
 
     #[test]
     fn unknown_stations_are_rejected() {
-        let spec = StationSpec::simple(Toy::boxed("t", 1, 0.0), BatchPolicy::new(1, 0, 1));
+        let spec = StationSpec::simple(
+            Toy::boxed("t", 1, 0.0),
+            BatchPolicy { max_batch: 1, max_wait_ns: 0, queue_cap: 1 },
+        );
         let server = Server::try_new(vec![spec]).expect("one station");
         let mut r = req(7, 10, 20);
         r.station = 3;
@@ -674,6 +709,27 @@ mod tests {
     #[test]
     fn empty_spec_list_is_rejected() {
         assert_eq!(Server::try_new(Vec::new()).err(), Some(ServeError::NoStations));
+    }
+
+    #[test]
+    fn invalid_policies_are_rejected() {
+        // Accepted, the first hangs `try_run`: an empty batch closes
+        // forever.
+        let policy = BatchPolicy { max_batch: 2, max_wait_ns: 0, queue_cap: 4 };
+        let simple = |policy| StationSpec::simple(Toy::boxed("t", 1, 0.0), policy);
+        let ladder = |ladder| {
+            let fallback = Toy::boxed("f", 1, 0.0);
+            StationSpec::with_fallback(Toy::boxed("t", 1, 0.0), policy, fallback, ladder)
+        };
+        let cases = [
+            simple(BatchPolicy { max_batch: 0, ..policy }),
+            simple(BatchPolicy { queue_cap: 1, ..policy }),
+            ladder(DegradePolicy { miss_streak: 0, recover_streak: 1 }),
+        ];
+        for (i, bad) in cases.into_iter().enumerate() {
+            let err = Server::try_new(vec![simple(policy), bad]).err();
+            assert!(matches!(err, Some(ServeError::InvalidPolicy { .. })), "case {i}: {err:?}");
+        }
     }
 
     impl Server {
@@ -813,7 +869,7 @@ mod tests {
                 let max_batch = 1 + rng.below(4);
                 let queue_cap = max_batch + rng.below(9 - max_batch);
                 let max_wait_ns = if rng.bernoulli(0.3) { 0 } else { rng.below(2_000) as u64 };
-                let policy = BatchPolicy::new(max_batch, max_wait_ns, queue_cap);
+                let policy = BatchPolicy { max_batch, max_wait_ns, queue_cap };
                 let model = ServiceModel {
                     setup_ns: rng.below(3_000) as u64,
                     per_item_ns: rng.below(400) as u64,
@@ -826,7 +882,10 @@ mod tests {
                     setup_ns: rng.below(300) as u64,
                     per_item_ns: rng.below(50) as u64,
                 };
-                let ladder = DegradePolicy::new(1 + rng.below(3) as u32, rng.below(4) as u32);
+                let ladder = DegradePolicy {
+                    miss_streak: 1 + rng.below(3) as u32,
+                    recover_streak: rng.below(4) as u32,
+                };
                 StationSpec::with_fallback(
                     primary,
                     policy,

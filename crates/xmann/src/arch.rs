@@ -8,14 +8,12 @@
 //! event-accurate energy/latency of the datapath that would produce it.
 
 use crate::cost::{Cost, XmannCostParams};
+use crate::error::{check, XmannError};
 use enw_mann::memory::DifferentiableMemory;
 use enw_numerics::vector::softmax_in_place;
 
-/// Geometry of the tile hierarchy.
-///
-/// Construct via [`XmannConfig::builder`]; direct struct-literal
-/// construction in downstream code is deprecated (it bypasses
-/// validation and will stop compiling as fields are added).
+/// Geometry of the tile hierarchy. Write it as a struct literal and
+/// check it with [`validate`](XmannConfig::validate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XmannConfig {
     /// Crossbar rows per TCPT (memory slots per tile).
@@ -38,71 +36,17 @@ impl Default for XmannConfig {
 }
 
 impl XmannConfig {
-    /// Starts a validating builder seeded with the default geometry.
-    pub fn builder() -> XmannConfigBuilder {
-        XmannConfigBuilder { cfg: XmannConfig::default() }
-    }
-}
-
-/// Validating builder for [`XmannConfig`].
-///
-/// `build()` rejects degenerate tile hierarchies with a typed
-/// [`XmannError`](crate::error::XmannError) instead of panicking at
-/// [`Xmann::new`] time, which is the contract candidate-probing search
-/// drivers rely on.
-#[derive(Debug, Clone)]
-pub struct XmannConfigBuilder {
-    cfg: XmannConfig,
-}
-
-impl XmannConfigBuilder {
-    /// Sets crossbar rows per TCPT.
-    pub fn tile_rows(mut self, tile_rows: usize) -> Self {
-        self.cfg.tile_rows = tile_rows;
-        self
-    }
-
-    /// Sets crossbar columns per TCPT.
-    pub fn tile_cols(mut self, tile_cols: usize) -> Self {
-        self.cfg.tile_cols = tile_cols;
-        self
-    }
-
-    /// Sets TCPTs sharing one subarray bus.
-    pub fn tiles_per_subarray(mut self, tiles_per_subarray: usize) -> Self {
-        self.cfg.tiles_per_subarray = tiles_per_subarray;
-        self
-    }
-
-    /// Sets physical TCPTs on the accelerator.
-    pub fn total_tiles(mut self, total_tiles: usize) -> Self {
-        self.cfg.total_tiles = total_tiles;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    pub fn build(self) -> Result<XmannConfig, crate::error::XmannError> {
-        use crate::error::XmannError;
-        if self.cfg.tile_rows == 0 {
-            return Err(XmannError::InvalidConfig { reason: "tile_rows must be at least 1" });
-        }
-        if self.cfg.tile_cols == 0 {
-            return Err(XmannError::InvalidConfig { reason: "tile_cols must be at least 1" });
-        }
-        if self.cfg.tiles_per_subarray == 0 {
-            return Err(XmannError::InvalidConfig {
-                reason: "tiles_per_subarray must be at least 1",
-            });
-        }
-        if self.cfg.total_tiles == 0 {
-            return Err(XmannError::InvalidConfig { reason: "total_tiles must be at least 1" });
-        }
-        if self.cfg.tiles_per_subarray > self.cfg.total_tiles {
-            return Err(XmannError::InvalidConfig {
-                reason: "tiles_per_subarray cannot exceed total_tiles",
-            });
-        }
-        Ok(self.cfg)
+    /// Checks the geometry: every count at least 1, and a subarray no
+    /// larger than the chip. [`Xmann::new`] panics on what this rejects.
+    pub fn validate(&self) -> Result<(), XmannError> {
+        check(self.tile_rows > 0, "tile_rows must be at least 1")?;
+        check(self.tile_cols > 0, "tile_cols must be at least 1")?;
+        check(self.tiles_per_subarray > 0, "tiles_per_subarray must be at least 1")?;
+        check(self.total_tiles > 0, "total_tiles must be at least 1")?;
+        check(
+            self.tiles_per_subarray <= self.total_tiles,
+            "tiles_per_subarray cannot exceed total_tiles",
+        )
     }
 }
 
@@ -143,18 +87,10 @@ impl Xmann {
     ///
     /// # Panics
     ///
-    /// Panics if any geometry parameter is zero or a subarray holds more
-    /// tiles than the chip — what [`XmannConfigBuilder::build`] rejects,
-    /// for configs written as struct literals.
+    /// Panics if [`XmannConfig::validate`] rejects `cfg`.
     pub fn new(slots: usize, dim: usize, cfg: XmannConfig, params: XmannCostParams) -> Self {
-        assert!(
-            cfg.tile_rows > 0
-                && cfg.tile_cols > 0
-                && cfg.tiles_per_subarray > 0
-                && cfg.total_tiles > 0
-                && cfg.tiles_per_subarray <= cfg.total_tiles,
-            "degenerate tile geometry"
-        );
+        let geometry = cfg.validate();
+        assert!(geometry.is_ok(), "degenerate tile geometry: {geometry:?}");
         Xmann { memory: DifferentiableMemory::new(slots, dim), cfg, params, total: Cost::zero() }
     }
 
@@ -494,26 +430,33 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_default() {
-        assert_eq!(XmannConfig::builder().build().unwrap(), XmannConfig::default());
+        assert_eq!(XmannConfig::default().validate(), Ok(()));
     }
 
     #[test]
     fn builder_rejects_zero_total_tiles() {
-        let err = XmannConfig::builder().total_tiles(0).build().unwrap_err();
-        assert!(err.to_string().contains("total_tiles"), "{err}");
+        let err = XmannConfig { total_tiles: 0, ..XmannConfig::default() }.validate().unwrap_err();
+        assert!(err.to_string().contains("total_tiles must be at least 1"), "{err}");
     }
 
     #[test]
     fn builder_rejects_subarray_larger_than_chip() {
-        let err =
-            XmannConfig::builder().tiles_per_subarray(32).total_tiles(16).build().unwrap_err();
+        let cfg = XmannConfig { tiles_per_subarray: 32, total_tiles: 16, ..XmannConfig::default() };
+        let err = cfg.validate().unwrap_err();
         assert!(err.to_string().contains("tiles_per_subarray"), "{err}");
     }
 
     #[test]
     fn builder_sets_geometry() {
         let cfg =
-            XmannConfig::builder().tile_rows(64).tile_cols(32).total_tiles(16).build().unwrap();
-        assert_eq!((cfg.tile_rows, cfg.tile_cols, cfg.total_tiles), (64, 32, 16));
+            XmannConfig { tile_rows: 64, tile_cols: 32, total_tiles: 16, ..XmannConfig::default() };
+        assert_eq!(cfg.validate(), Ok(()));
+        for zero in [
+            XmannConfig { tile_rows: 0, ..cfg },
+            XmannConfig { tile_cols: 0, ..cfg },
+            XmannConfig { tiles_per_subarray: 0, ..cfg },
+        ] {
+            assert!(matches!(zero.validate(), Err(XmannError::InvalidConfig { .. })), "{zero:?}");
+        }
     }
 }

@@ -1,9 +1,8 @@
 //! Typed failures for the X-MANN architecture models.
 //!
-//! Geometry used to be validated by asserts in [`crate::arch::Xmann::new`]
-//! alone; the builder path returns `Result<_, XmannError>` so candidate
-//! bank shapes can be rejected without panicking — the contract the
-//! DSE engine's `Tunable::decode` relies on.
+//! [`crate::arch::XmannConfig::validate`] returns `Result<_, XmannError>`
+//! so candidate bank shapes can be rejected without panicking — the
+//! contract the DSE engine's `Tunable::decode` relies on.
 
 use std::error::Error;
 use std::fmt;
@@ -30,6 +29,11 @@ impl fmt::Display for XmannError {
 }
 
 impl Error for XmannError {}
+
+/// `Ok` when `ok` holds, else the configuration error naming `reason`.
+pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), XmannError> {
+    ok.then_some(()).ok_or(XmannError::InvalidConfig { reason })
+}
 
 #[cfg(test)]
 mod tests {

@@ -39,7 +39,7 @@ pub mod cost;
 pub mod error;
 pub mod workloads;
 
-pub use arch::{OpResult, Xmann, XmannConfig, XmannConfigBuilder};
+pub use arch::{OpResult, Xmann, XmannConfig};
 pub use baseline::GpuMann;
 pub use cost::{Cost, GpuCostParams, XmannCostParams};
 pub use error::XmannError;

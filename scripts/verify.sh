@@ -34,6 +34,12 @@ echo "transparent_hugepage: $(cat /sys/kernel/mm/transparent_hugepage/enabled 2>
 echo "== cargo test -q =="
 cargo test -q
 
+# The only sampled-point test of the seven `Tunable::decode`s (round
+# trip, out-of-bounds rejection). The feature is empty on enw-bench, so
+# nothing but the one test binary rebuilds.
+echo "== cargo test -q --features proptest --test tunable_properties =="
+cargo test -q -p enw-bench --features proptest --test tunable_properties
+
 # Library code may not panic outside a waiver at the site
 # (`#[expect(clippy::..., reason = ...)]`); clippy.toml adds the
 # determinism rules, and a waiver that matches nothing fails as

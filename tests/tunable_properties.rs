@@ -4,7 +4,7 @@
 //! with a typed error.
 //!
 //! Compiled only with `--features proptest` so the default tier-1 run
-//! stays lean; enable it in CI sweeps via `scripts/verify.sh --full`.
+//! stays lean; `scripts/verify.sh` runs it in its default pass.
 #![cfg(feature = "proptest")]
 
 use enw_core::cam::TcamConfig;
