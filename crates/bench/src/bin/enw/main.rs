@@ -9,7 +9,9 @@
 //! enw gate                    the CI smoke set; exit 1 naming every failed gate
 //! ```
 //!
-//! EXPERIMENTS.md records the expected output of every id.
+//! EXPERIMENTS.md records the expected output of every id. With
+//! `ENW_TRACE=summary` (or `full`), `enw run` writes each experiment's
+//! per-stage attribution table to stderr after it; stdout is unchanged.
 
 mod json;
 mod run;
@@ -100,7 +102,11 @@ fn cli(args: &[String]) -> ExitCode {
             }
             return ExitCode::SUCCESS;
         }
-        ["gate"] => (GATE_SET.to_vec(), true),
+        ["gate"] => {
+            // The gate's stderr is compared byte for byte: no trace tables.
+            enw_core::trace::set_mode(enw_core::trace::TraceMode::Off);
+            (GATE_SET.to_vec(), true)
+        }
         ["run", rest @ ..] => {
             (rest.iter().copied().filter(|a| *a != "--smoke").collect(), rest.contains(&"--smoke"))
         }
@@ -110,7 +116,9 @@ fn cli(args: &[String]) -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
-    // Gates go to stderr, so stdout stays the experiments' own.
+    // Gates, and under `ENW_TRACE=summary|full` each experiment's
+    // per-stage attribution table, go to stderr, so stdout stays the
+    // experiments' own.
     let mut failed = Vec::new();
     for id in ids {
         let run = match run_one(id, smoke) {
@@ -120,6 +128,9 @@ fn cli(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        if enw_core::trace::enabled() {
+            eprint!("{}", enw_core::trace::take_report().summary_table());
+        }
         for g in &run.gates {
             let line = format!("{id} {}: {}", g.name, g.detail);
             eprintln!("gate {} {line}", if g.ok { "PASS" } else { "FAIL" });

@@ -206,7 +206,8 @@ mod tests {
     fn every_binary_exists_in_enw_bench() {
         // The registry is only useful if each entry's module actually
         // exists; catch dangling names at the source tree level.
-        let bench_bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/src/bin/enw");
+        let bench_bins =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/src/bin/enw");
         for e in registry() {
             let src = bench_bins.join(format!("{}.rs", e.binary));
             assert!(src.is_file(), "{}: missing enw module source {}", e.id, src.display());

@@ -210,17 +210,21 @@ impl AnalogArray {
         // allocation-free — which keeps the whole training step zero-alloc
         // in steady state (E21's gate).
         let total = AtomicU64::new(0);
-        enw_parallel::run_chunks_mut(&mut self.weights, row_chunk.max(1) * cols, |start, window| {
-            let r0 = start / cols;
-            let mut chunk_total = 0u64;
-            for (k, wrow) in window.chunks_mut(cols).enumerate() {
-                let r = r0 + k;
-                let mut pulser =
-                    RowPulser { weights: wrow, devices: &devices[r * cols..(r + 1) * cols] };
-                chunk_total += f(r, &mut pulser);
-            }
-            total.fetch_add(chunk_total, Ordering::Relaxed);
-        });
+        enw_parallel::run_chunks_mut(
+            &mut self.weights,
+            row_chunk.max(1) * cols,
+            |start, window| {
+                let r0 = start / cols;
+                let mut chunk_total = 0u64;
+                for (k, wrow) in window.chunks_mut(cols).enumerate() {
+                    let r = r0 + k;
+                    let mut pulser =
+                        RowPulser { weights: wrow, devices: &devices[r * cols..(r + 1) * cols] };
+                    chunk_total += f(r, &mut pulser);
+                }
+                total.fetch_add(chunk_total, Ordering::Relaxed);
+            },
+        );
         let total = total.load(Ordering::Relaxed);
         self.pulse_count += total;
         total

@@ -100,7 +100,9 @@ impl AnalogPipeline {
     /// or the architecture/tiling is degenerate.
     pub fn new(cfg: &PipelineConfig, data: &Dataset) -> Result<Self, CrossbarError> {
         if data.is_empty() {
-            return Err(CrossbarError::InvalidConfig { reason: "pipeline needs a non-empty dataset" });
+            return Err(CrossbarError::InvalidConfig {
+                reason: "pipeline needs a non-empty dataset",
+            });
         }
         if cfg.net.input.len() != data.input(0).len() {
             return Err(CrossbarError::InvalidConfig {

@@ -266,10 +266,7 @@ impl TiledAnalogLayer {
             let words = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
             let has_spare = r.flag()?;
             let spare = r.u64()?;
-            cell.tile.restore_rng(RngState {
-                words,
-                gauss_spare_bits: has_spare.then_some(spare),
-            });
+            cell.tile.restore_rng(RngState { words, gauss_spare_bits: has_spare.then_some(spare) });
             let pulse_count = r.u64()?;
             let stats = TileStats {
                 forward_ops: r.u64()?,
@@ -320,7 +317,12 @@ impl LinearBackend for TiledAnalogLayer {
             }
         }
         let partials = self.cells.iter().map(|c| c.fwd.len() as u64).sum::<u64>();
-        enw_trace::record_span_io("crossbar/tiled/reduce", partials, 4 * partials, 4 * out.len() as u64);
+        enw_trace::record_span_io(
+            "crossbar/tiled/reduce",
+            partials,
+            4 * partials,
+            4 * out.len() as u64,
+        );
     }
 
     fn backward_into(&mut self, delta: &[f32], out: &mut [f32]) {
@@ -344,7 +346,12 @@ impl LinearBackend for TiledAnalogLayer {
             }
         }
         let partials = self.cells.iter().map(|c| c.bwd.len() as u64).sum::<u64>();
-        enw_trace::record_span_io("crossbar/tiled/reduce", partials, 4 * partials, 4 * out.len() as u64);
+        enw_trace::record_span_io(
+            "crossbar/tiled/reduce",
+            partials,
+            4 * partials,
+            4 * out.len() as u64,
+        );
     }
 
     fn update(&mut self, delta: &[f32], x: &[f32], lr: f32) {
@@ -394,8 +401,14 @@ mod tests {
     fn rejects_degenerate_configs() {
         let mut rng = Rng64::new(1);
         let spec = devices::ideal(1000);
-        let bad_dim =
-            TiledAnalogLayer::new(0, 4, &spec, TileConfig::ideal(), TilingConfig::default(), &mut rng);
+        let bad_dim = TiledAnalogLayer::new(
+            0,
+            4,
+            &spec,
+            TileConfig::ideal(),
+            TilingConfig::default(),
+            &mut rng,
+        );
         assert!(matches!(bad_dim, Err(CrossbarError::InvalidConfig { .. })));
         let bad_tile = TiledAnalogLayer::new(
             4,

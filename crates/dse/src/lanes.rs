@@ -13,16 +13,15 @@ use enw_core::cam::array::{TcamArray, TcamConfig};
 use enw_core::cam::cells;
 use enw_core::crossbar::tile::{TileConfig, UpdateScheme};
 use enw_core::fleet::autoscale::AutoscalePolicy;
-use enw_core::fleet::shape::{ShapeKind, UserMix, UserSampler};
 use enw_core::fleet::sim::{try_run, FleetSpec, LaneSpec};
-use enw_core::fleet::traffic::{generate_fleet_trace, FleetClass, FleetLoadSpec};
+use enw_core::fleet::traffic::{generate_fleet_trace, UserMix, UserSampler};
 use enw_core::nn::mlp::SgdConfig;
 use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::rng::Rng64;
 use enw_core::recsys::characterize::{profile_batched, RooflineMachine};
 use enw_core::recsys::model::RecModelConfig;
 use enw_core::recsys::serving::batch_latency;
-use enw_core::serve::{BatchPolicy, ServiceModel};
+use enw_core::serve::{BatchPolicy, ServiceModel, ShapeKind, TrafficClass};
 use enw_core::tunable::{ParamSpace, Point, Tunable};
 use enw_core::xmann::arch::{Xmann, XmannConfig};
 use enw_core::xmann::cost::XmannCostParams;
@@ -327,9 +326,10 @@ fn eval_serve(point: &Point) -> Option<Objectives> {
         seed: 19,
     };
     let trace = generate_fleet_trace(
-        &FleetLoadSpec { duration_ns: SRV_HORIZON_NS, seed: 7 },
-        &[FleetClass { lane: 0, weight: 1.0, deadline_ns: SRV_DEADLINE_NS }],
-        &mut ShapeKind::Poisson { qps: SRV_QPS },
+        &ShapeKind::Poisson { qps: SRV_QPS },
+        SRV_HORIZON_NS,
+        7,
+        &[TrafficClass { station: 0, weight: 1.0, deadline_ns: SRV_DEADLINE_NS }],
         &UserSampler::new(UserMix::Uniform { users: 4096 }),
     );
     let report = try_run(spec, &trace).ok()?;

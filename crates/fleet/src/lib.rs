@@ -13,16 +13,16 @@
 //! - [`ring`] — a consistent-hash ring with virtual nodes, bounded-load
 //!   routing and a probe-based rebalance price. Key movement on replica
 //!   churn is ~K/N, and ties break deterministically.
-//! - [`shape`] — a load-shape library past Poisson (diurnal, bursty,
-//!   flash crowd) plus user-popularity mixes (uniform, Zipf, hot set),
-//!   implementing `enw_serve::LoadShape`.
 //! - [`shard`] — recsys embedding tables split into range or hash
 //!   shards with replication, per-shard caches, and hot/cold placement
 //!   driven by observed access counts.
 //! - [`autoscale`] — a reactive per-lane controller: queue-depth and
 //!   p99 signals in, scale decisions out, with cooldowns and calm
 //!   streaks so a diurnal trough cannot flap the fleet.
-//! - [`traffic`] — shaped arrival traces carrying routable user keys.
+//! - [`traffic`] — arrival traces carrying routable user keys: any
+//!   `enw_serve::ShapeKind` (Poisson, diurnal, bursty, flash crowd)
+//!   through serve's one arrival generator, with user-popularity mixes
+//!   (uniform, Zipf, hot set).
 //! - [`sim`] — the event loop tying it together: admission via the
 //!   ring, per-replica batching, control epochs, and a byte-exact
 //!   [`FleetReport`](sim::FleetReport).
@@ -38,7 +38,6 @@ pub mod autoscale;
 pub mod error;
 pub mod presets;
 pub mod ring;
-pub mod shape;
 pub mod shard;
 pub mod sim;
 pub mod traffic;
@@ -46,7 +45,6 @@ pub mod traffic;
 pub use autoscale::{AutoscalePolicy, Autoscaler, EpochSignals, ScaleDecision};
 pub use error::FleetError;
 pub use ring::HashRing;
-pub use shape::{ShapeKind, UserMix, UserSampler};
 pub use shard::{BatchCost, RebalanceCost, ShardScheme, ShardSpec, ShardedStore};
 pub use sim::{try_run, Fleet, FleetReport, FleetSpec, LaneReport, LaneSpec, ShardReport};
-pub use traffic::{generate_fleet_trace, FleetClass, FleetLoadSpec, FleetRequest};
+pub use traffic::{generate_fleet_trace, FleetRequest, UserMix, UserSampler};

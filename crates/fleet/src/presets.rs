@@ -9,11 +9,10 @@
 //! to tails, not raw over/under-provisioning.
 
 use crate::autoscale::AutoscalePolicy;
-use crate::shape::{ShapeKind, UserMix, UserSampler};
 use crate::shard::{ShardScheme, ShardSpec};
 use crate::sim::{FleetSpec, LaneSpec};
-use crate::traffic::{generate_fleet_trace, FleetClass, FleetLoadSpec, FleetRequest};
-use enw_serve::{BatchPolicy, ServiceModel};
+use crate::traffic::{generate_fleet_trace, FleetRequest, UserMix, UserSampler};
+use enw_serve::{BatchPolicy, ServiceModel, ShapeKind, TrafficClass};
 
 /// Nominal aggregate offered load per node, requests/second. Sized so
 /// the mean load sits comfortably inside capacity while diurnal peaks,
@@ -104,10 +103,10 @@ impl Scenario {
 
 /// The traffic mix: half digital MLP inference, half sharded recsys,
 /// with recsys given the looser deadline its fan-out needs.
-pub fn classes() -> [FleetClass; 2] {
+pub fn classes() -> [TrafficClass; 2] {
     [
-        FleetClass { lane: 0, weight: 1.0, deadline_ns: 4_000_000 },
-        FleetClass { lane: 1, weight: 1.0, deadline_ns: 6_000_000 },
+        TrafficClass { station: 0, weight: 1.0, deadline_ns: 4_000_000 },
+        TrafficClass { station: 1, weight: 1.0, deadline_ns: 6_000_000 },
     ]
 }
 
@@ -176,14 +175,8 @@ pub fn trace(
     seed: u64,
 ) -> Vec<FleetRequest> {
     let qps = PER_NODE_QPS * scale.nodes as f64;
-    let mut shape = scenario.shape(qps);
     let users = UserSampler::new(scenario.mix());
-    generate_fleet_trace(
-        &FleetLoadSpec { duration_ns: horizon_ns, seed },
-        &classes(),
-        &mut shape,
-        &users,
-    )
+    generate_fleet_trace(&scenario.shape(qps), horizon_ns, seed, &classes(), &users)
 }
 
 #[cfg(test)]

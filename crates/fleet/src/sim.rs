@@ -585,7 +585,7 @@ impl Fleet {
             .map(|lane| {
                 let mut metrics = lane.folded;
                 for rep in &lane.replicas {
-                    absorb(&mut metrics, &rep.metrics);
+                    metrics.absorb(&rep.metrics);
                 }
                 LaneReport {
                     name: lane.spec.name,
@@ -656,7 +656,7 @@ impl Fleet {
                         }
                         lane.keys_moved += lane.ring.keys_owned(rep.id, REBALANCE_PROBES);
                         lane.ring.remove_node(rep.id);
-                        absorb(&mut lane.folded, &rep.metrics);
+                        lane.folded.absorb(&rep.metrics);
                         lane.scale_downs += 1;
                         if sharded {
                             if let Some(st) = self.store.as_mut() {
@@ -729,28 +729,14 @@ pub fn try_run(spec: FleetSpec, trace: &[FleetRequest]) -> Result<FleetReport, F
     Fleet::try_new(spec)?.try_run(trace)
 }
 
-/// Folds `m`'s counters and latencies into `into`.
-fn absorb(into: &mut StationMetrics, m: &StationMetrics) {
-    into.arrived += m.arrived;
-    into.rejected += m.rejected;
-    into.shed += m.shed;
-    into.completed += m.completed;
-    into.deadline_misses += m.deadline_misses;
-    into.batches += m.batches;
-    into.degraded_batches += m.degraded_batches;
-    into.fallback_switches += m.fallback_switches;
-    into.recoveries += m.recoveries;
-    into.latencies.merge(&m.latencies);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ring::tests::moved_keys;
-    use crate::shape::{ShapeKind, UserMix, UserSampler};
     use crate::shard::ShardScheme;
-    use crate::traffic::{generate_fleet_trace, FleetClass, FleetLoadSpec};
+    use crate::traffic::{generate_fleet_trace, UserMix, UserSampler};
     use enw_numerics::rng::Rng64;
+    use enw_serve::{ShapeKind, TrafficClass};
 
     /// The loop [`Fleet::try_run`] replaced, kept as its oracle: every
     /// event scans all replicas for the next time, then completes and
@@ -862,17 +848,11 @@ mod tests {
 
     fn trace(qps: f64, horizon_ns: u64, seed: u64) -> Vec<FleetRequest> {
         let users = UserSampler::new(UserMix::Zipf { users: 4096, alpha: 1.0 });
-        let classes = vec![
-            FleetClass { lane: 0, weight: 1.0, deadline_ns: 3_000_000 },
-            FleetClass { lane: 1, weight: 1.0, deadline_ns: 4_000_000 },
+        let classes = [
+            TrafficClass { station: 0, weight: 1.0, deadline_ns: 3_000_000 },
+            TrafficClass { station: 1, weight: 1.0, deadline_ns: 4_000_000 },
         ];
-        let mut shape = ShapeKind::Poisson { qps };
-        generate_fleet_trace(
-            &FleetLoadSpec { duration_ns: horizon_ns, seed },
-            &classes,
-            &mut shape,
-            &users,
-        )
+        generate_fleet_trace(&ShapeKind::Poisson { qps }, horizon_ns, seed, &classes, &users)
     }
 
     #[test]

@@ -175,10 +175,7 @@ impl Rng64 {
 
     /// Rebuilds a generator from a captured [`RngState`].
     pub fn restore(state: RngState) -> Rng64 {
-        Rng64 {
-            state: state.words,
-            gauss_spare: state.gauss_spare_bits.map(f64::from_bits),
-        }
+        Rng64 { state: state.words, gauss_spare: state.gauss_spare_bits.map(f64::from_bits) }
     }
 }
 

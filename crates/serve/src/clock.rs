@@ -37,11 +37,6 @@ impl VirtualClock {
         assert!(t_ns >= self.now_ns, "virtual clock moved backwards: {} -> {t_ns}", self.now_ns);
         self.now_ns = t_ns;
     }
-
-    /// Advances by a relative amount (saturating at `u64::MAX`).
-    pub fn advance(&mut self, dt_ns: u64) {
-        self.now_ns = self.now_ns.saturating_add(dt_ns);
-    }
 }
 
 /// Converts non-negative seconds to nanoseconds, rounding up so that a
@@ -59,11 +54,6 @@ pub fn ns_from_secs(seconds: f64) -> u64 {
     }
 }
 
-/// Formats nanoseconds as engineering-friendly milliseconds.
-pub fn ms(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,7 +63,7 @@ mod tests {
         let mut c = VirtualClock::new();
         assert_eq!(c.now_ns(), 0);
         c.advance_to(10);
-        c.advance(5);
+        c.advance_to(15);
         assert_eq!(c.now_ns(), 15);
         c.advance_to(15); // same instant is fine
         assert_eq!(c.now_ns(), 15);
@@ -96,10 +86,5 @@ mod tests {
         assert_eq!(ns_from_secs(2.0), 2_000_000_000);
         assert_eq!(ns_from_secs(f64::INFINITY), u64::MAX);
         assert_eq!(ns_from_secs(1e30), u64::MAX);
-    }
-
-    #[test]
-    fn ms_converts() {
-        assert!((ms(2_500_000) - 2.5).abs() < 1e-12);
     }
 }

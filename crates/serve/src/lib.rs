@@ -48,9 +48,7 @@ pub mod scheduler;
 pub use backend::{Backend, ServiceModel};
 pub use clock::VirtualClock;
 pub use error::ServeError;
-pub use loadgen::{
-    generate_trace, generate_trace_shaped, LoadShape, LoadSpec, Poisson, TrafficClass,
-};
+pub use loadgen::{generate_arrivals, generate_trace, LoadSpec, ShapeKind, TrafficClass};
 pub use metrics::{LatencySummary, StationMetrics};
 pub use policy::{BatchPolicy, DegradePolicy, StationSpec};
 pub use request::{render_responses, Outcome, Output, Payload, Request, Response};

@@ -1,72 +1,134 @@
-//! Reproducible open-loop load generation.
+//! Reproducible open-loop load generation: the one arrival generator
+//! behind every trace in the workspace.
 //!
 //! Open-loop means arrivals do not wait for responses — the generator
-//! plays a Poisson-like process at a configured aggregate QPS regardless
-//! of how the server is coping, which is what exposes saturation and
-//! tail behaviour (a closed-loop generator self-throttles and hides
-//! them). All randomness flows through one seeded `Rng64` in a fixed
-//! draw order, so a `(seed, spec)` pair names exactly one trace.
+//! plays its arrival process regardless of how the server is coping,
+//! which is what exposes saturation and tail behaviour (a closed-loop
+//! generator self-throttles and hides them).
 //!
-//! The inter-arrival process itself is pluggable through [`LoadShape`]:
-//! the classic memoryless process is [`Poisson`], and richer shapes
-//! (diurnal sinusoids, bursty on/off phases, flash crowds) live in the
-//! fleet layer (`enw-fleet`) and drive the same generator through this
-//! trait.
+//! [`ShapeKind`] names the process: memoryless Poisson, or one of three
+//! rate-modulated shapes (diurnal sinusoid, bursty on/off, flash crowd)
+//! whose instantaneous rate `rate_at(t)` prices the next exponential gap
+//! — a piecewise-exponential approximation of the non-homogeneous
+//! Poisson process. [`generate_arrivals`] is the one loop that turns
+//! gaps into arrivals: per arrival it draws the gap, then the traffic
+//! class, then hands the arrival to the caller's per-request draw, all
+//! from one seeded `Rng64` in that order, so a `(seed, shape, classes)`
+//! triple names exactly one trace. [`generate_trace`] drives it for the
+//! single-node server (a Poisson process with a payload per request);
+//! `enw-fleet` drives it with every shape and a user key per request.
 
 use crate::clock::ns_from_secs;
 use crate::request::Request;
 use crate::scheduler::Server;
 use enw_numerics::rng::Rng64;
 
-/// An open-loop inter-arrival process on virtual time.
-///
-/// Implementations map the current virtual instant to the gap before the
-/// next arrival. All randomness must come from the passed `Rng64` (in a
-/// fixed draw order) so a `(seed, shape)` pair names exactly one arrival
-/// sequence — the determinism contract every consumer relies on.
-pub trait LoadShape {
-    /// Seconds until the next arrival after virtual instant `t_s`.
-    /// Must be positive and finite for every reachable `t_s`.
-    fn next_dt_s(&mut self, t_s: f64, rng: &mut Rng64) -> f64;
+/// An open-loop arrival process. All rates are requests/second on the
+/// virtual clock; every variant's rate must stay strictly positive so
+/// the generator terminates.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ShapeKind {
+    /// Memoryless at a fixed rate — the E16 baseline.
+    Poisson {
+        /// Aggregate arrival rate.
+        qps: f64,
+    },
+    /// Diurnal sinusoid: `base * (1 + swing * sin(2πt/period))`.
+    Diurnal {
+        /// Mean rate over one period.
+        base_qps: f64,
+        /// Relative amplitude in `[0, 1)`; the trough stays positive.
+        swing: f64,
+        /// Period of one simulated "day" in seconds.
+        period_s: f64,
+    },
+    /// Bursty on/off: `hi_qps` for `on_s`, then `lo_qps` for `off_s`.
+    Bursty {
+        /// Rate inside a burst.
+        hi_qps: f64,
+        /// Rate between bursts.
+        lo_qps: f64,
+        /// Burst length in seconds.
+        on_s: f64,
+        /// Quiet gap in seconds.
+        off_s: f64,
+    },
+    /// Flash crowd: `base_qps`, multiplied by `spike` inside
+    /// `[start_s, start_s + length_s)`.
+    FlashCrowd {
+        /// Background rate.
+        base_qps: f64,
+        /// Rate multiplier during the crowd (>= 1).
+        spike: f64,
+        /// When the crowd arrives, seconds.
+        start_s: f64,
+        /// How long it stays, seconds.
+        length_s: f64,
+    },
 }
 
-/// The memoryless process: exponential inter-arrival at a fixed
-/// aggregate rate. This is byte-for-byte the process E16's serving sweep
-/// has always used — one uniform draw per arrival, `-ln(1-u)/qps`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    qps: f64,
-}
+impl ShapeKind {
+    /// Short stable name for reports and JSON.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ShapeKind::Poisson { .. } => "poisson",
+            ShapeKind::Diurnal { .. } => "diurnal",
+            ShapeKind::Bursty { .. } => "bursty",
+            ShapeKind::FlashCrowd { .. } => "flash_crowd",
+        }
+    }
 
-impl Poisson {
-    /// A Poisson process at `qps` arrivals per second.
+    /// Instantaneous arrival rate at virtual second `t_s`.
     ///
     /// # Panics
     ///
-    /// Panics if `qps` is not positive and finite.
-    pub fn new(qps: f64) -> Self {
-        assert!(qps > 0.0 && qps.is_finite(), "qps must be positive");
-        Poisson { qps }
+    /// Panics if the variant's parameters make the rate non-positive or
+    /// non-finite at `t_s` (e.g. `swing >= 1`).
+    pub fn rate_at(&self, t_s: f64) -> f64 {
+        let rate = match *self {
+            ShapeKind::Poisson { qps } => qps,
+            ShapeKind::Diurnal { base_qps, swing, period_s } => {
+                base_qps * (1.0 + swing * (std::f64::consts::TAU * t_s / period_s).sin())
+            }
+            ShapeKind::Bursty { hi_qps, lo_qps, on_s, off_s } => {
+                let phase = t_s.rem_euclid(on_s + off_s);
+                if phase < on_s {
+                    hi_qps
+                } else {
+                    lo_qps
+                }
+            }
+            ShapeKind::FlashCrowd { base_qps, spike, start_s, length_s } => {
+                if (start_s..start_s + length_s).contains(&t_s) {
+                    base_qps * spike
+                } else {
+                    base_qps
+                }
+            }
+        };
+        assert!(rate > 0.0 && rate.is_finite(), "shape {} has rate {rate} at t={t_s}", self.name());
+        rate
     }
 
-    /// The configured aggregate rate.
-    pub fn qps(&self) -> f64 {
-        self.qps
-    }
-}
-
-impl LoadShape for Poisson {
-    fn next_dt_s(&mut self, _t_s: f64, rng: &mut Rng64) -> f64 {
-        // Exponential inter-arrival: -ln(u)/qps with u in (0, 1].
-        let u = (1.0 - rng.uniform()).max(f64::MIN_POSITIVE);
-        -u.ln() / self.qps
+    /// Mean rate over the horizon — used to size sweeps against lane
+    /// capacity the same way E16 uses `saturation_qps`.
+    pub fn mean_qps(&self) -> f64 {
+        match *self {
+            ShapeKind::Poisson { qps } => qps,
+            ShapeKind::Diurnal { base_qps, .. } => base_qps,
+            ShapeKind::Bursty { hi_qps, lo_qps, on_s, off_s } => {
+                (hi_qps * on_s + lo_qps * off_s) / (on_s + off_s)
+            }
+            // Crowd contribution is horizon-dependent; report the floor.
+            ShapeKind::FlashCrowd { base_qps, .. } => base_qps,
+        }
     }
 }
 
 /// One slice of the traffic mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficClass {
-    /// Target station index.
+    /// Target station index (a lane index in the fleet).
     pub station: usize,
     /// Relative share of the aggregate QPS (weights need not sum to 1).
     pub weight: f64,
@@ -85,77 +147,90 @@ pub struct LoadSpec {
     pub seed: u64,
 }
 
+/// One arrival as [`generate_arrivals`] hands it to the per-request draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrival {
+    /// Trace-unique id, ascending with arrival order.
+    pub id: u64,
+    /// The picked class's station.
+    pub station: usize,
+    /// Arrival instant, virtual ns.
+    pub arrival_ns: u64,
+    /// Arrival plus the picked class's latency budget.
+    pub deadline_ns: u64,
+}
+
+/// The open-loop arrival loop: every arrival before `duration_ns` of
+/// `shape`, its class picked by weight from `classes`, turned into a
+/// trace entry by `draw`. The draw order per arrival is fixed — one
+/// uniform for the gap, one for the class, then whatever `draw` takes
+/// from the stream — so shapes, mixes and per-request draws compose
+/// without perturbing each other's randomness.
+///
+/// # Panics
+///
+/// Panics if `classes` is empty, any weight is non-positive, or the
+/// shape's rate is not positive and finite (see [`ShapeKind::rate_at`]).
+pub fn generate_arrivals<R>(
+    shape: &ShapeKind,
+    duration_ns: u64,
+    seed: u64,
+    classes: &[TrafficClass],
+    mut draw: impl FnMut(Arrival, &mut Rng64) -> R,
+) -> Vec<R> {
+    assert!(!classes.is_empty(), "traffic mix needs at least one class");
+    assert!(classes.iter().all(|c| c.weight > 0.0), "class weights must be positive");
+    let total_weight: f64 = classes.iter().map(|c| c.weight).sum();
+    let mut rng = Rng64::new(seed);
+    let mut trace = Vec::new();
+    let mut t_s = 0.0f64;
+    for id in 0.. {
+        // Exponential gap -ln(u)/rate with u in [MIN_POSITIVE, 1], priced
+        // at the rate of the current instant: >= 0 by construction.
+        let u = (1.0 - rng.uniform()).max(f64::MIN_POSITIVE);
+        t_s += -u.ln() / shape.rate_at(t_s);
+        let arrival_ns = ns_from_secs(t_s);
+        if arrival_ns >= duration_ns {
+            break;
+        }
+        let mut pick = rng.uniform() * total_weight;
+        let mut class = &classes[classes.len() - 1];
+        for c in classes {
+            if pick < c.weight {
+                class = c;
+                break;
+            }
+            pick -= c.weight;
+        }
+        let deadline_ns = arrival_ns.saturating_add(class.deadline_ns);
+        trace.push(draw(Arrival { id, station: class.station, arrival_ns, deadline_ns }, &mut rng));
+    }
+    trace
+}
+
 /// Generates the arrival trace for `spec` with traffic split across
-/// `classes`; payloads are drawn from each class's station so they always
-/// match the lane that will serve them. Arrivals are exponential
-/// inter-arrival (memoryless) at the aggregate rate, classes sampled by
-/// weight per arrival — i.e. [`generate_trace_shaped`] driven by
-/// [`Poisson`] at `spec.qps`.
+/// `classes`: [`generate_arrivals`] driven by a Poisson process at
+/// `spec.qps`, each request's payload drawn from its class's station so
+/// it always matches the lane that will serve it.
 ///
 /// # Panics
 ///
 /// Panics if `classes` is empty, any weight is non-positive, any station
 /// index is out of range, or `qps` is non-positive.
 pub fn generate_trace(server: &Server, spec: &LoadSpec, classes: &[TrafficClass]) -> Vec<Request> {
-    let mut shape = Poisson::new(spec.qps);
-    generate_trace_shaped(server, spec, classes, &mut shape)
-}
-
-/// [`generate_trace`] with a caller-supplied inter-arrival process. The
-/// draw order is fixed: one [`LoadShape::next_dt_s`] call, then the class
-/// pick, then the payload draw, per arrival — so shapes compose with the
-/// class mix without perturbing each other's randomness.
-///
-/// # Panics
-///
-/// Panics if `classes` is empty, any weight is non-positive, any station
-/// index is out of range, `qps` is non-positive, or the shape returns a
-/// non-positive or non-finite gap.
-pub fn generate_trace_shaped(
-    server: &Server,
-    spec: &LoadSpec,
-    classes: &[TrafficClass],
-    shape: &mut dyn LoadShape,
-) -> Vec<Request> {
-    assert!(!classes.is_empty(), "traffic mix needs at least one class");
     assert!(spec.qps > 0.0 && spec.qps.is_finite(), "qps must be positive");
-    let total_weight: f64 = classes.iter().map(|c| c.weight).sum();
-    for c in classes {
-        assert!(c.weight > 0.0, "class weights must be positive");
-        assert!(c.station < server.station_count(), "traffic class targets unknown station");
-    }
-    let mut rng = Rng64::new(spec.seed);
-    let mut trace = Vec::new();
-    let mut t_s = 0.0f64;
-    let mut id = 0u64;
-    loop {
-        let dt = shape.next_dt_s(t_s, &mut rng);
-        assert!(dt > 0.0 && dt.is_finite(), "load shape produced a bad gap: {dt}");
-        t_s += dt;
-        let arrival_ns = ns_from_secs(t_s);
-        if arrival_ns >= spec.duration_ns {
-            break;
-        }
-        let mut pick = rng.uniform() * total_weight;
-        let mut class = classes[classes.len() - 1];
-        for c in classes {
-            if pick < c.weight {
-                class = *c;
-                break;
-            }
-            pick -= c.weight;
-        }
-        let payload = server.payload_for(class.station, &mut rng);
-        trace.push(Request {
-            id,
-            station: class.station,
-            payload,
-            arrival_ns,
-            deadline_ns: arrival_ns.saturating_add(class.deadline_ns),
-        });
-        id += 1;
-    }
-    trace
+    assert!(
+        classes.iter().all(|c| c.station < server.station_count()),
+        "traffic class targets unknown station"
+    );
+    let shape = ShapeKind::Poisson { qps: spec.qps };
+    generate_arrivals(&shape, spec.duration_ns, spec.seed, classes, |a, rng| Request {
+        id: a.id,
+        station: a.station,
+        payload: server.payload_for(a.station, rng),
+        arrival_ns: a.arrival_ns,
+        deadline_ns: a.deadline_ns,
+    })
 }
 
 #[cfg(test)]
@@ -250,49 +325,35 @@ mod tests {
     }
 
     #[test]
-    fn poisson_shape_reproduces_the_legacy_trace() {
-        // The LoadShape extraction must not change E16's emitted arrival
-        // sequence: the shaped generator driven by `Poisson` is the same
-        // draw-for-draw process `generate_trace` always played.
-        let s = server(2);
-        let legacy = generate_trace(&s, &spec(42), &classes());
-        let mut shape = Poisson::new(spec(42).qps);
-        let shaped = generate_trace_shaped(&s, &spec(42), &classes(), &mut shape);
-        assert_eq!(legacy, shaped, "Poisson shape diverged from the legacy process");
+    fn diurnal_rate_breathes_around_base() {
+        let s = ShapeKind::Diurnal { base_qps: 1000.0, swing: 0.5, period_s: 1.0 };
+        assert!((s.rate_at(0.25) - 1500.0).abs() < 1e-6, "peak at quarter period");
+        assert!((s.rate_at(0.75) - 500.0).abs() < 1e-6, "trough at three quarters");
+        assert_eq!(s.mean_qps(), 1000.0);
     }
 
     #[test]
-    fn custom_shapes_drive_the_generator() {
-        /// Fixed-gap arrivals: 1 µs apart, no randomness.
-        struct EveryMicro;
-        impl LoadShape for EveryMicro {
-            fn next_dt_s(&mut self, _t_s: f64, _rng: &mut Rng64) -> f64 {
-                1e-6
-            }
-        }
-        let s = server(1);
-        let one = vec![TrafficClass { station: 0, weight: 1.0, deadline_ns: 100 }];
-        let spec = LoadSpec { qps: 1.0, duration_ns: 10_000, seed: 5 };
-        let trace = generate_trace_shaped(&s, &spec, &one, &mut EveryMicro);
-        assert_eq!(trace.len(), 9, "10 µs horizon holds 9 strictly-later 1 µs arrivals");
-        for (k, r) in trace.iter().enumerate() {
-            assert_eq!(r.arrival_ns, 1_000 * (k as u64 + 1));
-        }
+    fn bursty_rate_switches_phases() {
+        let s = ShapeKind::Bursty { hi_qps: 900.0, lo_qps: 100.0, on_s: 0.1, off_s: 0.3 };
+        assert_eq!(s.rate_at(0.05), 900.0);
+        assert_eq!(s.rate_at(0.2), 100.0);
+        assert_eq!(s.rate_at(0.45), 900.0, "phase wraps");
+        assert_eq!(s.mean_qps(), 300.0);
     }
 
     #[test]
-    #[should_panic(expected = "bad gap")]
-    fn non_positive_gaps_are_rejected() {
-        struct Stuck;
-        impl LoadShape for Stuck {
-            fn next_dt_s(&mut self, _t_s: f64, _rng: &mut Rng64) -> f64 {
-                0.0
-            }
-        }
-        let s = server(1);
-        let one = vec![TrafficClass { station: 0, weight: 1.0, deadline_ns: 100 }];
-        let spec = LoadSpec { qps: 1.0, duration_ns: 10_000, seed: 5 };
-        generate_trace_shaped(&s, &spec, &one, &mut Stuck);
+    fn flash_crowd_spikes_inside_the_window() {
+        let s = ShapeKind::FlashCrowd { base_qps: 200.0, spike: 5.0, start_s: 1.0, length_s: 0.5 };
+        assert_eq!(s.rate_at(0.5), 200.0);
+        assert_eq!(s.rate_at(1.2), 1000.0);
+        assert_eq!(s.rate_at(1.6), 200.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "has rate")]
+    fn overswung_diurnal_is_rejected_at_the_trough() {
+        let s = ShapeKind::Diurnal { base_qps: 100.0, swing: 1.5, period_s: 1.0 };
+        s.rate_at(0.75);
     }
 
     #[test]

@@ -66,6 +66,35 @@ impl StationMetrics {
         self.latencies.record(latency_ns);
     }
 
+    /// Folds `other`'s counters and latencies into these; the name stays.
+    /// `other` is destructured whole, so a field added to the struct does
+    /// not compile until it is folded here.
+    pub fn absorb(&mut self, other: &StationMetrics) {
+        let StationMetrics {
+            name: _,
+            arrived,
+            rejected,
+            shed,
+            completed,
+            deadline_misses,
+            batches,
+            degraded_batches,
+            fallback_switches,
+            recoveries,
+            latencies,
+        } = other;
+        self.arrived += arrived;
+        self.rejected += rejected;
+        self.shed += shed;
+        self.completed += completed;
+        self.deadline_misses += deadline_misses;
+        self.batches += batches;
+        self.degraded_batches += degraded_batches;
+        self.fallback_switches += fallback_switches;
+        self.recoveries += recoveries;
+        self.latencies.merge(latencies);
+    }
+
     /// Served requests (on-time + late).
     pub fn served(&self) -> u64 {
         self.completed + self.deadline_misses
@@ -180,5 +209,55 @@ mod tests {
         }
         a.latencies.merge(&b.latencies);
         assert_eq!(a.latencies, whole.latencies);
+    }
+
+    #[test]
+    fn absorb_folds_every_field() {
+        let metrics = |name: &str, base: u64| {
+            let mut m = StationMetrics {
+                name: name.to_string(),
+                arrived: base + 1,
+                rejected: base + 2,
+                shed: base + 3,
+                completed: base + 4,
+                deadline_misses: base + 5,
+                batches: base + 6,
+                degraded_batches: base + 7,
+                fallback_switches: base + 8,
+                recoveries: base + 9,
+                latencies: Histogram::new(),
+            };
+            m.record_latency(base + 10);
+            m
+        };
+        let mut into = metrics("lane", 0);
+        into.absorb(&metrics("replica", 100));
+        let StationMetrics {
+            name,
+            arrived,
+            rejected,
+            shed,
+            completed,
+            deadline_misses,
+            batches,
+            degraded_batches,
+            fallback_switches,
+            recoveries,
+            latencies,
+        } = into;
+        assert_eq!(name, "lane", "the receiving lane keeps its name");
+        let counters = [
+            arrived,
+            rejected,
+            shed,
+            completed,
+            deadline_misses,
+            batches,
+            degraded_batches,
+            fallback_switches,
+            recoveries,
+        ];
+        assert_eq!(counters, [102, 104, 106, 108, 110, 112, 114, 116, 118]);
+        assert_eq!((latencies.count(), latencies.min(), latencies.max()), (2, 10, 110));
     }
 }

@@ -926,7 +926,16 @@ mod tests {
             assert_eq!(fast.render(), oracle.render(), "seed {seed}");
             assert_eq!(fast.duration_ns, oracle.duration_ns, "seed {seed}");
             assert_eq!(fast.stations, oracle.stations, "seed {seed}");
+            // Conservation: every request ends in exactly one terminal
+            // state, and every trace id is answered exactly once.
+            let mut answers = vec![0u32; trace_reqs.len()];
+            for r in &fast.responses {
+                answers[r.id as usize] += 1;
+            }
+            assert!(answers.iter().all(|&n| n == 1), "seed {seed}: answers per id {answers:?}");
             for m in &fast.stations {
+                let ended = m.rejected + m.shed + m.completed + m.deadline_misses;
+                assert_eq!(m.arrived, ended, "seed {seed}: {} leaks requests", m.name);
                 seen.rejected += m.rejected;
                 seen.shed += m.shed;
                 seen.deadline_misses += m.deadline_misses;

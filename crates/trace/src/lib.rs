@@ -23,13 +23,13 @@
 //!
 //! # Determinism model
 //!
-//! Recording is thread-local: each thread owns a private recorder, and a
-//! thread that exits merges its recorder into the process-wide sink
-//! (merge-on-join — `enw-parallel` workers are scoped threads, so their
-//! recorders merge exactly when `map_chunks` joins them). Every merged
-//! quantity is a `u64` sum, a histogram bucket add, or an event-list
-//! append canonicalized by sorting, so the merged totals are independent
-//! of merge order and therefore of the worker count.
+//! Recording is thread-local: each thread owns a private recorder and
+//! merges it into the process-wide sink when it exits or calls
+//! [`flush_local`]. `enw-parallel`'s workers are persistent and never
+//! exit, so the pool flushes each worker's recorder after every job.
+//! Every merged quantity is a `u64` sum, a histogram bucket add, or an
+//! event-list append canonicalized by sorting, so the merged totals are
+//! independent of merge order and therefore of the worker count.
 //!
 //! Time never comes from the host by default: the trace clock is a
 //! virtual nanosecond counter advanced explicitly ([`set_virtual_ns`],

@@ -2,16 +2,28 @@
 # Offline verification gate for the workspace. No network access needed:
 # proptest resolves to the vendored shim in vendor/.
 #
-#   scripts/verify.sh          build + tests + clippy + lint fixture (tier-1)
+#   scripts/verify.sh          rustfmt + build + tests + clippy + lint
+#                              fixture (tier-1)
 #   scripts/verify.sh --full   additionally runs the property-test suites
 #                              (--features proptest), loops tier-1
 #                              20x to catch flakes, runs `enw gate` twice
-#                              and compares every byte it writes, and
-#                              checks every other enw_perf workload
-#                              against its digest pin (tcam_fewshot's
-#                              check runs in both modes)
+#                              and compares every byte it writes, checks
+#                              every other enw_perf workload against its
+#                              digest pin (tcam_fewshot's check runs in
+#                              both modes), and runs every plant of
+#                              scripts/plants.txt
+#   scripts/verify.sh --plants <crate>
+#                              only the plants in one crate's files
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ "${1:-}" == "--plants" ]]; then
+    exec scripts/plants.sh "${2:?usage: scripts/verify.sh --plants <crate>}"
+fi
+
+# The same check as CI's rustfmt step, first, so the two gates agree.
+echo "== cargo fmt --all -- --check =="
+cargo fmt --all -- --check
 
 echo "== cargo build --release =="
 cargo build --release
@@ -133,6 +145,8 @@ if [[ "${1:-}" == "--full" ]]; then
     for w in $(cargo run --release -q -p enw-bench --bin enw_perf -- list); do
         [[ $w == tcam_fewshot ]] || perf_digest "$w"
     done
+    echo "== plants: every planted fault in scripts/plants.txt fails its named test =="
+    scripts/plants.sh
 fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
