@@ -1,6 +1,7 @@
 //! E6 — X-MANN vs GPU across the MANN benchmark suite (paper Sec. III-B:
 //! "23.7×–45.7× speedup and 75.1×–267.1× reduction in energy over a
-//! state-of-the-art GPU").
+//! state-of-the-art GPU"). `--smoke` runs every benchmark and the
+//! ablation on 1/64 of their memory slots, two queries each.
 
 use crate::run::Run;
 use enw_core::numerics::rng::Rng64;
@@ -8,11 +9,24 @@ use enw_core::numerics::stats::geometric_mean;
 use enw_core::report::{energy, latency, ratio, Table};
 use enw_core::xmann::arch::XmannConfig;
 use enw_core::xmann::cost::{GpuCostParams, XmannCostParams};
-use enw_core::xmann::workloads::{run_benchmark, run_suite, MannBenchmark};
+use enw_core::xmann::workloads::{benchmark_suite, run_benchmark, MannBenchmark};
 
 pub fn run(run: &mut Run) {
+    let size = |b: MannBenchmark| {
+        if run.smoke {
+            MannBenchmark { slots: b.slots / 64, queries: 2, ..b }
+        } else {
+            b
+        }
+    };
     let mut rng = Rng64::new(6);
-    let results = run_suite(&mut rng);
+    let results: Vec<_> = benchmark_suite()
+        .into_iter()
+        .map(|b| {
+            let (x, gpu) = (XmannCostParams::default(), GpuCostParams::default());
+            run_benchmark(&size(b), XmannConfig::default(), x, gpu, &mut rng)
+        })
+        .collect();
 
     let mut table = Table::new(&[
         "benchmark",
@@ -56,7 +70,7 @@ pub fn run(run: &mut Run) {
     // Ablation: TCPT tile geometry on a mid-size benchmark. Taller tiles
     // amortize converters over more rows but serialize more ADC rounds.
     let mut ab = Table::new(&["tile (rows x cols)", "speedup", "energy reduction"]);
-    let bench = MannBenchmark { name: "ablation", slots: 65_536, dim: 64, queries: 8 };
+    let bench = size(MannBenchmark { name: "ablation", slots: 65_536, dim: 64, queries: 8 });
     for &(tr, tc) in &[(64usize, 64usize), (256, 64), (1024, 64), (256, 32)] {
         let cfg = XmannConfig { tile_rows: tr, tile_cols: tc, ..XmannConfig::default() };
         let cmp = run_benchmark(
@@ -72,7 +86,7 @@ pub fn run(run: &mut Run) {
             ratio(cmp.energy_reduction()),
         ]);
     }
-    println!("-- ablation: TCPT tile geometry (65536 x 64 memory) --");
+    println!("-- ablation: TCPT tile geometry ({} x {} memory) --", bench.slots, bench.dim);
     run.emit(&ab);
     println!("Reading: who wins (X-MANN, on every benchmark) and the trend (the advantage grows");
     println!("with memory capacity until the fixed tile budget forces serial passes) match the");

@@ -5,18 +5,21 @@
 //!
 //! # Kernel variants and bit-determinism
 //!
-//! Every kernel has **one entry point**. [`Matrix::matmul_into`] is the
-//! only one with variants behind it, and it — not its caller — picks
-//! among them from the problem shape: the naive `(i, k, j)` triple loop
-//! for small or very narrow products, and above that a cache-blocked,
+//! Every kernel has **one entry point**, and the kernel — not its
+//! caller — picks what runs behind it. [`Matrix::matmul_into`] picks
+//! from the problem shape: the naive `(i, k, j)` triple loop for small
+//! or very narrow products, and above that a cache-blocked,
 //! register-tiled kernel. Both accumulate each output element's terms
 //! in ascending-`k` order under the same
 //! [zero-coefficient skip](#zero-skip-fast-path) rule, so the result is
-//! **bitwise identical** whichever runs. Every kernel in this module
-//! stays on the calling thread: `matvec` and the `scan_*` memory scans
-//! run rows abreast on the driver in `scan.rs` (chain order untouched,
-//! so again bitwise equal to the one-row loop), and one thread already
-//! streams at the host's memory bandwidth. A matrix that is
+//! **bitwise identical** whichever runs. `matvec` and the `scan_*`
+//! memory scans run rows abreast on the driver in `scan.rs`, 16 rows
+//! abreast where the CPU reports AVX-512F and 4 on the baseline SSE2
+//! path, and `matvec_t` holds up to 64 columns' sums in AVX-512
+//! registers across the rows where it can: each picks its arm from the
+//! CPU at run time, with every chain untouched, so again bitwise equal
+//! to the one-row loop. Every kernel stays on the calling thread; a
+//! second thread measured no faster on these. A matrix that is
 //! written once and then only read is better held as a
 //! [`PackedMatvec`](crate::packed::PackedMatvec): the same chains, run
 //! outputs abreast for one input and, for a batch, inputs abreast
@@ -37,7 +40,9 @@
 //! `0.0 × ∞` is the NaN IEEE says it is.
 
 use crate::rng::Rng64;
-use crate::scan::scan_rows;
+#[cfg(target_arch = "x86_64")]
+use crate::scan::F32x16;
+use crate::scan::{scan_rows, Lane};
 
 /// The shared zero-coefficient skip rule (see the module docs): a term
 /// is dropped when its coefficient is exactly `±0.0`. Every product
@@ -54,6 +59,74 @@ fn axpy_row(out: &mut [f32], a: f32, b: &[f32]) {
     for (o, bv) in out.iter_mut().zip(b) {
         *o += a * bv;
     }
+}
+
+/// The baseline path of [`Matrix::matvec_t_into`] over the columns
+/// `from..` of `y` (zeroed by the caller): `y[j] += d[r] · w[r][j]` for
+/// every row whose `d[r]` the [zero-skip rule](skip_zero_coeff) keeps,
+/// rows in ascending order. Every column is one chain in row order, and
+/// the [AVX-512F arm](matvec_t_x16) is tested against this loop.
+fn matvec_t_columns(data: &[f32], d: &[f32], y: &mut [f32], from: usize) {
+    let cols = y.len();
+    if from == cols {
+        return;
+    }
+    for (&di, row) in d.iter().zip(data.chunks_exact(cols)) {
+        if skip_zero_coeff(di) {
+            continue;
+        }
+        axpy_row(&mut y[from..], di, &row[from..]);
+    }
+}
+
+/// The AVX-512F arm of [`Matrix::matvec_t_into`]: the columns of `y`
+/// (zeroed by the caller) in panels of up to four 16-lane registers,
+/// each panel's sums held in registers across every row, so a row costs
+/// its loads and one multiply and add per register instead of a load
+/// and a store of `y` per column. Each column keeps its chain: row
+/// order, the same zero skip, a separate multiply then add. Returns how
+/// many leading columns it wrote (the `cols % 16` after them are left to
+/// [`matvec_t_columns`]), or `None` where the CPU lacks AVX-512F.
+#[cfg(target_arch = "x86_64")]
+fn matvec_t_x16(data: &[f32], d: &[f32], y: &mut [f32]) -> Option<usize> {
+    #[target_feature(enable = "avx512f")]
+    fn panel<const N: usize>(data: &[f32], d: &[f32], y: &mut [f32], at: usize) -> usize {
+        let cols = y.len();
+        let mut acc = [F32x16::splat(0.0); N];
+        for (&di, row) in d.iter().zip(data.chunks_exact(cols)) {
+            if skip_zero_coeff(di) {
+                continue;
+            }
+            let di = F32x16::splat(di);
+            let (ws, _) = row[at..at + 16 * N].as_chunks::<16>();
+            for (a, &w) in acc.iter_mut().zip(ws) {
+                *a = *a + di * F32x16(w);
+            }
+        }
+        for (yc, a) in y[at..at + 16 * N].chunks_exact_mut(16).zip(acc) {
+            yc.copy_from_slice(&a.0);
+        }
+        16 * N
+    }
+    #[target_feature(enable = "avx512f")]
+    fn run(data: &[f32], d: &[f32], y: &mut [f32]) -> usize {
+        let mut at = 0;
+        while y.len() - at >= 16 {
+            at += match (y.len() - at) / 16 {
+                1 => panel::<1>(data, d, y, at),
+                2 => panel::<2>(data, d, y, at),
+                3 => panel::<3>(data, d, y, at),
+                _ => panel::<4>(data, d, y, at),
+            };
+        }
+        at
+    }
+    if !std::arch::is_x86_feature_detected!("avx512f") {
+        return None;
+    }
+    // SAFETY: `run` needs nothing of its caller but a CPU with AVX-512F,
+    // which the line above has just established; its body is safe code.
+    Some(unsafe { run(data, d, y) })
 }
 
 /// Cache-block sizes for the blocked `matmul` kernel: `MATMUL_KC` rows
@@ -111,8 +184,9 @@ pub(crate) fn tile_fold<const M: usize, const N: usize, const SKIP: bool>(
 /// Records the shape-derived span for one matvec read of a `rows × cols`
 /// matrix, in whatever layout: 2 flops per crosspoint, operand reads
 /// (weights + input vector), output writes. Deterministic — a pure
-/// function of the shape.
-pub(crate) fn record_matvec_span(rows: usize, cols: usize) {
+/// function of the shape. Public for a caller that reuses a read's
+/// result and books the read it stands in for.
+pub fn record_matvec_span(rows: usize, cols: usize) {
     let f = std::mem::size_of::<f32>() as u64;
     let (rows, cols) = (rows as u64, cols as u64);
     enw_trace::record_span_io(
@@ -298,7 +372,10 @@ impl Matrix {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
         record_matvec_span(self.rows, self.cols);
-        scan_rows(&self.data, x, y, 0.0f32, |a, xi, w| a + w * xi, |a| a);
+        fn step<V: Lane>(a: V, xi: V, w: V) -> V {
+            a + w * xi
+        }
+        scan_rows(&self.data, x, y, 0.0f32, step, step, |a| a);
     }
 
     /// As [`record_matvec_span`] for the transposed product (reads the
@@ -323,7 +400,11 @@ impl Matrix {
     ///
     /// Rows whose coefficient `d[r]` is exactly zero are skipped under
     /// the module-level [zero-skip fast path](crate::matrix) shared with
-    /// [`matmul_into`](Matrix::matmul_into).
+    /// [`matmul_into`](Matrix::matmul_into). Each `y[j]` is the chain
+    /// `0.0 + d[r₀]·w[r₀][j] + d[r₁]·w[r₁][j] + …` over the kept rows in
+    /// ascending order, whichever of the two paths (an AVX-512F arm for
+    /// every full 16 columns, where the CPU has it, and the SSE2 loop)
+    /// computes it.
     ///
     /// # Panics
     ///
@@ -333,13 +414,11 @@ impl Matrix {
         assert_eq!(y.len(), self.cols, "matvec_t output dimension mismatch");
         self.record_matvec_t_traffic();
         y.fill(0.0);
-        for (r, di) in d.iter().enumerate() {
-            if skip_zero_coeff(*di) {
-                continue;
-            }
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            axpy_row(y, *di, row);
-        }
+        #[cfg(target_arch = "x86_64")]
+        let done = matvec_t_x16(&self.data, d, y).unwrap_or(0);
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        matvec_t_columns(&self.data, d, y, done);
     }
 
     /// Rank-1 update `W += scale · d xᵀ` (`d` per row, `x` per column).
@@ -693,6 +772,45 @@ mod tests {
         let mut y = [f32::NAN; 3];
         w.matvec_t_into(&[0.0, 0.0], &mut y);
         assert_eq!(y, [0.0; 3]);
+    }
+
+    #[test]
+    fn matvec_t_arms_match_the_per_row_axpy_loop_bitwise() {
+        use crate::scan::tests::{bits, edgy, ROW_COUNTS, WIDTHS};
+        for rows in ROW_COUNTS {
+            for cols in WIDTHS {
+                let mut data = edgy(rows * cols, cols);
+                let mut d = edgy(rows, rows + 2);
+                // Every third row is driven with a signed zero, across
+                // weights of ∞ and NaN that only the skip keeps out.
+                for r in (0..rows).step_by(3) {
+                    d[r] = if r % 2 == 0 { 0.0 } else { -0.0 };
+                    data[r * cols + r % cols] = f32::INFINITY;
+                    data[r * cols + (r + 1) % cols] = f32::NAN;
+                }
+                let mut want = vec![0.0f32; cols];
+                for (&di, row) in d.iter().zip(data.chunks_exact(cols)) {
+                    if di != 0.0 {
+                        for (y, &w) in want.iter_mut().zip(row) {
+                            *y += di * w;
+                        }
+                    }
+                }
+                let (want, at) = (bits(&want), format!("{rows} x {cols}"));
+                let mut got = vec![0.0f32; cols];
+                matvec_t_columns(&data, &d, &mut got, 0);
+                assert_eq!(bits(&got), want, "baseline arm, {at}");
+                got.fill(0.0);
+                #[cfg(target_arch = "x86_64")]
+                if let Some(done) = matvec_t_x16(&data, &d, &mut got) {
+                    assert_eq!(done, cols / 16 * 16, "{at}");
+                    assert_eq!(bits(&got[..done]), want[..done], "AVX-512F arm, {at}");
+                }
+                got.fill(f32::NAN);
+                Matrix::from_vec(rows, cols, data).matvec_t_into(&d, &mut got);
+                assert_eq!(bits(&got), want, "matvec_t_into, {at}");
+            }
+        }
     }
 
     /// Bit patterns with every NaN folded onto one: which operand's

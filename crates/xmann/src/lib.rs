@@ -43,4 +43,4 @@ pub use arch::{OpResult, Xmann, XmannConfig};
 pub use baseline::GpuMann;
 pub use cost::{Cost, GpuCostParams, XmannCostParams};
 pub use error::XmannError;
-pub use workloads::{benchmark_suite, run_benchmark, run_suite, Comparison, MannBenchmark};
+pub use workloads::{benchmark_suite, run_benchmark, Comparison, MannBenchmark};

@@ -96,22 +96,6 @@ pub fn run_benchmark(
     Comparison { name: bench.name, slots: bench.slots, xmann: x.total_cost(), gpu: g.total_cost() }
 }
 
-/// Runs the full suite with default parameters.
-pub fn run_suite(rng: &mut Rng64) -> Vec<Comparison> {
-    benchmark_suite()
-        .iter()
-        .map(|b| {
-            run_benchmark(
-                b,
-                XmannConfig::default(),
-                XmannCostParams::default(),
-                GpuCostParams::default(),
-                rng,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

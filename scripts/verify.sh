@@ -21,16 +21,17 @@ if [[ "${1:-}" == "--plants" ]]; then
     exec scripts/plants.sh "${2:?usage: scripts/verify.sh --plants <crate>}"
 fi
 
-# The same check as CI's rustfmt step, first, so the two gates agree.
+# First, so a formatting slip fails before anything builds (CI runs this
+# script and has no rustfmt step of its own).
 echo "== cargo fmt --all -- --check =="
 cargo fmt --all -- --check
 
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== TCAM scan codegen and huge-page mode on this host =="
-# The AVX-512 arm's oracle test skips where the CPU lacks the feature;
-# this line is how a log shows which arm ran. Nothing here selects one.
+echo "== TCAM and row-scan codegen and huge-page mode on this host =="
+# The AVX-512 arms' oracle tests skip where the CPU lacks the feature;
+# these lines are how a log shows which arm ran. Nothing here selects one.
 flags=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true) "
 if [[ $flags == *" avx512f "* && $flags == *" avx512_vpopcntdq "* ]]; then
     echo "nearest_hamming codegen: avx512_vpopcntdq"
@@ -38,6 +39,11 @@ elif [[ $flags == *" popcnt "* ]]; then
     echo "nearest_hamming codegen: popcnt"
 else
     echo "nearest_hamming codegen: portable"
+fi
+if [[ $flags == *" avx512f "* ]]; then
+    echo "scan_rows / matvec_t arm: avx512f (16 rows / 64 columns abreast)"
+else
+    echo "scan_rows / matvec_t arm: sse2 (4 rows abreast)"
 fi
 # Embedding tables of 2 MiB or more ask for huge pages with madvise;
 # under `[never]` they run on 4 KiB pages, same results, slower gathers.
