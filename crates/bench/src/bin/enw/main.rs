@@ -10,8 +10,10 @@
 //! ```
 //!
 //! EXPERIMENTS.md records the expected output of every id. With
-//! `ENW_TRACE=summary` (or `full`), `enw run` writes each experiment's
-//! per-stage attribution table to stderr after it; stdout is unchanged.
+//! `ENW_TRACE=summary`, `enw run` writes each experiment's per-stage
+//! attribution table to stderr after it; stdout is unchanged. Any
+//! `ENW_TRACE` value but `off` and `summary` traces nothing, and `enw`
+//! says so on stderr.
 
 mod json;
 mod run;
@@ -117,7 +119,7 @@ fn cli(args: &[String]) -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
-    // Gates, and under `ENW_TRACE=summary|full` each experiment's
+    // Gates, and under `ENW_TRACE=summary` each experiment's
     // per-stage attribution table, go to stderr, so stdout stays the
     // experiments' own.
     let mut failed = Vec::new();
@@ -148,6 +150,11 @@ fn cli(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    if let Ok(v) = std::env::var("ENW_TRACE") {
+        if enw_core::trace::TraceMode::from_env_str(&v).is_none() {
+            eprintln!("enw: ENW_TRACE={v:?} is neither off nor summary; nothing is traced");
+        }
+    }
     cli(&std::env::args().skip(1).collect::<Vec<_>>())
 }
 

@@ -26,6 +26,7 @@ use enw_core::mann::encoding::TernaryWord;
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
 use enw_core::nn::backend::{DigitalLinear, LinearBackend};
 use enw_core::nn::conv::{ConvNet, ConvNetConfig, MapShape};
+use enw_core::nn::loss::softmax_cross_entropy_into;
 use enw_core::nn::{Activation, Mlp};
 use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::matrix::Matrix;
@@ -417,6 +418,10 @@ fn hot_kernels_allocate_nothing_once_warm() {
         ("FrozenMlp::predict_batch_into", {
             let (mut y, mut ws) = (out(40), out(frozen.workspace_len(4)));
             Box::new(move || frozen.predict_batch_into(xs64, &mut y, &mut ws))
+        }),
+        ("softmax_cross_entropy_into (vector::softmax_into)", {
+            let mut grad = out(16);
+            Box::new(move || assert!(softmax_cross_entropy_into(x16, 3, &mut grad) > 0.0))
         }),
         ("DigitalLinear::backward_into", {
             let mut y = out(16);

@@ -1,14 +1,12 @@
 //! Technology presets for the candidate crosspoint devices of paper
-//! Sec. II-B, plus the device structures that do not fit the generic
-//! bidirectional pulse model (PCM differential pairs, 2T-1FeFET hybrid
-//! cells).
+//! Sec. II-B, plus the one device structure that does not fit the
+//! generic bidirectional pulse model (PCM differential pairs).
 //!
 //! The numeric parameters are behavioural: they reproduce the published
 //! qualitative characteristics (step count, asymmetry, noise,
 //! device-to-device spread) that the paper discusses, not any specific
 //! wafer's measurements.
 
-pub mod fefet;
 pub mod pcm;
 
 use crate::device::{DeviceSpec, PulsedDevice};
@@ -135,8 +133,8 @@ pub fn ecram_voltage() -> DeviceSpec {
 }
 
 /// Single FeFET synapse (paper Sec. II-B3): faster and lower-voltage than
-/// Flash but with RRAM-like asymmetric updates; endurance and retention
-/// are handled by the hybrid cell in [`fefet`].
+/// Flash but with RRAM-like asymmetric updates. Endurance and retention
+/// are not modeled.
 pub fn fefet_single() -> DeviceSpec {
     DeviceSpec {
         base: PulsedDevice {

@@ -7,14 +7,14 @@
 //! the stochastic-pulse parallel update of the Resistive Processing Unit
 //! concept \[14\]; and the algorithmic mitigations the paper surveys —
 //! zero-shifting \[30\], the coupled-dynamics training algorithm \[35\],
-//! mixed-precision PCM/FeFET weight cells \[24\]\[38\], and hardware-aware
+//! PCM differential pairs with occasional reset \[18\], and hardware-aware
 //! drop-connect training \[33\].
 //!
 //! # Layering
 //!
 //! * [`device`] — one crosspoint's pulse dynamics ([`device::PulsedDevice`]).
 //! * [`devices`] — technology presets (RRAM, ECRAM, FeFET) plus the PCM
-//!   differential pair and 2T-1FeFET hybrid cell.
+//!   differential pair.
 //! * [`mod@array`] — a grid of devices with forward/transposed reads,
 //!   write-verify programming, defect injection.
 //! * [`noise`] — DAC/ADC quantization, read noise, clipping.

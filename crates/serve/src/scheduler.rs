@@ -35,11 +35,10 @@
 //!
 //! # Observability
 //!
-//! The loop publishes the `enw-trace` virtual clock as it advances and
-//! records `serve/*` spans — queue wait, batch close, backend execute,
-//! shed and reject — plus latency/batch-size histograms, all keyed on
-//! virtual time and therefore bit-identical across runs and thread
-//! counts. Run with `ENW_TRACE=summary` to see the breakdown.
+//! The loop records `serve/*` spans — queue wait, batch close, backend
+//! execute, shed and reject — plus latency/batch-size histograms, all
+//! keyed on virtual time and therefore bit-identical across runs and
+//! thread counts. Run with `ENW_TRACE=summary` to see the breakdown.
 
 use crate::backend::Backend;
 use crate::clock::VirtualClock;
@@ -307,9 +306,6 @@ impl Server {
             }
             let Some(t) = t_next else { break };
             self.clock.advance_to(t);
-            // Publish virtual time so serve/* spans measure virtual-time
-            // deltas, not host time.
-            trace::set_virtual_ns(t);
             // 1. Completions due now free their stations.
             for i in 0..self.stations.len() {
                 if self.stations[i].busy_until == Some(t) {

@@ -173,7 +173,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(upper_bound_inclusive, count)`, in value
-    /// order (the JSON export shape).
+    /// order ([`crate::HistEntry::buckets`]).
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()

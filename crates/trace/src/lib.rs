@@ -13,9 +13,9 @@
 //! # What can be recorded
 //!
 //! * **Spans** — named scoped regions ([`span`] guards, or the one-shot
-//!   [`record_span`]). A span accumulates a hit count, elapsed time on
-//!   the trace clock, and an explicit deterministic *work* figure
-//!   (element counts, modeled ns) added by the instrumented code.
+//!   [`record_span`]). A span accumulates a hit count, an explicit
+//!   deterministic *work* figure (element counts, modeled ns) and the
+//!   bytes it read and wrote, all added by the instrumented code.
 //! * **Counters** — named monotone `u64` sums ([`counter_add`]).
 //! * **Histograms** — named fixed-bucket distributions of `u64` values
 //!   ([`record_value`]; see [`histogram::Histogram`]). The serving
@@ -27,16 +27,10 @@
 //! merges it into the process-wide sink when it exits or calls
 //! [`flush_local`]. `enw-parallel`'s workers are persistent and never
 //! exit, so the pool flushes each worker's recorder after every job.
-//! Every merged quantity is a `u64` sum, a histogram bucket add, or an
-//! event-list append canonicalized by sorting, so the merged totals are
-//! independent of merge order and therefore of the worker count.
-//!
-//! Time never comes from the host by default: the trace clock is a
-//! virtual nanosecond counter advanced explicitly ([`set_virtual_ns`],
-//! used by `enw-serve`'s scheduler), so span durations are deterministic.
-//! A bench harness *may* install a real monotonic source with
-//! [`install_time_source`] — that is a profiling convenience and
-//! explicitly outside the determinism contract (only `enw-bench` may
+//! Every merged quantity is a `u64` sum or a histogram bucket add, so
+//! the merged totals are independent of merge order and therefore of
+//! the worker count. Nothing is read from a clock: a span's figures are
+//! what the instrumented code attributes to it (only `enw-bench` may
 //! name `Instant`: see the workspace `clippy.toml`).
 //!
 //! # Overhead
@@ -52,8 +46,9 @@
 //! | `ENW_TRACE` | behaviour |
 //! |---|---|
 //! | `off` (default) | nothing recorded; near-zero overhead |
-//! | `summary` | span/counter/histogram aggregates only |
-//! | `full` | aggregates plus a chrome-trace-compatible event list |
+//! | `summary` | span/counter/histogram aggregates |
+//!
+//! Any other value records nothing, as `off` does.
 //!
 //! ```
 //! use enw_trace as trace;
@@ -83,10 +78,9 @@ pub use recorder::{
     counter_add, flush_local, record_span, record_span_io, record_value, reset, span, take_report,
     Span, SpanStat,
 };
-pub use report::{CounterEntry, HistEntry, SpanEntry, TraceEvent, TraceReport};
+pub use report::{CounterEntry, HistEntry, SpanEntry, TraceReport};
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How much the recorder keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,31 +89,21 @@ pub enum TraceMode {
     Off,
     /// Aggregate spans, counters, and histograms.
     Summary,
-    /// Aggregates plus the full chrome-trace event list.
-    Full,
 }
 
 impl TraceMode {
-    /// Parses the `ENW_TRACE` value; unknown strings mean [`TraceMode::Off`].
-    pub fn from_env_str(s: &str) -> TraceMode {
+    /// Parses an `ENW_TRACE` value: `None` for anything but `off` and
+    /// `summary`, which the process then runs as [`TraceMode::Off`].
+    pub fn from_env_str(s: &str) -> Option<TraceMode> {
         match s.trim() {
-            "summary" => TraceMode::Summary,
-            "full" => TraceMode::Full,
-            _ => TraceMode::Off,
-        }
-    }
-
-    /// Stable lower-case name (`off`/`summary`/`full`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Summary => "summary",
-            TraceMode::Full => "full",
+            "off" => Some(TraceMode::Off),
+            "summary" => Some(TraceMode::Summary),
+            _ => None,
         }
     }
 }
 
-/// Mode cell: 0/1/2 mirror [`TraceMode`]; 3 means "not yet resolved from
+/// Mode cell: 0/1 mirror [`TraceMode`]; 3 means "not yet resolved from
 /// the environment".
 static MODE: AtomicU8 = AtomicU8::new(3);
 
@@ -130,7 +114,6 @@ pub fn mode() -> TraceMode {
     match MODE.load(Ordering::Relaxed) {
         0 => TraceMode::Off,
         1 => TraceMode::Summary,
-        2 => TraceMode::Full,
         _ => mode_from_env(),
     }
 }
@@ -139,8 +122,10 @@ pub fn mode() -> TraceMode {
 /// inlined [`mode`] is one load and a compare.
 #[inline(never)]
 fn mode_from_env() -> TraceMode {
-    let m =
-        std::env::var("ENW_TRACE").map(|v| TraceMode::from_env_str(&v)).unwrap_or(TraceMode::Off);
+    let m = std::env::var("ENW_TRACE")
+        .ok()
+        .and_then(|v| TraceMode::from_env_str(&v))
+        .unwrap_or(TraceMode::Off);
     set_mode(m);
     m
 }
@@ -151,7 +136,6 @@ pub fn set_mode(m: TraceMode) {
     let v = match m {
         TraceMode::Off => 0,
         TraceMode::Summary => 1,
-        TraceMode::Full => 2,
     };
     MODE.store(v, Ordering::Relaxed);
 }
@@ -160,37 +144,6 @@ pub fn set_mode(m: TraceMode) {
 #[inline]
 pub fn enabled() -> bool {
     !matches!(mode(), TraceMode::Off)
-}
-
-/// The virtual clock value read by [`now_ns`] when no external time
-/// source is installed.
-static VIRTUAL_NOW: AtomicU64 = AtomicU64::new(0);
-
-/// An installed external time source (bench-only; see module docs).
-static TIME_SOURCE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Sets the virtual trace clock to an absolute nanosecond value. The
-/// serving scheduler calls this as its event loop advances, so span
-/// durations inside the runtime are virtual-time deltas.
-#[inline]
-pub fn set_virtual_ns(ns: u64) {
-    VIRTUAL_NOW.store(ns, Ordering::Relaxed);
-}
-
-/// Installs a process-wide external time source (e.g. a monotonic clock
-/// in `enw-bench`). First caller wins; returns `false` if a source was
-/// already installed. Deterministic runs never install one.
-pub fn install_time_source(f: fn() -> u64) -> bool {
-    TIME_SOURCE.set(f).is_ok()
-}
-
-/// Current trace-clock reading in nanoseconds: the installed external
-/// source if any, else the virtual counter.
-pub fn now_ns() -> u64 {
-    match TIME_SOURCE.get() {
-        Some(f) => f(),
-        None => VIRTUAL_NOW.load(Ordering::Relaxed),
-    }
 }
 
 #[cfg(test)]
@@ -213,39 +166,21 @@ mod tests {
 
     #[test]
     fn mode_parses_env_values() {
-        assert_eq!(TraceMode::from_env_str("summary"), TraceMode::Summary);
-        assert_eq!(TraceMode::from_env_str(" full "), TraceMode::Full);
-        assert_eq!(TraceMode::from_env_str("off"), TraceMode::Off);
-        assert_eq!(TraceMode::from_env_str("nonsense"), TraceMode::Off);
-        assert_eq!(TraceMode::Summary.as_str(), "summary");
+        assert_eq!(TraceMode::from_env_str("summary"), Some(TraceMode::Summary));
+        assert_eq!(TraceMode::from_env_str(" summary\n"), Some(TraceMode::Summary));
+        assert_eq!(TraceMode::from_env_str("off"), Some(TraceMode::Off));
+        assert_eq!(TraceMode::from_env_str("full"), None);
+        assert_eq!(TraceMode::from_env_str("nonsense"), None);
     }
 
     #[test]
     fn set_mode_round_trips() {
         let _guard = test_lock::hold();
         let before = mode();
-        for m in [TraceMode::Summary, TraceMode::Full, TraceMode::Off] {
+        for m in [TraceMode::Summary, TraceMode::Off] {
             set_mode(m);
             assert_eq!(mode(), m);
         }
         set_mode(before);
-    }
-
-    #[test]
-    fn virtual_clock_reads_back() {
-        let _guard = test_lock::hold();
-        set_virtual_ns(123);
-        assert_eq!(now_ns(), 123);
-        set_virtual_ns(0);
-    }
-
-    #[test]
-    fn external_time_source_installs_once() {
-        // The installed source mirrors the virtual counter so the other
-        // tests in this process keep their clock semantics.
-        let first = install_time_source(|| VIRTUAL_NOW.load(Ordering::Relaxed));
-        let second = install_time_source(|| 0);
-        assert!(first);
-        assert!(!second, "second install must be refused");
     }
 }

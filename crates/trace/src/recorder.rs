@@ -1,18 +1,18 @@
 //! Thread-local recorders with commutative merge-on-join.
 //!
 //! Every thread records into its own private [`Sink`]; when a thread
-//! exits — which for `enw-parallel` workers is exactly when the scoped
-//! pool joins them — its sink drains into the process-wide one. All
-//! merged quantities are order-independent (`u64` sums, histogram bucket
-//! adds, event lists canonicalized by sorting), so the global totals are
-//! identical for any worker count and any join order. [`take_report`]
+//! exits, or calls [`flush_local`] as the persistent `enw-parallel`
+//! workers do after every job, its sink drains into the process-wide
+//! one. All merged quantities are order-independent (`u64` sums and
+//! histogram bucket adds), so the global totals are identical for any
+//! worker count and any join order. [`take_report`]
 //! drains the calling thread's sink plus the global one; call it from
 //! the thread that owns the workload (experiment binaries, the serving
 //! loop) after all parallel sections have joined.
 
+use crate::enabled;
 use crate::histogram::Histogram;
-use crate::report::{self, TraceEvent, TraceReport};
-use crate::{enabled, mode, now_ns, TraceMode};
+use crate::report::{self, TraceReport};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -22,8 +22,6 @@ use std::sync::Mutex;
 pub struct SpanStat {
     /// Times the span was entered.
     pub count: u64,
-    /// Total elapsed trace-clock nanoseconds across entries.
-    pub clock_ns: u64,
     /// Total explicit work units attributed via [`Span::add_work`] /
     /// [`record_span`] (element counts, modeled nanoseconds — the
     /// deterministic attribution currency).
@@ -43,25 +41,18 @@ pub(crate) struct Sink {
     pub(crate) spans: BTreeMap<&'static str, SpanStat>,
     pub(crate) counters: BTreeMap<&'static str, u64>,
     pub(crate) values: BTreeMap<&'static str, Histogram>,
-    pub(crate) events: Vec<TraceEvent>,
 }
 
 impl Sink {
     const fn empty() -> Self {
-        Sink {
-            spans: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            values: BTreeMap::new(),
-            events: Vec::new(),
-        }
+        Sink { spans: BTreeMap::new(), counters: BTreeMap::new(), values: BTreeMap::new() }
     }
 
-    /// Commutative merge: sums, bucket adds, event append.
+    /// Commutative merge: sums and bucket adds.
     fn merge_into(self, target: &mut Sink) {
         for (name, s) in self.spans {
             let t = target.spans.entry(name).or_default();
             t.count += s.count;
-            t.clock_ns += s.clock_ns;
             t.work += s.work;
             t.bytes_read += s.bytes_read;
             t.bytes_written += s.bytes_written;
@@ -72,7 +63,6 @@ impl Sink {
         for (name, h) in self.values {
             target.values.entry(name).or_default().merge(&h);
         }
-        target.events.extend(self.events);
     }
 }
 
@@ -104,12 +94,11 @@ fn with_local(f: impl FnOnce(&mut Sink)) {
     });
 }
 
-/// A scoped span guard: records count / elapsed trace-clock time /
-/// attributed work when dropped. Inert (free) when tracing is off.
+/// A scoped span guard: records its count, attributed work and bytes
+/// when dropped. Inert (free) when tracing is off.
 #[must_use = "a span records on drop; binding it to _ discards the scope"]
 pub struct Span {
     name: &'static str,
-    start_ns: u64,
     work: Cell<u64>,
     bytes_read: Cell<u64>,
     bytes_written: Cell<u64>,
@@ -141,35 +130,20 @@ impl Span {
             self.bytes_written.set(self.bytes_written.get().saturating_add(written));
         }
     }
-
-    /// The live half of [`Drop`], out of line so an inert span's drop is
-    /// one branch.
-    #[inline(never)]
-    fn record(&self) {
-        let dur_ns = now_ns().saturating_sub(self.start_ns);
-        let work = self.work.get();
-        let (bytes_read, bytes_written) = (self.bytes_read.get(), self.bytes_written.get());
-        let full = mode() == TraceMode::Full;
-        let (name, start_ns) = (self.name, self.start_ns);
-        with_local(|sink| {
-            let stat = sink.spans.entry(name).or_default();
-            stat.count += 1;
-            stat.clock_ns += dur_ns;
-            stat.work += work;
-            stat.bytes_read += bytes_read;
-            stat.bytes_written += bytes_written;
-            if full {
-                sink.events.push(TraceEvent { name, start_ns, dur_ns, work });
-            }
-        });
-    }
 }
 
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
+        // The live half is out of line, so an inert span's drop is one
+        // branch.
         if self.live {
-            self.record();
+            record_span_live(
+                self.name,
+                self.work.get(),
+                self.bytes_read.get(),
+                self.bytes_written.get(),
+            );
         }
     }
 }
@@ -177,19 +151,17 @@ impl Drop for Span {
 /// Opens a named span; the returned guard records when it drops.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    let live = enabled();
     Span {
         name,
-        start_ns: if live { now_ns() } else { 0 },
         work: Cell::new(0),
         bytes_read: Cell::new(0),
         bytes_written: Cell::new(0),
-        live,
+        live: enabled(),
     }
 }
 
 /// One-shot span: records a single entry of `name` carrying `work`
-/// units and no clock time. The cheap form kernel hot paths use.
+/// units. The cheap form kernel hot paths use.
 #[inline]
 pub fn record_span(name: &'static str, work: u64) {
     record_span_io(name, work, 0, 0);
@@ -209,17 +181,12 @@ pub fn record_span_io(name: &'static str, work: u64, bytes_read: u64, bytes_writ
 
 #[inline(never)]
 fn record_span_live(name: &'static str, work: u64, bytes_read: u64, bytes_written: u64) {
-    let full = mode() == TraceMode::Full;
-    let start_ns = if full { now_ns() } else { 0 };
     with_local(|sink| {
         let stat = sink.spans.entry(name).or_default();
         stat.count += 1;
         stat.work += work;
         stat.bytes_read += bytes_read;
         stat.bytes_written += bytes_written;
-        if full {
-            sink.events.push(TraceEvent { name, start_ns, dur_ns: 0, work });
-        }
     });
 }
 
@@ -255,7 +222,7 @@ fn record_value_live(name: &'static str, v: u64) {
 /// *never* exit — the persistent `enw-parallel` pool workers — must call
 /// this explicitly when a parallel job finishes, or their recordings
 /// would sit invisible in thread-local state forever. The merge is
-/// commutative (`u64` sums, histogram bucket adds, sorted events), so
+/// commutative (`u64` sums and histogram bucket adds), so
 /// flushing per job instead of per thread-lifetime changes nothing in
 /// the totals.
 pub fn flush_local() {
@@ -280,7 +247,7 @@ pub fn take_report() -> TraceReport {
         let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         std::mem::take(&mut *global)
     };
-    report::build(mode(), sink)
+    report::build(sink)
 }
 
 /// Discards everything recorded so far (this thread + joined threads).
@@ -293,7 +260,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{set_mode, set_virtual_ns, test_lock};
+    use crate::{set_mode, test_lock, TraceMode};
 
     fn with_summary_mode<R>(f: impl FnOnce() -> R) -> R {
         let _guard = test_lock::hold();
@@ -307,25 +274,21 @@ mod tests {
     #[test]
     fn spans_counters_and_values_round_trip() {
         let report = with_summary_mode(|| {
-            set_virtual_ns(100);
             {
                 let s = span("test/alpha");
                 s.add_work(40);
-                set_virtual_ns(250);
             }
             record_span("test/beta", 7);
             record_span("test/beta", 3);
             counter_add("test.count", 5);
             counter_add("test.count", 6);
             record_value("test.values", 42);
-            set_virtual_ns(0);
             take_report()
         });
         let alpha = report.spans.iter().find(|s| s.name == "test/alpha").copied();
         assert_eq!(alpha, report.spans.first().copied(), "spans sorted by name");
         let alpha = alpha.unwrap_or_default();
         assert_eq!(alpha.count, 1);
-        assert_eq!(alpha.clock_ns, 150, "span measures the virtual-clock delta");
         assert_eq!(alpha.work, 40);
         let beta = report.spans.iter().find(|s| s.name == "test/beta").copied();
         assert_eq!(beta.map(|s| (s.count, s.work)), Some((2, 10)));
@@ -429,22 +392,5 @@ mod tests {
         let w = report.spans.iter().find(|s| s.name == "test/worker").copied();
         assert_eq!(w.map(|s| (s.count, s.work)), Some((4, 40)));
         assert_eq!(report.counters.first().map(|c| c.value), Some(4));
-    }
-
-    #[test]
-    fn full_mode_collects_sorted_events() {
-        let _guard = test_lock::hold();
-        set_mode(TraceMode::Full);
-        reset();
-        set_virtual_ns(500);
-        record_span("test/z-late", 1);
-        set_virtual_ns(900);
-        record_span("test/a-later", 2);
-        set_virtual_ns(0);
-        let report = take_report();
-        set_mode(TraceMode::Off);
-        assert_eq!(report.events.len(), 2);
-        assert_eq!(report.events.first().map(|e| e.start_ns), Some(500));
-        assert_eq!(report.events.last().map(|e| e.name), Some("test/a-later"));
     }
 }

@@ -1,14 +1,12 @@
-//! The drained form of a recording: sorted aggregates plus (in full
-//! mode) a chrome-trace-compatible event array.
+//! The drained form of a recording: sorted aggregates.
 //!
 //! Everything in a [`TraceReport`] is deterministically ordered — spans,
-//! counters, and histograms by name (the recorder's `BTreeMap` order),
-//! events by `(start_ns, name, dur_ns, work)` — so `to_json()` output is
-//! byte-identical whenever the recorded totals are, which is what the
-//! trace determinism tests compare across `ENW_THREADS` settings.
+//! counters, and histograms by name (the recorder's `BTreeMap` order) —
+//! so two reports compare equal whenever the recorded totals are, which
+//! is what the trace determinism test checks across `ENW_THREADS`
+//! settings.
 
 use crate::recorder::{Sink, SpanStat};
-use crate::TraceMode;
 
 /// Aggregate entry for one named span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -17,8 +15,6 @@ pub struct SpanEntry {
     pub name: &'static str,
     /// Times entered.
     pub count: u64,
-    /// Total trace-clock nanoseconds.
-    pub clock_ns: u64,
     /// Total attributed work units.
     pub work: u64,
     /// Total bytes read from operands (shape-derived, deterministic).
@@ -79,42 +75,25 @@ pub struct HistEntry {
     pub buckets: Vec<(u64, u64)>,
 }
 
-/// One full-mode event (a completed span entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Span name.
-    pub name: &'static str,
-    /// Trace-clock time at entry.
-    pub start_ns: u64,
-    /// Elapsed trace-clock nanoseconds.
-    pub dur_ns: u64,
-    /// Work attributed to this entry.
-    pub work: u64,
-}
-
 /// Everything one recording produced.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceReport {
-    /// Mode the recording ran under (`off`/`summary`/`full`).
-    pub mode: &'static str,
     /// Span aggregates, sorted by name.
     pub spans: Vec<SpanEntry>,
     /// Counters, sorted by name.
     pub counters: Vec<CounterEntry>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<HistEntry>,
-    /// Full-mode events in canonical order (empty in summary mode).
-    pub events: Vec<TraceEvent>,
 }
 
 /// Builds the report from a drained sink (crate-internal).
-pub(crate) fn build(mode: TraceMode, sink: Sink) -> TraceReport {
+pub(crate) fn build(sink: Sink) -> TraceReport {
     let spans: Vec<SpanEntry> = sink
         .spans
         .iter()
         .map(|(&name, s)| {
-            let SpanStat { count, clock_ns, work, bytes_read, bytes_written } = *s;
-            SpanEntry { name, count, clock_ns, work, bytes_read, bytes_written }
+            let SpanStat { count, work, bytes_read, bytes_written } = *s;
+            SpanEntry { name, count, work, bytes_read, bytes_written }
         })
         .collect();
     let counters: Vec<CounterEntry> =
@@ -134,105 +113,18 @@ pub(crate) fn build(mode: TraceMode, sink: Sink) -> TraceReport {
             buckets: h.nonzero_buckets(),
         })
         .collect();
-    let mut events = sink.events;
-    events.sort_by(|a, b| {
-        (a.start_ns, a.name, a.dur_ns, a.work).cmp(&(b.start_ns, b.name, b.dur_ns, b.work))
-    });
-    TraceReport { mode: mode.as_str(), spans, counters, histograms, events }
+    TraceReport { spans, counters, histograms }
 }
 
 impl TraceReport {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.histograms.is_empty()
-            && self.events.is_empty()
+        self.spans.is_empty() && self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Total work units across all spans.
     pub fn total_work(&self) -> u64 {
         self.spans.iter().map(|s| s.work).sum()
-    }
-
-    /// Chrome-trace-compatible JSON (load in `chrome://tracing` or
-    /// Perfetto): a `traceEvents` array of complete (`"ph": "X"`) events
-    /// plus a `summary` object with the aggregates. In summary mode the
-    /// event array is synthesized from span totals laid end to end.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"displayTimeUnit\": \"ns\",\n");
-        out.push_str(&format!("  \"otherData\": {{\"mode\": \"{}\"}},\n", self.mode));
-        out.push_str("  \"summary\": {\n    \"spans\": [\n");
-        let total_work = self.total_work().max(1);
-        for (i, s) in self.spans.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"name\": \"{}\", \"count\": {}, \"clock_ns\": {}, \"work\": {}, \"work_share\": {:.6}, \"bytes_read\": {}, \"bytes_written\": {}}}{}\n",
-                s.name,
-                s.count,
-                s.clock_ns,
-                s.work,
-                s.work as f64 / total_work as f64,
-                s.bytes_read,
-                s.bytes_written,
-                comma(i, self.spans.len())
-            ));
-        }
-        out.push_str("    ],\n    \"counters\": [\n");
-        for (i, c) in self.counters.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"name\": \"{}\", \"value\": {}}}{}\n",
-                c.name,
-                c.value,
-                comma(i, self.counters.len())
-            ));
-        }
-        out.push_str("    ],\n    \"histograms\": [\n");
-        for (i, h) in self.histograms.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"name\": \"{}\", \"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}{}\n",
-                h.name,
-                h.count,
-                h.min,
-                h.max,
-                h.mean,
-                h.p50,
-                h.p95,
-                h.p99,
-                comma(i, self.histograms.len())
-            ));
-        }
-        out.push_str("    ]\n  },\n  \"traceEvents\": [\n");
-        if self.events.is_empty() {
-            // Summary mode: synthesize one complete event per span so the
-            // file still renders as a timeline.
-            let mut ts = 0u64;
-            for (i, s) in self.spans.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"X\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"count\": {}, \"work\": {}}}}}{}\n",
-                    s.name,
-                    ts as f64 / 1e3,
-                    s.clock_ns as f64 / 1e3,
-                    s.count,
-                    s.work,
-                    comma(i, self.spans.len())
-                ));
-                ts += s.clock_ns;
-            }
-        } else {
-            for (i, e) in self.events.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"X\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"work\": {}}}}}{}\n",
-                    e.name,
-                    e.start_ns as f64 / 1e3,
-                    e.dur_ns as f64 / 1e3,
-                    e.work,
-                    comma(i, self.events.len())
-                ));
-            }
-        }
-        out.push_str("  ]\n}\n");
-        out
     }
 
     /// Aligned text summary (the `ENW_TRACE=summary` console rendering).
@@ -241,8 +133,8 @@ impl TraceReport {
         if !self.spans.is_empty() {
             let total_work = self.total_work().max(1);
             out.push_str(&format!(
-                "{:<32} {:>10} {:>14} {:>14} {:>7} {:>12} {:>12} {:>9}\n",
-                "span", "count", "clock_ns", "work", "work%", "bytes_rd", "bytes_wr", "work/B"
+                "{:<32} {:>10} {:>14} {:>7} {:>12} {:>12} {:>9}\n",
+                "span", "count", "work", "work%", "bytes_rd", "bytes_wr", "work/B"
             ));
             for s in &self.spans {
                 let intensity = match s.work_per_byte() {
@@ -250,10 +142,9 @@ impl TraceReport {
                     None => "-".to_string(),
                 };
                 out.push_str(&format!(
-                    "{:<32} {:>10} {:>14} {:>14} {:>6.1}% {:>12} {:>12} {:>9}\n",
+                    "{:<32} {:>10} {:>14} {:>6.1}% {:>12} {:>12} {:>9}\n",
                     s.name,
                     s.count,
-                    s.clock_ns,
                     s.work,
                     100.0 * s.work as f64 / total_work as f64,
                     s.bytes_read,
@@ -284,56 +175,31 @@ impl TraceReport {
     }
 }
 
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recorder::{counter_add, record_value, reset, span, take_report};
-    use crate::{set_mode, set_virtual_ns, test_lock};
+    use crate::{set_mode, test_lock, TraceMode};
 
-    fn sample_report(mode: TraceMode) -> TraceReport {
+    fn sample_report() -> TraceReport {
         let _guard = test_lock::hold();
-        set_mode(mode);
+        set_mode(TraceMode::Summary);
         reset();
-        set_virtual_ns(10);
         {
             let s = span("report/stage-a");
             s.add_work(30);
-            set_virtual_ns(40);
         }
         crate::record_span_io("report/stage-b", 70, 560, 140);
         counter_add("report.count", 9);
         record_value("report.lat", 1234);
-        set_virtual_ns(0);
         let r = take_report();
         set_mode(TraceMode::Off);
         r
     }
 
     #[test]
-    fn json_has_chrome_trace_shape_and_summary() {
-        let r = sample_report(TraceMode::Summary);
-        let json = r.to_json();
-        assert!(json.contains("\"traceEvents\""), "chrome-trace key missing");
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"report/stage-a\""));
-        assert!(json.contains("\"work_share\": 0.300000"));
-        assert!(json.contains("\"bytes_read\": 560"), "{json}");
-        assert!(json.contains("\"bytes_written\": 140"), "{json}");
-        assert!(json.contains("\"p50\": 1234") || json.contains("\"p50\": 12"), "{json}");
-        assert_eq!(r.total_work(), 100);
-    }
-
-    #[test]
     fn summary_table_reports_bytes_and_intensity() {
-        let r = sample_report(TraceMode::Summary);
+        let r = sample_report();
         let t = r.summary_table();
         assert!(t.contains("bytes_rd"), "{t}");
         assert!(t.contains("560"), "{t}");
@@ -350,28 +216,20 @@ mod tests {
     }
 
     #[test]
-    fn full_mode_emits_real_events() {
-        let r = sample_report(TraceMode::Full);
-        assert_eq!(r.events.len(), 2);
-        let json = r.to_json();
-        assert!(json.contains("\"ts\": 0.010") || json.contains("\"ts\": 0.04"), "{json}");
-    }
-
-    #[test]
     fn summary_table_lists_everything() {
-        let r = sample_report(TraceMode::Summary);
+        let r = sample_report();
         let t = r.summary_table();
         assert!(t.contains("report/stage-a"));
         assert!(t.contains("report.count"));
         assert!(t.contains("report.lat"));
         assert!(t.contains("30.0%"), "{t}");
+        assert_eq!(r.total_work(), 100);
     }
 
     #[test]
     fn empty_report_is_empty() {
         let r = TraceReport::default();
         assert!(r.is_empty());
-        let json = r.to_json();
-        assert!(json.contains("\"traceEvents\""));
+        assert_eq!(r.summary_table(), "");
     }
 }

@@ -63,9 +63,12 @@ impl Comparison {
 /// Runs one benchmark on both platforms with identical inputs and memory
 /// contents; returns the accounted costs.
 ///
-/// Functional outputs are asserted equal where the platforms implement the
-/// same math (soft read/write); similarity differs by design (cosine on
-/// GPU vs. the dot/L1 crossbar scheme), matching the paper's setups.
+/// Only costs are compared. Each platform addresses with its own
+/// similarity (cosine on the GPU, the dot/L1 crossbar scheme on X-MANN),
+/// matching the paper's setups, so their attention weights differ, and
+/// with them what the soft reads return and the soft writes store. Given
+/// the same weights, the two platforms' reads and writes agree bit for
+/// bit (a test below holds that).
 pub fn run_benchmark(
     bench: &MannBenchmark,
     xmann_cfg: XmannConfig,
@@ -88,8 +91,7 @@ pub fn run_benchmark(
         x.content_address_into(&q, 5.0, &mut wx);
         let wg = g.content_address(&q, 5.0);
         x.soft_read_into(&wx, &mut rx);
-        let rg = g.soft_read(&wg.value);
-        debug_assert_eq!(rx.len(), rg.value.len());
+        g.soft_read(&wg.value);
         x.soft_write(&wx, &erase, &q);
         g.soft_write(&wg.value, &erase, &q);
     }
@@ -165,5 +167,36 @@ mod tests {
             &mut rng,
         );
         assert!(large.speedup() > small.speedup());
+    }
+
+    #[test]
+    fn soft_read_and_write_agree_bit_for_bit_given_the_same_weights() {
+        // Widths off every lane multiple, and zero weights, which the
+        // soft write skips.
+        let (slots, dim) = (301, 70);
+        let mut rng = Rng64::new(4);
+        let rows: Vec<Vec<f32>> =
+            (0..slots).map(|_| (0..dim).map(|_| rng.range(-0.5, 0.5) as f32).collect()).collect();
+        let mut x = Xmann::new(slots, dim, XmannConfig::default(), XmannCostParams::default());
+        let mut g = GpuMann::new(slots, dim, GpuCostParams::default());
+        x.load_memory(&rows);
+        g.load_memory(&rows);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let erase = vec![0.5f32; dim];
+        let mut rx = vec![0.0f32; dim];
+        for step in 0..3 {
+            let mut w: Vec<f32> = (0..slots).map(|_| rng.range(0.0, 1.0) as f32).collect();
+            w.iter_mut().step_by(3 + step).for_each(|v| *v = 0.0);
+            let add: Vec<f32> = (0..dim).map(|_| rng.range(-1.0, 1.0) as f32).collect();
+            x.soft_read_into(&w, &mut rx);
+            assert_eq!(bits(&rx), bits(&g.soft_read(&w).value), "soft read, step {step}");
+            x.soft_write(&w, &erase, &add);
+            g.soft_write(&w, &erase, &add);
+            assert_eq!(
+                bits(x.memory().matrix().as_slice()),
+                bits(g.memory().matrix().as_slice()),
+                "memory after soft write, step {step}"
+            );
+        }
     }
 }
