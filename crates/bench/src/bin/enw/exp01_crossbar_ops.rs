@@ -5,7 +5,8 @@
 //! number of crossbar operations regardless of array size (the O(1)
 //! property), that the analog forward pass matches a digital reference,
 //! and that the stochastic pulse update realizes the intended rank-1
-//! gradient step in expectation.
+//! gradient step in expectation. `--smoke` stops the size sweep at
+//! 256 x 256 and runs the pulse-train ablation on a 64 x 64 tile.
 
 use crate::run::Run;
 use enw_core::crossbar::devices;
@@ -26,7 +27,8 @@ pub fn run(run: &mut Run) {
         "max |analog - digital| fwd",
         "update rel. error",
     ]);
-    for &n in &[64usize, 128, 256, 512, 1024] {
+    let sizes: &[usize] = if run.smoke { &[64, 128, 256] } else { &[64, 128, 256, 512, 1024] };
+    for &n in sizes {
         let spec = devices::ideal(4000);
         let mut tile = AnalogTile::new(n, n, &spec, TileConfig::ideal(), &mut rng);
         let target = Matrix::random_uniform(n, n + 1, -0.2, 0.2, &mut rng);
@@ -88,7 +90,7 @@ pub fn run(run: &mut Run) {
             update: enw_core::crossbar::tile::UpdateScheme::StochasticPulse { bl },
             ..TileConfig::ideal()
         };
-        let n = 128;
+        let n = if run.smoke { 64 } else { 128 };
         let mut tile = AnalogTile::new(n, n, &spec, cfg, &mut rng);
         let x: Vec<f32> = (0..n).map(|_| rng.range(-1.0, 1.0) as f32).collect();
         let d: Vec<f32> = (0..n).map(|_| rng.range(-1.0, 1.0) as f32).collect();
