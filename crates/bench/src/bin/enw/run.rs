@@ -5,8 +5,8 @@
 //! the JSON a run writes is a CI artifact that no gate reads back.
 
 use crate::json::Json;
+use crate::Entry;
 use enw_core::report::Table;
-use enw_core::EnwError;
 use std::fmt::Display;
 
 /// One named pass/fail condition of an experiment.
@@ -24,22 +24,21 @@ pub struct Run {
 }
 
 impl Run {
-    /// Prints the registry header of `id` and starts its run. `EXT-*`
-    /// extensions sit outside the paper's registry and print their own.
-    ///
-    /// # Errors
-    ///
-    /// [`EnwError::UnknownExperiment`] when a paper id is not registered.
-    pub fn start(id: &str, smoke: bool) -> Result<Run, EnwError> {
-        if !id.starts_with("EXT-") {
-            enw_bench::try_banner(id)?;
+    /// Prints the header of a paper experiment (id, anchor, claim,
+    /// module) and starts its run. `EXT-*` extensions print their own.
+    pub fn start(entry: &Entry, smoke: bool) -> Run {
+        if let Some(claim) = &entry.claim {
+            println!("== {} [{}] ==", entry.id, claim.anchor);
+            println!("claim: {}", claim.text);
+            println!("binary: {}", entry.module);
+            println!();
         }
-        Ok(Run { smoke, gates: Vec::new() })
+        Run { smoke, gates: Vec::new() }
     }
 
     /// Prints a rendered table with a trailing blank line.
     pub fn emit(&self, table: &Table) {
-        enw_bench::emit(table);
+        println!("{}", table.render());
     }
 
     /// Records one gate. Passing gates print nothing, so a run's stdout

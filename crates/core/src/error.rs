@@ -37,7 +37,7 @@ pub enum EnwError {
     Mann(MannError),
     /// A parameter-space encode/decode error.
     Tunable(TunableError),
-    /// An experiment id not present in the registry.
+    /// An experiment id that `enw` does not list.
     UnknownExperiment {
         /// The id that was looked up.
         id: String,
@@ -56,7 +56,7 @@ impl fmt::Display for EnwError {
             EnwError::Mann(e) => write!(f, "MANN model: {e}"),
             EnwError::Tunable(e) => write!(f, "parameter space: {e}"),
             EnwError::UnknownExperiment { id } => {
-                write!(f, "unknown experiment id {id} (see enw_core::experiments())")
+                write!(f, "unknown experiment id {id} (see `enw list`)")
             }
         }
     }

@@ -18,18 +18,29 @@
 //! workload with the deterministic micro-batching serving runtime
 //! (DESIGN.md, "Serving runtime"); the [`fleet`] crate scales that
 //! runtime out to a sharded, autoscaled multi-node cluster (DESIGN.md,
-//! "Fleet architecture"). The [`registry`] module indexes
-//! every reproduced table/figure (E1–E21) and the `enw-bench` binary that
-//! regenerates it; [`report`] renders the result tables.
+//! "Fleet architecture"). [`report`] renders the result tables of the
+//! `enw` experiment runner (crate `enw-bench`), whose table maps each
+//! reproduced table and figure (E1–E21) to the module that regenerates it.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use enw_core::registry::registry;
+//! use enw_core::cam::array::{TcamArray, TcamConfig};
+//! use enw_core::cam::cells;
+//! use enw_core::numerics::bits::BitVec;
+//! use enw_core::report::{self, Table};
 //!
-//! for exp in registry() {
-//!     println!("{}: {} -> {}", exp.id, exp.paper_anchor, exp.binary);
-//! }
+//! // Two 4-bit words in a 16T CMOS TCAM; one search finds the nearest.
+//! let mut cam = TcamArray::new(4, cells::cmos_16t(), TcamConfig::default());
+//! cam.write(&BitVec::from_bools(&[true, true, true, true]));
+//! cam.write(&BitVec::from_bools(&[false, false, false, false]));
+//! let (hit, cost) = cam.search_nearest(&BitVec::from_bools(&[true, false, false, false]));
+//! let hit = hit.expect("the array holds two words");
+//! assert_eq!((hit.index, hit.distance), (1, 1));
+//!
+//! let mut table = Table::new(&["nearest word", "search energy"]);
+//! table.row_owned(vec![hit.index.to_string(), report::energy(cost.energy_pj)]);
+//! println!("{}", table.render());
 //! ```
 
 pub use enw_cam as cam;
@@ -45,11 +56,8 @@ pub use enw_trace as trace;
 pub use enw_xmann as xmann;
 
 pub mod error;
-pub mod prelude;
-pub mod registry;
 pub mod report;
 pub mod tunable;
 
 pub use error::EnwError;
-pub use registry::{find, registry as experiments, Experiment};
 pub use tunable::{AxisDomain, AxisSpec, AxisValue, ParamSpace, Point, Tunable, TunableError};
