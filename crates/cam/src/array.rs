@@ -100,7 +100,6 @@ pub struct TcamArray {
     /// which is what lets the limb-wise match kernels stream.
     limbs: Vec<u64>,
     len: usize,
-    writes: u64,
     total: Cost,
 }
 
@@ -131,7 +130,6 @@ impl TcamArray {
             cfg,
             limbs: Vec::new(),
             len: 0,
-            writes: 0,
             total: Cost::zero(),
         }
     }
@@ -156,21 +154,6 @@ impl TcamArray {
         self.total
     }
 
-    /// Total program operations (for endurance accounting).
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Returns `true` once per-cell program counts could exceed the
-    /// technology's endurance rating (conservative: assumes writes spread
-    /// evenly).
-    pub fn endurance_exceeded(&self) -> bool {
-        match self.tech.endurance {
-            None => false,
-            Some(e) => self.len == 0 || self.writes / self.len.max(1) as u64 > e,
-        }
-    }
-
     /// Appends a stored word; returns its index and the write cost.
     ///
     /// # Panics
@@ -180,7 +163,6 @@ impl TcamArray {
         assert_eq!(word.len(), self.width, "word width mismatch");
         self.limbs.extend_from_slice(word.limbs());
         self.len += 1;
-        self.writes += 1;
         let cost = write_cost(self.width, &self.tech);
         self.total += cost;
         (self.len - 1, cost)
@@ -196,7 +178,6 @@ impl TcamArray {
         assert_eq!(word.len(), self.width, "word width mismatch");
         let lpw = self.limbs_per_word;
         self.limbs[index * lpw..(index + 1) * lpw].copy_from_slice(word.limbs());
-        self.writes += 1;
         let cost = write_cost(self.width, &self.tech);
         self.total += cost;
         cost
@@ -336,19 +317,6 @@ mod tests {
         cam.rewrite(i, &bv(&[0, 0, 0, 0]));
         let (hit, _) = cam.search_nearest(&bv(&[0, 0, 0, 0]));
         assert_eq!(hit.expect("non-empty").distance, 0);
-    }
-
-    #[test]
-    fn endurance_tracking() {
-        let mut tech = cells::fefet_2t();
-        tech.endurance = Some(3);
-        let mut cam = TcamArray::new(4, tech, TcamConfig::default());
-        let (i, _) = cam.write(&bv(&[1, 0, 1, 0]));
-        assert!(!cam.endurance_exceeded());
-        for _ in 0..5 {
-            cam.rewrite(i, &bv(&[0, 1, 0, 1]));
-        }
-        assert!(cam.endurance_exceeded());
     }
 
     #[test]

@@ -166,17 +166,6 @@ pub fn argmin(xs: &[f32]) -> usize {
     best
 }
 
-/// Normalizes a vector to unit L2 norm in place; leaves a zero vector
-/// untouched.
-pub fn normalize_l2(xs: &mut [f32]) {
-    let n = norm_l2(xs);
-    if n > 1e-12 {
-        for x in xs.iter_mut() {
-            *x /= n;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,20 +237,6 @@ mod tests {
         let v = [3.0, -1.0, 7.0, 7.0];
         assert_eq!(argmax(&v), 2);
         assert_eq!(argmin(&v), 1);
-    }
-
-    #[test]
-    fn normalize_makes_unit() {
-        let mut v = [3.0, 4.0];
-        normalize_l2(&mut v);
-        assert!((norm_l2(&v) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normalize_zero_noop() {
-        let mut v = [0.0, 0.0];
-        normalize_l2(&mut v);
-        assert_eq!(v, [0.0, 0.0]);
     }
 
     #[test]
