@@ -25,7 +25,7 @@
 //!   (uniform, Zipf, hot set).
 //! - [`sim`] — the event loop tying it together: admission via the
 //!   ring, per-replica batching, control epochs, and a byte-exact
-//!   [`FleetReport`](sim::FleetReport).
+//!   [`FleetReport`].
 //!
 //! Event order at any instant is fixed — completions, then control,
 //! then arrivals, then batch starts — which is what makes the reports

@@ -9,7 +9,7 @@
 //! deadline shedding at batch start); a sharded lane additionally pays
 //! for its batch's embedding fan-out — distinct shard owners touched and
 //! cache misses, priced per event — through the
-//! [`ShardedStore`](crate::shard::ShardedStore).
+//! [`ShardedStore`].
 //!
 //! At every control epoch the per-lane [`Autoscaler`] reads queue depth,
 //! the epoch p99 and drop counts, and may add or retire one replica;
@@ -295,7 +295,7 @@ pub struct LaneReport {
     pub scale_ups: u64,
     /// Applied scale-down events.
     pub scale_downs: u64,
-    /// Probe keys (of [`REBALANCE_PROBES`] per event) whose primary
+    /// Probe keys (of `REBALANCE_PROBES` per event) whose primary
     /// moved across all membership changes — the routing rebalance cost.
     pub keys_moved: u64,
     /// Shard bytes copied for this lane's membership changes (sharded

@@ -34,7 +34,7 @@
 //! operand is non-finite (`0.0 × ∞` would otherwise inject a `NaN`), so
 //! sparse gradients cannot resurrect `Inf`/`NaN` garbage stored in
 //! masked-out weights. Every kernel shares the rule through
-//! [`skip_zero_coeff`], which is what keeps the naive and blocked
+//! `skip_zero_coeff`, which is what keeps the naive and blocked
 //! `matmul` paths bit-identical on inputs containing zeros. `matvec` and
 //! the packed reads have no coefficient side and skip nothing: there
 //! `0.0 × ∞` is the NaN IEEE says it is.

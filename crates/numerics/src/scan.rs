@@ -33,8 +33,8 @@
 //!   memory is streamed once however many reductions a score needs.
 //!
 //! A fold is an initial value and a per-element step, written once over
-//! [`Lane`] so the same source runs on one row (`f32`) and on sixteen
-//! ([`F32x16`]); each public scan below is one fold, and takes a
+//! `Lane` so the same source runs on one row (`f32`) and on sixteen
+//! (`F32x16`); each public scan below is one fold, and takes a
 //! `finish` closure that turns a row's sums into its score (negate, take
 //! the root, divide by the norm) while they are still in registers, so
 //! no scan needs a second buffer. The one-row [`vector`] functions stay

@@ -3,7 +3,7 @@
 //!
 //! Each worker is spawned **once**, on first use, and waits for jobs on
 //! its own mailbox. A dispatch costs a spin, not a futex: a worker polls
-//! its mailbox for [`SPIN`] `spin_loop` hints after each job before it
+//! its mailbox for `SPIN` `spin_loop` hints after each job before it
 //! parks on the mailbox condvar, and the caller polls its completion
 //! latch the same way before it parks the thread. Each side skips the
 //! wake syscall when the other is still polling, so back-to-back jobs —

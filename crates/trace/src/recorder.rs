@@ -1,6 +1,6 @@
 //! Thread-local recorders with commutative merge-on-join.
 //!
-//! Every thread records into its own private [`Sink`]; when a thread
+//! Every thread records into its own private `Sink`; when a thread
 //! exits, or calls [`flush_local`] as the persistent `enw-parallel`
 //! workers do after every job, its sink drains into the process-wide
 //! one. All merged quantities are order-independent (`u64` sums and
