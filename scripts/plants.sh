@@ -10,8 +10,11 @@
 # A plant is caught when its test fails, survived when the test passes
 # (or, on a line not flagged `hang`, runs out the timeout), stale when
 # its source string is missing or repeated, and broken when the planted
-# copy does not build. Each named test must pass on the unplanted copy
-# first. Exits 1 on any plant that is not caught.
+# copy does not build. A `hang` line's test runs under a short timeout,
+# planted and unplanted: its plant removes a wake-up, and the code it
+# tests has no timed wait, so a caught plant never finishes. Each named
+# test must pass on the unplanted copy first, in its line's timeout.
+# Exits 1 on any plant that is not caught.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +25,7 @@ work=$PWD/target/plants
 tree=$work/tree
 export CARGO_TARGET_DIR=$work/target
 timeout_s=120
+hang_timeout_s=10
 start=$SECONDS
 
 # The plants as `file \t source \t replacement \t test \t flag` lines,
@@ -38,16 +42,22 @@ git ls-files -z --cached --others --exclude-standard \
     | tar --null --ignore-failed-read -T - -cf - 2>/dev/null | tar -xmf - -C "$tree"
 [[ -f Cargo.lock ]] && cp Cargo.lock "$tree/"
 
-# <test args...>: build the test in the copy; run it under the timeout.
+# build_test <test args...>: build the test in the copy.
+# run_test <flag> <test args...>: run it under its line's timeout.
 build_test() { (cd "$tree" && cargo test -q "$@" --no-run) </dev/null >"$work/test.log" 2>&1; }
-run_test() { (cd "$tree" && timeout "$timeout_s" cargo test -q "$@") </dev/null >"$work/test.log" 2>&1; }
+run_test() {
+    local limit=$timeout_s
+    [[ $1 == hang ]] && limit=$hang_timeout_s
+    shift
+    (cd "$tree" && timeout "$limit" cargo test -q "$@") </dev/null >"$work/test.log" 2>&1
+}
 
 echo "plants: every named test must pass unplanted"
-while read -r test; do
+while IFS=$'\t' read -r test flag; do
     # shellcheck disable=SC2086 # the field is a list of cargo arguments
-    build_test $test && run_test $test \
+    build_test $test && run_test "$flag" $test \
         || { tail -n 20 "$work/test.log"; echo "plants: '$test' fails unplanted"; exit 1; }
-done < <(cut -f4 <<<"$lines" | sort -u)
+done < <(cut -f4,5 <<<"$lines" | sort -u)
 
 caught=0 failed=0
 while IFS=$'\t' read -r file from to test flag; do
@@ -69,7 +79,7 @@ while IFS=$'\t' read -r file from to test flag; do
         else
             rc=0
             # shellcheck disable=SC2086
-            run_test $test || rc=$?
+            run_test "$flag" $test || rc=$?
             if [[ $rc == 124 ]]; then
                 [[ $flag == hang ]] && status=caught || status="survived (timed out)"
             elif [[ $rc != 0 ]]; then
