@@ -28,6 +28,10 @@ pub fn run(run: &mut Run) {
         "update rel. error",
     ]);
     let sizes: &[usize] = if run.smoke { &[64, 128, 256] } else { &[64, 128, 256, 512, 1024] };
+    // Sizes whose forward / backward / update op counts are not 1 / 1 /
+    // one per update call: the O(1) headline, asserted.
+    let mut off_counts: Vec<String> = Vec::new();
+    let reps = 50u64;
     for &n in sizes {
         let spec = devices::ideal(4000);
         let mut tile = AnalogTile::new(n, n, &spec, TileConfig::ideal(), &mut rng);
@@ -49,7 +53,6 @@ pub fn run(run: &mut Run) {
         tile.backward_into(&d, &mut vec![0.0f32; n]);
         let before = tile.weights();
         let lr = 0.001;
-        let reps = 50u64;
         for _ in 0..reps {
             tile.update(&d, &x, lr);
         }
@@ -68,6 +71,10 @@ pub fn run(run: &mut Run) {
         let rel_err = (err_num / err_den.max(1e-30)).sqrt();
 
         let s = tile.stats();
+        if (s.forward_ops, s.backward_ops, s.update_ops) != (1, 1, reps) {
+            let counts = format!("{}/{}/{}", s.forward_ops, s.backward_ops, s.update_ops);
+            off_counts.push(format!("{n} x {n}: {counts} for 1/1/{reps}"));
+        }
         let pulses_per_device = s.pulses as f64 / (n as f64 * (n + 1) as f64) / s.update_ops as f64;
         table.row_owned(vec![
             format!("{n} x {n}"),
@@ -80,6 +87,12 @@ pub fn run(run: &mut Run) {
         ]);
     }
     run.emit(&table);
+    let detail = if off_counts.is_empty() {
+        format!("fwd/bwd/upd ops 1/1/{reps} at all {} sizes", sizes.len())
+    } else {
+        off_counts.join("; ")
+    };
+    run.gate("one_crossbar_op_per_cycle_at_every_size", off_counts.is_empty(), detail);
 
     // Ablation: pulse-train length vs update fidelity. Longer trains
     // average out coincidence noise at linear cost in update latency.

@@ -19,8 +19,8 @@ mod json;
 mod run;
 
 use enw_bench::alloc_audit::CountingAlloc;
-use enw_core::EnwError;
 use run::Run;
+use std::fmt;
 use std::process::ExitCode;
 
 /// E21 measures allocations, so the whole binary runs on the counting
@@ -119,12 +119,20 @@ const GATE_SET: [&str; 19] = [
 
 const USAGE: &str = "usage: enw list | enw run <ID>... [--smoke] | enw gate";
 
+/// An experiment id the table does not list.
+#[derive(Debug, PartialEq)]
+struct UnknownExperiment(String);
+
+impl fmt::Display for UnknownExperiment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown experiment id {} (see `enw list`)", self.0)
+    }
+}
+
 /// Runs one experiment and returns it with its recorded gates.
-fn run_one(id: &str, smoke: bool) -> Result<Run, EnwError> {
-    let entry = TABLE
-        .iter()
-        .find(|e| e.id == id)
-        .ok_or_else(|| EnwError::UnknownExperiment { id: id.to_string() })?;
+fn run_one(id: &str, smoke: bool) -> Result<Run, UnknownExperiment> {
+    let entry =
+        TABLE.iter().find(|e| e.id == id).ok_or_else(|| UnknownExperiment(id.to_string()))?;
     let mut run = Run::start(entry, smoke);
     // Experiments share this process: a trace mode one of them switches
     // on (E17 does) must not leak into the next.
@@ -259,7 +267,7 @@ mod tests {
     #[test]
     fn unknown_id_is_a_typed_error_and_a_failing_exit() {
         let err = run_one("E99", false).err();
-        assert_eq!(err, Some(EnwError::UnknownExperiment { id: "E99".into() }));
+        assert_eq!(err, Some(UnknownExperiment("E99".into())));
         assert_eq!(cli(&["run".to_string(), "E99".to_string()]), ExitCode::FAILURE);
         assert_eq!(cli(&["run".to_string()]), ExitCode::from(2));
     }

@@ -11,9 +11,9 @@
 //!   parallel search (the LSH-MANN mode of ref. \[9\]).
 
 use crate::cells::CellTech;
-use crate::error::{check, CamError};
 use enw_mann::encoding::TernaryWord;
 use enw_numerics::bits::{nearest_hamming, BitVec};
+use enw_numerics::error::{check, ConfigError};
 use enw_xmann::cost::Cost;
 
 /// Geometry and segmentation of a TCAM array. Write it as a struct
@@ -36,7 +36,7 @@ impl TcamConfig {
     /// Checks the geometry: at least one match-line segment.
     /// [`TcamArray::new`] and [`TcamBank::new`](crate::bank::TcamBank::new)
     /// panic on what this rejects.
-    pub fn validate(&self) -> Result<(), CamError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.segments > 0, "segments must be at least 1")
     }
 }

@@ -41,12 +41,10 @@ pub mod array;
 pub mod bank;
 pub mod baseline;
 pub mod cells;
-pub mod error;
 pub mod lsh_memory;
 
 pub use array::{NearestHit, TcamArray, TcamConfig};
 pub use bank::TcamBank;
 pub use baseline::{compare_search, gpu_search_cost, SearchComparison};
 pub use cells::CellTech;
-pub use error::CamError;
 pub use lsh_memory::TcamKeyValueMemory;

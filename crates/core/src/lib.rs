@@ -55,9 +55,7 @@ pub use enw_serve as serve;
 pub use enw_trace as trace;
 pub use enw_xmann as xmann;
 
-pub mod error;
 pub mod report;
 pub mod tunable;
 
-pub use error::EnwError;
 pub use tunable::{AxisDomain, AxisSpec, AxisValue, ParamSpace, Point, Tunable, TunableError};

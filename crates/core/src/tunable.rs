@@ -21,8 +21,8 @@
 //!   container (`clippy.toml` bans the hash collections).
 //! * [`Tunable::decode`] is *total on in-bounds points*: bounds are
 //!   validated here, cross-field constraints by the config's own
-//!   `validate`, and both failure paths return typed errors through
-//!   [`EnwError`].
+//!   `validate`, and both failure paths return a [`TunableError`] (the
+//!   second as [`TunableError::Config`]).
 //!   `step` is search granularity (grid spacing, neighbor stride), not a
 //!   decode constraint — off-step in-bounds values decode fine.
 //! * Lossy families are allowed: a config whose shape exceeds the family
@@ -30,12 +30,10 @@
 //!   The invariant property tests assert is `decode(encode(c)) == c` for
 //!   every `c = decode(p)` — the family is closed under round-trip.
 
-use crate::error::EnwError;
 use enw_cam::array::TcamConfig;
 use enw_crossbar::noise::AnalogNoise;
 use enw_crossbar::tile::{TileConfig, UpdateScheme};
-use enw_mann::embedding::EmbeddingConfig;
-use enw_nn::mlp::SgdConfig;
+use enw_numerics::error::ConfigError;
 use enw_numerics::rng::Rng64;
 use enw_recsys::model::{Interaction, RecModelConfig};
 use enw_serve::policy::BatchPolicy;
@@ -192,8 +190,9 @@ impl Point {
     }
 }
 
-/// Why a point could not be interpreted in a parameter space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a point could not be interpreted in a parameter space, or
+/// decoded to a valid config.
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TunableError {
     /// The point has no value for a declared axis.
@@ -216,6 +215,9 @@ pub enum TunableError {
         /// The violated axis.
         axis: &'static str,
     },
+    /// The point is in bounds but the decoded config fails its own
+    /// `validate`.
+    Config(ConfigError),
 }
 
 impl fmt::Display for TunableError {
@@ -225,11 +227,18 @@ impl fmt::Display for TunableError {
             TunableError::UnknownAxis { axis } => write!(f, "unknown axis {axis}"),
             TunableError::WrongKind { axis } => write!(f, "wrong value kind on axis {axis}"),
             TunableError::OutOfBounds { axis } => write!(f, "value out of bounds on axis {axis}"),
+            TunableError::Config(e) => e.fmt(f),
         }
     }
 }
 
 impl Error for TunableError {}
+
+impl From<ConfigError> for TunableError {
+    fn from(e: ConfigError) -> Self {
+        TunableError::Config(e)
+    }
+}
 
 /// An ordered set of tunable axes.
 #[derive(Debug, Clone, PartialEq)]
@@ -423,7 +432,7 @@ pub trait Tunable: Sized {
     /// The configuration at `point`, validated first against
     /// [`space`](Tunable::space) bounds and then by the config's own
     /// `validate` for cross-field constraints.
-    fn decode(point: &Point) -> Result<Self, EnwError>;
+    fn decode(point: &Point) -> Result<Self, TunableError>;
 }
 
 // --- implementations -----------------------------------------------------
@@ -471,7 +480,7 @@ impl Tunable for TileConfig {
         ])
     }
 
-    fn decode(point: &Point) -> Result<Self, EnwError> {
+    fn decode(point: &Point) -> Result<Self, TunableError> {
         Self::space().validate(point)?;
         let dac_bits = point.int("dac_bits")?;
         let adc_bits = point.int("adc_bits")?;
@@ -522,7 +531,7 @@ impl Tunable for XmannConfig {
         ])
     }
 
-    fn decode(point: &Point) -> Result<Self, EnwError> {
+    fn decode(point: &Point) -> Result<Self, TunableError> {
         Self::space().validate(point)?;
         let cfg = XmannConfig {
             tile_rows: point.int("tile_rows")? as usize,
@@ -547,90 +556,9 @@ impl Tunable for TcamConfig {
         Point::new(vec![("segments", AxisValue::Int(self.segments as i64))])
     }
 
-    fn decode(point: &Point) -> Result<Self, EnwError> {
+    fn decode(point: &Point) -> Result<Self, TunableError> {
         Self::space().validate(point)?;
         let cfg = TcamConfig { segments: point.int("segments")? as usize };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-}
-
-impl Tunable for SgdConfig {
-    fn space() -> ParamSpace {
-        ParamSpace::new(vec![
-            AxisSpec { name: "epochs", domain: AxisDomain::Int { min: 1, max: 200, step: 1 } },
-            AxisSpec {
-                name: "learning_rate",
-                domain: AxisDomain::Real { min: 0.005, max: 0.5, step: 0.005 },
-            },
-        ])
-    }
-
-    fn encode(&self) -> Point {
-        Point::new(vec![
-            ("epochs", AxisValue::Int(self.epochs as i64)),
-            ("learning_rate", AxisValue::Real(f64::from(self.learning_rate))),
-        ])
-    }
-
-    fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point)?;
-        let cfg = SgdConfig {
-            epochs: point.int("epochs")? as usize,
-            learning_rate: point.real("learning_rate")? as f32,
-        };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-}
-
-impl Tunable for EmbeddingConfig {
-    fn space() -> ParamSpace {
-        ParamSpace::new(vec![
-            // One-hidden-layer family: multi-layer stacks encode their
-            // first width (see module conventions on lossy families).
-            AxisSpec {
-                name: "hidden_width",
-                domain: AxisDomain::Int { min: 16, max: 256, step: 16 },
-            },
-            AxisSpec { name: "embed_dim", domain: AxisDomain::Int { min: 8, max: 128, step: 8 } },
-            AxisSpec {
-                name: "background_classes",
-                domain: AxisDomain::Int { min: 2, max: 50, step: 2 },
-            },
-            AxisSpec {
-                name: "samples_per_class",
-                domain: AxisDomain::Int { min: 1, max: 100, step: 5 },
-            },
-            AxisSpec { name: "epochs", domain: AxisDomain::Int { min: 1, max: 50, step: 1 } },
-            AxisSpec {
-                name: "learning_rate",
-                domain: AxisDomain::Real { min: 0.005, max: 0.5, step: 0.005 },
-            },
-        ])
-    }
-
-    fn encode(&self) -> Point {
-        Point::new(vec![
-            ("hidden_width", AxisValue::Int(self.hidden.first().map_or(64, |&w| w as i64))),
-            ("embed_dim", AxisValue::Int(self.embed_dim as i64)),
-            ("background_classes", AxisValue::Int(self.background_classes as i64)),
-            ("samples_per_class", AxisValue::Int(self.samples_per_class as i64)),
-            ("epochs", AxisValue::Int(self.epochs as i64)),
-            ("learning_rate", AxisValue::Real(f64::from(self.learning_rate))),
-        ])
-    }
-
-    fn decode(point: &Point) -> Result<Self, EnwError> {
-        Self::space().validate(point)?;
-        let cfg = EmbeddingConfig {
-            hidden: vec![point.int("hidden_width")? as usize],
-            embed_dim: point.int("embed_dim")? as usize,
-            background_classes: point.int("background_classes")? as usize,
-            samples_per_class: point.int("samples_per_class")? as usize,
-            epochs: point.int("epochs")? as usize,
-            learning_rate: point.real("learning_rate")? as f32,
-        };
         cfg.validate()?;
         Ok(cfg)
     }
@@ -690,7 +618,7 @@ impl Tunable for RecModelConfig {
         ])
     }
 
-    fn decode(point: &Point) -> Result<Self, EnwError> {
+    fn decode(point: &Point) -> Result<Self, TunableError> {
         Self::space().validate(point)?;
         let embedding_dim = point.int("embedding_dim")? as usize;
         let (rows, lookups) = (point.int("rows")? as usize, point.int("lookups")? as usize);
@@ -730,7 +658,7 @@ impl Tunable for BatchPolicy {
         ])
     }
 
-    fn decode(point: &Point) -> Result<Self, EnwError> {
+    fn decode(point: &Point) -> Result<Self, TunableError> {
         Self::space().validate(point)?;
         let policy = BatchPolicy {
             max_batch: point.int("max_batch")? as usize,
@@ -844,10 +772,6 @@ mod tests {
         assert_eq!(XmannConfig::decode(&x.encode()).unwrap(), x);
         let c = TcamConfig::default();
         assert_eq!(TcamConfig::decode(&c.encode()).unwrap(), c);
-        let s = SgdConfig::default();
-        assert_eq!(SgdConfig::decode(&s.encode()).unwrap(), s);
-        let e = EmbeddingConfig::default();
-        assert_eq!(EmbeddingConfig::decode(&e.encode()).unwrap(), e);
         let m = RecModelConfig::memory_bound();
         assert_eq!(RecModelConfig::decode(&m.encode()).unwrap(), m);
         let b = BatchPolicy { max_batch: 8, max_wait_ns: 200_000, queue_cap: 32 };
@@ -857,8 +781,6 @@ mod tests {
         assert_eq!(TileConfig::ideal().validate(), Ok(()));
         assert_eq!(x.validate(), Ok(()));
         assert_eq!(c.validate(), Ok(()));
-        assert_eq!(s.validate(), Ok(()));
-        assert_eq!(e.validate(), Ok(()));
         assert_eq!(m.validate(), Ok(()));
         assert_eq!(RecModelConfig::compute_bound().validate(), Ok(()));
         assert_eq!(b.validate(), Ok(()));
@@ -884,7 +806,7 @@ mod tests {
             ("max_wait_ns", AxisValue::Int(0)),
             ("queue_cap", AxisValue::Int(1)),
         ]);
-        assert!(matches!(BatchPolicy::decode(&p), Err(EnwError::Serve(_))));
+        assert!(matches!(BatchPolicy::decode(&p), Err(TunableError::Config(_))));
     }
 
     #[test]
@@ -892,7 +814,7 @@ mod tests {
         let p = XmannConfig::default().encode().with("tile_rows", AxisValue::Int(4096));
         assert!(matches!(
             XmannConfig::decode(&p),
-            Err(EnwError::Tunable(TunableError::OutOfBounds { axis: "tile_rows" }))
+            Err(TunableError::OutOfBounds { axis: "tile_rows" })
         ));
     }
 

@@ -61,7 +61,6 @@
 pub mod array;
 pub mod device;
 pub mod devices;
-pub mod error;
 pub mod inference;
 pub mod noise;
 pub mod pipeline;
@@ -72,7 +71,6 @@ pub mod train;
 
 pub use array::AnalogArray;
 pub use device::{DeviceSpec, PulseDir, PulsedDevice};
-pub use error::CrossbarError;
 pub use noise::AnalogNoise;
 pub use tiki_taka::{TikiTakaConfig, TikiTakaTile};
 pub use tile::{AnalogTile, TileConfig, UpdateScheme};

@@ -29,12 +29,12 @@
 //! this end to end).
 
 use crate::device::DeviceSpec;
-use crate::error::CrossbarError;
 use crate::tile::{TileConfig, TileStats};
 use crate::tiled::{TiledAnalogLayer, TilingConfig};
 use enw_nn::conv::{ConvNet, ConvNetConfig};
 use enw_nn::data::Dataset;
 use enw_nn::snapshot::{check_dim, SnapshotError, StateReader, StateWriter};
+use enw_numerics::error::{check, ConfigError};
 use enw_numerics::rng::{Rng64, RngState};
 
 /// One analog tile read cycle (forward or backward) in virtual
@@ -96,19 +96,14 @@ impl AnalogPipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::InvalidConfig`] if the dataset is empty
-    /// or the architecture/tiling is degenerate.
-    pub fn new(cfg: &PipelineConfig, data: &Dataset) -> Result<Self, CrossbarError> {
-        if data.is_empty() {
-            return Err(CrossbarError::InvalidConfig {
-                reason: "pipeline needs a non-empty dataset",
-            });
-        }
-        if cfg.net.input.len() != data.input(0).len() {
-            return Err(CrossbarError::InvalidConfig {
-                reason: "dataset sample size does not match the network input shape",
-            });
-        }
+    /// Returns a [`ConfigError`] if the dataset is empty or the
+    /// architecture/tiling is degenerate.
+    pub fn new(cfg: &PipelineConfig, data: &Dataset) -> Result<Self, ConfigError> {
+        check(!data.is_empty(), "pipeline needs a non-empty dataset")?;
+        check(
+            cfg.net.input.len() == data.input(0).len(),
+            "dataset sample size does not match the network input shape",
+        )?;
         let mut rng = Rng64::new(cfg.seed);
         let (spec, tile, tiling) = (&cfg.spec, cfg.tile, cfg.tiling);
         let net = ConvNet::try_with_backends(&cfg.net, &mut rng, |in_dim, out_dim, rng| {
@@ -355,10 +350,7 @@ mod tests {
         let data = small_data(12);
         let mut cfg = small_cfg(1);
         cfg.net.input = MapShape { channels: 1, height: 10, width: 10 };
-        assert!(matches!(
-            AnalogPipeline::new(&cfg, &data),
-            Err(CrossbarError::InvalidConfig { .. })
-        ));
+        assert!(AnalogPipeline::new(&cfg, &data).is_err());
     }
 
     #[test]

@@ -38,9 +38,9 @@
 
 use crate::array::AnalogArray;
 use crate::device::{DeviceSpec, PulseDir};
-use crate::error::{check, CrossbarError};
 use crate::noise::AnalogNoise;
 use enw_nn::backend::LinearBackend;
+use enw_numerics::error::{check, ConfigError};
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::{Rng64, RngState};
 
@@ -106,7 +106,7 @@ impl TileConfig {
 
     /// Checks the configuration: a pulse train of at least one pulse and
     /// a drop-connect probability in `[0, 1)`.
-    pub fn validate(&self) -> Result<(), CrossbarError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         let pulses = !matches!(self.update, UpdateScheme::StochasticPulse { bl: 0 });
         check(pulses, "pulse-train length bl must be at least 1")?;
         check((0.0..1.0).contains(&self.drop_connect), "drop_connect must lie in [0, 1)")
@@ -920,11 +920,11 @@ mod tests {
     #[test]
     fn builder_rejects_invalid_configs() {
         let err = TileConfig { drop_connect: 1.5, ..TileConfig::default() }.validate();
-        assert!(matches!(err, Err(CrossbarError::InvalidConfig { .. })), "{err:?}");
+        assert!(err.is_err(), "{err:?}");
         let err =
             TileConfig { update: UpdateScheme::StochasticPulse { bl: 0 }, ..TileConfig::default() }
                 .validate();
-        assert!(matches!(err, Err(CrossbarError::InvalidConfig { .. })), "{err:?}");
+        assert!(err.is_err(), "{err:?}");
     }
 
     #[test]

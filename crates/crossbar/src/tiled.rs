@@ -36,10 +36,10 @@
 //! restored layer continues bit-identically to an uninterrupted run.
 
 use crate::device::DeviceSpec;
-use crate::error::CrossbarError;
 use crate::tile::{AnalogTile, TileConfig, TileStats};
 use enw_nn::backend::LinearBackend;
 use enw_nn::snapshot::{check_dim, SnapshotError, StateReader, StateWriter};
+use enw_numerics::error::{check, ConfigError};
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::{Rng64, RngState};
 
@@ -128,8 +128,8 @@ impl TiledAnalogLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::InvalidConfig`] if either layer
-    /// dimension or either tiling dimension is zero.
+    /// Returns a [`ConfigError`] if either layer dimension or either
+    /// tiling dimension is zero.
     pub fn new(
         out_dim: usize,
         in_dim: usize,
@@ -137,17 +137,12 @@ impl TiledAnalogLayer {
         cfg: TileConfig,
         tiling: TilingConfig,
         rng: &mut Rng64,
-    ) -> Result<Self, CrossbarError> {
-        if out_dim == 0 || in_dim == 0 {
-            return Err(CrossbarError::InvalidConfig {
-                reason: "tiled layer dimensions must be non-zero",
-            });
-        }
-        if tiling.tile_rows == 0 || tiling.tile_cols == 0 {
-            return Err(CrossbarError::InvalidConfig {
-                reason: "tile grid dimensions must be non-zero",
-            });
-        }
+    ) -> Result<Self, ConfigError> {
+        check(out_dim > 0 && in_dim > 0, "tiled layer dimensions must be non-zero")?;
+        check(
+            tiling.tile_rows > 0 && tiling.tile_cols > 0,
+            "tile grid dimensions must be non-zero",
+        )?;
         let grid_rows = out_dim.div_ceil(tiling.tile_rows);
         let grid_cols = in_dim.div_ceil(tiling.tile_cols);
         let mut cells = Vec::with_capacity(grid_rows * grid_cols);
@@ -409,7 +404,7 @@ mod tests {
             TilingConfig::default(),
             &mut rng,
         );
-        assert!(matches!(bad_dim, Err(CrossbarError::InvalidConfig { .. })));
+        assert!(bad_dim.is_err());
         let bad_tile = TiledAnalogLayer::new(
             4,
             4,
@@ -418,7 +413,7 @@ mod tests {
             TilingConfig { tile_rows: 0, tile_cols: 8 },
             &mut rng,
         );
-        assert!(matches!(bad_tile, Err(CrossbarError::InvalidConfig { .. })));
+        assert!(bad_tile.is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! `calm_epochs_to_downscale` consecutive epochs, so one quiet epoch in
 //! a diurnal trough cannot flap the fleet.
 
-use crate::error::{check, FleetError};
+use enw_numerics::error::{check, ConfigError};
 
 /// Scaling thresholds and pacing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,7 +47,7 @@ impl AutoscalePolicy {
     /// Checks internal consistency: bounds in order, a positive epoch and
     /// SLO, queue fractions with `0 < down <= up <= 1`, and at least one
     /// calm epoch before a downscale.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.min_replicas >= 1, "a lane cannot run on zero replicas")?;
         check(self.min_replicas <= self.max_replicas, "min_replicas exceeds max_replicas")?;
         check(self.epoch_ns > 0, "control epoch must be positive")?;

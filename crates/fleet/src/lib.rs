@@ -35,7 +35,6 @@
 //! in line, and thread count cannot reach the results.
 
 pub mod autoscale;
-pub mod error;
 pub mod presets;
 pub mod ring;
 pub mod shard;
@@ -43,7 +42,6 @@ pub mod sim;
 pub mod traffic;
 
 pub use autoscale::{AutoscalePolicy, Autoscaler, EpochSignals, ScaleDecision};
-pub use error::FleetError;
 pub use ring::HashRing;
 pub use shard::{BatchCost, RebalanceCost, ShardScheme, ShardSpec, ShardedStore};
 pub use sim::{try_run, Fleet, FleetReport, FleetSpec, LaneReport, LaneSpec, ShardReport};

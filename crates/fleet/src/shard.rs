@@ -17,8 +17,8 @@
 //! cold shards get a single owner, and the store reports how many bytes
 //! a real cluster would have copied.
 
-use crate::error::{check, FleetError};
 use crate::ring::{key_point, HashRing};
+use enw_numerics::error::{check, ConfigError};
 use enw_numerics::rng::Rng64;
 use enw_recsys::cache::{CacheStats, EmbeddingCache};
 use enw_recsys::EmbeddingTable;
@@ -80,7 +80,7 @@ impl ShardSpec {
     /// `1..=rows` shards, a replication factor and cache capacity of at
     /// least 1, `hot_fraction` in `[0, 1]`, and counts that fit the
     /// 32-bit keys the store indexes by.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.tables > 0, "a store needs at least one table")?;
         check(self.rows_per_table > 0 && self.dim > 0, "tables must be non-empty")?;
         check(self.lookups_per_table > 0, "queries must look something up")?;

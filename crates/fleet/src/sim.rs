@@ -31,11 +31,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::autoscale::{AutoscalePolicy, Autoscaler, EpochSignals, ScaleDecision};
-use crate::error::FleetError;
 use crate::ring::{key_point, HashRing};
 use crate::shard::{ShardSpec, ShardedStore};
 use crate::traffic::FleetRequest;
-use enw_serve::{BatchPolicy, ServiceModel, StationMetrics, VirtualClock};
+use enw_numerics::error::{check, ConfigError};
+use enw_serve::{check_trace, BatchPolicy, ServeError, ServiceModel, StationMetrics, VirtualClock};
 use enw_trace::Histogram;
 
 /// Probe keys hashed to price a membership change (`keys_moved` is the
@@ -412,41 +412,32 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::NoLanes`] for an empty spec and
-    /// [`FleetError::InvalidSpec`] when a lane's batch policy, its
-    /// autoscale policy or the store spec does not validate, or replica
-    /// bounds or store/lane wiring are inconsistent.
-    pub fn try_new(spec: FleetSpec) -> Result<Fleet, FleetError> {
-        if spec.lanes.is_empty() {
-            return Err(FleetError::NoLanes);
-        }
+    /// Returns a [`ConfigError`] for an empty spec, and when a lane's
+    /// batch policy, its autoscale policy or the store spec does not
+    /// validate, or replica bounds or store/lane wiring are inconsistent.
+    pub fn try_new(spec: FleetSpec) -> Result<Fleet, ConfigError> {
+        check(!spec.lanes.is_empty(), "a fleet needs at least one lane")?;
         let sharded: Vec<usize> =
             spec.lanes.iter().enumerate().filter_map(|(i, l)| l.sharded.then_some(i)).collect();
-        match (spec.store.is_some(), sharded.len()) {
-            (true, 1) | (false, 0) => {}
-            (true, n) => {
-                return Err(FleetError::InvalidSpec {
-                    reason: format!("a store needs exactly one sharded lane, found {n}"),
-                })
-            }
-            (false, _) => {
-                return Err(FleetError::InvalidSpec {
-                    reason: "sharded lanes need a store spec".to_string(),
-                })
-            }
+        check(spec.store.is_some() || sharded.is_empty(), "sharded lanes need a store spec")?;
+        if spec.store.is_some() && sharded.len() != 1 {
+            let reason = format!("a store needs exactly one sharded lane, found {}", sharded.len());
+            return Err(ConfigError { reason: reason.into() });
         }
         for l in &spec.lanes {
             let a = &l.autoscale;
-            let lane_error =
-                |e| FleetError::InvalidSpec { reason: format!("lane {}: {e}", l.name) };
+            let lane_error = |e: ConfigError| ConfigError {
+                reason: format!("lane {}: {}", l.name, e.reason).into(),
+            };
             l.policy.validate().map_err(lane_error)?;
             a.validate()?;
             if l.initial_replicas < a.min_replicas || l.initial_replicas > a.max_replicas {
-                return Err(FleetError::InvalidSpec {
+                return Err(ConfigError {
                     reason: format!(
                         "lane {}: {} initial replicas outside [{}, {}]",
                         l.name, l.initial_replicas, a.min_replicas, a.max_replicas
-                    ),
+                    )
+                    .into(),
                 });
             }
         }
@@ -468,24 +459,12 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::UnsortedTrace`] or
-    /// [`FleetError::UnknownLane`] when the trace does not fit this
-    /// fleet; the fleet itself is consumed either way.
-    pub fn try_run(mut self, trace: &[FleetRequest]) -> Result<FleetReport, FleetError> {
-        for (i, w) in trace.windows(2).enumerate() {
-            if let [a, b] = w {
-                if a.arrival_ns > b.arrival_ns {
-                    return Err(FleetError::UnsortedTrace { position: i + 1 });
-                }
-            }
-        }
-        if let Some(r) = trace.iter().find(|r| r.lane >= self.lanes.len()) {
-            return Err(FleetError::UnknownLane {
-                request: r.id,
-                lane: r.lane,
-                lanes: self.lanes.len(),
-            });
-        }
+    /// Returns [`ServeError::UnsortedTrace`] or
+    /// [`ServeError::UnknownStation`] (a station is a lane here) when the
+    /// trace does not fit this fleet, by `enw-serve`'s own trace check;
+    /// the fleet itself is consumed either way.
+    pub fn try_run(mut self, trace: &[FleetRequest]) -> Result<FleetReport, ServeError> {
+        check_trace(trace.iter().map(|r| (r.id, r.arrival_ns, r.lane)), self.lanes.len())?;
 
         let mut clock = VirtualClock::new();
         let mut next_arrival = 0usize;
@@ -725,7 +704,7 @@ impl Fleet {
 /// # Errors
 ///
 /// Propagates [`Fleet::try_new`] and [`Fleet::try_run`] errors.
-pub fn try_run(spec: FleetSpec, trace: &[FleetRequest]) -> Result<FleetReport, FleetError> {
+pub fn try_run(spec: FleetSpec, trace: &[FleetRequest]) -> Result<FleetReport, ServeError> {
     Fleet::try_new(spec)?.try_run(trace)
 }
 
@@ -1048,15 +1027,13 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected() {
-        assert!(matches!(
-            try_run(FleetSpec { lanes: vec![], store: None, seed: 0 }, &[]),
-            Err(FleetError::NoLanes)
-        ));
+        let no_lanes = Fleet::try_new(FleetSpec { lanes: vec![], store: None, seed: 0 }).err();
+        assert!(matches!(no_lanes, Some(ConfigError { reason }) if reason.contains("one lane")));
         let no_store = FleetSpec { lanes: vec![sharded_lane(4)], store: None, seed: 0 };
-        assert!(matches!(try_run(no_store, &[]), Err(FleetError::InvalidSpec { .. })));
+        assert!(matches!(try_run(no_store, &[]), Err(ServeError::Config(_))));
         let mut bad_initial = spec(4);
         bad_initial.lanes[0].initial_replicas = 9;
-        assert!(matches!(try_run(bad_initial, &[]), Err(FleetError::InvalidSpec { .. })));
+        assert!(matches!(try_run(bad_initial, &[]), Err(ServeError::Config(_))));
         // Accepted, case 0 hangs `try_run` (an empty batch closes forever)
         // and cases 2 and 3 panic inside `try_new`.
         let mut cases = vec![spec(4), spec(4), spec(4), spec(4)];
@@ -1081,7 +1058,7 @@ mod tests {
         }
         for (i, bad) in cases.into_iter().enumerate() {
             let err = Fleet::try_new(bad).err();
-            assert!(matches!(err, Some(FleetError::InvalidSpec { .. })), "case {i}: {err:?}");
+            assert!(err.is_some(), "case {i}: {err:?}");
         }
         // Every other store rule, checked without building the store: the
         // last two would size tables of 2^32 rows.
@@ -1099,7 +1076,7 @@ mod tests {
         for (i, break_rule) in store_rules.into_iter().enumerate() {
             let mut bad = store();
             break_rule(&mut bad);
-            assert!(matches!(bad.validate(), Err(FleetError::InvalidSpec { .. })), "rule {i}");
+            assert!(bad.validate().is_err(), "rule {i}");
         }
     }
 
@@ -1107,8 +1084,11 @@ mod tests {
     fn bad_traces_are_rejected() {
         let mut t = trace(50_000.0, 5_000_000, 7);
         t.swap(0, 1);
-        assert!(matches!(try_run(spec(4), &t), Err(FleetError::UnsortedTrace { position: 1 })));
+        assert!(matches!(try_run(spec(4), &t), Err(ServeError::UnsortedTrace { position: 1 })));
         let stray = vec![FleetRequest { id: 0, lane: 7, user: 1, arrival_ns: 10, deadline_ns: 20 }];
-        assert!(matches!(try_run(spec(4), &stray), Err(FleetError::UnknownLane { lane: 7, .. })));
+        assert!(matches!(
+            try_run(spec(4), &stray),
+            Err(ServeError::UnknownStation { station: 7, .. })
+        ));
     }
 }

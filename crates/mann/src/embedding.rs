@@ -8,13 +8,13 @@
 //! nearest-neighbour search in that embedding space, which is what makes
 //! the evaluation genuinely "few-shot".
 
-use crate::error::{check, MannError};
 use enw_nn::activation::Activation;
 use enw_nn::conv::{ConvNet, ConvNetConfig, MapShape};
 use enw_nn::data::Dataset;
 use enw_nn::fewshot::FewShotDomain;
 use enw_nn::mlp::{Mlp, SgdConfig};
 use enw_nn::DigitalLinear;
+use enw_numerics::error::{check, ConfigError};
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
 
@@ -67,7 +67,7 @@ impl EmbeddingConfig {
     /// Checks the setup: non-zero widths, at least two background
     /// classes to hold out against, non-empty classes and a schedule
     /// that trains. Both `train`s panic on what this rejects.
-    pub fn validate(&self) -> Result<(), MannError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.embed_dim > 0, "embed_dim must be non-zero")?;
         check(!self.hidden.contains(&0), "hidden widths must be non-zero")?;
         check(self.background_classes >= 2, "background_classes must be at least 2")?;

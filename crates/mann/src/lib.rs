@@ -34,12 +34,10 @@
 
 pub mod embedding;
 pub mod encoding;
-pub mod error;
 pub mod fewshot;
 pub mod lsh;
 pub mod memory;
 
 pub use embedding::{ConvEmbeddingNet, Embedder, EmbeddingConfig, EmbeddingNet};
-pub use error::MannError;
 pub use fewshot::{FewShotOutcome, SearchMethod};
 pub use memory::{DifferentiableMemory, Similarity};

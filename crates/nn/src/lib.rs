@@ -57,7 +57,6 @@ pub mod activation;
 pub mod backend;
 pub mod conv;
 pub mod data;
-pub mod error;
 pub mod fewshot;
 pub mod layer;
 pub mod loss;
@@ -67,7 +66,6 @@ pub mod snapshot;
 
 pub use activation::Activation;
 pub use backend::{DigitalLinear, LinearBackend};
-pub use error::NnError;
 pub use mlp::{Mlp, SgdConfig};
 
 /// Reads into fresh buffers for the unit tests, through the backend's

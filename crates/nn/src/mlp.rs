@@ -9,9 +9,9 @@
 use crate::activation::Activation;
 use crate::backend::{DigitalLinear, LinearBackend};
 use crate::data::Dataset;
-use crate::error::{check, NnError};
 use crate::layer::DenseLayer;
 use crate::loss::softmax_cross_entropy_into;
+use enw_numerics::error::{check, ConfigError};
 use enw_numerics::packed::PackedMatvec;
 use enw_numerics::rng::Rng64;
 use enw_numerics::vector::argmax;
@@ -35,7 +35,7 @@ impl Default for SgdConfig {
 impl SgdConfig {
     /// Checks the schedule: at least one epoch and a finite, positive
     /// step size.
-    pub fn validate(&self) -> Result<(), NnError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.epochs > 0, "epochs must be at least 1")?;
         let lr = self.learning_rate;
         check(lr.is_finite() && lr > 0.0, "learning_rate must be finite and positive")

@@ -25,6 +25,8 @@
 //!   cosine similarity, distance metrics.
 //! * [`quant`] — symmetric fixed-point quantization with optional stochastic
 //!   rounding, as used for reduced-precision inference and TCAM encodings.
+//! * [`error`] — [`error::ConfigError`] and [`error::check`], the one
+//!   rejection every simulator crate's config `validate` returns.
 //! * [`bits`] — packed bit vectors with fast Hamming distance (the native
 //!   metric of content-addressable memories).
 //! * [`stats`] — streaming statistics (Welford) and percentile helpers used
@@ -45,6 +47,7 @@
 //! ```
 
 pub mod bits;
+pub mod error;
 pub mod matrix;
 pub mod packed;
 pub mod quant;

@@ -14,11 +14,6 @@ pub enum RecsysError {
         /// The SLA bound that cannot be met (seconds).
         sla_seconds: f64,
     },
-    /// A model configuration failed validation.
-    InvalidConfig {
-        /// Which constraint was violated.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for RecsysError {
@@ -30,19 +25,11 @@ impl fmt::Display for RecsysError {
             RecsysError::InfeasibleSla { sla_seconds } => {
                 write!(f, "even batch 1 misses the {sla_seconds} s SLA")
             }
-            RecsysError::InvalidConfig { reason } => {
-                write!(f, "invalid model configuration: {reason}")
-            }
         }
     }
 }
 
 impl Error for RecsysError {}
-
-/// `Ok` when `ok` holds, else the configuration error naming `reason`.
-pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), RecsysError> {
-    ok.then_some(()).ok_or(RecsysError::InvalidConfig { reason })
-}
 
 #[cfg(test)]
 mod tests {
@@ -52,9 +39,6 @@ mod tests {
     fn displays_name_the_cause() {
         assert!(RecsysError::ZeroBatchCap.to_string().contains("zero"));
         assert!(RecsysError::InfeasibleSla { sla_seconds: 0.5 }.to_string().contains("0.5"));
-        assert!(RecsysError::InvalidConfig { reason: "dense_features must be > 0" }
-            .to_string()
-            .contains("dense_features"));
     }
 
     #[test]

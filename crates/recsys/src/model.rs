@@ -7,12 +7,12 @@
 //! top/predictor MLP whose sigmoid output is the predicted
 //! click-through-rate.
 
-use crate::error::{check, RecsysError};
 use crate::rows::AlignedRows;
 use crate::trace::SparseQuery;
 use enw_nn::activation::Activation;
 use enw_nn::mlp::{FrozenMlp, Mlp};
 use enw_nn::DigitalLinear;
+use enw_numerics::error::{check, ConfigError};
 use enw_numerics::rng::Rng64;
 use std::borrow::Borrow;
 
@@ -263,7 +263,7 @@ impl RecModelConfig {
     /// Checks the cross-field constraints: non-zero dimensions, a bottom
     /// MLP ending at `embedding_dim`, and at least one table with rows
     /// and lookups. [`RecModel::new`] panics on what this rejects.
-    pub fn validate(&self) -> Result<(), RecsysError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.embedding_dim > 0, "embedding_dim must be non-zero")?;
         check(self.dense_features > 0, "dense_features must be non-zero")?;
         check(
@@ -703,7 +703,7 @@ mod tests {
             RecModelConfig { dense_features: 0, ..tiny_cfg() },
         ] {
             let err = bad.validate();
-            assert!(matches!(err, Err(RecsysError::InvalidConfig { .. })), "{err:?}");
+            assert!(err.is_err(), "{err:?}");
         }
     }
 

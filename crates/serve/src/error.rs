@@ -1,11 +1,11 @@
 //! Typed failures for the serving runtime.
 //!
-//! Everything that used to be a panic message, a `bool`, or an ad-hoc
-//! admission sentinel on the public surface now has a variant here, so
-//! callers can branch on the cause and error chains render through
-//! `std::error::Error`. Policies' `validate` returns `Result<_, ServeError>`
-//! too.
+//! A run fails on a trace that does not fit its server or on an SLA no
+//! batch meets; a rejected policy or station list is the workspace's one
+//! [`ConfigError`], carried in [`ServeError::Config`] so building a
+//! server and running it share one error type.
 
+use enw_numerics::error::ConfigError;
 use std::error::Error;
 use std::fmt;
 
@@ -13,8 +13,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// A server was built with zero stations.
-    NoStations,
     /// A trace was not sorted by arrival time (index of the first
     /// out-of-order request).
     UnsortedTrace {
@@ -30,22 +28,19 @@ pub enum ServeError {
         /// Number of stations the server actually has.
         stations: usize,
     },
-    /// A batch policy or degradation ladder failed validation.
-    InvalidPolicy {
-        /// Which constraint was violated.
-        reason: &'static str,
-    },
     /// No feasible configuration exists for the requested SLA.
     InfeasibleSla {
         /// The SLA bound that could not be met (ns).
         sla_ns: u64,
     },
+    /// The station list, a batch policy or a degradation ladder failed
+    /// validation.
+    Config(ConfigError),
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::NoStations => write!(f, "a server needs at least one station"),
             ServeError::UnsortedTrace { position } => {
                 write!(
                     f,
@@ -56,19 +51,20 @@ impl fmt::Display for ServeError {
                 f,
                 "request {request_id} targets station {station} but only {stations} exist"
             ),
-            ServeError::InvalidPolicy { reason } => write!(f, "invalid policy: {reason}"),
             ServeError::InfeasibleSla { sla_ns } => {
                 write!(f, "no feasible configuration under an SLA of {sla_ns} ns")
             }
+            ServeError::Config(e) => e.fmt(f),
         }
     }
 }
 
 impl Error for ServeError {}
 
-/// `Ok` when `ok` holds, else the policy error naming `reason`.
-pub(crate) fn check(ok: bool, reason: &'static str) -> Result<(), ServeError> {
-    ok.then_some(()).ok_or(ServeError::InvalidPolicy { reason })
+impl From<ConfigError> for ServeError {
+    fn from(e: ConfigError) -> Self {
+        ServeError::Config(e)
+    }
 }
 
 #[cfg(test)]
@@ -78,11 +74,13 @@ mod tests {
     #[test]
     fn displays_name_the_cause() {
         let cases: Vec<(ServeError, &str)> = vec![
-            (ServeError::NoStations, "at least one station"),
             (ServeError::UnsortedTrace { position: 3 }, "index 3"),
             (ServeError::UnknownStation { request_id: 9, station: 4, stations: 2 }, "station 4"),
-            (ServeError::InvalidPolicy { reason: "max_batch must be > 0" }, "max_batch"),
             (ServeError::InfeasibleSla { sla_ns: 100 }, "100 ns"),
+            (
+                ServeError::from(enw_numerics::error::check(false, "max_batch").unwrap_err()),
+                "max_batch",
+            ),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();
@@ -92,7 +90,7 @@ mod tests {
 
     #[test]
     fn implements_std_error() {
-        let err: Box<dyn Error> = Box::new(ServeError::NoStations);
+        let err: Box<dyn Error> = Box::new(ServeError::InfeasibleSla { sla_ns: 1 });
         assert!(err.source().is_none());
     }
 }

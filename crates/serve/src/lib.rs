@@ -52,4 +52,4 @@ pub use loadgen::{generate_arrivals, generate_trace, LoadSpec, ShapeKind, Traffi
 pub use metrics::{LatencySummary, StationMetrics};
 pub use policy::{BatchPolicy, DegradePolicy, StationSpec};
 pub use request::{render_responses, Outcome, Output, Payload, Request, Response};
-pub use scheduler::{RunReport, Server};
+pub use scheduler::{check_trace, RunReport, Server};

@@ -10,7 +10,8 @@
 
 use crate::backend::Backend;
 use crate::clock::ns_from_secs;
-use crate::error::{check, ServeError};
+use crate::error::ServeError;
+use enw_numerics::error::{check, ConfigError};
 use enw_recsys::characterize::RooflineMachine;
 use enw_recsys::model::RecModelConfig;
 use enw_recsys::serving::try_max_batch_under_sla;
@@ -30,7 +31,7 @@ impl BatchPolicy {
     /// Checks the policy: batches of at least one request and a queue
     /// that holds a full batch. [`Server::try_new`](crate::Server::try_new)
     /// and `enw-fleet`'s `Fleet::try_new` reject what this rejects.
-    pub fn validate(&self) -> Result<(), ServeError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.max_batch >= 1, "max_batch must be at least 1")?;
         check(self.queue_cap >= self.max_batch, "queue_cap must hold at least one full batch")
     }
@@ -81,7 +82,7 @@ pub struct DegradePolicy {
 impl DegradePolicy {
     /// Checks the ladder: a step down needs at least one missed batch
     /// (degrading on the first miss is `miss_streak = 1`).
-    pub fn validate(&self) -> Result<(), ServeError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.miss_streak >= 1, "miss streak must be at least 1")
     }
 }
@@ -155,17 +156,13 @@ mod tests {
     #[test]
     fn policy_validates_queue_cap() {
         let err = BatchPolicy { max_batch: 16, max_wait_ns: 0, queue_cap: 8 }.validate();
-        assert!(
-            matches!(err, Err(ServeError::InvalidPolicy { reason }) if reason.contains("queue"))
-        );
+        assert!(matches!(err, Err(ConfigError { reason }) if reason.contains("queue")));
     }
 
     #[test]
     fn ladder_validates_streak() {
         let err = DegradePolicy { miss_streak: 0, recover_streak: 1 }.validate();
-        assert!(
-            matches!(err, Err(ServeError::InvalidPolicy { reason }) if reason.contains("miss streak"))
-        );
+        assert!(matches!(err, Err(ConfigError { reason }) if reason.contains("miss streak")));
         assert_eq!(DegradePolicy { miss_streak: 1, recover_streak: 0 }.validate(), Ok(()));
     }
 
@@ -174,9 +171,9 @@ mod tests {
         let p = BatchPolicy { max_batch: 4, max_wait_ns: 0, queue_cap: 4 };
         assert_eq!(p.validate(), Ok(()));
         let err = BatchPolicy { max_batch: 16, queue_cap: 8, ..p }.validate();
-        assert!(matches!(err, Err(ServeError::InvalidPolicy { .. })), "{err:?}");
+        assert!(err.is_err(), "{err:?}");
         let err = BatchPolicy { max_batch: 0, queue_cap: 0, ..p }.validate();
-        assert!(matches!(err, Err(ServeError::InvalidPolicy { .. })), "{err:?}");
+        assert!(err.is_err(), "{err:?}");
         assert_eq!(BatchPolicy { max_batch: 2, max_wait_ns: 7, queue_cap: 9 }.validate(), Ok(()));
     }
 }

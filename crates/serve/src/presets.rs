@@ -134,7 +134,7 @@ pub fn try_fleet(seed: u64) -> Result<Server, crate::ServeError> {
         ),
         StationSpec::simple(Box::new(recsys), recsys_policy),
     ];
-    Server::try_new(specs)
+    Ok(Server::try_new(specs)?)
 }
 
 /// The traffic mix matching [`try_fleet`]'s station order.

@@ -8,8 +8,8 @@
 //! event-accurate energy/latency of the datapath that would produce it.
 
 use crate::cost::{Cost, XmannCostParams};
-use crate::error::{check, XmannError};
 use enw_mann::memory::DifferentiableMemory;
+use enw_numerics::error::{check, ConfigError};
 use enw_numerics::matrix::record_matvec_span;
 use enw_numerics::vector::softmax_in_place;
 
@@ -39,7 +39,7 @@ impl Default for XmannConfig {
 impl XmannConfig {
     /// Checks the geometry: every count at least 1, and a subarray no
     /// larger than the chip. [`Xmann::new`] panics on what this rejects.
-    pub fn validate(&self) -> Result<(), XmannError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         check(self.tile_rows > 0, "tile_rows must be at least 1")?;
         check(self.tile_cols > 0, "tile_cols must be at least 1")?;
         check(self.tiles_per_subarray > 0, "tiles_per_subarray must be at least 1")?;
@@ -564,7 +564,7 @@ mod tests {
             XmannConfig { tile_cols: 0, ..cfg },
             XmannConfig { tiles_per_subarray: 0, ..cfg },
         ] {
-            assert!(matches!(zero.validate(), Err(XmannError::InvalidConfig { .. })), "{zero:?}");
+            assert!(zero.validate().is_err(), "{zero:?}");
         }
     }
 }

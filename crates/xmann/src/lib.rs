@@ -36,11 +36,9 @@
 pub mod arch;
 pub mod baseline;
 pub mod cost;
-pub mod error;
 pub mod workloads;
 
 pub use arch::{OpResult, Xmann, XmannConfig};
 pub use baseline::GpuMann;
 pub use cost::{Cost, GpuCostParams, XmannCostParams};
-pub use error::XmannError;
 pub use workloads::{benchmark_suite, run_benchmark, Comparison, MannBenchmark};

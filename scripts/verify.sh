@@ -3,7 +3,7 @@
 # proptest resolves to the vendored shim in vendor/.
 #
 #   scripts/verify.sh          rustfmt + build + tests + clippy + lint
-#                              fixture (tier-1)
+#                              fixture + rustdoc (tier-1)
 #   scripts/verify.sh --full   additionally runs the property-test suites
 #                              (--features proptest), loops tier-1
 #                              20x to catch flakes, runs `enw gate` twice
@@ -52,7 +52,7 @@ echo "transparent_hugepage: $(cat /sys/kernel/mm/transparent_hugepage/enabled 2>
 echo "== cargo test -q =="
 cargo test -q
 
-# The only sampled-point test of the seven `Tunable::decode`s (round
+# The only sampled-point test of the five `Tunable::decode`s (round
 # trip, out-of-bounds rejection). The feature is empty on enw-bench, so
 # nothing but the one test binary rebuilds.
 echo "== cargo test -q --features proptest --test tunable_properties =="
@@ -157,6 +157,11 @@ fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps =="
+# A doc link to a renamed or deleted item fails here, not in a reader's
+# browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== tracked: workspace Rust lines (ROADMAP aim 2; no gate) =="
 # Test lines: every file under a tests/ or examples/ directory, plus

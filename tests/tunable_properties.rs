@@ -9,8 +9,6 @@
 
 use enw_core::cam::TcamConfig;
 use enw_core::crossbar::tile::TileConfig;
-use enw_core::mann::EmbeddingConfig;
-use enw_core::nn::mlp::SgdConfig;
 use enw_core::numerics::rng::Rng64;
 use enw_core::recsys::model::RecModelConfig;
 use enw_core::serve::policy::BatchPolicy;
@@ -77,8 +75,6 @@ proptest! {
         assert_roundtrip::<TileConfig>("TileConfig", seed);
         assert_roundtrip::<XmannConfig>("XmannConfig", seed);
         assert_roundtrip::<TcamConfig>("TcamConfig", seed);
-        assert_roundtrip::<SgdConfig>("SgdConfig", seed);
-        assert_roundtrip::<EmbeddingConfig>("EmbeddingConfig", seed);
         assert_roundtrip::<RecModelConfig>("RecModelConfig", seed);
         assert_roundtrip::<BatchPolicy>("BatchPolicy", seed);
     }
@@ -89,8 +85,6 @@ proptest! {
         assert_out_of_bounds_rejected::<TileConfig>("TileConfig", seed);
         assert_out_of_bounds_rejected::<XmannConfig>("XmannConfig", seed);
         assert_out_of_bounds_rejected::<TcamConfig>("TcamConfig", seed);
-        assert_out_of_bounds_rejected::<SgdConfig>("SgdConfig", seed);
-        assert_out_of_bounds_rejected::<EmbeddingConfig>("EmbeddingConfig", seed);
         assert_out_of_bounds_rejected::<RecModelConfig>("RecModelConfig", seed);
         assert_out_of_bounds_rejected::<BatchPolicy>("BatchPolicy", seed);
     }
