@@ -110,11 +110,13 @@ experiments! {
 }
 
 /// What `enw gate` runs, in smoke mode: every paper experiment that
-/// runs in seconds at full size (E2 the longest, ≈ 2 s) and every
-/// experiment with a CI-sized form (E1, E6, E16, E17, E19–E21).
-const GATE_SET: [&str; 19] = [
+/// runs in seconds at full size (E2 the longest, ≈ 2 s), every
+/// experiment with a CI-sized form (E1, E6, E16, E17, E19–E21) and the
+/// four extensions (EXT-1…EXT-4, ≈ 2 s together; none has a smaller
+/// form).
+const GATE_SET: [&str; 23] = [
     "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16",
-    "E17", "E19", "E20", "E21",
+    "E17", "E19", "E20", "E21", "EXT-1", "EXT-2", "EXT-3", "EXT-4",
 ];
 
 const USAGE: &str = "usage: enw list | enw run <ID>... [--smoke] | enw gate";
