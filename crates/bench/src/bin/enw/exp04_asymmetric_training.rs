@@ -19,11 +19,11 @@ use enw_core::crossbar::tile::{AnalogTile, TileConfig};
 use enw_core::crossbar::train::{analog_mlp, tiki_taka_mlp, train_and_evaluate};
 use enw_core::nn::activation::Activation;
 use enw_core::nn::data::{Split, SyntheticImages};
-use enw_core::nn::layer::DenseLayer;
 use enw_core::nn::mlp::{Mlp, SgdConfig};
 use enw_core::numerics::matrix::Matrix;
 use enw_core::numerics::rng::Rng64;
 use enw_core::report::{percent, Table};
+use std::convert::Infallible;
 
 const DIMS: [usize; 3] = [64, 32, 10];
 
@@ -45,23 +45,18 @@ fn cfg() -> SgdConfig {
 /// programming (configuration 3).
 fn zero_shifted_mlp(rng: &mut Rng64) -> Mlp<AnalogTile> {
     let spec = devices::rram();
-    let layers = DIMS
-        .windows(2)
-        .enumerate()
-        .map(|(i, w)| {
-            let mut tile = AnalogTile::new(w[1], w[0], &spec, TileConfig::ideal(), rng);
-            tile.calibrate_zero_shift(800);
-            let limit = (6.0 / (w[0] + w[1]) as f64).sqrt();
-            let mut init = Matrix::random_uniform(w[1], w[0] + 1, -limit, limit, rng);
-            for r in 0..w[1] {
-                init.set(r, w[0], 0.0);
-            }
-            tile.program_effective(&init);
-            let act = if i + 2 == DIMS.len() { Activation::Identity } else { Activation::Tanh };
-            DenseLayer::new(tile, act)
-        })
-        .collect();
-    Mlp::from_layers(layers)
+    let Ok(mlp) = Mlp::try_with_backends(&DIMS, Activation::Tanh, rng, |i, o, rng| {
+        let mut tile = AnalogTile::new(o, i, &spec, TileConfig::ideal(), rng);
+        tile.calibrate_zero_shift(800);
+        let limit = (6.0 / (i + o) as f64).sqrt();
+        let mut init = Matrix::random_uniform(o, i + 1, -limit, limit, rng);
+        for r in 0..o {
+            init.set(r, i, 0.0);
+        }
+        tile.program_effective(&init);
+        Ok::<_, Infallible>(tile)
+    });
+    mlp
 }
 
 pub fn run(run: &mut Run) {

@@ -18,6 +18,7 @@ use enw_core::crossbar::devices;
 use enw_core::crossbar::tiki_taka::{TikiTakaConfig, TikiTakaTile};
 use enw_core::crossbar::tile::{AnalogTile, TileConfig};
 use enw_core::crossbar::tiled::{TiledAnalogLayer, TilingConfig};
+use enw_core::crossbar::train::analog_mlp;
 use enw_core::fleet::presets::{fleet_spec, scales, trace, Scenario};
 use enw_core::fleet::sim::try_run;
 use enw_core::fleet::HashRing;
@@ -395,6 +396,10 @@ fn hot_kernels_allocate_nothing_once_warm() {
     let memory = DifferentiableMemory::random(128, 32, &mut rng);
     let (w1, w2) = (word(&mut rng), word(&mut rng));
     let ring = HashRing::with_nodes(16, 8);
+    // The two trained stacks: every buffer of a step is the stack's own.
+    let mut trained = Mlp::digital(&[16, 32, 24, 10], Activation::Tanh, &mut rng);
+    let mut analog =
+        analog_mlp(&[16, 12, 10], &ecram, TileConfig::default(), Activation::Tanh, &mut rng);
     // One cache per call (8 warm-up, 64 counted), each filled to
     // capacity with every third key hit again, so its first eviction
     // links a recency list whose tick order is not the fill order.
@@ -427,11 +432,18 @@ fn hot_kernels_allocate_nothing_once_warm() {
             let mut y = out(16);
             Box::new(move || linear.backward_into(d8, &mut y))
         }),
-        ("ConvNet::{embed,predict}_into", {
+        ("Mlp::train_step, digital", {
+            Box::new(move || assert!(trained.train_step(x16, 3, 0.01) > 0.0))
+        }),
+        ("Mlp::train_step, analog_mlp", {
+            Box::new(move || assert!(analog.train_step(x16, 3, 0.01) > 0.0))
+        }),
+        ("ConvNet::{embed,predict}_into, ConvNet::train_step", {
             let (mut e, mut y) = (out(16), out(5));
             Box::new(move || {
                 conv.embed_into(image, &mut e);
                 conv.predict_into(image, &mut y);
+                assert!(conv.train_step(image, 2, 0.01) > 0.0);
             })
         }),
         ("TiledAnalogLayer::{forward,backward}_into", {

@@ -1,6 +1,7 @@
-//! Convenience constructors for training whole networks on simulated
-//! analog hardware, and the comparison harness the device-requirement
-//! experiments (E2/E4) are built on.
+//! Whole networks on simulated analog hardware: the analog MLPs (each one
+//! [`Mlp::try_with_backends`] call whose factory programs a tile to a
+//! Xavier initialization), and the comparison harness the
+//! device-requirement experiments (E2/E4) are built on.
 
 use crate::device::DeviceSpec;
 use crate::tiki_taka::{TikiTakaConfig, TikiTakaTile};
@@ -8,10 +9,10 @@ use crate::tile::{AnalogTile, TileConfig};
 use enw_nn::activation::Activation;
 use enw_nn::backend::LinearBackend;
 use enw_nn::data::Split;
-use enw_nn::layer::DenseLayer;
 use enw_nn::mlp::{Mlp, SgdConfig};
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
+use std::convert::Infallible;
 
 fn xavier(out_dim: usize, in_dim: usize, rng: &mut Rng64) -> Matrix {
     let limit = (6.0 / (in_dim + out_dim) as f64).sqrt();
@@ -38,18 +39,12 @@ pub fn analog_mlp(
     activation: Activation,
     rng: &mut Rng64,
 ) -> Mlp<AnalogTile> {
-    assert!(dims.len() >= 2, "need at least input and output dims");
-    let layers = dims
-        .windows(2)
-        .enumerate()
-        .map(|(i, w)| {
-            let mut tile = AnalogTile::new(w[1], w[0], spec, tile_cfg, rng);
-            tile.program_effective(&xavier(w[1], w[0], rng));
-            let act = if i + 2 == dims.len() { Activation::Identity } else { activation };
-            DenseLayer::new(tile, act)
-        })
-        .collect();
-    Mlp::from_layers(layers)
+    let Ok(mlp) = Mlp::try_with_backends(dims, activation, rng, |i, o, rng| {
+        let mut tile = AnalogTile::new(o, i, spec, tile_cfg, rng);
+        tile.program_effective(&xavier(o, i, rng));
+        Ok::<_, Infallible>(tile)
+    });
+    mlp
 }
 
 /// Builds an MLP whose layers are coupled Tiki-Taka tile pairs — the
@@ -66,18 +61,12 @@ pub fn tiki_taka_mlp(
     activation: Activation,
     rng: &mut Rng64,
 ) -> Mlp<TikiTakaTile> {
-    assert!(dims.len() >= 2, "need at least input and output dims");
-    let layers = dims
-        .windows(2)
-        .enumerate()
-        .map(|(i, w)| {
-            let mut tile = TikiTakaTile::new(w[1], w[0], spec, tile_cfg, tt_cfg, rng);
-            tile.program_effective(&xavier(w[1], w[0], rng));
-            let act = if i + 2 == dims.len() { Activation::Identity } else { activation };
-            DenseLayer::new(tile, act)
-        })
-        .collect();
-    Mlp::from_layers(layers)
+    let Ok(mlp) = Mlp::try_with_backends(dims, activation, rng, |i, o, rng| {
+        let mut tile = TikiTakaTile::new(o, i, spec, tile_cfg, tt_cfg, rng);
+        tile.program_effective(&xavier(o, i, rng));
+        Ok::<_, Infallible>(tile)
+    });
+    mlp
 }
 
 /// Result of one training run in the comparison harness.

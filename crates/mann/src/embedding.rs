@@ -164,14 +164,9 @@ impl EmbeddingNet {
     /// Maps a raw input to its feature embedding (all layers except the
     /// classification head).
     pub fn embed(&mut self, x: &[f32]) -> Vec<f32> {
-        let n_layers = self.mlp.layers().len();
-        let mut a = x.to_vec();
-        for layer in self.mlp.layers_mut().iter_mut().take(n_layers - 1) {
-            let mut z = vec![0.0f32; layer.out_dim()];
-            layer.infer_into(&a, &mut z);
-            a = z;
-        }
-        a
+        let mut e = vec![0.0f32; self.embed_dim];
+        self.mlp.embed_into(x, &mut e);
+        e
     }
 }
 

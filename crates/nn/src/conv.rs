@@ -4,8 +4,9 @@
 //! CNNs (ref. \[48\] uses "a 4-layer convolutional NN and 2-layer fully
 //! connected network"), and CNNs are the canonical dense workload of
 //! Sec. II. This module provides a compact, dependency-free CNN: `valid`
-//! 2-D convolutions lowered to im2col patch extraction, max pooling, and
-//! a dense head, trained with the same per-sample SGD as [`crate::mlp`].
+//! 2-D convolutions lowered to im2col patch extraction and max pooling,
+//! followed by a dense tail that is an [`Mlp`] (embedding layer, head),
+//! trained with the same per-sample SGD.
 //!
 //! Two properties matter for the analog-training experiments:
 //!
@@ -16,21 +17,24 @@
 //!   cycle per active position, and its weight update a stream of
 //!   rank-1 cycles — exactly the three crossbar cycles of paper
 //!   Sec. II-A. [`ConvNet::new`] builds the floating-point reference;
-//!   [`ConvNet::with_backends`] drops in analog (tiled) crossbars
+//!   [`ConvNet::try_with_backends`] drops in analog (tiled) crossbars
 //!   without touching the model code.
 //! * **Zero-alloc steady state.** All im2col patches, activations, and
-//!   gradient staging live in buffers sized at construction, and the
-//!   `_into` entry points ([`ConvNet::embed_into`],
-//!   [`ConvNet::predict_into`], [`ConvNet::train_step`]) reuse them, so
-//!   a steady-state training or inference loop performs no heap
-//!   allocation (the property E21's counting-allocator gate enforces).
+//!   gradient staging live in buffers owned by the network (the conv
+//!   stages' and the tail's), and the `_into` entry points
+//!   ([`ConvNet::embed_into`], [`ConvNet::predict_into`],
+//!   [`ConvNet::train_step`]) reuse them, so a warm training or
+//!   inference loop performs no heap allocation (the property E21's
+//!   counting-allocator gate enforces).
 
+use crate::activation::Activation;
 use crate::backend::{DigitalLinear, LinearBackend};
 use crate::data::Dataset;
-use crate::loss::softmax_cross_entropy_into;
+use crate::layer::DenseLayer;
+use crate::mlp::Mlp;
 use enw_numerics::matrix::Matrix;
 use enw_numerics::rng::Rng64;
-use enw_numerics::vector::argmax;
+use std::convert::Infallible;
 
 /// Shape of a feature map: channels × height × width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,7 +343,8 @@ pub struct ConvNetConfig {
 }
 
 /// A small CNN classifier: conv stages → dense embedding (tanh) → logits,
-/// with every weight array behind a [`LinearBackend`] `B`.
+/// with every weight array behind a [`LinearBackend`] `B`. The embedding
+/// layer and the head are an [`Mlp`], trained as any other.
 ///
 /// # Example
 ///
@@ -362,15 +367,8 @@ pub struct ConvNetConfig {
 #[derive(Debug, Clone)]
 pub struct ConvNet<B: LinearBackend = DigitalLinear> {
     stages: Vec<ConvStage<B>>,
-    embed: B,
-    head: B,
-    embed_pre: Vec<f32>,
-    embedded: Vec<f32>,
-    logits: Vec<f32>,
-    dlogits: Vec<f32>,
-    dembedded: Vec<f32>,
-    dpre: Vec<f32>,
-    dflat: Vec<f32>,
+    /// `[Tanh embedding, Identity head]` over the flattened features.
+    tail: Mlp<B>,
     /// `dstage[i]` holds the gradient wrt stage `i`'s *input*.
     dstage: Vec<Vec<f32>>,
 }
@@ -384,7 +382,10 @@ impl ConvNet<DigitalLinear> {
     /// Panics if the conv stack shrinks the map to nothing or any
     /// dimension is zero.
     pub fn new(cfg: &ConvNetConfig, rng: &mut Rng64) -> Self {
-        ConvNet::with_backends(cfg, rng, DigitalLinear::new)
+        let Ok(net) = ConvNet::try_with_backends(cfg, rng, |i, o, rng| {
+            Ok::<_, Infallible>(DigitalLinear::new(i, o, rng))
+        });
+        net
     }
 }
 
@@ -393,30 +394,9 @@ impl<B: LinearBackend> ConvNet<B> {
     /// every weight backend, in a fixed order: one per conv stage
     /// (input dim `in_channels·9`), then the embedding layer, then the
     /// head. Analog experiments pass a closure constructing crossbar
-    /// tiles; the deterministic call order makes the whole network a
+    /// tiles, which may refuse a layer shape (e.g. a tiling that does
+    /// not fit); the deterministic call order makes the whole network a
     /// pure function of its configuration and seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the conv stack shrinks the map to nothing, any
-    /// dimension is zero, or a supplied backend has the wrong shape.
-    pub fn with_backends(
-        cfg: &ConvNetConfig,
-        rng: &mut Rng64,
-        mut make: impl FnMut(usize, usize, &mut Rng64) -> B,
-    ) -> Self {
-        let built = ConvNet::try_with_backends(cfg, rng, |in_dim, out_dim, rng| {
-            Ok::<B, std::convert::Infallible>(make(in_dim, out_dim, rng))
-        });
-        match built {
-            Ok(net) => net,
-            Err(e) => match e {},
-        }
-    }
-
-    /// Fallible form of [`with_backends`](ConvNet::with_backends): the
-    /// factory may refuse a layer shape (e.g. an analog tiling that does
-    /// not fit), and the first error aborts construction.
     ///
     /// # Errors
     ///
@@ -459,135 +439,68 @@ impl<B: LinearBackend> ConvNet<B> {
             });
         }
         assert!(!shape.is_empty(), "conv stack consumed the whole input");
-        let embed = make(shape.len(), cfg.embed_dim, rng)?;
-        let head = make(cfg.embed_dim, cfg.classes, rng)?;
-        Ok(ConvNet {
-            stages,
-            embed,
-            head,
-            embed_pre: vec![0.0; cfg.embed_dim],
-            embedded: vec![0.0; cfg.embed_dim],
-            logits: vec![0.0; cfg.classes],
-            dlogits: vec![0.0; cfg.classes],
-            dembedded: vec![0.0; cfg.embed_dim],
-            dpre: vec![0.0; cfg.embed_dim],
-            dflat: vec![0.0; shape.len()],
-            dstage,
-        })
+        let dims = [shape.len(), cfg.embed_dim, cfg.classes];
+        let tail = Mlp::try_with_backends(&dims, Activation::Tanh, rng, make)?;
+        Ok(ConvNet { stages, tail, dstage })
     }
 
     /// Embedding dimensionality.
     pub fn embed_dim(&self) -> usize {
-        self.embed.out_dim()
+        self.tail.layers()[0].out_dim()
     }
 
     /// Class count of the softmax head.
     pub fn classes(&self) -> usize {
-        self.head.out_dim()
+        self.tail.out_dim()
     }
 
     /// Trainable layer count: conv stages + embedding + head.
     pub fn layer_count(&self) -> usize {
-        self.stages.len() + 2
+        self.stages.len() + self.tail.layers().len()
     }
 
     /// Every weight backend in construction order (conv stages, then
     /// embedding, then head) — the hook checkpointing uses to serialize
     /// analog tile state.
     pub fn backends(&self) -> impl Iterator<Item = &B> {
-        self.stages.iter().map(|s| &s.conv.backend).chain([&self.embed, &self.head])
+        let tail = self.tail.layers().iter().map(DenseLayer::backend);
+        self.stages.iter().map(|s| &s.conv.backend).chain(tail)
     }
 
     /// Mutable access to every weight backend, in the same order as
     /// [`backends`](ConvNet::backends) — the restore-side hook.
     pub fn backends_mut(&mut self) -> impl Iterator<Item = &mut B> {
-        let ConvNet { stages, embed, head, .. } = self;
-        stages.iter_mut().map(|s| &mut s.conv.backend).chain([embed, head])
-    }
-
-    fn forward_features(&mut self, input: &[f32]) {
-        for i in 0..self.stages.len() {
-            let (done, rest) = self.stages.split_at_mut(i);
-            let Some(stage) = rest.first_mut() else { break };
-            let x = done.last().map_or(input, |s| s.output());
-            stage.run_forward(x);
-        }
+        let tail = self.tail.layers_mut().iter_mut().map(DenseLayer::backend_mut);
+        self.stages.iter_mut().map(|s| &mut s.conv.backend).chain(tail)
     }
 
     /// Penultimate (embedding) activations into a caller-owned buffer —
     /// the feature vector the MANN memory stores. `out` is fully
     /// overwritten.
     pub fn embed_into(&mut self, input: &[f32], out: &mut [f32]) {
-        self.forward_features(input);
-        let ConvNet { stages, embed, embed_pre, .. } = self;
-        let flat = stages.last().map_or(input, |s| s.output());
-        embed.forward_into(flat, embed_pre);
-        for (o, z) in out.iter_mut().zip(embed_pre.iter()) {
-            *o = z.tanh();
-        }
+        self.tail.embed_into(forward_features(&mut self.stages, input), out);
     }
 
     /// Raw logits for one input into a caller-owned buffer (`out` is
     /// fully overwritten).
     pub fn predict_into(&mut self, input: &[f32], out: &mut [f32]) {
-        self.forward_features(input);
-        let ConvNet { stages, embed, head, embed_pre, embedded, .. } = self;
-        let flat = stages.last().map_or(input, |s| s.output());
-        embed.forward_into(flat, embed_pre);
-        for (e, z) in embedded.iter_mut().zip(embed_pre.iter()) {
-            *e = z.tanh();
-        }
-        head.forward_into(embedded, out);
+        self.tail.predict_into(forward_features(&mut self.stages, input), out);
     }
 
-    /// Predicted class (allocation-free: reuses the internal logits
-    /// buffer).
+    /// Predicted class (allocation-free: the tail keeps its logits).
     pub fn classify(&mut self, input: &[f32]) -> usize {
-        let mut logits = std::mem::take(&mut self.logits);
-        self.predict_into(input, &mut logits);
-        let class = argmax(&logits);
-        self.logits = logits;
-        class
+        self.tail.classify(forward_features(&mut self.stages, input))
     }
 
-    /// One SGD step; returns the sample loss. Allocation-free in steady
-    /// state: every intermediate lives in a buffer sized at
-    /// construction.
+    /// One SGD step; returns the sample loss. The tail takes its step
+    /// (forward, backward, update), then the conv stages run backward and
+    /// update in reverse. Allocation-free once warm.
     pub fn train_step(&mut self, input: &[f32], label: usize, lr: f32) -> f32 {
-        // Forward with caching.
-        self.forward_features(input);
-        let ConvNet {
-            stages,
-            embed,
-            head,
-            embed_pre,
-            embedded,
-            logits,
-            dlogits,
-            dembedded,
-            dpre,
-            dflat,
-            dstage,
-        } = self;
-        let flat = stages.last().map_or(input, |s| s.output());
-        embed.forward_into(flat, embed_pre);
-        for (e, z) in embedded.iter_mut().zip(embed_pre.iter()) {
-            *e = z.tanh();
-        }
-        head.forward_into(embedded, logits);
-        let loss = softmax_cross_entropy_into(logits, label, dlogits);
-        // Head.
-        head.backward_into(dlogits, dembedded);
-        head.update(dlogits, embedded, lr);
-        // Embedding layer (tanh; `embedded` already holds tanh(z)).
-        for ((d, g), t) in dpre.iter_mut().zip(dembedded.iter()).zip(embedded.iter()) {
-            *d = g * (1.0 - t * t);
-        }
-        embed.backward_into(dpre, dflat);
-        embed.update(dpre, flat, lr);
+        let ConvNet { stages, tail, dstage } = self;
+        let loss = tail.train_step(forward_features(stages, input), label, lr);
         // Conv stack in reverse; dstage[i] receives the gradient wrt
         // stage i's input, which is stage i-1's upstream.
-        let mut upstream: &[f32] = dflat;
+        let mut upstream = tail.input_grad();
         for (stage, dst) in stages.iter_mut().rev().zip(dstage.iter_mut().rev()) {
             stage.backward_update(upstream, lr, dst);
             upstream = dst;
@@ -622,10 +535,25 @@ impl<B: LinearBackend> ConvNet<B> {
     }
 }
 
+/// Runs the conv stages on `input`; returns the flattened features the
+/// tail reads (`input` itself when there are no stages).
+fn forward_features<'a, B: LinearBackend>(
+    stages: &'a mut [ConvStage<B>],
+    input: &'a [f32],
+) -> &'a [f32] {
+    for i in 0..stages.len() {
+        let (done, rest) = stages.split_at_mut(i);
+        let Some(stage) = rest.first_mut() else { break };
+        stage.run_forward(done.last().map_or(input, |s| s.output()));
+    }
+    stages.last().map_or(input, |s| s.output())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::SyntheticImages;
+    use enw_numerics::vector::argmax;
 
     fn cfg(classes: usize) -> ConvNetConfig {
         ConvNetConfig {

@@ -16,10 +16,15 @@
 //! * [`activation`] — activation functions and their derivatives.
 //! * [`backend`] — the [`backend::LinearBackend`] trait and the
 //!   floating-point reference backend.
-//! * [`conv`] — a compact CNN (im2col convolutions, max pooling) for the
-//!   embedding/controller networks the MANN sections rely on.
-//! * [`layer`] — a dense layer combining a backend with an activation.
-//! * [`mlp`] — multi-layer perceptrons with SGD training.
+//! * [`conv`] — a compact CNN (im2col convolutions, max pooling, then an
+//!   [`mlp::Mlp`] tail) for the embedding/controller networks the MANN
+//!   sections rely on.
+//! * [`layer`] — a dense layer combining a backend with an activation,
+//!   its forward and backward passes writing caller-owned slices.
+//! * [`mlp`] — the one trainable dense stack: multi-layer perceptrons
+//!   over any backend, built from one backend factory
+//!   ([`mlp::Mlp::try_with_backends`]) and trained with per-sample SGD
+//!   that allocates nothing once warm.
 //! * [`quantized`] — reduced-precision inference with statistical weight
 //!   scaling and calibrated activation clipping (the 2-bit claim of
 //!   Sec. II).

@@ -172,6 +172,11 @@ pub fn quantization_aware_finetune(
     let mut order: Vec<usize> = (0..data.len()).collect();
     let mut history = Vec::with_capacity(epochs);
     let n_layers = masters.len();
+    // Every layer's output and every layer's input gradient, reused by
+    // each step.
+    let mut acts: Vec<Vec<f32>> = mlp.layers().iter().map(|l| vec![0.0; l.out_dim()]).collect();
+    let mut grads: Vec<Vec<f32>> = mlp.layers().iter().map(|l| vec![0.0; l.in_dim()]).collect();
+    let mut dlogits = vec![0.0f32; mlp.out_dim()];
     for _ in 0..epochs {
         rng.shuffle(&mut order);
         let mut total = 0.0f64;
@@ -192,22 +197,24 @@ pub fn quantization_aware_finetune(
             }
             // Forward at the quantized point, fake-quantizing the hidden
             // activations so training sees exactly the deployment grid.
-            let mut a = data.input(i).to_vec();
-            for (l, layer) in mlp.layers_mut().iter_mut().enumerate() {
-                a = layer.forward(&a);
+            let mut x = data.input(i);
+            for (l, (layer, a)) in mlp.layers_mut().iter_mut().zip(&mut acts).enumerate() {
+                layer.forward_into(x, a);
                 if l + 1 < n_layers {
-                    for v in &mut a {
+                    for v in a.iter_mut() {
                         *v = act_quant[l].round_trip(*v);
                     }
                 }
+                x = a;
             }
-            let mut grad = vec![0.0f32; a.len()];
-            let loss = crate::loss::softmax_cross_entropy_into(&a, data.label(i), &mut grad);
+            let loss = crate::loss::softmax_cross_entropy_into(x, data.label(i), &mut dlogits);
             total += loss as f64;
             // Backward with the straight-through estimator (activation
             // quantization passes gradients unchanged).
-            for layer in mlp.layers_mut().iter_mut().rev() {
-                grad = layer.backward(&grad);
+            let mut upstream = &dlogits[..];
+            for (layer, dx) in mlp.layers_mut().iter_mut().zip(&mut grads).rev() {
+                layer.backward_into(upstream, dx);
+                upstream = dx;
             }
             for layer in mlp.layers_mut().iter_mut() {
                 layer.apply_update(lr);

@@ -292,22 +292,21 @@ fn mixed_digital_analog_network_trains() {
     tile.program_effective(&target);
     let mut out_layer = DenseLayer::new(tile, Activation::Identity);
     // Train the analog layer alone on raw pixels (logistic regression).
-    let mut grad = vec![0.0f32; 3];
+    let (mut logits, mut grad, mut dx) = (vec![0.0f32; 3], vec![0.0f32; 3], vec![0.0f32; 16]);
     for _ in 0..10 {
         for i in 0..split.train.len() {
             let x = split.train.input(i);
-            let logits = out_layer.forward(x);
+            out_layer.forward_into(x, &mut logits);
             enw_core::nn::loss::softmax_cross_entropy_into(
                 &logits,
                 split.train.label(i),
                 &mut grad,
             );
-            out_layer.backward(&grad);
+            out_layer.backward_into(&grad, &mut dx);
             out_layer.apply_update(0.05);
         }
     }
     let mut correct = 0;
-    let mut logits = vec![0.0f32; 3];
     for i in 0..split.test.len() {
         out_layer.infer_into(split.test.input(i), &mut logits);
         if enw_core::numerics::vector::argmax(&logits) == split.test.label(i) {
