@@ -430,7 +430,7 @@ impl Fleet {
                 reason: format!("lane {}: {}", l.name, e.reason).into(),
             };
             l.policy.validate().map_err(lane_error)?;
-            a.validate()?;
+            a.validate().map_err(lane_error)?;
             if l.initial_replicas < a.min_replicas || l.initial_replicas > a.max_replicas {
                 return Err(ConfigError {
                     reason: format!(
@@ -1059,6 +1059,10 @@ mod tests {
         for (i, bad) in cases.into_iter().enumerate() {
             let err = Fleet::try_new(bad).err();
             assert!(err.is_some(), "case {i}: {err:?}");
+            // An autoscale rule names its lane, as a batch rule does.
+            if i == 2 {
+                assert!(err.as_ref().is_some_and(|e| e.reason.contains("lane recsys:")), "{err:?}");
+            }
         }
         // Every other store rule, checked without building the store: the
         // last two would size tables of 2^32 rows.

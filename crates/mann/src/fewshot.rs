@@ -133,44 +133,6 @@ fn sample_holdout_episode(
     Episode { support, query }
 }
 
-/// Classifies by majority vote over the `k` most similar supports (ties
-/// broken toward the closer neighbour). `k = 1` reduces to nearest
-/// neighbour. On a TCAM this is realized by `k` consecutive searches with
-/// previously-matched lines masked, so `searches = k` for hardware-backed
-/// methods — the multi-reference cost the paper notes for binary
-/// comparators.
-///
-/// # Panics
-///
-/// Panics if `support` is empty or `k == 0`.
-pub fn classify_knn(
-    query: &[f32],
-    support: &[(Vec<f32>, usize)],
-    metric: Similarity,
-    k: usize,
-) -> (usize, u64) {
-    assert!(!support.is_empty(), "empty support set");
-    assert!(k > 0, "k must be positive");
-    let mut scored: Vec<(f32, usize)> =
-        support.iter().map(|(s, label)| (metric.score(query, s), *label)).collect();
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let k = k.min(scored.len());
-    // Ordered map: vote iteration must not depend on hash order
-    // (the workspace `clippy.toml` bans `HashMap`).
-    let mut votes = std::collections::BTreeMap::new();
-    for &(_, label) in &scored[..k] {
-        *votes.entry(label).or_insert(0usize) += 1;
-    }
-    let max_votes = votes.values().copied().max().unwrap_or(0);
-    // Tie-break: the highest-ranked neighbour among tied labels wins;
-    // `find` cannot miss because `k >= 1` after clamping.
-    let winner = scored[..k]
-        .iter()
-        .find(|(_, l)| votes.get(l).copied() == Some(max_votes))
-        .map_or(0, |&(_, l)| l);
-    (winner, k as u64)
-}
-
 /// Classifies one embedded query against embedded supports; returns the
 /// predicted label and the number of parallel searches used.
 ///
@@ -403,40 +365,5 @@ mod tests {
     #[should_panic(expected = "empty support")]
     fn empty_support_panics() {
         classify(&[1.0], &[], SearchMethod::Exact(Similarity::Cosine), None);
-    }
-
-    #[test]
-    fn knn_k1_matches_nearest() {
-        let support = vec![(vec![1.0f32, 0.0], 0usize), (vec![0.0, 1.0], 1), (vec![0.9, 0.1], 0)];
-        let (p_knn, searches) = classify_knn(&[0.8, 0.2], &support, Similarity::Cosine, 1);
-        let (p_nn, _) =
-            classify(&[0.8, 0.2], &support, SearchMethod::Exact(Similarity::Cosine), None);
-        assert_eq!(p_knn, p_nn);
-        assert_eq!(searches, 1);
-    }
-
-    #[test]
-    fn knn_majority_overrides_single_outlier() {
-        // Nearest single neighbour is class 1, but classes 0 holds the
-        // 3-NN majority.
-        let support = vec![
-            (vec![1.0f32, 0.05], 1usize), // closest
-            (vec![0.9, 0.2], 0),
-            (vec![0.9, 0.25], 0),
-            (vec![-1.0, 0.0], 1),
-        ];
-        let (p1, _) = classify_knn(&[1.0, 0.1], &support, Similarity::Cosine, 1);
-        let (p3, searches) = classify_knn(&[1.0, 0.1], &support, Similarity::Cosine, 3);
-        assert_eq!(p1, 1);
-        assert_eq!(p3, 0);
-        assert_eq!(searches, 3);
-    }
-
-    #[test]
-    fn knn_k_larger_than_support_is_clamped() {
-        let support = vec![(vec![1.0f32], 7usize)];
-        let (p, searches) = classify_knn(&[1.0], &support, Similarity::NegL2, 10);
-        assert_eq!(p, 7);
-        assert_eq!(searches, 1);
     }
 }
