@@ -112,20 +112,25 @@ impl DigitalLinear {
         DigitalLinear { weights, in_dim, line: vec![0.0; in_dim + 1] }
     }
 
-    /// Replaces the stored weights (shape-checked). Used by
-    /// quantization-aware training, which alternates between a
+    /// Copies `weights` over the stored ones (shape-checked), in place.
+    /// Used by quantization-aware training, which alternates between a
     /// full-precision master copy and its quantized image.
     ///
     /// # Panics
     ///
     /// Panics if the shape differs from the current weights.
-    pub fn set_weights(&mut self, weights: Matrix) {
+    pub fn set_weights(&mut self, weights: &Matrix) {
         assert_eq!(
             (weights.rows(), weights.cols()),
             (self.weights.rows(), self.weights.cols()),
             "weight shape mismatch"
         );
-        self.weights = weights;
+        self.weights.as_mut_slice().copy_from_slice(weights.as_slice());
+    }
+
+    /// The stored weights (`out_dim × (in_dim + 1)`, bias last), borrowed.
+    pub fn matrix(&self) -> &Matrix {
+        &self.weights
     }
 
     /// Loads the line with the bias-augmented input `[x; 1]`.
@@ -257,7 +262,7 @@ mod tests {
             let mut lin = DigitalLinear::new(in_dim, out_dim, &mut rng);
             let mut w = lin.weights();
             w.row_mut(0).fill(0.0);
-            lin.set_weights(w);
+            lin.set_weights(&w);
             for b in (0..=9).chain([33]) {
                 let xs: Vec<f32> = (0..b * in_dim)
                     .map(|i| match i % 11 {

@@ -69,6 +69,39 @@ impl Dataset {
     pub fn label(&self, i: usize) -> usize {
         self.labels[i]
     }
+
+    /// Per-sample SGD: `epochs` passes over every sample, each pass in a
+    /// fresh shuffle of the order drawn from `rng`, `step(input, label)`
+    /// taking one step and returning its loss. Returns each epoch's mean
+    /// loss.
+    pub(crate) fn sgd_epochs(
+        &self,
+        epochs: usize,
+        rng: &mut Rng64,
+        mut step: impl FnMut(&[f32], usize) -> f32,
+    ) -> Vec<f64> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        let mut history = Vec::with_capacity(epochs);
+        for _ in 0..epochs {
+            rng.shuffle(&mut order);
+            let mut total = 0.0f64;
+            for &i in &order {
+                total += step(self.input(i), self.label(i)) as f64;
+            }
+            history.push(total / self.len() as f64);
+        }
+        history
+    }
+
+    /// The fraction of samples `classify` labels correctly (0 for an
+    /// empty dataset).
+    pub(crate) fn accuracy(&self, mut classify: impl FnMut(&[f32]) -> usize) -> f64 {
+        if self.is_empty() {
+            return 0.0;
+        }
+        let correct = (0..self.len()).filter(|&i| classify(self.input(i)) == self.label(i)).count();
+        correct as f64 / self.len() as f64
+    }
 }
 
 /// A train/test split produced by a generator.

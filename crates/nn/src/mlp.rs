@@ -340,27 +340,12 @@ impl<B: LinearBackend> Mlp<B> {
 
     /// Trains with per-sample SGD; returns the mean loss of each epoch.
     pub fn train_sgd(&mut self, data: &Dataset, cfg: &SgdConfig, rng: &mut Rng64) -> Vec<f64> {
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut history = Vec::with_capacity(cfg.epochs);
-        for _ in 0..cfg.epochs {
-            rng.shuffle(&mut order);
-            let mut total = 0.0f64;
-            for &i in &order {
-                total += self.train_step(data.input(i), data.label(i), cfg.learning_rate) as f64;
-            }
-            history.push(total / data.len() as f64);
-        }
-        history
+        data.sgd_epochs(cfg.epochs, rng, |x, label| self.train_step(x, label, cfg.learning_rate))
     }
 
     /// Classification accuracy over a dataset.
     pub fn evaluate(&mut self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let correct =
-            (0..data.len()).filter(|&i| self.classify(data.input(i)) == data.label(i)).count();
-        correct as f64 / data.len() as f64
+        data.accuracy(|x| self.classify(x))
     }
 }
 

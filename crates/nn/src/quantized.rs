@@ -15,7 +15,7 @@ use crate::mlp::Mlp;
 use crate::DigitalLinear;
 use enw_numerics::matrix::Matrix;
 use enw_numerics::quant::Quantizer;
-use enw_numerics::stats::quantile;
+use enw_numerics::stats::{quantile, quantile_in_place};
 use enw_numerics::vector::argmax;
 
 /// Quantization settings for inference.
@@ -135,12 +135,7 @@ impl QuantizedMlp {
 
     /// Accuracy over a dataset.
     pub fn evaluate(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let correct =
-            (0..data.len()).filter(|&i| self.classify(data.input(i)) == data.label(i)).count();
-        correct as f64 / data.len() as f64
+        data.accuracy(|x| self.classify(x))
     }
 }
 
@@ -167,73 +162,70 @@ pub fn quantization_aware_finetune(
     // Calibrate the activation quantizers once on the starting network
     // (the trained clipping parameter, held fixed during fine-tuning).
     let act_quant: Vec<Quantizer> = QuantizedMlp::from_mlp(mlp, cfg, data).act_quant;
-    // Full-precision masters.
+    // Full-precision masters, and per layer the buffers each step
+    // reuses: the masters' magnitudes and their quantized image.
     let mut masters: Vec<Matrix> = mlp.layers().iter().map(|l| l.backend().weights()).collect();
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut history = Vec::with_capacity(epochs);
+    let mut magnitudes: Vec<Vec<f64>> =
+        masters.iter().map(|m| Vec::with_capacity(m.as_slice().len())).collect();
+    let mut quantized = masters.clone();
     let n_layers = masters.len();
     // Every layer's output and every layer's input gradient, reused by
     // each step.
     let mut acts: Vec<Vec<f32>> = mlp.layers().iter().map(|l| vec![0.0; l.out_dim()]).collect();
     let mut grads: Vec<Vec<f32>> = mlp.layers().iter().map(|l| vec![0.0; l.in_dim()]).collect();
     let mut dlogits = vec![0.0f32; mlp.out_dim()];
-    for _ in 0..epochs {
-        rng.shuffle(&mut order);
-        let mut total = 0.0f64;
-        for &i in &order {
-            // Project masters onto the quantization grid (per-layer
-            // percentile clip).
-            let mut quantized = Vec::with_capacity(masters.len());
-            for m in &masters {
-                let mags: Vec<f64> = m.as_slice().iter().map(|v| v.abs() as f64).collect();
-                let clip = quantile(&mags, cfg.weight_percentile).max(1e-6) as f32;
-                let q = Quantizer::new(cfg.weight_bits, clip);
-                let mut qm = m.clone();
-                qm.map_inplace(|v| q.round_trip(v));
-                quantized.push(qm);
+    let history = data.sgd_epochs(epochs, rng, |input, label| {
+        // Project masters onto the quantization grid (per-layer
+        // percentile clip) and load the image into the layer.
+        let buffers = quantized.iter_mut().zip(&mut magnitudes);
+        for ((layer, master), (qm, mags)) in mlp.layers_mut().iter_mut().zip(&masters).zip(buffers)
+        {
+            mags.clear();
+            mags.extend(master.as_slice().iter().map(|v| v.abs() as f64));
+            let clip = quantile_in_place(mags, cfg.weight_percentile).max(1e-6) as f32;
+            let q = Quantizer::new(cfg.weight_bits, clip);
+            for (w, &m) in qm.as_mut_slice().iter_mut().zip(master.as_slice()) {
+                *w = q.round_trip(m);
             }
-            for (layer, qm) in mlp.layers_mut().iter_mut().zip(&quantized) {
-                layer.backend_mut().set_weights(qm.clone());
-            }
-            // Forward at the quantized point, fake-quantizing the hidden
-            // activations so training sees exactly the deployment grid.
-            let mut x = data.input(i);
-            for (l, (layer, a)) in mlp.layers_mut().iter_mut().zip(&mut acts).enumerate() {
-                layer.forward_into(x, a);
-                if l + 1 < n_layers {
-                    for v in a.iter_mut() {
-                        *v = act_quant[l].round_trip(*v);
-                    }
+            layer.backend_mut().set_weights(qm);
+        }
+        // Forward at the quantized point, fake-quantizing the hidden
+        // activations so training sees exactly the deployment grid.
+        let mut x = input;
+        for (l, (layer, a)) in mlp.layers_mut().iter_mut().zip(&mut acts).enumerate() {
+            layer.forward_into(x, a);
+            if l + 1 < n_layers {
+                for v in a.iter_mut() {
+                    *v = act_quant[l].round_trip(*v);
                 }
-                x = a;
             }
-            let loss = crate::loss::softmax_cross_entropy_into(x, data.label(i), &mut dlogits);
-            total += loss as f64;
-            // Backward with the straight-through estimator (activation
-            // quantization passes gradients unchanged).
-            let mut upstream = &dlogits[..];
-            for (layer, dx) in mlp.layers_mut().iter_mut().zip(&mut grads).rev() {
-                layer.backward_into(upstream, dx);
-                upstream = dx;
-            }
-            for layer in mlp.layers_mut().iter_mut() {
-                layer.apply_update(lr);
-            }
-            // Route the realized update into the masters (weight STE).
-            for ((layer, qm), master) in
-                mlp.layers_mut().iter_mut().zip(&quantized).zip(&mut masters)
-            {
-                let mut delta = layer.backend().weights();
-                delta.axpy(-1.0, qm);
-                master.axpy(1.0, &delta);
+            x = a;
+        }
+        let loss = crate::loss::softmax_cross_entropy_into(x, label, &mut dlogits);
+        // Backward with the straight-through estimator (activation
+        // quantization passes gradients unchanged).
+        let mut upstream = &dlogits[..];
+        for (layer, dx) in mlp.layers_mut().iter_mut().zip(&mut grads).rev() {
+            layer.backward_into(upstream, dx);
+            upstream = dx;
+        }
+        for layer in mlp.layers_mut().iter_mut() {
+            layer.apply_update(lr);
+        }
+        // Route the realized update into the masters (weight STE).
+        for ((layer, qm), master) in mlp.layers().iter().zip(&quantized).zip(&mut masters) {
+            let updated = layer.backend().matrix().as_slice();
+            let steps = updated.iter().zip(qm.as_slice());
+            for (m, (&w, &q)) in master.as_mut_slice().iter_mut().zip(steps) {
+                *m += w - q;
             }
         }
-        history.push(total / data.len() as f64);
-    }
+        loss
+    });
     // Leave the network holding the masters (quantize at deployment via
     // QuantizedMlp::from_mlp).
     for (layer, master) in mlp.layers_mut().iter_mut().zip(&masters) {
-        layer.backend_mut().set_weights(master.clone());
+        layer.backend_mut().set_weights(master);
     }
     history
 }

@@ -160,6 +160,23 @@ impl Rng64 {
         idx
     }
 
+    /// Jumps `k` outputs ahead: the generator ends where `k` calls of
+    /// [`next_u64`](Rng64::next_u64) would leave it, in `O(log k)` time,
+    /// so fixed chunks of one stream can be drawn apart. A pending
+    /// Box–Muller spare stays pending.
+    ///
+    /// xoshiro256**'s state transition is linear over GF(2): the jump
+    /// multiplies the state by the transition matrix's powers `T^(2^i)`
+    /// for the set bits of `k`, built once per process at the first
+    /// non-zero jump.
+    pub fn advance(&mut self, k: u64) {
+        let mut bits = k;
+        while bits != 0 {
+            self.state = transition_powers()[bits.trailing_zeros() as usize].apply(self.state);
+            bits &= bits - 1;
+        }
+    }
+
     /// Derives an independent child generator (for parallel sub-experiments).
     pub fn fork(&mut self) -> Rng64 {
         Rng64::new(self.next_u64())
@@ -177,6 +194,55 @@ impl Rng64 {
     pub fn restore(state: RngState) -> Rng64 {
         Rng64 { state: state.words, gauss_spare: state.gauss_spare_bits.map(f64::from_bits) }
     }
+}
+
+/// A linear map of xoshiro256**'s 256-bit state over GF(2), stored by
+/// columns: `cols[j]` is the image of state bit `j` (bit `j % 64` of
+/// word `j / 64`).
+struct Gf2Map {
+    cols: [[u64; 4]; 256],
+}
+
+impl Gf2Map {
+    /// The image of `state`: the XOR of the columns of its set bits.
+    fn apply(&self, state: [u64; 4]) -> [u64; 4] {
+        let mut out = [0u64; 4];
+        for (w, &word) in state.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let col = &self.cols[w * 64 + bits.trailing_zeros() as usize];
+                for (o, c) in out.iter_mut().zip(col) {
+                    *o ^= c;
+                }
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
+/// `T^(2^i)` for `i` in `0..64`, `T` being one [`Rng64::next_u64`] step.
+fn transition_powers() -> &'static [Gf2Map] {
+    static POWERS: std::sync::OnceLock<Vec<Gf2Map>> = std::sync::OnceLock::new();
+    POWERS.get_or_init(|| {
+        let mut step = Gf2Map { cols: [[0; 4]; 256] };
+        for (j, col) in step.cols.iter_mut().enumerate() {
+            let mut basis = Rng64 { state: [0; 4], gauss_spare: None };
+            basis.state[j / 64] = 1 << (j % 64);
+            basis.next_u64();
+            *col = basis.state;
+        }
+        let mut powers = vec![step];
+        while powers.len() < 64 {
+            let last = &powers[powers.len() - 1];
+            let mut squared = Gf2Map { cols: [[0; 4]; 256] };
+            for (sq, &col) in squared.cols.iter_mut().zip(&last.cols) {
+                *sq = last.apply(col);
+            }
+            powers.push(squared);
+        }
+        powers
+    })
 }
 
 /// A [`Rng64`] snapshot: the four xoshiro256** state words plus the
@@ -198,8 +264,12 @@ pub struct RngState {
 /// Zipf-distributed, which is what makes small embedding caches effective
 /// (paper Sec. V-B).
 ///
-/// Sampling is by inverse transform over the precomputed CDF, `O(log n)` per
-/// draw.
+/// Sampling is by inverse transform: a draw `u` maps to the first rank
+/// whose CDF reaches `u`, in `O(1)` expected time. At `alpha == 0` the CDF
+/// of rank `r` is exactly `(r + 1) / n`, so nothing is stored: the draw
+/// guesses `⌊u·n⌋` and steps against that formula. Otherwise the CDF is
+/// precomputed beside a guide table (Chen and Asau's indexed search) of
+/// one bucket per rank, and the draw searches only its bucket's ranks.
 ///
 /// # Example
 ///
@@ -213,7 +283,14 @@ pub struct RngState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
+    n: usize,
+    /// `cdf[r]`: the probability of a rank `<= r`. Empty at `alpha == 0`.
     cdf: Vec<f64>,
+    /// `n + 1` entries: `guide[k]` is the first rank whose CDF falls in
+    /// `bucket` `k` or later. Draws and CDF values share that
+    /// rounding, so a draw in bucket `k` lands in `guide[k]..=guide[k + 1]`
+    /// exactly. Empty at `alpha == 0`.
+    guide: Vec<u32>,
 }
 
 impl ZipfSampler {
@@ -223,10 +300,15 @@ impl ZipfSampler {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `alpha` is negative/non-finite.
+    /// Panics if `n == 0`, `alpha` is negative/non-finite, or `alpha > 0`
+    /// and `n` exceeds `u32::MAX`.
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "zipf over empty support");
         assert!(alpha >= 0.0 && alpha.is_finite(), "invalid zipf exponent");
+        if alpha == 0.0 {
+            return ZipfSampler { n, cdf: Vec::new(), guide: Vec::new() };
+        }
+        assert!(u32::try_from(n).is_ok(), "zipf support of {n} ranks overflows the guide table");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for r in 0..n {
@@ -237,25 +319,61 @@ impl ZipfSampler {
         for c in &mut cdf {
             *c /= total;
         }
-        ZipfSampler { cdf }
+        let mut guide = Vec::with_capacity(n + 1);
+        let mut r = 0;
+        for k in 0..=n {
+            while r + 1 < n && bucket(cdf[r], n) < k {
+                r += 1;
+            }
+            guide.push(r as u32);
+        }
+        ZipfSampler { n, cdf, guide }
     }
 
     /// Number of ranks in the support.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.n
     }
 
     /// Returns `true` if the support is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.n == 0
     }
 
     /// Draws one rank.
     pub fn sample(&self, rng: &mut Rng64) -> usize {
-        let u = rng.uniform();
-        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.rank_of(rng.uniform())
+    }
+
+    /// The first rank whose CDF reaches `u` (the last rank if none does).
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let n = self.n;
+        if self.cdf.is_empty() {
+            // Below 2^53 ranks only the downward step ever fires: `u · n`
+            // rounds monotonically and every `r + 1` is exact, so the
+            // guess never falls short. The upward one keeps the result
+            // the first rank whatever the guess.
+            let mut r = bucket(u, n);
+            while r > 0 && self.cdf_at(r - 1) >= u {
+                r -= 1;
+            }
+            while self.cdf_at(r) < u {
+                r += 1;
+            }
+            return r;
+        }
+        let b = bucket(u, n);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+    }
+
+    /// The probability of a rank `<= r`.
+    fn cdf_at(&self, r: usize) -> f64 {
+        if self.cdf.is_empty() {
+            (r + 1) as f64 / self.n as f64
+        } else {
+            self.cdf[r]
         }
     }
 
@@ -265,12 +383,20 @@ impl ZipfSampler {
     ///
     /// Panics if `r` is out of range.
     pub fn pmf(&self, r: usize) -> f64 {
+        assert!(r < self.n, "rank {r} out of range");
         if r == 0 {
-            self.cdf[0]
+            self.cdf_at(0)
         } else {
-            self.cdf[r] - self.cdf[r - 1]
+            self.cdf_at(r) - self.cdf_at(r - 1)
         }
     }
+}
+
+/// The guide bucket of a probability `u` over `n` ranks: `⌊u·n⌋` as the
+/// product rounds, capped at the last bucket. Monotone in `u`.
+#[inline]
+fn bucket(u: f64, n: usize) -> usize {
+    ((u * n as f64) as usize).min(n - 1)
 }
 
 #[cfg(test)]
@@ -398,6 +524,94 @@ mod tests {
         }
         let emp0 = counts[0] as f64 / n as f64;
         assert!((emp0 - z.pmf(0)).abs() < 0.01, "emp {emp0} vs {}", z.pmf(0));
+    }
+
+    /// The CDF as the sampler once stored it at every exponent, zero
+    /// included.
+    fn stored_cdf(n: usize, alpha: f64) -> Vec<f64> {
+        let mut cdf = Vec::with_capacity(n);
+        let mut acc = 0.0;
+        for r in 0..n {
+            acc += 1.0 / ((r + 1) as f64).powf(alpha);
+            cdf.push(acc);
+        }
+        cdf.iter().map(|c| c / acc).collect()
+    }
+
+    /// The sampler's former draw: a binary search of the stored CDF.
+    fn searched_rank(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|c| c.total_cmp(&u)) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    /// Draws to try on a sampler over `n` ranks with CDF `cdf`: 0, the
+    /// largest draw below 1, every CDF value and bucket edge `k / n`
+    /// with their neighbours, and random draws; all in `[0, 1)`, the
+    /// range of [`Rng64::uniform`].
+    fn probes(cdf: &[f64], rng: &mut Rng64) -> Vec<f64> {
+        let n = cdf.len();
+        let edges = (1..n).map(|k| k as f64 / n as f64);
+        let mut u: Vec<f64> = vec![0.0, 1.0f64.next_down()];
+        for x in cdf.iter().copied().chain(edges) {
+            u.extend([x.next_down(), x, x.next_up()]);
+        }
+        u.extend((0..2000).map(|_| rng.uniform()));
+        u.retain(|u| (0.0..1.0).contains(u));
+        u
+    }
+
+    #[test]
+    fn zipf_draws_match_the_binary_search_of_the_stored_cdf() {
+        let mut rng = Rng64::new(13);
+        for n in [1, 2, 3, 1000, 65_536, 500_000] {
+            for alpha in [0.0, 0.6, 1.0, 1.2, 3.0] {
+                let z = ZipfSampler::new(n, alpha);
+                let cdf = stored_cdf(n, alpha);
+                for u in probes(&cdf, &mut rng) {
+                    let (fast, searched) = (z.rank_of(u), searched_rank(&cdf, u));
+                    assert_eq!(fast, searched, "n {n}, alpha {alpha}, u {u:e}");
+                }
+                if n <= 65_536 {
+                    for r in 0..n {
+                        let stored = if r == 0 { cdf[0] } else { cdf[r] - cdf[r - 1] };
+                        assert_eq!(z.pmf(r).to_bits(), stored.to_bits(), "n {n}, alpha {alpha}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_never_draws_a_rank_of_zero_mass() {
+        // At alpha 3 the terms past rank ~2e5 fall below half an ulp of
+        // the running sum, so the tail's CDF stays at exactly 1.
+        let n = 500_000;
+        let z = ZipfSampler::new(n, 3.0);
+        assert_eq!(z.pmf(n - 1), 0.0, "the tail must carry no mass for this test to bite");
+        let mut rng = Rng64::new(14);
+        let cdf = stored_cdf(n, 3.0);
+        let mut u = probes(&cdf, &mut rng);
+        u.extend((0..100_000).map(|_| rng.uniform()));
+        for r in u.into_iter().map(|u| z.rank_of(u)) {
+            assert!(z.pmf(r) > 0.0, "drew rank {r}, which has no mass");
+        }
+    }
+
+    #[test]
+    fn advance_equals_that_many_outputs() {
+        for k in [0u64, 1, 63, 64, 1_000_007] {
+            let mut stepped = Rng64::new(21);
+            // A pending spare must survive the jump.
+            let _ = stepped.normal();
+            let mut jumped = stepped.clone();
+            for _ in 0..k {
+                stepped.next_u64();
+            }
+            jumped.advance(k);
+            assert_eq!(jumped, stepped, "k = {k}");
+        }
     }
 
     #[test]

@@ -99,15 +99,27 @@ impl FromIterator<f64> for OnlineStats {
 ///
 /// Panics if `data` is empty or `q` is outside `[0, 1]`.
 pub fn quantile(data: &[f64], q: f64) -> f64 {
+    quantile_in_place(&mut data.to_vec(), q)
+}
+
+/// [`quantile`] without the copy: selects the two order statistics in
+/// `data` itself, in `O(n)`, leaving it reordered.
+///
+/// # Panics
+///
+/// Panics if `data` is empty or `q` is outside `[0, 1]`.
+pub fn quantile_in_place(data: &mut [f64], q: f64) -> f64 {
     assert!(!data.is_empty(), "quantile of empty data");
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (data.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    let (_, &mut low, above) = data.select_nth_unstable_by(lo, f64::total_cmp);
+    // Order statistic `lo + 1` is the least value above `lo`.
+    let high =
+        if hi > lo { above.iter().copied().min_by(f64::total_cmp).unwrap_or(low) } else { low };
+    low * (1.0 - frac) + high * frac
 }
 
 /// Geometric mean of strictly positive values.

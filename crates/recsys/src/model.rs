@@ -30,6 +30,12 @@ const BATCH_BLOCK: usize = 256;
 /// in 11 of 20, noise.
 const PF_DISTANCE: usize = 16;
 
+/// Values per chunk of [`EmbeddingTable::random`]'s fill, each drawn
+/// from the caller's stream jumped to the chunk's offset (one draw per
+/// value, so the values are those of one serial pass): 4 MiB, two huge
+/// pages. A table of one chunk makes no jump.
+const FILL_CHUNK: usize = 1 << 20;
+
 /// Splits the next `len` elements off the front of a workspace.
 fn carve<'a>(workspace: &mut &'a mut [f32], len: usize) -> &'a mut [f32] {
     let (head, tail) = std::mem::take(workspace).split_at_mut(len);
@@ -54,14 +60,29 @@ pub struct EmbeddingTable {
 
 impl EmbeddingTable {
     /// A randomly initialized table (as after training; values in
-    /// `[-0.5, 0.5]`, the scale typical of trained embeddings).
+    /// `[-0.5, 0.5]`, the scale typical of trained embeddings). The fill
+    /// is dealt to the `enw_parallel` pool in chunks of 2^20 values; the
+    /// values, and where `rng` is left, are those of one serial pass at
+    /// any thread count.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
     pub fn random(rows: usize, dim: usize, rng: &mut Rng64) -> Self {
-        let values = (0..rows * dim).map(|_| rng.range(-0.5, 0.5) as f32);
-        EmbeddingTable { weights: AlignedRows::laid_out(rows, dim, values) }
+        let origin = rng.clone();
+        let weights = AlignedRows::laid_out(rows, dim, |table| {
+            let mut ends = enw_parallel::for_each_chunk_mut(table, FILL_CHUNK, |start, chunk| {
+                let mut rng = origin.clone();
+                rng.advance(start as u64);
+                chunk.fill_with(|| rng.range(-0.5, 0.5) as f32);
+                rng
+            });
+            // The last chunk's stream ends where one serial pass would.
+            if let Some(end) = ends.pop() {
+                *rng = end;
+            }
+        });
+        EmbeddingTable { weights }
     }
 
     /// Number of rows (catalogue size).

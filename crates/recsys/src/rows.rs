@@ -28,13 +28,12 @@ pub(crate) struct AlignedRows {
 }
 
 impl AlignedRows {
-    /// Lays out `rows × dim` floats taken from `values` in row-major
-    /// order.
+    /// Lays out `rows × dim` floats, row-major, written by `fill`.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub(crate) fn laid_out(rows: usize, dim: usize, values: impl Iterator<Item = f32>) -> Self {
+    pub(crate) fn laid_out(rows: usize, dim: usize, fill: impl FnOnce(&mut [f32])) -> Self {
         assert!(rows > 0 && dim > 0, "embedding table dimensions must be non-zero");
         let len = rows * dim;
         let align = if 4 * len >= HUGE_PAGE { HUGE_PAGE } else { LINE_PAIR };
@@ -44,9 +43,7 @@ impl AlignedRows {
         if align == HUGE_PAGE {
             advise_huge_pages(table);
         }
-        for (slot, v) in table.iter_mut().zip(values) {
-            *slot = v;
-        }
+        fill(table);
         AlignedRows { buf, start, rows, dim }
     }
 
@@ -80,7 +77,7 @@ impl AlignedRows {
 /// address it was measured from.
 impl Clone for AlignedRows {
     fn clone(&self) -> Self {
-        AlignedRows::laid_out(self.rows, self.dim, self.values().iter().copied())
+        AlignedRows::laid_out(self.rows, self.dim, |table| table.copy_from_slice(self.values()))
     }
 }
 
@@ -134,9 +131,10 @@ mod tests {
     use enw_numerics::matrix::Matrix;
     use enw_numerics::rng::Rng64;
 
-    /// A table under 2 MiB and one of exactly 2 MiB, with the boundary
-    /// each must start on.
-    const SHAPES: [(usize, usize, usize); 2] = [(300, 17, LINE_PAIR), (16_384, 32, HUGE_PAGE)];
+    /// A table under 2 MiB, one of exactly 2 MiB and one filled in two
+    /// chunks, with the boundary each must start on.
+    const SHAPES: [(usize, usize, usize); 3] =
+        [(300, 17, LINE_PAIR), (16_384, 32, HUGE_PAGE), (40_000, 32, HUGE_PAGE)];
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
@@ -149,11 +147,16 @@ mod tests {
     #[test]
     fn rows_are_drawn_as_matrix_random_uniform_draws_them() {
         for (rows, dim, _) in SHAPES {
-            let table = EmbeddingTable::random(rows, dim, &mut Rng64::new(3));
-            let matrix = Matrix::random_uniform(rows, dim, -0.5, 0.5, &mut Rng64::new(3));
+            let (mut filled, mut drawn) = (Rng64::new(3), Rng64::new(3));
+            let table = EmbeddingTable::random(rows, dim, &mut filled);
+            let matrix = Matrix::random_uniform(rows, dim, -0.5, 0.5, &mut drawn);
             for i in 0..rows {
                 assert_eq!(bits(table.row(i)), bits(matrix.row(i)), "{rows} x {dim}, row {i}");
             }
+            assert_eq!(
+                filled, drawn,
+                "{rows} x {dim}: the caller's stream must go on past the table"
+            );
         }
     }
 

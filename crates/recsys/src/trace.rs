@@ -23,29 +23,40 @@ pub struct SparseQuery {
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     dense_features: usize,
-    lookups: Vec<usize>,
+    /// One sampler per distinct table size: tables of equal size draw
+    /// from the same distribution, so they share it.
     samplers: Vec<ZipfSampler>,
+    /// Per table: its sampler's index in `samplers`, and its lookups.
+    tables: Vec<(usize, usize)>,
 }
 
 impl TraceGenerator {
     /// Builds a generator for `cfg` with Zipf exponent `alpha`
     /// (0 = uniform access, ~1 = strongly skewed production-like).
     pub fn new(cfg: &RecModelConfig, alpha: f64) -> Self {
-        TraceGenerator {
-            dense_features: cfg.dense_features,
-            lookups: cfg.tables.iter().map(|&(_, l)| l).collect(),
-            samplers: cfg.tables.iter().map(|&(rows, _)| ZipfSampler::new(rows, alpha)).collect(),
-        }
+        let mut samplers: Vec<ZipfSampler> = Vec::new();
+        let tables = cfg
+            .tables
+            .iter()
+            .map(|&(rows, lookups)| {
+                let shared = samplers.iter().position(|z| z.len() == rows);
+                let sampler = shared.unwrap_or_else(|| {
+                    samplers.push(ZipfSampler::new(rows, alpha));
+                    samplers.len() - 1
+                });
+                (sampler, lookups)
+            })
+            .collect();
+        TraceGenerator { dense_features: cfg.dense_features, samplers, tables }
     }
 
     /// Draws one query.
     pub fn query(&self, rng: &mut Rng64) -> SparseQuery {
         let dense = (0..self.dense_features).map(|_| rng.uniform_f32()).collect();
         let sparse = self
-            .samplers
+            .tables
             .iter()
-            .zip(&self.lookups)
-            .map(|(z, &l)| (0..l).map(|_| z.sample(rng)).collect())
+            .map(|&(z, lookups)| (0..lookups).map(|_| self.samplers[z].sample(rng)).collect())
             .collect();
         SparseQuery { dense, sparse }
     }
@@ -119,6 +130,38 @@ mod tests {
         }
         let frac = head_hits as f64 / total as f64;
         assert!((frac - 0.05).abs() < 0.03, "uniform head fraction {frac}");
+    }
+
+    /// FNV-1a over a batch's dense bits and sparse indices.
+    fn digest(queries: &[SparseQuery]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let words = queries.iter().flat_map(|q| {
+            let dense = q.dense.iter().map(|v| u64::from(v.to_bits()));
+            dense.chain(q.sparse.iter().flatten().map(|&i| i as u64))
+        });
+        for w in words {
+            for byte in w.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn equal_size_tables_share_one_sampler_and_draw_as_before() {
+        let mut cfg = cfg();
+        cfg.tables = vec![(1000, 5), (50, 2), (1000, 3), (50, 1), (1000, 4)];
+        // Digests of 40-query batches drawn with one sampler per table,
+        // each searching its own stored CDF.
+        for (alpha, pinned) in [(0.0, 0x7c51_b523_628f_96ceu64), (1.05, 0x57f8_9ed6_31f0_c85f)] {
+            let g = TraceGenerator::new(&cfg, alpha);
+            let sizes: Vec<usize> = g.samplers.iter().map(ZipfSampler::len).collect();
+            assert_eq!(sizes, [1000, 50], "alpha {alpha}");
+            let shared: Vec<usize> = g.tables.iter().map(|&(z, _)| z).collect();
+            assert_eq!(shared, [0, 1, 0, 1, 0], "alpha {alpha}");
+            let batch = g.batch(40, &mut Rng64::new(17));
+            assert_eq!(digest(&batch), pinned, "alpha {alpha}: {:#x}", digest(&batch));
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! `enw_core::parallel` — fixed chunk boundaries, ascending-index
 //! accumulation inside every chunk).
 //!
-//! Three loops fan out. The tile update (`par_pulse_by_row`) is swept
-//! here, inside a whole tile cycle; DLRM query blocks in
+//! Five loops fan out. The tile update (`par_pulse_by_row`), the TCAM
+//! bank's nearest search and the embedding-table fill are swept here,
+//! the tile update inside a whole tile cycle; DLRM query blocks in
 //! `recsys::model`'s `predict_batch_into_matches_predict_query_around_every_block_edge`;
 //! design-space points in `tests/dse_determinism.rs`. `scripts/verify.sh`
 //! repeats the sweep on whole experiments (`ENW_THREADS=1` against `=2`,
@@ -21,6 +22,8 @@ use enw_core::nn::backend::LinearBackend;
 use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel;
+use enw_core::recsys::model::{Interaction, RecModel, RecModelConfig};
+use enw_core::recsys::trace::TraceGenerator;
 
 /// Worker counts exercised by every test: serial fallback, an even
 /// split, an uneven one, and more workers than most chunk counts.
@@ -84,5 +87,34 @@ fn parallel_tcam_bank_search_matches_serial_bitwise() {
     assert!(!reference.1 .0.is_empty());
     for threads in THREAD_COUNTS {
         assert_eq!(reference, run(threads), "threads = {threads}");
+    }
+}
+
+#[test]
+fn recsys_model_build_matches_serial_bitwise() {
+    // Two tables of 2.24 M values: three fill chunks each, the last one
+    // short. The tables, the top stack drawn after them and the stream
+    // left to the caller must not depend on the thread count.
+    let cfg = RecModelConfig {
+        dense_features: 8,
+        bottom_mlp: vec![32],
+        tables: vec![(70_000, 3); 2],
+        embedding_dim: 32,
+        top_mlp: vec![16],
+        interaction: Interaction::Concat,
+    };
+    let build = |threads: usize| {
+        parallel::with_threads(threads, || {
+            let mut rng = Rng64::new(31);
+            let mut model = RecModel::new(&cfg, &mut rng);
+            let queries = TraceGenerator::new(&cfg, 1.0).batch(16, &mut rng);
+            let predictions: Vec<u32> =
+                queries.iter().map(|q| model.predict_query(q).to_bits()).collect();
+            (model.tables().to_vec(), predictions, rng)
+        })
+    };
+    let reference = build(1);
+    for threads in THREAD_COUNTS {
+        assert!(reference == build(threads), "threads = {threads}");
     }
 }
