@@ -27,7 +27,9 @@ use enw_core::mann::encoding::TernaryWord;
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
 use enw_core::nn::backend::{DigitalLinear, LinearBackend};
 use enw_core::nn::conv::{ConvNet, ConvNetConfig, MapShape};
+use enw_core::nn::data::SyntheticImages;
 use enw_core::nn::loss::softmax_cross_entropy_into;
+use enw_core::nn::quantized::{InferenceQuant, QuantizedMlp};
 use enw_core::nn::{Activation, Mlp};
 use enw_core::numerics::bits::BitVec;
 use enw_core::numerics::matrix::Matrix;
@@ -57,6 +59,7 @@ fn serve_loop_allocates_nothing_per_request_after_warm_up() {
 /// Once warm, a run allocates one score vector per request an MLP lane
 /// serves and a fixed set of run-level buffers besides: no request is
 /// copied out of the trace, and nothing else is allocated per request.
+/// Rendering the report allocates its one exactly sized buffer.
 #[test]
 fn preset_server_run_allocates_only_its_answers() {
     const SEED: u64 = 11;
@@ -81,17 +84,45 @@ fn preset_server_run_allocates_only_its_answers() {
             // answer with score vectors; TCAM labels and recsys CTRs are
             // plain values.
             let scored: u64 = report.stations[..2].iter().map(StationMetrics::served).sum();
-            (allocs, scored)
+            let s1 = alloc_audit::thread_snapshot();
+            let text = report.render();
+            let render_allocs = alloc_audit::thread_snapshot().since(s1).allocs;
+            assert_eq!(text.lines().count(), trace.len(), "one line per request");
+            (allocs, scored, render_allocs)
         };
         let _ = run(); // warm-up: lazy statics, owned workspaces
-        let (allocs, scored) = run();
+        let (allocs, scored, render_allocs) = run();
         assert_eq!(
             allocs,
             scored + RUN_BUFFERS,
             "{} requests, {scored} answered with score vectors",
             trace.len()
         );
+        assert_eq!(render_allocs, 1, "rendering {} responses", trace.len());
     }
+}
+
+/// Quantized inference swaps two buffers from layer to layer: the one
+/// it returns and the other, whatever the depth.
+#[test]
+fn quantized_predict_allocates_two_buffers() {
+    let mut rng = Rng64::new(23);
+    let split = SyntheticImages::builder()
+        .classes(3)
+        .dim(16)
+        .train_per_class(10)
+        .test_per_class(2)
+        .noise(0.5)
+        .build(&mut rng);
+    let mut mlp = Mlp::digital(&[16, 32, 24, 10], Activation::Tanh, &mut rng);
+    let q = QuantizedMlp::from_mlp(&mut mlp, &InferenceQuant::default(), &split.train);
+    let x = split.test.input(0);
+    let _ = q.predict(x); // warm-up: lazy statics
+    let s0 = alloc_audit::thread_snapshot();
+    let logits = q.predict(x);
+    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
+    assert_eq!(allocs, 2, "three layers");
+    assert_eq!(logits.len(), 10);
 }
 
 #[test]

@@ -15,7 +15,7 @@ use crate::mlp::Mlp;
 use crate::DigitalLinear;
 use enw_numerics::matrix::Matrix;
 use enw_numerics::quant::Quantizer;
-use enw_numerics::stats::{quantile, quantile_in_place};
+use enw_numerics::stats::quantile_in_place;
 use enw_numerics::vector::argmax;
 
 /// Quantization settings for inference.
@@ -71,35 +71,39 @@ impl QuantizedMlp {
         calibration: &Dataset,
     ) -> Self {
         assert!(!calibration.is_empty(), "need calibration samples");
-        // Collect per-layer activation magnitudes over the calibration set.
-        let n_layers = mlp.layers().len();
-        let mut act_samples: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
-        for i in 0..calibration.len().min(200) {
-            let mut a = calibration.input(i).to_vec();
-            for (l, layer) in mlp.layers_mut().iter_mut().enumerate() {
-                let mut z = vec![0.0f32; layer.out_dim()];
-                layer.infer_into(&a, &mut z);
-                a = z;
-                act_samples[l].extend(a.iter().map(|v| v.abs() as f64));
+        // Collect per-layer activation magnitudes over the calibration set,
+        // each layer writing its output into a buffer of its own.
+        let samples = calibration.len().min(200);
+        let mut outputs: Vec<Vec<f32>> =
+            mlp.layers().iter().map(|l| vec![0.0; l.out_dim()]).collect();
+        let mut act_samples: Vec<Vec<f64>> =
+            outputs.iter().map(|a| Vec::with_capacity(samples * a.len())).collect();
+        for i in 0..samples {
+            let mut x = calibration.input(i);
+            let buffers = outputs.iter_mut().zip(&mut act_samples);
+            for (layer, (a, seen)) in mlp.layers_mut().iter_mut().zip(buffers) {
+                layer.infer_into(x, a);
+                seen.extend(a.iter().map(|v| v.abs() as f64));
+                x = a;
             }
         }
+        let n_layers = outputs.len();
         let mut layers = Vec::with_capacity(n_layers);
         let mut act_quant = Vec::with_capacity(n_layers);
         let mut activations = Vec::with_capacity(n_layers);
-        for (l, layer) in mlp.layers().iter().enumerate() {
-            let w = layer.backend().weights();
+        for (layer, seen) in mlp.layers().iter().zip(&mut act_samples) {
+            let mut m = layer.backend().matrix().clone();
             // Statistical weight scale: percentile of |w| instead of max.
-            let mags: Vec<f64> = w.as_slice().iter().map(|v| v.abs() as f64).collect();
-            let clip = quantile(&mags, cfg.weight_percentile).max(1e-6) as f32;
+            let mut mags: Vec<f64> = m.as_slice().iter().map(|v| v.abs() as f64).collect();
+            let clip = quantile_in_place(&mut mags, cfg.weight_percentile).max(1e-6) as f32;
             let wq = Quantizer::new(cfg.weight_bits, clip);
-            let mut m = w.clone();
             m.map_inplace(|v| wq.round_trip(v));
             layers.push(m);
             // Activation clip from calibration percentile.
-            let a_clip = if act_samples[l].is_empty() {
+            let a_clip = if seen.is_empty() {
                 1.0
             } else {
-                quantile(&act_samples[l], cfg.activation_percentile).max(1e-6) as f32
+                quantile_in_place(seen, cfg.activation_percentile).max(1e-6) as f32
             };
             act_quant.push(Quantizer::new(cfg.activation_bits, a_clip));
             activations.push(layer.activation());
@@ -113,17 +117,22 @@ impl QuantizedMlp {
     ///
     /// Panics if the input width mismatches.
     pub fn predict(&self, x: &[f32]) -> Vec<f32> {
-        let mut a = x.to_vec();
+        // Two buffers wide enough for any layer's bias-augmented input,
+        // swapped after each layer.
+        let width = self.layers.iter().map(|w| w.cols().max(w.rows())).max().unwrap_or(0);
+        let mut a = Vec::with_capacity(width);
+        let mut z = Vec::with_capacity(width);
+        a.extend_from_slice(x);
         for ((w, act), aq) in self.layers.iter().zip(&self.activations).zip(&self.act_quant) {
             assert_eq!(a.len() + 1, w.cols(), "input width mismatch");
-            let mut xa = a.clone();
-            xa.push(1.0);
-            let mut z = vec![0.0f32; w.rows()];
-            w.matvec_into(&xa, &mut z);
+            a.push(1.0);
+            z.clear();
+            z.resize(w.rows(), 0.0);
+            w.matvec_into(&a, &mut z);
             for v in &mut z {
                 *v = aq.round_trip(act.apply(*v));
             }
-            a = z;
+            std::mem::swap(&mut a, &mut z);
         }
         a
     }

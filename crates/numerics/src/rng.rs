@@ -268,8 +268,16 @@ pub struct RngState {
 /// whose CDF reaches `u`, in `O(1)` expected time. At `alpha == 0` the CDF
 /// of rank `r` is exactly `(r + 1) / n`, so nothing is stored: the draw
 /// guesses `⌊u·n⌋` and steps against that formula. Otherwise the CDF is
-/// precomputed beside a guide table (Chen and Asau's indexed search) of
-/// one bucket per rank, and the draw searches only its bucket's ranks.
+/// precomputed beside a guide table (Chen and Asau's indexed search), and
+/// the draw searches only its bucket's ranks.
+///
+/// The guide splits `[0, 1)` into `m = max(n, 16,384)` equal buckets
+/// (`GUIDE_MIN_BUCKETS`) and costs `4 (m + 1)` bytes beside the CDF's
+/// `8 n`: 64 KiB for every table below 16,384 ranks, one `u32` per rank
+/// from there up. On a table of a few hundred ranks nearly every bucket
+/// then names its answer outright (Zipf(1) over 128–512 ranks: 97–99 %
+/// of them, and none spans more than two ranks), so a draw there makes
+/// one comparison at most; on large tables a bucket spans about one rank.
 ///
 /// # Example
 ///
@@ -286,8 +294,10 @@ pub struct ZipfSampler {
     n: usize,
     /// `cdf[r]`: the probability of a rank `<= r`. Empty at `alpha == 0`.
     cdf: Vec<f64>,
-    /// `n + 1` entries: `guide[k]` is the first rank whose CDF falls in
-    /// `bucket` `k` or later. Draws and CDF values share that
+    /// Guide buckets, `max(n, GUIDE_MIN_BUCKETS)`. Zero at `alpha == 0`.
+    buckets: usize,
+    /// `buckets + 1` entries: `guide[k]` is the first rank whose CDF falls
+    /// in `bucket` `k` or later. Draws and CDF values share that
     /// rounding, so a draw in bucket `k` lands in `guide[k]..=guide[k + 1]`
     /// exactly. Empty at `alpha == 0`.
     guide: Vec<u32>,
@@ -306,7 +316,7 @@ impl ZipfSampler {
         assert!(n > 0, "zipf over empty support");
         assert!(alpha >= 0.0 && alpha.is_finite(), "invalid zipf exponent");
         if alpha == 0.0 {
-            return ZipfSampler { n, cdf: Vec::new(), guide: Vec::new() };
+            return ZipfSampler { n, cdf: Vec::new(), buckets: 0, guide: Vec::new() };
         }
         assert!(u32::try_from(n).is_ok(), "zipf support of {n} ranks overflows the guide table");
         let mut cdf = Vec::with_capacity(n);
@@ -319,15 +329,18 @@ impl ZipfSampler {
         for c in &mut cdf {
             *c /= total;
         }
-        let mut guide = Vec::with_capacity(n + 1);
-        let mut r = 0;
-        for k in 0..=n {
-            while r + 1 < n && bucket(cdf[r], n) < k {
-                r += 1;
+        let buckets = n.max(GUIDE_MIN_BUCKETS);
+        let mut guide = Vec::with_capacity(buckets + 1);
+        // Each rank claims the buckets past the last one an earlier rank
+        // reached, up to its own; the last rank claims the rest.
+        for (r, &c) in cdf[..n - 1].iter().enumerate() {
+            let b = bucket(c, buckets);
+            if guide.len() <= b {
+                guide.resize(b + 1, r as u32);
             }
-            guide.push(r as u32);
         }
-        ZipfSampler { n, cdf, guide }
+        guide.resize(buckets + 1, (n - 1) as u32);
+        ZipfSampler { n, cdf, buckets, guide }
     }
 
     /// Number of ranks in the support.
@@ -363,7 +376,7 @@ impl ZipfSampler {
             }
             return r;
         }
-        let b = bucket(u, n);
+        let b = bucket(u, self.buckets);
         let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
         lo + self.cdf[lo..hi].partition_point(|&c| c < u)
     }
@@ -392,7 +405,11 @@ impl ZipfSampler {
     }
 }
 
-/// The guide bucket of a probability `u` over `n` ranks: `⌊u·n⌋` as the
+/// The fewest buckets a [`ZipfSampler`] guide holds: small tables get a
+/// guide finer than one bucket per rank.
+const GUIDE_MIN_BUCKETS: usize = 16_384;
+
+/// The bucket of a probability `u` among `n` equal ones: `⌊u·n⌋` as the
 /// product rounds, capped at the last bucket. Monotone in `u`.
 #[inline]
 fn bucket(u: f64, n: usize) -> usize {
@@ -547,12 +564,15 @@ mod tests {
     }
 
     /// Draws to try on a sampler over `n` ranks with CDF `cdf`: 0, the
-    /// largest draw below 1, every CDF value and bucket edge `k / n`
-    /// with their neighbours, and random draws; all in `[0, 1)`, the
-    /// range of [`Rng64::uniform`].
+    /// largest draw below 1, every CDF value, every rank edge `k / n` and
+    /// guide bucket edge `k / max(n, GUIDE_MIN_BUCKETS)` with their
+    /// neighbours, and random draws; all in `[0, 1)`, the range of
+    /// [`Rng64::uniform`].
     fn probes(cdf: &[f64], rng: &mut Rng64) -> Vec<f64> {
         let n = cdf.len();
-        let edges = (1..n).map(|k| k as f64 / n as f64);
+        let m = n.max(GUIDE_MIN_BUCKETS);
+        let edges = |parts: usize| (1..parts).map(move |k| k as f64 / parts as f64);
+        let edges = edges(n).chain(if m > n { edges(m) } else { edges(0) });
         let mut u: Vec<f64> = vec![0.0, 1.0f64.next_down()];
         for x in cdf.iter().copied().chain(edges) {
             u.extend([x.next_down(), x, x.next_up()]);
@@ -565,7 +585,7 @@ mod tests {
     #[test]
     fn zipf_draws_match_the_binary_search_of_the_stored_cdf() {
         let mut rng = Rng64::new(13);
-        for n in [1, 2, 3, 1000, 65_536, 500_000] {
+        for n in [1, 2, 3, 128, 256, 512, 1000, 65_536, 500_000] {
             for alpha in [0.0, 0.6, 1.0, 1.2, 3.0] {
                 let z = ZipfSampler::new(n, alpha);
                 let cdf = stored_cdf(n, alpha);
